@@ -1,7 +1,7 @@
 """One schema for every ``BENCH_*.json`` file.
 
-BENCH_PR2/PR3/PR7 drifted in field names and shape (bare record lists,
-per-suite timing keys).  This module pins the output down:
+BENCH_PR2/PR3/PR7 drifted in field names and shape (per-suite timing
+keys).  This module pins the output down:
 
 * a bench file is ``{"schema": "repro-bench/1", "suite": ..., "seed":
   ..., "label": ..., "records": [...]}``,
@@ -12,9 +12,9 @@ per-suite timing keys).  This module pins the output down:
 * :func:`validate_records` is run by the bench CLI *before* anything is
   written, so a malformed record aborts the run instead of landing in
   the repository,
-* :func:`load_bench_files` reads both the pinned format and the legacy
-  bare-list files of earlier PRs, and :func:`render_report` tabulates
-  any number of them (``repro bench report``) for trajectory tracking.
+* :func:`load_bench_files` reads the pinned format and
+  :func:`render_report` tabulates any number of files (``repro bench
+  report``) for trajectory tracking.
 """
 
 from __future__ import annotations
@@ -132,9 +132,8 @@ def write_bench(
 def load_bench_files(paths) -> list[tuple[Path, dict, list[dict]]]:
     """Read bench files as ``(path, meta, records)`` triples.
 
-    Accepts both the pinned format and the legacy bare-list files of
-    PR 2/3/7 (``meta`` then carries ``{"schema": "legacy"}``).  A file
-    that parses as neither raises :class:`ReproError`.
+    A file that is not a ``{"schema": ..., "records": [...]}`` document
+    raises :class:`ReproError`.
     """
     out: list[tuple[Path, dict, list[dict]]] = []
     for path in paths:
@@ -143,14 +142,12 @@ def load_bench_files(paths) -> list[tuple[Path, dict, list[dict]]]:
             payload = json.loads(path.read_text())
         except (OSError, ValueError) as exc:
             raise ReproError(f"{path}: unreadable bench file: {exc}") from exc
-        if isinstance(payload, dict) and "records" in payload:
-            meta = {k: v for k, v in payload.items() if k != "records"}
-            records = payload["records"]
-        elif isinstance(payload, list):
-            meta = {"schema": "legacy", "suite": None, "seed": None, "label": None}
-            records = payload
-        else:
-            raise ReproError(f"{path}: not a bench file (expected list or object)")
+        if not (isinstance(payload, dict) and "records" in payload):
+            raise ReproError(
+                f"{path}: not a bench file (expected an object with 'records')"
+            )
+        meta = {k: v for k, v in payload.items() if k != "records"}
+        records = payload["records"]
         if not isinstance(records, list) or not all(
             isinstance(r, dict) for r in records
         ):

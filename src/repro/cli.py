@@ -1235,15 +1235,6 @@ def cmd_bench_index_scale(args) -> int:
             ])
             mcore, densify_s = timed("densify.mtree", mtree.dense_core)
             mcore.check_invariants()
-            # Batched variant: per-node metric evaluation through the
-            # PR 2 matching kernel.  Its floats agree with the scalar
-            # metric only to ~1e-9 (ulp-level reassociation), so the
-            # oracle check below is oids-exact + distances-allclose
-            # rather than literal.
-            mbatched = densify(
-                mtree,
-                batch_params={"capacity": set_k, "omega": np.zeros(dim)},
-            )
             dists = np.array(
                 [[min_matching_distance(q, s) for s in sets] for q in query_sets]
             )
@@ -1256,16 +1247,6 @@ def cmd_bench_index_scale(args) -> int:
                     raise ReproError(
                         f"mtree n={n}: knn disagrees with the scan oracle"
                     )
-                got = mbatched.knn(q, knn_k)
-                if [oid for oid, _ in got] != [oid for oid, _ in want] or not (
-                    np.allclose(
-                        [d for _, d in got], [d for _, d in want], atol=1e-6
-                    )
-                ):
-                    raise ReproError(
-                        f"mtree n={n}: batched core disagrees with the "
-                        "scan oracle"
-                    )
             if mcore.knn_many(query_sets, knn_k) != m_expected:
                 raise ReproError(
                     f"mtree n={n}: knn_many disagrees with the scan oracle"
@@ -1277,19 +1258,9 @@ def cmd_bench_index_scale(args) -> int:
             _, core_s = timed(
                 "knn.core.mtree", lambda: [mcore.knn(q, knn_k) for q in query_sets]
             )
-            _, batched_s = timed(
-                "knn.batched.mtree",
-                lambda: [mbatched.knn(q, knn_k) for q in query_sets],
-                repeat=3,
-            )
-            # Primary speedup is pointer vs the scalar dense core: that
-            # is the pair SimilarityDatabase chooses between.  The
-            # batched-kernel ratio is reported separately — per-node
-            # batches are capped at the tree capacity (16), where kernel
-            # call overhead loses to 16 cheap scipy assignments, so the
-            # db's query path stays on the pointer walk for mtree.
+            # Pointer vs the scalar dense core: the pair
+            # SimilarityDatabase chooses between for the mtree backend.
             speedup = pointer_s / core_s if core_s else float("inf")
-            batched_speedup = pointer_s / batched_s if batched_s else float("inf")
             emit_record({
                 "op": "index_knn",
                 "backend": "mtree",
@@ -1301,14 +1272,11 @@ def cmd_bench_index_scale(args) -> int:
                 "densify_seconds": round(densify_s, 6),
                 "pointer_seconds": round(pointer_s, 6),
                 "core_seconds": round(core_s, 6),
-                "batched_seconds": round(batched_s, 6),
                 "speedup": round(speedup, 2),
-                "batched_speedup": round(batched_speedup, 2),
             })
             print(
                 f"index_knn mtree  n={n:>7}  pointer {pointer_s:9.4f}s  "
-                f"core {core_s:9.4f}s  batched {batched_s:9.4f}s  "
-                f"speedup {speedup:6.1f}x (batched {batched_speedup:4.1f}x)"
+                f"core {core_s:9.4f}s  speedup {speedup:6.1f}x"
             )
 
     # Snapshot load-to-first-query: .npz pointer reconstruction vs cold
@@ -1802,7 +1770,7 @@ def cmd_bench_shard_scale(args) -> int:
 
 def cmd_bench_report(args) -> int:
     """``repro bench report``: tabulate every BENCH_*.json for trajectory
-    tracking (accepts both the pinned schema and legacy bare lists)."""
+    tracking."""
     from repro.bench import load_bench_files, render_report
 
     files = args.files if args.files else sorted(Path.cwd().glob("BENCH_*.json"))

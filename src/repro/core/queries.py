@@ -34,12 +34,12 @@ omega-norm-weight configuration of the paper).
 
 The centroid ranking itself can be delegated to a spatial index (the
 paper uses an X-tree, see :mod:`repro.index.xtree`) through the
-``centroid_ranker`` hook; the default is an in-memory scan, which keeps
-this module free of index dependencies.  A ranker that additionally
-exposes ``.chunks(center)`` — yielding ``(oids, dists)`` array pairs in
-the same ascending order — is consumed through a vectorized fast path
-(the array-native index cores of :mod:`repro.index.arraycore` do);
-results and stats are identical to the per-item protocol.
+``centroid_ranker`` hook: a *chunk source*, called with the query's
+extended centroid and yielding ``(oids, dists)`` array pairs in
+ascending centroid distance (``ranking_chunks`` of the array-native
+index cores in :mod:`repro.index.arraycore` is one).  The default is an
+in-memory scan emitting a single chunk, which keeps this module free of
+index dependencies.
 """
 
 from __future__ import annotations
@@ -50,16 +50,17 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.batch import DEFAULT_CHUNK_SIZE, PackedSets, match_pairs
+from repro.core.batch import DEFAULT_CHUNK_SIZE, PackedSets
 from repro.core.centroid import extended_centroid
 from repro.core.vector_set import VectorSet
 from repro.exceptions import QueryError
 from repro.obs import registry, span
 from repro.obs import querylog
 
-#: A ranker yields (object id, centroid distance) in ascending centroid
+#: A ranker is a chunk source: called with the query centroid, it yields
+#: (object ids, centroid distances) array pairs in ascending centroid
 #: distance; spatial indexes plug in here.
-CentroidRanker = Callable[[np.ndarray], Iterator[tuple[int, float]]]
+CentroidRanker = Callable[[np.ndarray], Iterator[tuple[np.ndarray, np.ndarray]]]
 ExactDistance = Callable[[np.ndarray, np.ndarray], float]
 
 #: Candidates refined per batched kernel call in blocked k-nn; see
@@ -202,11 +203,11 @@ class FilterRefineEngine:
                 )
             if len(set(self.oids)) != len(self.oids):
                 raise QueryError("object ids must be unique")
-        self._position = {oid: pos for pos, oid in enumerate(self.oids)}
         self._oid_arr = np.asarray(self.oids, dtype=np.int64)
-        self._oids_sorted = bool(
-            len(self._oid_arr) < 2 or np.all(self._oid_arr[:-1] < self._oid_arr[1:])
-        )
+        # Ascending view of the ids for the vectorized oid -> position
+        # lookup (identity order for the database's sorted ids).
+        self._oid_order = np.argsort(self._oid_arr, kind="stable")
+        self._oid_sorted = self._oid_arr[self._oid_order]
         self.omega = (
             np.zeros(self.dimension) if omega is None else np.asarray(omega, dtype=float)
         )
@@ -234,61 +235,31 @@ class FilterRefineEngine:
 
     # -- filter step -------------------------------------------------------
 
-    def _scan_ranking(self, query_centroid: np.ndarray) -> Iterator[tuple[int, float]]:
-        """Default centroid ranker: full scan, sorted ascending."""
-        dists = np.linalg.norm(self.centroids - query_centroid, axis=1)
-        for idx in np.argsort(dists, kind="stable"):
-            yield self.oids[int(idx)], float(dists[idx])
-
     def _scan_chunks(self, query_centroid: np.ndarray):
-        """Chunked form of the default ranker: a single ``(oids, dists)``
-        chunk in exactly the order :meth:`_scan_ranking` yields."""
+        """Default centroid ranker: full scan, one ascending chunk."""
         dists = np.linalg.norm(self.centroids - query_centroid, axis=1)
         order = np.argsort(dists, kind="stable")
         yield self._oid_arr[order], dists[order]
 
-    def _chunk_source(self, centroid_ranker: CentroidRanker | None):
-        """The ``.chunks`` callable to use for this query, or None when
-        the ranker only speaks the per-item protocol."""
-        if centroid_ranker is None:
-            return self._scan_chunks
-        return getattr(centroid_ranker, "chunks", None)
-
-    def _require_position(self, oid: int) -> int:
-        try:
-            return self._position[oid]
-        except KeyError:
-            raise QueryError(f"ranker yielded unknown object id {oid}") from None
-
-    def _positions_for(self, oids: np.ndarray) -> list[int]:
-        """Vectorized oid → internal-position lookup for chunked rankers."""
+    def _positions_for(self, oids: np.ndarray) -> np.ndarray:
+        """Vectorized oid → internal-position lookup."""
         arr = np.asarray(oids)
-        if not len(arr):
-            return []
-        if self._oids_sorted:
-            pos = np.searchsorted(self._oid_arr, arr)
-            clipped = np.minimum(pos, len(self._oid_arr) - 1)
-            bad = (pos >= len(self._oid_arr)) | (self._oid_arr[clipped] != arr)
-            if bad.any():
-                oid = int(arr[int(np.argmax(bad))])
-                raise QueryError(f"ranker yielded unknown object id {oid}")
-            return pos.tolist()
-        return [self._require_position(int(o)) for o in arr]
+        rank = np.searchsorted(self._oid_sorted, arr)
+        bad = self._oid_sorted.take(rank, mode="clip") != arr
+        if bad.any():
+            oid = int(arr[int(np.argmax(bad))])
+            raise QueryError(f"ranker yielded unknown object id {oid}")
+        return self._oid_order[rank]
 
-    def _query_centroid(self, query: np.ndarray | VectorSet) -> np.ndarray:
+    # -- refinement --------------------------------------------------------
+
+    def _query_array(self, query: np.ndarray | VectorSet) -> np.ndarray:
         arr = np.asarray(
             query.vectors if isinstance(query, VectorSet) else query, dtype=float
         )
         if arr.ndim != 2 or arr.shape[1] != self.dimension:
             raise QueryError(f"query set has incompatible shape {arr.shape}")
-        return extended_centroid(arr, self.capacity, self.omega)
-
-    # -- refinement --------------------------------------------------------
-
-    def _query_array(self, query: np.ndarray | VectorSet) -> np.ndarray:
-        return np.asarray(
-            query.vectors if isinstance(query, VectorSet) else query, dtype=float
-        )
+        return arr
 
     def _prepare_query(self, query_arr: np.ndarray):
         """Pad the query once per query (reused across all its blocks)."""
@@ -310,6 +281,40 @@ class FilterRefineEngine:
                 backend=self.backend,
             )
         return np.array([self._exact(query_arr, self._sets[oid]) for oid in ids])
+
+    def _refine_block(
+        self, prepared, query_arr: np.ndarray, ids: Sequence[int]
+    ) -> tuple[np.ndarray, float]:
+        """One traced kernel call: ``(exact distances, seconds)``."""
+        registry().histogram("query.block_candidates").observe(len(ids))
+        with span("query.refine", candidates=len(ids)) as rsp:
+            exacts = self._refine_many(prepared, query_arr, ids)
+        return exacts, rsp.seconds
+
+    def _refine_chunked(
+        self, query_arr: np.ndarray, positions: Sequence[int], *, block_spans: bool
+    ) -> tuple[np.ndarray, float, int]:
+        """Refine *every* listed position, ``DEFAULT_CHUNK_SIZE`` per
+        kernel call: ``(exact distances, refine seconds, blocks)``.
+
+        *block_spans* traces each kernel call the way the blocked k-nn
+        does (a filtered query separates its refine phase); an
+        unfiltered pass is all refinement and is timed as a whole by
+        its caller, so it reports 0.0 seconds here.
+        """
+        prepared = self._prepare_query(query_arr)
+        parts: list[np.ndarray] = []
+        seconds = 0.0
+        for start in range(0, len(positions), DEFAULT_CHUNK_SIZE):
+            chunk = positions[start : start + DEFAULT_CHUNK_SIZE]
+            if block_spans:
+                exacts, block_seconds = self._refine_block(prepared, query_arr, chunk)
+                seconds += block_seconds
+            else:
+                exacts = self._refine_many(prepared, query_arr, chunk)
+            parts.append(np.atleast_1d(exacts))
+        exacts = np.concatenate(parts) if parts else np.empty(0)
+        return exacts, seconds, len(parts)
 
     # -- telemetry ---------------------------------------------------------
 
@@ -356,53 +361,38 @@ class FilterRefineEngine:
         query centroid are refined (Lemma 2); the surviving prefix of the
         ranking is refined through the batched kernel in one pass.
         """
-        if epsilon < 0:
+        if not epsilon >= 0:  # also rejects NaN
             raise QueryError("epsilon must be non-negative")
         stats = QueryStats()
-        refine_seconds = 0.0
-        blocks = 0
         with span("query.range", epsilon=epsilon) as sp:
             query_arr = self._query_array(query)
-            center = self._query_centroid(query)
+            center = extended_centroid(query_arr, self.capacity, self.omega)
             cutoff = epsilon / self.capacity
-            candidates: list[int] = []  # internal positions
-            chunk_source = self._chunk_source(centroid_ranker)
-            if chunk_source is not None:
-                for chunk_oids, chunk_dists in chunk_source(center):
-                    dists_arr = np.asarray(chunk_dists, dtype=float)
-                    over = dists_arr > cutoff
-                    if over.any():
-                        # Ranking is ascending: the first candidate past the
-                        # cutoff is counted (it is the one the per-item loop
-                        # pulls and breaks on) and everything after is pruned.
-                        first = int(np.argmax(over))
-                        stats.candidates_ranked += first + 1
-                        candidates.extend(self._positions_for(chunk_oids[:first]))
-                        break
-                    stats.candidates_ranked += len(dists_arr)
-                    candidates.extend(self._positions_for(chunk_oids))
-            else:
-                ranking = centroid_ranker(center)
-                for object_id, centroid_dist in ranking:
-                    stats.candidates_ranked += 1
-                    if centroid_dist > cutoff:
-                        break  # ascending ranking: everything after is pruned
-                    candidates.append(self._require_position(object_id))
-            prepared = self._prepare_query(query_arr)
-            results: list[QueryMatch] = []
-            for start in range(0, len(candidates), DEFAULT_CHUNK_SIZE):
-                chunk = candidates[start : start + DEFAULT_CHUNK_SIZE]
-                stats.exact_computations += len(chunk)
-                registry().histogram("query.block_candidates").observe(len(chunk))
-                with span("query.refine", candidates=len(chunk)) as rsp:
-                    exacts = self._refine_many(prepared, query_arr, chunk)
-                refine_seconds += rsp.seconds
-                blocks += 1
-                for pos, exact in zip(chunk, exacts):
-                    if exact <= epsilon:
-                        results.append(QueryMatch(self.oids[pos], float(exact)))
-            stats.pruned = len(self._sets) - stats.exact_computations
-            results.sort(key=lambda match: (match.distance, match.object_id))
+            survivors: list[np.ndarray] = []  # internal positions
+            for chunk_oids, chunk_dists in (centroid_ranker or self._scan_chunks)(
+                center
+            ):
+                over = np.asarray(chunk_dists, dtype=float) > cutoff
+                if over.any():
+                    # Ranking is ascending: the first candidate past the
+                    # cutoff is counted (it is pulled, then rejected) and
+                    # everything after it is pruned.
+                    first = int(np.argmax(over))
+                    stats.candidates_ranked += first + 1
+                    survivors.append(self._positions_for(chunk_oids[:first]))
+                    break
+                stats.candidates_ranked += len(over)
+                survivors.append(self._positions_for(chunk_oids))
+            positions = (
+                np.concatenate(survivors) if survivors else np.empty(0, dtype=np.intp)
+            )
+            exacts, refine_seconds, blocks = self._refine_chunked(
+                query_arr, positions, block_spans=True
+            )
+            stats.exact_computations = len(positions)
+            stats.pruned = len(self._sets) - len(positions)
+            within = exacts <= epsilon
+            results = self._nearest_of(positions[within], exacts[within])
             sp.set(results=len(results))
         self._record_query(
             "range",
@@ -447,27 +437,29 @@ class FilterRefineEngine:
         blocks = 0
         with span("query.knn", k=n_neighbors) as sp:
             query_arr = self._query_array(query)
-            center = self._query_centroid(query)
+            center = extended_centroid(query_arr, self.capacity, self.omega)
             prepared = self._prepare_query(query_arr)
             # Max-heap over (distance, oid) via negation: heap[0] is the
             # current k-th candidate, the first to be displaced.
             heap: list[tuple[float, int]] = []
-            pending: list[tuple[int, float]] = []  # (position, lower bound)
+            pending_oids: list[int] = []
+            pending_bounds: list[float] = []  # their lower bounds
             stop = False
 
             def flush() -> None:
                 """Refine the pending block and replay the sequential walk."""
                 nonlocal stop, refine_seconds, blocks
-                if not pending:
+                if not pending_oids:
                     return
-                ids = [pos for pos, _ in pending]
-                stats.exact_computations += len(ids)
-                registry().histogram("query.block_candidates").observe(len(ids))
-                with span("query.refine", candidates=len(ids)) as rsp:
-                    exacts = self._refine_many(prepared, query_arr, ids)
-                refine_seconds += rsp.seconds
+                stats.exact_computations += len(pending_oids)
+                exacts, seconds = self._refine_block(
+                    prepared, query_arr, self._positions_for(pending_oids)
+                )
+                refine_seconds += seconds
                 blocks += 1
-                for (pos, lower_bound), exact in zip(pending, exacts):
+                for oid, lower_bound, exact in zip(
+                    pending_oids, pending_bounds, exacts
+                ):
                     # The sequential algorithm would have stopped here; this
                     # and every later refinement of the block is overshoot.
                     # (Provably harmless: exact >= lower_bound > radius, so
@@ -479,68 +471,46 @@ class FilterRefineEngine:
                         stats.extra_refinements += 1
                         continue
                     exact = float(exact)
-                    oid = self.oids[pos]
                     if len(heap) < n_neighbors:
                         heapq.heappush(heap, (-exact, -oid))
                     elif (exact, oid) < (-heap[0][0], -heap[0][1]):
                         heapq.heapreplace(heap, (-exact, -oid))
-                pending.clear()
+                pending_oids.clear()
+                pending_bounds.clear()
 
-            chunk_source = self._chunk_source(centroid_ranker)
-            if chunk_source is not None:
-                # Vectorized consumption.  Between flushes the heap (and so
-                # the pruning radius) is frozen, and a flush can only occur
-                # once ``pending`` fills, so candidates are examined in
-                # windows of at most ``block_size - len(pending)`` against a
-                # constant radius — exactly the per-item decisions, batched.
-                done = False
-                for chunk_oids, chunk_dists in chunk_source(center):
-                    bounds = self.capacity * np.asarray(chunk_dists, dtype=float)
-                    i = 0
-                    while i < len(bounds):
-                        window = bounds[i : i + self.block_size - len(pending)]
-                        take = len(window)
-                        if len(heap) == n_neighbors:
-                            over = window > -heap[0][0]
-                            if over.any():
-                                take = int(np.argmax(over))
-                                # The stopping candidate is pulled (counted)
-                                # but never refined, like the per-item break.
-                                stats.candidates_ranked += take + 1
-                                done = True
-                        if not done:
-                            stats.candidates_ranked += take
-                        for t in range(take):
-                            pending.append(
-                                (
-                                    self._require_position(int(chunk_oids[i + t])),
-                                    float(window[t]),
-                                )
-                            )
-                        if done:
-                            break
-                        i += take
-                        if len(pending) >= self.block_size:
-                            flush()
-                            if stop:
-                                done = True
-                                break
-                    if done:
-                        break
-            else:
-                for object_id, centroid_dist in centroid_ranker(center):
-                    stats.candidates_ranked += 1
-                    lower_bound = self.capacity * centroid_dist
-                    # Radius is stale while a block is pending (it can only
-                    # have shrunk since), so firing here means the sequential
-                    # algorithm stopped at or before this candidate.
-                    if len(heap) == n_neighbors and lower_bound > -heap[0][0]:
-                        break
-                    pending.append((self._require_position(object_id), lower_bound))
-                    if len(pending) >= self.block_size:
+            # Between flushes the heap (and so the pruning radius) is
+            # frozen, and a flush can only occur once the pending block
+            # fills, so candidates are examined in windows of at most
+            # ``block_size - len(pending_oids)`` against a constant radius.
+            # The radius is stale while a block is pending (it can only
+            # have shrunk since), so a bound exceeding it means the
+            # sequential algorithm stopped at or before that candidate.
+            done = False
+            for chunk_oids, chunk_dists in (centroid_ranker or self._scan_chunks)(
+                center
+            ):
+                bounds = self.capacity * np.asarray(chunk_dists, dtype=float)
+                i = 0
+                while i < len(bounds) and not done:
+                    window = bounds[i : i + self.block_size - len(pending_oids)]
+                    take = len(window)
+                    if len(heap) == n_neighbors:
+                        over = window > -heap[0][0]
+                        if over.any():
+                            # The stopping candidate is pulled (counted)
+                            # but never refined.
+                            take = int(np.argmax(over))
+                            stats.candidates_ranked += 1
+                            done = True
+                    stats.candidates_ranked += take
+                    pending_oids.extend(chunk_oids[i : i + take].tolist())
+                    pending_bounds.extend(window[:take].tolist())
+                    i += take
+                    if len(pending_oids) >= self.block_size:
                         flush()
-                        if stop:
-                            break
+                        done = stop
+                if done:
+                    break
             flush()
             stats.pruned = len(self._sets) - stats.exact_computations
             results = [QueryMatch(-neg_oid, -neg_dist) for neg_dist, neg_oid in heap]
@@ -556,6 +526,15 @@ class FilterRefineEngine:
         )
         return results, stats
 
+    def _nearest_of(
+        self, positions: np.ndarray, exacts: np.ndarray, limit: int | None = None
+    ) -> list[QueryMatch]:
+        """Refined positions as matches in the canonical ``(distance,
+        oid)`` order, cut to the *limit* closest."""
+        ext = self._oid_arr[positions]
+        order = np.lexsort((ext, exacts))[:limit]
+        return [QueryMatch(int(ext[idx]), float(exacts[idx])) for idx in order]
+
     def knn_sequential(
         self, query: np.ndarray | VectorSet, n_neighbors: int
     ) -> tuple[list[QueryMatch], QueryStats]:
@@ -564,34 +543,21 @@ class FilterRefineEngine:
         the batched kernel in database order."""
         if n_neighbors < 1:
             raise QueryError("n_neighbors must be >= 1")
+        n = len(self._sets)
+        stats = QueryStats(candidates_ranked=n, exact_computations=n)
         with span("query.scan", k=n_neighbors) as sp:
-            query_arr = self._query_array(query)
-            prepared = self._prepare_query(query_arr)
-            n = len(self._sets)
-            stats = QueryStats(candidates_ranked=n, exact_computations=n)
-            all_ids = list(range(n))
-            exacts = np.concatenate(
-                [
-                    np.atleast_1d(
-                        self._refine_many(
-                            prepared,
-                            query_arr,
-                            all_ids[start : start + DEFAULT_CHUNK_SIZE],
-                        )
-                    )
-                    for start in range(0, n, DEFAULT_CHUNK_SIZE)
-                ]
+            positions = np.arange(n, dtype=np.intp)
+            exacts, _, blocks = self._refine_chunked(
+                self._query_array(query), positions, block_spans=False
             )
-            ext = np.asarray(self.oids)
-            order = np.lexsort((ext, exacts))[:n_neighbors]
-            results = [QueryMatch(int(ext[idx]), float(exacts[idx])) for idx in order]
+            results = self._nearest_of(positions, exacts, n_neighbors)
         # No filter step: the whole scan is refinement.
         self._record_query(
             "scan",
             stats,
             seconds=sp.seconds,
             refine_seconds=sp.seconds,
-            blocks=-(-n // DEFAULT_CHUNK_SIZE),
+            blocks=blocks,
             k=n_neighbors,
         )
         return results, stats
@@ -614,180 +580,27 @@ class FilterRefineEngine:
         if n_neighbors < 1:
             raise QueryError("n_neighbors must be >= 1")
         query_arr = self._query_array(query)
-        if query_arr.ndim != 2 or query_arr.shape[1] != self.dimension:
-            raise QueryError(f"query set has incompatible shape {query_arr.shape}")
         positions = self._positions_for(np.asarray(oids, dtype=np.int64))
         stats = QueryStats(
             candidates_ranked=len(positions),
             exact_computations=len(positions),
             pruned=len(self._sets) - len(positions),
         )
-        if not positions:
+        if not len(positions):
             self._record_query("knn_subset", stats, k=n_neighbors)
             return [], stats
         with span("query.knn_subset", k=n_neighbors, candidates=len(positions)) as sp:
-            prepared = self._prepare_query(query_arr)
-            exacts = np.concatenate(
-                [
-                    np.atleast_1d(
-                        self._refine_many(
-                            prepared,
-                            query_arr,
-                            positions[start : start + DEFAULT_CHUNK_SIZE],
-                        )
-                    )
-                    for start in range(0, len(positions), DEFAULT_CHUNK_SIZE)
-                ]
+            exacts, _, blocks = self._refine_chunked(
+                query_arr, positions, block_spans=False
             )
-            ext = self._oid_arr[np.asarray(positions, dtype=np.intp)]
-            order = np.lexsort((ext, exacts))[:n_neighbors]
-            results = [QueryMatch(int(ext[idx]), float(exacts[idx])) for idx in order]
+            results = self._nearest_of(positions, exacts, n_neighbors)
         # The caller already filtered; the whole subset pass is refinement.
         self._record_query(
             "knn_subset",
             stats,
             seconds=sp.seconds,
             refine_seconds=sp.seconds,
-            blocks=-(-len(positions) // DEFAULT_CHUNK_SIZE),
+            blocks=blocks,
             k=n_neighbors,
         )
         return results, stats
-
-    def knn_query_many(
-        self, queries: Sequence[np.ndarray | VectorSet], n_neighbors: int
-    ) -> list[tuple[list[QueryMatch], QueryStats]]:
-        """Blocked k-nn for many queries with cross-query batching.
-
-        Runs the same blocked optimal multi-step algorithm as
-        :meth:`knn_query` for every query, but gathers the current block
-        of *all* still-active queries into a single batched kernel call
-        per round, so the packing and solver overhead amortizes across
-        queries as well as candidates.  Per-query results and stats are
-        identical to calling :meth:`knn_query` in a loop.
-        """
-        if n_neighbors < 1:
-            raise QueryError("n_neighbors must be >= 1")
-        if not len(queries):
-            return []
-        if not self._batch_refine:
-            return [self.knn_query(q, n_neighbors) for q in queries]
-
-        query_arrays = [self._query_array(q) for q in queries]
-        for arr in query_arrays:
-            if arr.ndim != 2 or arr.shape[1] != self.dimension:
-                raise QueryError(f"query set has incompatible shape {arr.shape}")
-        packed_queries = PackedSets.pack(
-            query_arrays, capacity=self.capacity, omega=self.omega
-        )
-
-        class _State:
-            __slots__ = ("order", "dists", "pos", "heap", "stats", "stop", "done")
-
-        n_objects = len(self._sets)
-        states: list[_State] = []
-        for arr in query_arrays:
-            center = extended_centroid(arr, self.capacity, self.omega)
-            dists = np.linalg.norm(self.centroids - center, axis=1)
-            state = _State()
-            state.order = np.argsort(dists, kind="stable")
-            state.dists = dists
-            state.pos = 0
-            state.heap = []
-            state.stats = QueryStats()
-            state.stop = False
-            state.done = False
-            states.append(state)
-
-        refine_seconds = 0.0
-        rounds = 0
-        with span("query.knn_many", queries=len(queries), k=n_neighbors) as sp:
-            while True:
-                qi_idx: list[int] = []
-                oid_idx: list[int] = []
-                blocks: list[tuple[int, list[tuple[int, float]]]] = []
-                for qi, state in enumerate(states):
-                    if state.done:
-                        continue
-                    block: list[tuple[int, float]] = []
-                    while state.pos < n_objects and len(block) < self.block_size:
-                        object_id = int(state.order[state.pos])
-                        state.pos += 1
-                        state.stats.candidates_ranked += 1
-                        lower_bound = self.capacity * float(state.dists[object_id])
-                        if (
-                            len(state.heap) == n_neighbors
-                            and lower_bound > -state.heap[0][0]
-                        ):
-                            state.done = True
-                            break
-                        block.append((object_id, lower_bound))
-                    if state.pos >= n_objects:
-                        state.done = True
-                    if block:
-                        blocks.append((qi, block))
-                        for object_id, _ in block:
-                            qi_idx.append(qi)
-                            oid_idx.append(object_id)
-                if not blocks:
-                    break
-                registry().histogram("query.block_candidates").observe(len(qi_idx))
-                with span(
-                    "query.refine", candidates=len(qi_idx), queries=len(blocks)
-                ) as rsp:
-                    exacts = match_pairs(
-                        packed_queries,
-                        np.asarray(qi_idx, dtype=np.intp),
-                        np.asarray(oid_idx, dtype=np.intp),
-                        right=self._packed,
-                        backend=self.backend,
-                    )
-                refine_seconds += rsp.seconds
-                rounds += 1
-                offset = 0
-                for qi, block in blocks:
-                    state = states[qi]
-                    state.stats.exact_computations += len(block)
-                    for (object_id, lower_bound), exact in zip(
-                        block, exacts[offset : offset + len(block)]
-                    ):
-                        if state.stop or (
-                            len(state.heap) == n_neighbors
-                            and lower_bound > -state.heap[0][0]
-                        ):
-                            state.stop = True
-                            state.done = True
-                            state.stats.extra_refinements += 1
-                            continue
-                        exact = float(exact)
-                        oid = self.oids[object_id]
-                        if len(state.heap) < n_neighbors:
-                            heapq.heappush(state.heap, (-exact, -oid))
-                        elif (exact, oid) < (-state.heap[0][0], -state.heap[0][1]):
-                            heapq.heapreplace(state.heap, (-exact, -oid))
-                    offset += len(block)
-
-        output: list[tuple[list[QueryMatch], QueryStats]] = []
-        # Per-query wall time is not separable inside the cross-query
-        # batch; records carry the amortized share plus the batch size.
-        share = sp.seconds / len(queries)
-        refine_share = refine_seconds / len(queries)
-        for state in states:
-            state.stats.pruned = n_objects - state.stats.exact_computations
-            results = [
-                QueryMatch(-neg_oid, -neg_dist) for neg_dist, neg_oid in state.heap
-            ]
-            results.sort(key=lambda match: (match.distance, match.object_id))
-            output.append((results, state.stats))
-            self._record_query(
-                "knn",
-                state.stats,
-                seconds=share,
-                refine_seconds=refine_share,
-                blocks=rounds,
-                k=n_neighbors,
-                batch=len(queries),
-            )
-        return output
-
-    # Alias kept for throughput-oriented callers.
-    batch_queries = knn_query_many

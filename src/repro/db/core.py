@@ -19,8 +19,9 @@ ever required:
 * **The refinement engine** is version-tagged: the packed
   :class:`~repro.core.queries.FilterRefineEngine` is rebuilt lazily on
   the first query after a mutation, never serving candidates from a
-  stale packing.  The spatial index itself is *not* rebuilt — it plugs
-  into the engine as the ``centroid_ranker``.
+  stale packing.  The spatial index itself is *not* rebuilt — its array
+  core's ``ranking_chunks`` plugs into the engine as the
+  ``centroid_ranker``.
 * **Snapshots** (``save``/``load``) persist the object store *and* the
   exact index structure in one CRC-checked, atomically-written archive
   (the format-v2 discipline of :mod:`repro.io.database`), so a
@@ -148,31 +149,47 @@ class DatabaseView:
         mode: str = "exact",
         shortlist: int | None = None,
     ):
-        if mode == "approx":
-            return self._db._approx_knn_locked(query, n_neighbors, shortlist)
-        return self._db._knn_locked(query, n_neighbors)
+        arr = self._db._checked_query(
+            query, n_neighbors=n_neighbors, mode=mode, shortlist=shortlist
+        )
+        return self._knn(arr, n_neighbors, mode, shortlist)
 
     def range_query(self, query, epsilon: float):
-        return self._db._range_locked(query, epsilon)
+        return self._range(self._db._checked_query(query, epsilon=epsilon), epsilon)
+
+    # Trusted-input forms: *arr* and the arguments already passed
+    # ``_checked_query`` (at the database boundary, before the lock).
+
+    def _knn(self, arr, n_neighbors, mode="exact", shortlist=None):
+        if mode == "approx":
+            return self._db._approx_knn_locked(arr, n_neighbors, shortlist)
+        return self._db._knn_locked(arr, n_neighbors)
+
+    def _range(self, arr, epsilon):
+        return self._db._range_locked(arr, epsilon)
 
 
-class _ChunkedRanker:
-    """Centroid ranker over an array core.
-
-    Callable like any :data:`~repro.core.queries.CentroidRanker`, but
-    also exposes :meth:`chunks` — the engine's vectorized filter loop
-    consumes whole ``(oids, distances)`` arrays instead of one pair per
-    generator step when a ranker provides it.
-    """
-
-    def __init__(self, core):
-        self._core = core
-
-    def __call__(self, center: np.ndarray):
-        return self._core.incremental_nearest(center)
-
-    def chunks(self, center: np.ndarray):
-        return self._core.ranking_chunks(center)
+def check_query_args(
+    *,
+    n_neighbors: int | None = None,
+    epsilon: float | None = None,
+    mode: str = "exact",
+    shortlist: int | None = None,
+) -> None:
+    """The one argument check of every database query (plain, view,
+    sharded): anything it rejects raises :class:`QueryError` before a
+    lock is taken or a kernel sees it."""
+    if mode not in ("exact", "approx"):
+        raise QueryError(f"unknown query mode {mode!r}")
+    if shortlist is not None:
+        if mode == "exact":
+            raise QueryError("shortlist is only meaningful with mode='approx'")
+        if shortlist < 1:
+            raise QueryError("shortlist budget must be >= 1")
+    if n_neighbors is not None and n_neighbors < 1:
+        raise QueryError("n_neighbors must be >= 1")
+    if epsilon is not None and not 0 <= epsilon < np.inf:
+        raise QueryError("epsilon must be finite and non-negative")
 
 
 class SimilarityDatabase:
@@ -212,17 +229,6 @@ class SimilarityDatabase:
         When set, every lock acquisition (both sides) raises
         :class:`~repro.exceptions.LockTimeout` after this many seconds
         instead of blocking forever.
-    use_array_core:
-        Serve queries from the struct-of-arrays index cores
-        (:mod:`repro.index.arraycore`) instead of walking the pointer
-        trees (default True).  Results are literally identical; the
-        cores are densified lazily from the live tree and invalidated
-        by any mutation.  ``False`` forces the pointer hot path (the
-        pre-array baseline, kept for benchmarking and differential
-        testing).  The ``"mtree"`` backend is the exception: its live
-        tree always queries through the pointer walk (the core's
-        scalar per-node metric evaluation is *slower* — see
-        BENCH_PR7); mtree cores serve only zero-copy dense loads.
     sketch / sketch_params:
         ``sketch=True`` (default) maintains the approximate candidate
         tier of :mod:`repro.approx` alongside the spatial index: every
@@ -252,7 +258,6 @@ class SimilarityDatabase:
         keep_generations: int = DEFAULT_KEEP_GENERATIONS,
         source: str | Path | None = None,
         lock_timeout: float | None = None,
-        use_array_core: bool = True,
         sketch: bool = True,
         sketch_params: dict | None = None,
     ):
@@ -282,7 +287,6 @@ class SimilarityDatabase:
         self._lock = RWLock()
         self._engine_lock = threading.Lock()
         self.lock_timeout = lock_timeout
-        self.use_array_core = bool(use_array_core)
         self.sketch_enabled = bool(sketch)
         self._sketch_params = dict(sketch_params or {})
         if not self.sketch_enabled and sketch_params:
@@ -425,6 +429,13 @@ class SimilarityDatabase:
             )
         return arr.copy()
 
+    def _checked_query(self, query, **args) -> np.ndarray:
+        """Validate one query at the database boundary: the arguments
+        (:func:`check_query_args`) and the vector set (like a stored
+        set — non-empty, finite, within capacity, right dimension)."""
+        check_query_args(**args)
+        return self._as_set(query)
+
     def _metric(self):
         """The exact set distance — identical to the engine's default,
         so every backend refines with the same floats."""
@@ -482,27 +493,17 @@ class SimilarityDatabase:
 
     def _query_index(self):
         """The object queries rank with: the array core mirroring the
-        live tree (densified lazily, invalidated by mutations), the
-        zero-copy loaded core itself, or — with ``use_array_core=False``
-        — the pointer tree."""
+        live tree (densified lazily, invalidated by mutations) or the
+        zero-copy loaded core itself."""
         index = self._index
-        if index is None or not self.use_array_core:
-            if index is not None and hasattr(index, "inflate"):
-                # Pointer path requested but the index was loaded as a
-                # zero-copy core: materialize the tree once.
-                self._ensure_mutable_index()
-                return self._index
-            return index
         if hasattr(index, "serialized"):  # already an array core
             return index
         if self.backend == "mtree":
-            # The mtree core deliberately keeps the scalar metric (no
-            # batch_params — the batch kernel's floats can differ from
-            # the scalar metric by ulps, and pointer==core equality must
-            # be literal), which makes its chunked ranking *slower* than
-            # the pointer walk (BENCH_PR7: 0.93x).  Serve the live tree
-            # directly; cores answer only for zero-copy dense loads,
-            # where no pointer tree exists to fall back to.
+            # The mtree core evaluates the same scalar metric per entry
+            # (pointer==core equality must be literal), which makes it
+            # *slower* than the pointer walk (BENCH_PR7: 0.93x).  Serve
+            # the live tree directly; cores answer only for zero-copy
+            # dense loads, where no pointer tree exists to fall back to.
             return index
         return index.dense_core()
 
@@ -660,16 +661,6 @@ class SimilarityDatabase:
     def _empty_result(self) -> tuple[list[QueryMatch], QueryStats]:
         return [], QueryStats()
 
-    def _ranker(self):
-        index = self._query_index()
-        if hasattr(index, "ranking_chunks"):
-            return _ChunkedRanker(index)
-
-        def ranker(center: np.ndarray):
-            return index.incremental_nearest(center)
-
-        return ranker
-
     def _ensure_engine(self) -> FilterRefineEngine:
         """The version-tagged refinement engine (rebuilt after any
         mutation, so it can never serve stale candidates)."""
@@ -702,8 +693,7 @@ class SimilarityDatabase:
             io_baseline=querylog.io_baseline(),
         )
 
-    def _mtree_query(self, kind: str, query, arg):
-        arr = self._as_set(query)
+    def _mtree_query(self, kind: str, arr, arg):
         index = self._query_index()
         before = index.distance_computations
         with span(f"query.mtree_{kind}") as sp:
@@ -730,27 +720,27 @@ class SimilarityDatabase:
         )
         return [QueryMatch(oid, float(dist)) for oid, dist in pairs], stats
 
-    def _knn_locked(self, query, n_neighbors: int):
+    def _knn_locked(self, arr, n_neighbors: int):
         if not self._sets:
             return self._empty_result()
         with self._query_context("exact"):
             if self.backend == "mtree":
-                return self._mtree_query("knn", query, n_neighbors)
+                return self._mtree_query("knn", arr, n_neighbors)
             return self._ensure_engine().knn_query(
-                query, n_neighbors, centroid_ranker=self._ranker()
+                arr, n_neighbors, centroid_ranker=self._query_index().ranking_chunks
             )
 
-    def _range_locked(self, query, epsilon: float):
+    def _range_locked(self, arr, epsilon: float):
         if not self._sets:
             return self._empty_result()
         with self._query_context("exact"):
             if self.backend == "mtree":
-                return self._mtree_query("range", query, epsilon)
+                return self._mtree_query("range", arr, epsilon)
             return self._ensure_engine().range_query(
-                query, epsilon, centroid_ranker=self._ranker()
+                arr, epsilon, centroid_ranker=self._query_index().ranking_chunks
             )
 
-    def _approx_knn_locked(self, query, n_neighbors: int, shortlist: int | None):
+    def _approx_knn_locked(self, arr, n_neighbors: int, shortlist: int | None):
         if not self._sets:
             return self._empty_result()
         if self._hamming is None:
@@ -762,9 +752,7 @@ class SimilarityDatabase:
             self._ensure_engine(), self._sketcher, self._hamming
         )
         with self._query_context("approx"):
-            return engine.knn_query(
-                self._as_set(query), n_neighbors, shortlist=shortlist
-            )
+            return engine.knn_query(arr, n_neighbors, shortlist=shortlist)
 
     def knn_query(
         self,
@@ -784,19 +772,17 @@ class SimilarityDatabase:
         shortlist are never considered, so recall is traded for
         throughput (with ``shortlist >= len(db)`` results equal exact).
         """
-        if mode not in ("exact", "approx"):
-            raise QueryError(f"unknown query mode {mode!r}")
-        if mode == "exact" and shortlist is not None:
-            raise QueryError("shortlist is only meaningful with mode='approx'")
-        with self._lock.read(timeout=self.lock_timeout):
-            if mode == "approx":
-                return self._approx_knn_locked(query, n_neighbors, shortlist)
-            return self._knn_locked(query, n_neighbors)
+        arr = self._checked_query(
+            query, n_neighbors=n_neighbors, mode=mode, shortlist=shortlist
+        )
+        with self.read_view() as view:
+            return view._knn(arr, n_neighbors, mode, shortlist)
 
     def range_query(self, query, epsilon: float):
         """All objects within matching distance *epsilon*."""
-        with self._lock.read(timeout=self.lock_timeout):
-            return self._range_locked(query, epsilon)
+        arr = self._checked_query(query, epsilon=epsilon)
+        with self.read_view() as view:
+            return view._range(arr, epsilon)
 
     def knn_query_many(
         self,
@@ -812,17 +798,10 @@ class SimilarityDatabase:
         to calling :meth:`knn_query` per query — but the whole batch
         observes a single database version (no writer can interleave).
         """
-        if mode not in ("exact", "approx"):
-            raise QueryError(f"unknown query mode {mode!r}")
-        if mode == "exact" and shortlist is not None:
-            raise QueryError("shortlist is only meaningful with mode='approx'")
-        with self._lock.read(timeout=self.lock_timeout):
-            if mode == "approx":
-                return [
-                    self._approx_knn_locked(query, n_neighbors, shortlist)
-                    for query in queries
-                ]
-            return [self._knn_locked(query, n_neighbors) for query in queries]
+        check_query_args(n_neighbors=n_neighbors, mode=mode, shortlist=shortlist)
+        arrs = [self._as_set(query) for query in queries]
+        with self.read_view() as view:
+            return [view._knn(arr, n_neighbors, mode, shortlist) for arr in arrs]
 
     @contextmanager
     def read_view(self):

@@ -66,7 +66,11 @@ import numpy as np
 
 from repro.approx.engine import default_shortlist
 from repro.core.queries import QueryMatch, QueryStats
-from repro.db.core import DEFAULT_KEEP_GENERATIONS, SimilarityDatabase
+from repro.db.core import (
+    DEFAULT_KEEP_GENERATIONS,
+    SimilarityDatabase,
+    check_query_args,
+)
 from repro.exceptions import LockTimeout, QueryError, StorageError
 from repro.obs import emit, querylog, registry, span
 from repro.parallel import pool_map, resolve_n_jobs
@@ -170,8 +174,8 @@ class ShardedSimilarityDatabase:
 
     Parameters mirror ``SimilarityDatabase`` (every ``**shard_kwargs``
     entry — ``omega``, ``block_size``, ``solver``, ``index_capacity``,
-    ``use_array_core``, ``sketch``, ``sketch_params`` — is forwarded to
-    each shard verbatim), plus:
+    ``sketch``, ``sketch_params`` — is forwarded to each shard
+    verbatim), plus:
 
     shards:
         Number of partitions K (>= 1).
@@ -461,6 +465,14 @@ class ShardedSimilarityDatabase:
                 **extra,
             )
 
+    def _checked_query(self, query, **args) -> np.ndarray:
+        """Validate one query before any shard lock is taken, against a
+        shard that already knows the element dimension."""
+        shard = next(
+            (s for s in self.shards if s.dimension is not None), self.shards[0]
+        )
+        return shard._checked_query(query, **args)
+
     def knn_query(
         self,
         query,
@@ -477,66 +489,65 @@ class ShardedSimilarityDatabase:
         reconstructs the *global* Hamming shortlist (see module notes),
         then scatters the subset refine.
         """
-        if mode not in ("exact", "approx"):
-            raise QueryError(f"unknown query mode {mode!r}")
-        if mode == "exact" and shortlist is not None:
-            raise QueryError("shortlist is only meaningful with mode='approx'")
+        arr = self._checked_query(
+            query, n_neighbors=n_neighbors, mode=mode, shortlist=shortlist
+        )
         with self.read_views() as views:
-            return self._scatter_knn(views, query, n_neighbors, mode, shortlist)
+            return self._scatter_knn(views, arr, n_neighbors, mode, shortlist)
 
     def range_query(self, query, epsilon: float):
         """All objects within *epsilon*: the sorted union of per-shard
         range answers (each already in canonical order)."""
+        arr = self._checked_query(query, epsilon=epsilon)
         with self.read_views() as views:
-            total = sum(view.size for view in views)
-            if total == 0:
-                return [], QueryStats()
-            with self._outer_ctx("exact", views):
-                with span(
-                    "query.sharded_scatter", force=True, shards=self.n_shards
-                ) as scatter_sp:
-                    per_shard = []
-                    for i, view in enumerate(views):
-                        with self._shard_ctx(i):
-                            per_shard.append(view.range_query(query, epsilon))
-                with span("query.sharded_merge", force=True) as merge_sp:
-                    results = self._merge_matches(per_shard)
-                    stats = self._merge_stats(per_shard)
-                self._record(
-                    "sharded_range",
-                    stats,
-                    total,
-                    filter_seconds=scatter_sp.seconds,
-                    refine_seconds=merge_sp.seconds,
-                    epsilon=epsilon,
-                    results=len(results),
-                )
-        return results, stats
+            return self._scatter_exact(
+                views,
+                "sharded_range",
+                lambda view: view._range(arr, epsilon),
+                None,
+                {"epsilon": epsilon},
+            )
 
-    def _scatter_knn(self, views, query, n_neighbors, mode, shortlist, batch=None):
+    def _scatter_knn(self, views, arr, n_neighbors, mode, shortlist, batch=None):
+        if mode == "approx":
+            if not any(view.size for view in views):
+                return [], QueryStats()
+            with self._outer_ctx("approx", views):
+                return self._scatter_approx(
+                    views, arr, n_neighbors, shortlist, batch
+                )
+        return self._scatter_exact(
+            views,
+            "sharded_knn",
+            lambda view: view._knn(arr, n_neighbors),
+            n_neighbors,
+            {"k": n_neighbors},
+            batch,
+        )
+
+    def _scatter_exact(self, views, kind, leg, limit, extra, batch=None):
+        """Exact scatter → merge → record: run *leg* on every pinned
+        view, merge on ``(distance, oid)`` (cut to *limit*), and log one
+        merged *kind* event."""
         total = sum(view.size for view in views)
         if total == 0:
             return [], QueryStats()
-        with self._outer_ctx(mode, views):
-            if mode == "approx":
-                return self._scatter_approx(
-                    views, query, n_neighbors, shortlist, batch
-                )
+        with self._outer_ctx("exact", views):
             with span(
                 "query.sharded_scatter", force=True, shards=self.n_shards
             ) as scatter_sp:
                 per_shard = []
                 for i, view in enumerate(views):
                     with self._shard_ctx(i):
-                        per_shard.append(view.knn_query(query, n_neighbors))
+                        per_shard.append(leg(view))
             with span("query.sharded_merge", force=True) as merge_sp:
-                results = self._merge_matches(per_shard, n_neighbors)
+                results = self._merge_matches(per_shard, limit)
                 stats = self._merge_stats(per_shard)
-            extra = {"k": n_neighbors, "results": len(results)}
+            extra = {**extra, "results": len(results)}
             if batch is not None:
                 extra["batch"] = batch
             self._record(
-                "sharded_knn",
+                kind,
                 stats,
                 total,
                 filter_seconds=scatter_sp.seconds,
@@ -545,7 +556,7 @@ class ShardedSimilarityDatabase:
             )
         return results, stats
 
-    def _scatter_approx(self, views, query, n_neighbors, shortlist, batch=None):
+    def _scatter_approx(self, views, arr, n_neighbors, shortlist, batch=None):
         """Approx scatter-gather over the *global* Hamming shortlist.
 
         Phase one (the filter, timed as such): sketch the query once —
@@ -558,13 +569,9 @@ class ShardedSimilarityDatabase:
         are its stats (Σ owned == budget, Σ (n_i - owned_i) == n -
         budget).
         """
-        if n_neighbors < 1:
-            raise QueryError("n_neighbors must be >= 1")
         budget = (
             default_shortlist(n_neighbors) if shortlist is None else int(shortlist)
         )
-        if budget < 1:
-            raise QueryError("shortlist budget must be >= 1")
         budget = max(budget, n_neighbors)
         total = sum(view.size for view in views)
         active = [i for i, view in enumerate(views) if view.size]
@@ -575,9 +582,7 @@ class ShardedSimilarityDatabase:
                     "was built with sketch=False"
                 )
         with span("query.sharded_shortlist", force=True, budget=budget) as ssp:
-            first = self.shards[active[0]]
-            arr = first._as_set(query)
-            code = first._sketcher.sketch(arr)
+            code = self.shards[active[0]]._sketcher.sketch(arr)
             hams, oids, owners = [], [], []
             for i in active:
                 hamming = self.shards[i]._hamming
@@ -647,11 +652,8 @@ class ShardedSimilarityDatabase:
         mode only; the snapshot must not be stale) — the path the
         ``shard_scale`` bench drives.
         """
-        if mode not in ("exact", "approx"):
-            raise QueryError(f"unknown query mode {mode!r}")
-        if mode == "exact" and shortlist is not None:
-            raise QueryError("shortlist is only meaningful with mode='approx'")
-        queries = list(queries)
+        check_query_args(n_neighbors=n_neighbors, mode=mode, shortlist=shortlist)
+        queries = [self._checked_query(q) for q in queries]
         jobs = resolve_n_jobs(n_jobs)
         if jobs >= 2 and self.n_shards >= 2 and len(queries):
             return self._parallel_knn_many(queries, n_neighbors, mode, jobs)
@@ -679,9 +681,8 @@ class ShardedSimilarityDatabase:
                 "sharded snapshot is stale (mutations since the last "
                 "save()); save() again before parallel batch queries"
             )
-        arrs = [self.shards[0]._as_set(q) for q in queries]
         tasks = [
-            (str(path), arrs, n_neighbors) for path in self._shard_paths
+            (str(path), queries, n_neighbors) for path in self._shard_paths
         ]
         with span(
             "query.sharded_scatter",

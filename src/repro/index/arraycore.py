@@ -597,20 +597,16 @@ class MTreeArrayCore(_ArrayCore):
     ``entry_subtree`` columns; stored objects live in one ragged
     ``obj_data`` block addressed by ``obj_row_offsets``.
 
-    When every stored object is a 2-d vector set, ``batch_params``
-    (capacity, omega[, solver]) lets the core evaluate a whole node's
-    metric distances with the PR 2 batched matching kernel instead of a
-    Python loop.  The batch kernel agrees with the scalar minimal
-    matching distance to ~1e-9 (ulp-level float reassociation), not
-    bit-for-bit — callers needing literal equality with the pointer
-    tree (e.g. ``SimilarityDatabase``) must leave ``batch_params``
-    unset so the core refines with the same scalar metric.
+    Distances are evaluated with the tree's own scalar *metric*, one
+    entry at a time, so results equal the pointer tree's bit for bit;
+    a node holds at most ``capacity`` (16) entries, too few for a
+    batched matching kernel to pay (0.77x of this loop in BENCH_PR7).
     """
 
     kind = "mtree"
     PRUNE_SLACK = 1e-9
 
-    def __init__(self, meta, arrays, metric, page_manager=None, batch_params=None):
+    def __init__(self, meta, arrays, metric, page_manager=None):
         super().__init__(meta, arrays, page_manager)
         self.metric = metric
         self.capacity = int(meta["capacity"])
@@ -628,60 +624,13 @@ class MTreeArrayCore(_ArrayCore):
             arrays["obj_row_offsets"], dtype=np.int64
         )
         self._obj_data = np.ascontiguousarray(arrays["obj_data"], dtype=np.float64)
-        self._batch_params = batch_params
-        self._packed = None
 
     def _entry_obj(self, e: int):
         rows = self._obj_data[self._row_offsets[e] : self._row_offsets[e + 1]]
         return rows[0] if self._ndims[e] == 1 else rows
 
-    def _ensure_packed(self) -> bool:
-        if self._batch_params is None:
-            return False
-        if self._packed is not None:
-            return True
-        if len(self._ndims) == 0 or not (self._ndims == 2).all():
-            self._batch_params = None
-            return False
-        capacity = int(self._batch_params["capacity"])
-        row_counts = np.diff(self._row_offsets)
-        if row_counts.size and int(row_counts.max()) > capacity:
-            self._batch_params = None
-            return False
-        from repro.core.batch import PackedSets
-
-        sets = [
-            self._obj_data[self._row_offsets[e] : self._row_offsets[e + 1]]
-            for e in range(len(self._ndims))
-        ]
-        self._packed = PackedSets.pack(
-            sets, capacity, np.asarray(self._batch_params["omega"], dtype=float)
-        )
-        return True
-
-    def _prepare_query(self, query):
-        """Pad *query* for the batch kernel, once per search call.
-
-        Returns ``None`` on the scalar-metric path.  Padding must be
-        per-call, not cached on the core: a stale pad reused across
-        calls silently answers every later query with the first one's
-        distances.
-        """
-        if self._ensure_packed():
-            return self._packed.pad_query(query)
-        return None
-
-    def _distances(self, query, padded, idx: np.ndarray) -> np.ndarray:
+    def _distances(self, query, idx: np.ndarray) -> np.ndarray:
         self.distance_computations += len(idx)
-        if padded is not None:
-            from repro.core.batch import match_many
-
-            return match_many(
-                padded,
-                self._packed,
-                indices=idx,
-                backend=self._batch_params.get("solver", "lockstep"),
-            )
         return np.array(
             [float(self.metric(query, self._entry_obj(int(e)))) for e in idx],
             dtype=np.float64,
@@ -713,7 +662,6 @@ class MTreeArrayCore(_ArrayCore):
                 return (np.inf, 2**63)
             return (-best[0][0], -best[0][1])
 
-        padded = self._prepare_query(query)
         while queue:
             bound, _, nid, parent_dist = heapq.heappop(queue)
             kth = kth_key()[0]
@@ -733,7 +681,7 @@ class MTreeArrayCore(_ArrayCore):
                 idx = idx[keep]
             if not idx.size:
                 continue
-            dists = self._distances(query, padded, idx)
+            dists = self._distances(query, idx)
             if self._is_leaf[nid]:
                 for e, dist in zip(idx.tolist(), dists.tolist()):
                     oid = int(self._oid[e])
@@ -771,7 +719,6 @@ class MTreeArrayCore(_ArrayCore):
         slack = 1.0 + self.PRUNE_SLACK
         nodes_batched = counter("index.nodes_batched")
         frontier_size = histogram("index.frontier_size")
-        padded = self._prepare_query(query)
         results: list[tuple[int, float]] = []
         stack: list[tuple[int, float | None]] = [(0, None)]
         while stack:
@@ -790,7 +737,7 @@ class MTreeArrayCore(_ArrayCore):
                 idx = idx[keep]
             if not idx.size:
                 continue
-            dists = self._distances(query, padded, idx)
+            dists = self._distances(query, idx)
             if self._is_leaf[nid]:
                 hit = dists <= radius
                 results.extend(
@@ -955,7 +902,6 @@ def core_from_serialized(
     *,
     metric=None,
     page_manager: PageManager | None = None,
-    batch_params: dict | None = None,
 ):
     """Build the matching array core from a snapshot ``(meta, arrays)``."""
     kind = meta.get("kind")
@@ -969,13 +915,11 @@ def core_from_serialized(
                 "an M-tree core needs the metric: pass metric=... "
                 "(the snapshot stores data, not code)"
             )
-        return MTreeArrayCore(
-            meta, arrays, metric, page_manager, batch_params=batch_params
-        )
+        return MTreeArrayCore(meta, arrays, metric, page_manager)
     raise IndexError_(f"unknown index kind {kind!r}")
 
 
-def densify(tree, *, batch_params: dict | None = None):
+def densify(tree):
     """Snapshot *tree* into a fresh array core sharing its page manager."""
     from repro.index.snapshot import serialize_index
 
@@ -985,5 +929,4 @@ def densify(tree, *, batch_params: dict | None = None):
         arrays,
         metric=getattr(tree, "metric", None),
         page_manager=tree.pages,
-        batch_params=batch_params,
     )

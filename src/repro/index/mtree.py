@@ -86,32 +86,18 @@ class MTree:
         self.size = 0
         self.distance_computations = 0
         self._dense_core = None
-        self._dense_core_key = None
 
-    def dense_core(self, **batch_params):
-        """The struct-of-arrays query core mirroring this tree.
-
-        ``batch_params`` (``capacity=``, ``omega=``, optional
-        ``solver=``) enable batched metric evaluation for 2-d vector-set
-        payloads; the core is cached until the next mutation (or a call
-        with different parameters) and shares this tree's page manager.
-        """
-        key = tuple(
-            (k, repr(np.asarray(v)) if isinstance(v, np.ndarray) else v)
-            for k, v in sorted(batch_params.items())
-        )
-        if self._dense_core is None or self._dense_core_key != key:
+    def dense_core(self):
+        """The struct-of-arrays query core mirroring this tree (cached
+        until the next mutation; shares this tree's page manager)."""
+        if self._dense_core is None:
             from repro.index.arraycore import densify
 
-            self._dense_core = densify(
-                self, batch_params=batch_params or None
-            )
-            self._dense_core_key = key
+            self._dense_core = densify(self)
         return self._dense_core
 
     def _invalidate_core(self) -> None:
         self._dense_core = None
-        self._dense_core_key = None
 
     def _new_node(self, is_leaf: bool) -> _MNode:
         return _MNode(is_leaf, self.pages.allocate())

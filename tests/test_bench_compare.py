@@ -6,8 +6,6 @@ a synthetic 20% slowdown fails with exit 1, higher-better ratios
 timings are never judged.
 """
 
-import json
-
 import pytest
 
 from repro.bench.compare import compare_bench, render_comparison
@@ -180,11 +178,3 @@ class TestCompareCli:
         assert code == 1
         out = capsys.readouterr().out
         assert out.count("REGRESSION") == 2 and "recall" in out
-
-    def test_legacy_bare_list_files_compare(self, tmp_path):
-        # PR 2/3/7-era files are bare lists; the sentinel still reads them.
-        base = tmp_path / "legacy_base.json"
-        head = tmp_path / "legacy_head.json"
-        base.write_text(json.dumps(BASE_RECORDS))
-        head.write_text(json.dumps(slowed(BASE_RECORDS, 1.5)))
-        assert main(["bench", "compare", str(base), str(head)]) == 1

@@ -90,13 +90,6 @@ class TestLoadAndReport:
         assert meta["suite"] == "kernels"
         assert records == GOOD
 
-    def test_legacy_bare_list_accepted(self, tmp_path):
-        path = tmp_path / "BENCH_OLD.json"
-        path.write_text(json.dumps(GOOD))
-        [(_, meta, records)] = load_bench_files([path])
-        assert meta["schema"] == "legacy"
-        assert records == GOOD
-
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "BENCH_BAD.json"
         path.write_text('"just a string"')
@@ -105,15 +98,18 @@ class TestLoadAndReport:
         path.write_text("{not json")
         with pytest.raises(ReproError):
             load_bench_files([path])
+        path.write_text(json.dumps(GOOD))  # a bare record list, pre-schema
+        with pytest.raises(ReproError):
+            load_bench_files([path])
 
     def test_render_report_tabulates_everything(self, tmp_path):
         new = tmp_path / "BENCH_NEW.json"
         write_bench(new, GOOD, suite="kernels", seed=7)
         old = tmp_path / "BENCH_OLD.json"
-        old.write_text(json.dumps([{"op": "legacy_op", "seconds": 1.25}]))
+        write_bench(old, [{"op": "old_op", "seconds": 1.25}], suite="kernels")
         text = render_report(load_bench_files([new, old]))
         assert "BENCH_NEW.json" in text and "BENCH_OLD.json" in text
-        assert "index_knn" in text and "legacy_op" in text
+        assert "index_knn" in text and "old_op" in text
         assert "5.00x" in text
         assert "recall=0.96" in text
 

@@ -155,47 +155,6 @@ class TestBlockedRefinement:
             FilterRefineEngine([rng.normal(size=(2, 6))], capacity=7, block_size=0)
 
 
-class TestKnnQueryMany:
-    def test_identical_to_looped_queries(self, engine, rng):
-        eng, sets = engine
-        queries = [rng.normal(size=(rng.integers(1, 8), 6)) for _ in range(6)]
-        queries.append(sets[42])
-        many = eng.knn_query_many(queries, 5)
-        assert len(many) == len(queries)
-        for query, (results, stats) in zip(queries, many):
-            expected, expected_stats = eng.knn_query(query, 5)
-            assert [m.object_id for m in results] == [m.object_id for m in expected]
-            assert [m.distance for m in results] == [m.distance for m in expected]
-            assert stats.candidates_ranked == expected_stats.candidates_ranked
-            assert stats.exact_computations == expected_stats.exact_computations
-            assert stats.extra_refinements == expected_stats.extra_refinements
-            assert stats.pruned == expected_stats.pruned
-
-    def test_empty_query_list(self, engine):
-        eng, _ = engine
-        assert eng.knn_query_many([], 3) == []
-
-    def test_custom_exact_distance_fallback(self, rng):
-        sets = random_vector_sets(rng, 30, dim=6, max_size=7)
-        eng = FilterRefineEngine(
-            sets, capacity=7, exact_distance=min_matching_distance
-        )
-        queries = [rng.normal(size=(3, 6)) for _ in range(3)]
-        many = eng.knn_query_many(queries, 4)
-        for query, (results, _) in zip(queries, many):
-            expected, _ = eng.knn_query(query, 4)
-            assert [m.object_id for m in results] == [m.object_id for m in expected]
-
-    def test_invalid_k_rejected(self, engine):
-        eng, sets = engine
-        with pytest.raises(QueryError):
-            eng.knn_query_many([sets[0]], 0)
-
-    def test_batch_queries_alias(self, engine):
-        eng, _ = engine
-        assert eng.batch_queries == eng.knn_query_many
-
-
 class TestConstruction:
     def test_empty_database_rejected(self):
         with pytest.raises(QueryError):
@@ -218,16 +177,57 @@ class TestConstruction:
         assert results[0].object_id == 0
 
     def test_custom_ranker_is_used(self, engine, rng):
-        """A ranker that yields in ascending centroid order must give the
-        same results as the built-in scan."""
+        """A chunk source that yields in ascending centroid order must
+        give the same results and stats as the built-in scan — however
+        it cuts the ranking into chunks."""
+        eng, sets = engine
+        query = rng.normal(size=(3, 6))
+        calls = []
+
+        def ranker(center):
+            calls.append(center)
+            dists = np.linalg.norm(eng.centroids - center, axis=1)
+            order = np.argsort(dists, kind="stable")
+            for start in range(0, len(order), 7):
+                part = order[start : start + 7]
+                yield part, dists[part]
+
+        without, plain_stats = eng.knn_query(query, 5)
+        with_ranker, stats = eng.knn_query(query, 5, centroid_ranker=ranker)
+        assert with_ranker == without
+        assert stats == plain_stats
+        in_range, range_stats = eng.range_query(query, 9.0, centroid_ranker=ranker)
+        assert (in_range, range_stats) == eng.range_query(query, 9.0)
+        assert len(calls) == 2
+
+    def test_unknown_oid_chunk_rejected(self, engine, rng):
         eng, sets = engine
         query = rng.normal(size=(3, 6))
 
         def ranker(center):
-            dists = np.linalg.norm(eng.centroids - center, axis=1)
-            for i in np.argsort(dists):
-                yield int(i), float(dists[i])
+            yield np.array([3, len(sets) + 5]), np.array([0.0, 0.1])
 
-        with_ranker, _ = eng.knn_query(query, 5, centroid_ranker=ranker)
-        without, _ = eng.knn_query(query, 5)
-        assert [m.object_id for m in with_ranker] == [m.object_id for m in without]
+        with pytest.raises(QueryError, match=f"unknown object id {len(sets) + 5}"):
+            eng.knn_query(query, 5, centroid_ranker=ranker)
+        with pytest.raises(QueryError, match="unknown object id"):
+            eng.range_query(query, 1e9, centroid_ranker=ranker)
+        with pytest.raises(QueryError, match="unknown object id -1"):
+            eng.knn_refine_subset(query, 5, [0, -1])
+
+    def test_unsorted_oids_answer_like_sorted(self, rng):
+        sets = random_vector_sets(rng, 60, dim=6, max_size=7)
+        oids = (rng.permutation(60) * 3 + 11).tolist()
+        by_oid = sorted(zip(oids, sets), key=lambda pair: pair[0])
+        shuffled = FilterRefineEngine(sets, capacity=7, oids=oids)
+        ordered = FilterRefineEngine(
+            [s for _, s in by_oid], capacity=7, oids=[o for o, _ in by_oid]
+        )
+        subset = sorted(oids)[::4]
+        for _ in range(4):
+            query = rng.normal(size=(rng.integers(1, 8), 6))
+            assert shuffled.knn_query(query, 6) == ordered.knn_query(query, 6)
+            assert shuffled.range_query(query, 8.0) == ordered.range_query(query, 8.0)
+            assert shuffled.knn_sequential(query, 6) == ordered.knn_sequential(query, 6)
+            assert shuffled.knn_refine_subset(
+                query, 6, subset
+            ) == ordered.knn_refine_subset(query, 6, subset)

@@ -24,7 +24,7 @@ import pytest
 from contextlib import contextmanager
 
 from repro import obs
-from repro.db import BACKENDS, SimilarityDatabase
+from repro.db import BACKENDS, ShardedSimilarityDatabase, SimilarityDatabase
 from repro.exceptions import QueryError, StorageError
 from repro.index import MTree, RStarTree, XTree
 
@@ -191,6 +191,72 @@ class TestValidation:
             db.add(2, np.full((1, DIM), np.nan))  # non-finite
         assert db.version == 1  # failed mutations must not bump
         assert db.remove(99) is False
+
+    @pytest.mark.parametrize("layout", ["plain", "dense-reloaded", "2-shard"])
+    @pytest.mark.parametrize("backend", ALL)
+    def test_hostile_queries_raise_query_error(self, backend, layout, rng, tmp_path):
+        """Every query entry point validates at the database boundary:
+        one exception type, raised before any state is touched."""
+        if layout == "2-shard":
+            db = ShardedSimilarityDatabase(CAPACITY, shards=2, backend=backend)
+        else:
+            db = SimilarityDatabase(CAPACITY, backend=backend)
+        for oid in range(12):
+            db.add(oid, rand_set(rng))
+        if layout == "dense-reloaded":
+            db.save(tmp_path / "snap.dense", dense=True)
+            db = SimilarityDatabase.load(tmp_path / "snap.dense")
+        elif layout == "2-shard":
+            db.save(tmp_path / "layout")  # arms the parallel batch path
+        probe = rand_set(rng)
+
+        def answers():
+            return db.version, db.knn_query(probe, 3), db.range_query(probe, 6.0)
+
+        before = answers()
+        hostile_sets = [
+            np.full((2, DIM), np.nan),
+            np.array([[0.0, np.inf, 0.0]]),
+            np.zeros((2, DIM + 1)),  # wrong dimension
+            np.zeros((CAPACITY + 1, DIM)),  # over capacity
+            np.empty((0, DIM)),
+        ]
+        calls = [lambda: db.knn_query(probe, 0)]
+        for bad in hostile_sets:
+            calls += [
+                lambda bad=bad: db.knn_query(bad, 3),
+                lambda bad=bad: db.knn_query(bad, 3, mode="approx", shortlist=6),
+                lambda bad=bad: db.range_query(bad, 6.0),
+                lambda bad=bad: db.knn_query_many([probe, bad], 3),
+            ]
+        calls += [
+            lambda: db.knn_query_many([probe], 0),
+            lambda: db.range_query(probe, -1.0),
+            lambda: db.range_query(probe, float("nan")),
+            lambda: db.range_query(probe, float("inf")),
+            lambda: db.knn_query(probe, 3, shortlist=6),  # mode="exact"
+            lambda: db.knn_query(probe, 3, mode="approx", shortlist=0),
+            lambda: db.knn_query_many([probe], 3, shortlist=6),
+            lambda: db.knn_query(probe, 3, mode="fuzzy"),
+        ]
+        if layout == "2-shard":
+            calls += [
+                lambda: db.knn_query_many([probe, hostile_sets[0]], 3, n_jobs=2),
+                lambda: db.knn_query_many([probe], 0, n_jobs=2),
+            ]
+        else:
+            with db.read_view() as view:
+                for bad in hostile_sets:
+                    with pytest.raises(QueryError):
+                        view.knn_query(bad, 3)
+                    with pytest.raises(QueryError):
+                        view.range_query(bad, 6.0)
+                with pytest.raises(QueryError):
+                    view.range_query(probe, float("nan"))
+        for call in calls:
+            with pytest.raises(QueryError):
+                call()
+        assert answers() == before
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(QueryError):

@@ -347,10 +347,12 @@ class TestEngineTelemetry:
         assert reg.counter("query.count").value == 1
 
     def test_knn_many_counts_every_query(self, enabled, sets):
-        from repro.core.queries import FilterRefineEngine
+        from repro.db import SimilarityDatabase
 
-        engine = FilterRefineEngine(sets, capacity=5)
-        results = engine.knn_query_many(sets[:4], 3)
+        db = SimilarityDatabase(capacity=5)
+        for oid, vectors in enumerate(sets):
+            db.add(oid, vectors)
+        results = db.knn_query_many(sets[:4], 3)
         assert obs.registry().counter("query.count").value == 4
         total = sum(stats.exact_computations for _, stats in results)
         assert obs.registry().counter("query.exact_computations").value == total

@@ -218,17 +218,16 @@ class TestContext:
 
 
 class TestEngineAndBatchPaths:
-    def test_knn_many_amortizes_batch_time(self, enabled, rng):
-        from repro.core.queries import FilterRefineEngine
-
-        sets = [rng.normal(size=(3, 6)) for _ in range(20)]
-        engine = FilterRefineEngine(sets, capacity=5)
-        engine.knn_query_many(sets[:4], 3)
+    def test_db_batch_logs_one_event_per_query(self, enabled, rng):
+        db, sets = make_db("xtree", rng)
+        answers = db.knn_query_many(sets[:4], 3)
         events = query_events(enabled)
         assert len(events) == 4
-        assert all(e["batch"] == 4 for e in events)
-        # Per-query seconds are an equal share of the batch wall time.
-        assert len({e["seconds"] for e in events}) == 1
+        for event, (_, stats) in zip(events, answers):
+            assert event["kind"] == "knn" and event["k"] == 3
+            assert event["db_version"] == db.version
+            for key, value in stats.as_dict().items():
+                assert event[key] == value
 
     def test_scan_and_subset_are_pure_refinement(self, enabled, rng):
         from repro.core.queries import FilterRefineEngine
