@@ -4,7 +4,7 @@ pytest-benchmark timings of the packed-tensor distance layer against the
 per-pair baseline it replaces: the stacked cost-tensor assembly, the
 lockstep batched Hungarian, one-query-vs-database refinement, and the
 full pairwise matrix behind the OPTICS experiments.  The ≥5x acceptance
-number lives in ``BENCH_PR2.json`` (``python -m repro bench``); these
+number (pairwise matrix at n=1000, k=7) was measured in PR 2; these
 tests track the same kernels per call so regressions show up in CI.
 """
 
@@ -65,8 +65,8 @@ def test_bench_knn_sequential_batched(benchmark, workload):
 def test_batch_beats_per_pair(benchmark, workload):
     """The whole point of the packed layer: one batched call over the
     database must clearly beat the per-pair Python loop (asserted at a
-    conservative 2x per-query; the pairwise-matrix workload in
-    BENCH_PR2.json shows the full ≥5x)."""
+    conservative 2x per-query; the pairwise-matrix workload measured in
+    PR 2 shows the full ≥5x)."""
     import time
 
     sets, packed = workload

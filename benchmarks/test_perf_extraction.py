@@ -7,7 +7,7 @@ Times the three levers the parallel-ingestion work added:
 * a warm content-addressed feature-cache lookup vs re-extraction.
 
 The correctness of each lever is asserted inline (bit-identical results)
-before anything is timed, mirroring ``repro bench``.
+before anything is timed.
 """
 
 import numpy as np

@@ -501,8 +501,8 @@ class SimilarityDatabase:
         if self.backend == "mtree":
             # The mtree core evaluates the same scalar metric per entry
             # (pointer==core equality must be literal), which makes it
-            # *slower* than the pointer walk (BENCH_PR7: 0.93x).  Serve
-            # the live tree directly; cores answer only for zero-copy
+            # *slower* than the pointer walk (0.93x, measured in PR 7).
+            # Serve the live tree directly; cores answer only for zero-copy
             # dense loads, where no pointer tree exists to fall back to.
             return index
         return index.dense_core()

@@ -42,11 +42,10 @@ A ``LockTimeout`` on any shard releases the already-pinned shards and
 propagates (counted under ``db.sharded.lock_timeouts``).
 
 Persistence: ``save()`` writes a directory — a ``sharded.json``
-manifest plus one snapshot archive per shard — fanning the per-shard
-archive writes out over the shared process pool
-(:func:`repro.parallel.pool_map`); ``load()`` reads them back the same
-way.  ``durable=True`` gives every shard its own WAL-managed directory
-under one root; ``checkpoint()`` walks the shards in order (the
+manifest plus one snapshot archive per shard; ``load()`` reads each
+shard back through :meth:`SimilarityDatabase.load`.  ``durable=True``
+gives every shard its own WAL-managed directory under one root;
+``checkpoint()`` walks the shards in order (the
 ``between-shard-checkpoints`` crash point sits in each gap — the crash
 harness proves recovery restores a consistent version vector from any
 interleaving of shard generations).
@@ -72,6 +71,7 @@ from repro.db.core import (
     check_query_args,
 )
 from repro.exceptions import LockTimeout, QueryError, StorageError
+from repro.index.snapshot import write_archive
 from repro.obs import emit, querylog, registry, span
 from repro.parallel import pool_map, resolve_n_jobs
 from repro.testing.faults import crash_point
@@ -117,30 +117,6 @@ def _sort_key(match: QueryMatch):
 # -- process-pool tasks (module level so they pickle) ----------------------
 
 _WORKER_DBS: dict[tuple, SimilarityDatabase] = {}
-
-
-def _write_shard_task(payload):
-    path, meta, arrays, dense = payload
-    if dense:
-        from repro.index.dense import write_dense_archive
-
-        return str(write_dense_archive(path, meta, arrays))
-    from repro.index.snapshot import write_archive
-
-    return str(write_archive(path, meta, arrays))
-
-
-def _read_shard_task(path):
-    from repro.db.core import DB_FORMAT
-    from repro.index.dense import is_dense_archive
-
-    if is_dense_archive(path):
-        from repro.index.dense import read_dense_archive
-
-        return read_dense_archive(path, DB_FORMAT)
-    from repro.index.snapshot import read_archive
-
-    return read_archive(path, DB_FORMAT)
 
 
 def _worker_db(path: str) -> SimilarityDatabase:
@@ -218,7 +194,6 @@ class ShardedSimilarityDatabase:
         self.durable = bool(durable)
         self.fsync = fsync
         self.keep_generations = int(keep_generations)
-        self._shard_kwargs = dict(shard_kwargs)
         self._root: Path | None = None
         self._shard_paths: list[Path] | None = None
         self._saved_versions: list[int] | None = None
@@ -349,6 +324,34 @@ class ShardedSimilarityDatabase:
         for shard in self.shards:
             shard.compact()
 
+    def _fresh_shard(self) -> SimilarityDatabase:
+        """An empty in-memory shard configured like the live ones.
+
+        The live shards are the only record of ω, block size, solver,
+        index capacity and sketch parameters (a reloaded layout was
+        never given constructor arguments).  A shard that holds objects
+        owns a sketcher that knows its parameters; one that never saw an
+        object still holds the constructor's.
+        """
+        donor = next(
+            (s for s in self.shards if s._sketcher is not None), self.shards[0]
+        )
+        sketch_params = donor._sketch_params
+        if donor._sketcher is not None:
+            sketch_params = donor._sketcher.params()
+            del sketch_params["dims"]
+        return SimilarityDatabase(
+            self.capacity,
+            backend=self.backend,
+            omega=donor._omega_arg,
+            block_size=donor.block_size,
+            solver=donor.solver,
+            index_capacity=donor.index_capacity,
+            lock_timeout=self.lock_timeout,
+            sketch=donor.sketch_enabled,
+            sketch_params=sketch_params or None,
+        )
+
     def reshard(self, new_shards: int) -> None:
         """Redistribute every object across *new_shards* fresh shards.
 
@@ -375,15 +378,7 @@ class ShardedSimilarityDatabase:
             items: dict[int, np.ndarray] = {}
             for shard in self.shards:
                 items.update(shard._sets)
-            fresh = [
-                SimilarityDatabase(
-                    self.capacity,
-                    backend=self.backend,
-                    lock_timeout=self.lock_timeout,
-                    **self._shard_kwargs,
-                )
-                for _ in range(new_shards)
-            ]
+            fresh = [self._fresh_shard() for _ in range(new_shards)]
             for oid in sorted(items):
                 fresh[shard_of(oid, new_shards)].add(oid, items[oid])
             self.shards = fresh
@@ -650,7 +645,7 @@ class ShardedSimilarityDatabase:
         writer interleaving.  ``n_jobs >= 2`` fans the batch out one
         worker process per shard over the last saved snapshot (exact
         mode only; the snapshot must not be stale) — the path the
-        ``shard_scale`` bench drives.
+        ``sharded_batch_knn`` workload of ``benchmarks/e2e`` measures.
         """
         check_query_args(n_neighbors=n_neighbors, mode=mode, shortlist=shortlist)
         queries = [self._checked_query(q) for q in queries]
@@ -741,25 +736,18 @@ class ShardedSimilarityDatabase:
             "durable": self.durable,
             "capacity": self.capacity,
             "backend": self.backend,
+            "resolution": getattr(self.pipeline, "resolution", None),
         }
         tmp = root / (MANIFEST_NAME + ".tmp")
         tmp.write_text(json.dumps(payload, indent=2) + "\n")
         os.replace(tmp, root / MANIFEST_NAME)
 
-    def save(
-        self,
-        path: str | Path | None = None,
-        *,
-        dense: bool = False,
-        n_jobs: int | None = None,
-    ) -> Path:
+    def save(self, path: str | Path | None = None, *, dense: bool = False) -> Path:
         """Persist the sharded database to a directory.
 
         Non-durable: one atomically-written snapshot archive per shard
-        plus the ``sharded.json`` manifest, the per-shard writes fanned
-        out over the process pool when ``n_jobs >= 2``.  Durable:
-        ``save()`` with no path (or the layout root) runs
-        :meth:`checkpoint`.
+        plus the ``sharded.json`` manifest.  Durable: ``save()`` with no
+        path (or the layout root) runs :meth:`checkpoint`.
         """
         if self.durable and (
             path is None or Path(path).resolve() == self._root.resolve()
@@ -771,23 +759,19 @@ class ShardedSimilarityDatabase:
             )
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)
-        jobs = resolve_n_jobs(n_jobs)
+        write = write_archive
+        if dense:
+            from repro.index.dense import write_dense_archive as write
         with span(
             "db.sharded.save", force=True, shards=self.n_shards
         ) as sp, ExitStack() as stack:
             for shard in self.shards:
                 stack.enter_context(shard._lock.read(timeout=self.lock_timeout))
-            payloads, shard_paths = [], []
-            for i, shard in enumerate(self.shards):
-                meta, arrays = shard._snapshot_state()
-                shard_path = root / _shard_archive_name(i)
-                payloads.append((str(shard_path), meta, arrays, bool(dense)))
-                shard_paths.append(shard_path)
-            if jobs >= 2 and len(payloads) >= 2:
-                pool_map(_write_shard_task, payloads, min(jobs, len(payloads)))
-            else:
-                for payload in payloads:
-                    _write_shard_task(payload)
+            shard_paths = [
+                root / _shard_archive_name(i) for i in range(self.n_shards)
+            ]
+            for shard, shard_path in zip(self.shards, shard_paths):
+                write(shard_path, *shard._snapshot_state())
             versions = [shard.version for shard in self.shards]
             objects = sum(len(shard._sets) for shard in self.shards)
             self._write_manifest(root)
@@ -844,16 +828,15 @@ class ShardedSimilarityDatabase:
         pipeline=None,
         cache=None,
         lock_timeout: float | None = None,
-        n_jobs: int | None = None,
     ) -> "ShardedSimilarityDatabase":
         """Reconstruct a sharded database from :meth:`save` output.
 
         Durable layouts run the per-shard recovery ladder;
         :attr:`last_recovery` is then the list of per-shard
         :class:`~repro.db.core.RecoveryReport` objects.  Non-durable
-        layouts read the shard archives (fanned out over the process
-        pool when ``n_jobs >= 2``) and reassemble each index
-        node-for-node.
+        layouts load each shard archive with its index reassembled
+        node-for-node.  With no *pipeline* given, the one the layout was
+        created with is rebuilt from the manifest's ``resolution``.
         """
         root = Path(path)
         manifest_path = root / MANIFEST_NAME
@@ -870,7 +853,10 @@ class ShardedSimilarityDatabase:
             )
         count = int(manifest["shards"])
         durable = bool(manifest.get("durable"))
-        jobs = resolve_n_jobs(n_jobs)
+        if pipeline is None and manifest.get("resolution"):
+            from repro.pipeline import Pipeline
+
+            pipeline = Pipeline(resolution=manifest["resolution"])
         with span("db.sharded.load", force=True, shards=count):
             if durable:
                 shards = [
@@ -885,30 +871,10 @@ class ShardedSimilarityDatabase:
                 for shard_path in shard_paths:
                     if not shard_path.exists():
                         raise StorageError(f"{root}: missing {shard_path.name}")
-                if jobs >= 2 and count >= 2:
-                    archives = pool_map(
-                        _read_shard_task,
-                        [str(p) for p in shard_paths],
-                        min(jobs, count),
-                    )
-                    shards = [
-                        SimilarityDatabase._from_archive(
-                            shard_paths[i],
-                            meta,
-                            arrays,
-                            model=None,
-                            pipeline=None,
-                            cache=None,
-                        )
-                        for i, (meta, arrays) in enumerate(archives)
-                    ]
-                    for shard in shards:
-                        shard.lock_timeout = lock_timeout
-                else:
-                    shards = [
-                        SimilarityDatabase.load(p, lock_timeout=lock_timeout)
-                        for p in shard_paths
-                    ]
+                shards = [
+                    SimilarityDatabase.load(p, lock_timeout=lock_timeout)
+                    for p in shard_paths
+                ]
         db = cls.__new__(cls)
         db.capacity = manifest.get("capacity", shards[0].capacity)
         db.backend = manifest.get("backend", shards[0].backend)
@@ -921,7 +887,6 @@ class ShardedSimilarityDatabase:
         db.durable = durable
         db.fsync = shards[0].fsync
         db.keep_generations = shards[0].keep_generations
-        db._shard_kwargs = {}
         db._root = root if durable else None
         db._shard_paths = None if durable else shard_paths
         db._saved_versions = (

@@ -621,11 +621,11 @@ def _extract_reference(
     iteration, max-sum boxes found by the full-tensor reference scan.
 
     Kept as the oracle the incremental engine is verified against
-    (property tests and ``repro bench`` require bit-identical cover
-    sequences).  The weight grids are built with direct boolean
-    arithmetic on int8 views — two temporaries per grid instead of the
-    four float ``np.where`` passes of earlier revisions; the values
-    (and hence every box choice) are unchanged.
+    (property tests and ``benchmarks/test_perf_extraction.py`` require
+    bit-identical cover sequences).  The weight grids are built with
+    direct boolean arithmetic on int8 views — two temporaries per grid
+    instead of the four float ``np.where`` passes of earlier revisions;
+    the values (and hence every box choice) are unchanged.
     """
     target = grid.occupancy
     state = np.zeros_like(target)
@@ -693,7 +693,7 @@ def _extract_incremental(
     no wrongly covered voxel for "-") are skipped: their gain would be
     <= 0 and could never be selected, so the produced sequence is
     bit-identical to :func:`_extract_reference` — a property the test
-    suite and ``repro bench`` check explicitly.
+    suite and ``benchmarks/test_perf_extraction.py`` check explicitly.
     """
     target = grid.occupancy
     # All voxels start uncovered: "+" rewards object voxels (+1) and

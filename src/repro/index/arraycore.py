@@ -199,278 +199,6 @@ class RTreeArrayCore(_ArrayCore):
                 break
         return result
 
-    def _leaf_table(self):
-        """Lazy leaf-grouped view of the entry tables for batched knn.
-
-        Snapshots store nodes in BFS order, so the leaf level is the
-        tail of the node array and leaf entries are one contiguous slice
-        of the entry tables — the returned columns are then views, not
-        copies.  (If the layout ever stops being contiguous we fall back
-        to a one-time gather.)  Per-leaf bounding boxes come from exact
-        elementwise min/max over each leaf's entries, so every computed
-        box bound provably never exceeds the computed distance of any
-        entry inside it — the monotonicity that makes wave pruning safe.
-        """
-        cached = getattr(self, "_leaf_table_cache", None)
-        if cached is not None:
-            return cached
-        leaf_ids = np.nonzero(self._levels == 0)[0]
-        starts, ends = self._offsets[leaf_ids], self._offsets[leaf_ids + 1]
-        nonempty = ends > starts
-        leaf_ids, starts, ends = leaf_ids[nonempty], starts[nonempty], ends[nonempty]
-        counts = ends - starts
-        if leaf_ids.size and bool(np.all(starts[1:] == ends[:-1])):
-            lo = self._lowers[starts[0] : ends[-1]]
-            hi = self._uppers[starts[0] : ends[-1]]
-            oid = self._payloads[starts[0] : ends[-1]]
-        else:
-            idx = _ranges(starts, ends)
-            lo, hi, oid = self._lowers[idx], self._uppers[idx], self._payloads[idx]
-        # lo and -hi side by side, so one gather + one subtract yields
-        # both halves of max(lo - q, q - hi) per wave.
-        box = np.concatenate([lo, -hi], axis=1)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        box_lo = np.minimum.reduceat(lo, bounds[:-1]) if leaf_ids.size else lo[:0]
-        box_hi = np.maximum.reduceat(hi, bounds[:-1]) if leaf_ids.size else hi[:0]
-        # Point-shaped leaf entries (the centroid trees) get a squared-
-        # norm column for the BLAS-style candidate pretest in knn_many.
-        points_only = bool(np.array_equal(lo, hi))
-        psq = np.einsum("ij,ij->i", lo, lo) if points_only else None
-        cached = (leaf_ids, bounds, box, oid, box_lo, box_hi, lo, psq)
-        self._leaf_table_cache = cached
-        return cached
-
-    def knn_many(self, points: np.ndarray, k: int) -> list[list[tuple[int, float]]]:
-        """Batched k-nn for many query points in one shared sweep.
-
-        Instead of running one best-first descent per query, the batch
-        reads the directory once: a single broadcast computes the
-        mindist of every query to every leaf box, each query sorts its
-        leaves by that bound, and leaves are then expanded in waves —
-        the first wave takes just enough nearest leaves to hold k
-        candidates, later waves take the (contiguous, because sorted)
-        run of leaves whose bound still beats the query's k-th candidate
-        distance.  All queries' wave work is one gather and one
-        vectorized distance pass, so the per-node Python overhead of the
-        sequential walk is amortized across the whole batch.
-
-        Results are exactly :meth:`knn` of each point: leaf boxes are
-        exact elementwise min/max of their entries (so a computed box
-        bound never exceeds any computed entry distance), eligibility
-        over-approximates ``bound <= kth`` (squared-space comparison
-        with a conservative slack, so ties and near-ties always
-        expand), and pool admission recomputes exact distances that
-        rank by the canonical ``(distance, oid)`` lexsort.  Page accounting is
-        *honest but not identical* to the sequential best-first walk:
-        the whole directory is charged once per batch and each (query,
-        leaf) expansion charges that leaf's span, which can differ from
-        the strict walk's count in either direction — use
-        :meth:`knn`/:meth:`ranking_chunks` when exact pointer-parity of
-        the counters matters.
-        """
-        points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
-        if k < 1:
-            raise IndexError_("k must be >= 1")
-        if points.ndim != 2 or points.shape[1] != self.dimension:
-            self._fail(f"expected (q, {self.dimension}) query points")
-        n_queries = len(points)
-        if not n_queries:
-            return []
-        nodes_batched = counter("index.nodes_batched")
-        frontier_size = histogram("index.frontier_size")
-        (
-            leaf_ids,
-            ent_bounds,
-            ent_box,
-            ent_oid,
-            box_lo,
-            box_hi,
-            ent_pts,
-            ent_psq,
-        ) = self._leaf_table()
-        n_leaves = leaf_ids.size
-        results: list[list[tuple[int, float]]] = [[] for _ in range(n_queries)]
-        dir_ids = np.nonzero(self._levels > 0)[0]
-        if dir_ids.size:
-            self.pages.read_spans(
-                int(self._spans[dir_ids].sum()), int(self._node_bytes[dir_ids].sum())
-            )
-            nodes_batched.inc(dir_ids.size)
-        if not n_leaves:
-            return results
-        # (q, L) lower bounds: *squared* mindist of every query to every
-        # leaf box, accumulated one dimension at a time (2-d slabs beat
-        # one (q, L, dim) tensor on cache locality, and the running sum
-        # adds terms in the same order as np.sum over a length-dim axis,
-        # so the values are bit-identical).  Bounds stay squared — the
-        # sqrt is pure cost, since eligibility against kth happens in
-        # squared space with a conservative slack (see the wave loop).
-        leaf_bound = np.zeros((n_queries, n_leaves))
-        for j in range(self.dimension):
-            d = np.maximum(
-                box_lo[:, j][None, :] - points[:, j][:, None],
-                points[:, j][:, None] - box_hi[:, j][None, :],
-            )
-            np.maximum(d, 0.0, out=d)
-            leaf_bound += d * d
-        order = np.argsort(leaf_bound, axis=1)
-        sorted_bound = np.take_along_axis(leaf_bound, order, axis=1)
-        # First wave: enough nearest leaves to hold >= k entries (so kth
-        # becomes finite immediately).  Non-root leaves hold at least
-        # min_fill entries (check_invariants), so a fixed prefix works;
-        # if the whole tree holds fewer than k, later waves expand the
-        # rest because kth stays infinite.
-        min_fill = max(1, int(0.4 * self.capacity))
-        first_wave = min(n_leaves, -(-k // min_fill))
-        ptr = np.full(n_queries, first_wave, dtype=np.int64)
-        kth = np.full(n_queries, np.inf)
-        # [q, -q] next to [lo, -hi]: one subtract per wave yields both
-        # halves of max(lo - q, q - hi); (-hi) - (-q) rounds identically
-        # to q - hi, keeping leaf distances bit-compatible with
-        # _mindist_many.
-        qcat = np.concatenate([points, -points], axis=1)
-        qsq = np.einsum("ij,ij->i", points, points)
-        cand_q = np.empty(0, dtype=np.int64)
-        cand_d = np.empty(0, dtype=np.float64)
-        cand_o = np.empty(0, dtype=np.int64)
-        wave_lo = np.zeros(n_queries, dtype=np.int64)
-        wave_hi = ptr
-        dim = self.dimension
-
-        def absorb(pair_q, pair_d, pair_o):
-            # Fold surviving candidates into the per-query pools, then
-            # refresh every touched query's k-th distance.  The k-th
-            # *distance value* is tie-free of the oid key, so waves rank
-            # the pool on (query, distance) only; the full
-            # (distance, oid) lexsort happens once, at final assembly.
-            nonlocal cand_q, cand_d, cand_o
-            cand_q = np.concatenate([cand_q, pair_q])
-            cand_d = np.concatenate([cand_d, pair_d])
-            cand_o = np.concatenate([cand_o, pair_o])
-            if not cand_q.size:
-                return
-            rank = np.lexsort((cand_d, cand_q))
-            cand_q, cand_d = cand_q[rank], cand_d[rank]
-            cand_o = cand_o[rank]
-            # cand_q is now sorted: first occurrences come from a diff
-            # flag, which is cheaper than np.unique's internal re-sort.
-            first = np.flatnonzero(
-                np.concatenate(([True], cand_q[1:] != cand_q[:-1]))
-            )
-            per_query = np.diff(np.append(first, cand_q.size))
-            full = per_query >= k
-            kth[cand_q[first[full]]] = cand_d[first[full] + k - 1]
-            compact = cand_d <= kth[cand_q]
-            cand_q, cand_d = cand_q[compact], cand_d[compact]
-            cand_o = cand_o[compact]
-
-        def expand(row_q, row_leaf):
-            # One gather + one vectorized distance pass over every
-            # (query, leaf-entry) pair of the given expansion rows.
-            starts, ends = ent_bounds[row_leaf], ent_bounds[row_leaf + 1]
-            idx = _ranges(starts, ends)
-            pair_q = np.repeat(row_q, ends - starts)
-            if ent_psq is not None:
-                # Point entries: select candidates with the fused
-                # ||q||^2 + ||p||^2 - 2 q.p expansion, which is cheap
-                # but not bit-exact, using a slack hundreds of times
-                # wider than its worst-case rounding error so no true
-                # candidate is rejected; then recompute the exact direct
-                # formula only for the admitted few.
-                prows = ent_pts[idx]
-                qrows = points[pair_q]
-                scale = qsq[pair_q] + ent_psq[idx]
-                approx = scale - 2.0 * np.einsum("ij,ij->i", prows, qrows)
-                kth_sq = kth * kth
-                admit = approx <= kth_sq[pair_q] + 1e-12 * (
-                    kth_sq[pair_q] + scale
-                )
-                pair_q = pair_q[admit]
-                delta = prows[admit] - qrows[admit]
-                np.multiply(delta, delta, out=delta)
-                pair_d = np.sqrt(np.sum(delta, axis=1))
-                pair_o = ent_oid[idx[admit]]
-                exact = pair_d <= kth[pair_q]
-                absorb(pair_q[exact], pair_d[exact], pair_o[exact])
-            else:
-                # max(lo-q, q-hi, 0) equals max(lo-q, 0) + max(q-hi, 0)
-                # exactly (at most one operand is positive since
-                # lo <= hi), so leaf distances stay bit-compatible with
-                # _mindist_many.
-                d2 = ent_box[idx] - qcat[pair_q]
-                d = np.maximum(d2[:, :dim], d2[:, dim:])
-                np.maximum(d, 0.0, out=d)
-                np.multiply(d, d, out=d)
-                pair_d = np.sqrt(np.sum(d, axis=1))
-                admit = pair_d <= kth[pair_q]
-                absorb(pair_q[admit], pair_d[admit], ent_oid[idx[admit]])
-
-        while True:
-            wave_counts = wave_hi - wave_lo
-            active = np.nonzero(wave_counts > 0)[0]
-            if not active.size:
-                break
-            row_q = np.repeat(active, wave_counts[active])
-            row_rank = _ranges(wave_lo[active], wave_hi[active])
-            row_leaf = order[row_q, row_rank]
-            self.pages.read_spans(
-                int(self._spans[leaf_ids[row_leaf]].sum()),
-                int(self._node_bytes[leaf_ids[row_leaf]].sum()),
-            )
-            nodes_batched.inc(row_leaf.size)
-            frontier_size.observe(row_leaf.size)
-            # Large waves split in two: the per-query nearest few leaves
-            # tighten kth first, so the bulk of the wave's entries face a
-            # tighter admission bar.  Same expansions either way — kth
-            # only shrinks, and eligibility was fixed when the wave was
-            # sized — but far fewer candidates survive into the pool.
-            head = wave_lo[row_q] + 4
-            if row_q.size > 6 * active.size and bool(
-                (near := row_rank < head).any() and not near.all()
-            ):
-                expand(row_q[near], row_leaf[near])
-                expand(row_q[~near], row_leaf[~near])
-            else:
-                expand(row_q, row_leaf)
-            # Next wave: the still-unexpanded sorted run whose bound
-            # beats (or ties) each query's current kth.  The run is
-            # capped at a doubling of what the query already expanded,
-            # so a loose early kth (e.g. an outlier query) re-tightens
-            # every O(log) leaves instead of flooding one huge wave.
-            # Eligibility compares squared bounds against kth^2 plus a
-            # relative slack hundreds of times wider than the worst-case
-            # rounding drift between sqrt-space (where kth lives) and
-            # squared space, so every leaf the sequential walk would
-            # visit stays eligible; the handful of extra leaves the
-            # slack lets through cost time, never correctness, because
-            # pool admission recomputes exact distances.
-            thr = kth * kth
-            thr += 1e-12 * thr
-            wave_lo = wave_hi
-            wave_hi = np.empty(n_queries, dtype=np.int64)
-            for qi in range(n_queries):
-                wave_hi[qi] = np.searchsorted(
-                    sorted_bound[qi], thr[qi], side="right"
-                )
-            np.minimum(wave_hi, wave_lo + np.maximum(32, wave_lo), out=wave_hi)
-            np.maximum(wave_hi, wave_lo, out=wave_hi)
-        if not cand_q.size:
-            return results
-        rank = np.lexsort((cand_o, cand_d, cand_q))
-        cand_q, cand_d, cand_o = cand_q[rank], cand_d[rank], cand_o[rank]
-        first = np.flatnonzero(
-            np.concatenate(([True], cand_q[1:] != cand_q[:-1]))
-        )
-        have = cand_q[first]
-        first = np.append(first, cand_q.size)
-        for i, query_index in enumerate(have.tolist()):
-            start = int(first[i])
-            stop = min(int(first[i + 1]), start + k)
-            results[query_index] = list(
-                zip(cand_o[start:stop].tolist(), cand_d[start:stop].tolist())
-            )
-        return results
-
     def range_search(self, center: np.ndarray, radius: float) -> list[int]:
         """Object ids intersecting the hypersphere, ascending.
 
@@ -600,7 +328,7 @@ class MTreeArrayCore(_ArrayCore):
     Distances are evaluated with the tree's own scalar *metric*, one
     entry at a time, so results equal the pointer tree's bit for bit;
     a node holds at most ``capacity`` (16) entries, too few for a
-    batched matching kernel to pay (0.77x of this loop in BENCH_PR7).
+    batched matching kernel to pay (0.77x of this loop, measured in PR 7).
     """
 
     kind = "mtree"
@@ -705,12 +433,6 @@ class MTreeArrayCore(_ArrayCore):
         result = [(-neg_oid, -neg_dist) for neg_dist, neg_oid in best]
         result.sort(key=lambda pair: (pair[1], pair[0]))
         return result
-
-    def knn_many(self, queries, k: int) -> list[list[tuple[int, float]]]:
-        """Sequential :meth:`knn` per query.  The metric dominates the
-        M-tree's cost, so there is no cross-query batching to exploit —
-        this exists for interface parity with the R-tree cores."""
-        return [self.knn(query, k) for query in queries]
 
     def range_search(self, query, radius: float) -> list[tuple[int, float]]:
         """All ``(oid, distance)`` with distance <= radius, canonical order."""
@@ -850,28 +572,6 @@ class ScanArrayCore(_ArrayCore):
         for oids, dists in self.ranking_chunks(point):
             return list(zip(oids[:k].tolist(), dists[:k].tolist()))
         return []
-
-    def knn_many(self, points: np.ndarray, k: int) -> list[list[tuple[int, float]]]:
-        """Batched k-nn: one ``(q, n)`` distance matrix, one rank pass
-        per query.  Results and page charges equal ``q`` calls to
-        :meth:`knn`."""
-        if k < 1:
-            raise IndexError_("k must be >= 1")
-        points = np.ascontiguousarray(np.atleast_2d(points), dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != self.dimension:
-            self._fail(f"expected (q, {self.dimension}) query points")
-        if not self.size or not len(points):
-            return [[] for _ in range(len(points))]
-        for _ in range(len(points)):
-            self._charge_full_read()
-        counter("index.nodes_batched").inc(len(points))
-        histogram("index.frontier_size").observe(len(points))
-        dists = np.linalg.norm(self._points[None, :, :] - points[:, None, :], axis=2)
-        results = []
-        for row in dists:
-            order = np.lexsort((self._oids, row))[:k]
-            results.append(list(zip(self._oids[order].tolist(), row[order].tolist())))
-        return results
 
     def range_search(self, center: np.ndarray, radius: float) -> list[int]:
         if radius < 0:

@@ -9,8 +9,9 @@ latency histograms for ``repro stats`` *and* a causally nested trace for
 
 While observability is disabled, ``span()`` yields a shared null span
 and does nothing else; pass ``force=True`` to always measure time (used
-by ``repro bench``, whose whole purpose is timing) without touching the
-registry or the trace unless observability is enabled.
+where the caller reads the duration itself, e.g. the phase timings of
+the wide query event) without touching the registry or the trace unless
+observability is enabled.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """The approximate candidate tier: sketches, Hamming index, engine.
 
-Three layers of assurance:
+Four layers of assurance:
 
 * property tests (hypothesis) for the algebra the tier relies on —
   sketches are permutation invariant over set elements, Hamming
@@ -11,6 +11,8 @@ Three layers of assurance:
   that the incrementally-maintained sketch tier is *byte-identical* to
   a from-scratch rebuild, and that approx queries with a full budget
   reproduce the exact tier literally;
+* one seeded quality gate: recall@10 on a centroid-degenerate family
+  corpus with a fifth of the database as shortlist;
 * snapshot round-trips (``.npz`` and dense mmap) carrying the
   projection matrix content-addressed by digest, plus corruption
   detection through ``repro db verify``.
@@ -364,6 +366,38 @@ class TestDatabaseApproxMode:
             assert len(oids) == len(set(oids))
             if budget >= len(db):
                 assert approx == exact
+
+    def test_recall_on_centroid_degenerate_families(self):
+        """The tier's quality gate: 24 part families re-centred on one
+        centroid (the centroid filter prunes next to nothing) plus 5 %
+        ragged outliers; a fifth of the database as shortlist must find
+        the exact 10-nn of perturbed family members."""
+        n, set_k, dim, spread = 400, 7, 6, 100.0
+        rng = spawn(SEED, "approx-recall-corpus")
+        prototypes = rng.uniform(0.0, spread, size=(24, set_k, dim))
+        prototypes += (spread / 2.0 - prototypes.mean(axis=1))[:, None, :]
+        sets = [
+            prototypes[family] + rng.normal(0.0, 0.04 * spread, size=(set_k, dim))
+            for family in rng.integers(0, 24, size=n)
+        ]
+        for i in range(n // 20):
+            rows = int(rng.integers(1, set_k + 1))
+            sets[i] = rng.uniform(0.0, spread, size=(rows, dim))
+        db = SimilarityDatabase(set_k, backend="xtree")
+        for oid, arr in enumerate(sets):
+            db.add(oid, arr)
+        recalls = []
+        for i in rng.choice(np.arange(n // 20, n), size=20, replace=False):
+            query = sets[i] + rng.normal(0.0, 1.0, size=sets[i].shape)
+            exact, exact_stats = db.knn_query(query, 10)
+            assert exact_stats.exact_computations > 0.9 * n  # degenerate filter
+            approx, stats = db.knn_query(query, 10, mode="approx", shortlist=n // 5)
+            assert stats.exact_computations <= n // 5
+            assert all(a.distance >= e.distance for a, e in zip(approx, exact))
+            assert db.knn_query(query, 10, mode="approx", shortlist=n)[0] == exact
+            hits = {m.object_id for m in approx} & {m.object_id for m in exact}
+            recalls.append(len(hits) / 10)
+        assert np.mean(recalls) >= 0.95
 
     def test_read_view_approx(self):
         db, rng = self.make_db(10)

@@ -8,9 +8,8 @@ without materializing the tree.  These tests pin each promise:
 
 * ``structure_digest`` of a core's serialized form equals the pointer
   tree's, and ``inflate`` reconstructs an identical tree;
-* ``knn_many`` equals per-query ``knn`` across backends, corpora
-  (uniform, clustered, duplicate-heavy, box entries) and k values,
-  including the degenerate shapes (empty tree, empty batch, k > n);
+* core ``knn`` / ``range_search`` equal the pointer traversals across
+  backends, corpora (uniform, clustered, duplicate-heavy) and k values;
 * zero-copy loads keep O(1) resident copies (every table is a view on
   one shared ``np.memmap``) and survive a fresh subprocess
   byte-for-byte;
@@ -29,9 +28,8 @@ import pytest
 
 from repro.db import SimilarityDatabase
 from repro.exceptions import IndexError_, SnapshotIntegrityError
-from repro.index import MTree, RStarTree, SequentialScan, XTree
+from repro.index import RStarTree, SequentialScan, XTree
 from repro.index.arraycore import (
-    MTreeArrayCore,
     RTreeArrayCore,
     ScanArrayCore,
     densify,
@@ -94,96 +92,18 @@ def test_digest_and_inflate_roundtrip(backend):
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_core_queries_equal_pointer(backend):
     rng = np.random.default_rng(6)
-    points = corpus("clustered", rng)
-    tree = build(backend, points)
-    core = tree.dense_core()
-    for query in rng.uniform(0.0, 100.0, size=(10, DIM)):
-        assert core.knn(query, 7) == tree.knn(query, 7)
-        assert core.range_search(query, 9.0) == tree.range_search(query, 9.0)
-
-
-# -- batched knn ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-@pytest.mark.parametrize("name", ["uniform", "clustered", "duplicates"])
-def test_knn_many_matches_knn(backend, name):
-    rng = np.random.default_rng(7)
-    points = corpus(name, rng)
-    tree = build(backend, points)
-    core = tree.dense_core()
-    queries = np.vstack(
-        [rng.uniform(0.0, 100.0, size=(12, DIM)), points[:6]]
-    )
-    for k in (1, 3, 10, 60):
-        batched = core.knn_many(queries, k)
-        assert batched == [core.knn(q, k) for q in queries]
-        assert batched == [tree.knn(q, k) for q in queries]
-
-
-def test_knn_many_box_entries():
-    # Box entries (lo != hi) take the non-point distance path.
-    rng = np.random.default_rng(8)
-    tree = RStarTree(3, capacity=4)
-    for oid in range(200):
-        lower = rng.uniform(0.0, 50.0, size=3)
-        tree.insert_box(lower, lower + rng.uniform(0.0, 5.0, size=3), oid)
-    core = tree.dense_core()
-    queries = rng.uniform(0.0, 60.0, size=(10, 3))
-    for k in (1, 5, 20):
-        assert core.knn_many(queries, k) == [core.knn(q, k) for q in queries]
-
-
-def test_knn_many_edges():
-    rng = np.random.default_rng(9)
-    empty = XTree(DIM, capacity=4).dense_core()
-    queries = rng.uniform(0.0, 1.0, size=(3, DIM))
-    assert empty.knn_many(queries, 5) == [[], [], []]
-    assert empty.knn_many(np.empty((0, DIM)), 5) == []
-    tiny = build("rstar", rng.uniform(0.0, 1.0, size=(3, DIM)))
-    core = tiny.dense_core()
-    assert core.knn_many(queries, 10) == [core.knn(q, 10) for q in queries]
-    with pytest.raises(IndexError_):
-        core.knn_many(queries, 0)
-    with pytest.raises(IndexError_):
-        core.knn_many(np.zeros((2, DIM + 1)), 1)
-
-
-def test_knn_many_mtree_parity():
-    rng = np.random.default_rng(10)
-
-    def euclidean(a, b):
-        return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
-
-    tree = MTree(euclidean, capacity=4)
-    points = rng.integers(-20, 20, size=(80, DIM)).astype(float)
-    for oid, point in enumerate(points):
-        tree.insert(point, oid)
-    core = tree.dense_core()
-    assert isinstance(core, MTreeArrayCore)
-    queries = list(rng.integers(-20, 20, size=(5, DIM)).astype(float))
-    assert core.knn_many(queries, 6) == [core.knn(q, 6) for q in queries]
-
-
-def test_knn_many_charges_pages_and_counters():
-    from repro import obs
-    from repro.obs.metrics import registry
-
-    rng = np.random.default_rng(11)
-    tree = build("xtree", corpus("clustered", rng))
-    core = tree.dense_core()
-    queries = rng.uniform(0.0, 100.0, size=(8, DIM))
-    obs.enable()
-    try:
-        registry().reset()
-        before = core.pages.cost.page_accesses
-        core.knn_many(queries, 5)
-        assert core.pages.cost.page_accesses > before
-        batched = registry().counter("index.nodes_batched").value
-        assert batched > 0
-    finally:
-        obs.disable()
-        registry().reset()
+    for name in ("clustered", "uniform", "duplicates"):
+        points = corpus(name, rng)
+        tree = build(backend, points)
+        core = tree.dense_core()
+        # Stored points as queries walk the zero-distance and tie paths.
+        queries = np.vstack([rng.uniform(0.0, 100.0, size=(10, DIM)), points[:6]])
+        for query in queries:
+            for k in (1, 7, 60):
+                assert core.knn(query, k) == tree.knn(query, k)
+            assert core.range_search(query, 9.0) == sorted(
+                tree.range_search(query, 9.0)
+            )
 
 
 # -- dense snapshots: zero-copy, durability, verification ------------------

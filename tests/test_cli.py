@@ -248,57 +248,12 @@ class TestObservability:
         assert json.loads(metrics.read_text())["counters"]["query.count"] == 1
 
 
-class TestBench:
-    def test_quick_bench_writes_json(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "bench.json"
-        code = main(["bench", "--quick", "--out", str(out)])
-        assert code == 0
-        assert "speedup" in capsys.readouterr().out
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro-bench/1"
-        assert payload["suite"] == "kernels"
-        records = payload["records"]
-        ops = {record["op"] for record in records}
-        assert ops == {
-            "pairwise_matrix",
-            "knn_sequential",
-            "match_many",
-            "extract_single",
-            "ingest_200",
-        }
-        for record in records:
-            assert record["batched_seconds"] > 0
-            assert record["per_pair_seconds"] > 0
-            assert record["speedup"] > 0
-            assert "label" not in record
-
-    def test_bench_trace_records_span_per_leg(self, tmp_path):
-        import json
-
-        trace = tmp_path / "bench.jsonl"
-        code = main(
-            ["bench", "--quick", "--out", str(tmp_path / "bench.json"),
-             "--trace", str(trace)]
-        )
-        assert code == 0
-        events = [json.loads(line) for line in trace.read_text().splitlines()]
-        names = {e["name"] for e in events if e["event"] == "span_start"}
-        assert {"bench.pairwise_matrix.batched", "bench.match_many.per_pair"} <= names
-
-    def test_label_is_stamped_into_records(self, tmp_path):
-        import json
-
-        out = tmp_path / "bench.json"
-        code = main(
-            ["bench", "--quick", "--out", str(out), "--label", "unit-test"]
-        )
-        assert code == 0
-        payload = json.loads(out.read_text())
-        records = payload["records"]
-        assert payload["label"] == "unit-test"
-        assert records and all(r["label"] == "unit-test" for r in records)
+def test_bench_is_not_a_command(capsys):
+    # The one benchmark is benchmarks/e2e (BENCHMARK.json), not a CLI suite.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestDbCommands:
@@ -367,3 +322,17 @@ class TestDbCommands:
             name.startswith("span.db.snapshot.save")
             for name in snapshot["histograms"]
         )
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_sharded_init_persists_resolution(self, tmp_path, durable):
+        from repro.cli import _open_snapshot
+
+        db_path = tmp_path / "parts.db"
+        argv = ["db", "init", str(db_path), "--resolution", "9", "--shards", "2"]
+        assert main(argv + (["--durable"] if durable else [])) == 0
+        db = _open_snapshot(db_path)
+        try:
+            assert db.n_shards == 2 and db.durable is durable
+            assert db.pipeline.resolution == 9
+        finally:
+            db.close()

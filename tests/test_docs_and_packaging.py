@@ -102,6 +102,26 @@ class TestDocs:
         ):
             assert (REPO / "benchmarks" / bench).exists(), bench
 
+    def test_readme_cli_lines_name_known_subcommands(self):
+        """Every ``python -m repro <command> ...`` line in the README
+        names a subcommand the parser actually has."""
+        import argparse
+        import re
+
+        from repro.cli import _build_parser
+
+        (subparsers,) = (
+            action
+            for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        readme = (REPO / "README.md").read_text()
+        commands = re.findall(r"python -m repro[ \t]+(\S+)", readme)
+        assert commands, "README shows no CLI usage"
+        assert set(commands) <= set(subparsers.choices), sorted(
+            set(commands) - set(subparsers.choices)
+        )
+
     def test_experiments_covers_all_tables_and_figures(self):
         text = (REPO / "EXPERIMENTS.md").read_text()
         for item in ("Table 1", "Table 2", "Figure 5", "Figure 6", "Figure 7",

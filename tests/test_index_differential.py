@@ -116,9 +116,6 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
             assert tree.knn(arr, k) == expected, type(tree).__name__
             core = tree.dense_core()
             assert core.knn(arr, k) == expected, type(core).__name__
-            assert core.knn_many([arr, arr], k) == [expected, expected], (
-                type(core).__name__
-            )
 
     @precondition(lambda self: self.model)
     @rule(center=points, radius=st.integers(min_value=0, max_value=40))

@@ -11,9 +11,9 @@ keep every distance exactly representable, so the comparison is
 literal equality, never approximate.
 
 The non-stateful tests cover the seams the machine can't reach:
-routing stability, manifest round-trips (serial and process-pool
-save/load), the parallel batch path against its serial answer, and the
-stale-snapshot guard.
+routing stability, manifest round-trips, reshard after a reload, the
+parallel batch path against its serial answer, and the stale-snapshot
+guard.
 """
 
 from __future__ import annotations
@@ -234,12 +234,11 @@ def build_pair(rng, count=30, shards=4, backend="xtree"):
     return sharded, mirror, sets
 
 
-@pytest.mark.parametrize("n_jobs", [None, 2])
-def test_save_load_roundtrip(tmp_path, rng, n_jobs):
+def test_save_load_roundtrip(tmp_path, rng):
     sharded, mirror, sets = build_pair(rng)
-    root = sharded.save(tmp_path / "layout", n_jobs=n_jobs)
+    root = sharded.save(tmp_path / "layout")
     assert (root / "sharded.json").exists()
-    back = ShardedSimilarityDatabase.load(root, n_jobs=n_jobs)
+    back = ShardedSimilarityDatabase.load(root)
     assert back.n_shards == 4
     assert back.object_ids() == sorted(sets)
     query = sets[0]
@@ -252,6 +251,59 @@ def test_save_load_roundtrip(tmp_path, rng, n_jobs):
     # Reloaded shards are node-for-node what was saved.
     assert back.index_digests() == sharded.index_digests()
     assert back.sketch_digests() == sharded.sketch_digests()
+
+
+@pytest.mark.parametrize(
+    "count, sketch_kwargs",
+    [
+        (40, {"sketch": False}),
+        (40, {"sketch_params": {"seed": 11, "width": 128}}),
+        # Fewer objects than shards: the reloaded layout has empty
+        # shards, which carry no sketcher to read the seed from.
+        (3, {"sketch_params": {"seed": 11, "width": 128}}),
+    ],
+    ids=["no-sketch", "seeded-sketch", "seeded-sketch-empty-shards"],
+)
+def test_reshard_after_reload_keeps_shard_parameters(
+    tmp_path, rng, count, sketch_kwargs
+):
+    """A reloaded layout reshards exactly like the instance that wrote
+    it: fresh shards inherit ω, block size, solver, index capacity and
+    sketch parameters from the live shards, not constructor defaults."""
+    params = dict(
+        omega=np.full(4, 5.0),
+        block_size=4,
+        solver="scalar",
+        index_capacity=5,
+        **sketch_kwargs,
+    )
+    live = ShardedSimilarityDatabase(5, shards=4, **params)
+    sets = [
+        rng.standard_normal((int(rng.integers(1, 6)), 4)) * 3.0
+        for _ in range(count)
+    ]
+    for oid, arr in enumerate(sets):
+        live.add(oid, arr)
+    back = open_database(live.save(tmp_path / "layout"))
+    live.reshard(3)
+    back.reshard(3)
+    for shard in back.shards:
+        assert np.array_equal(shard.omega, params["omega"])
+        assert shard.block_size == 4
+        assert shard.solver == "scalar"
+        assert shard.index_capacity == 5
+        assert shard.sketch_enabled is sketch_kwargs.get("sketch", True)
+    assert back.index_digests() == live.index_digests()
+    assert back.sketch_digests() == live.sketch_digests()
+
+    def answers(db, query):
+        out = [db.knn_query(query, 5), db.range_query(query, 9.0)]
+        if sketch_kwargs.get("sketch", True):
+            out.append(db.knn_query(query, 5, mode="approx", shortlist=8))
+        return [(pairs(results), stats.as_dict()) for results, stats in out]
+
+    for query in sets[:5]:
+        assert answers(back, query) == answers(live, query)
 
 
 def test_open_database_dispatches(tmp_path, rng):
