@@ -115,7 +115,6 @@ def distance_rows_from_sets(
     capacity: int | None = None,
     omega: np.ndarray | None = None,
     n_jobs: int | None = None,
-    backend: str = "lockstep",
 ) -> DistanceRows:
     """Row API over vector sets via the batched minimal-matching kernel.
 
@@ -128,9 +127,7 @@ def distance_rows_from_sets(
     from repro.core.batch import pairwise_matrix
 
     with span("cluster.pairwise_matrix", n=len(sets), jobs=n_jobs):
-        matrix = pairwise_matrix(
-            sets, capacity=capacity, omega=omega, backend=backend, n_jobs=n_jobs
-        )
+        matrix = pairwise_matrix(sets, capacity=capacity, omega=omega, n_jobs=n_jobs)
     return distance_rows_from_matrix(matrix)
 
 

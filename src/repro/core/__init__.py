@@ -14,8 +14,8 @@ This subpackage implements Section 4 of the paper:
 * :mod:`repro.core.queries` — filter-and-refine ε-range and optimal
   multi-step k-nn query processing,
 * :mod:`repro.core.batch` — batched minimal-matching kernels over
-  omega-padded packed tensors, with a lockstep batched Hungarian and
-  a parallel pairwise-distance engine.
+  omega-padded packed tensors, solved by one compiled assignment
+  solver, and a parallel pairwise-distance engine.
 """
 
 from repro.core.batch import (

@@ -6,8 +6,6 @@ candidate and OPTICS needs all O(n^2) pairs.  Evaluating it one pair at
 a time pays Python-level cost-matrix assembly and solver dispatch per
 call; this module amortizes that work over whole batches.
 
-Three ideas make the batch formulation exact, not approximate:
-
 **Omega padding.**  Under the paper's weight family ``w(x) = ||x - ω||``
 (Definition 7) with the Euclidean element distance, pad every set to the
 shared capacity ``K`` with copies of the reference point ``ω``.  Then
@@ -29,15 +27,22 @@ vectors cancel to exactly zero (self-queries keep their exact-zero
 distances) and batched results match the per-pair path to the last
 ulp of the cost entries.
 
-**Lockstep batched Hungarian.**  The stacked ``(B, K, K)`` assignment
-problems are solved together: all problems run the same
-shortest-augmenting-path phase in lockstep over ``(B, K)`` arrays, with
-finished problems masked out.  The per-step numpy overhead is shared by
-the whole batch, turning the ~40 µs scalar solve into ~1 µs per pair.
-A zero-allocation scalar backend (``backend="scalar"``, reusing the
-:class:`~repro.core.matching.ScalarHungarianSolver` buffers across the
-batch) and a scipy oracle (``backend="scipy"``) are kept for
-cross-checking.
+**One compiled solver.**  The stacked ``(B, K, K)`` assignment problems
+go one by one to :func:`scipy.optimize.linear_sum_assignment`: 2.3 µs
+per pair in the engine's 16-pair blocks, 3.2 µs at B = 4096 (7 x 7
+stacks, measured on the parent of PR 21).  The two solvers it replaced
+won at no batch size — a vectorised numpy Kuhn–Munkres that advanced a
+whole stack per step (113 µs per pair at B = 16, 9.8 at B = 4096) and a
+loop over the from-scratch scalar solver (29 and 34) — so there is no
+solver to choose.  :mod:`repro.core.matching`'s Kuhn–Munkres remains the
+paper's §4 and the reference the tests compare against.
+
+**Tie-canonical distances.**  Omega padding makes all virtual rows (and
+columns) of a problem identical, so a ragged pair has many optimal
+assignments, all matching the same multiset of costs.  The distance is
+the sum of the matched costs in ascending order: a function of that
+multiset, not of the optimum a solver's tie-breaking happens to return
+(DESIGN.md states the contract, residual ties included).
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from repro.core.matching import ScalarHungarianSolver
 from repro.core.vector_set import VectorSet
 from repro.exceptions import DistanceError
 
@@ -169,128 +174,24 @@ class PackedSets:
 # -- batched assignment -------------------------------------------------------
 
 
-def _hungarian_lockstep(costs: np.ndarray) -> np.ndarray:
-    """Solve a stack of square assignment problems in lockstep.
+def hungarian_batch(costs: np.ndarray) -> np.ndarray:
+    """Solve a ``(B, n, n)`` stack of square assignment problems, one
+    :func:`scipy.optimize.linear_sum_assignment` call per problem.
 
-    Vectorized shortest-augmenting-path Kuhn–Munkres: every problem of
-    the batch runs the same phase simultaneously on ``(B, K)`` arrays;
-    problems whose augmenting path has completed are masked out of the
-    remaining iterations.  Produces the exact assignment the scalar
-    solver would (ties resolve to the first minimum in both).
-    """
-    batch, n, _ = costs.shape
-    infinity = np.inf
-    # Slot n+1 of `u` absorbs scatter updates for unused columns.
-    u = np.zeros((batch, n + 2))
-    v = np.zeros((batch, n + 1))
-    match_row = np.zeros((batch, n + 1), dtype=np.intp)
-    way = np.zeros((batch, n + 1), dtype=np.intp)
-    min_reduced = np.empty((batch, n + 1))
-    used = np.empty((batch, n + 1), dtype=bool)
-    j0 = np.zeros(batch, dtype=np.intp)
-
-    for row in range(1, n + 1):
-        match_row[:, 0] = row
-        j0[:] = 0
-        min_reduced[:] = infinity
-        used[:] = False
-        active = np.arange(batch)
-        while active.size:
-            a = active
-            ja = j0[a]
-            used[a, ja] = True
-            i0 = match_row[a, ja]
-            # Relax all unused columns from row i0, batch-wide.
-            reduced = costs[a, i0 - 1, :] - u[a, i0][:, None] - v[a, 1:]
-            unused = ~used[a, 1:]
-            reduced = np.where(unused, reduced, infinity)
-            current = min_reduced[a, 1:]
-            improved = reduced < current
-            current = np.where(improved, reduced, current)
-            min_reduced[a, 1:] = current
-            way[a, 1:] = np.where(improved, ja[:, None], way[a, 1:])
-            slack = np.where(unused, current, infinity)
-            pick = slack.argmin(axis=1)
-            delta = slack[np.arange(a.size), pick]
-            j1 = pick + 1
-            # Used columns shift potentials, unused keep their slack.
-            used_a = used[a]
-            targets = np.where(used_a, match_row[a], n + 1)
-            bump = np.zeros((a.size, n + 2))
-            np.put_along_axis(
-                bump, targets, np.broadcast_to(delta[:, None], targets.shape), axis=1
-            )
-            u[a] += bump
-            v[a] -= np.where(used_a, delta[:, None], 0.0)
-            min_reduced[a] -= np.where(used_a, 0.0, delta[:, None])
-            j0[a] = j1
-            arrived = match_row[a, j1] == 0
-            if arrived.any():
-                # Unroll the completed augmenting paths (variable length).
-                f = a[arrived]
-                jj = j1[arrived]
-                while f.size:
-                    j_prev = way[f, jj]
-                    match_row[f, jj] = match_row[f, j_prev]
-                    jj = j_prev
-                    alive = jj != 0
-                    f = f[alive]
-                    jj = jj[alive]
-                active = a[~arrived]
-
-    assignment = np.empty((batch, n), dtype=np.intp)
-    np.put_along_axis(
-        assignment,
-        match_row[:, 1:] - 1,
-        np.broadcast_to(np.arange(n), (batch, n)),
-        axis=1,
-    )
-    return assignment
-
-
-def hungarian_batch(costs: np.ndarray, backend: str = "lockstep") -> np.ndarray:
-    """Solve a ``(B, n, n)`` stack of square assignment problems.
-
-    Parameters
-    ----------
-    costs:
-        Stacked finite cost matrices.
-    backend:
-        ``"lockstep"`` (default) for the vectorized batch solver,
-        ``"scalar"`` for the zero-allocation loop over
-        :class:`~repro.core.matching.ScalarHungarianSolver`, ``"scipy"``
-        for a :func:`scipy.optimize.linear_sum_assignment` oracle loop.
-
-    Returns
-    -------
-    ``(B, n)`` integer array; ``result[b, i]`` is the column assigned to
-    row ``i`` of problem ``b``.
+    Returns the ``(B, n)`` integer array whose ``result[b, i]`` is the
+    column assigned to row ``i`` of problem ``b``.  Which optimum a tied
+    problem gets is the solver's choice; only its value is specified.
     """
     stack = np.asarray(costs, dtype=float)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise DistanceError(f"expected (B, n, n) cost stack, got {stack.shape}")
-    if not stack.shape[0]:
-        return np.empty((0, stack.shape[1]), dtype=np.intp)
     if not np.all(np.isfinite(stack)):
         raise DistanceError("cost matrices must be finite")
-    if backend == "lockstep":
-        return _hungarian_lockstep(stack)
-    if backend == "scalar":
-        n = stack.shape[1]
-        solver = ScalarHungarianSolver(n)
-        assignment = np.empty((stack.shape[0], n), dtype=np.intp)
-        for b, rows in enumerate(stack.tolist()):
-            solver.solve_rows(rows, assignment[b])
-        return assignment
-    if backend == "scipy":
-        from scipy.optimize import linear_sum_assignment
-
-        assignment = np.empty(stack.shape[:2], dtype=np.intp)
-        for b in range(stack.shape[0]):
-            rows, cols = linear_sum_assignment(stack[b])
-            assignment[b, rows] = cols
-        return assignment
-    raise DistanceError(f"unknown batch backend: {backend!r}")
+    assignment = np.empty(stack.shape[:2], dtype=np.intp)
+    for b, matrix in enumerate(stack):
+        # Square problem: the returned row indices are arange(n).
+        assignment[b] = linear_sum_assignment(matrix)[1]
+    return assignment
 
 
 # -- batched minimal matching -------------------------------------------------
@@ -318,15 +219,19 @@ def _finish(
     cost: np.ndarray,
     x_sizes: np.ndarray,
     y_sizes: np.ndarray,
-    backend: str,
     return_flags: bool,
 ):
     """Solve a cost stack and extract distances (and identity flags)."""
     batch, capacity, _ = cost.shape
-    assignment = hungarian_batch(cost, backend=backend)
+    assignment = hungarian_batch(cost)
     b_idx = np.arange(batch)[:, None]
     rows = np.arange(capacity)[None, :]
-    distances = cost[b_idx, rows, assignment].sum(axis=1)
+    # Ascending summation: optima that differ only in which of the
+    # identical virtual rows / columns they use match the same cost
+    # multiset, so the float does not depend on a solver's tie-breaking.
+    matched_costs = cost[b_idx, rows, assignment]
+    matched_costs.sort(axis=1)
+    distances = matched_costs.sum(axis=1)
     if not return_flags:
         return distances
     # A pair is "real" when both endpoints are non-virtual; the matching
@@ -340,7 +245,6 @@ def match_many(
     query: np.ndarray | VectorSet | PaddedQuery,
     packed: PackedSets,
     indices: np.ndarray | None = None,
-    backend: str = "lockstep",
     return_flags: bool = False,
 ):
     """Minimal matching distances from one query to many packed sets.
@@ -372,7 +276,7 @@ def match_many(
         y_sizes = packed.sizes[indices]
     cost = _cost_tensor(prepared.data, prepared.sq_norms, y_data, y_sq)
     x_sizes = np.full(len(y_data), prepared.size, dtype=np.intp)
-    return _finish(cost, x_sizes, y_sizes, backend, return_flags)
+    return _finish(cost, x_sizes, y_sizes, return_flags)
 
 
 def match_pairs(
@@ -380,7 +284,6 @@ def match_pairs(
     i_idx: np.ndarray,
     j_idx: np.ndarray,
     right: PackedSets | None = None,
-    backend: str = "lockstep",
     return_flags: bool = False,
 ):
     """Minimal matching distances for explicit index pairs.
@@ -405,32 +308,27 @@ def match_pairs(
     cost = _cost_tensor(
         packed.data[i_idx], packed.sq_norms[i_idx], right.data[j_idx], right.sq_norms[j_idx]
     )
-    return _finish(cost, packed.sizes[i_idx], right.sizes[j_idx], backend, return_flags)
+    return _finish(cost, packed.sizes[i_idx], right.sizes[j_idx], return_flags)
 
 
 # -- full pairwise matrices ---------------------------------------------------
 
 _WORKER_PACKED: PackedSets | None = None
-_WORKER_BACKEND: str = "lockstep"
 
 
-def _pairwise_worker_init(data, sizes, sq_norms, omega, backend) -> None:
-    global _WORKER_PACKED, _WORKER_BACKEND
+def _pairwise_worker_init(data, sizes, sq_norms, omega) -> None:
+    global _WORKER_PACKED
     _WORKER_PACKED = PackedSets(data=data, sizes=sizes, sq_norms=sq_norms, omega=omega)
-    _WORKER_BACKEND = backend
 
 
 def _pairwise_worker(i_idx: np.ndarray, j_idx: np.ndarray, return_flags: bool):
-    return match_pairs(
-        _WORKER_PACKED, i_idx, j_idx, backend=_WORKER_BACKEND, return_flags=return_flags
-    )
+    return match_pairs(_WORKER_PACKED, i_idx, j_idx, return_flags=return_flags)
 
 
 def pairwise_matrix(
     sets: Sequence[np.ndarray | VectorSet],
     capacity: int | None = None,
     omega: np.ndarray | None = None,
-    backend: str = "lockstep",
     n_jobs: int | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     return_flags: bool = False,
@@ -463,16 +361,14 @@ def pairwise_matrix(
         n_jobs = os.cpu_count() or 1
     if n_jobs is None or n_jobs <= 1 or len(chunks) <= 1:
         outputs = [
-            match_pairs(
-                packed, i_all[sl], j_all[sl], backend=backend, return_flags=return_flags
-            )
+            match_pairs(packed, i_all[sl], j_all[sl], return_flags=return_flags)
             for sl in chunks
         ]
     else:
         with ProcessPoolExecutor(
             max_workers=min(n_jobs, len(chunks)),
             initializer=_pairwise_worker_init,
-            initargs=(packed.data, packed.sizes, packed.sq_norms, packed.omega, backend),
+            initargs=(packed.data, packed.sizes, packed.sq_norms, packed.omega),
         ) as pool:
             futures = [
                 pool.submit(_pairwise_worker, i_all[sl], j_all[sl], return_flags)

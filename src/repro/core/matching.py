@@ -27,11 +27,10 @@ _SCALAR_CUTOFF = 16
 class ScalarHungarianSolver:
     """Buffer-reusing scalar Kuhn–Munkres for repeated same-size problems.
 
-    The batched kernels (:mod:`repro.core.batch`) solve thousands of
-    ``k x k`` assignments back to back; allocating the six working lists
-    per problem would dominate the O(k^3) arithmetic at the paper's
-    k <= 9.  This solver allocates them once and re-initializes in place
-    on every :meth:`solve_rows` call.
+    Allocating the six working lists per problem would dominate the
+    O(k^3) arithmetic at the paper's k <= 9 when thousands of ``k x k``
+    assignments are solved back to back.  This solver allocates them
+    once and re-initializes in place on every :meth:`solve_rows` call.
     """
 
     def __init__(self, n: int):
@@ -196,6 +195,13 @@ def hungarian(cost: np.ndarray, backend: str = "own") -> np.ndarray:
 
 
 def assignment_cost(cost: np.ndarray, assignment: np.ndarray) -> float:
-    """Total cost of an assignment returned by :func:`hungarian`."""
+    """Total cost of an assignment returned by :func:`hungarian`.
+
+    The matched costs are summed in ascending order, so two optimal
+    assignments that match the same multiset of costs (the rule, not the
+    exception, once dummy rows or columns tie) give the same float.
+    """
     matrix = np.asarray(cost, dtype=float)
-    return float(matrix[np.arange(len(assignment)), assignment].sum())
+    matched = matrix[np.arange(len(assignment)), assignment]
+    matched.sort()
+    return float(matched.sum())

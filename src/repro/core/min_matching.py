@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.matching import hungarian
+from repro.core.matching import assignment_cost, hungarian
 from repro.core.vector_set import VectorSet
 from repro.exceptions import DistanceError
 
@@ -181,7 +181,7 @@ def min_matching_match(
         cost[:, n:] = penalties[:, np.newaxis]
 
     assignment = hungarian(cost, backend=backend)
-    total = float(cost[np.arange(m), assignment].sum())
+    total = assignment_cost(cost, assignment)
 
     matched_rows = np.nonzero(assignment < n)[0]
     pairs = np.column_stack([matched_rows, assignment[matched_rows]])

@@ -152,9 +152,6 @@ class FilterRefineEngine:
         Candidates refined per batched kernel call in k-nn queries.
         Larger blocks amortize better but may refine up to
         ``block_size - 1`` candidates beyond the sequential optimum.
-    backend:
-        Batched assignment backend (``"lockstep"``, ``"scalar"``,
-        ``"scipy"``), see :func:`repro.core.batch.hungarian_batch`.
     oids:
         External object ids, one per set (default: positions
         ``0..n-1``).  Rankers yield these ids and results carry them, so
@@ -171,7 +168,6 @@ class FilterRefineEngine:
         omega: np.ndarray | None = None,
         exact_distance: ExactDistance | None = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        backend: str = "lockstep",
         oids: Sequence[int] | None = None,
     ):
         if capacity < 1:
@@ -182,7 +178,6 @@ class FilterRefineEngine:
             raise QueryError("block_size must be >= 1")
         self.capacity = capacity
         self.block_size = block_size
-        self.backend = backend
         self._sets = [
             np.asarray(s.vectors if isinstance(s, VectorSet) else s, dtype=float)
             for s in sets
@@ -275,10 +270,7 @@ class FilterRefineEngine:
             from repro.core.batch import match_many
 
             return match_many(
-                prepared,
-                self._packed,
-                indices=np.asarray(ids, dtype=np.intp),
-                backend=self.backend,
+                prepared, self._packed, indices=np.asarray(ids, dtype=np.intp)
             )
         return np.array([self._exact(query_arr, self._sets[oid]) for oid in ids])
 

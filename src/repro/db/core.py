@@ -206,9 +206,8 @@ class SimilarityDatabase:
     omega:
         Reference point for extended centroids and matching weights
         (default: origin).
-    block_size / solver:
-        Refinement block size and assignment backend, forwarded to
-        :class:`FilterRefineEngine`.
+    block_size:
+        Refinement block size, forwarded to :class:`FilterRefineEngine`.
     index_capacity:
         Node capacity of the spatial index (default: derived from the
         page size, as in the paper's experiments).
@@ -247,7 +246,6 @@ class SimilarityDatabase:
         backend: str = "xtree",
         omega: np.ndarray | None = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        solver: str = "lockstep",
         index_capacity: int | None = None,
         model=None,
         pipeline=None,
@@ -268,7 +266,6 @@ class SimilarityDatabase:
         self.capacity = capacity
         self.backend = backend
         self.block_size = block_size
-        self.solver = solver
         self.index_capacity = index_capacity
         self.model = model
         self.pipeline = pipeline
@@ -399,7 +396,6 @@ class SimilarityDatabase:
             "backend": self.backend,
             "omega": None if self._omega_arg is None else self._omega_arg.tolist(),
             "block_size": self.block_size,
-            "solver": self.solver,
             "index_capacity": self.index_capacity,
             "fsync": self.fsync if isinstance(self.fsync, (str, int)) else "always",
             "keep_generations": self.keep_generations,
@@ -672,7 +668,6 @@ class SimilarityDatabase:
                     capacity=self.capacity,
                     omega=self.omega,
                     block_size=self.block_size,
-                    backend=self.solver,
                     oids=oids,
                 )
                 self._engine_version = self._version
@@ -867,7 +862,6 @@ class SimilarityDatabase:
             "dimension": self.dimension,
             "omega": None if self.omega is None else self.omega.tolist(),
             "block_size": self.block_size,
-            "solver": self.solver,
             "index_capacity": self.index_capacity,
             "db_version": self._version,
             "resolution": getattr(self.pipeline, "resolution", None),
@@ -1045,7 +1039,6 @@ class SimilarityDatabase:
             backend=meta["backend"],
             omega=None if meta["omega"] is None else np.asarray(meta["omega"]),
             block_size=meta["block_size"],
-            solver=meta["solver"],
             index_capacity=meta["index_capacity"],
             model=model,
             pipeline=pipeline,
@@ -1150,7 +1143,6 @@ class SimilarityDatabase:
             backend=config["backend"],
             omega=None if config["omega"] is None else np.asarray(config["omega"]),
             block_size=config["block_size"],
-            solver=config["solver"],
             index_capacity=config["index_capacity"],
             model=model,
             pipeline=pipeline,

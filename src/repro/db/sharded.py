@@ -149,7 +149,7 @@ class ShardedSimilarityDatabase:
     """K independent :class:`SimilarityDatabase` shards behind one API.
 
     Parameters mirror ``SimilarityDatabase`` (every ``**shard_kwargs``
-    entry — ``omega``, ``block_size``, ``solver``, ``index_capacity``,
+    entry — ``omega``, ``block_size``, ``index_capacity``,
     ``sketch``, ``sketch_params`` — is forwarded to each shard
     verbatim), plus:
 
@@ -327,8 +327,8 @@ class ShardedSimilarityDatabase:
     def _fresh_shard(self) -> SimilarityDatabase:
         """An empty in-memory shard configured like the live ones.
 
-        The live shards are the only record of ω, block size, solver,
-        index capacity and sketch parameters (a reloaded layout was
+        The live shards are the only record of ω, block size, index
+        capacity and sketch parameters (a reloaded layout was
         never given constructor arguments).  A shard that holds objects
         owns a sketcher that knows its parameters; one that never saw an
         object still holds the constructor's.
@@ -345,7 +345,6 @@ class ShardedSimilarityDatabase:
             backend=self.backend,
             omega=donor._omega_arg,
             block_size=donor.block_size,
-            solver=donor.solver,
             index_capacity=donor.index_capacity,
             lock_timeout=self.lock_timeout,
             sketch=donor.sketch_enabled,

@@ -1,18 +1,25 @@
 """Tests for the batched minimal-matching kernels (repro.core.batch)."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from benchmarks.e2e.inputs import set_corpus
 from repro.core.batch import (
     PackedSets,
+    _cost_tensor,
     hungarian_batch,
     match_many,
     match_pairs,
     pairwise_matrix,
 )
+from repro.core.matching import assignment_cost, hungarian
 from repro.core.min_matching import min_matching_distance, min_matching_match
 from repro.exceptions import DistanceError
 from tests.conftest import random_vector_sets
@@ -29,6 +36,86 @@ set_collections = st.lists(
     min_size=2,
     max_size=8,
 )
+
+# The adversarial side of the distance contract: ragged sets of small
+# integer vectors, duplicates included, so that assignment problems tie —
+# among the omega-padded virtual rows always, among real rows often.
+tied_collections = st.lists(
+    st.integers(1, 5).flatmap(
+        lambda m: arrays(float, (m, 3), elements=st.integers(-3, 3).map(float))
+    ),
+    min_size=2,
+    max_size=8,
+)
+
+
+def _degenerate_sets(seed, n=48):
+    """The benchmark's centroid-degenerate corpus (ragged one-offs first)."""
+    return set_corpus(np.random.default_rng(seed), n, recentre=True)[0]
+
+
+def _kernel_view(query, sets):
+    """What the kernel computes for *query* against *sets*: the padded
+    cost stack, the matched costs of its assignments (ascending), and
+    the distances `match_many` returns."""
+    packed = PackedSets.pack(sets)
+    prepared = packed.pad_query(query)
+    costs = _cost_tensor(
+        prepared.data, prepared.sq_norms, packed.data, packed.sq_norms
+    )
+    matched = np.take_along_axis(costs, hungarian_batch(costs)[:, :, None], axis=2)
+    return costs, np.sort(matched[:, :, 0], axis=1), match_many(prepared, packed)
+
+
+def _assert_same_up_to_ties(got, got_matched, want, want_matched):
+    """The distance contract: one float per matched-cost multiset.  Two
+    optima that match different multisets of equal real sum (a true tie)
+    may round differently, by a few ulp."""
+    for distance, costs, expected, expected_costs in zip(
+        got, got_matched, want, want_matched
+    ):
+        if np.array_equal(costs, expected_costs):
+            assert distance == expected
+        else:
+            assert abs(distance - expected) <= 4 * np.spacing(max(distance, expected))
+
+
+def _check_row_order_invariance(sets, rng):
+    shuffled = [s[rng.permutation(len(s))] for s in sets]
+    _, matched, distances = _kernel_view(sets[0], sets)
+    _, shuffled_matched, shuffled_distances = _kernel_view(shuffled[0], shuffled)
+    _assert_same_up_to_ties(shuffled_distances, shuffled_matched, distances, matched)
+
+
+def _check_against_scratch_solver(sets):
+    costs, matched, distances = _kernel_view(sets[0], sets)
+    scratch = [hungarian(cost, backend="own") for cost in costs]
+    _assert_same_up_to_ties(
+        distances,
+        matched,
+        [assignment_cost(cost, own) for cost, own in zip(costs, scratch)],
+        [np.sort(cost[np.arange(len(own)), own]) for cost, own in zip(costs, scratch)],
+    )
+
+
+def test_solver_import_is_paid_with_the_package():
+    """`scipy.optimize` takes a fraction of a second to import: a fresh
+    process pays it at `import repro.db`, where it is visible, not
+    inside its first query (or every pool worker's first task)."""
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.db; sys.exit('scipy.optimize' not in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env={
+            "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+            "PATH": "/usr/bin:/bin",
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestPackedSets:
@@ -76,26 +163,38 @@ class TestPackedSets:
 
 
 class TestHungarianBatch:
-    def test_lockstep_matches_scalar_bitwise(self, rng):
-        """Both solvers resolve argmin ties to the first minimum, so the
-        assignments — not just the optimal values — must coincide."""
-        costs = rng.uniform(size=(64, 7, 7))
-        assert np.array_equal(
-            hungarian_batch(costs, backend="lockstep"),
-            hungarian_batch(costs, backend="scalar"),
-        )
-
-    def test_lockstep_matches_scipy_values(self, rng):
+    @pytest.mark.parametrize("batch", [1, 16, 1024])
+    def test_optimal_against_scratch_solver(self, rng, batch):
+        """Every assignment of a stack is a permutation whose cost is the
+        from-scratch Kuhn–Munkres optimum: literally on integer costs
+        (exact arithmetic, heavy ties), to rounding on continuous ones."""
         for n in (1, 2, 5, 9):
-            costs = rng.uniform(size=(32, n, n))
-            own = hungarian_batch(costs, backend="lockstep")
-            oracle = hungarian_batch(costs, backend="scipy")
-            take = np.arange(n)[None, :]
-            batch = np.arange(32)[:, None]
-            assert np.allclose(
-                costs[batch, take, own].sum(axis=1),
-                costs[batch, take, oracle].sum(axis=1),
-            )
+            for costs, tolerance in (
+                (rng.integers(0, 4, size=(batch, n, n)).astype(float), 0.0),
+                (rng.uniform(size=(batch, n, n)), 1e-12),
+            ):
+                assignment = hungarian_batch(costs)
+                assert assignment.shape == (batch, n)
+                assert np.array_equal(
+                    np.sort(assignment, axis=1), np.tile(np.arange(n), (batch, 1))
+                )
+                for cost, got in zip(costs, assignment):
+                    assert assignment_cost(cost, got) == pytest.approx(
+                        assignment_cost(cost, hungarian(cost, backend="own")),
+                        abs=tolerance,
+                    )
+
+    @given(tied_collections)
+    @settings(max_examples=60, deadline=None)
+    def test_distance_matches_scratch_solver(self, sets):
+        """The kernel distance is `assignment_cost` of the scratch
+        solver's assignment on the same padded matrix — bit for bit,
+        whichever optimum either solver's tie-breaking picked."""
+        _check_against_scratch_solver(sets)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_distance_matches_scratch_solver_on_degenerate_corpus(self, seed):
+        _check_against_scratch_solver(_degenerate_sets(seed))
 
     def test_degenerate_ties(self):
         costs = np.zeros((3, 4, 4))
@@ -117,10 +216,6 @@ class TestHungarianBatch:
         costs[1, 0, 0] = np.inf
         with pytest.raises(DistanceError):
             hungarian_batch(costs)
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(DistanceError):
-            hungarian_batch(np.zeros((1, 2, 2)), backend="quantum")
 
 
 class TestMatchMany:
@@ -182,11 +277,26 @@ class TestMatchMany:
         distances as the per-pair path and the scipy oracle."""
         packed = PackedSets.pack(sets)
         query = sets[0]
-        lockstep = match_many(query, packed)
-        oracle = match_many(packed.pad_query(query), packed, backend="scipy")
+        batch = match_many(query, packed)
+        oracle = [min_matching_distance(query, s, backend="scipy") for s in sets]
         reference = np.array([min_matching_distance(query, s) for s in sets])
-        assert np.allclose(lockstep, oracle, atol=1e-8)
-        assert np.allclose(lockstep, reference, atol=1e-8)
+        assert np.allclose(batch, oracle, atol=1e-8)
+        assert np.allclose(batch, reference, atol=1e-8)
+
+    @given(tied_collections, st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_property_row_order_is_invisible(self, sets, random):
+        """A set has no row order: permuting the rows of the query and
+        of every database set leaves each distance bitwise unchanged."""
+        _check_row_order_invariance(
+            sets, np.random.default_rng(random.getrandbits(32))
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_order_is_invisible_on_degenerate_corpus(self, seed):
+        _check_row_order_invariance(
+            _degenerate_sets(seed), np.random.default_rng(seed)
+        )
 
 
 class TestMatchPairs:
@@ -265,13 +375,6 @@ class TestPairwiseMatrix:
                 result = min_matching_match(sets[i], sets[j])
                 assert flags[i, j] == (not result.is_identity)
 
-    def test_scalar_backend_agrees(self, rng):
-        sets = random_vector_sets(rng, 12, dim=6, max_size=7)
-        assert np.array_equal(
-            pairwise_matrix(sets, backend="lockstep"),
-            pairwise_matrix(sets, backend="scalar"),
-        )
-
     def test_rejects_bad_chunk_size(self, rng):
         with pytest.raises(DistanceError):
             pairwise_matrix(random_vector_sets(rng, 4), chunk_size=0)
@@ -289,7 +392,4 @@ class TestPairwiseMatrix:
     @given(set_collections)
     @settings(max_examples=30, deadline=None)
     def test_property_matches_per_pair_and_oracle(self, sets):
-        lockstep = pairwise_matrix(sets)
-        oracle = pairwise_matrix(sets, backend="scipy")
-        assert np.allclose(lockstep, self._reference(sets), atol=1e-8)
-        assert np.allclose(lockstep, oracle, atol=1e-8)
+        assert np.allclose(pairwise_matrix(sets), self._reference(sets), atol=1e-8)

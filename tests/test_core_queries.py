@@ -139,17 +139,6 @@ class TestBlockedRefinement:
             m.object_id for m in looped_range
         ]
 
-    def test_scipy_backend_agrees(self, engine, rng):
-        eng, sets = engine
-        oracle = FilterRefineEngine(sets, capacity=7, backend="scipy")
-        query = rng.normal(size=(3, 6))
-        expected, _ = eng.knn_query(query, 5)
-        got, _ = oracle.knn_query(query, 5)
-        assert [m.object_id for m in got] == [m.object_id for m in expected]
-        assert [m.distance for m in got] == pytest.approx(
-            [m.distance for m in expected], abs=1e-9
-        )
-
     def test_invalid_block_size_rejected(self, rng):
         with pytest.raises(QueryError):
             FilterRefineEngine([rng.normal(size=(2, 6))], capacity=7, block_size=0)

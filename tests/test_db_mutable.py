@@ -24,9 +24,21 @@ import pytest
 from contextlib import contextmanager
 
 from repro import obs
-from repro.db import BACKENDS, ShardedSimilarityDatabase, SimilarityDatabase
+from repro.db import (
+    BACKENDS,
+    DB_FORMAT,
+    ShardedSimilarityDatabase,
+    SimilarityDatabase,
+    open_database,
+)
 from repro.exceptions import QueryError, StorageError
 from repro.index import MTree, RStarTree, XTree
+from repro.index.dense import (
+    is_dense_archive,
+    read_dense_archive,
+    write_dense_archive,
+)
+from repro.index.snapshot import read_archive, write_archive
 
 
 @contextmanager
@@ -78,6 +90,19 @@ def churn(db, rng, adds=40, removes=12, updates=6):
 
 def results_tuple(results):
     return [(m.object_id, m.distance) for m in results]
+
+
+def stamp_legacy_solver(archive, value):
+    """Rewrite a snapshot archive as the parent commit wrote it: the
+    same arrays, plus the retired ``solver`` key in the meta block."""
+    if is_dense_archive(archive):
+        meta, arrays = read_dense_archive(archive, DB_FORMAT, mmap=False)
+        write = write_dense_archive
+    else:
+        meta, arrays = read_archive(archive, DB_FORMAT)
+        write = write_archive
+    meta["solver"] = value
+    write(archive, meta, arrays)
 
 
 class TestIncrementalEqualsRebuilt:
@@ -354,6 +379,62 @@ print(json.dumps({
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == expected
+
+    @pytest.mark.parametrize("legacy", ["lockstep", "scalar", "scipy", None])
+    @pytest.mark.parametrize("kind", ["npz", "dense", "durable", "sharded"])
+    def test_legacy_solver_key_is_ignored(self, kind, legacy, rng, tmp_path):
+        """Files written before the assignment solver stopped being a
+        setting carry ``"solver": ...`` in every snapshot meta block and
+        durable config: they open and answer literally like a fresh
+        build, whatever the value, and like files without the key."""
+        path = tmp_path / "db"
+        if kind == "durable":
+            db = SimilarityDatabase(
+                CAPACITY, backend="xtree", index_capacity=4, durable=True, path=path
+            )
+        elif kind == "sharded":
+            db = ShardedSimilarityDatabase(
+                CAPACITY, shards=3, backend="xtree", index_capacity=4
+            )
+        else:
+            db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
+        contents = churn(db, rng, adds=24)
+        if kind == "durable":
+            db.checkpoint()
+            contents[900] = rand_set(rng)
+            db.add(900, contents[900])  # replayed from the log on open
+            db.close()
+        else:
+            db.save(path, dense=kind == "dense")
+        if legacy is not None:
+            # A single archive file, or a directory of archives beside a
+            # JSON config (durable.json / sharded.json).
+            files = [path] if path.is_file() else sorted(path.iterdir())
+            for file in files:
+                if file.suffix == ".json":
+                    payload = json.loads(file.read_text())
+                    payload["solver"] = legacy
+                    file.write_text(json.dumps(payload))
+                elif file == path or file.suffix == ".npz":
+                    stamp_legacy_solver(file, legacy)
+
+        fresh = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
+        for oid in sorted(contents):
+            fresh.add(oid, contents[oid])
+        opened = open_database(path)
+        assert not hasattr(opened, "solver")
+        for _ in range(4):
+            query = rand_set(rng)
+            for got, want in (
+                (opened.knn_query(query, 6), fresh.knn_query(query, 6)),
+                (opened.range_query(query, 5.0), fresh.range_query(query, 5.0)),
+            ):
+                assert results_tuple(got[0]) == results_tuple(want[0])
+        if kind != "sharded":
+            opened.save(tmp_path / "again.npz", dense=False)
+            assert "solver" not in read_archive(tmp_path / "again.npz", DB_FORMAT)[0]
+        if kind == "durable":
+            opened.close()
 
     def test_snapshot_corruption_detected(self, rng, tmp_path):
         db = SimilarityDatabase(CAPACITY, backend="rstar", index_capacity=4)

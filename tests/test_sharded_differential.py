@@ -268,12 +268,11 @@ def test_reshard_after_reload_keeps_shard_parameters(
     tmp_path, rng, count, sketch_kwargs
 ):
     """A reloaded layout reshards exactly like the instance that wrote
-    it: fresh shards inherit ω, block size, solver, index capacity and
-    sketch parameters from the live shards, not constructor defaults."""
+    it: fresh shards inherit ω, block size, index capacity and sketch
+    parameters from the live shards, not constructor defaults."""
     params = dict(
         omega=np.full(4, 5.0),
         block_size=4,
-        solver="scalar",
         index_capacity=5,
         **sketch_kwargs,
     )
@@ -290,7 +289,6 @@ def test_reshard_after_reload_keeps_shard_parameters(
     for shard in back.shards:
         assert np.array_equal(shard.omega, params["omega"])
         assert shard.block_size == 4
-        assert shard.solver == "scalar"
         assert shard.index_capacity == 5
         assert shard.sketch_enabled is sketch_kwargs.get("sketch", True)
     assert back.index_digests() == live.index_digests()
