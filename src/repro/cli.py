@@ -596,7 +596,9 @@ def _verify_single(path: Path) -> int:
 
     For a durable directory: CRC-walk every retained snapshot archive
     and WAL segment, then run the recovery ladder in memory and
-    ``check_invariants()`` on the recovered index.  Anything the ladder
+    ``check_invariants()`` on the recovered database (stored centroids,
+    index, sketch tier and object store must mirror each other, and the
+    index be structurally sound).  Anything the ladder
     had to work around (a corrupt generation, a torn or missing
     segment) is a degradation — the database *answers*, but not from
     the happy path.  For a snapshot file: CRC check + invariants only.
@@ -638,8 +640,7 @@ def _verify_single(path: Path) -> int:
 
     db = SimilarityDatabase.load(path)
     try:
-        if db._index is not None and hasattr(db._index, "check_invariants"):
-            db._index.check_invariants()
+        db.check_invariants()
     finally:
         db.close()
     report = db.last_recovery

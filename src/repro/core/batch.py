@@ -104,6 +104,9 @@ class PackedSets:
     def n(self) -> int:
         return self.data.shape[0]
 
+    def __len__(self) -> int:
+        return self.n
+
     @property
     def capacity(self) -> int:
         return self.data.shape[1]
@@ -143,12 +146,56 @@ class PackedSets:
         omega = np.asarray(omega, dtype=float)
         if omega.shape != (dimension,):
             raise DistanceError("omega has wrong dimension")
-        data = np.empty((len(arrays), capacity, dimension))
+        return cls.from_ragged(np.concatenate(arrays), sizes, capacity, omega)
+
+    @classmethod
+    def from_ragged(
+        cls, rows: np.ndarray, sizes: np.ndarray, capacity: int, omega: np.ndarray
+    ) -> "PackedSets":
+        """Pack sets stored back to back: *rows* is the ``(sum(sizes), d)``
+        concatenation of the sets, ``sizes[i]`` the cardinality of set
+        ``i``.  One scatter, no per-set work."""
+        rows = np.asarray(rows, dtype=float)
+        sizes = np.asarray(sizes, dtype=np.intp)
+        omega = np.asarray(omega, dtype=float)
+        if rows.ndim != 2 or omega.shape != rows.shape[1:]:
+            raise DistanceError(
+                f"rows {rows.shape} and omega {omega.shape} do not share a dimension"
+            )
+        if not len(sizes) or sizes.min() < 1 or sizes.max() > capacity:
+            raise DistanceError(
+                f"every set needs between 1 and {capacity} vectors"
+            )
+        if int(sizes.sum()) != len(rows):
+            raise DistanceError(
+                f"sizes sum to {int(sizes.sum())} but {len(rows)} rows were given"
+            )
+        data = np.empty((len(sizes), capacity, rows.shape[1]))
         data[:] = omega
-        for i, arr in enumerate(arrays):
-            data[i, : len(arr)] = arr
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        first = np.cumsum(sizes) - sizes
+        data[owner, np.arange(len(rows)) - first[owner]] = rows
         sq_norms = np.einsum("nkd,nkd->nk", data, data)
         return cls(data=data, sizes=sizes, sq_norms=sq_norms, omega=omega)
+
+    def prefix(self, n: int) -> "PackedSets":
+        """The first *n* sets, as views over the same buffers."""
+        return PackedSets(
+            data=self.data[:n],
+            sizes=self.sizes[:n],
+            sq_norms=self.sq_norms[:n],
+            omega=self.omega,
+        )
+
+    def write_row(self, row: int, vectors: np.ndarray) -> None:
+        """Overwrite set *row* in place with the ``(m, d)`` array
+        *vectors* (``1 <= m <= capacity``), re-padding with omega; the
+        row ends up bit for bit what :meth:`pack` would have made it."""
+        block = self.data[row : row + 1]
+        block[0, : len(vectors)] = vectors
+        block[0, len(vectors) :] = self.omega
+        self.sizes[row] = len(vectors)
+        self.sq_norms[row] = np.einsum("nkd,nkd->nk", block, block)[0]
 
     def pad_query(self, query: np.ndarray | VectorSet) -> PaddedQuery:
         """Pad one query set to this layout (reusable across batches)."""

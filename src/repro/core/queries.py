@@ -14,14 +14,15 @@ refine surviving candidates with the exact O(k^3) matching distance:
 
 Refinement goes through the batched kernel of :mod:`repro.core.batch`
 whenever the engine uses the default minimal matching distance: the
-database is packed once into an omega-padded ``(n, k, d)`` tensor at
-construction, and candidates are refined in blocks of *block_size* so
-the cost-tensor assembly and the Hungarian solves amortize across the
-block.  k-nn queries stay *optimal multi-step up to one block*: the
-stop condition is evaluated against the radius as of the last completed
-block, which is conservative (it can only stop where the sequential
-algorithm would have stopped), and any candidates refined past the
-sequential stopping point are counted in
+database lives in one omega-padded ``(n, k, d)`` tensor — packed at
+construction, then maintained in place by ``add`` / ``replace`` /
+``remove`` at a cost independent of ``n`` — and candidates are refined
+in blocks of *block_size* so the cost-tensor assembly and the Hungarian
+solves amortize across the block.  k-nn queries stay *optimal
+multi-step up to one block*: the stop condition is evaluated against
+the radius as of the last completed block, which is conservative (it
+can only stop where the sequential algorithm would have stopped), and
+any candidates refined past the sequential stopping point are counted in
 :attr:`QueryStats.extra_refinements` — at most ``block_size - 1`` of
 them, and exactly zero for ``block_size=1``.  Results are provably
 identical to the strictly sequential order: an overshoot candidate's
@@ -44,6 +45,7 @@ index dependencies.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -128,6 +130,31 @@ class QueryMatch:
     distance: float
 
 
+def _as_set(
+    vectors: np.ndarray | VectorSet, dimension: int | None, capacity: int, label: str
+) -> np.ndarray:
+    """*vectors* as a non-empty ``(m <= capacity, dimension)`` float array."""
+    arr = np.asarray(
+        vectors.vectors if isinstance(vectors, VectorSet) else vectors, dtype=float
+    )
+    if (
+        arr.ndim != 2
+        or not len(arr)
+        or (dimension is not None and arr.shape[1] != dimension)
+    ):
+        raise QueryError(f"{label} has incompatible shape {arr.shape}")
+    if len(arr) > capacity:
+        raise QueryError(f"{label} exceeds capacity {capacity}")
+    return arr
+
+
+def _doubled(buf: np.ndarray) -> np.ndarray:
+    """*buf* copied into the front of a buffer with twice the rows."""
+    grown = np.empty((2 * len(buf),) + buf.shape[1:], dtype=buf.dtype)
+    grown[: len(buf)] = buf
+    return grown
+
+
 class FilterRefineEngine:
     """Answer ε-range and k-nn queries over a collection of vector sets.
 
@@ -135,11 +162,14 @@ class FilterRefineEngine:
     ----------
     sets:
         The database: a sequence of ``(m_i, d)`` arrays or
-        :class:`VectorSet` objects.
+        :class:`VectorSet` objects — or an already packed
+        :class:`~repro.core.batch.PackedSets`, which the engine adopts
+        without copying (and from then on owns: mutations write into it).
     capacity:
         The cardinality bound ``k`` shared by all sets.
     omega:
-        Reference point of the extended centroids (default: origin).
+        Reference point of the extended centroids (default: origin; a
+        :class:`~repro.core.batch.PackedSets` brings its own).
     exact_distance:
         Exact set distance to refine with; defaults to the minimal
         matching distance with Euclidean element distance and the weight
@@ -159,92 +189,226 @@ class FilterRefineEngine:
         spatial index in as *centroid_ranker* without renumbering.  Ties
         in k-nn results resolve canonically by ascending oid, matching
         the index layer's convention.
+    centroids:
+        The ``(n, d)`` extended centroids of *sets*, for a caller that
+        already holds them (default: computed here, one
+        :func:`extended_centroid` per set).  They are trusted, not
+        re-derived.
+
+    **Mutation.**  :meth:`add`, :meth:`replace` and :meth:`remove` keep
+    the packed tensor, the squared norms, the centroid table and the oid
+    column current in place, in buffers that double when full;
+    ``remove`` moves the last row into the hole, so the live rows stay a
+    dense prefix and nothing is ever compacted.  Rows are therefore in no
+    particular order, and nothing observable depends on it: every answer
+    is ranked by ``(distance, oid)``, and :meth:`digest` proves the
+    contents equal a from-scratch build's.
+
+    **Locking.**  The engine takes no lock of its own.  The mutation
+    methods need the caller's *exclusive* lock (no query in flight); a
+    query needs at least a shared one for its whole duration.  Arrays the
+    engine hands out (:attr:`oids`, :attr:`centroids`) are views of the
+    live buffers, overwritten by the next mutation: none may outlive the
+    lock it was read under.
     """
 
     def __init__(
         self,
-        sets: Sequence[np.ndarray | VectorSet],
+        sets: Sequence[np.ndarray | VectorSet] | PackedSets,
         capacity: int,
         omega: np.ndarray | None = None,
         exact_distance: ExactDistance | None = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         oids: Sequence[int] | None = None,
+        centroids: np.ndarray | None = None,
     ):
         if capacity < 1:
             raise QueryError("capacity must be >= 1")
-        if not len(sets):
-            raise QueryError("database must not be empty")
         if block_size < 1:
             raise QueryError("block_size must be >= 1")
         self.capacity = capacity
         self.block_size = block_size
-        self._sets = [
-            np.asarray(s.vectors if isinstance(s, VectorSet) else s, dtype=float)
-            for s in sets
-        ]
-        self.dimension = self._sets[0].shape[1]
-        for i, arr in enumerate(self._sets):
-            if arr.ndim != 2 or arr.shape[1] != self.dimension:
-                raise QueryError(f"set {i} has incompatible shape {arr.shape}")
-            if len(arr) > capacity:
-                raise QueryError(f"set {i} exceeds capacity {capacity}")
+        if not len(sets):
+            raise QueryError("database must not be empty")
+        if isinstance(sets, PackedSets):
+            if sets.capacity != capacity or (
+                omega is not None and not np.array_equal(omega, sets.omega)
+            ):
+                raise QueryError("packed sets were built for another capacity or omega")
+            store = sets
+        else:
+            arrays: list[np.ndarray] = []
+            dimension = None
+            for i, vectors in enumerate(sets):
+                arrays.append(_as_set(vectors, dimension, capacity, f"set {i}"))
+                dimension = arrays[0].shape[1]
+            store = PackedSets.from_ragged(
+                np.concatenate(arrays),
+                np.fromiter(map(len, arrays), dtype=np.intp, count=len(arrays)),
+                capacity,
+                np.zeros(dimension) if omega is None else omega,
+            )
+        n = store.n
+        self.dimension = store.dimension
+        self.omega = store.omega
         if oids is None:
-            self.oids = list(range(len(self._sets)))
+            oid_column = np.arange(n, dtype=np.int64)
         else:
-            self.oids = [int(oid) for oid in oids]
-            if len(self.oids) != len(self._sets):
+            oid_column = np.array(oids, dtype=np.int64)
+            if oid_column.shape != (n,):
+                raise QueryError(f"{len(oids)} oids for {n} sets")
+        # Row buffers, all indexed alike; rows [0, _n) are live.  _store
+        # spans the buffers, _packed is the live prefix the kernel sees.
+        self._n = n
+        self._store = store
+        self._packed = store
+        self._oid_buf = oid_column
+        self._row_of = dict(zip(oid_column.tolist(), range(n)))
+        if len(self._row_of) != n:
+            raise QueryError("object ids must be unique")
+        if centroids is None:
+            self._centroid_buf = np.vstack(
+                [
+                    extended_centroid(block[:size], capacity, self.omega)
+                    for block, size in zip(store.data, store.sizes)
+                ]
+            )
+        else:
+            self._centroid_buf = np.array(centroids, dtype=float)
+            if self._centroid_buf.shape != (n, self.dimension):
                 raise QueryError(
-                    f"{len(self.oids)} oids for {len(self._sets)} sets"
+                    f"centroids have shape {self._centroid_buf.shape}, "
+                    f"expected {(n, self.dimension)}"
                 )
-            if len(set(self.oids)) != len(self.oids):
-                raise QueryError("object ids must be unique")
-        self._oid_arr = np.asarray(self.oids, dtype=np.int64)
-        # Ascending view of the ids for the vectorized oid -> position
-        # lookup (identity order for the database's sorted ids).
-        self._oid_order = np.argsort(self._oid_arr, kind="stable")
-        self._oid_sorted = self._oid_arr[self._oid_order]
-        self.omega = (
-            np.zeros(self.dimension) if omega is None else np.asarray(omega, dtype=float)
-        )
-        self.centroids = np.vstack(
-            [extended_centroid(arr, capacity, self.omega) for arr in self._sets]
-        )
         # The omega-padded batch formulation realizes exactly the default
-        # distance (Euclidean elements, w(x) = ||x - omega||); any custom
-        # exact_distance falls back to the per-pair loop.
-        self._batch_refine = exact_distance is None
-        if self._batch_refine:
-            from repro.core.centroid import norm_weight
-            from repro.core.min_matching import min_matching_distance
-
-            self._packed = PackedSets.pack(
-                self._sets, capacity=capacity, omega=self.omega
-            )
-            weight = norm_weight(None if np.allclose(self.omega, 0.0) else self.omega)
-            exact_distance = lambda a, b: min_matching_distance(  # noqa: E731
-                a, b, weight=weight
-            )
-        else:
-            self._packed = None
+        # distance (Euclidean elements, w(x) = ||x - omega||); a custom
+        # exact_distance is evaluated per pair on the unpadded rows.
         self._exact = exact_distance
+
+    # -- contents ----------------------------------------------------------
+
+    def __len__(self) -> int:
+        return self._n
+
+    @property
+    def oids(self) -> np.ndarray:
+        """External object ids in row order (a view; see *Locking*)."""
+        return self._oid_buf[: self._n]
+
+    @property
+    def centroids(self) -> np.ndarray:
+        """Extended centroids, row-aligned with :attr:`oids` (a view)."""
+        return self._centroid_buf[: self._n]
+
+    def digest(self) -> str:
+        """SHA-256 over everything the engine stores per object — oid,
+        cardinality, padded rows, squared norms, centroid — taken in
+        ascending-oid order, so an incrementally maintained engine and a
+        from-scratch build of the same contents hash alike."""
+        order = np.argsort(self.oids)
+        packed = self._packed
+        hasher = hashlib.sha256(
+            f"{self._n}:{self.capacity}:{self.dimension}".encode()
+        )
+        for column in (
+            self.oids, packed.sizes, packed.data, packed.sq_norms, self.centroids
+        ):
+            hasher.update(column[order].tobytes())
+        return hasher.hexdigest()
+
+    def _rows_for(self, oids: Sequence[int]) -> np.ndarray:
+        """oid → row lookup for a list of Python ints."""
+        try:
+            return np.fromiter(
+                map(self._row_of.__getitem__, oids), dtype=np.intp, count=len(oids)
+            )
+        except KeyError as exc:
+            raise QueryError(
+                f"ranker yielded unknown object id {exc.args[0]}"
+            ) from None
+
+    # -- mutation ----------------------------------------------------------
+
+    def _buffers(self) -> tuple[np.ndarray, ...]:
+        store = self._store
+        return (
+            store.data, store.sizes, store.sq_norms, self._centroid_buf, self._oid_buf
+        )
+
+    def _write(self, row: int, arr: np.ndarray, centroid: np.ndarray | None) -> None:
+        if centroid is None:
+            centroid = extended_centroid(arr, self.capacity, self.omega)
+        elif np.shape(centroid) != (self.dimension,):
+            raise QueryError(f"centroid has shape {np.shape(centroid)}")
+        self._store.write_row(row, arr)
+        self._centroid_buf[row] = centroid
+
+    def add(
+        self,
+        oid: int,
+        vectors: np.ndarray | VectorSet,
+        centroid: np.ndarray | None = None,
+    ) -> None:
+        """Append one set under the new id *oid*; *centroid* is its
+        extended centroid when the caller already computed it."""
+        oid = int(oid)
+        if oid in self._row_of:
+            raise QueryError(f"object id {oid} already present")
+        arr = _as_set(vectors, self.dimension, self.capacity, "set")
+        row = self._n
+        if row == len(self._oid_buf):
+            data, sizes, sq_norms, self._centroid_buf, self._oid_buf = (
+                _doubled(buf) for buf in self._buffers()
+            )
+            self._store = PackedSets(data, sizes, sq_norms, self.omega)
+        self._write(row, arr, centroid)
+        self._oid_buf[row] = oid
+        self._row_of[oid] = row
+        self._n = row + 1
+        self._packed = self._store.prefix(self._n)
+
+    def replace(
+        self,
+        oid: int,
+        vectors: np.ndarray | VectorSet,
+        centroid: np.ndarray | None = None,
+    ) -> None:
+        """Overwrite the set stored under *oid* in its row."""
+        row = self._row_of.get(int(oid))
+        if row is None:
+            raise QueryError(f"no object with id {oid}")
+        self._write(
+            row, _as_set(vectors, self.dimension, self.capacity, "set"), centroid
+        )
+
+    def remove(self, oid: int) -> None:
+        """Drop the set stored under *oid*: the last live row moves into
+        its place.  An engine is never empty, so the last object cannot
+        be removed — discard the engine instead."""
+        oid = int(oid)
+        row = self._row_of.get(oid)
+        if row is None:
+            raise QueryError(f"no object with id {oid}")
+        last = self._n - 1
+        if not last:
+            raise QueryError("cannot remove the only object of an engine")
+        del self._row_of[oid]
+        if row != last:
+            for buf in self._buffers():
+                buf[row] = buf[last]
+            self._row_of[int(self._oid_buf[row])] = row
+        self._n = last
+        self._packed = self._store.prefix(last)
 
     # -- filter step -------------------------------------------------------
 
     def _scan_chunks(self, query_centroid: np.ndarray):
-        """Default centroid ranker: full scan, one ascending chunk."""
+        """Default centroid ranker: full scan, one chunk in ascending
+        ``(centroid distance, oid)`` order."""
+        oids = self.oids
         dists = np.linalg.norm(self.centroids - query_centroid, axis=1)
-        order = np.argsort(dists, kind="stable")
-        yield self._oid_arr[order], dists[order]
-
-    def _positions_for(self, oids: np.ndarray) -> np.ndarray:
-        """Vectorized oid → internal-position lookup."""
-        arr = np.asarray(oids)
-        rank = np.searchsorted(self._oid_sorted, arr)
-        bad = self._oid_sorted.take(rank, mode="clip") != arr
-        if bad.any():
-            oid = int(arr[int(np.argmax(bad))])
-            raise QueryError(f"ranker yielded unknown object id {oid}")
-        return self._oid_order[rank]
+        order = np.lexsort((oids, dists))
+        yield oids[order], dists[order]
 
     # -- refinement --------------------------------------------------------
 
@@ -258,21 +422,34 @@ class FilterRefineEngine:
 
     def _prepare_query(self, query_arr: np.ndarray):
         """Pad the query once per query (reused across all its blocks)."""
-        if self._batch_refine:
+        if self._exact is None:
             return self._packed.pad_query(query_arr)
         return None
 
     def _refine_many(
-        self, prepared, query_arr: np.ndarray, ids: Sequence[int]
+        self, prepared, query_arr: np.ndarray, rows: Sequence[int]
     ) -> np.ndarray:
-        """Exact distances from the query to the given database objects."""
-        if self._batch_refine:
+        """Exact distances from the query to the sets in the given rows."""
+        packed = self._packed
+        if self._exact is None:
             from repro.core.batch import match_many
 
-            return match_many(
-                prepared, self._packed, indices=np.asarray(ids, dtype=np.intp)
-            )
-        return np.array([self._exact(query_arr, self._sets[oid]) for oid in ids])
+            return match_many(prepared, packed, indices=np.asarray(rows, dtype=np.intp))
+        return np.array(
+            [
+                self._exact(query_arr, packed.data[row, : packed.sizes[row]])
+                for row in rows
+            ]
+        )
+
+    def exact_distances(
+        self, query: np.ndarray | VectorSet, oids: Sequence[int]
+    ) -> np.ndarray:
+        """Exact distances from *query* to the objects stored under
+        *oids*, in the order given (no filter, no telemetry)."""
+        query_arr = self._query_array(query)
+        rows = self._rows_for(np.asarray(oids, dtype=np.int64).tolist())
+        return self._refine_many(self._prepare_query(query_arr), query_arr, rows)
 
     def _refine_block(
         self, prepared, query_arr: np.ndarray, ids: Sequence[int]
@@ -332,7 +509,7 @@ class FilterRefineEngine:
         querylog.record_query(
             kind,
             stats.as_dict(),
-            len(self._sets),
+            self._n,
             seconds=seconds,
             refine_seconds=refine_seconds,
             blocks=blocks,
@@ -371,10 +548,10 @@ class FilterRefineEngine:
                     # everything after it is pruned.
                     first = int(np.argmax(over))
                     stats.candidates_ranked += first + 1
-                    survivors.append(self._positions_for(chunk_oids[:first]))
+                    survivors.append(self._rows_for(chunk_oids[:first].tolist()))
                     break
                 stats.candidates_ranked += len(over)
-                survivors.append(self._positions_for(chunk_oids))
+                survivors.append(self._rows_for(chunk_oids.tolist()))
             positions = (
                 np.concatenate(survivors) if survivors else np.empty(0, dtype=np.intp)
             )
@@ -382,7 +559,7 @@ class FilterRefineEngine:
                 query_arr, positions, block_spans=True
             )
             stats.exact_computations = len(positions)
-            stats.pruned = len(self._sets) - len(positions)
+            stats.pruned = self._n - len(positions)
             within = exacts <= epsilon
             results = self._nearest_of(positions[within], exacts[within])
             sp.set(results=len(results))
@@ -445,7 +622,7 @@ class FilterRefineEngine:
                     return
                 stats.exact_computations += len(pending_oids)
                 exacts, seconds = self._refine_block(
-                    prepared, query_arr, self._positions_for(pending_oids)
+                    prepared, query_arr, self._rows_for(pending_oids)
                 )
                 refine_seconds += seconds
                 blocks += 1
@@ -504,7 +681,7 @@ class FilterRefineEngine:
                 if done:
                     break
             flush()
-            stats.pruned = len(self._sets) - stats.exact_computations
+            stats.pruned = self._n - stats.exact_computations
             results = [QueryMatch(-neg_oid, -neg_dist) for neg_dist, neg_oid in heap]
             results.sort(key=lambda match: (match.distance, match.object_id))
             sp.set(results=len(results))
@@ -523,7 +700,7 @@ class FilterRefineEngine:
     ) -> list[QueryMatch]:
         """Refined positions as matches in the canonical ``(distance,
         oid)`` order, cut to the *limit* closest."""
-        ext = self._oid_arr[positions]
+        ext = self._oid_buf[positions]
         order = np.lexsort((ext, exacts))[:limit]
         return [QueryMatch(int(ext[idx]), float(exacts[idx])) for idx in order]
 
@@ -535,7 +712,7 @@ class FilterRefineEngine:
         the batched kernel in database order."""
         if n_neighbors < 1:
             raise QueryError("n_neighbors must be >= 1")
-        n = len(self._sets)
+        n = self._n
         stats = QueryStats(candidates_ranked=n, exact_computations=n)
         with span("query.scan", k=n_neighbors) as sp:
             positions = np.arange(n, dtype=np.intp)
@@ -572,11 +749,11 @@ class FilterRefineEngine:
         if n_neighbors < 1:
             raise QueryError("n_neighbors must be >= 1")
         query_arr = self._query_array(query)
-        positions = self._positions_for(np.asarray(oids, dtype=np.int64))
+        positions = self._rows_for(np.asarray(oids, dtype=np.int64).tolist())
         stats = QueryStats(
             candidates_ranked=len(positions),
             exact_computations=len(positions),
-            pruned=len(self._sets) - len(positions),
+            pruned=self._n - len(positions),
         )
         if not len(positions):
             self._record_query("knn_subset", stats, k=n_neighbors)

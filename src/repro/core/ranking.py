@@ -13,7 +13,6 @@ risen to the front of the queue — and it subsumes both k-nn (take k) and
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Iterator
 
 import numpy as np
@@ -25,11 +24,13 @@ from repro.core.queries import FilterRefineEngine
 def incremental_ranking(
     engine: FilterRefineEngine, query: np.ndarray
 ) -> Iterator[tuple[int, float]]:
-    """Yield ``(object_id, exact_distance)`` in ascending distance.
+    """Yield ``(object_id, exact_distance)`` in ascending ``(distance,
+    object id)`` order — the order of :meth:`FilterRefineEngine.knn_query`.
 
     Works on any :class:`FilterRefineEngine`; the number of exact
     distance computations after ``n`` results is exactly the number of
-    candidates whose lower bound is below the ``n``-th exact distance.
+    candidates whose lower bound is at most the ``n``-th exact distance.
+    The engine must not be mutated while the stream is being consumed.
     """
     query_arr = np.asarray(
         query.vectors if hasattr(query, "vectors") else query, dtype=float
@@ -37,17 +38,17 @@ def incremental_ranking(
     center = extended_centroid(query_arr, engine.capacity, engine.omega)
     bounds = engine.capacity * np.linalg.norm(engine.centroids - center, axis=1)
 
-    counter = itertools.count()
-    # Heap entries: (key, tiebreak, is_exact, oid).
-    heap: list[tuple[float, int, bool, int]] = [
-        (float(bounds[oid]), next(counter), False, oid)
-        for oid in range(len(bounds))
+    # Heap entries: (key, oid, is_exact).  A lower bound that ties an
+    # exact distance is refined first when its oid is smaller, so equal
+    # distances come out by ascending oid.
+    heap: list[tuple[float, int, bool]] = [
+        (bound, oid, False) for bound, oid in zip(bounds.tolist(), engine.oids.tolist())
     ]
     heapq.heapify(heap)
     while heap:
-        key, _, is_exact, oid = heapq.heappop(heap)
+        key, oid, is_exact = heapq.heappop(heap)
         if is_exact:
             yield oid, key
         else:
-            exact = engine._exact(query_arr, engine._sets[oid])
-            heapq.heappush(heap, (float(exact), next(counter), True, oid))
+            exact = float(engine.exact_distances(query_arr, [oid])[0])
+            heapq.heappush(heap, (exact, oid, True))

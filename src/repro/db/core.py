@@ -4,10 +4,10 @@ The paper's architecture (Section 4.3) is static: extract features for
 the whole collection, build an X-tree over the extended centroids, and
 serve filter/refine queries.  :class:`SimilarityDatabase` makes the
 same pipeline *mutable* — objects flow through extraction → feature
-cache → centroid computation → **incremental** index maintenance
-(``insert``/``delete`` on the live tree) → engine invalidation, so the
-filter step never serves stale candidates and no O(n log n) rebuild is
-ever required:
+cache → centroid computation → **incremental** maintenance of the index
+(``insert``/``delete`` on the live tree), of the sketch tier and of the
+refinement engine's packed tensor, so neither step ever serves stale
+candidates and no mutation ever pays a rebuild:
 
 * **Mutations** (``add``/``add_grid``/``remove``/``update``) take the
   write side of a :class:`repro.concurrency.RWLock`, bump a version
@@ -16,12 +16,17 @@ ever required:
   any number of threads can query concurrently while mutations wait;
   each query observes exactly one database version
   (:meth:`read_view` exposes that version for consistency testing).
-* **The refinement engine** is version-tagged: the packed
-  :class:`~repro.core.queries.FilterRefineEngine` is rebuilt lazily on
-  the first query after a mutation, never serving candidates from a
-  stale packing.  The spatial index itself is *not* rebuilt — its array
-  core's ``ranking_chunks`` plugs into the engine as the
-  ``centroid_ranker``.
+* **The refinement engine** is maintained in place: the first query
+  packs one :class:`~repro.core.queries.FilterRefineEngine` from the
+  store (bulk ingest and ``load`` pay nothing for it — one ragged
+  scatter beside the centroids the store already holds), and from then
+  on every ``add`` / ``update`` / ``remove`` writes its one row under
+  the write lock it already holds, at a cost independent of the
+  database size.  Only emptying the database drops the engine.  The
+  spatial index's array core plugs into it as the ``centroid_ranker``
+  (``ranking_chunks``).  :meth:`SimilarityDatabase.engine_digest` and
+  :meth:`SimilarityDatabase.check_invariants` prove the maintained
+  state equal to a from-scratch build.
 * **Snapshots** (``save``/``load``) persist the object store *and* the
   exact index structure in one CRC-checked, atomically-written archive
   (the format-v2 discipline of :mod:`repro.io.database`), so a
@@ -67,6 +72,7 @@ import numpy as np
 
 from repro.approx import ApproxFilterRefineEngine, HammingIndex, SetSketcher
 from repro.concurrency import RWLock
+from repro.core.batch import PackedSets
 from repro.core.centroid import extended_centroid, norm_weight
 from repro.core.min_matching import min_matching_distance
 from repro.core.queries import (
@@ -76,9 +82,10 @@ from repro.core.queries import (
     QueryStats,
 )
 from repro.core.vector_set import VectorSet
-from repro.exceptions import IndexError_, QueryError, StorageError
+from repro.exceptions import IndexError_, InvariantError, QueryError, StorageError
 from repro.index import MTree, RStarTree, SequentialScan, XTree
 from repro.index.snapshot import (
+    indexed_oids,
     read_archive,
     reconstruct_index,
     serialize_index,
@@ -280,7 +287,6 @@ class SimilarityDatabase:
         self._index = None
         self._version = 0
         self._engine: FilterRefineEngine | None = None
-        self._engine_version = -1
         self._lock = RWLock()
         self._engine_lock = threading.Lock()
         self.lock_timeout = lock_timeout
@@ -372,6 +378,78 @@ class SimilarityDatabase:
             if self._hamming is None:
                 return "empty"
             return self._hamming.digest()
+
+    def engine_digest(self) -> str:
+        """:meth:`FilterRefineEngine.digest` of the live refinement engine.
+
+        ``"empty"`` for a database without objects, ``"unbuilt"`` before
+        the first query packed an engine.  The differential harness
+        compares this against a from-scratch engine to prove the
+        in-place maintenance exact.
+        """
+        with self._lock.read(timeout=self.lock_timeout):
+            if not self._sets:
+                return "empty"
+            if self._engine is None:
+                return "unbuilt"
+            return self._engine.digest()
+
+    def check_invariants(self) -> None:
+        """Cross-check every structure that mirrors the object store.
+
+        The stored centroids must be bit for bit the extended centroids
+        of the stored sets (the engine trusts them); the spatial index,
+        the sketch tier and — once built — the engine's rows must hold
+        exactly the stored object ids, and the engine's rows the stored
+        data.  The index's own structural ``check_invariants`` runs
+        too.  Raises :class:`~repro.exceptions.InvariantError` naming
+        the first disagreement.
+        """
+        with self._lock.read(timeout=self.lock_timeout):
+            self._check_invariants_locked()
+
+    def _check_invariants_locked(self) -> None:
+        oids = sorted(self._sets)
+        if sorted(self._centroids) != oids:
+            raise InvariantError("centroid table and object store hold different ids")
+        for oid in oids:
+            want = extended_centroid(self._sets[oid], self.capacity, self.omega)
+            if not np.array_equal(self._centroids[oid], want):
+                raise InvariantError(
+                    f"stored centroid of object {oid} is not the extended "
+                    "centroid of its set"
+                )
+        oid_column = np.asarray(oids, dtype=np.int64)
+        if self._index is None:
+            indexed = oid_column[:0]
+        else:
+            if hasattr(self._index, "check_invariants"):
+                self._index.check_invariants()
+            indexed = indexed_oids(self._index)
+        if not np.array_equal(indexed, oid_column):
+            raise InvariantError(
+                f"{self.backend} index holds {len(indexed)} ids that are not "
+                f"the {len(oids)} stored ones"
+            )
+        if self._hamming is not None and not np.array_equal(
+            np.sort(self._hamming.oids), oid_column
+        ):
+            raise InvariantError("sketch tier and object store hold different ids")
+        engine = self._engine
+        if engine is None:
+            return
+        if not np.array_equal(np.sort(engine.oids), oid_column):
+            raise InvariantError("engine rows and object store hold different ids")
+        fresh = FilterRefineEngine(
+            [self._sets[oid] for oid in oids],
+            capacity=self.capacity,
+            omega=self.omega,
+            oids=oids,
+        )
+        if engine.digest() != fresh.digest():
+            raise InvariantError(
+                "engine rows differ from a fresh packing of the stored sets"
+            )
 
     def close(self) -> None:
         """Flush and close the WAL segment (durable databases only).
@@ -555,6 +633,8 @@ class SimilarityDatabase:
             self._centroids[oid] = centroid
             if self._hamming is not None:
                 self._hamming.add(oid, self._sketcher.sketch(arr))
+            if self._engine is not None:
+                self._engine.add(oid, arr, centroid)
             self._bump("add")
 
     def add_grid(self, oid: int, grid) -> np.ndarray:
@@ -588,6 +668,10 @@ class SimilarityDatabase:
             del self._centroids[oid]
             if self._hamming is not None:
                 self._hamming.remove(oid)
+            if not self._sets:
+                self._engine = None  # an engine is never empty
+            elif self._engine is not None:
+                self._engine.remove(oid)
             self._bump("remove")
             return True
 
@@ -608,6 +692,8 @@ class SimilarityDatabase:
             self._centroids[oid] = centroid
             if self._hamming is not None:
                 self._hamming.update(oid, self._sketcher.sketch(arr))
+            if self._engine is not None:
+                self._engine.replace(oid, arr, centroid)
             self._bump("update")
 
     def compact(self) -> None:
@@ -658,21 +744,40 @@ class SimilarityDatabase:
         return [], QueryStats()
 
     def _ensure_engine(self) -> FilterRefineEngine:
-        """The version-tagged refinement engine (rebuilt after any
-        mutation, so it can never serve stale candidates)."""
-        with self._engine_lock:
-            if self._engine is None or self._engine_version != self._version:
-                oids = sorted(self._sets)
-                self._engine = FilterRefineEngine(
-                    [self._sets[oid] for oid in oids],
-                    capacity=self.capacity,
-                    omega=self.omega,
-                    block_size=self.block_size,
-                    oids=oids,
-                )
-                self._engine_version = self._version
-                registry().counter("db.engine_rebuilds").inc()
-            return self._engine
+        """The refinement engine: packed from the store by the first
+        query that needs it, kept current by every mutation after that.
+
+        Readers can race only for that first build, which the mutex
+        serializes; a writer (exclusive) never overlaps them."""
+        engine = self._engine
+        if engine is None:
+            with self._engine_lock:
+                engine = self._engine
+                if engine is None:
+                    engine = self._engine = self._build_engine()
+        return engine
+
+    def _build_engine(self) -> FilterRefineEngine:
+        """One ragged pack of the stored sets beside the centroids the
+        store already holds; nothing is recomputed per object."""
+        oids = list(self._sets)
+        sets = list(self._sets.values())
+        packed = PackedSets.from_ragged(
+            np.concatenate(sets),
+            np.fromiter(map(len, sets), dtype=np.intp, count=len(sets)),
+            self.capacity,
+            self.omega,
+        )
+        registry().counter("db.engine_rebuilds").inc()
+        return FilterRefineEngine(
+            packed,
+            capacity=self.capacity,
+            block_size=self.block_size,
+            oids=oids,
+            centroids=np.concatenate(
+                list(map(self._centroids.__getitem__, oids))
+            ).reshape(len(oids), -1),
+        )
 
     def _query_context(self, mode: str):
         """Wide-event context for one query: backend, mode, database
@@ -869,6 +974,11 @@ class SimilarityDatabase:
             "sketch_enabled": self.sketch_enabled,
             "sketch_meta": sketch_meta,
         }
+        if self.sketch_enabled and self._sketcher is None and self._sketch_params:
+            # No object yet, so no sketcher to carry the parameters: the
+            # reopened database must still sketch its first object with
+            # them.  (Optional key; snapshots without it load as before.)
+            meta["sketch_params"] = self._sketch_params
         return meta, arrays
 
     def save(self, path: str | Path | None = None, *, dense: bool | None = None) -> Path:
@@ -1044,6 +1154,7 @@ class SimilarityDatabase:
             pipeline=pipeline,
             cache=cache,
             sketch=bool(meta.get("sketch_enabled", True)),
+            sketch_params=meta.get("sketch_params"),
         )
         try:
             oids = [int(oid) for oid in arrays["set_oids"]]

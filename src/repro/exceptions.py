@@ -33,6 +33,11 @@ class IndexError_(ReproError):
     with the built-in :class:`IndexError`)."""
 
 
+class InvariantError(ReproError):
+    """Structures that must mirror each other disagree (object store,
+    stored centroids, spatial index, sketch tier, refinement engine)."""
+
+
 class QueryError(ReproError):
     """A similarity query was malformed (k <= 0, negative range, ...)."""
 

@@ -532,6 +532,23 @@ def serialize_index(tree) -> tuple[dict, dict[str, np.ndarray]]:
     return _serialize(tree)
 
 
+def indexed_oids(index) -> np.ndarray:
+    """The object ids *index* stores (a pointer tree or an array core),
+    ascending — read off the leaf entries of its serialized form."""
+    meta, arrays = _serialize(index)
+    if meta["kind"] == "scan":
+        oids = arrays["oids"]
+    else:
+        entries_per_node = np.diff(arrays["entry_offsets"])
+        if meta["kind"] == "mtree":
+            in_leaf = np.repeat(arrays["node_is_leaf"] != 0, entries_per_node)
+            oids = arrays["entry_oid"][in_leaf]
+        else:
+            in_leaf = np.repeat(arrays["node_level"] == 0, entries_per_node)
+            oids = arrays["entry_payloads"][in_leaf]
+    return np.sort(np.asarray(oids, dtype=np.int64))
+
+
 def reconstruct_index(
     meta: dict,
     arrays: dict[str, np.ndarray],

@@ -231,16 +231,40 @@ class TestIncrementalRanking:
         """Consuming only the first results must not refine everything."""
         cluster_a = [rng.normal(size=(3, 6)) * 0.1 for _ in range(40)]
         cluster_b = [rng.normal(size=(3, 6)) * 0.1 + 50.0 for _ in range(40)]
-        engine = FilterRefineEngine(cluster_a + cluster_b, capacity=7)
         calls = []
-        original = engine._exact
 
         def counting(a, b):
             calls.append(1)
-            return original(a, b)
+            return min_matching_distance(a, b)
 
-        engine._exact = counting
+        engine = FilterRefineEngine(
+            cluster_a + cluster_b, capacity=7, exact_distance=counting
+        )
         stream = incremental_ranking(engine, cluster_a[0])
         for _ in range(5):
             next(stream)
-        assert len(calls) < 60  # far-cluster objects were not refined
+        assert 5 <= len(calls) < 60  # far-cluster objects were not refined
+
+    def test_yields_external_ids_in_knn_order(self, rng):
+        """Object ids, not row positions — on sparse ids, and after a
+        removal has moved the last row into the hole."""
+        sets = random_vector_sets(rng, 6)
+        engine = FilterRefineEngine(sets, capacity=7, oids=[10, 20, 30, 40, 50, 60])
+        query = sets[2]
+
+        def check():
+            stream = list(incremental_ranking(engine, query))
+            results, _ = engine.knn_query(query, len(engine))
+            assert stream == [(m.object_id, m.distance) for m in results]
+            return stream
+
+        assert check()[0] == (30, 0.0)
+        engine.remove(10)  # oid 60 now sits in row 0
+        assert engine.oids.tolist()[0] == 60
+        assert check()[0] == (30, 0.0)
+
+    def test_equal_distances_come_out_by_ascending_id(self):
+        twin = np.ones((2, 3))
+        engine = FilterRefineEngine([twin] * 4, capacity=2, oids=[8, 2, 6, 4])
+        stream = list(incremental_ranking(engine, twin))
+        assert stream == [(2, 0.0), (4, 0.0), (6, 0.0), (8, 0.0)]

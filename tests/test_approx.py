@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -42,9 +43,10 @@ from repro.approx import (
     default_shortlist,
 )
 from repro.core.queries import FilterRefineEngine
-from repro.db import SimilarityDatabase
+from repro.db import ShardedSimilarityDatabase, SimilarityDatabase, open_database
 from repro.exceptions import QueryError, ReproError
 from repro.seeding import resolve_seed, spawn
+from tests.conftest import assert_engine_is_fresh
 
 DIM = 5
 SEED = 1234
@@ -264,7 +266,9 @@ def fresh_sketch_digest(db: SimilarityDatabase) -> str:
     """What the sketch tier would be if rebuilt from scratch right now."""
     if db.dimension is None:
         return "empty"
-    sketcher = SetSketcher(db.dimension, **db._sketch_params)
+    # A reloaded database knows its parameters only through its sketcher.
+    params = db._sketcher.params()
+    sketcher = SetSketcher(params.pop("dims"), **params)
     hamming = HammingIndex(sketcher.words)
     for oid in sorted(db.object_ids()):
         hamming.add(oid, sketcher.sketch(db.get(oid)))
@@ -272,7 +276,8 @@ def fresh_sketch_digest(db: SimilarityDatabase) -> str:
 
 
 class ApproxDifferentialMachine(RuleBasedStateMachine):
-    """Incremental sketch maintenance must equal a from-scratch build."""
+    """Incremental sketch and engine maintenance must equal a
+    from-scratch build."""
 
     def __init__(self):
         super().__init__()
@@ -281,6 +286,10 @@ class ApproxDifferentialMachine(RuleBasedStateMachine):
         )
         self.rng = np.random.default_rng(99)
         self.next_oid = 0
+        self.tmp = tempfile.TemporaryDirectory()
+
+    def teardown(self):
+        self.tmp.cleanup()
 
     @rule(rows=st.integers(min_value=1, max_value=6))
     def add(self, rows):
@@ -303,9 +312,19 @@ class ApproxDifferentialMachine(RuleBasedStateMachine):
     def compact(self):
         self.db.compact()
 
+    @rule(dense=st.booleans())
+    def reload(self, dense):
+        """Save and reopen: the next query packs an engine from the
+        loaded (for a dense snapshot: mmapped) store, and the steps
+        after it maintain that one."""
+        path = os.path.join(self.tmp.name, "dense.db" if dense else "db.npz")
+        self.db.save(path, dense=dense)
+        self.db = SimilarityDatabase.load(path)
+
     @invariant()
     def incremental_matches_fresh(self):
         assert self.db.sketch_digest() == fresh_sketch_digest(self.db)
+        assert_engine_is_fresh(self.db)
 
     @invariant()
     def full_budget_matches_exact(self):
@@ -449,6 +468,31 @@ class TestSketchSnapshots:
         loaded.update(1, rng.standard_normal((2, DIM)))
         assert loaded.sketch_digest() == fresh_sketch_digest(loaded)
 
+    @pytest.mark.parametrize("layout", ["npz", "dense", "sharded", "durable"])
+    def test_empty_database_keeps_sketch_params(self, tmp_path, layout):
+        """A database saved before its first object has no sketcher to
+        carry the constructor's parameters; the reopened one must still
+        sketch with them, not with the defaults."""
+        params = {"sketch_params": {"width": 128, "seed": 11}}
+        path = tmp_path / f"empty-{layout}"
+        if layout == "sharded":
+            live = ShardedSimilarityDatabase(6, shards=2, **params)
+            live.save(path)
+        elif layout == "durable":
+            live = SimilarityDatabase(6, durable=True, path=path, **params)
+            live.checkpoint()
+            live.close()
+        else:
+            live = SimilarityDatabase(6, **params)
+            live.save(path, dense=layout == "dense")
+        back = open_database(path)
+        reference = SimilarityDatabase(6, **params)
+        for db in (back, reference):
+            db.add(0, np.arange(2.0 * DIM).reshape(2, DIM))
+        got = back.sketch_digests() if layout == "sharded" else [back.sketch_digest()]
+        assert reference.sketch_digest() in got
+        back.close()
+
     def test_sketch_disabled_roundtrip(self, tmp_path):
         db = SimilarityDatabase(6, backend="scan", sketch=False)
         db.add(0, np.ones((2, DIM)))
@@ -477,6 +521,7 @@ import sys
 import numpy as np
 from repro.approx import SetSketcher
 from repro.seeding import resolve_seed, spawn
+from tests.conftest import assert_engine_is_fresh
 
 seed = resolve_seed(None)
 rng = spawn(seed, "determinism-probe")

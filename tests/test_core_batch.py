@@ -148,6 +148,44 @@ class TestPackedSets:
         with pytest.raises(DistanceError):
             PackedSets.pack([rng.normal(size=(2, 3)), rng.normal(size=(2, 4))])
 
+    def test_ragged_pack_equals_the_per_set_loop(self, rng):
+        """One scatter from (rows, sizes) builds what filling the tensor
+        set by set builds — the loop stays here as the reference."""
+        omega = rng.normal(size=6)
+        sets = random_vector_sets(rng, 40, dim=6, max_size=7)
+        sizes = [len(arr) for arr in sets]
+        packed = PackedSets.from_ragged(np.concatenate(sets), sizes, 7, omega)
+        data = np.empty((len(sets), 7, 6))
+        data[:] = omega
+        for i, arr in enumerate(sets):
+            data[i, : len(arr)] = arr
+        assert np.array_equal(packed.data, data)
+        assert np.array_equal(packed.sizes, sizes)
+        assert np.array_equal(packed.sq_norms, np.einsum("nkd,nkd->nk", data, data))
+        via_pack = PackedSets.pack(sets, capacity=7, omega=omega)
+        assert np.array_equal(via_pack.data, data)
+
+    def test_ragged_pack_validates(self, rng):
+        rows = rng.normal(size=(5, 3))
+        for sizes in ([2, 2], [5, 0], [4, 1], []):  # short, empty set, oversized, none
+            with pytest.raises(DistanceError):
+                PackedSets.from_ragged(rows, sizes, 3, np.zeros(3))
+        with pytest.raises(DistanceError):
+            PackedSets.from_ragged(rows, [3, 2], 3, np.zeros(4))
+
+    def test_write_row_equals_a_fresh_pack(self, rng):
+        omega = rng.normal(size=6)
+        sets = random_vector_sets(rng, 9, dim=6, max_size=7)
+        packed = PackedSets.pack(sets, capacity=7, omega=omega)
+        for row, rows in ((0, 1), (4, 7), (8, 3)):  # shrink, fill, anything
+            sets[row] = rng.normal(size=(rows, 6))
+            packed.write_row(row, sets[row])
+        fresh = PackedSets.pack(sets, capacity=7, omega=omega)
+        for column in ("data", "sizes", "sq_norms"):
+            assert np.array_equal(getattr(packed, column), getattr(fresh, column))
+        head = packed.prefix(4)
+        assert head.n == 4 and np.shares_memory(head.data, packed.data)
+
     def test_pad_query_roundtrip(self, rng):
         packed = PackedSets.pack([rng.normal(size=(3, 4)) for _ in range(3)])
         query = rng.normal(size=(2, 4))

@@ -220,3 +220,145 @@ class TestConstruction:
             assert shuffled.knn_refine_subset(
                 query, 6, subset
             ) == ordered.knn_refine_subset(query, 6, subset)
+
+
+def fresh_like(engine, contents):
+    """A from-scratch engine over ``{oid: set}`` in ascending-oid order."""
+    oids = sorted(contents)
+    return FilterRefineEngine(
+        [contents[oid] for oid in oids],
+        capacity=engine.capacity,
+        omega=engine.omega,
+        block_size=engine.block_size,
+        oids=oids,
+    )
+
+
+class TestMaintainedInPlace:
+    """add / replace / remove keep the packing equal to a fresh build."""
+
+    @pytest.mark.parametrize("dim", [1, 3, 6, 7])
+    def test_every_step_equals_a_fresh_build(self, rng, dim):
+        omega = rng.normal(size=dim)
+        contents = {3 * i + 11: rng.normal(size=(int(rng.integers(1, 6)), dim)) for i in range(3)}
+        engine = FilterRefineEngine(
+            list(contents.values()), capacity=5, omega=omega, oids=list(contents)
+        )
+        buffer_rows = [len(engine._oid_buf)]
+        swaps = 0
+        next_oid = 100
+        for step in range(60):
+            live = sorted(contents)
+            if step % 4 == 3 and len(live) > 1:
+                # Oldest object: never the last row, so the last row moves.
+                victim = live[0]
+                swaps += engine._row_of[victim] != len(engine) - 1
+                engine.remove(victim)
+                del contents[victim]
+            elif step % 4 == 2:
+                # Alternate shrinking and growing rewrites of one object.
+                target = live[step % len(live)]
+                rows = 1 if step % 8 == 2 else 5
+                contents[target] = rng.normal(size=(rows, dim))
+                engine.replace(target, contents[target])
+            else:
+                contents[next_oid] = rng.normal(size=(int(rng.integers(1, 6)), dim))
+                engine.add(next_oid, contents[next_oid])
+                next_oid += 7
+            buffer_rows.append(len(engine._oid_buf))
+            fresh = fresh_like(engine, contents)
+            assert len(engine) == len(contents)
+            assert engine.digest() == fresh.digest(), step
+            query = rng.normal(size=(int(rng.integers(1, 6)), dim))
+            assert engine.knn_query(query, 4) == fresh.knn_query(query, 4)
+            assert engine.range_query(query, 6.0) == fresh.range_query(query, 6.0)
+            assert engine.knn_sequential(query, 4) == fresh.knn_sequential(query, 4)
+            subset = sorted(contents)[::2]
+            assert engine.knn_refine_subset(query, 3, subset) == fresh.knn_refine_subset(
+                query, 3, subset
+            )
+        assert len(set(buffer_rows)) >= 3, "the buffers never grew"
+        assert swaps, "no removal ever moved the last row"
+
+    def test_shrinking_replace_repads_with_omega(self, rng):
+        omega = np.full(4, 9.0)
+        engine = FilterRefineEngine([rng.normal(size=(3, 4))], capacity=3, omega=omega)
+        engine.replace(0, np.ones((1, 4)))
+        assert np.array_equal(engine._packed.data[0, 1:], np.tile(omega, (2, 1)))
+        assert engine._packed.sizes[0] == 1
+
+    def test_stored_centroids_are_trusted(self, rng):
+        sets = random_vector_sets(rng, 5, dim=4, max_size=3)
+        marked = np.full((5, 4), 42.0)
+        engine = FilterRefineEngine(sets, capacity=3, centroids=marked)
+        assert np.array_equal(engine.centroids, marked)
+        marked[0] = 0.0  # the engine keeps its own copy
+        assert engine.centroids[0, 0] == 42.0
+        engine.add(9, sets[0], centroid=np.full(4, 7.0))
+        assert np.array_equal(engine.centroids[-1], np.full(4, 7.0))
+        with pytest.raises(QueryError):
+            FilterRefineEngine(sets, capacity=3, centroids=marked[:4])
+        with pytest.raises(QueryError):
+            engine.add(10, sets[0], centroid=np.zeros(3))
+
+    def test_adopts_a_packed_tensor(self, rng):
+        from repro.core.batch import PackedSets
+
+        sets = random_vector_sets(rng, 12, dim=4, max_size=3)
+        omega = rng.normal(size=4)
+        packed = PackedSets.pack(sets, capacity=3, omega=omega)
+        engine = FilterRefineEngine(packed, capacity=3)
+        assert engine._packed is packed
+        assert engine.digest() == FilterRefineEngine(sets, 3, omega=omega).digest()
+        with pytest.raises(QueryError):
+            FilterRefineEngine(packed, capacity=4)
+        with pytest.raises(QueryError):
+            FilterRefineEngine(packed, capacity=3, omega=np.zeros(4))
+
+    def test_per_pair_engine_is_mutable_too(self, rng):
+        sets = random_vector_sets(rng, 20, dim=6, max_size=7)
+        contents = dict(enumerate(sets))
+        engine = FilterRefineEngine(sets, capacity=7, exact_distance=min_matching_distance)
+        engine.remove(0)
+        del contents[0]
+        contents[50] = rng.normal(size=(2, 6))
+        engine.add(50, contents[50])
+        reference = FilterRefineEngine(
+            list(contents.values()),
+            capacity=7,
+            exact_distance=min_matching_distance,
+            oids=list(contents),
+        )
+        query = rng.normal(size=(3, 6))
+        assert engine.knn_query(query, 5) == reference.knn_query(query, 5)
+
+    def test_invalid_mutations_rejected(self, rng):
+        engine = FilterRefineEngine([rng.normal(size=(2, 4))], capacity=3, oids=[5])
+        before = engine.digest()
+        with pytest.raises(QueryError, match="already present"):
+            engine.add(5, rng.normal(size=(1, 4)))
+        with pytest.raises(QueryError, match="no object with id 6"):
+            engine.replace(6, rng.normal(size=(1, 4)))
+        with pytest.raises(QueryError, match="no object with id 6"):
+            engine.remove(6)
+        with pytest.raises(QueryError, match="only object"):
+            engine.remove(5)
+        for bad in (rng.normal(size=(4, 4)), rng.normal(size=(2, 3)), np.empty((0, 4))):
+            with pytest.raises(QueryError):
+                engine.add(7, bad)
+            with pytest.raises(QueryError):
+                engine.replace(5, bad)
+        assert engine.digest() == before
+
+    def test_default_ranker_breaks_centroid_ties_by_oid(self):
+        """Row order is arbitrary after removals, so the built-in scan
+        ranks by (centroid distance, oid) — stats cannot depend on it."""
+        same = np.ones((1, 2))
+        engine = FilterRefineEngine([same] * 6, capacity=1, oids=[60, 10, 50, 20, 40, 30])
+        engine.remove(60)  # row 0 now holds oid 30
+        (oids, dists), = engine._scan_chunks(np.ones(2))
+        assert oids.tolist() == [10, 20, 30, 40, 50]
+        results, stats = engine.knn_query(same, 2)
+        assert [m.object_id for m in results] == [10, 20]
+        fresh = FilterRefineEngine([same] * 5, capacity=1, oids=[10, 20, 30, 40, 50])
+        assert fresh.knn_query(same, 2) == (results, stats)

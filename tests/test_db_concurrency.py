@@ -1,16 +1,18 @@
 """Concurrency: readers must always observe a consistent version.
 
 The stress test runs N reader threads issuing 10-nn queries while a
-writer thread interleaves adds and removes.  The writer records the
-exact membership of every database version *before* publishing it, so
-each reader can check its answer against the one version it pinned —
-every result must be exact with respect to that consistent state (same
-ids, same distances, canonically ordered), with no exceptions and no
-torn reads in any thread.
+writer thread interleaves adds, removes and updates — against a live
+refinement engine, which every one of them rewrites in place.  The exact
+answer at every database version is computed *before* the threads
+start, so each reader can check its answer against the one version it
+pinned — every result must be exact with respect to that consistent
+state (same ids, same distances, canonically ordered), with no
+exceptions and no torn reads in any thread.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -117,54 +119,62 @@ def test_readers_see_consistent_snapshots_under_writes(backend, rng):
             float
         )
 
-    # Seed contents, then script the writer's whole mutation sequence up
-    # front: history[v] is the exact membership at version v, published
-    # *before* the mutation that creates v runs, so a reader that pins v
-    # always finds its reference state.
-    sets = {}
-    history = {}
-    for oid in range(14):
-        sets[oid] = rand_set()
-        db.add(oid, sets[oid])
-    history[db.version] = frozenset(sets)
+    query = rand_set()
+    weight = norm_weight(None)
 
+    def answer(contents):
+        """The exact 10-nn of *query* over ``{oid: set}``."""
+        return sorted(
+            (min_matching_distance(query, arr, weight=weight), oid)
+            for oid, arr in contents.items()
+        )[:10]
+
+    # Seed contents, then script the writer's whole mutation sequence up
+    # front: expected[v] is the exact answer at version v, known before
+    # the mutation that creates v runs, so a reader that pins v always
+    # finds its reference.
+    live = {}
+    for oid in range(14):
+        live[oid] = rand_set()
+        db.add(oid, live[oid])
+    expected = {db.version: answer(live)}
     script = []
-    live = dict(sets)
     next_oid = 14
     for step in range(60):
         if step % 3 == 1 and len(live) > 6:
             victim = sorted(live)[step % len(live)]
             script.append(("remove", victim, None))
             del live[victim]
+        elif step % 5 == 2:
+            # Rewritten in its row, under the readers' noses.
+            target = sorted(live)[step % len(live)]
+            live[target] = rand_set()
+            script.append(("update", target, live[target]))
         else:
-            arr = rand_set()
-            script.append(("add", next_oid, arr))
-            live[next_oid] = arr
-            sets[next_oid] = arr
+            live[next_oid] = rand_set()
+            script.append(("add", next_oid, live[next_oid]))
             next_oid += 1
+        expected[db.version + len(script)] = answer(live)
 
-    query = rand_set()
-    weight = norm_weight(None)
-    exact = {oid: min_matching_distance(query, arr, weight=weight) for oid, arr in sets.items()}
+    # The engine is live before the churn starts: every scripted
+    # mutation maintains it in place while readers refine from it.
+    first, _ = db.knn_query(query, 10)
+    assert [(m.distance, m.object_id) for m in first] == expected[db.version]
+    engine = db._engine
+    rows_before = len(engine._oid_buf)
+    moved_rows = []
 
     errors = []
     stop = threading.Event()
 
     def writer():
         try:
-            version = db.version
-            membership = set(history[version])
             for op, oid, arr in script:
-                if op == "add":
-                    membership.add(oid)
-                else:
-                    membership.discard(oid)
-                version += 1
-                history[version] = frozenset(membership)
-                if op == "add":
-                    db.add(oid, arr)
-                else:
+                if op == "remove":
+                    moved_rows.append(engine._row_of[oid] != len(engine) - 1)
                     assert db.remove(oid)
+                else:
+                    getattr(db, op)(oid, arr)
                 time.sleep(0.0005)
         except Exception as exc:  # noqa: BLE001 - surfaced to the main thread
             errors.append(f"writer: {exc!r}")
@@ -178,10 +188,7 @@ def test_readers_see_consistent_snapshots_under_writes(backend, rng):
                     version = view.version
                     results, _ = view.knn_query(query, 10)
                     assert view.version == version, "version changed mid-view"
-                expected_ids = history[version]
-                want = sorted(
-                    ((exact[oid], oid) for oid in expected_ids)
-                )[:10]
+                want = expected[version]
                 got = [(m.distance, m.object_id) for m in results]
                 assert got == want, (
                     f"version {version}: got {got[:3]}..., want {want[:3]}..."
@@ -192,20 +199,28 @@ def test_readers_see_consistent_snapshots_under_writes(backend, rng):
 
     readers = [threading.Thread(target=reader) for _ in range(4)]
     writer_thread = threading.Thread(target=writer)
-    for t in readers:
-        t.start()
-    writer_thread.start()
-    writer_thread.join(timeout=120)
-    for t in readers:
-        t.join(timeout=120)
-        assert not t.is_alive(), "reader hung"
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in readers:
+            t.start()
+        writer_thread.start()
+        writer_thread.join(timeout=120)
+        for t in readers:
+            t.join(timeout=120)
+            assert not t.is_alive(), "reader hung"
+    finally:
+        sys.setswitchinterval(switch_interval)
     assert not writer_thread.is_alive(), "writer hung"
     assert errors == []
-    # The writer finished the whole script: final state is queryable and
-    # exact.
+    # The writer finished the whole script on the one engine, through a
+    # buffer growth and removals that moved the last row into the hole.
+    assert db._engine is engine
+    assert len(engine._oid_buf) > rows_before
+    assert any(moved_rows)
     final, _ = db.knn_query(query, 10)
-    want = sorted(((exact[oid], oid) for oid in history[db.version]))[:10]
-    assert [(m.distance, m.object_id) for m in final] == want
+    assert [(m.distance, m.object_id) for m in final] == expected[db.version]
+    assert db.version == max(expected)
 
 
 def test_concurrent_mutations_serialize(rng):

@@ -31,7 +31,7 @@ from repro.db import (
     SimilarityDatabase,
     open_database,
 )
-from repro.exceptions import QueryError, StorageError
+from repro.exceptions import InvariantError, QueryError, StorageError
 from repro.index import MTree, RStarTree, XTree
 from repro.index.dense import (
     is_dense_archive,
@@ -39,6 +39,7 @@ from repro.index.dense import (
     write_dense_archive,
 )
 from repro.index.snapshot import read_archive, write_archive
+from tests.conftest import assert_engine_is_fresh
 
 
 @contextmanager
@@ -174,18 +175,122 @@ class TestEngineInvalidation:
         assert {m.distance for m in results} == {0.0}
 
     def test_engine_rebuilds_are_lazy_and_batched(self, rng):
+        """The engine is packed once, by the first query, and from then
+        on maintained in place: no mutation or query builds another."""
         db = SimilarityDatabase(CAPACITY, backend="rstar", index_capacity=4)
         with capture_metrics() as reg:
+            builds = reg.counter("db.engine_rebuilds")
             for oid in range(8):
                 db.add(oid, rand_set(rng))
-            assert reg.counter("db.engine_rebuilds").value == 0
+            assert builds.value == 0
             db.knn_query(rand_set(rng), 2)
-            assert reg.counter("db.engine_rebuilds").value == 1
-            db.knn_query(rand_set(rng), 2)  # no mutation in between
-            assert reg.counter("db.engine_rebuilds").value == 1
-            db.remove(0)
+            assert builds.value == 1
+            for step in range(50):
+                if step % 3 == 0:
+                    db.add(100 + step, rand_set(rng))
+                elif step % 3 == 1:
+                    db.update(db.object_ids()[step % len(db)], rand_set(rng))
+                else:
+                    assert db.remove(db.object_ids()[step % len(db)])
+                query = rand_set(rng)
+                db.knn_query(query, 2)
+                db.knn_query(query, 2, mode="approx", shortlist=4)
+                db.range_query(query, 3.0)
+            assert builds.value == 1
+            # Only emptying the database drops the engine.
+            for oid in db.object_ids():
+                db.remove(oid)
+            db.add(0, rand_set(rng))
+            assert builds.value == 1
             db.knn_query(rand_set(rng), 2)
-            assert reg.counter("db.engine_rebuilds").value == 2
+            assert builds.value == 2
+
+    @pytest.mark.parametrize("shards", [None, 2], ids=["plain", "2-shard"])
+    @pytest.mark.parametrize("backend", ALL)
+    def test_maintained_engine_answers_like_a_fresh_build(
+        self, backend, shards, rng, tmp_path
+    ):
+        """With an engine live from the first object on, walk every kind
+        of step — adds across buffer growths, removals that move the last
+        row, shrinking and growing updates, compaction, emptying the
+        database and refilling it, save and reload — holding incremental
+        == fresh after each.  Results, ``QueryStats`` and wide events
+        must then be literally those of a fresh build of the contents."""
+
+        def make():
+            kwargs = dict(backend=backend, index_capacity=4)
+            if shards:
+                return ShardedSimilarityDatabase(CAPACITY, shards=shards, **kwargs)
+            return SimilarityDatabase(CAPACITY, **kwargs)
+
+        query = rand_set(rng)
+
+        def answers(db):
+            return [
+                db.knn_query(query, 5),
+                db.range_query(query, 6.0),
+                db.knn_query(query, 5, mode="approx", shortlist=7),
+                *db.knn_query_many([query, query[:1]], 4),
+            ]
+
+        db, contents = make(), {}
+
+        def step(op, oid, rows=None):
+            if op == "remove":
+                assert db.remove(oid)
+                del contents[oid]
+            else:
+                contents[oid] = rng.integers(-8, 9, size=(rows, DIM)).astype(float)
+                getattr(db, op)(oid, contents[oid])
+            answers(db)  # every non-empty shard packs or keeps its engine
+            for part in getattr(db, "shards", [db]):
+                assert_engine_is_fresh(part)
+                if len(part):
+                    assert part.engine_digest() != "unbuilt"
+
+        for oid in range(20):  # per engine: 1 -> 2 -> 4 -> 8 -> 16 rows
+            step("add", oid, 1 + oid % CAPACITY)
+        for oid in (0, 1, 2, 3):  # oldest rows: the last one moves in
+            step("remove", oid)
+        step("update", 5, 1)
+        step("update", 5, CAPACITY)
+        db.compact()
+        step("add", 40, 2)
+        for oid in sorted(contents):
+            step("remove", oid)
+        assert len(db) == 0
+        for oid in (7, 3, 11, 5, 9, 2):
+            step("add", oid, 2)
+        db = open_database(db.save(tmp_path / ("layout" if shards else "db.npz")))
+        step("add", 50, 3)
+        step("remove", 7)
+        step("update", 3, CAPACITY)
+        db.compact()  # the index a fresh build has; the engines stay as churned
+
+        fresh = make()
+        for oid in sorted(contents):
+            fresh.add(oid, contents[oid])
+
+        def observed(target, name):
+            trace = tmp_path / f"{name}.jsonl"
+            with capture_metrics():
+                obs.configure_sink(trace)
+                try:
+                    got = answers(target)
+                finally:
+                    obs.close_sink()
+            volatile = {"ts", "seconds", "filter_seconds", "refine_seconds", "db_version"}
+            events = [
+                {key: value for key, value in record.items() if key not in volatile}
+                for record in map(json.loads, trace.read_text().splitlines())
+                if record["event"] == "query"
+            ]
+            return [(results_tuple(r), stats.as_dict()) for r, stats in got], events
+
+        got, got_events = observed(db, "mutated")
+        want, want_events = observed(fresh, "fresh")
+        assert got == want
+        assert got_events == want_events and got_events
 
     def test_mutation_counters(self, rng):
         db = SimilarityDatabase(CAPACITY, backend="scan")
@@ -198,6 +303,59 @@ class TestEngineInvalidation:
             assert reg.counter("db.mutations.update").value == 1
             assert reg.counter("db.mutations.remove").value == 1
             assert reg.gauge("db.size").value == 1
+
+
+class TestCheckInvariants:
+    def make(self, rng, backend="xtree"):
+        db = SimilarityDatabase(CAPACITY, backend=backend, index_capacity=4)
+        churn(db, rng, adds=16, removes=3, updates=2)
+        db.knn_query(rand_set(rng), 3, mode="approx", shortlist=4)  # packs the engine
+        return db
+
+    @pytest.mark.parametrize("backend", ALL)
+    def test_holds_through_churn_and_reload(self, backend, rng, tmp_path):
+        db = self.make(rng, backend)
+        db.check_invariants()
+        for dense in (False, True):
+            path = tmp_path / f"snap-{dense}"
+            db.save(path, dense=dense)
+            SimilarityDatabase.load(path).check_invariants()
+        SimilarityDatabase(CAPACITY, backend=backend).check_invariants()  # empty
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda db, oid: db._centroids.__setitem__(oid, db._centroids[oid] + 1.0),
+             "stored centroid of object"),
+            (lambda db, oid: db._centroids.pop(oid), "centroid table"),
+            (lambda db, oid: db._index.delete(db._centroids[oid], oid), "index holds"),
+            (lambda db, oid: db._hamming.remove(oid), "sketch tier"),
+            (lambda db, oid: db._engine.remove(oid), "engine rows and object store"),
+            (lambda db, oid: db._engine.replace(oid, np.ones((1, DIM))),
+             "engine rows differ"),
+        ],
+        ids=["centroid", "centroid-ids", "index", "sketch", "engine-ids", "engine-row"],
+    )
+    def test_names_the_first_disagreement(self, rng, tamper, message):
+        db = self.make(rng)
+        tamper(db, db.object_ids()[2])
+        with pytest.raises(InvariantError, match=message):
+            db.check_invariants()
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["npz", "dense"])
+    def test_verify_rejects_a_wrong_stored_centroid(self, rng, tmp_path, dense):
+        """Every CRC of the snapshot is valid; only the cross-check of
+        the stored centroids against the stored sets can see it."""
+        from repro.cli import main
+
+        db = self.make(rng)
+        good, bad = tmp_path / "good.db", tmp_path / "bad.db"
+        db.save(good, dense=dense)
+        oid = db.object_ids()[2]
+        db._centroids[oid] = db._centroids[oid] + 0.5
+        db.save(bad, dense=dense)
+        assert main(["db", "verify", str(good)]) == 0
+        assert main(["db", "verify", str(bad)]) == 1
 
 
 class TestValidation:

@@ -13,6 +13,13 @@ ascending object id in each of them.
 structural violation (MBR containment, fanout bounds, supernode sizing,
 covering radii) is caught at the step that introduced it, with
 hypothesis shrinking the workload to a minimal reproduction.
+
+One ``SimilarityDatabase`` per backend rides along, holding every point
+as a one-vector set (capacity 1, so the matching distance *is* the
+Euclidean one): its answers must be the model's too, its
+``check_invariants()`` must hold and its refinement engine — maintained
+in place by every insert and delete — must equal a from-scratch build
+after every step.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.db import BACKENDS, SimilarityDatabase
 from repro.index import MTree, RStarTree, SequentialScan, XTree
+from tests.conftest import assert_engine_is_fresh
 
 DIMENSION = 3
 
@@ -53,6 +62,10 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
         self.mtree = MTree(euclidean, capacity=4)
         self.scan = SequentialScan(DIMENSION)
         self.trees = [self.rstar, self.xtree, self.mtree, self.scan]
+        self.dbs = [
+            SimilarityDatabase(1, backend=backend, index_capacity=4)
+            for backend in BACKENDS
+        ]
         self.model: dict[int, tuple[int, ...]] = {}
         self.next_oid = 0
 
@@ -65,6 +78,13 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
         # and structurally verify the fresh node tables as well.
         for tree in self.trees:
             tree.dense_core().check_invariants()
+        for db in self.dbs:
+            if self.model:
+                # Packs the engine at the first insert, so every later
+                # step maintains a live one (the mtree backend reaches
+                # its engine only through approx mode).
+                db.knn_query(np.zeros((1, DIMENSION)), 1, mode="approx", shortlist=1)
+            assert_engine_is_fresh(db)
 
     @rule(point=points)
     def insert(self, point):
@@ -73,6 +93,8 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
         arr = np.asarray(point, dtype=float)
         for tree in self.trees:
             tree.insert(arr, oid)
+        for db in self.dbs:
+            db.add(oid, arr[None, :])
         self.model[oid] = point
         self._check_all()
 
@@ -83,6 +105,8 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
         point = np.asarray(self.model.pop(oid), dtype=float)
         for tree in self.trees:
             assert tree.delete(point, oid) is True
+        for db in self.dbs:
+            assert db.remove(oid) is True
         self._check_all()
 
     @precondition(lambda self: self.model)
@@ -93,6 +117,8 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
         arr = np.asarray(point, dtype=float)
         for tree in self.trees:
             assert tree.delete(arr, oid) is False
+        for db in self.dbs:
+            assert db.remove(oid) is False
         self._check_all()
 
     # -- queries -----------------------------------------------------------
@@ -116,6 +142,12 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
             assert tree.knn(arr, k) == expected, type(tree).__name__
             core = tree.dense_core()
             assert core.knn(arr, k) == expected, type(core).__name__
+        for db in self.dbs:
+            # Exact and, over a shortlist of everything, approximate.
+            for args in ({}, {"mode": "approx", "shortlist": len(self.model)}):
+                results, _ = db.knn_query(arr[None, :], k, **args)
+                got = [(m.object_id, m.distance) for m in results]
+                assert got == expected, (db.backend, args)
 
     @precondition(lambda self: self.model)
     @rule(center=points, radius=st.integers(min_value=0, max_value=40))
@@ -152,6 +184,8 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
     def sizes_agree(self):
         for tree in self.trees:
             assert tree.size == len(self.model), type(tree).__name__
+        for db in self.dbs:
+            assert len(db) == len(self.model), db.backend
 
 
 TestIndexDifferential = IndexDifferentialMachine.TestCase

@@ -37,6 +37,7 @@ from repro.db import (
     shard_of,
 )
 from repro.exceptions import QueryError, StorageError
+from tests.conftest import assert_engine_is_fresh
 
 CAPACITY = 3
 DIM = 3
@@ -186,6 +187,15 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
             assert sum(len(s) for s in sharded.shards) == len(expected)
 
     @invariant()
+    def engines_match_fresh(self):
+        # Every shard maintains its own engine in place; the probes
+        # below keep them live (approx, because an mtree shard reaches
+        # its engine only that way).
+        for sharded, mirror in self.dbs.values():
+            for db in (*sharded.shards, mirror):
+                assert_engine_is_fresh(db)
+
+    @invariant()
     def probe_query_matches(self):
         # A deterministic probe after *every* step (rule-drawn queries
         # only run when hypothesis picks those rules).
@@ -195,6 +205,9 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
         for backend, (sharded, mirror) in self.dbs.items():
             got, _ = sharded.knn_query(probe, 3)
             want, _ = mirror.knn_query(probe, 3)
+            assert pairs(got) == pairs(want), backend
+            got, _ = sharded.knn_query(probe, 3, mode="approx", shortlist=4)
+            want, _ = mirror.knn_query(probe, 3, mode="approx", shortlist=4)
             assert pairs(got) == pairs(want), backend
 
 
