@@ -335,11 +335,17 @@ class FilterRefineEngine:
             store.data, store.sizes, store.sq_norms, self._centroid_buf, self._oid_buf
         )
 
-    def _write(self, row: int, arr: np.ndarray, centroid: np.ndarray | None) -> None:
+    def _checked(self, vectors, centroid) -> tuple[np.ndarray, np.ndarray]:
+        """Validated ``(set, centroid)`` of one mutation; every rejection
+        happens here, before a buffer is touched."""
+        arr = _as_set(vectors, self.dimension, self.capacity, "set")
         if centroid is None:
             centroid = extended_centroid(arr, self.capacity, self.omega)
         elif np.shape(centroid) != (self.dimension,):
             raise QueryError(f"centroid has shape {np.shape(centroid)}")
+        return arr, centroid
+
+    def _write(self, row: int, arr: np.ndarray, centroid: np.ndarray) -> None:
         self._store.write_row(row, arr)
         self._centroid_buf[row] = centroid
 
@@ -354,7 +360,7 @@ class FilterRefineEngine:
         oid = int(oid)
         if oid in self._row_of:
             raise QueryError(f"object id {oid} already present")
-        arr = _as_set(vectors, self.dimension, self.capacity, "set")
+        arr, centroid = self._checked(vectors, centroid)
         row = self._n
         if row == len(self._oid_buf):
             data, sizes, sq_norms, self._centroid_buf, self._oid_buf = (
@@ -377,9 +383,7 @@ class FilterRefineEngine:
         row = self._row_of.get(int(oid))
         if row is None:
             raise QueryError(f"no object with id {oid}")
-        self._write(
-            row, _as_set(vectors, self.dimension, self.capacity, "set"), centroid
-        )
+        self._write(row, *self._checked(vectors, centroid))
 
     def remove(self, oid: int) -> None:
         """Drop the set stored under *oid*: the last live row moves into

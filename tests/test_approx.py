@@ -262,13 +262,18 @@ class TestApproxEngine:
 # -- database integration: incremental == fresh ----------------------------
 
 
-def fresh_sketch_digest(db: SimilarityDatabase) -> str:
-    """What the sketch tier would be if rebuilt from scratch right now."""
+def fresh_sketch_digest(db: SimilarityDatabase, sketch_params=None) -> str:
+    """What the sketch tier would be if rebuilt from scratch right now.
+
+    *sketch_params* are the parameters the database was first built
+    with, for a caller that reopened it since: a non-empty snapshot
+    carries them only inside its sketcher, the object under test.
+    """
     if db.dimension is None:
         return "empty"
-    # A reloaded database knows its parameters only through its sketcher.
-    params = db._sketcher.params()
-    sketcher = SetSketcher(params.pop("dims"), **params)
+    if sketch_params is None:
+        sketch_params = db._sketch_params
+    sketcher = SetSketcher(db.dimension, **sketch_params)
     hamming = HammingIndex(sketcher.words)
     for oid in sorted(db.object_ids()):
         hamming.add(oid, sketcher.sketch(db.get(oid)))
@@ -279,10 +284,14 @@ class ApproxDifferentialMachine(RuleBasedStateMachine):
     """Incremental sketch and engine maintenance must equal a
     from-scratch build."""
 
+    #: What the database is built with and, through every reload, the
+    #: reference the live sketcher is held against.
+    SKETCH_PARAMS = {"width": 128, "wta": 12}
+
     def __init__(self):
         super().__init__()
         self.db = SimilarityDatabase(
-            6, backend="scan", sketch_params={"width": 128, "wta": 12}
+            6, backend="scan", sketch_params=self.SKETCH_PARAMS
         )
         self.rng = np.random.default_rng(99)
         self.next_oid = 0
@@ -323,7 +332,9 @@ class ApproxDifferentialMachine(RuleBasedStateMachine):
 
     @invariant()
     def incremental_matches_fresh(self):
-        assert self.db.sketch_digest() == fresh_sketch_digest(self.db)
+        assert self.db.sketch_digest() == fresh_sketch_digest(
+            self.db, self.SKETCH_PARAMS
+        )
         assert_engine_is_fresh(self.db)
 
     @invariant()
@@ -521,7 +532,6 @@ import sys
 import numpy as np
 from repro.approx import SetSketcher
 from repro.seeding import resolve_seed, spawn
-from tests.conftest import assert_engine_is_fresh
 
 seed = resolve_seed(None)
 rng = spawn(seed, "determinism-probe")

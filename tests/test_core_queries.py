@@ -350,6 +350,20 @@ class TestMaintainedInPlace:
                 engine.replace(5, bad)
         assert engine.digest() == before
 
+    def test_rejected_add_at_a_full_buffer_leaves_the_engine_usable(self, rng):
+        """A rejection where the buffers would have doubled must not
+        detach the live view from the buffers later writes go to."""
+        contents = {oid: rng.normal(size=(2, 4)) for oid in (5, 6)}
+        engine = FilterRefineEngine(list(contents.values()), capacity=3, oids=[5, 6])
+        assert len(engine) == len(engine._oid_buf)
+        with pytest.raises(QueryError):
+            engine.add(7, contents[5], centroid=np.zeros(3))
+        contents[6] = rng.normal(size=(1, 4))
+        engine.replace(6, contents[6])
+        assert engine.digest() == fresh_like(engine, contents).digest()
+        (match,), _ = engine.knn_query(contents[6], 1)
+        assert (match.object_id, match.distance) == (6, 0.0)
+
     def test_default_ranker_breaks_centroid_ties_by_oid(self):
         """Row order is arbitrary after removals, so the built-in scan
         ranks by (centroid distance, oid) — stats cannot depend on it."""

@@ -291,6 +291,13 @@ class TestEngineInvalidation:
         want, want_events = observed(fresh, "fresh")
         assert got == want
         assert got_events == want_events and got_events
+        # The public digest: engines churned in place against the ones
+        # `fresh` packed from scratch at its first query.
+        digests = [
+            [part.engine_digest() for part in getattr(target, "shards", [target])]
+            for target in (db, fresh)
+        ]
+        assert digests[0] == digests[1] and "unbuilt" not in digests[0]
 
     def test_mutation_counters(self, rng):
         db = SimilarityDatabase(CAPACITY, backend="scan")
