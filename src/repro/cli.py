@@ -95,6 +95,8 @@ def _add_obs_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.db import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Similarity search on voxelized CAD objects (SIGMOD 2003 reproduction)",
@@ -189,7 +191,7 @@ def _build_parser() -> argparse.ArgumentParser:
     db_init.add_argument("--resolution", type=int, default=15)
     db_init.add_argument(
         "--backend",
-        choices=["xtree", "rstar", "scan", "mtree"],
+        choices=BACKENDS,
         default="xtree",
         help="access method maintained incrementally (default: xtree)",
     )

@@ -53,15 +53,20 @@ index returns *byte-identical* results to a freshly rebuilt index
 (:meth:`compact` rebuilds in place for exactly that comparison, and to
 re-pack a tree degraded by heavy churn).
 
-Backends: ``"xtree"`` (the paper's choice), ``"rstar"``, ``"scan"``
-index the extended centroids and rank candidates for the filter step;
-``"mtree"`` indexes the vector sets directly under the minimal matching
-distance (the "simplest approach" the paper mentions) and answers
-queries without the centroid filter.
+Backends: ``"xtree"`` (the paper's choice), ``"rstar"`` and ``"scan"``.
+Each indexes the extended centroids — ``(centroid, oid)`` points, nothing
+else — and ranks candidates for the filter step, so every query on every
+backend is one :class:`~repro.core.queries.FilterRefineEngine` call with
+that ranking.  The other route Section 4.3 names, a metric index directly
+on the sets, was the fastest backend in no cell of the backend trial
+(EXPERIMENTS.md) and is no backend; the M-tree itself stays in
+:mod:`repro.index` for the access-structure ablation.
 """
 
 from __future__ import annotations
 
+import numbers
+import operator
 import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -73,8 +78,7 @@ import numpy as np
 from repro.approx import ApproxFilterRefineEngine, HammingIndex, SetSketcher
 from repro.concurrency import RWLock
 from repro.core.batch import PackedSets
-from repro.core.centroid import extended_centroid, norm_weight
-from repro.core.min_matching import min_matching_distance
+from repro.core.centroid import extended_centroid
 from repro.core.queries import (
     DEFAULT_BLOCK_SIZE,
     FilterRefineEngine,
@@ -83,7 +87,7 @@ from repro.core.queries import (
 )
 from repro.core.vector_set import VectorSet
 from repro.exceptions import IndexError_, InvariantError, QueryError, StorageError
-from repro.index import MTree, RStarTree, SequentialScan, XTree
+from repro.index import RStarTree, SequentialScan, XTree
 from repro.index.snapshot import (
     indexed_oids,
     read_archive,
@@ -100,7 +104,17 @@ from repro.wal import DurableLayout, WriteAheadLog, scan_segment
 DB_FORMAT = "repro-similarity-db"
 DB_VERSION = 1
 
-BACKENDS = ("xtree", "rstar", "scan", "mtree")
+BACKENDS = ("xtree", "rstar", "scan")
+
+#: Backends that left the database.  A layout written with one still
+#: holds every set and stored centroid, so it opens on the mapped backend
+#: with the index rebuilt from those centroids.
+_RETIRED_BACKENDS = {"mtree": "xtree"}
+
+
+def current_backend(stored: str) -> str:
+    """The backend a layout that recorded *stored* opens on."""
+    return _RETIRED_BACKENDS.get(stored, stored)
 
 #: Default number of snapshot generations (and their WAL segments) a
 #: durable database keeps on disk for the recovery ladder's fallback.
@@ -176,10 +190,31 @@ class DatabaseView:
         return self._db._range_locked(arr, epsilon)
 
 
+_NOT_GIVEN = object()
+
+
+def _integral(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise QueryError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_object_id(oid) -> int:
+    """The one object-id check of every database entry point that takes
+    one (plain and sharded): integral and within int64 — what the index
+    snapshots, the sketch tier, the WAL records and the shard routing
+    store — else :class:`QueryError`, before any lock or log record."""
+    oid = _integral("object id", oid)
+    if not -(2**63) <= oid < 2**63:
+        raise QueryError(f"object id {oid} does not fit in 64 bits")
+    return oid
+
+
 def check_query_args(
     *,
-    n_neighbors: int | None = None,
-    epsilon: float | None = None,
+    n_neighbors=_NOT_GIVEN,
+    epsilon=_NOT_GIVEN,
     mode: str = "exact",
     shortlist: int | None = None,
 ) -> None:
@@ -191,12 +226,14 @@ def check_query_args(
     if shortlist is not None:
         if mode == "exact":
             raise QueryError("shortlist is only meaningful with mode='approx'")
-        if shortlist < 1:
+        if _integral("shortlist", shortlist) < 1:
             raise QueryError("shortlist budget must be >= 1")
-    if n_neighbors is not None and n_neighbors < 1:
+    if n_neighbors is not _NOT_GIVEN and _integral("n_neighbors", n_neighbors) < 1:
         raise QueryError("n_neighbors must be >= 1")
-    if epsilon is not None and not 0 <= epsilon < np.inf:
-        raise QueryError("epsilon must be finite and non-negative")
+    if epsilon is not _NOT_GIVEN and not (
+        isinstance(epsilon, numbers.Real) and 0 <= epsilon < np.inf
+    ):
+        raise QueryError("epsilon must be a finite, non-negative number")
 
 
 class SimilarityDatabase:
@@ -207,9 +244,8 @@ class SimilarityDatabase:
     capacity:
         The cardinality bound ``k`` shared by all sets (Definition 8).
     backend:
-        ``"xtree"`` (default), ``"rstar"``, ``"scan"`` — centroid filter
-        backed by that access method — or ``"mtree"`` for direct metric
-        indexing of the sets.
+        ``"xtree"`` (default), ``"rstar"`` or ``"scan"``: the access
+        method that ranks the extended centroids for the filter step.
     omega:
         Reference point for extended centroids and matching weights
         (default: origin).
@@ -333,7 +369,7 @@ class SimilarityDatabase:
         return len(self._sets)
 
     def __contains__(self, oid: int) -> bool:
-        return oid in self._sets
+        return check_object_id(oid) in self._sets
 
     @property
     def version(self) -> int:
@@ -351,6 +387,7 @@ class SimilarityDatabase:
             return sorted(self._sets)
 
     def get(self, oid: int) -> np.ndarray:
+        oid = check_object_id(oid)
         with self._lock.read(timeout=self.lock_timeout):
             try:
                 return self._sets[oid].copy()
@@ -510,18 +547,7 @@ class SimilarityDatabase:
         check_query_args(**args)
         return self._as_set(query)
 
-    def _metric(self):
-        """The exact set distance — identical to the engine's default,
-        so every backend refines with the same floats."""
-        omega = self.omega
-        weight = norm_weight(
-            None if omega is None or np.allclose(omega, 0.0) else omega
-        )
-        return lambda a, b: min_matching_distance(a, b, weight=weight)
-
     def _make_index(self, dimension: int):
-        if self.backend == "mtree":
-            return MTree(self._metric(), capacity=self.index_capacity or 16)
         if self.backend == "rstar":
             return RStarTree(dimension, capacity=self.index_capacity)
         if self.backend == "scan":
@@ -561,9 +587,7 @@ class SimilarityDatabase:
         here, on the first mutation, never earlier.
         """
         if self._index is not None and hasattr(self._index, "inflate"):
-            self._index = self._index.inflate(
-                metric=self._metric() if self.backend == "mtree" else None
-            )
+            self._index = self._index.inflate()
 
     def _query_index(self):
         """The object queries rank with: the array core mirroring the
@@ -572,29 +596,15 @@ class SimilarityDatabase:
         index = self._index
         if hasattr(index, "serialized"):  # already an array core
             return index
-        if self.backend == "mtree":
-            # The mtree core evaluates the same scalar metric per entry
-            # (pointer==core equality must be literal), which makes it
-            # *slower* than the pointer walk (0.93x, measured in PR 7).
-            # Serve the live tree directly; cores answer only for zero-copy
-            # dense loads, where no pointer tree exists to fall back to.
-            return index
         return index.dense_core()
 
-    def _index_insert(self, oid: int, arr: np.ndarray, centroid: np.ndarray) -> None:
+    def _index_insert(self, oid: int, centroid: np.ndarray) -> None:
         self._ensure_mutable_index()
-        if self.backend == "mtree":
-            self._index.insert(arr, oid)
-        else:
-            self._index.insert(centroid, oid)
+        self._index.insert(centroid, oid)
 
-    def _index_delete(self, oid: int, arr: np.ndarray, centroid: np.ndarray) -> None:
+    def _index_delete(self, oid: int, centroid: np.ndarray) -> None:
         self._ensure_mutable_index()
-        if self.backend == "mtree":
-            removed = self._index.delete(arr, oid)
-        else:
-            removed = self._index.delete(centroid, oid)
-        if not removed:
+        if not self._index.delete(centroid, oid):
             raise IndexError_(
                 f"index lost object {oid}: store and index disagree"
             )
@@ -619,7 +629,7 @@ class SimilarityDatabase:
         self._add(oid, vectors, op="add")
 
     def _add(self, oid: int, vectors, *, op: str) -> None:
-        oid = int(oid)
+        oid = check_object_id(oid)
         arr = self._as_set(vectors)
         with self._lock.write(timeout=self.lock_timeout):
             if oid in self._sets:
@@ -628,7 +638,7 @@ class SimilarityDatabase:
             centroid = extended_centroid(arr, self.capacity, self.omega)
             self._wal_log(op, oid=oid, array=arr)
             with span("db.mutate", op=op):
-                self._index_insert(oid, arr, centroid)
+                self._index_insert(oid, centroid)
             self._sets[oid] = arr
             self._centroids[oid] = centroid
             if self._hamming is not None:
@@ -648,6 +658,7 @@ class SimilarityDatabase:
             raise QueryError("add_grid needs a database with a feature model")
         from repro.pipeline import Pipeline
 
+        oid = check_object_id(oid)  # before extraction fills the cache
         pipeline = self.pipeline or Pipeline()
         arr = pipeline.features_for_grid(grid, self.model, cache=self.cache)
         self._add(oid, arr, op="add_grid")
@@ -655,15 +666,13 @@ class SimilarityDatabase:
 
     def remove(self, oid: int) -> bool:
         """Remove the object stored under *oid*; False if absent."""
-        oid = int(oid)
+        oid = check_object_id(oid)
         with self._lock.write(timeout=self.lock_timeout):
-            arr = self._sets.get(oid)
-            if arr is None:
+            if oid not in self._sets:
                 return False
-            centroid = self._centroids[oid]
             self._wal_log("remove", oid=oid)
             with span("db.mutate", op="remove"):
-                self._index_delete(oid, arr, centroid)
+                self._index_delete(oid, self._centroids[oid])
             del self._sets[oid]
             del self._centroids[oid]
             if self._hamming is not None:
@@ -677,17 +686,16 @@ class SimilarityDatabase:
 
     def update(self, oid: int, vectors) -> None:
         """Replace the set stored under *oid* in one atomic mutation."""
-        oid = int(oid)
+        oid = check_object_id(oid)
         arr = self._as_set(vectors)
         with self._lock.write(timeout=self.lock_timeout):
-            old = self._sets.get(oid)
-            if old is None:
+            if oid not in self._sets:
                 raise QueryError(f"no object with id {oid}")
             centroid = extended_centroid(arr, self.capacity, self.omega)
             self._wal_log("update", oid=oid, array=arr)
             with span("db.mutate", op="update"):
-                self._index_delete(oid, old, self._centroids[oid])
-                self._index_insert(oid, arr, centroid)
+                self._index_delete(oid, self._centroids[oid])
+                self._index_insert(oid, centroid)
             self._sets[oid] = arr
             self._centroids[oid] = centroid
             if self._hamming is not None:
@@ -717,10 +725,7 @@ class SimilarityDatabase:
         with span("db.compact", objects=len(self._sets), force=True):
             index = self._make_index(self.dimension)
             for oid in sorted(self._sets):
-                if self.backend == "mtree":
-                    index.insert(self._sets[oid], oid)
-                else:
-                    index.insert(self._centroids[oid], oid)
+                index.insert(self._centroids[oid], oid)
             self._index = index
             if self._sketcher is not None:
                 # Rebuild the sketch tier the same way — the result must
@@ -793,39 +798,10 @@ class SimilarityDatabase:
             io_baseline=querylog.io_baseline(),
         )
 
-    def _mtree_query(self, kind: str, arr, arg):
-        index = self._query_index()
-        before = index.distance_computations
-        with span(f"query.mtree_{kind}") as sp:
-            if kind == "knn":
-                pairs = index.knn(arr, arg)
-            else:
-                pairs = index.range_search(arr, arg)
-        stats = QueryStats(
-            candidates_ranked=len(self._sets),
-            exact_computations=index.distance_computations - before,
-        )
-        stats.pruned = max(0, len(self._sets) - stats.exact_computations)
-        # The M-tree bypasses FilterRefineEngine, so it records its own
-        # wide event; metric-tree traversal has no separable filter
-        # phase — the whole search is exact distance work.
-        querylog.record_query(
-            f"mtree_{kind}",
-            stats.as_dict(),
-            len(self._sets),
-            seconds=sp.seconds,
-            refine_seconds=sp.seconds,
-            results=len(pairs),
-            **({"k": arg} if kind == "knn" else {"epsilon": arg}),
-        )
-        return [QueryMatch(oid, float(dist)) for oid, dist in pairs], stats
-
     def _knn_locked(self, arr, n_neighbors: int):
         if not self._sets:
             return self._empty_result()
         with self._query_context("exact"):
-            if self.backend == "mtree":
-                return self._mtree_query("knn", arr, n_neighbors)
             return self._ensure_engine().knn_query(
                 arr, n_neighbors, centroid_ranker=self._query_index().ranking_chunks
             )
@@ -834,8 +810,6 @@ class SimilarityDatabase:
         if not self._sets:
             return self._empty_result()
         with self._query_context("exact"):
-            if self.backend == "mtree":
-                return self._mtree_query("range", arr, epsilon)
             return self._ensure_engine().range_query(
                 arr, epsilon, centroid_ranker=self._query_index().ranking_chunks
             )
@@ -1144,9 +1118,10 @@ class SimilarityDatabase:
             from repro.pipeline import Pipeline
 
             pipeline = Pipeline(resolution=meta["resolution"])
+        backend = current_backend(meta["backend"])
         db = cls(
             meta["capacity"],
-            backend=meta["backend"],
+            backend=backend,
             omega=None if meta["omega"] is None else np.asarray(meta["omega"]),
             block_size=meta["block_size"],
             index_capacity=meta["index_capacity"],
@@ -1176,7 +1151,12 @@ class SimilarityDatabase:
         db.dimension = meta["dimension"]
         if db.dimension is not None and db.omega is None:
             db.omega = np.zeros(db.dimension)
-        if meta["index_meta"] is not None:
+        if meta["index_meta"] is not None and backend != meta["backend"]:
+            # A retired backend's index arrays are never parsed: the index
+            # a fresh build of the mapped backend would hold is rebuilt
+            # from the stored centroids.
+            db._compact_locked()
+        elif meta["index_meta"] is not None:
             prefix = "index__"
             index_arrays = {
                 name[len(prefix) :]: arr
@@ -1186,18 +1166,9 @@ class SimilarityDatabase:
             if zero_copy:
                 from repro.index.arraycore import core_from_serialized
 
-                is_mtree = meta["backend"] == "mtree"
-                db._index = core_from_serialized(
-                    meta["index_meta"],
-                    index_arrays,
-                    metric=db._metric() if is_mtree else None,
-                )
+                db._index = core_from_serialized(meta["index_meta"], index_arrays)
             else:
-                db._index = reconstruct_index(
-                    meta["index_meta"],
-                    index_arrays,
-                    metric=db._metric() if meta["backend"] == "mtree" else None,
-                )
+                db._index = reconstruct_index(meta["index_meta"], index_arrays)
         db._restore_sketches(meta, arrays, zero_copy=zero_copy)
         db._version = meta["db_version"]
         db._snapshot_dense = bool(zero_copy)
@@ -1251,7 +1222,7 @@ class SimilarityDatabase:
             pipeline = Pipeline(resolution=config["resolution"])
         return cls(
             config["capacity"],
-            backend=config["backend"],
+            backend=current_backend(config["backend"]),
             omega=None if config["omega"] is None else np.asarray(config["omega"]),
             block_size=config["block_size"],
             index_capacity=config["index_capacity"],

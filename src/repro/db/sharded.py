@@ -13,8 +13,8 @@ k-nn of the union is exactly the (distance, oid)-merge of the per-shard
 k-nns, truncated to k — a sharded database returns *byte-identical*
 results to a single-shard build holding the same objects (the
 differential machine in ``tests/test_sharded_differential.py`` holds
-this equality through arbitrary mutation/reshard sequences, for all
-four backends, exact and approx modes).
+this equality through arbitrary mutation/reshard sequences, for every
+backend, exact and approx modes).
 
 Approximate mode needs one extra step for that equality: the Hamming
 shortlist of a single-shard build is the global top-``budget`` by
@@ -26,7 +26,7 @@ subset refine.  Merged ``QueryStats`` equal the single-shard build's
 field for field.
 
 Observability: every scatter leg runs under a ``shard=i`` querylog
-context frame (the shard's own wide events — ``knn``, ``mtree_knn``,
+context frame (the shard's own wide events — ``knn``, ``range``,
 ``knn_subset`` — carry it), and the sharded layer records one merged
 wide event per query (``sharded_knn`` / ``sharded_range`` /
 ``sharded_approx_knn``) whose stats are the per-shard merge and whose
@@ -68,7 +68,9 @@ from repro.core.queries import QueryMatch, QueryStats
 from repro.db.core import (
     DEFAULT_KEEP_GENERATIONS,
     SimilarityDatabase,
+    check_object_id,
     check_query_args,
+    current_backend,
 )
 from repro.exceptions import LockTimeout, QueryError, StorageError
 from repro.index.snapshot import write_archive
@@ -291,7 +293,7 @@ class ShardedSimilarityDatabase:
     # -- routing and mutations ---------------------------------------------
 
     def _shard_for(self, oid: int) -> SimilarityDatabase:
-        return self.shards[shard_of(oid, self.n_shards)]
+        return self.shards[shard_of(check_object_id(oid), self.n_shards)]
 
     def add(self, oid: int, vectors) -> None:
         self._shard_for(oid).add(oid, vectors)
@@ -301,9 +303,10 @@ class ShardedSimilarityDatabase:
             raise QueryError("add_grid needs a database with a feature model")
         from repro.pipeline import Pipeline
 
+        shard = self._shard_for(oid)  # rejects a malformed id before extraction
         pipeline = self.pipeline or Pipeline()
         arr = pipeline.features_for_grid(grid, self.model, cache=self.cache)
-        self._shard_for(oid).add(oid, arr)
+        shard.add(oid, arr)
         return arr
 
     def remove(self, oid: int) -> bool:
@@ -876,7 +879,7 @@ class ShardedSimilarityDatabase:
                 ]
         db = cls.__new__(cls)
         db.capacity = manifest.get("capacity", shards[0].capacity)
-        db.backend = manifest.get("backend", shards[0].backend)
+        db.backend = current_backend(manifest.get("backend", shards[0].backend))
         db.n_shards = count
         db.shards = shards
         db.model = model

@@ -9,7 +9,8 @@ read, Section 5.4).  This subpackage provides all of those pieces:
 * :mod:`repro.index.rstar` — an R*-tree,
 * :mod:`repro.index.xtree` — the X-tree (R*-tree with supernodes),
 * :mod:`repro.index.mtree` — an M-tree for metric data such as vector
-  sets under the minimal matching distance,
+  sets under the minimal matching distance (insert-only; kept for the
+  access-structure ablation, not a database backend),
 * :mod:`repro.index.scan` — sequential-scan baselines with the same
   query interface and accounting.
 """

@@ -1,16 +1,15 @@
 """Array-native index cores: struct-of-arrays query engines.
 
 The pointer trees (:mod:`repro.index.rstar`, :mod:`repro.index.xtree`,
-:mod:`repro.index.mtree`, :mod:`repro.index.scan`) are the mutable
-masters, but walking their Python object graphs node-by-node dominates
-query time once the matching kernels are batched.  Each core here holds
-the *same* flat layout the snapshot module serializes — BFS node tables
-with entry offsets, MBR lower/upper blocks, M-tree radii and
-parent-distance columns, leaf oid blocks — and runs the query hot path
-over contiguous numpy arrays:
+:mod:`repro.index.scan`) are the mutable masters, but walking their
+Python object graphs node-by-node dominates query time once the matching
+kernels are batched.  Each core here holds the *same* flat layout the
+snapshot module serializes — BFS node tables with entry offsets, MBR
+lower/upper blocks, leaf oid blocks — and runs the query hot path over
+contiguous numpy arrays:
 
-* lower-bound distances (MBR mindist, covering-ball slack) are computed
-  for a whole node's entry block in one vectorized call,
+* lower-bound distances (MBR mindist) are computed for a whole node's
+  entry block in one vectorized call,
 * k-nn uses a flat best-first loop that buffers leaf objects in arrays
   and emits them in canonical ``(distance, oid)`` order in chunks,
 * range search walks a frontier *array* of node ids per level.
@@ -25,20 +24,14 @@ Equivalence guarantees (asserted by the differential tests):
 
 * **Results** are literally equal to the pointer traversals: same oids,
   same ``(distance, oid)`` order, bit-identical distances (the cores
-  reuse ``_mindist_many`` / the exact metric on the same float inputs).
-* **Page accounting** is identical for the R*-/X-tree and scan cores at
-  every consumption point of the incremental ranking, and identical for
-  all M-tree traversals (the buffered best-first loop provably expands
-  the same node set as the one-at-a-time heap).  M-tree
-  ``distance_computations`` may exceed the pointer count slightly: the
-  parent-distance pre-test is evaluated per node batch against the
-  k-th distance *at node entry*, which can only prune less, never more.
+  reuse ``_mindist_many`` on the same float inputs).
+* **Page accounting** is identical at every consumption point of the
+  incremental ranking.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Iterator
 
 import numpy as np
@@ -75,13 +68,11 @@ class _ArrayCore:
         """The exact ``(meta, arrays)`` snapshot form this core runs on."""
         return self.meta, self.arrays
 
-    def inflate(self, *, metric=None, page_manager: PageManager | None = None):
+    def inflate(self, *, page_manager: PageManager | None = None):
         """Materialize the pointer tree this core mirrors (for mutation)."""
         from repro.index.snapshot import reconstruct_index
 
-        return reconstruct_index(
-            self.meta, self.arrays, metric=metric, page_manager=page_manager
-        )
+        return reconstruct_index(self.meta, self.arrays, page_manager=page_manager)
 
     def _fail(self, message: str) -> None:
         raise IndexError_(f"{self.kind} array core: {message}")
@@ -317,220 +308,6 @@ class RTreeArrayCore(_ArrayCore):
                     self._fail("child MBR escapes the stored directory box")
 
 
-class MTreeArrayCore(_ArrayCore):
-    """Struct-of-arrays query core for the M-tree.
-
-    Node tables: ``node_is_leaf`` plus ``entry_offsets`` slicing flat
-    ``entry_dist_to_parent``/``entry_radius``/``entry_oid``/
-    ``entry_subtree`` columns; stored objects live in one ragged
-    ``obj_data`` block addressed by ``obj_row_offsets``.
-
-    Distances are evaluated with the tree's own scalar *metric*, one
-    entry at a time, so results equal the pointer tree's bit for bit;
-    a node holds at most ``capacity`` (16) entries, too few for a
-    batched matching kernel to pay (0.77x of this loop, measured in PR 7).
-    """
-
-    kind = "mtree"
-    PRUNE_SLACK = 1e-9
-
-    def __init__(self, meta, arrays, metric, page_manager=None):
-        super().__init__(meta, arrays, page_manager)
-        self.metric = metric
-        self.capacity = int(meta["capacity"])
-        self.distance_computations = 0
-        self._is_leaf = np.ascontiguousarray(arrays["node_is_leaf"], dtype=np.int8)
-        self._offsets = np.ascontiguousarray(arrays["entry_offsets"], dtype=np.int64)
-        self._dist_to_parent = np.ascontiguousarray(
-            arrays["entry_dist_to_parent"], dtype=np.float64
-        )
-        self._radius = np.ascontiguousarray(arrays["entry_radius"], dtype=np.float64)
-        self._oid = np.ascontiguousarray(arrays["entry_oid"], dtype=np.int64)
-        self._subtree = np.ascontiguousarray(arrays["entry_subtree"], dtype=np.int64)
-        self._ndims = np.ascontiguousarray(arrays["obj_ndim"], dtype=np.int8)
-        self._row_offsets = np.ascontiguousarray(
-            arrays["obj_row_offsets"], dtype=np.int64
-        )
-        self._obj_data = np.ascontiguousarray(arrays["obj_data"], dtype=np.float64)
-
-    def _entry_obj(self, e: int):
-        rows = self._obj_data[self._row_offsets[e] : self._row_offsets[e + 1]]
-        return rows[0] if self._ndims[e] == 1 else rows
-
-    def _distances(self, query, idx: np.ndarray) -> np.ndarray:
-        self.distance_computations += len(idx)
-        return np.array(
-            [float(self.metric(query, self._entry_obj(int(e)))) for e in idx],
-            dtype=np.float64,
-        )
-
-    def knn(self, query, k: int) -> list[tuple[int, float]]:
-        """The k nearest ``(oid, distance)`` pairs, canonical order.
-
-        Same best-first search as the pointer M-tree; the slack-guarded
-        parent-distance pre-test and the metric evaluations are batched
-        per node.  The pre-test uses the k-th distance at node entry
-        (the pointer version re-reads it per entry), which can only
-        admit extra candidates — results and page accesses are
-        identical, ``distance_computations`` is an upper bound.
-        """
-        if k < 1:
-            raise IndexError_("k must be >= 1")
-        slack = 1.0 + self.PRUNE_SLACK
-        tick = itertools.count()
-        nodes_batched = counter("index.nodes_batched")
-        frontier_size = histogram("index.frontier_size")
-        queue: list[tuple[float, int, int, float | None]] = [
-            (0.0, next(tick), 0, None)
-        ]
-        best: list[tuple[float, int]] = []
-
-        def kth_key() -> tuple[float, int]:
-            if len(best) < k:
-                return (np.inf, 2**63)
-            return (-best[0][0], -best[0][1])
-
-        while queue:
-            bound, _, nid, parent_dist = heapq.heappop(queue)
-            kth = kth_key()[0]
-            if bound > kth:
-                break
-            self.pages.read_spans(1, self.pages.page_size)
-            nodes_batched.inc()
-            frontier_size.observe(len(queue) + 1)
-            start, stop = int(self._offsets[nid]), int(self._offsets[nid + 1])
-            if start == stop:
-                continue
-            idx = np.arange(start, stop, dtype=np.int64)
-            if parent_dist is not None:
-                keep = np.abs(parent_dist - self._dist_to_parent[idx]) <= (
-                    kth + self._radius[idx]
-                ) * slack
-                idx = idx[keep]
-            if not idx.size:
-                continue
-            dists = self._distances(query, idx)
-            if self._is_leaf[nid]:
-                for e, dist in zip(idx.tolist(), dists.tolist()):
-                    oid = int(self._oid[e])
-                    if (dist, oid) < kth_key():
-                        if len(best) == k:
-                            heapq.heapreplace(best, (-dist, -oid))
-                        else:
-                            heapq.heappush(best, (-dist, -oid))
-            else:
-                optimistic = np.maximum(0.0, dists - self._radius[idx]) * (
-                    1.0 - self.PRUNE_SLACK
-                )
-                kth = kth_key()[0]
-                for e, dist, opt in zip(
-                    idx.tolist(), dists.tolist(), optimistic.tolist()
-                ):
-                    if opt <= kth:
-                        heapq.heappush(
-                            queue, (opt, next(tick), int(self._subtree[e]), dist)
-                        )
-        result = [(-neg_oid, -neg_dist) for neg_dist, neg_oid in best]
-        result.sort(key=lambda pair: (pair[1], pair[0]))
-        return result
-
-    def range_search(self, query, radius: float) -> list[tuple[int, float]]:
-        """All ``(oid, distance)`` with distance <= radius, canonical order."""
-        if radius < 0:
-            raise IndexError_("radius must be non-negative")
-        slack = 1.0 + self.PRUNE_SLACK
-        nodes_batched = counter("index.nodes_batched")
-        frontier_size = histogram("index.frontier_size")
-        results: list[tuple[int, float]] = []
-        stack: list[tuple[int, float | None]] = [(0, None)]
-        while stack:
-            nid, parent_dist = stack.pop()
-            self.pages.read_spans(1, self.pages.page_size)
-            nodes_batched.inc()
-            frontier_size.observe(len(stack) + 1)
-            start, stop = int(self._offsets[nid]), int(self._offsets[nid + 1])
-            if start == stop:
-                continue
-            idx = np.arange(start, stop, dtype=np.int64)
-            if parent_dist is not None:
-                keep = np.abs(parent_dist - self._dist_to_parent[idx]) <= (
-                    radius + self._radius[idx]
-                ) * slack
-                idx = idx[keep]
-            if not idx.size:
-                continue
-            dists = self._distances(query, idx)
-            if self._is_leaf[nid]:
-                hit = dists <= radius
-                results.extend(
-                    zip(self._oid[idx[hit]].tolist(), dists[hit].tolist())
-                )
-            else:
-                descend = dists <= (radius + self._radius[idx]) * slack
-                stack.extend(
-                    zip(
-                        self._subtree[idx[descend]].tolist(),
-                        dists[descend].tolist(),
-                    )
-                )
-        results.sort(key=lambda pair: (pair[1], pair[0]))
-        return results
-
-    def check_invariants(self) -> None:
-        """Vectorized validation of the dense M-tree tables: offset
-        bounds, reference topology, radius/parent-distance validity and
-        object-table consistency."""
-        n_nodes = len(self._is_leaf)
-        offsets = self._offsets
-        if not n_nodes:
-            self._fail("no nodes")
-        if len(offsets) != n_nodes + 1:
-            self._fail("node table lengths disagree")
-        n_entries = len(self._oid)
-        if offsets[0] != 0 or offsets[-1] != n_entries:
-            self._fail("entry offsets do not span the entry table")
-        counts = np.diff(offsets)
-        if np.any(counts < 0):
-            self._fail("entry offsets are not monotone")
-        if np.any(counts > self.capacity):
-            self._fail("node holds more entries than the tree capacity")
-        for name, column in (
-            ("dist_to_parent", self._dist_to_parent),
-            ("radius", self._radius),
-        ):
-            if len(column) != n_entries:
-                self._fail(f"{name} column length disagrees")
-            if not np.isfinite(column).all() or np.any(column < 0):
-                self._fail(f"invalid {name} (negative or non-finite)")
-        if len(self._subtree) != n_entries or len(self._ndims) != n_entries:
-            self._fail("entry table lengths disagree")
-        if len(self._row_offsets) != n_entries + 1:
-            self._fail("object row offsets do not match the entry count")
-        if np.any(np.diff(self._row_offsets) < 0) or (
-            n_entries and self._row_offsets[-1] != len(self._obj_data)
-        ):
-            self._fail("object row offsets do not span the object table")
-        if n_entries and not np.isin(self._ndims, (1, 2)).all():
-            self._fail("stored object with unsupported ndim")
-        owner = np.repeat(np.arange(n_nodes, dtype=np.int64), counts)
-        leaf_entry = self._is_leaf[owner] == 1
-        if np.any(self._subtree[leaf_entry] != -1):
-            self._fail("leaf entry with a subtree reference")
-        if leaf_entry.size and np.any(self._oid[leaf_entry] < 0):
-            self._fail("leaf entry without an object id")
-        if int(leaf_entry.sum()) != self.size:
-            self._fail(f"leaf entry count {leaf_entry.sum()} != size {self.size}")
-        children = self._subtree[~leaf_entry]
-        if children.size:
-            if children.min() < 1 or children.max() >= n_nodes:
-                self._fail("child offset out of bounds")
-            refs = np.bincount(children, minlength=n_nodes)
-            if refs[0] != 0 or np.any(refs[1:] != 1):
-                self._fail("node referenced other than exactly once")
-        elif n_nodes > 1:
-            self._fail("unreachable nodes (no routing entries)")
-
-
 class ScanArrayCore(_ArrayCore):
     """Contiguous-matrix core for the sequential-scan baseline: the
     vector collection is one resident (or mmapped) ``(n, d)`` block, so
@@ -597,11 +374,7 @@ class ScanArrayCore(_ArrayCore):
 
 
 def core_from_serialized(
-    meta: dict,
-    arrays: dict,
-    *,
-    metric=None,
-    page_manager: PageManager | None = None,
+    meta: dict, arrays: dict, *, page_manager: PageManager | None = None
 ):
     """Build the matching array core from a snapshot ``(meta, arrays)``."""
     kind = meta.get("kind")
@@ -609,13 +382,6 @@ def core_from_serialized(
         return RTreeArrayCore(meta, arrays, page_manager)
     if kind == "scan":
         return ScanArrayCore(meta, arrays, page_manager)
-    if kind == "mtree":
-        if metric is None:
-            raise IndexError_(
-                "an M-tree core needs the metric: pass metric=... "
-                "(the snapshot stores data, not code)"
-            )
-        return MTreeArrayCore(meta, arrays, metric, page_manager)
     raise IndexError_(f"unknown index kind {kind!r}")
 
 
@@ -624,9 +390,4 @@ def densify(tree):
     from repro.index.snapshot import serialize_index
 
     meta, arrays = serialize_index(tree)
-    return core_from_serialized(
-        meta,
-        arrays,
-        metric=getattr(tree, "metric", None),
-        page_manager=tree.pages,
-    )
+    return core_from_serialized(meta, arrays, page_manager=tree.pages)

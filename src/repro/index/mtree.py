@@ -7,6 +7,14 @@ the paper positions its centroid filter.  This implementation supports
 arbitrary payload objects with a user-supplied metric, counts both page
 accesses and distance evaluations (the dominant CPU cost), and provides
 range and k-nn search with the standard triangle-inequality pruning.
+
+It is a paper-remark structure, not a serving path: insert-only like the
+original M-tree, without snapshots or an array core.  As a database
+backend it was the fastest in no cell of the backend trial
+(EXPERIMENTS.md) — each of its distance evaluations is one scalar
+matching, ten times the batched kernel's cost per pair — so what remains
+is what ``benchmarks/test_ablation_index_structures.py`` needs to examine
+the paper's remark.
 """
 
 from __future__ import annotations
@@ -85,19 +93,6 @@ class MTree:
         self.root = self._new_node(is_leaf=True)
         self.size = 0
         self.distance_computations = 0
-        self._dense_core = None
-
-    def dense_core(self):
-        """The struct-of-arrays query core mirroring this tree (cached
-        until the next mutation; shares this tree's page manager)."""
-        if self._dense_core is None:
-            from repro.index.arraycore import densify
-
-            self._dense_core = densify(self)
-        return self._dense_core
-
-    def _invalidate_core(self) -> None:
-        self._dense_core = None
 
     def _new_node(self, is_leaf: bool) -> _MNode:
         return _MNode(is_leaf, self.pages.allocate())
@@ -109,7 +104,6 @@ class MTree:
     # -- insertion -------------------------------------------------------
 
     def insert(self, obj, oid: int) -> None:
-        self._invalidate_core()
         path: list[tuple[_MNode, _MEntry | None]] = []
         node, parent_entry = self.root, None
         while not node.is_leaf:
@@ -118,7 +112,6 @@ class MTree:
             for entry in node.entries:
                 dist = self._distance(obj, entry.obj)
                 enlargement = max(0.0, dist - entry.radius)
-                key = (enlargement, dist)
                 if (enlargement, dist) < (best_enlarge, best_dist):
                     best_entry, best_dist, best_enlarge = entry, dist, enlargement
             assert best_entry is not None
@@ -193,69 +186,6 @@ class MTree:
             new_root = self._new_node(is_leaf=False)
             new_root.entries = [entry_a, entry_b]
             self.root = new_root
-
-    # -- deletion --------------------------------------------------------
-
-    def delete(self, obj, oid: int) -> bool:
-        """Remove the object stored under *oid*; returns False if absent.
-
-        The descent is pruned with the covering radii (the object must
-        lie inside every ancestor ball).  Emptied nodes are dissolved
-        bottom-up by dropping their routing entries, and a single-child
-        internal root collapses onto its child.  Covering radii are never
-        re-tightened — like the original M-tree (which has no delete at
-        all) we only guarantee they stay valid *upper* bounds, which is
-        all the pruning predicates need.
-        """
-        path = self._locate(self.root, obj, oid, None)
-        if path is None:
-            return False
-        self._invalidate_core()
-        leaf, target = path[-1]
-        leaf.entries.remove(target)
-        self.size -= 1
-        # Dissolve now-empty nodes bottom-up; path[i][1] is the routing
-        # entry inside path[i][0] that leads to path[i+1][0].
-        for depth in range(len(path) - 1, 0, -1):
-            child = path[depth][0]
-            if child.entries:
-                break
-            parent, routing = path[depth - 1]
-            parent.entries.remove(routing)
-        # Collapse a degenerate root.
-        while not self.root.is_leaf:
-            if len(self.root.entries) == 1:
-                self.root = self.root.entries[0].subtree
-            elif not self.root.entries:
-                self.root = self._new_node(is_leaf=True)
-            else:
-                break
-        return True
-
-    def _locate(
-        self, node: _MNode, obj, oid: int, parent_dist: float | None
-    ) -> list[tuple[_MNode, _MEntry | None]] | None:
-        """Path of ``(node, entry)`` pairs from *node* down to the leaf
-        entry holding *oid*, or None.  The leaf pair carries the data
-        entry itself; internal pairs carry the routing entry descended
-        through."""
-        self.pages.read(node.page_id)
-        if node.is_leaf:
-            for entry in node.entries:
-                if entry.oid == oid:
-                    return [(node, entry)]
-            return None
-        for entry in node.entries:
-            if parent_dist is not None and abs(
-                parent_dist - entry.dist_to_parent
-            ) > entry.radius * (1.0 + PRUNE_SLACK):
-                continue
-            dist = self._distance(obj, entry.obj)
-            if dist <= entry.radius * (1.0 + PRUNE_SLACK):
-                found = self._locate(entry.subtree, obj, oid, dist)
-                if found is not None:
-                    return [(node, entry)] + found
-        return None
 
     # -- queries -----------------------------------------------------------
 
@@ -351,7 +281,7 @@ class MTree:
         """Verify the full set of M-tree structural invariants.
 
         * fanout: every node holds at most ``capacity`` entries and — the
-          root aside — at least one (deletion dissolves empty nodes);
+          root aside — at least one;
         * covering radii: every leaf object lies inside the ball of
           *every* ancestor routing entry (up to a relative float
           tolerance, since post-split radii accumulate rounded
@@ -385,7 +315,7 @@ class MTree:
                     f"capacity {self.capacity}"
                 )
             if not node.entries and node is not self.root:
-                raise IndexError_("empty non-root node survived deletion")
+                raise IndexError_("empty non-root node")
             if node.is_leaf:
                 leaf_depths.add(depth)
             parent = ancestors[-1] if ancestors else None

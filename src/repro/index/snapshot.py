@@ -1,17 +1,14 @@
 """On-disk index snapshots: persist a built tree, reload it cold.
 
 A restarted process should answer its first query without paying an
-O(n log n) rebuild, so every access method can be serialized to a single
-``.npz`` snapshot and reconstructed node-for-node:
+O(n log n) rebuild, so every access method a database can serve from is
+serialized to a single ``.npz`` snapshot and reconstructed node-for-node:
 
 * **R*-tree / X-tree** — nodes in BFS order with flat entry tables
   (lower/upper corners plus payload: an oid for leaf entries, the BFS
   index of the child for directory entries).  Supernode capacities and
   the X-tree's counters survive the roundtrip, page spans included.
-* **M-tree** — nodes in BFS order with per-entry routing data
-  (``dist_to_parent``, covering radius) and the stored objects packed
-  into one ragged float table.  The metric itself is code, not data, so
-  :func:`load_index` requires it as an argument for M-tree snapshots.
+* **Sequential scan** — the point block and its oid column.
 
 The file format borrows the guarantees of the format-v2 object store
 (:mod:`repro.io.database`): every array is CRC32-checksummed at save
@@ -39,7 +36,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import SnapshotIntegrityError, StorageError
-from repro.index.mtree import MTree, _MEntry, _MNode
 from repro.index.pages import PageManager
 from repro.index.rstar import RStarTree, _Node
 from repro.index.scan import SequentialScan
@@ -48,7 +44,7 @@ from repro.testing.faults import crash_point
 
 SNAPSHOT_VERSION = 1
 
-_KINDS = {"rstar": RStarTree, "xtree": XTree, "mtree": MTree, "scan": SequentialScan}
+_KINDS = {"rstar": RStarTree, "xtree": XTree, "scan": SequentialScan}
 
 
 def _kind_of(tree) -> str:
@@ -57,8 +53,6 @@ def _kind_of(tree) -> str:
         return "xtree"
     if isinstance(tree, RStarTree):
         return "rstar"
-    if isinstance(tree, MTree):
-        return "mtree"
     if isinstance(tree, SequentialScan):
         return "scan"
     raise StorageError(f"cannot snapshot a {type(tree).__name__}")
@@ -67,15 +61,12 @@ def _kind_of(tree) -> str:
 # -- serialization ---------------------------------------------------------
 
 
-def _bfs_nodes(root) -> list:
+def _bfs_nodes(root: _Node) -> list[_Node]:
     nodes, frontier = [], [root]
     while frontier:
         node = frontier.pop(0)
         nodes.append(node)
-        if isinstance(node, _Node):
-            frontier.extend(node.children)
-        elif not node.is_leaf:
-            frontier.extend(entry.subtree for entry in node.entries)
+        frontier.extend(node.children)
     return nodes
 
 
@@ -123,61 +114,6 @@ def _serialize_rtree(tree: RStarTree) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, arrays
 
 
-def _serialize_mtree(tree: MTree) -> tuple[dict, dict[str, np.ndarray]]:
-    nodes = _bfs_nodes(tree.root)
-    index_of = {id(node): i for i, node in enumerate(nodes)}
-    is_leaf = np.array([node.is_leaf for node in nodes], dtype=np.int8)
-    counts = [len(node.entries) for node in nodes]
-    offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    entries = [entry for node in nodes for entry in node.entries]
-    dist_to_parent = np.array([e.dist_to_parent for e in entries], dtype=np.float64)
-    radii = np.array([e.radius for e in entries], dtype=np.float64)
-    oids = np.array(
-        [-1 if e.oid is None else e.oid for e in entries], dtype=np.int64
-    )
-    subtrees = np.array(
-        [-1 if e.subtree is None else index_of[id(e.subtree)] for e in entries],
-        dtype=np.int64,
-    )
-    objs = []
-    ndims = np.empty(len(entries), dtype=np.int8)
-    for i, entry in enumerate(entries):
-        obj = np.asarray(entry.obj, dtype=np.float64)
-        if obj.ndim not in (1, 2):
-            raise StorageError(
-                "M-tree snapshots support 1-d and 2-d ndarray objects, "
-                f"got ndim={obj.ndim}"
-            )
-        ndims[i] = obj.ndim
-        objs.append(obj if obj.ndim == 2 else obj[np.newaxis])
-    widths = {obj.shape[1] for obj in objs}
-    if len(widths) > 1:
-        raise StorageError(f"inconsistent object dimensionality: {sorted(widths)}")
-    row_counts = [obj.shape[0] for obj in objs]
-    row_offsets = np.zeros(len(entries) + 1, dtype=np.int64)
-    np.cumsum(row_counts, out=row_offsets[1:])
-    width = widths.pop() if widths else 0
-    data = (
-        np.concatenate(objs, axis=0)
-        if objs
-        else np.empty((0, width), dtype=np.float64)
-    )
-    meta = {"capacity": tree.capacity, "size": tree.size}
-    arrays = {
-        "node_is_leaf": is_leaf,
-        "entry_offsets": offsets,
-        "entry_dist_to_parent": dist_to_parent,
-        "entry_radius": radii,
-        "entry_oid": oids,
-        "entry_subtree": subtrees,
-        "obj_ndim": ndims,
-        "obj_row_offsets": row_offsets,
-        "obj_data": data,
-    }
-    return meta, arrays
-
-
 def _serialize_scan(tree: SequentialScan) -> tuple[dict, dict[str, np.ndarray]]:
     points = (
         np.vstack(tree._points)
@@ -197,9 +133,7 @@ def _serialize(tree) -> tuple[dict, dict[str, np.ndarray]]:
         meta, arrays = tree.serialized()
         return dict(meta), dict(arrays)
     kind = _kind_of(tree)
-    if kind == "mtree":
-        meta, arrays = _serialize_mtree(tree)
-    elif kind == "scan":
+    if kind == "scan":
         meta, arrays = _serialize_scan(tree)
     else:
         meta, arrays = _serialize_rtree(tree)
@@ -220,7 +154,7 @@ def structure_digest(tree) -> str:
     """A stable hex digest of the tree's exact serialized structure.
 
     Two trees share a digest iff their snapshots are interchangeable —
-    same nodes, same entry order, same boxes/radii/capacities.  Queries
+    same nodes, same entry order, same boxes/capacities.  Queries
     never change the digest; any mutation does (modulo hash collisions).
     """
     meta, arrays = _serialize(tree)
@@ -436,66 +370,12 @@ def _build_rtree(
     return tree
 
 
-def _build_mtree(
-    meta: dict,
-    arrays: dict[str, np.ndarray],
-    metric,
-    page_manager: PageManager | None,
-) -> MTree:
-    if metric is None:
-        raise StorageError(
-            "an M-tree snapshot stores data, not code: pass the metric "
-            "to load_index(path, metric=...)"
-        )
-    tree = MTree(metric, capacity=meta["capacity"], page_manager=page_manager)
-    is_leaf = arrays["node_is_leaf"]
-    offsets = arrays["entry_offsets"]
-    row_offsets = arrays["obj_row_offsets"]
-    data = arrays["obj_data"]
-    ndims = arrays["obj_ndim"]
-    nodes = [
-        _MNode(bool(is_leaf[i]), tree.pages.allocate())
-        for i in range(len(is_leaf))
-    ]
-    count = len(nodes)
-    for i, node in enumerate(nodes):
-        for e in range(int(offsets[i]), int(offsets[i + 1])):
-            rows = data[int(row_offsets[e]) : int(row_offsets[e + 1])].copy()
-            obj = rows[0] if ndims[e] == 1 else rows
-            oid = int(arrays["entry_oid"][e])
-            subtree_index = int(arrays["entry_subtree"][e])
-            if subtree_index >= count:
-                raise StorageError(
-                    f"snapshot references node {subtree_index} of {count}"
-                )
-            node.entries.append(
-                _MEntry(
-                    obj,
-                    oid=None if oid < 0 else oid,
-                    dist_to_parent=float(arrays["entry_dist_to_parent"][e]),
-                    radius=float(arrays["entry_radius"][e]),
-                    subtree=None if subtree_index < 0 else nodes[subtree_index],
-                )
-            )
-    if not nodes:
-        raise StorageError("snapshot holds no nodes")
-    tree.root = nodes[0]
-    tree.size = meta["size"]
-    return tree
-
-
-def load_index(
-    path: str | Path,
-    *,
-    metric=None,
-    page_manager: PageManager | None = None,
-):
+def load_index(path: str | Path, *, page_manager: PageManager | None = None):
     """Reconstruct the index stored at *path* without any rebuild work.
 
     An ``.npz`` snapshot reconstructs the pointer tree exactly as saved
     (``structure_digest`` of the result equals the saved tree's), with
-    fresh page accounting and — for M-trees — the caller-supplied
-    *metric*.  A dense snapshot (:func:`save_index` with ``dense=True``)
+    fresh page accounting.  A dense snapshot (:func:`save_index` with ``dense=True``)
     instead returns the matching **array core** whose node tables are
     zero-copy mmap views over the file: the process answers its first
     query without materializing a single node object, and the core's
@@ -513,13 +393,9 @@ def load_index(
             raise StorageError(
                 f"{path}: unsupported snapshot version {meta.get('version')!r}"
             )
-        return core_from_serialized(
-            meta, arrays, metric=metric, page_manager=page_manager
-        )
+        return core_from_serialized(meta, arrays, page_manager=page_manager)
     meta, arrays = _load_arrays(path)
-    return reconstruct_index(
-        meta, arrays, metric=metric, page_manager=page_manager
-    )
+    return reconstruct_index(meta, arrays, page_manager=page_manager)
 
 
 def serialize_index(tree) -> tuple[dict, dict[str, np.ndarray]]:
@@ -539,13 +415,10 @@ def indexed_oids(index) -> np.ndarray:
     if meta["kind"] == "scan":
         oids = arrays["oids"]
     else:
-        entries_per_node = np.diff(arrays["entry_offsets"])
-        if meta["kind"] == "mtree":
-            in_leaf = np.repeat(arrays["node_is_leaf"] != 0, entries_per_node)
-            oids = arrays["entry_oid"][in_leaf]
-        else:
-            in_leaf = np.repeat(arrays["node_level"] == 0, entries_per_node)
-            oids = arrays["entry_payloads"][in_leaf]
+        in_leaf = np.repeat(
+            arrays["node_level"] == 0, np.diff(arrays["entry_offsets"])
+        )
+        oids = arrays["entry_payloads"][in_leaf]
     return np.sort(np.asarray(oids, dtype=np.int64))
 
 
@@ -553,15 +426,12 @@ def reconstruct_index(
     meta: dict,
     arrays: dict[str, np.ndarray],
     *,
-    metric=None,
     page_manager: PageManager | None = None,
 ):
     """Rebuild a tree from its :func:`serialize_index` form."""
     if meta.get("kind") not in _KINDS:
         raise StorageError(f"unknown index kind {meta.get('kind')!r}")
     try:
-        if meta["kind"] == "mtree":
-            return _build_mtree(meta, arrays, metric, page_manager)
         if meta["kind"] == "scan":
             scan = SequentialScan(meta["dimension"], page_manager)
             scan._points = [row.copy() for row in arrays["points"]]

@@ -3,8 +3,7 @@
 Aggregate counters answer "how is the system doing"; this module
 answers "why was *this* query slow".  Every query through
 :class:`~repro.core.queries.FilterRefineEngine` (and the approximate
-tier, and the M-tree path of :class:`~repro.db.SimilarityDatabase`)
-funnels through :func:`record_query`, which
+tier) funnels through :func:`record_query`, which
 
 * always folds the query's :class:`~repro.core.queries.QueryStats`
   into the registry counters (exactly the pre-PR-9 behaviour), and
@@ -178,7 +177,7 @@ def record_query(
     ----------
     kind:
         Query kind (``knn``, ``range``, ``scan``, ``knn_subset``,
-        ``mtree_knn``, ``mtree_range``).
+        ``approx_knn``, ``sharded_*``).
     stats:
         The flat ``QueryStats.as_dict()`` mapping — copied into the
         record verbatim, so the event agrees field-for-field with what

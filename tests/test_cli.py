@@ -256,6 +256,15 @@ def test_bench_is_not_a_command(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
+def test_db_init_offers_exactly_the_database_backends(tmp_path, capsys):
+    # --backend choices are repro.db.BACKENDS; the M-tree is not one.
+    with pytest.raises(SystemExit) as exc:
+        main(["db", "init", str(tmp_path / "x"), "--backend", "mtree"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'mtree'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 class TestDbCommands:
     @pytest.fixture
     def mesh_dir(self, tmp_path):

@@ -32,7 +32,7 @@ from repro.db import (
     open_database,
 )
 from repro.exceptions import InvariantError, QueryError, StorageError
-from repro.index import MTree, RStarTree, XTree
+from repro.index import RStarTree, XTree
 from repro.index.dense import (
     is_dense_archive,
     read_dense_archive,
@@ -93,17 +93,57 @@ def results_tuple(results):
     return [(m.object_id, m.distance) for m in results]
 
 
-def stamp_legacy_solver(archive, value):
-    """Rewrite a snapshot archive as the parent commit wrote it: the
-    same arrays, plus the retired ``solver`` key in the meta block."""
-    if is_dense_archive(archive):
-        meta, arrays = read_dense_archive(archive, DB_FORMAT, mmap=False)
-        write = write_dense_archive
+def restamp_layout(path, edit_archive, edit_config):
+    """Rewrite a saved layout as an older commit wrote it: a single
+    archive file, or a directory of archives beside a JSON config
+    (``durable.json`` / ``sharded.json``).  *edit_archive(meta, arrays)*
+    and *edit_config(payload)* mutate in place; CRCs are recomputed."""
+    for file in [path] if path.is_file() else sorted(path.iterdir()):
+        if file.suffix == ".json":
+            payload = json.loads(file.read_text())
+            edit_config(payload)
+            file.write_text(json.dumps(payload))
+        elif file == path or file.suffix == ".npz":
+            if is_dense_archive(file):
+                meta, arrays = read_dense_archive(file, DB_FORMAT, mmap=False)
+                write = write_dense_archive
+            else:
+                meta, arrays = read_archive(file, DB_FORMAT)
+                write = write_archive
+            edit_archive(meta, arrays)
+            write(file, meta, arrays)
+
+
+def write_xtree_layout(kind, rng, path):
+    """Churn an X-tree database into one of the four saved layouts
+    (``npz`` / ``dense`` / ``durable`` / ``sharded``); returns the
+    surviving sets.  The durable one keeps a WAL tail to replay."""
+    if kind == "durable":
+        db = SimilarityDatabase(
+            CAPACITY, backend="xtree", index_capacity=4, durable=True, path=path
+        )
+    elif kind == "sharded":
+        db = ShardedSimilarityDatabase(
+            CAPACITY, shards=3, backend="xtree", index_capacity=4
+        )
     else:
-        meta, arrays = read_archive(archive, DB_FORMAT)
-        write = write_archive
-    meta["solver"] = value
-    write(archive, meta, arrays)
+        db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
+    contents = churn(db, rng, adds=24)
+    if kind == "durable":
+        db.checkpoint()
+        contents[900] = rand_set(rng)
+        db.add(900, contents[900])  # replayed from the log on open
+        db.close()
+    else:
+        db.save(path, dense=kind == "dense")
+    return contents
+
+
+def fresh_xtree(contents):
+    fresh = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
+    for oid in sorted(contents):
+        fresh.add(oid, contents[oid])
+    return fresh
 
 
 class TestIncrementalEqualsRebuilt:
@@ -428,11 +468,21 @@ class TestValidation:
             lambda: db.knn_query(probe, 3, mode="approx", shortlist=0),
             lambda: db.knn_query_many([probe], 3, shortlist=6),
             lambda: db.knn_query(probe, 3, mode="fuzzy"),
+            # k, the shortlist budget and epsilon of the wrong type
+            lambda: db.knn_query(probe, float("nan")),
+            lambda: db.knn_query(probe, 2.5),
+            lambda: db.knn_query(probe, "3"),
+            lambda: db.knn_query(probe, None),
+            lambda: db.knn_query_many([probe], 2.5),
+            lambda: db.knn_query(probe, 3, mode="approx", shortlist=2.5),
+            lambda: db.range_query(probe, "1"),
+            lambda: db.range_query(probe, None),
         ]
         if layout == "2-shard":
             calls += [
                 lambda: db.knn_query_many([probe, hostile_sets[0]], 3, n_jobs=2),
                 lambda: db.knn_query_many([probe], 0, n_jobs=2),
+                lambda: db.knn_query_many([probe], "3", n_jobs=2),
             ]
         else:
             with db.read_view() as view:
@@ -443,14 +493,78 @@ class TestValidation:
                         view.range_query(bad, 6.0)
                 with pytest.raises(QueryError):
                     view.range_query(probe, float("nan"))
+                with pytest.raises(QueryError):
+                    view.knn_query(probe, 2.5)
         for call in calls:
             with pytest.raises(QueryError):
                 call()
         assert answers() == before
 
+    @pytest.mark.parametrize("layout", ["plain", "durable", "2-shard"])
+    def test_malformed_object_ids_leave_the_database_untouched(
+        self, layout, rng, tmp_path, lshape_grid
+    ):
+        """An id that is not integral or does not fit int64 is rejected
+        at the boundary — before the lock, the WAL and the index — so it
+        can neither wedge later queries nor poison a durable log."""
+        from repro.features.vector_set_model import VectorSetModel
+        from repro.pipeline import Pipeline
+
+        kwargs = dict(model=VectorSetModel(k=CAPACITY), pipeline=Pipeline(resolution=12))
+        if layout == "2-shard":
+            db = ShardedSimilarityDatabase(CAPACITY, shards=2, **kwargs)
+        elif layout == "durable":
+            db = SimilarityDatabase(CAPACITY, durable=True, path=tmp_path / "db", **kwargs)
+        else:
+            db = SimilarityDatabase(CAPACITY, **kwargs)
+        for oid in range(12):
+            db.add(oid, rand_set(rng))
+        probe = rand_set(rng)
+        shards = getattr(db, "shards", [db])
+
+        def state(db):
+            shards = getattr(db, "shards", [db])
+            return (
+                db.version,
+                db.object_ids(),
+                [(s.index_digest(), s.sketch_digest()) for s in shards],
+                db.knn_query(probe, 3),
+            )
+
+        before = state(db)
+        engines = [s.engine_digest() for s in shards]
+        for bad in (2**70, -(2**63) - 1, 11.9, 3.5, np.float64(3.0), "7", None):
+            for call in (
+                lambda: db.add(bad, probe),
+                lambda: db.add_grid(bad, lshape_grid),
+                lambda: db.update(bad, probe),
+                lambda: db.remove(bad),
+                lambda: db.get(bad),
+                lambda: bad in db,
+            ):
+                with pytest.raises(QueryError, match="object id"):
+                    call()
+            assert state(db) == before
+            assert [s.engine_digest() for s in shards] == engines
+            for shard in shards:
+                shard.check_invariants()
+        # Integral ids of any integer type are the same id.
+        db.add(np.int64(2**62), probe)
+        assert 2**62 in db and np.uint8(3) in db and db.remove(np.int64(2**62))
+        if layout == "durable":
+            db.close()
+            reopened = SimilarityDatabase.load(tmp_path / "db")
+            assert state(reopened)[1:] == before[1:]
+            reopened.close()
+
     def test_unknown_backend_rejected(self):
-        with pytest.raises(QueryError):
-            SimilarityDatabase(CAPACITY, backend="btree")
+        for backend in ("btree", "mtree"):
+            with pytest.raises(QueryError, match="unknown backend"):
+                SimilarityDatabase(CAPACITY, backend=backend)
+            with pytest.raises(QueryError, match="unknown backend"):
+                ShardedSimilarityDatabase(CAPACITY, shards=2, backend=backend)
+        with pytest.raises(ImportError):
+            from repro.index.arraycore import MTreeArrayCore  # noqa: F401
 
     def test_version_and_views(self, rng):
         db = SimilarityDatabase(CAPACITY, backend="scan")
@@ -495,7 +609,7 @@ class TestSnapshotAcceptance:
         def boom(*a, **k):  # any rebuild work fails the test
             raise AssertionError("load() must not insert")
 
-        for cls in (RStarTree, XTree, MTree):
+        for cls in (RStarTree, XTree):
             monkeypatch.setattr(cls, "insert", boom)
         loaded = SimilarityDatabase.load(path)
         assert loaded.index_digest() == digest
@@ -520,12 +634,11 @@ class TestSnapshotAcceptance:
 import json, sys
 import numpy as np
 from repro.db import SimilarityDatabase
-from repro.index import RStarTree, XTree, MTree
+from repro.index import RStarTree
 
 def boom(*a, **k):
     raise SystemExit("rebuild work detected")
 RStarTree.insert = boom  # XTree inherits
-MTree.insert = boom
 
 db = SimilarityDatabase.load(sys.argv[1])
 query = np.asarray(json.loads(sys.argv[2]))
@@ -553,39 +666,14 @@ print(json.dumps({
         durable config: they open and answer literally like a fresh
         build, whatever the value, and like files without the key."""
         path = tmp_path / "db"
-        if kind == "durable":
-            db = SimilarityDatabase(
-                CAPACITY, backend="xtree", index_capacity=4, durable=True, path=path
-            )
-        elif kind == "sharded":
-            db = ShardedSimilarityDatabase(
-                CAPACITY, shards=3, backend="xtree", index_capacity=4
-            )
-        else:
-            db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
-        contents = churn(db, rng, adds=24)
-        if kind == "durable":
-            db.checkpoint()
-            contents[900] = rand_set(rng)
-            db.add(900, contents[900])  # replayed from the log on open
-            db.close()
-        else:
-            db.save(path, dense=kind == "dense")
+        contents = write_xtree_layout(kind, rng, path)
         if legacy is not None:
-            # A single archive file, or a directory of archives beside a
-            # JSON config (durable.json / sharded.json).
-            files = [path] if path.is_file() else sorted(path.iterdir())
-            for file in files:
-                if file.suffix == ".json":
-                    payload = json.loads(file.read_text())
-                    payload["solver"] = legacy
-                    file.write_text(json.dumps(payload))
-                elif file == path or file.suffix == ".npz":
-                    stamp_legacy_solver(file, legacy)
-
-        fresh = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
-        for oid in sorted(contents):
-            fresh.add(oid, contents[oid])
+            restamp_layout(
+                path,
+                lambda meta, arrays: meta.update(solver=legacy),
+                lambda payload: payload.update(solver=legacy),
+            )
+        fresh = fresh_xtree(contents)
         opened = open_database(path)
         assert not hasattr(opened, "solver")
         for _ in range(4):
@@ -600,6 +688,59 @@ print(json.dumps({
             assert "solver" not in read_archive(tmp_path / "again.npz", DB_FORMAT)[0]
         if kind == "durable":
             opened.close()
+
+    @pytest.mark.parametrize("kind", ["npz", "dense", "durable", "sharded"])
+    def test_retired_backend_layout_opens_on_xtree(self, kind, rng, tmp_path):
+        """A layout written with the retired M-tree backend holds every
+        set and stored centroid; only its index arrays are M-tree
+        shaped.  It opens as an X-tree database whose index is rebuilt
+        from the centroids — those arrays are never parsed — and answers
+        literally like a fresh build."""
+        path = tmp_path / "db"
+        contents = write_xtree_layout(kind, rng, path)
+
+        def as_written_by_the_mtree_backend(meta, arrays):
+            meta["backend"] = "mtree"
+            if meta["index_meta"] is not None:
+                meta["index_meta"]["kind"] = "mtree"
+            for name in [n for n in arrays if n.startswith("index__")]:
+                del arrays[name]
+            arrays["index__node_is_leaf"] = np.ones(1, dtype=np.int8)
+
+        restamp_layout(
+            path,
+            as_written_by_the_mtree_backend,
+            lambda payload: payload.update(backend="mtree"),
+        )
+        fresh = fresh_xtree(contents)
+        opened = open_database(path)
+        assert opened.backend == "xtree"
+        for shard in getattr(opened, "shards", [opened]):
+            assert shard.backend == "xtree"
+            shard.check_invariants()
+        if kind != "sharded":
+            # Ascending-oid insertion, exactly a fresh build's tree.
+            assert opened.index_digest() == fresh.index_digest()
+        for _ in range(4):
+            query = rand_set(rng)
+            for got, want in (
+                (opened.knn_query(query, 6), fresh.knn_query(query, 6)),
+                (
+                    opened.knn_query(query, 6, mode="approx", shortlist=12),
+                    fresh.knn_query(query, 6, mode="approx", shortlist=12),
+                ),
+                (opened.range_query(query, 5.0), fresh.range_query(query, 5.0)),
+            ):
+                assert results_tuple(got[0]) == results_tuple(want[0])
+                if kind != "sharded":
+                    assert got[1] == want[1]
+        # Still a working database: mutate, persist, reopen.
+        opened.add(901, contents[min(contents)])
+        saved = opened.save(None if kind == "durable" else tmp_path / "again")
+        opened.close()
+        again = open_database(path if kind == "durable" else saved)
+        assert again.backend == "xtree" and 901 in again
+        again.close()
 
     def test_snapshot_corruption_detected(self, rng, tmp_path):
         db = SimilarityDatabase(CAPACITY, backend="rstar", index_capacity=4)

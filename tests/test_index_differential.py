@@ -1,18 +1,19 @@
-"""Stateful differential testing of the four access methods.
+"""Stateful differential testing of the three mutable access methods.
 
 A hypothesis rule machine interleaves inserts, deletes, range queries
-and k-nn queries and asserts that the X-tree, the R*-tree, the M-tree
-and the linear scan return *identical* results at every step — same
-ids, same distances, same order.  Integer coordinates make every
-distance exactly representable, so equality is literal, not
-approximate: all four implementations compute ``sqrt`` of the same
-exact integer sum of squares, and ties resolve canonically by
-ascending object id in each of them.
+and k-nn queries and asserts that the X-tree, the R*-tree and the
+linear scan return *identical* results at every step — same ids, same
+distances, same order.  Integer coordinates make every distance exactly
+representable, so equality is literal, not approximate: all three
+implementations compute ``sqrt`` of the same exact integer sum of
+squares, and ties resolve canonically by ascending object id in each
+of them.  (The insert-only M-tree is held to the same answers by
+``tests/test_index_trees.py``.)
 
 ``check_invariants()`` runs on every tree after every mutation, so a
-structural violation (MBR containment, fanout bounds, supernode sizing,
-covering radii) is caught at the step that introduced it, with
-hypothesis shrinking the workload to a minimal reproduction.
+structural violation (MBR containment, fanout bounds, supernode sizing)
+is caught at the step that introduced it, with hypothesis shrinking the
+workload to a minimal reproduction.
 
 One ``SimilarityDatabase`` per backend rides along, holding every point
 as a one-vector set (capacity 1, so the matching distance *is* the
@@ -35,7 +36,7 @@ from hypothesis.stateful import (
 )
 
 from repro.db import BACKENDS, SimilarityDatabase
-from repro.index import MTree, RStarTree, SequentialScan, XTree
+from repro.index import RStarTree, SequentialScan, XTree
 from tests.conftest import assert_engine_is_fresh
 
 DIMENSION = 3
@@ -49,7 +50,7 @@ def euclidean(a, b):
 
 
 class IndexDifferentialMachine(RuleBasedStateMachine):
-    """All four access methods must agree with the model and each other."""
+    """All three access methods must agree with the model and each other."""
 
     def __init__(self):
         super().__init__()
@@ -59,9 +60,8 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
         self.xtree = XTree(
             DIMENSION, capacity=4, max_overlap=0.0, max_supernode_factor=8
         )
-        self.mtree = MTree(euclidean, capacity=4)
         self.scan = SequentialScan(DIMENSION)
-        self.trees = [self.rstar, self.xtree, self.mtree, self.scan]
+        self.trees = [self.rstar, self.xtree, self.scan]
         self.dbs = [
             SimilarityDatabase(1, backend=backend, index_capacity=4)
             for backend in BACKENDS
@@ -72,7 +72,7 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
     # -- mutations ---------------------------------------------------------
 
     def _check_all(self):
-        for tree in (self.rstar, self.xtree, self.mtree):
+        for tree in (self.rstar, self.xtree):
             tree.check_invariants()
         # Every mutation invalidates the cached array core; re-densify
         # and structurally verify the fresh node tables as well.
@@ -81,9 +81,8 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
         for db in self.dbs:
             if self.model:
                 # Packs the engine at the first insert, so every later
-                # step maintains a live one (the mtree backend reaches
-                # its engine only through approx mode).
-                db.knn_query(np.zeros((1, DIMENSION)), 1, mode="approx", shortlist=1)
+                # step maintains a live one.
+                db.knn_query(np.zeros((1, DIMENSION)), 1)
             assert_engine_is_fresh(db)
 
     @rule(point=points)
@@ -159,10 +158,6 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
         assert sorted(self.rstar.range_search(arr, radius)) == expected_ids
         assert sorted(self.xtree.range_search(arr, radius)) == expected_ids
         assert sorted(self.scan.range_search(arr, radius)) == expected_ids
-        mtree_pairs = self.mtree.range_search(arr, float(radius))
-        assert sorted(oid for oid, _ in mtree_pairs) == expected_ids
-        for oid, dist in mtree_pairs:
-            assert dist == euclidean(self.model[oid], center)
 
     @precondition(lambda self: self.model)
     @rule(center=points)
@@ -198,9 +193,8 @@ def test_bulk_churn_differential(seed):
     rng = np.random.default_rng(seed)
     rstar = RStarTree(DIMENSION, capacity=4)
     xtree = XTree(DIMENSION, capacity=4, max_overlap=0.0, max_supernode_factor=8)
-    mtree = MTree(euclidean, capacity=4)
     scan = SequentialScan(DIMENSION)
-    trees = [rstar, xtree, mtree, scan]
+    trees = [rstar, xtree, scan]
     model = {}
     for oid in range(220):
         point = rng.integers(-20, 21, size=DIMENSION).astype(float)
@@ -213,9 +207,9 @@ def test_bulk_churn_differential(seed):
                 assert tree.delete(model[victim], victim)
             del model[victim]
         if oid % 17 == 0:
-            for tree in (rstar, xtree, mtree):
+            for tree in (rstar, xtree):
                 tree.check_invariants()
-    for tree in (rstar, xtree, mtree):
+    for tree in (rstar, xtree):
         tree.check_invariants()
     assert xtree.supernodes_created > 0, "workload never made a supernode"
 

@@ -1,11 +1,10 @@
 """Regression tests for index mutation paths and on-disk snapshots.
 
 The delete paths — R*-tree underflow/orphan-reinsertion, X-tree
-supernode shrinking, M-tree node dissolution — were flushed out by the
-stateful differential tests; each scenario that failed during
-development is pinned here as a deterministic regression, together with
-the snapshot save/load/corruption behavior all four access methods
-share.
+supernode shrinking — were flushed out by the stateful differential
+tests; each scenario that failed during development is pinned here as a
+deterministic regression, together with the snapshot
+save/load/corruption behavior the three serving access methods share.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import pytest
 
 from repro.exceptions import StorageError
 from repro.index import (
-    MTree,
     RStarTree,
     SequentialScan,
     XTree,
@@ -23,10 +21,6 @@ from repro.index import (
     save_index,
     structure_digest,
 )
-
-
-def euclidean(a, b):
-    return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
 
 
 def grid_points(n, dimension=3, seed=0):
@@ -127,107 +121,50 @@ class TestXTreeSupernodeShrink:
             assert node.capacity <= base * tree.max_supernode_factor
 
 
-class TestMTreeDelete:
-    def test_delete_dissolves_empty_nodes(self):
-        tree = MTree(euclidean, capacity=4)
-        pts = grid_points(80, seed=5)
-        for oid, p in enumerate(pts):
-            tree.insert(p, oid)
-        rng = np.random.default_rng(6)
-        order = rng.permutation(len(pts))
-        for i, oid in enumerate(order):
-            assert tree.delete(pts[oid], int(oid)) is True
-            if i % 5 == 0:
-                tree.check_invariants()
-        assert tree.size == 0
-        tree.check_invariants()
-        assert tree.knn(np.zeros(3), 2) == []
-
-    def test_delete_missing_is_a_noop(self):
-        tree = MTree(euclidean, capacity=4)
-        pts = grid_points(20, seed=7)
-        for oid, p in enumerate(pts):
-            tree.insert(p, oid)
-        digest = structure_digest(tree)
-        assert tree.delete(pts[3], 999) is False
-        assert structure_digest(tree) == digest
-        tree.check_invariants()
-
-    def test_queries_exact_after_churn(self):
-        tree = MTree(euclidean, capacity=4)
-        pts = grid_points(100, seed=8)
-        model = {}
-        for oid, p in enumerate(pts):
-            tree.insert(p, oid)
-            model[oid] = p
-            if oid % 2:
-                victim = min(model)
-                assert tree.delete(model.pop(victim), victim)
-        tree.check_invariants()
-        center = np.zeros(3)
-        expected = sorted((euclidean(p, center), oid) for oid, p in model.items())
-        assert tree.knn(center, 7) == [(oid, d) for d, oid in expected[:7]]
-
-
 def build_trees():
     pts = grid_points(90, seed=9)
     rstar = RStarTree(3, capacity=4)
     xtree = XTree(3, capacity=4, max_overlap=0.0, max_supernode_factor=8)
-    mtree = MTree(euclidean, capacity=4)
     scan = SequentialScan(3)
     for oid, p in enumerate(pts):
-        for tree in (rstar, xtree, mtree, scan):
+        for tree in (rstar, xtree, scan):
             tree.insert(p, oid)
     # churn so the snapshots cover post-delete structures too
     for oid in range(0, 90, 4):
-        for tree in (rstar, xtree, mtree, scan):
+        for tree in (rstar, xtree, scan):
             assert tree.delete(pts[oid], oid)
-    return {"rstar": rstar, "xtree": xtree, "mtree": mtree, "scan": scan}
+    return {"rstar": rstar, "xtree": xtree, "scan": scan}
 
 
 class TestSnapshots:
-    @pytest.mark.parametrize("kind", ["rstar", "xtree", "mtree", "scan"])
+    @pytest.mark.parametrize("kind", ["rstar", "xtree", "scan"])
     def test_roundtrip_is_structure_identical(self, kind, tmp_path):
         tree = build_trees()[kind]
         path = tmp_path / f"{kind}.idx"
         save_index(tree, path)
-        loaded = load_index(
-            path, metric=euclidean if kind == "mtree" else None
-        )
+        loaded = load_index(path)
         assert structure_digest(loaded) == structure_digest(tree)
         assert loaded.size == tree.size
         center = np.full(3, 2.0)
-        if kind == "mtree":
-            assert loaded.knn(center, 9) == tree.knn(center, 9)
-        else:
-            assert loaded.knn(center, 9) == tree.knn(center, 9)
-            assert list(loaded.incremental_nearest(center)) == list(
-                tree.incremental_nearest(center)
-            )
+        assert loaded.knn(center, 9) == tree.knn(center, 9)
+        assert list(loaded.incremental_nearest(center)) == list(
+            tree.incremental_nearest(center)
+        )
         if hasattr(loaded, "check_invariants"):
             loaded.check_invariants()
 
-    @pytest.mark.parametrize("kind", ["rstar", "xtree", "mtree"])
+    @pytest.mark.parametrize("kind", ["rstar", "xtree"])
     def test_loaded_tree_stays_mutable(self, kind, tmp_path):
         tree = build_trees()[kind]
         path = tmp_path / f"{kind}.idx"
         save_index(tree, path)
-        loaded = load_index(
-            path, metric=euclidean if kind == "mtree" else None
-        )
+        loaded = load_index(path)
         extra = np.array([1.0, -2.0, 3.0])
         loaded.insert(extra, 5000)
         loaded.check_invariants()
         assert loaded.delete(extra, 5000) is True
         loaded.check_invariants()
         assert structure_digest(loaded) != "", "digest must still compute"
-
-    def test_mtree_requires_metric(self, tmp_path):
-        tree = build_trees()["mtree"]
-        path = tmp_path / "m.idx"
-        save_index(tree, path)
-        with pytest.raises(StorageError):
-            load_index(path)
 
     def test_corruption_is_detected(self, tmp_path):
         tree = build_trees()["rstar"]

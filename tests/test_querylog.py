@@ -77,13 +77,7 @@ class TestExactness:
         assert event["db_version"] == db.version
         # IO baselines became per-query deltas.
         assert event["io_pages"] >= 0 and event["io_bytes"] >= 0
-        expected_kind = {
-            ("exact", True): "mtree_knn",
-            ("exact", False): "knn",
-            ("approx", True): "approx_knn",
-            ("approx", False): "approx_knn",
-        }[(mode, backend == "mtree")]
-        assert event["kind"] == expected_kind
+        assert event["kind"] == {"exact": "knn", "approx": "approx_knn"}[mode]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_range_event_agrees_with_stats(self, enabled, rng, backend):
@@ -94,7 +88,7 @@ class TestExactness:
         event = events[0]
         for key, value in stats.as_dict().items():
             assert event[key] == value, key
-        assert event["kind"] == ("mtree_range" if backend == "mtree" else "range")
+        assert event["kind"] == "range"
         assert event["epsilon"] == 2.0
         assert event["backend"] == backend and event["mode"] == "exact"
 

@@ -189,8 +189,7 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
     @invariant()
     def engines_match_fresh(self):
         # Every shard maintains its own engine in place; the probes
-        # below keep them live (approx, because an mtree shard reaches
-        # its engine only that way).
+        # below keep them live.
         for sharded, mirror in self.dbs.values():
             for db in (*sharded.shards, mirror):
                 assert_engine_is_fresh(db)
