@@ -202,9 +202,3 @@ class SetSketcher:
             top = np.argsort(-pooled, kind="stable")[: self.wta]
             bits[top] = True
         return self._pack(bits)
-
-    def sketch_many(self, sets) -> np.ndarray:
-        """Sketch a sequence of sets into an ``(n, words)`` uint64 matrix."""
-        if not len(sets):
-            return np.zeros((0, self.words), dtype=np.uint64)
-        return np.stack([self.sketch(s) for s in sets])

@@ -4,12 +4,11 @@ The paper evaluates similarity models by running the density-based
 hierarchical clustering algorithm OPTICS (Ankerst et al. 1999) on the
 whole dataset and inspecting the reachability plots (Section 5.2).  This
 subpackage reimplements OPTICS, the plot/cluster-extraction machinery of
-Figure 5, a single-link baseline, and — since our synthetic datasets have
-ground-truth classes — objective cluster-quality metrics that replace the
-paper's visual inspection.
+Figure 5, and — since our synthetic datasets have ground-truth classes —
+objective cluster-quality metrics that replace the paper's visual
+inspection.
 """
 
-from repro.clustering.hierarchy import single_link_clusters, single_link_dendrogram
 from repro.clustering.optics import ClusterOrdering, optics
 from repro.clustering.quality import (
     adjusted_rand_index,
@@ -18,18 +17,12 @@ from repro.clustering.quality import (
     structure_contrast,
 )
 from repro.clustering.reachability import extract_clusters, render_reachability_plot
-from repro.clustering.xi import XiCluster, extract_xi_clusters, hierarchy_pairs
 
 __all__ = [
-    "XiCluster",
-    "extract_xi_clusters",
-    "hierarchy_pairs",
     "optics",
     "ClusterOrdering",
     "extract_clusters",
     "render_reachability_plot",
-    "single_link_dendrogram",
-    "single_link_clusters",
     "adjusted_rand_index",
     "cluster_purity",
     "best_cut_quality",

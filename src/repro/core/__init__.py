@@ -43,7 +43,6 @@ from repro.core.permutation import (
     permutation_distance_via_matching,
 )
 from repro.core.queries import FilterRefineEngine, QueryStats
-from repro.core.ranking import incremental_ranking
 from repro.core.vector_set import VectorSet
 
 __all__ = [
@@ -63,7 +62,6 @@ __all__ = [
     "norm_weight",
     "FilterRefineEngine",
     "QueryStats",
-    "incremental_ranking",
     "PackedSets",
     "hungarian_batch",
     "match_many",

@@ -342,6 +342,7 @@ class SimilarityDatabase:
         self._wal: WriteAheadLog | None = None
         self._generation = 0
         self._replaying = False
+        self._closed = False
         self.last_recovery: RecoveryReport | None = None
         if self.durable:
             if path is None:
@@ -437,10 +438,12 @@ class SimilarityDatabase:
         The stored centroids must be bit for bit the extended centroids
         of the stored sets (the engine trusts them); the spatial index,
         the sketch tier and — once built — the engine's rows must hold
-        exactly the stored object ids, and the engine's rows the stored
-        data.  The index's own structural ``check_invariants`` runs
-        too.  Raises :class:`~repro.exceptions.InvariantError` naming
-        the first disagreement.
+        exactly the stored object ids, the sketch tier's codes must be
+        bit for bit the sketches of the stored sets, and the engine's
+        rows the stored data.  The index's own structural
+        ``check_invariants`` runs too.  Raises
+        :class:`~repro.exceptions.InvariantError` naming the first
+        disagreement.
         """
         with self._lock.read(timeout=self.lock_timeout):
             self._check_invariants_locked()
@@ -468,10 +471,20 @@ class SimilarityDatabase:
                 f"{self.backend} index holds {len(indexed)} ids that are not "
                 f"the {len(oids)} stored ones"
             )
-        if self._hamming is not None and not np.array_equal(
-            np.sort(self._hamming.oids), oid_column
-        ):
-            raise InvariantError("sketch tier and object store hold different ids")
+        if self._hamming is not None:
+            if not np.array_equal(np.sort(self._hamming.oids), oid_column):
+                raise InvariantError(
+                    "sketch tier and object store hold different ids"
+                )
+            codes = self._hamming.codes
+            for row, oid in enumerate(self._hamming.oids.tolist()):
+                if not np.array_equal(
+                    codes[row], self._sketcher.sketch(self._sets[oid])
+                ):
+                    raise InvariantError(
+                        f"sketch code of object {oid} is not the sketch of "
+                        "its stored set"
+                    )
         engine = self._engine
         if engine is None:
             return
@@ -491,11 +504,17 @@ class SimilarityDatabase:
     def close(self) -> None:
         """Flush and close the WAL segment (durable databases only).
 
-        Safe to call twice; a closed database must not be mutated
-        further.
+        Safe to call twice.  A closed durable database still answers
+        queries; every mutation raises :class:`StorageError` and leaves
+        memory and disk untouched.
         """
         if self._wal is not None:
             self._wal.close()
+            self._closed = True
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise StorageError("database is closed")
 
     def __enter__(self) -> "SimilarityDatabase":
         return self
@@ -626,6 +645,7 @@ class SimilarityDatabase:
 
     def add(self, oid: int, vectors) -> None:
         """Add one vector set under external id *oid*."""
+        self._check_open()
         self._add(oid, vectors, op="add")
 
     def _add(self, oid: int, vectors, *, op: str) -> None:
@@ -654,6 +674,7 @@ class SimilarityDatabase:
         Durable databases log the *extracted* set (an ``add_grid``
         record), so replay never needs the voxel grid or the feature
         model."""
+        self._check_open()
         if self.model is None:
             raise QueryError("add_grid needs a database with a feature model")
         from repro.pipeline import Pipeline
@@ -666,6 +687,7 @@ class SimilarityDatabase:
 
     def remove(self, oid: int) -> bool:
         """Remove the object stored under *oid*; False if absent."""
+        self._check_open()
         oid = check_object_id(oid)
         with self._lock.write(timeout=self.lock_timeout):
             if oid not in self._sets:
@@ -686,6 +708,7 @@ class SimilarityDatabase:
 
     def update(self, oid: int, vectors) -> None:
         """Replace the set stored under *oid* in one atomic mutation."""
+        self._check_open()
         oid = check_object_id(oid)
         arr = self._as_set(vectors)
         with self._lock.write(timeout=self.lock_timeout):
@@ -713,6 +736,7 @@ class SimilarityDatabase:
         use the rebuilt tree as the reference the incrementally
         maintained one must match byte-for-byte.
         """
+        self._check_open()
         with self._lock.write(timeout=self.lock_timeout):
             if self.dimension is None:
                 return
@@ -1003,6 +1027,7 @@ class SimilarityDatabase:
         """
         if not self.durable:
             raise QueryError("checkpoint() is only available with durable=True")
+        self._check_open()
         with span("db.checkpoint", force=True) as sp, self._lock.write(
             timeout=self.lock_timeout
         ):

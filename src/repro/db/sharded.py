@@ -304,6 +304,7 @@ class ShardedSimilarityDatabase:
         from repro.pipeline import Pipeline
 
         shard = self._shard_for(oid)  # rejects a malformed id before extraction
+        shard._check_open()
         pipeline = self.pipeline or Pipeline()
         arr = pipeline.features_for_grid(grid, self.model, cache=self.cache)
         shard.add(oid, arr)

@@ -14,7 +14,6 @@ Four models are provided:
 """
 
 from repro.features.base import FeatureModel, cell_counts, cell_index_of_voxels
-from repro.features.beam import all_box_gains, beam_cover_search
 from repro.features.cover_sequence import (
     Cover,
     CoverSequence,
@@ -42,6 +41,4 @@ __all__ = [
     "VectorSetModel",
     "denormalize_cover_vectors",
     "scale_aware_sets",
-    "beam_cover_search",
-    "all_box_gains",
 ]

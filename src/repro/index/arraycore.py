@@ -272,9 +272,6 @@ class RTreeArrayCore(_ArrayCore):
         owner = np.repeat(np.arange(n_nodes, dtype=np.int64), counts)
         is_dir_entry = self._levels[owner] > 0
         children = self._payloads[is_dir_entry]
-        leaf_oids = self._payloads[~is_dir_entry]
-        if leaf_oids.size and leaf_oids.min() < 0:
-            self._fail("negative object id in a leaf")
         if int((~is_dir_entry).sum()) != self.size:
             self._fail(
                 f"leaf entry count {(~is_dir_entry).sum()} != size {self.size}"
@@ -369,8 +366,6 @@ class ScanArrayCore(_ArrayCore):
             self._fail("oid column length disagrees with size")
         if not np.isfinite(self._points).all():
             self._fail("non-finite stored point")
-        if self.size and self._oids.min() < 0:
-            self._fail("negative object id")
 
 
 def core_from_serialized(

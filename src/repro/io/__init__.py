@@ -4,11 +4,6 @@ from pathlib import Path
 
 from repro.exceptions import StorageError
 from repro.io.database import ObjectDatabase, SkippedRecord, StoredObject
-from repro.io.export import (
-    export_distance_matrix_csv,
-    export_reachability_csv,
-    export_table_csv,
-)
 from repro.io.off import read_off, write_off
 from repro.io.stl import read_stl, write_stl_ascii, write_stl_binary
 from repro.io.vox import load_grid, save_grid
@@ -39,7 +34,4 @@ __all__ = [
     "ObjectDatabase",
     "StoredObject",
     "SkippedRecord",
-    "export_reachability_csv",
-    "export_distance_matrix_csv",
-    "export_table_csv",
 ]

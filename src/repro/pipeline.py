@@ -621,7 +621,7 @@ def pairwise_distance_matrix(objects: list, distance) -> np.ndarray:
     """Symmetric pairwise distance matrix of arbitrary objects.
 
     Evaluates ``distance`` once per unordered pair; handy for OPTICS on
-    small datasets and for the single-link baseline.
+    small datasets.
     """
     n = len(objects)
     matrix = np.zeros((n, n))

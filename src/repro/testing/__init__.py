@@ -25,7 +25,6 @@ from repro.testing.faults import (
     fail_once,
     never_fail,
     read_faults,
-    reset_crash_counters,
     savez_faults,
     tamper_npz_array,
     voxelization_faults,
@@ -44,7 +43,6 @@ __all__ = [
     "fail_every",
     "fail_always",
     "never_fail",
-    "reset_crash_counters",
     "voxelization_faults",
     "read_faults",
     "savez_faults",

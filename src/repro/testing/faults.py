@@ -303,11 +303,6 @@ def armed_crash_point(name: str, at: int = 1):
         _hit_counts.update(previous_hits)
 
 
-def reset_crash_counters() -> None:
-    """Forget all hit counts (used between subprocess-free test cases)."""
-    _hit_counts.clear()
-
-
 # -- on-disk corruption helpers -----------------------------------------------
 
 

@@ -1,9 +1,8 @@
-"""Tests for OPTICS, reachability plots, single-link and quality metrics."""
+"""Tests for OPTICS, reachability plots and quality metrics."""
 
 import numpy as np
 import pytest
 
-from repro.clustering.hierarchy import single_link_clusters, single_link_dendrogram
 from repro.clustering.optics import (
     ClusterOrdering,
     distance_rows_from_function,
@@ -222,32 +221,6 @@ class TestReachabilityPlot:
             extract_clusters(ordering, -0.1)
         with pytest.raises(ReproError):
             render_reachability_plot(ordering, height=1)
-
-
-class TestSingleLink:
-    def test_dendrogram_has_n_minus_one_merges(self, blob_ordering):
-        _, labels, matrix = blob_ordering
-        merges = single_link_dendrogram(matrix)
-        assert len(merges) == len(labels) - 1
-
-    def test_merges_sorted_by_distance(self, blob_ordering):
-        _, _, matrix = blob_ordering
-        distances = [m.distance for m in single_link_dendrogram(matrix)]
-        assert distances == sorted(distances)
-
-    def test_cut_recovers_blobs(self, blob_ordering):
-        _, labels, matrix = blob_ordering
-        clusters = single_link_clusters(matrix, 0.12)
-        big = [c for c in clusters if len(c) >= 10]
-        assert len(big) == 3
-
-    def test_cut_zero_gives_singletons(self, blob_ordering):
-        _, labels, matrix = blob_ordering
-        clusters = single_link_clusters(matrix, -1.0)
-        assert len(clusters) == len(labels)
-
-    def test_single_object(self):
-        assert single_link_dendrogram(np.zeros((1, 1))) == []
 
 
 class TestQualityMetrics:

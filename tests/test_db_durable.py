@@ -23,7 +23,12 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.db import BACKENDS, SimilarityDatabase
+from repro.db import (
+    BACKENDS,
+    ShardedSimilarityDatabase,
+    SimilarityDatabase,
+    open_database,
+)
 from repro.exceptions import (
     LockTimeout,
     QueryError,
@@ -221,6 +226,60 @@ class TestDurableRoundtrip:
         exported = SimilarityDatabase.load(export)
         assert not exported.durable
         assert sorted(exported._sets) == [0]
+
+    @pytest.mark.parametrize("layout", ["plain", "2-shard"])
+    def test_mutations_after_close_are_rejected_typed(
+        self, layout, tmp_path, rng, monkeypatch
+    ):
+        """A closed durable database keeps answering queries; every
+        mutation raises StorageError before extraction, lock and log
+        (it used to escape as the WAL file object's ValueError) and
+        leaves memory and the directory as they were."""
+        from repro.features.vector_set_model import VectorSetModel
+        from repro.pipeline import Pipeline
+        from repro.voxel.grid import VoxelGrid
+
+        dbdir = tmp_path / "db"
+        options = dict(durable=True, path=dbdir, model=VectorSetModel(k=CAPACITY))
+        if layout == "plain":
+            db = SimilarityDatabase(CAPACITY, **options)
+        else:
+            db = ShardedSimilarityDatabase(CAPACITY, shards=2, **options)
+        for oid in range(5):
+            db.add(oid, rand_set(rng))
+        db.close()
+
+        def state():
+            files = {
+                str(f.relative_to(dbdir)): f.read_bytes()
+                for f in sorted(dbdir.rglob("*")) if f.is_file()
+            }
+            return db.version, {o: db.get(o).tobytes() for o in db.object_ids()}, files
+
+        def no_extraction(*args, **kwargs):
+            raise AssertionError("extraction ran on a closed database")
+
+        monkeypatch.setattr(Pipeline, "features_for_grid", no_extraction)
+        before, probe = state(), rand_set(rng)
+        answer = db.knn_query(probe, 3)[0]
+        for mutate in (
+            lambda: db.add(99, probe),
+            lambda: db.add_grid(99, VoxelGrid.empty(6)),
+            lambda: db.update(1, probe),
+            lambda: db.remove(1),
+            db.compact,
+            db.checkpoint,
+        ):
+            with pytest.raises(StorageError, match="database is closed"):
+                mutate()
+            assert state() == before
+        assert db.knn_query(probe, 3)[0] == answer
+        db.close()  # still safe to call twice
+        reopened = open_database(dbdir)
+        assert reopened.object_ids() == [0, 1, 2, 3, 4]
+        assert reopened.knn_query(probe, 3)[0] == answer
+        reopened.add(99, probe)  # a reopened database is open
+        reopened.close()
 
     def test_constructor_validation(self, tmp_path):
         with pytest.raises(QueryError, match="needs a directory path"):

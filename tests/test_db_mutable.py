@@ -89,6 +89,13 @@ def churn(db, rng, adds=40, removes=12, updates=6):
     return contents
 
 
+def flip_code_word(db, oid):
+    """Flip one bit of the stored sketch code of *oid*."""
+    code = db._hamming.codes[db._hamming.oids.tolist().index(oid)].copy()
+    code[0] ^= np.uint64(1)
+    db._hamming.update(oid, code)
+
+
 def results_tuple(results):
     return [(m.object_id, m.distance) for m in results]
 
@@ -377,11 +384,13 @@ class TestCheckInvariants:
             (lambda db, oid: db._centroids.pop(oid), "centroid table"),
             (lambda db, oid: db._index.delete(db._centroids[oid], oid), "index holds"),
             (lambda db, oid: db._hamming.remove(oid), "sketch tier"),
+            (flip_code_word, "sketch code of object"),
             (lambda db, oid: db._engine.remove(oid), "engine rows and object store"),
             (lambda db, oid: db._engine.replace(oid, np.ones((1, DIM))),
              "engine rows differ"),
         ],
-        ids=["centroid", "centroid-ids", "index", "sketch", "engine-ids", "engine-row"],
+        ids=["centroid", "centroid-ids", "index", "sketch", "sketch-code",
+             "engine-ids", "engine-row"],
     )
     def test_names_the_first_disagreement(self, rng, tamper, message):
         db = self.make(rng)
@@ -403,6 +412,55 @@ class TestCheckInvariants:
         db.save(bad, dense=dense)
         assert main(["db", "verify", str(good)]) == 0
         assert main(["db", "verify", str(bad)]) == 1
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["npz", "dense"])
+    def test_verify_rejects_a_flipped_sketch_code_word(self, rng, tmp_path, dense):
+        """As above for the sketch tier: the ids agree and the CRCs are
+        valid, one stored code is not the sketch of its set."""
+        from repro.cli import main
+
+        db = self.make(rng)
+        flip_code_word(db, db.object_ids()[2])
+        db.save(tmp_path / "bad.db", dense=dense)
+        assert main(["db", "verify", str(tmp_path / "bad.db")]) == 1
+
+    @pytest.mark.parametrize("layout", ["plain", "2-shard"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["npz", "dense"])
+    @pytest.mark.parametrize("backend", ALL)
+    def test_negative_object_ids_are_valid(self, rng, tmp_path, backend, dense, layout):
+        """``check_object_id`` admits any int64, so a snapshot holding
+        negative ids verifies and answers like the database it was saved
+        from - also after a mutation of the reopened (dense: inflated)
+        index."""
+        from repro.cli import main
+
+        if layout == "plain":
+            db = SimilarityDatabase(CAPACITY, backend=backend, index_capacity=4)
+        else:
+            db = ShardedSimilarityDatabase(
+                CAPACITY, shards=2, backend=backend, index_capacity=4
+            )
+        for oid in (-5, -(2**40), *range(1, 15)):
+            db.add(oid, rand_set(rng))
+        db.save(tmp_path / "saved.db", dense=dense)
+        assert main(["db", "verify", str(tmp_path / "saved.db")]) == 0
+        reopened = open_database(tmp_path / "saved.db")
+        probe, extra = rand_set(rng), rand_set(rng)
+
+        def answers(database):
+            return (
+                results_tuple(database.knn_query(probe, 5)[0]),
+                results_tuple(database.range_query(probe, 9.0)[0]),
+                results_tuple(database.knn_query(database.get(-5), 1)[0]),
+            )
+
+        assert answers(reopened) == answers(db)
+        assert answers(db)[2] == [(-5, 0.0)]
+        db.add(-7, extra)
+        reopened.add(-7, extra)
+        assert answers(reopened) == answers(db)
+        reopened.save(tmp_path / "resaved.db", dense=dense)
+        assert main(["db", "verify", str(tmp_path / "resaved.db")]) == 0
 
 
 class TestValidation:
