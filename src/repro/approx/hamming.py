@@ -144,11 +144,9 @@ class HammingIndex:
         return {"oids": self._oids.copy(), "codes": self._codes.copy()}
 
     @classmethod
-    def from_arrays(
-        cls, oids: np.ndarray, codes: np.ndarray, *, copy: bool = False
-    ) -> "HammingIndex":
-        """Rebuild from snapshot arrays (zero-copy views welcome: every
-        mutation path reallocates, so read-only buffers are never written)."""
+    def from_arrays(cls, oids: np.ndarray, codes: np.ndarray) -> "HammingIndex":
+        """Adopt snapshot arrays without copying (read-only views welcome:
+        every mutation path reallocates, so the buffers are never written)."""
         codes = np.asarray(codes, dtype=np.uint64)
         if codes.ndim != 2:
             raise QueryError(f"codes must be 2-D, got shape {codes.shape}")
@@ -158,8 +156,8 @@ class HammingIndex:
         if len(oids) > 1 and not np.all(oids[:-1] < oids[1:]):
             raise QueryError("Hamming index oids must be strictly ascending")
         index = cls(codes.shape[1])
-        index._oids = oids.copy() if copy else oids
-        index._codes = codes.copy() if copy else codes
+        index._oids = oids
+        index._codes = codes
         return index
 
     def digest(self) -> str:

@@ -199,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dense",
         action="store_true",
         help="write the flat mmap-able snapshot container instead of .npz: "
-        "`load` maps node tables and features zero-copy (not with --durable)",
+        "`load` maps node tables and sketch codes zero-copy (not with --durable)",
     )
     db_init.add_argument(
         "--durable",
@@ -598,12 +598,13 @@ def _verify_single(path: Path) -> int:
 
     For a durable directory: CRC-walk every retained snapshot archive
     and WAL segment, then run the recovery ladder in memory and
-    ``check_invariants()`` on the recovered database (stored centroids,
-    index, sketch tier and object store must mirror each other, and the
-    index be structurally sound).  Anything the ladder
-    had to work around (a corrupt generation, a torn or missing
-    segment) is a degradation — the database *answers*, but not from
-    the happy path.  For a snapshot file: CRC check + invariants only.
+    ``check_invariants()`` on the recovered database (the engine's rows
+    and stored centroids, the index and the sketch tier must mirror
+    each other, and the index be structurally sound).  Anything the
+    ladder had to work around (a corrupt or malformed generation, a torn
+    or missing segment) is a degradation — the database *answers*, but
+    not from the happy path.  For a snapshot file: the load's own CRC
+    check and payload validation + invariants only.
     Dense snapshots get a full CRC walk of every mapped array plus the
     array core's vectorized node-table invariants (child-offset bounds,
     MBR containment, covering-radius validity).
@@ -637,8 +638,6 @@ def _verify_single(path: Path) -> int:
                 degradations.append(
                     f"{segment.name}: {error} (after {records} clean records)"
                 )
-    else:
-        read_archive(path, DB_FORMAT)
 
     db = SimilarityDatabase.load(path)
     try:

@@ -70,46 +70,6 @@ def distance_rows_from_matrix(matrix: np.ndarray) -> DistanceRows:
     return lambda i: arr[i]
 
 
-def distance_rows_from_function(
-    objects: Sequence,
-    distance: Callable[[object, object], float],
-    max_cache_rows: int = 0,
-) -> DistanceRows:
-    """Adapt a pairwise distance function to the row API.
-
-    With *max_cache_rows* > 0, up to that many most-recently-used rows
-    are kept in memory — useful when a caller (or a wrapped statistics
-    collector) revisits rows, without ever materializing the full
-    O(n^2) matrix.  OPTICS itself requests each row exactly once, so the
-    cache defaults to off.
-    """
-
-    def compute(i: int) -> np.ndarray:
-        anchor = objects[i]
-        return np.array([distance(anchor, other) for other in objects])
-
-    if max_cache_rows <= 0:
-        return compute
-
-    from collections import OrderedDict
-
-    cache: OrderedDict[int, np.ndarray] = OrderedDict()
-
-    def rows(i: int) -> np.ndarray:
-        if i in cache:
-            cache.move_to_end(i)
-            counter("optics.row_cache_hits").inc()
-            return cache[i]
-        counter("optics.row_cache_misses").inc()
-        row = compute(i)
-        cache[i] = row
-        if len(cache) > max_cache_rows:
-            cache.popitem(last=False)
-        return row
-
-    return rows
-
-
 def distance_rows_from_sets(
     sets: Sequence,
     capacity: int | None = None,

@@ -55,7 +55,7 @@ import numpy as np
 from repro.core.batch import DEFAULT_CHUNK_SIZE, PackedSets
 from repro.core.centroid import extended_centroid
 from repro.core.vector_set import VectorSet
-from repro.exceptions import QueryError
+from repro.exceptions import InvariantError, QueryError
 from repro.obs import registry, span
 from repro.obs import querylog
 
@@ -267,12 +267,7 @@ class FilterRefineEngine:
         if len(self._row_of) != n:
             raise QueryError("object ids must be unique")
         if centroids is None:
-            self._centroid_buf = np.vstack(
-                [
-                    extended_centroid(block[:size], capacity, self.omega)
-                    for block, size in zip(store.data, store.sizes)
-                ]
-            )
+            self._centroid_buf = self._centroids_of(store)
         else:
             self._centroid_buf = np.array(centroids, dtype=float)
             if self._centroid_buf.shape != (n, self.dimension):
@@ -300,11 +295,44 @@ class FilterRefineEngine:
         """Extended centroids, row-aligned with :attr:`oids` (a view)."""
         return self._centroid_buf[: self._n]
 
+    def __contains__(self, oid: int) -> bool:
+        return oid in self._row_of
+
+    def _row(self, oid: int) -> int:
+        row = self._row_of.get(int(oid))
+        if row is None:
+            raise QueryError(f"no object with id {oid}")
+        return row
+
+    def get(self, oid: int) -> np.ndarray:
+        """An owned copy of the unpadded set stored under *oid*."""
+        row = self._row(oid)
+        return self._store.data[row, : self._store.sizes[row]].copy()
+
+    def centroid_of(self, oid: int) -> np.ndarray:
+        """The extended centroid stored under *oid* (a view; see *Locking*)."""
+        return self._centroid_buf[self._row(oid)]
+
+    def ragged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Everything stored, as owned arrays in ascending-oid order:
+        ``(oids, offsets, rows, centroids)`` — the unpadded sets back to
+        back in *rows*, set ``i`` being ``rows[offsets[i]:offsets[i + 1]]``
+        (what :meth:`PackedSets.from_ragged` takes, and the layout the
+        database snapshots carry)."""
+        order = np.argsort(self.oids)
+        packed = self._packed
+        sizes = packed.sizes[order]
+        offsets = np.zeros(self._n + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        live = np.arange(self.capacity) < sizes[:, None]
+        return self.oids[order], offsets, packed.data[order][live], self.centroids[order]
+
     def digest(self) -> str:
         """SHA-256 over everything the engine stores per object — oid,
         cardinality, padded rows, squared norms, centroid — taken in
-        ascending-oid order, so an incrementally maintained engine and a
-        from-scratch build of the same contents hash alike."""
+        ascending-oid order (:meth:`ragged`'s), so an incrementally
+        maintained engine and a from-scratch build of the same contents
+        hash alike."""
         order = np.argsort(self.oids)
         packed = self._packed
         hasher = hashlib.sha256(
@@ -315,6 +343,40 @@ class FilterRefineEngine:
         ):
             hasher.update(column[order].tobytes())
         return hasher.hexdigest()
+
+    def _centroids_of(self, packed: PackedSets) -> np.ndarray:
+        """One :func:`extended_centroid` per packed set, row-aligned."""
+        return np.vstack(
+            [
+                extended_centroid(block[:size], self.capacity, self.omega)
+                for block, size in zip(packed.data, packed.sizes)
+            ]
+        )
+
+    def check_invariants(self) -> None:
+        """The row buffers against each other: the ``oid -> row`` map is a
+        bijection onto the live rows, every padded tail holds omega, and
+        the squared norms and the centroid of each row are bit for bit
+        those of its set.  Raises :class:`InvariantError` naming the
+        first disagreement."""
+        packed, oids = self._packed, self.oids.tolist()
+        if len(self._row_of) != self._n or any(
+            self._row_of.get(oid) != row for row, oid in enumerate(oids)
+        ):
+            raise InvariantError(
+                "engine oid -> row map is not a bijection onto the live rows"
+            )
+        tail = np.arange(self.capacity) >= packed.sizes[:, None]
+        for fault, cells in (
+            ("padded tail of object {} is not omega",
+             (packed.data != self.omega).any(axis=2) & tail),
+            ("squared norms of object {} are stale",
+             packed.sq_norms != np.einsum("nkd,nkd->nk", packed.data, packed.data)),
+            ("stored centroid of object {} is not the extended centroid of its set",
+             self.centroids != self._centroids_of(packed)),
+        ):
+            if cells.any():
+                raise InvariantError(fault.format(oids[int(cells.any(axis=1).argmax())]))
 
     def _rows_for(self, oids: Sequence[int]) -> np.ndarray:
         """oid → row lookup for a list of Python ints."""
@@ -380,19 +442,14 @@ class FilterRefineEngine:
         centroid: np.ndarray | None = None,
     ) -> None:
         """Overwrite the set stored under *oid* in its row."""
-        row = self._row_of.get(int(oid))
-        if row is None:
-            raise QueryError(f"no object with id {oid}")
-        self._write(row, *self._checked(vectors, centroid))
+        self._write(self._row(oid), *self._checked(vectors, centroid))
 
     def remove(self, oid: int) -> None:
         """Drop the set stored under *oid*: the last live row moves into
         its place.  An engine is never empty, so the last object cannot
         be removed — discard the engine instead."""
         oid = int(oid)
-        row = self._row_of.get(oid)
-        if row is None:
-            raise QueryError(f"no object with id {oid}")
+        row = self._row(oid)
         last = self._n - 1
         if not last:
             raise QueryError("cannot remove the only object of an engine")
@@ -445,15 +502,6 @@ class FilterRefineEngine:
                 for row in rows
             ]
         )
-
-    def exact_distances(
-        self, query: np.ndarray | VectorSet, oids: Sequence[int]
-    ) -> np.ndarray:
-        """Exact distances from *query* to the objects stored under
-        *oids*, in the order given (no filter, no telemetry)."""
-        query_arr = self._query_array(query)
-        rows = self._rows_for(np.asarray(oids, dtype=np.int64).tolist())
-        return self._refine_many(self._prepare_query(query_arr), query_arr, rows)
 
     def _refine_block(
         self, prepared, query_arr: np.ndarray, ids: Sequence[int]

@@ -16,23 +16,26 @@ candidates and no mutation ever pays a rebuild:
   any number of threads can query concurrently while mutations wait;
   each query observes exactly one database version
   (:meth:`read_view` exposes that version for consistency testing).
-* **The refinement engine** is maintained in place: the first query
-  packs one :class:`~repro.core.queries.FilterRefineEngine` from the
-  store (bulk ingest and ``load`` pay nothing for it — one ragged
-  scatter beside the centroids the store already holds), and from then
-  on every ``add`` / ``update`` / ``remove`` writes its one row under
-  the write lock it already holds, at a cost independent of the
-  database size.  Only emptying the database drops the engine.  The
-  spatial index's array core plugs into it as the ``centroid_ranker``
-  (``ranking_chunks``).  :meth:`SimilarityDatabase.engine_digest` and
+* **The refinement engine is the object store.**  Every set and its
+  extended centroid live once, in the row buffers of one
+  :class:`~repro.core.queries.FilterRefineEngine`: the first ``add``
+  creates it (under the write lock), ``load`` packs it with one ragged
+  scatter (before the database is shared), and from then on every
+  ``add`` / ``update`` / ``remove`` writes its one row under the write
+  lock it already holds, at a cost independent of the database size.
+  Only emptying the database drops the engine, so no reader can ever
+  race a build.  The spatial index's array core plugs into it as the
+  ``centroid_ranker`` (``ranking_chunks``).
+  :meth:`SimilarityDatabase.engine_digest` and
   :meth:`SimilarityDatabase.check_invariants` prove the maintained
   state equal to a from-scratch build.
 * **Snapshots** (``save``/``load``) persist the object store *and* the
   exact index structure in one CRC-checked, atomically-written archive
   (the format-v2 discipline of :mod:`repro.io.database`), so a
   restarted process answers its first query with zero rebuild work —
-  the reloaded tree is node-for-node identical
-  (:func:`repro.index.snapshot.structure_digest` equality).
+  the index opens as an array core over the saved node tables
+  (:func:`repro.index.snapshot.structure_digest` equality) and inflates
+  into the pointer tree on the first mutation.
 * **Durability** (``durable=True``): the database lives in a directory
   managed by :mod:`repro.wal` — every mutation is appended to a
   CRC32-per-record write-ahead log *before* it is applied (under the
@@ -67,7 +70,6 @@ from __future__ import annotations
 
 import numbers
 import operator
-import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,12 +88,18 @@ from repro.core.queries import (
     QueryStats,
 )
 from repro.core.vector_set import VectorSet
-from repro.exceptions import IndexError_, InvariantError, QueryError, StorageError
+from repro.exceptions import (
+    DistanceError,
+    IndexError_,
+    InvariantError,
+    QueryError,
+    StorageError,
+)
 from repro.index import RStarTree, SequentialScan, XTree
+from repro.index.arraycore import core_from_serialized
 from repro.index.snapshot import (
     indexed_oids,
     read_archive,
-    reconstruct_index,
     serialize_index,
     structure_digest,
     write_archive,
@@ -115,6 +123,24 @@ _RETIRED_BACKENDS = {"mtree": "xtree"}
 def current_backend(stored: str) -> str:
     """The backend a layout that recorded *stored* opens on."""
     return _RETIRED_BACKENDS.get(stored, stored)
+
+#: The object store's four snapshot arrays, in the order of
+#: :meth:`FilterRefineEngine.ragged`: ascending oids, row offsets, the
+#: unpadded sets back to back, one extended centroid per set.
+_SET_ARRAYS = ("set_oids", "set_row_offsets", "set_data", "centroids")
+
+#: Meta keys every snapshot carries (the optional ones are read with ``get``).
+_REQUIRED_META = (
+    "capacity",
+    "backend",
+    "dimension",
+    "omega",
+    "block_size",
+    "index_capacity",
+    "db_version",
+    "index_meta",
+)
+
 
 #: Default number of snapshot generations (and their WAL segments) a
 #: durable database keeps on disk for the recovery ladder's fallback.
@@ -160,7 +186,7 @@ class DatabaseView:
     def __init__(self, db: "SimilarityDatabase"):
         self._db = db
         self.version = db._version
-        self.size = len(db._sets)
+        self.size = len(db)
 
     def knn_query(
         self,
@@ -318,13 +344,10 @@ class SimilarityDatabase:
             None if omega is None else np.asarray(omega, dtype=float)
         )
         self.omega: np.ndarray | None = self._omega_arg
-        self._sets: dict[int, np.ndarray] = {}
-        self._centroids: dict[int, np.ndarray] = {}
         self._index = None
         self._version = 0
         self._engine: FilterRefineEngine | None = None
         self._lock = RWLock()
-        self._engine_lock = threading.Lock()
         self.lock_timeout = lock_timeout
         self.sketch_enabled = bool(sketch)
         self._sketch_params = dict(sketch_params or {})
@@ -367,10 +390,11 @@ class SimilarityDatabase:
     # -- introspection -----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._sets)
+        return 0 if self._engine is None else len(self._engine)
 
     def __contains__(self, oid: int) -> bool:
-        return check_object_id(oid) in self._sets
+        oid = check_object_id(oid)
+        return self._engine is not None and oid in self._engine
 
     @property
     def version(self) -> int:
@@ -383,17 +407,22 @@ class SimilarityDatabase:
         checkpoint; always 0 for non-durable databases)."""
         return self._generation
 
+    def _oids(self) -> np.ndarray:
+        """The stored object ids, ascending (caller holds either lock side)."""
+        if self._engine is None:
+            return np.empty(0, dtype=np.int64)
+        return np.sort(self._engine.oids)
+
     def object_ids(self) -> list[int]:
         with self._lock.read(timeout=self.lock_timeout):
-            return sorted(self._sets)
+            return self._oids().tolist()
 
     def get(self, oid: int) -> np.ndarray:
         oid = check_object_id(oid)
         with self._lock.read(timeout=self.lock_timeout):
-            try:
-                return self._sets[oid].copy()
-            except KeyError:
-                raise QueryError(f"no object with id {oid}") from None
+            if oid not in self:
+                raise QueryError(f"no object with id {oid}")
+            return self._engine.get(oid)
 
     def index_digest(self) -> str:
         """Structure digest of the live index (see
@@ -420,27 +449,26 @@ class SimilarityDatabase:
     def engine_digest(self) -> str:
         """:meth:`FilterRefineEngine.digest` of the live refinement engine.
 
-        ``"empty"`` for a database without objects, ``"unbuilt"`` before
-        the first query packed an engine.  The differential harness
-        compares this against a from-scratch engine to prove the
-        in-place maintenance exact.
+        ``"empty"`` for a database without objects.  The differential
+        harness compares this against a from-scratch engine to prove
+        the in-place maintenance exact.
         """
         with self._lock.read(timeout=self.lock_timeout):
-            if not self._sets:
-                return "empty"
             if self._engine is None:
-                return "unbuilt"
+                return "empty"
             return self._engine.digest()
 
     def check_invariants(self) -> None:
-        """Cross-check every structure that mirrors the object store.
+        """Cross-check every structure that mirrors the engine's rows.
 
-        The stored centroids must be bit for bit the extended centroids
-        of the stored sets (the engine trusts them); the spatial index,
-        the sketch tier and — once built — the engine's rows must hold
-        exactly the stored object ids, the sketch tier's codes must be
-        bit for bit the sketches of the stored sets, and the engine's
-        rows the stored data.  The index's own structural
+        The engine's own buffers must agree with each other
+        (:meth:`FilterRefineEngine.check_invariants`: the stored
+        centroids are bit for bit the extended centroids of the stored
+        sets, padded tails hold omega, squared norms are current); the
+        spatial index and the sketch tier must hold exactly the stored
+        object ids, the sketch tier's codes must be bit for bit the
+        sketches of the stored sets, and the engine must digest like a
+        fresh packing of its unpadded rows.  The index's own structural
         ``check_invariants`` runs too.  Raises
         :class:`~repro.exceptions.InvariantError` naming the first
         disagreement.
@@ -449,52 +477,39 @@ class SimilarityDatabase:
             self._check_invariants_locked()
 
     def _check_invariants_locked(self) -> None:
-        oids = sorted(self._sets)
-        if sorted(self._centroids) != oids:
-            raise InvariantError("centroid table and object store hold different ids")
-        for oid in oids:
-            want = extended_centroid(self._sets[oid], self.capacity, self.omega)
-            if not np.array_equal(self._centroids[oid], want):
-                raise InvariantError(
-                    f"stored centroid of object {oid} is not the extended "
-                    "centroid of its set"
-                )
-        oid_column = np.asarray(oids, dtype=np.int64)
+        engine = self._engine
+        oids, sets = self._oids(), []
+        if engine is not None:
+            engine.check_invariants()
+            _, offsets, rows, _ = engine.ragged()
+            sets = np.split(rows, offsets[1:-1])
         if self._index is None:
-            indexed = oid_column[:0]
+            indexed = oids[:0]
         else:
             if hasattr(self._index, "check_invariants"):
                 self._index.check_invariants()
             indexed = indexed_oids(self._index)
-        if not np.array_equal(indexed, oid_column):
+        if not np.array_equal(indexed, oids):
             raise InvariantError(
                 f"{self.backend} index holds {len(indexed)} ids that are not "
                 f"the {len(oids)} stored ones"
             )
         if self._hamming is not None:
-            if not np.array_equal(np.sort(self._hamming.oids), oid_column):
+            if not np.array_equal(self._hamming.oids, oids):
                 raise InvariantError(
                     "sketch tier and object store hold different ids"
                 )
-            codes = self._hamming.codes
-            for row, oid in enumerate(self._hamming.oids.tolist()):
-                if not np.array_equal(
-                    codes[row], self._sketcher.sketch(self._sets[oid])
-                ):
+            # Both columns ascend, so code row i belongs to set i.
+            for oid, code, arr in zip(oids.tolist(), self._hamming.codes, sets):
+                if not np.array_equal(code, self._sketcher.sketch(arr)):
                     raise InvariantError(
                         f"sketch code of object {oid} is not the sketch of "
                         "its stored set"
                     )
-        engine = self._engine
         if engine is None:
             return
-        if not np.array_equal(np.sort(engine.oids), oid_column):
-            raise InvariantError("engine rows and object store hold different ids")
         fresh = FilterRefineEngine(
-            [self._sets[oid] for oid in oids],
-            capacity=self.capacity,
-            omega=self.omega,
-            oids=oids,
+            sets, capacity=self.capacity, omega=self.omega, oids=oids
         )
         if engine.digest() != fresh.digest():
             raise InvariantError(
@@ -557,7 +572,7 @@ class SimilarityDatabase:
                 f"dimension mismatch: database holds {self.dimension}-d "
                 f"elements, got {arr.shape[1]}-d"
             )
-        return arr.copy()
+        return arr
 
     def _checked_query(self, query, **args) -> np.ndarray:
         """Validate one query at the database boundary: the arguments
@@ -599,19 +614,16 @@ class SimilarityDatabase:
             self._hamming = HammingIndex(self._sketcher.words)
 
     def _ensure_mutable_index(self) -> None:
-        """Inflate a zero-copy loaded array core into the pointer tree.
-
-        Mutations need the pointer structures; a database whose index
-        came straight off an mmapped dense snapshot materializes them
-        here, on the first mutation, never earlier.
-        """
+        """Inflate the array core a snapshot opened as into the pointer
+        tree: mutations need the pointer structures, so they are
+        materialized here, on the first mutation, never earlier."""
         if self._index is not None and hasattr(self._index, "inflate"):
             self._index = self._index.inflate()
 
     def _query_index(self):
         """The object queries rank with: the array core mirroring the
         live tree (densified lazily, invalidated by mutations) or the
-        zero-copy loaded core itself."""
+        core a snapshot opened as."""
         index = self._index
         if hasattr(index, "serialized"):  # already an array core
             return index
@@ -652,18 +664,26 @@ class SimilarityDatabase:
         oid = check_object_id(oid)
         arr = self._as_set(vectors)
         with self._lock.write(timeout=self.lock_timeout):
-            if oid in self._sets:
+            if oid in self:
                 raise QueryError(f"object id {oid} already present")
             self._ensure_dimension(arr)
             centroid = extended_centroid(arr, self.capacity, self.omega)
             self._wal_log(op, oid=oid, array=arr)
             with span("db.mutate", op=op):
                 self._index_insert(oid, centroid)
-            self._sets[oid] = arr
-            self._centroids[oid] = centroid
             if self._hamming is not None:
                 self._hamming.add(oid, self._sketcher.sketch(arr))
-            if self._engine is not None:
+            if self._engine is None:
+                # Created under the write lock: no reader can see it half built.
+                self._engine = FilterRefineEngine(
+                    [arr],
+                    capacity=self.capacity,
+                    omega=self.omega,
+                    block_size=self.block_size,
+                    oids=[oid],
+                    centroids=centroid[None, :],
+                )
+            else:
                 self._engine.add(oid, arr, centroid)
             self._bump("add")
 
@@ -690,18 +710,16 @@ class SimilarityDatabase:
         self._check_open()
         oid = check_object_id(oid)
         with self._lock.write(timeout=self.lock_timeout):
-            if oid not in self._sets:
+            if oid not in self:
                 return False
             self._wal_log("remove", oid=oid)
             with span("db.mutate", op="remove"):
-                self._index_delete(oid, self._centroids[oid])
-            del self._sets[oid]
-            del self._centroids[oid]
+                self._index_delete(oid, self._engine.centroid_of(oid))
             if self._hamming is not None:
                 self._hamming.remove(oid)
-            if not self._sets:
+            if len(self._engine) == 1:
                 self._engine = None  # an engine is never empty
-            elif self._engine is not None:
+            else:
                 self._engine.remove(oid)
             self._bump("remove")
             return True
@@ -712,19 +730,16 @@ class SimilarityDatabase:
         oid = check_object_id(oid)
         arr = self._as_set(vectors)
         with self._lock.write(timeout=self.lock_timeout):
-            if oid not in self._sets:
+            if oid not in self:
                 raise QueryError(f"no object with id {oid}")
             centroid = extended_centroid(arr, self.capacity, self.omega)
             self._wal_log("update", oid=oid, array=arr)
             with span("db.mutate", op="update"):
-                self._index_delete(oid, self._centroids[oid])
+                self._index_delete(oid, self._engine.centroid_of(oid))
                 self._index_insert(oid, centroid)
-            self._sets[oid] = arr
-            self._centroids[oid] = centroid
             if self._hamming is not None:
                 self._hamming.update(oid, self._sketcher.sketch(arr))
-            if self._engine is not None:
-                self._engine.replace(oid, arr, centroid)
+            self._engine.replace(oid, arr, centroid)
             self._bump("update")
 
     def compact(self) -> None:
@@ -746,67 +761,39 @@ class SimilarityDatabase:
             self._bump("compact")
 
     def _compact_locked(self) -> None:
-        with span("db.compact", objects=len(self._sets), force=True):
+        with span("db.compact", objects=len(self), force=True):
             index = self._make_index(self.dimension)
-            for oid in sorted(self._sets):
-                index.insert(self._centroids[oid], oid)
-            self._index = index
+            if self._engine is not None:
+                oids, _, _, centroids = self._engine.ragged()
+                for oid, centroid in zip(oids.tolist(), centroids):
+                    index.insert(centroid, oid)
             if self._sketcher is not None:
                 # Rebuild the sketch tier the same way — the result must
                 # be byte-identical to the incrementally maintained one
                 # (the differential harness compares digests).
-                hamming = HammingIndex(self._sketcher.words)
-                for oid in sorted(self._sets):
-                    hamming.add(oid, self._sketcher.sketch(self._sets[oid]))
-                self._hamming = hamming
+                self._hamming = self._sketched()
+            self._index = index
+
+    def _sketched(self) -> HammingIndex:
+        """A sketch tier built from the stored sets, ascending oid."""
+        hamming = HammingIndex(self._sketcher.words)
+        if self._engine is not None:
+            oids, offsets, rows, _ = self._engine.ragged()
+            for oid, arr in zip(oids.tolist(), np.split(rows, offsets[1:-1])):
+                hamming.add(oid, self._sketcher.sketch(arr))
+        return hamming
 
     def _bump(self, op: str) -> None:
         self._version += 1
         reg = registry()
         if reg.enabled:
             reg.counter(f"db.mutations.{op}").inc()
-            reg.gauge("db.size").set(len(self._sets))
+            reg.gauge("db.size").set(len(self))
 
     # -- queries -----------------------------------------------------------
 
     def _empty_result(self) -> tuple[list[QueryMatch], QueryStats]:
         return [], QueryStats()
-
-    def _ensure_engine(self) -> FilterRefineEngine:
-        """The refinement engine: packed from the store by the first
-        query that needs it, kept current by every mutation after that.
-
-        Readers can race only for that first build, which the mutex
-        serializes; a writer (exclusive) never overlaps them."""
-        engine = self._engine
-        if engine is None:
-            with self._engine_lock:
-                engine = self._engine
-                if engine is None:
-                    engine = self._engine = self._build_engine()
-        return engine
-
-    def _build_engine(self) -> FilterRefineEngine:
-        """One ragged pack of the stored sets beside the centroids the
-        store already holds; nothing is recomputed per object."""
-        oids = list(self._sets)
-        sets = list(self._sets.values())
-        packed = PackedSets.from_ragged(
-            np.concatenate(sets),
-            np.fromiter(map(len, sets), dtype=np.intp, count=len(sets)),
-            self.capacity,
-            self.omega,
-        )
-        registry().counter("db.engine_rebuilds").inc()
-        return FilterRefineEngine(
-            packed,
-            capacity=self.capacity,
-            block_size=self.block_size,
-            oids=oids,
-            centroids=np.concatenate(
-                list(map(self._centroids.__getitem__, oids))
-            ).reshape(len(oids), -1),
-        )
 
     def _query_context(self, mode: str):
         """Wide-event context for one query: backend, mode, database
@@ -823,32 +810,30 @@ class SimilarityDatabase:
         )
 
     def _knn_locked(self, arr, n_neighbors: int):
-        if not self._sets:
+        if self._engine is None:
             return self._empty_result()
         with self._query_context("exact"):
-            return self._ensure_engine().knn_query(
+            return self._engine.knn_query(
                 arr, n_neighbors, centroid_ranker=self._query_index().ranking_chunks
             )
 
     def _range_locked(self, arr, epsilon: float):
-        if not self._sets:
+        if self._engine is None:
             return self._empty_result()
         with self._query_context("exact"):
-            return self._ensure_engine().range_query(
+            return self._engine.range_query(
                 arr, epsilon, centroid_ranker=self._query_index().ranking_chunks
             )
 
     def _approx_knn_locked(self, arr, n_neighbors: int, shortlist: int | None):
-        if not self._sets:
+        if self._engine is None:
             return self._empty_result()
         if self._hamming is None:
             raise QueryError(
                 "approx queries need the sketch tier; this database was "
                 "built with sketch=False"
             )
-        engine = ApproxFilterRefineEngine(
-            self._ensure_engine(), self._sketcher, self._hamming
-        )
+        engine = ApproxFilterRefineEngine(self._engine, self._sketcher, self._hamming)
         with self._query_context("approx"):
             return engine.knn_query(arr, n_neighbors, shortlist=shortlist)
 
@@ -915,27 +900,12 @@ class SimilarityDatabase:
 
         Caller must hold either lock side.
         """
-        oids = sorted(self._sets)
-        dimension = self.dimension or 0
-        row_counts = [len(self._sets[oid]) for oid in oids]
-        offsets = np.zeros(len(oids) + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=offsets[1:])
-        data = (
-            np.concatenate([self._sets[oid] for oid in oids], axis=0)
-            if oids
-            else np.empty((0, dimension))
-        )
-        centroids = (
-            np.vstack([self._centroids[oid] for oid in oids])
-            if oids
-            else np.empty((0, dimension))
-        )
-        arrays = {
-            "set_oids": np.asarray(oids, dtype=np.int64),
-            "set_row_offsets": offsets,
-            "set_data": np.ascontiguousarray(data, dtype=np.float64),
-            "centroids": np.ascontiguousarray(centroids, dtype=np.float64),
-        }
+        if self._engine is None:
+            no_rows = np.empty((0, self.dimension or 0))
+            stored = (self._oids(), np.zeros(1, dtype=np.int64), no_rows, no_rows)
+        else:
+            stored = self._engine.ragged()
+        arrays = dict(zip(_SET_ARRAYS, stored))
         index_meta = None
         if self._index is not None:
             index_meta, index_arrays = serialize_index(self._index)
@@ -989,7 +959,7 @@ class SimilarityDatabase:
 
         ``dense=True`` writes the flat mmap-able container of
         :mod:`repro.index.dense` instead of an ``.npz`` archive, so
-        :meth:`load` maps the node tables and feature store zero-copy.
+        :meth:`load` maps the index node tables and sketch codes zero-copy.
         Default: whatever format this database was loaded from (``.npz``
         for a fresh database).  Durable checkpoints always use ``.npz``.
         """
@@ -1011,8 +981,8 @@ class SimilarityDatabase:
                 result = write_dense_archive(path, meta, arrays)
             else:
                 result = write_archive(path, meta, arrays)
-            sp.set(objects=len(self._sets))
-        emit("db.snapshot", op="save", objects=len(self._sets), path=str(path))
+            sp.set(objects=len(self))
+        emit("db.snapshot", op="save", objects=len(self), path=str(path))
         return result
 
     def checkpoint(self) -> Path:
@@ -1053,11 +1023,11 @@ class SimilarityDatabase:
                 keep_generations=self.keep_generations,
             )
             registry().counter("db.checkpoints").inc()
-            sp.set(objects=len(self._sets), generation=next_generation)
+            sp.set(objects=len(self), generation=next_generation)
         emit(
             "db.checkpoint",
             generation=next_generation,
-            objects=len(self._sets),
+            objects=len(self),
             retired=len(retired),
             path=str(snapshot_path),
         )
@@ -1075,17 +1045,17 @@ class SimilarityDatabase:
     ) -> "SimilarityDatabase":
         """Reconstruct a database from :meth:`save` output.
 
-        A snapshot *file* loads directly; the index comes back
-        node-for-node identical to the saved one — no ``insert`` is
-        ever called, so the first query runs against the exact
-        structure the previous process built (asserted by the snapshot
-        tests through ``structure_digest`` equality).
+        A snapshot *file* loads directly: the stored sets are packed
+        into the engine by one ragged scatter, and the index is served
+        by an array core over the saved node tables — no ``insert`` is
+        ever called and no pointer tree materialized, so the first query
+        runs against the exact structure the previous process built
+        (asserted by the snapshot tests through ``structure_digest``
+        equality); the first mutation inflates the tree lazily.
 
-        A *dense* snapshot file (:meth:`save` with ``dense=True``) loads
-        zero-copy: sets, centroids and the index node tables stay mmap
-        views over the file, the index is served by an array core with
-        no pointer tree materialized at all, and the first mutation
-        inflates the tree lazily.
+        A *dense* snapshot file (:meth:`save` with ``dense=True``) maps
+        the index node tables and the sketch codes zero-copy: they stay
+        mmap views over the file.
 
         A durable *directory* runs the recovery ladder (see the module
         docstring); the result's :attr:`last_recovery` reports which
@@ -1117,28 +1087,37 @@ class SimilarityDatabase:
                 model=model,
                 pipeline=pipeline,
                 cache=cache,
-                zero_copy=dense,
             )
             db.lock_timeout = lock_timeout
-            sp.set(objects=len(db._sets))
-        emit("db.snapshot", op="load", objects=len(db._sets), path=str(path))
+            db._snapshot_dense = dense
+            sp.set(objects=len(db))
+        emit("db.snapshot", op="load", objects=len(db), path=str(path))
         return db
 
     @classmethod
     def _from_archive(
-        cls, path, meta, arrays, *, model, pipeline, cache, zero_copy=False
+        cls, path, meta, arrays, *, model, pipeline, cache
     ) -> "SimilarityDatabase":
         """Build a database from one (meta, arrays) archive payload.
 
-        With ``zero_copy=True`` (dense snapshots) the sets, centroids
-        and index arrays are stored as read-only views over the caller's
-        buffers — for an mmapped file nothing is copied, and the index
-        becomes an array core instead of a reconstructed pointer tree.
+        A CRC-valid payload can still be inconsistent; it is validated
+        here, once, and every fault is a :class:`StorageError` naming the
+        file and the meta key or arrays.  The sets are packed into the
+        engine by one ragged scatter and the index becomes an array core
+        over the saved node tables (views of the caller's buffers — of
+        the mmap, for a dense snapshot).
         """
+
+        def malformed(what) -> StorageError:
+            return StorageError(f"{path}: malformed snapshot: {what}")
+
         if meta.get("version") != DB_VERSION:
             raise StorageError(
                 f"{path}: unsupported database version {meta.get('version')!r}"
             )
+        for key in _REQUIRED_META:
+            if key not in meta:
+                raise malformed(f"meta key {key!r} is missing")
         if pipeline is None and meta.get("resolution"):
             from repro.pipeline import Pipeline
 
@@ -1156,26 +1135,31 @@ class SimilarityDatabase:
             sketch=bool(meta.get("sketch_enabled", True)),
             sketch_params=meta.get("sketch_params"),
         )
-        try:
-            oids = [int(oid) for oid in arrays["set_oids"]]
-            offsets = arrays["set_row_offsets"]
-            # Plain-ndarray views over the same buffers: slicing an
-            # np.memmap subclass pays __array_finalize__ per slice, and
-            # every downstream kernel would inherit the subclass.  The
-            # .base chain still pins the mmap, so this stays zero-copy.
-            data = arrays["set_data"].view(np.ndarray)
-            centroids = arrays["centroids"].view(np.ndarray)
-            for pos, oid in enumerate(oids):
-                block = data[int(offsets[pos]) : int(offsets[pos + 1])]
-                db._sets[oid] = block if zero_copy else block.copy()
-                db._centroids[oid] = (
-                    centroids[pos] if zero_copy else centroids[pos].copy()
-                )
-        except (KeyError, IndexError) as exc:
-            raise StorageError(f"{path}: truncated snapshot: {exc}") from exc
         db.dimension = meta["dimension"]
         if db.dimension is not None and db.omega is None:
             db.omega = np.zeros(db.dimension)
+        try:
+            oids, offsets, rows, centroids = (arrays[name] for name in _SET_ARRAYS)
+        except KeyError as exc:
+            raise malformed(f"array {exc} is missing") from exc
+        if offsets.shape != (len(oids) + 1,) or offsets[0] or offsets[-1] != len(rows):
+            raise malformed(
+                f"'set_row_offsets' does not split 'set_data' {rows.shape} "
+                f"into {len(oids)} sets"
+            )
+        if len(oids):
+            try:
+                db._engine = FilterRefineEngine(
+                    PackedSets.from_ragged(
+                        rows, np.diff(offsets), db.capacity, db.omega
+                    ),
+                    capacity=db.capacity,
+                    block_size=db.block_size,
+                    oids=oids,
+                    centroids=centroids,
+                )
+            except (DistanceError, QueryError) as exc:
+                raise malformed(f"{' / '.join(_SET_ARRAYS)}: {exc}") from exc
         if meta["index_meta"] is not None and backend != meta["backend"]:
             # A retired backend's index arrays are never parsed: the index
             # a fresh build of the mapped backend would hold is rebuilt
@@ -1183,31 +1167,31 @@ class SimilarityDatabase:
             db._compact_locked()
         elif meta["index_meta"] is not None:
             prefix = "index__"
-            index_arrays = {
-                name[len(prefix) :]: arr
-                for name, arr in arrays.items()
-                if name.startswith(prefix)
-            }
-            if zero_copy:
-                from repro.index.arraycore import core_from_serialized
-
-                db._index = core_from_serialized(meta["index_meta"], index_arrays)
-            else:
-                db._index = reconstruct_index(meta["index_meta"], index_arrays)
-        db._restore_sketches(meta, arrays, zero_copy=zero_copy)
+            try:
+                db._index = core_from_serialized(
+                    meta["index_meta"],
+                    {
+                        name[len(prefix) :]: arr
+                        for name, arr in arrays.items()
+                        if name.startswith(prefix)
+                    },
+                )
+            except (KeyError, IndexError_) as exc:
+                raise malformed(f"index tables: {exc}") from exc
+        db._restore_sketches(meta, arrays)
         db._version = meta["db_version"]
-        db._snapshot_dense = bool(zero_copy)
         return db
 
-    def _restore_sketches(self, meta: dict, arrays: dict, *, zero_copy: bool) -> None:
+    def _restore_sketches(self, meta: dict, arrays: dict) -> None:
         """Rehydrate the sketch tier from snapshot arrays.
 
         Snapshots written before the approx tier existed carry no
         ``sketch__*`` arrays; sketching is then rebuilt from the stored
         sets (same seed → same bits, so the rebuilt tier is identical to
-        what the writing process *would* have persisted).  Zero-copy
-        loads keep the code matrix as a read-only view: every Hamming
-        mutation path reallocates, so mmapped buffers are never written.
+        what the writing process *would* have persisted).  The code
+        matrix stays a view of the caller's buffer (read-only for an
+        mmapped file): every Hamming mutation path reallocates, so it is
+        never written.
         """
         if not self.sketch_enabled:
             return
@@ -1219,10 +1203,8 @@ class SimilarityDatabase:
             self._hamming = HammingIndex.from_arrays(
                 np.asarray(arrays["sketch__oids"], dtype=np.int64),
                 arrays["sketch__codes"].view(np.ndarray),
-                copy=not zero_copy,
             )
-            stored = set(self._hamming.oids.tolist())
-            if stored != set(self._sets):
+            if not np.array_equal(self._hamming.oids, self._oids()):
                 raise StorageError(
                     "snapshot sketch tier does not cover the stored objects"
                 )
@@ -1230,8 +1212,7 @@ class SimilarityDatabase:
         if self.dimension is None:
             return
         self._ensure_sketcher()
-        for oid in sorted(self._sets):
-            self._hamming.add(oid, self._sketcher.sketch(self._sets[oid]))
+        self._hamming = self._sketched()
 
     # -- durable recovery --------------------------------------------------
 
@@ -1280,14 +1261,10 @@ class SimilarityDatabase:
             self.remove(oid)
             return
         arr = record["array"]
-        if oid in self._sets:
-            if np.array_equal(self._sets[oid], arr):
-                return
+        if oid not in self:
+            self.add(oid, arr)
+        elif not np.array_equal(self._engine.get(oid), arr):
             self.update(oid, arr)
-        elif op == "update":
-            self.add(oid, arr)
-        else:
-            self.add(oid, arr)
 
     @classmethod
     def _load_durable(
@@ -1389,7 +1366,7 @@ class SimilarityDatabase:
                 report.replayed_records
             )
             sp.set(
-                objects=len(db._sets),
+                objects=len(db),
                 generation=report.used_generation,
                 fallbacks=report.fallbacks,
             )

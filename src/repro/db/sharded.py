@@ -378,19 +378,22 @@ class ShardedSimilarityDatabase:
         with ExitStack() as stack:
             for shard in self.shards:
                 stack.enter_context(shard._lock.write(timeout=self.lock_timeout))
-            items: dict[int, np.ndarray] = {}
+            stored: list[tuple[int, np.ndarray]] = []
             for shard in self.shards:
-                items.update(shard._sets)
+                if shard._engine is not None:
+                    oids, offsets, rows, _ = shard._engine.ragged()
+                    stored.extend(zip(oids.tolist(), np.split(rows, offsets[1:-1])))
+            stored.sort(key=lambda item: item[0])
             fresh = [self._fresh_shard() for _ in range(new_shards)]
-            for oid in sorted(items):
-                fresh[shard_of(oid, new_shards)].add(oid, items[oid])
+            for oid, arr in stored:
+                fresh[shard_of(oid, new_shards)].add(oid, arr)
             self.shards = fresh
             self.n_shards = new_shards
             self._shard_paths = None
             self._saved_versions = None
         if registry().enabled:
             registry().counter("db.sharded.reshards").inc()
-        emit("db.reshard", shards=new_shards, objects=len(items))
+        emit("db.reshard", shards=new_shards, objects=len(stored))
 
     # -- scatter-gather queries ---------------------------------------------
 
@@ -606,7 +609,7 @@ class ShardedSimilarityDatabase:
                     continue
                 with self._shard_ctx(i):
                     per_shard.append(
-                        self.shards[i]._ensure_engine().knn_refine_subset(
+                        self.shards[i]._engine.knn_refine_subset(
                             arr, n_neighbors, owned
                         )
                     )
@@ -776,7 +779,7 @@ class ShardedSimilarityDatabase:
             for shard, shard_path in zip(self.shards, shard_paths):
                 write(shard_path, *shard._snapshot_state())
             versions = [shard.version for shard in self.shards]
-            objects = sum(len(shard._sets) for shard in self.shards)
+            objects = len(self)
             self._write_manifest(root)
             # A layout saved with more shards before a reshard would
             # otherwise leave orphan archives past the manifest's K.
@@ -837,8 +840,8 @@ class ShardedSimilarityDatabase:
         Durable layouts run the per-shard recovery ladder;
         :attr:`last_recovery` is then the list of per-shard
         :class:`~repro.db.core.RecoveryReport` objects.  Non-durable
-        layouts load each shard archive with its index reassembled
-        node-for-node.  With no *pipeline* given, the one the layout was
+        layouts load each shard archive with its index served from the
+        saved node tables.  With no *pipeline* given, the one the layout was
         created with is rebuilt from the manifest's ``resolution``.
         """
         root = Path(path)

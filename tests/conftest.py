@@ -79,9 +79,9 @@ def random_vector_sets(rng, count, dim=6, max_size=7):
 
 def assert_engine_is_fresh(db):
     """Incremental == fresh for one ``SimilarityDatabase``: every
-    structure mirrors the object store and, once a query has packed an
-    engine, its digest is that of a from-scratch ``FilterRefineEngine``
+    structure mirrors the engine's rows (the object store) and the
+    engine's digest is that of a from-scratch ``FilterRefineEngine``
     over the same contents — ``check_invariants`` makes that comparison;
-    the states without an engine are told apart here."""
+    an engine exists exactly while the database holds an object."""
     db.check_invariants()
     assert (db.engine_digest() == "empty") == (not len(db))

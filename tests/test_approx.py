@@ -323,9 +323,9 @@ class ApproxDifferentialMachine(RuleBasedStateMachine):
 
     @rule(dense=st.booleans())
     def reload(self, dense):
-        """Save and reopen: the next query packs an engine from the
-        loaded (for a dense snapshot: mmapped) store, and the steps
-        after it maintain that one."""
+        """Save and reopen: the open packs an engine from the stored
+        (for a dense snapshot: mmapped) arrays, and the steps after it
+        maintain that one."""
         path = os.path.join(self.tmp.name, "dense.db" if dense else "db.npz")
         self.db.save(path, dense=dense)
         self.db = SimilarityDatabase.load(path)

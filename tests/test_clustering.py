@@ -5,7 +5,6 @@ import pytest
 
 from repro.clustering.optics import (
     ClusterOrdering,
-    distance_rows_from_function,
     distance_rows_from_matrix,
     distance_rows_from_sets,
     optics,
@@ -84,33 +83,6 @@ class TestOptics:
         )
         # The jump between the two far clusters must be infinite now.
         assert np.isinf(ordering.reachability).sum() >= 2
-
-    def test_distance_rows_from_function(self, rng):
-        points, _ = blobs(rng, [(0, 0)], n_per=10, n_noise=0)
-        rows_fn = distance_rows_from_function(
-            list(points), lambda a, b: float(np.linalg.norm(a - b))
-        )
-        assert np.allclose(rows_fn(0), np.linalg.norm(points - points[0], axis=1))
-
-    def test_distance_rows_from_function_lru_cache(self, rng):
-        points, _ = blobs(rng, [(0, 0)], n_per=10, n_noise=0)
-        calls = []
-
-        def distance(a, b):
-            calls.append(1)
-            return float(np.linalg.norm(a - b))
-
-        rows_fn = distance_rows_from_function(
-            list(points), distance, max_cache_rows=2
-        )
-        first = rows_fn(0)
-        assert np.array_equal(rows_fn(0), first)  # served from cache
-        assert len(calls) == len(points)
-        rows_fn(1)
-        rows_fn(2)  # evicts row 0 (LRU, capacity 2)
-        calls.clear()
-        rows_fn(0)
-        assert len(calls) == len(points)
 
     def test_distance_rows_from_sets_matches_per_pair(self, rng):
         from repro.core.min_matching import min_matching_distance

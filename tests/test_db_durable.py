@@ -116,10 +116,16 @@ def fresh_build(plan, backend):
     return db
 
 
+def same_contents(recovered, reference) -> bool:
+    """Same object ids holding bit-equal sets, read through the public surface."""
+    oids = reference.object_ids()
+    return recovered.object_ids() == oids and all(
+        np.array_equal(recovered.get(oid), reference.get(oid)) for oid in oids
+    )
+
+
 def assert_equivalent(recovered, reference, rng):
-    assert sorted(recovered._sets) == sorted(reference._sets)
-    for oid in reference._sets:
-        np.testing.assert_array_equal(recovered._sets[oid], reference._sets[oid])
+    assert same_contents(recovered, reference)
     for _ in range(3):
         query = rand_set(rng)
         got, _ = recovered.knn_query(query, 5)
@@ -140,12 +146,7 @@ def matches_some_prefix(recovered, plan, backend, floor, rng) -> bool:
     acknowledged, at most everything attempted."""
     for upto in range(floor, len(plan) + 1):
         reference = fresh_build(plan[:upto], backend)
-        if sorted(recovered._sets) != sorted(reference._sets):
-            continue
-        if all(
-            np.array_equal(recovered._sets[oid], reference._sets[oid])
-            for oid in reference._sets
-        ):
+        if same_contents(recovered, reference):
             assert_equivalent(recovered, reference, rng)
             return True
     return False
@@ -178,7 +179,7 @@ class TestDurableRoundtrip:
         recovered = SimilarityDatabase.load(dbdir)
         assert recovered.last_recovery.used_generation == 0
         assert recovered.last_recovery.replayed_records == 8
-        assert sorted(recovered._sets) == sorted(sets)
+        assert recovered.object_ids() == sorted(sets)
         recovered.close()
 
     def test_mutations_after_recovery_are_durable(self, tmp_path, rng):
@@ -190,7 +191,7 @@ class TestDurableRoundtrip:
         second.add(1, rand_set(rng))
         second.close()
         third = SimilarityDatabase.load(dbdir)
-        assert sorted(third._sets) == [0, 1]
+        assert third.object_ids() == [0, 1]
         third.close()
 
     def test_checkpoint_rotates_and_retires(self, tmp_path, rng):
@@ -208,7 +209,7 @@ class TestDurableRoundtrip:
         assert segments == ["wal-00000003.log", "wal-00000004.log"]
         db.close()
         recovered = SimilarityDatabase.load(dbdir)
-        assert sorted(recovered._sets) == [0, 1, 2, 3]
+        assert recovered.object_ids() == [0, 1, 2, 3]
         recovered.close()
 
     def test_durable_save_is_checkpoint_and_export_still_works(
@@ -225,7 +226,7 @@ class TestDurableRoundtrip:
         db.close()
         exported = SimilarityDatabase.load(export)
         assert not exported.durable
-        assert sorted(exported._sets) == [0]
+        assert exported.object_ids() == [0]
 
     @pytest.mark.parametrize("layout", ["plain", "2-shard"])
     def test_mutations_after_close_are_rejected_typed(
@@ -302,7 +303,7 @@ class TestRecoveryLadder:
             apply_step(db, step)
         db.checkpoint()
         db.add(900, rand_set(rng))  # tail mutation beyond the last snapshot
-        plan.append(("add", 900, db._sets[900]))
+        plan.append(("add", 900, db.get(900)))
         db.close()
         return plan
 
@@ -463,7 +464,7 @@ class TestInProcessCrashPoints:
         recovered = SimilarityDatabase.load(dbdir)
         # CURRENT was never republished: still generation 0, state intact.
         assert recovered.last_recovery.requested_generation == 0
-        assert sorted(recovered._sets) == [0]
+        assert recovered.object_ids() == [0]
         recovered.checkpoint()
         assert recovered.generation == 1
         recovered.close()
@@ -602,9 +603,7 @@ class TestDurabilityProperties:
                 apply_step(db, step)
             db.close()
             recovered = SimilarityDatabase.load(dbdir)
-            before = {
-                oid: arr.copy() for oid, arr in recovered._sets.items()
-            }
+            before = {oid: recovered.get(oid) for oid in recovered.object_ids()}
             # Replay the whole surviving chain a second time: the
             # recovered state must not move.
             recovered._replaying = True
@@ -614,9 +613,9 @@ class TestDurabilityProperties:
                         recovered._apply_replay(record)
             finally:
                 recovered._replaying = False
-            assert sorted(recovered._sets) == sorted(before)
+            assert recovered.object_ids() == sorted(before)
             for oid, arr in before.items():
-                np.testing.assert_array_equal(recovered._sets[oid], arr)
+                np.testing.assert_array_equal(recovered.get(oid), arr)
             query = rand_set(rng)
             reference = fresh_build(plan, "xtree")
             got, _ = recovered.knn_query(query, 4)

@@ -96,6 +96,17 @@ def flip_code_word(db, oid):
     db._hamming.update(oid, code)
 
 
+def shift_centroid(db, oid):
+    """Move the stored centroid of *oid* off its set's extended centroid."""
+    db._engine.centroid_of(oid)[:] += 0.5
+
+
+def engine_row(db, oid):
+    """The live ``(padded set, squared norms)`` rows of *oid*."""
+    packed, row = db._engine._packed, db._engine._row_of[oid]
+    return packed.data[row], packed.sq_norms[row]
+
+
 def results_tuple(results):
     return [(m.object_id, m.distance) for m in results]
 
@@ -221,36 +232,54 @@ class TestEngineInvalidation:
         results, _ = db.knn_query(a, 5)
         assert {m.distance for m in results} == {0.0}
 
-    def test_engine_rebuilds_are_lazy_and_batched(self, rng):
-        """The engine is packed once, by the first query, and from then
-        on maintained in place: no mutation or query builds another."""
+    def test_engine_rebuilds_are_lazy_and_batched(self, rng, tmp_path, monkeypatch):
+        """One ``FilterRefineEngine.__init__`` per open, per first add and
+        per add after the database was emptied - the engine is the object
+        store - and none ever inside a query or any other mutation."""
+        from repro.core.queries import FilterRefineEngine
+
+        builds = []
+        init = FilterRefineEngine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FilterRefineEngine, "__init__", counting_init)
         db = SimilarityDatabase(CAPACITY, backend="rstar", index_capacity=4)
-        with capture_metrics() as reg:
-            builds = reg.counter("db.engine_rebuilds")
-            for oid in range(8):
-                db.add(oid, rand_set(rng))
-            assert builds.value == 0
-            db.knn_query(rand_set(rng), 2)
-            assert builds.value == 1
-            for step in range(50):
-                if step % 3 == 0:
-                    db.add(100 + step, rand_set(rng))
-                elif step % 3 == 1:
-                    db.update(db.object_ids()[step % len(db)], rand_set(rng))
-                else:
-                    assert db.remove(db.object_ids()[step % len(db)])
-                query = rand_set(rng)
-                db.knn_query(query, 2)
-                db.knn_query(query, 2, mode="approx", shortlist=4)
-                db.range_query(query, 3.0)
-            assert builds.value == 1
-            # Only emptying the database drops the engine.
-            for oid in db.object_ids():
-                db.remove(oid)
-            db.add(0, rand_set(rng))
-            assert builds.value == 1
-            db.knn_query(rand_set(rng), 2)
-            assert builds.value == 2
+        assert not builds
+        for oid in range(8):
+            db.add(oid, rand_set(rng))
+            assert len(builds) == 1  # the first add's
+        for step in range(50):
+            if step % 3 == 0:
+                db.add(100 + step, rand_set(rng))
+            elif step % 3 == 1:
+                db.update(db.object_ids()[step % len(db)], rand_set(rng))
+            else:
+                assert db.remove(db.object_ids()[step % len(db)])
+            query = rand_set(rng)
+            db.knn_query(query, 2)
+            db.knn_query(query, 2, mode="approx", shortlist=4)
+            db.range_query(query, 3.0)
+        db.compact()
+        assert len(builds) == 1
+        for dense in (False, True):
+            db.save(tmp_path / "db.snap", dense=dense)
+            del builds[:]
+            opened = SimilarityDatabase.load(tmp_path / "db.snap")
+            assert len(builds) == 1  # the open's
+            opened.knn_query(rand_set(rng), 2)
+            opened.add(999, rand_set(rng))
+            assert len(builds) == 1
+        # Only emptying the database drops the engine.
+        del builds[:]
+        for oid in db.object_ids():
+            db.remove(oid)
+        assert db.knn_query(rand_set(rng), 2)[0] == [] and not builds
+        db.add(0, rand_set(rng))
+        db.knn_query(rand_set(rng), 2)
+        assert len(builds) == 1
 
     @pytest.mark.parametrize("shards", [None, 2], ids=["plain", "2-shard"])
     @pytest.mark.parametrize("backend", ALL)
@@ -289,11 +318,9 @@ class TestEngineInvalidation:
             else:
                 contents[oid] = rng.integers(-8, 9, size=(rows, DIM)).astype(float)
                 getattr(db, op)(oid, contents[oid])
-            answers(db)  # every non-empty shard packs or keeps its engine
+            answers(db)
             for part in getattr(db, "shards", [db]):
                 assert_engine_is_fresh(part)
-                if len(part):
-                    assert part.engine_digest() != "unbuilt"
 
         for oid in range(20):  # per engine: 1 -> 2 -> 4 -> 8 -> 16 rows
             step("add", oid, 1 + oid % CAPACITY)
@@ -339,12 +366,12 @@ class TestEngineInvalidation:
         assert got == want
         assert got_events == want_events and got_events
         # The public digest: engines churned in place against the ones
-        # `fresh` packed from scratch at its first query.
+        # `fresh` grew by ascending-oid appends.
         digests = [
             [part.engine_digest() for part in getattr(target, "shards", [target])]
             for target in (db, fresh)
         ]
-        assert digests[0] == digests[1] and "unbuilt" not in digests[0]
+        assert digests[0] == digests[1] and "empty" not in digests[0]
 
     def test_mutation_counters(self, rng):
         db = SimilarityDatabase(CAPACITY, backend="scan")
@@ -363,7 +390,6 @@ class TestCheckInvariants:
     def make(self, rng, backend="xtree"):
         db = SimilarityDatabase(CAPACITY, backend=backend, index_capacity=4)
         churn(db, rng, adds=16, removes=3, updates=2)
-        db.knn_query(rand_set(rng), 3, mode="approx", shortlist=4)  # packs the engine
         return db
 
     @pytest.mark.parametrize("backend", ALL)
@@ -379,21 +405,28 @@ class TestCheckInvariants:
     @pytest.mark.parametrize(
         "tamper, message",
         [
-            (lambda db, oid: db._centroids.__setitem__(oid, db._centroids[oid] + 1.0),
-             "stored centroid of object"),
-            (lambda db, oid: db._centroids.pop(oid), "centroid table"),
-            (lambda db, oid: db._index.delete(db._centroids[oid], oid), "index holds"),
+            (shift_centroid, "stored centroid of object"),
+            (lambda db, oid: db._index.delete(db._engine.centroid_of(oid), oid),
+             "index holds"),
             (lambda db, oid: db._hamming.remove(oid), "sketch tier"),
             (flip_code_word, "sketch code of object"),
-            (lambda db, oid: db._engine.remove(oid), "engine rows and object store"),
-            (lambda db, oid: db._engine.replace(oid, np.ones((1, DIM))),
-             "engine rows differ"),
+            (lambda db, oid: db._engine.remove(oid), "index holds"),
+            (lambda db, oid: engine_row(db, oid)[0].__setitem__((-1, 0), 5.0),
+             "padded tail of object"),
+            (lambda db, oid: engine_row(db, oid)[1].__setitem__(0, -1.0),
+             "squared norms of object"),
+            (lambda db, oid: db._engine._row_of.__setitem__(
+                oid, (db._engine._row_of[oid] + 1) % len(db)), "not a bijection"),
         ],
-        ids=["centroid", "centroid-ids", "index", "sketch", "sketch-code",
-             "engine-ids", "engine-row"],
+        ids=["centroid", "index", "sketch", "sketch-code", "engine-ids",
+             "engine-row", "sq-norm", "row-map"],
     )
     def test_names_the_first_disagreement(self, rng, tamper, message):
+        """The faults that can still occur with one copy of every object:
+        the engine's buffers against each other, and the index and the
+        sketch tier against the engine's rows."""
         db = self.make(rng)
+        db.update(db.object_ids()[2], np.ones((1, DIM)))  # a row with a padded tail
         tamper(db, db.object_ids()[2])
         with pytest.raises(InvariantError, match=message):
             db.check_invariants()
@@ -407,8 +440,7 @@ class TestCheckInvariants:
         db = self.make(rng)
         good, bad = tmp_path / "good.db", tmp_path / "bad.db"
         db.save(good, dense=dense)
-        oid = db.object_ids()[2]
-        db._centroids[oid] = db._centroids[oid] + 0.5
+        shift_centroid(db, db.object_ids()[2])
         db.save(bad, dense=dense)
         assert main(["db", "verify", str(good)]) == 0
         assert main(["db", "verify", str(bad)]) == 1
@@ -637,7 +669,6 @@ class TestValidation:
             assert len(results) == 2
         assert db.object_ids() == [1, 2]
         assert 1 in db and 99 not in db
-        np.testing.assert_array_equal(db.get(1), db._sets[1])
         with pytest.raises(QueryError):
             db.get(99)
 
@@ -839,6 +870,304 @@ print(json.dumps({
         assert len(loaded) == 0
         loaded.add(1, rand_set(rng))  # stays usable
         assert loaded.knn_query(rand_set(rng), 1)[0][0].object_id == 1
+
+
+def ragged_layout(contents):
+    """The object store's four snapshot arrays as the parent commit's
+    ``_snapshot_state`` built them, object by object from a dict."""
+    from repro.core.centroid import extended_centroid
+
+    oids = sorted(contents)
+    offsets = np.zeros(len(oids) + 1, dtype=np.int64)
+    np.cumsum([len(contents[oid]) for oid in oids], out=offsets[1:])
+    return {
+        "set_oids": np.asarray(oids, dtype=np.int64),
+        "set_row_offsets": offsets,
+        "set_data": np.concatenate([contents[oid] for oid in oids], axis=0),
+        "centroids": np.vstack(
+            [extended_centroid(contents[oid], CAPACITY) for oid in oids]
+        ),
+    }
+
+
+def read_snapshot(path):
+    if is_dense_archive(path):
+        return read_dense_archive(path, DB_FORMAT, mmap=False)
+    return read_archive(path, DB_FORMAT)
+
+
+def assert_same_arrays(got, want):
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+class TestOneCopyStore:
+    """The engine's rows are the object store: what is written, how a
+    snapshot opens, and what ``get`` hands out."""
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["npz", "dense"])
+    def test_snapshot_arrays_are_the_ascending_oid_ragged_layout(
+        self, rng, tmp_path, dense
+    ):
+        """Swap-with-last removals scramble the engine's rows; the file
+        still holds the ascending-oid layout, array for array."""
+        db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
+        contents = churn(db, rng)
+        assert db._engine.oids.tolist() != sorted(contents)  # rows are scrambled
+        db.save(tmp_path / "db.snap", dense=dense)
+        meta, arrays = read_snapshot(tmp_path / "db.snap")
+        want = ragged_layout(contents)
+        assert_same_arrays({name: arrays[name] for name in want}, want)
+        assert meta["db_version"] == db.version and meta["dimension"] == DIM
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["npz", "dense"])
+    def test_a_snapshot_in_the_parent_layout_opens_and_answers(
+        self, rng, tmp_path, dense
+    ):
+        """A snapshot assembled the way the parent commit wrote one -
+        per-object loops over a dict store, a pointer tree serialized
+        node by node - opens, answers like a fresh build and is written
+        back array for array."""
+        from repro.approx import HammingIndex, SetSketcher
+        from repro.index.snapshot import serialize_index
+
+        contents = {oid: rand_set(rng) for oid in (5, -3, 11, 2, 40, 7, 19, 23)}
+        arrays = ragged_layout(contents)
+        tree = XTree(DIM, capacity=4)
+        for oid, centroid in zip(arrays["set_oids"].tolist(), arrays["centroids"]):
+            tree.insert(centroid, oid)
+        index_meta, index_arrays = serialize_index(tree)
+        arrays.update({f"index__{name}": arr for name, arr in index_arrays.items()})
+        sketcher = SetSketcher(DIM)
+        hamming = HammingIndex(sketcher.words)
+        for oid in sorted(contents):
+            hamming.add(oid, sketcher.sketch(contents[oid]))
+        arrays["sketch__proj"] = np.ascontiguousarray(sketcher.projection)
+        arrays["sketch__oids"] = hamming.serialized()["oids"]
+        arrays["sketch__codes"] = hamming.serialized()["codes"]
+        meta = {
+            "format": DB_FORMAT, "version": 1, "capacity": CAPACITY,
+            "backend": "xtree", "dimension": DIM, "omega": [0.0] * DIM,
+            "block_size": 16, "index_capacity": 4, "db_version": 8,
+            "resolution": None, "index_meta": index_meta,
+            "sketch_enabled": True,
+            "sketch_meta": {**sketcher.params(), "digest": sketcher.digest()},
+        }
+        path = tmp_path / "parent.snap"
+        (write_dense_archive if dense else write_archive)(path, meta, arrays)
+
+        opened = open_database(path)
+        opened.check_invariants()
+        fresh = fresh_xtree(contents)
+        assert opened.version == 8 and opened.object_ids() == sorted(contents)
+        assert opened.engine_digest() == fresh.engine_digest()
+        for _ in range(4):
+            query = rand_set(rng)
+            for got, want in (
+                (opened.knn_query(query, 5), fresh.knn_query(query, 5)),
+                (opened.knn_query(query, 5, mode="approx", shortlist=6),
+                 fresh.knn_query(query, 5, mode="approx", shortlist=6)),
+                (opened.range_query(query, 6.0), fresh.range_query(query, 6.0)),
+            ):
+                assert results_tuple(got[0]) == results_tuple(want[0])
+                assert got[1] == want[1]
+        opened.save(tmp_path / "again.snap")
+        again_meta, again = read_snapshot(tmp_path / "again.snap")
+        assert is_dense_archive(tmp_path / "again.snap") == dense
+        assert_same_arrays(again, arrays)
+        assert {k: again_meta[k] for k in meta} == meta
+
+    @pytest.mark.parametrize("kind", ["npz", "dense", "durable", "sharded"])
+    def test_open_and_first_queries_build_no_tree(
+        self, kind, rng, tmp_path, monkeypatch
+    ):
+        """Every layout opens on array cores over the saved node tables:
+        no pointer tree is reconstructed, inserted into or flattened
+        until the first mutation, which inflates exactly once."""
+        import repro.index.arraycore as arraycore
+        import repro.index.snapshot as snapshot
+        from repro.db import shard_of
+
+        path = tmp_path / "db"
+        if kind == "durable":
+            db = SimilarityDatabase(
+                CAPACITY, backend="xtree", index_capacity=4, durable=True, path=path
+            )
+        elif kind == "sharded":
+            db = ShardedSimilarityDatabase(
+                CAPACITY, shards=2, backend="xtree", index_capacity=4
+            )
+        else:
+            db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
+        churn(db, rng, adds=24)
+        queries = [rand_set(rng) for _ in range(3)]
+
+        def answers(target):
+            return [
+                (results_tuple(r), stats)
+                for query in queries
+                for r, stats in (
+                    target.knn_query(query, 5),
+                    target.knn_query(query, 5, mode="approx", shortlist=8),
+                    target.range_query(query, 6.0),
+                )
+            ]
+
+        want = answers(db)
+        if kind == "durable":
+            db.checkpoint()
+            db.close()
+        else:
+            db.save(path, dense=kind == "dense")
+
+        def boom(*args, **kwargs):
+            raise AssertionError("open / first query built a pointer tree")
+
+        reconstruct = snapshot.reconstruct_index
+        with monkeypatch.context() as patched:
+            patched.setattr(snapshot, "reconstruct_index", boom)
+            patched.setattr(arraycore, "densify", boom)
+            patched.setattr(RStarTree, "insert", boom)  # XTree inherits
+            opened = open_database(path)
+            assert answers(opened) == want
+        inflations = []
+
+        def counting(*args, **kwargs):
+            inflations.append(1)
+            return reconstruct(*args, **kwargs)
+
+        monkeypatch.setattr(snapshot, "reconstruct_index", counting)
+        added = (900, 901, 902, 903)
+        for oid in added:
+            opened.add(oid, rand_set(rng))
+            opened.knn_query(queries[0], 3)
+        shards = {shard_of(oid, 2) for oid in added} if kind == "sharded" else {0}
+        assert len(inflations) == len(shards)
+        for part in getattr(opened, "shards", [opened]):
+            part.check_invariants()
+        opened.close()
+
+    def test_get_returns_an_owned_bit_equal_copy(self, rng, tmp_path):
+        """Smaller than, equal to and (rejected) larger than capacity."""
+        db = SimilarityDatabase(CAPACITY, backend="scan")
+        added = {
+            1: rng.normal(size=(1, DIM)),
+            2: rng.normal(size=(CAPACITY, DIM)),
+            3: rng.normal(size=(2, DIM)),
+        }
+        for oid, arr in added.items():
+            given = arr.copy()
+            db.add(oid, given)
+            given[:] = 0.0  # the engine's row is not the caller's array
+        with pytest.raises(QueryError, match="capacity"):
+            db.add(4, rng.normal(size=(CAPACITY + 1, DIM)))
+        assert 4 not in db and len(db) == 3
+        db.remove(1)  # moves the last row into row 0
+        db.add(1, added[1])
+        db.save(tmp_path / "db.npz")
+        for target in (db, open_database(tmp_path / "db.npz")):
+            for oid, arr in added.items():
+                got = target.get(oid)
+                assert got.dtype == np.float64 and got.shape == arr.shape
+                assert got.tobytes() == arr.tobytes()
+                assert got.flags.owndata and got.flags.writeable
+                got[:] = 0.0  # the caller's copy, not the engine's row
+                assert target.get(oid).tobytes() == arr.tobytes()
+            target.check_invariants()
+
+
+class TestMalformedSnapshots:
+    """CRC-valid files whose contents do not fit together fail at the
+    boundary, typed, naming the file and the key or array."""
+
+    FAULTS = {
+        "no-capacity": (lambda meta, arrays: meta.pop("capacity"), "capacity"),
+        "no-omega": (lambda meta, arrays: meta.pop("omega"), "omega"),
+        "no-dimension": (lambda meta, arrays: meta.pop("dimension"), "dimension"),
+        "no-db-version": (lambda meta, arrays: meta.pop("db_version"), "db_version"),
+        "no-index-meta": (lambda meta, arrays: meta.pop("index_meta"), "index_meta"),
+        "no-block-size": (lambda meta, arrays: meta.pop("block_size"), "block_size"),
+        "no-set-data": (lambda meta, arrays: arrays.pop("set_data"), "set_data"),
+        "no-index-table": (
+            lambda meta, arrays: arrays.pop("index__node_level"), "node_level"
+        ),
+        "unknown-index-kind": (
+            lambda meta, arrays: meta["index_meta"].update(kind="btree"), "btree"
+        ),
+        "offsets-past-the-data": (
+            lambda meta, arrays: arrays["set_row_offsets"].__setitem__(
+                slice(1, None), arrays["set_row_offsets"][1:] + 1000
+            ),
+            "set_row_offsets",
+        ),
+        "offsets-not-monotone": (
+            lambda meta, arrays: arrays["set_row_offsets"].__setitem__(
+                slice(None), arrays["set_row_offsets"][::-1].copy()
+            ),
+            "set_row_offsets",
+        ),
+        "set-over-capacity": (
+            lambda meta, arrays: arrays.update(
+                set_row_offsets=np.delete(arrays["set_row_offsets"], [1, 2]),
+                set_oids=arrays["set_oids"][2:],
+                centroids=arrays["centroids"][2:],
+            ),
+            "set_row_offsets",
+        ),
+        "centroid-rows": (
+            lambda meta, arrays: arrays.update(centroids=arrays["centroids"][:-1]),
+            "centroids",
+        ),
+        "duplicate-oids": (
+            lambda meta, arrays: arrays["set_oids"].__setitem__(
+                0, arrays["set_oids"][-1]
+            ),
+            "set_oids",
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("kind", ["npz", "dense", "durable", "sharded"])
+    def test_open_fails_typed_and_verify_sees_it(self, kind, fault, tmp_path):
+        from repro.cli import main
+
+        edit, named = self.FAULTS[fault]
+        rng = np.random.default_rng(11)
+        path = tmp_path / "db"
+        db_kwargs = dict(backend="xtree", index_capacity=4)
+        full = lambda: rng.integers(-8, 9, size=(CAPACITY, DIM)).astype(float)
+        if kind == "durable":
+            db = SimilarityDatabase(CAPACITY, durable=True, path=path, **db_kwargs)
+        elif kind == "sharded":
+            db = ShardedSimilarityDatabase(CAPACITY, shards=2, **db_kwargs)
+        else:
+            db = SimilarityDatabase(CAPACITY, **db_kwargs)
+        contents = {oid: full() for oid in range(12)}
+        for oid, arr in contents.items():
+            db.add(oid, arr)
+        if kind == "durable":
+            db.checkpoint()
+            db.close()
+        else:
+            db.save(path, dense=kind == "dense")
+        restamp_layout(path, edit, lambda payload: None)
+
+        if kind == "durable":
+            # The ladder skips the malformed generation and replays the log.
+            recovered = open_database(path)
+            assert recovered.last_recovery.fallbacks == 1
+            assert named in recovered.last_recovery.failures[0]
+            assert recovered.object_ids() == sorted(contents)
+            recovered.check_invariants()
+            recovered.close()
+            assert main(["db", "verify", str(path)]) == 3
+        else:
+            with pytest.raises(StorageError, match=named) as caught:
+                open_database(path)
+            assert "db" in str(caught.value)  # names the file
+            assert main(["db", "verify", str(path)]) == 1
 
 
 class TestGridIngestPath:

@@ -91,7 +91,7 @@ UNREACHED_ON_PURPOSE = {
         "PR 24's verdict"
     ),
     "repro.index.bulkload": (
-        "pending ROADMAP item 5: wired by add_many or deleted with the "
+        "pending ROADMAP item 3: wired by add_many or deleted with the "
         "pointer trees"
     ),
     "repro.normalize.pca": "paper §3.2 principal-axis transform",

@@ -429,36 +429,17 @@ class TestExtractionTelemetry:
 
 class TestOpticsTelemetry:
     def test_progress_and_row_cache_counters(self, enabled, rng):
-        from repro.clustering.optics import distance_rows_from_function, optics
+        from repro.clustering.optics import distance_rows_from_matrix, optics
 
         points = rng.normal(size=(25, 3))
-        rows = distance_rows_from_function(
-            list(points),
-            lambda a, b: float(np.linalg.norm(a - b)),
-            max_cache_rows=4,
-        )
-        ordering = optics(len(points), rows, min_pts=3)
+        matrix = np.linalg.norm(points[:, None] - points[None], axis=2)
+        ordering = optics(len(points), distance_rows_from_matrix(matrix), min_pts=3)
         assert len(ordering) == 25
-        reg = obs.registry()
-        assert reg.counter("optics.processed").value == 25
-        # OPTICS requests each row exactly once -> all misses.
-        assert reg.counter("optics.row_cache_misses").value == 25
+        assert obs.registry().counter("optics.processed").value == 25
         obs.close_sink()
         events = [json.loads(line) for line in enabled.read_text().splitlines()]
         progress = [e for e in events if e["event"] == "optics_progress"]
         assert progress and progress[-1]["processed"] == 25
-
-    def test_row_cache_hit_counter(self):
-        from repro.clustering.optics import distance_rows_from_function
-
-        obs.enable()
-        rows = distance_rows_from_function(
-            [0.0, 1.0], lambda a, b: abs(a - b), max_cache_rows=2
-        )
-        rows(0)
-        rows(0)
-        assert obs.registry().counter("optics.row_cache_hits").value == 1
-        assert obs.registry().counter("optics.row_cache_misses").value == 1
 
 
 class TestWorkerParity:

@@ -29,7 +29,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.db import (
@@ -40,7 +39,13 @@ from repro.db import (
 )
 from repro.testing.faults import CRASH_ENV, CRASH_EXIT_CODE
 
-from tests.test_db_durable import CAPACITY, fresh_build, make_plan, rand_set
+from tests.test_db_durable import (
+    CAPACITY,
+    fresh_build,
+    make_plan,
+    rand_set,
+    same_contents,
+)
 
 SHARDS = 3
 
@@ -124,10 +129,6 @@ def run_worker(tmp_path, plan, backend, crash_spec=None):
     return proc, dbdir, acked
 
 
-def sharded_contents(db):
-    return {oid: db.get(oid) for oid in db.object_ids()}
-
-
 def assert_consistent_vector(recovered, reference_single, rng):
     """The recovered layout is one coherent database: routing holds
     shard by shard, and scatter-gather answers are byte-identical to
@@ -154,15 +155,9 @@ def assert_consistent_vector(recovered, reference_single, rng):
 
 
 def matches_some_prefix(recovered, state_plan, backend, floor, rng) -> bool:
-    contents = sharded_contents(recovered)
     for upto in range(floor, len(state_plan) + 1):
         reference = fresh_build(state_plan[:upto], backend)
-        if sorted(contents) != sorted(reference._sets):
-            continue
-        if all(
-            np.array_equal(contents[oid], reference._sets[oid])
-            for oid in reference._sets
-        ):
+        if same_contents(recovered, reference):
             assert_consistent_vector(recovered, reference, rng)
             return True
     return False
@@ -207,10 +202,7 @@ def test_clean_run_control(backend, tmp_path, rng):
     assert all(not report.degraded for report in recovered.last_recovery)
     state_plan = [s for s in plan if s[0] != "checkpoint"]
     reference = fresh_build(state_plan, backend)
-    contents = sharded_contents(recovered)
-    assert sorted(contents) == sorted(reference._sets)
-    for oid in reference._sets:
-        np.testing.assert_array_equal(contents[oid], reference._sets[oid])
+    assert same_contents(recovered, reference)
     assert_consistent_vector(recovered, reference, rng)
     recovered.close()
 
