@@ -1,12 +1,14 @@
-"""Backend trial (ROADMAP item 3 (ii)): every ``repro.db.BACKENDS`` entry
-on the end-to-end benchmark's own set corpus, in memory.
+"""Backend trial: every ``repro.db.BACKENDS`` entry on the end-to-end
+benchmark's own set corpus, in memory.
 
 For each corpus (selective / centroid-degenerate) and size it ingests
 through ``add``, runs perturbed-member 10-nn queries (best of ``PASSES``
 passes per query), requires every backend's answers *and* distances to
-be literally equal, and times the first query after a mutation.  The
-script reads the backend list from the code it runs against, so a clone
-of an older commit reports that commit's backends::
+be literally equal, and times the first query after a mutation — for
+``xtree`` the ingest rate and that query are what the packed core plus
+a delta is for.  CI runs it at n = 800.  The script reads the backend
+list from the code it runs against, so a clone of an older commit
+reports that commit's backends::
 
     PYTHONPATH=src python benchmarks/backend_trial.py 800 5000 20000
 """

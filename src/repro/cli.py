@@ -179,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_obs_args(query)
 
     db = commands.add_parser(
-        "db", help="mutable similarity database (incremental index maintenance)"
+        "db", help="mutable similarity database (packed index core plus a delta)"
     )
     db_commands = db.add_subparsers(dest="db_command", required=True)
 
@@ -193,7 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default="xtree",
-        help="access method maintained incrementally (default: xtree)",
+        help="how the centroids are ranked: a packed X-tree core plus a "
+        "delta, or a scan of every centroid (default: xtree)",
     )
     db_init.add_argument(
         "--dense",
@@ -243,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_obs_args(db_init)
 
     db_add = db_commands.add_parser(
-        "add", help="insert mesh files without rebuilding the index"
+        "add", help="insert mesh files (staged in the index's delta)"
     )
     db_add.add_argument("database", type=Path)
     db_add.add_argument("meshes", type=Path, nargs="+")
@@ -255,14 +256,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_obs_args(db_add)
 
     db_remove = db_commands.add_parser(
-        "remove", help="delete objects by id (incremental index delete)"
+        "remove", help="delete objects by id (tombstoned in the index)"
     )
     db_remove.add_argument("database", type=Path)
     db_remove.add_argument("ids", type=int, nargs="+")
     _add_obs_args(db_remove)
 
     db_compact = db_commands.add_parser(
-        "compact", help="rebuild the index in place (re-pack after churn)"
+        "compact", help="re-pack the index core and the sketch tier in place"
     )
     db_compact.add_argument("database", type=Path)
     _add_obs_args(db_compact)
@@ -600,14 +601,15 @@ def _verify_single(path: Path) -> int:
     and WAL segment, then run the recovery ladder in memory and
     ``check_invariants()`` on the recovered database (the engine's rows
     and stored centroids, the index and the sketch tier must mirror
-    each other, and the index be structurally sound).  Anything the
+    each other, every index key must be its object's stored centroid,
+    and the index be structurally sound).  Anything the
     ladder had to work around (a corrupt or malformed generation, a torn
     or missing segment) is a degradation — the database *answers*, but
     not from the happy path.  For a snapshot file: the load's own CRC
     check and payload validation + invariants only.
     Dense snapshots get a full CRC walk of every mapped array plus the
     array core's vectorized node-table invariants (child-offset bounds,
-    MBR containment, covering-radius validity).
+    MBR containment).
     """
     from repro import wal as wal_module
     from repro.db import DB_FORMAT, SimilarityDatabase

@@ -4,18 +4,19 @@ The paper's architecture (Section 4.3) is static: extract features for
 the whole collection, build an X-tree over the extended centroids, and
 serve filter/refine queries.  :class:`SimilarityDatabase` makes the
 same pipeline *mutable* — objects flow through extraction → feature
-cache → centroid computation → **incremental** maintenance of the index
-(``insert``/``delete`` on the live tree), of the sketch tier and of the
-refinement engine's packed tensor, so neither step ever serves stale
-candidates and no mutation ever pays a rebuild:
+cache → centroid computation → the refinement engine's rows, the sketch
+tier and the index — without ever serving stale candidates and without
+a mutation paying for a rebuild of anything it did not touch:
 
 * **Mutations** (``add``/``add_grid``/``remove``/``update``) take the
   write side of a :class:`repro.concurrency.RWLock`, bump a version
-  counter, and maintain the spatial index in place.
+  counter, and record the object in the engine, the sketch tier and the
+  index's delta.
 * **Queries** (``knn_query``/``range_query``) take the read side, so
   any number of threads can query concurrently while mutations wait;
   each query observes exactly one database version
-  (:meth:`read_view` exposes that version for consistency testing).
+  (:meth:`read_view` exposes that version for consistency testing) and
+  writes no database state — not even a cache.
 * **The refinement engine is the object store.**  Every set and its
   extended centroid live once, in the row buffers of one
   :class:`~repro.core.queries.FilterRefineEngine`: the first ``add``
@@ -24,18 +25,32 @@ candidates and no mutation ever pays a rebuild:
   ``add`` / ``update`` / ``remove`` writes its one row under the write
   lock it already holds, at a cost independent of the database size.
   Only emptying the database drops the engine, so no reader can ever
-  race a build.  The spatial index's array core plugs into it as the
-  ``centroid_ranker`` (``ranking_chunks``).
-  :meth:`SimilarityDatabase.engine_digest` and
+  race a build.
+* **The index is an immutable packed core plus a delta.**  An
+  ``xtree`` database ranks the centroids with one
+  :class:`~repro.index.arraycore.RTreeArrayCore` — an STR pack of the
+  live centroids (:func:`~repro.index.bulkload.bulk_load` into an
+  X-tree, :func:`~repro.index.arraycore.densify`-ed), a pure function of
+  the live set — that no write ever touches.  A mutation records its
+  oid in a *delta* (objects added or replaced since the pack, ranked
+  straight from the engine's centroid rows) and, when it removes or
+  replaces a core entry, in a *tombstone* set; a query ranks the core
+  minus the tombstones merged chunk by chunk with the delta under the
+  canonical ``(distance, oid)`` order, which is exactly the ranking of
+  a fresh pack.  Once delta plus tombstones exceed
+  :data:`REPACK_SHARE` of the core, and at :meth:`compact` /
+  :meth:`checkpoint`, the core is re-packed under the write lock.
+  A ``scan`` database never packs: its ranking is the engine's own
+  scan of the centroid rows.
+  :meth:`SimilarityDatabase.engine_digest`,
+  :meth:`SimilarityDatabase.index_digest` and
   :meth:`SimilarityDatabase.check_invariants` prove the maintained
   state equal to a from-scratch build.
-* **Snapshots** (``save``/``load``) persist the object store *and* the
-  exact index structure in one CRC-checked, atomically-written archive
+* **Snapshots** (``save``/``load``) persist the object store *and* a
+  pack of the live set in one CRC-checked, atomically-written archive
   (the format-v2 discipline of :mod:`repro.io.database`), so a
   restarted process answers its first query with zero rebuild work —
-  the index opens as an array core over the saved node tables
-  (:func:`repro.index.snapshot.structure_digest` equality) and inflates
-  into the pointer tree on the first mutation.
+  the core opens as views over the saved node tables.
 * **Durability** (``durable=True``): the database lives in a directory
   managed by :mod:`repro.wal` — every mutation is appended to a
   CRC32-per-record write-ahead log *before* it is applied (under the
@@ -50,24 +65,26 @@ candidates and no mutation ever pays a rebuild:
   recoveries are visible, and :attr:`last_recovery` reports exactly
   which rung served.
 
-Because every access method breaks distance ties canonically by
-ascending object id, a k-nn query against the incrementally maintained
-index returns *byte-identical* results to a freshly rebuilt index
-(:meth:`compact` rebuilds in place for exactly that comparison, and to
-re-pack a tree degraded by heavy churn).
+Because every ranking breaks distance ties canonically by ascending
+object id, answers and :class:`~repro.core.queries.QueryStats` never
+depend on when the core was last packed (:meth:`compact` re-packs in
+place for exactly that comparison).
 
-Backends: ``"xtree"`` (the paper's choice), ``"rstar"`` and ``"scan"``.
-Each indexes the extended centroids — ``(centroid, oid)`` points, nothing
-else — and ranks candidates for the filter step, so every query on every
-backend is one :class:`~repro.core.queries.FilterRefineEngine` call with
-that ranking.  The other route Section 4.3 names, a metric index directly
-on the sets, was the fastest backend in no cell of the backend trial
-(EXPERIMENTS.md) and is no backend; the M-tree itself stays in
-:mod:`repro.index` for the access-structure ablation.
+Backends: ``"xtree"`` (the paper's choice) and ``"scan"``.  Both index
+the extended centroids — ``(centroid, oid)`` points, nothing else — and
+rank candidates for the filter step, so every query on every backend is
+one :class:`~repro.core.queries.FilterRefineEngine` call with that
+ranking.  ``"rstar"`` and ``"mtree"`` are retired
+(:data:`_RETIRED_BACKENDS`): a packed R*-tree is a packed X-tree, and a
+metric index on the sets was the fastest backend in no cell of the
+backend trial (EXPERIMENTS.md); the M-tree stays in :mod:`repro.index`
+for the access-structure ablation.
 """
 
 from __future__ import annotations
 
+import bisect
+import hashlib
 import numbers
 import operator
 from contextlib import contextmanager, nullcontext
@@ -95,15 +112,10 @@ from repro.exceptions import (
     QueryError,
     StorageError,
 )
-from repro.index import RStarTree, SequentialScan, XTree
-from repro.index.arraycore import core_from_serialized
-from repro.index.snapshot import (
-    indexed_oids,
-    read_archive,
-    serialize_index,
-    structure_digest,
-    write_archive,
-)
+from repro.index import XTree, bulk_load
+from repro.index.arraycore import RTreeArrayCore, core_from_serialized, densify
+from repro.index.rstar import _mindist_many
+from repro.index.snapshot import read_archive, serialize_points, write_archive
 from repro.obs import emit, registry, span
 from repro.obs import querylog
 from repro.testing.faults import crash_point
@@ -112,12 +124,20 @@ from repro.wal import DurableLayout, WriteAheadLog, scan_segment
 DB_FORMAT = "repro-similarity-db"
 DB_VERSION = 1
 
-BACKENDS = ("xtree", "rstar", "scan")
+BACKENDS = ("xtree", "scan")
 
 #: Backends that left the database.  A layout written with one still
 #: holds every set and stored centroid, so it opens on the mapped backend
-#: with the index rebuilt from those centroids.
-_RETIRED_BACKENDS = {"mtree": "xtree"}
+#: with the core packed from those centroids.
+_RETIRED_BACKENDS = {"mtree": "xtree", "rstar": "xtree"}
+
+#: An ``xtree`` database re-packs its core when the objects staged beside
+#: it (delta plus tombstones) exceed this share of the core's size.  A
+#: pack costs about 2 us per object and every staged object about 0.3 us
+#: per query (set corpus, n = 800 ... 2e4, DESIGN.md): 1/16 keeps the
+#: staged overhead under 7 % of a query while a pack is paid once per
+#: n / 16 mutations.
+REPACK_SHARE = 1 / 16
 
 
 def current_backend(stored: str) -> str:
@@ -217,6 +237,22 @@ class DatabaseView:
 
 
 _NOT_GIVEN = object()
+_NO_IDS = np.empty(0, dtype=np.int64)
+
+
+def _contains(ids: np.ndarray, oid: int) -> bool:
+    at = int(np.searchsorted(ids, oid))
+    return at < len(ids) and ids[at] == oid
+
+
+def _with(ids: np.ndarray, oid: int) -> np.ndarray:
+    """Sorted *ids* plus the absent *oid* (a new array)."""
+    return np.insert(ids, np.searchsorted(ids, oid), oid)
+
+
+def _without(ids: np.ndarray, oid: int) -> np.ndarray:
+    """Sorted *ids* minus the present *oid* (a new array)."""
+    return np.delete(ids, np.searchsorted(ids, oid))
 
 
 def _integral(name: str, value) -> int:
@@ -224,6 +260,13 @@ def _integral(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise QueryError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _at_least(name: str, value, low: int) -> int:
+    value = _integral(name, value)
+    if value < low:
+        raise QueryError(f"{name} must be >= {low}")
+    return value
 
 
 def check_object_id(oid) -> int:
@@ -270,16 +313,18 @@ class SimilarityDatabase:
     capacity:
         The cardinality bound ``k`` shared by all sets (Definition 8).
     backend:
-        ``"xtree"`` (default), ``"rstar"`` or ``"scan"``: the access
-        method that ranks the extended centroids for the filter step.
+        ``"xtree"`` (default: a packed X-tree core plus a delta) or
+        ``"scan"`` (no core; one vectorized pass over the engine's
+        centroid rows): how the extended centroids are ranked for the
+        filter step.
     omega:
         Reference point for extended centroids and matching weights
         (default: origin).
     block_size:
         Refinement block size, forwarded to :class:`FilterRefineEngine`.
     index_capacity:
-        Node capacity of the spatial index (default: derived from the
-        page size, as in the paper's experiments).
+        Node capacity of the packed core, at least 4 (default: derived
+        from the page size, as in the paper's experiments).
     model / pipeline / cache:
         Feature model (e.g. :class:`VectorSetModel`), normalization
         pipeline and feature cache used by :meth:`add_grid`.  Optional —
@@ -299,7 +344,7 @@ class SimilarityDatabase:
         instead of blocking forever.
     sketch / sketch_params:
         ``sketch=True`` (default) maintains the approximate candidate
-        tier of :mod:`repro.approx` alongside the spatial index: every
+        tier of :mod:`repro.approx` alongside the index: every
         object gets a packed binary sketch in an incrementally
         maintained :class:`~repro.approx.hamming.HammingIndex`, and
         ``knn_query(..., mode="approx", shortlist=m)`` answers from an
@@ -328,8 +373,13 @@ class SimilarityDatabase:
         sketch: bool = True,
         sketch_params: dict | None = None,
     ):
-        if capacity < 1:
-            raise QueryError("capacity must be >= 1")
+        # Every numeric setting is checked here, before a durable
+        # directory is created or any object is logged.
+        capacity = _at_least("capacity", capacity, 1)
+        block_size = _at_least("block_size", block_size, 1)
+        if index_capacity is not None:
+            index_capacity = _at_least("index_capacity", index_capacity, 4)
+        keep_generations = _at_least("keep_generations", keep_generations, 1)
         if backend not in BACKENDS:
             raise QueryError(f"unknown backend {backend!r}; pick from {BACKENDS}")
         self.capacity = capacity
@@ -344,7 +394,13 @@ class SimilarityDatabase:
             None if omega is None else np.asarray(omega, dtype=float)
         )
         self.omega: np.ndarray | None = self._omega_arg
-        self._index = None
+        # The index: an immutable packed core (xtree only), the oids added
+        # or replaced since it was packed, and its entries removed or
+        # replaced since; both id arrays are sorted and never written in
+        # place.
+        self._core: RTreeArrayCore | None = None
+        self._delta = _NO_IDS
+        self._tombstones = _NO_IDS
         self._version = 0
         self._engine: FilterRefineEngine | None = None
         self._lock = RWLock()
@@ -359,7 +415,7 @@ class SimilarityDatabase:
         # -- durability state ---------------------------------------------
         self.durable = bool(durable)
         self.fsync = fsync
-        self.keep_generations = int(keep_generations)
+        self.keep_generations = keep_generations
         self.source = None if source is None else str(source)
         self._layout: DurableLayout | None = None
         self._wal: WriteAheadLog | None = None
@@ -370,8 +426,6 @@ class SimilarityDatabase:
         if self.durable:
             if path is None:
                 raise QueryError("durable=True needs a directory path")
-            if self.keep_generations < 1:
-                raise QueryError("keep_generations must be >= 1")
             layout = DurableLayout(path)
             if layout.exists():
                 raise StorageError(
@@ -425,12 +479,35 @@ class SimilarityDatabase:
             return self._engine.get(oid)
 
     def index_digest(self) -> str:
-        """Structure digest of the live index (see
-        :func:`repro.index.snapshot.structure_digest`)."""
+        """SHA-256 over the live ``(oid, point)`` entries the index ranks:
+        the core's leaf entries minus the tombstones plus the delta (every
+        stored centroid, without a core), in ascending oid.
+
+        ``"empty"`` for a database without objects.  However the core
+        was packed, a database digests like a fresh build of its sets.
+        """
         with self._lock.read(timeout=self.lock_timeout):
-            if self._index is None:
+            engine = self._engine
+            if engine is None:
                 return "empty"
-            return structure_digest(self._index)
+            if self._core is None:
+                oids, points = engine.oids, engine.centroids
+            else:
+                oids, points, _ = self._live_core()
+                oids = np.concatenate((oids, self._delta))
+                staged = engine.centroids[engine._rows_for(self._delta.tolist())]
+                points = np.concatenate((points, staged))
+            order = np.argsort(oids)
+            hasher = hashlib.sha256(oids[order].tobytes())
+            hasher.update(points[order].tobytes())
+            return hasher.hexdigest()
+
+    def _live_core(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(oids, lowers, uppers)`` of the core's leaf entries minus the
+        tombstones (caller holds either lock side)."""
+        oids, lowers, uppers = self._core.leaf_entries()
+        live = ~np.isin(oids, self._tombstones)
+        return oids[live], lowers[live], uppers[live]
 
     def sketch_digest(self) -> str:
         """SHA-256 over the sketch tier's ``(oids, codes)`` rows.
@@ -465,11 +542,13 @@ class SimilarityDatabase:
         (:meth:`FilterRefineEngine.check_invariants`: the stored
         centroids are bit for bit the extended centroids of the stored
         sets, padded tails hold omega, squared norms are current); the
-        spatial index and the sketch tier must hold exactly the stored
-        object ids, the sketch tier's codes must be bit for bit the
-        sketches of the stored sets, and the engine must digest like a
-        fresh packing of its unpadded rows.  The index's own structural
-        ``check_invariants`` runs too.  Raises
+        index and the sketch tier must hold exactly the stored object
+        ids (every tombstone a core entry, the core's entries minus the
+        tombstones plus the delta each stored id once), every live core
+        entry must be the point box of its object's stored centroid and
+        every sketch code the sketch of its stored set, bit for bit, and
+        the engine must digest like a fresh packing of its unpadded rows.
+        The core's own structural ``check_invariants`` runs too.  Raises
         :class:`~repro.exceptions.InvariantError` naming the first
         disagreement.
         """
@@ -483,17 +562,7 @@ class SimilarityDatabase:
             engine.check_invariants()
             _, offsets, rows, _ = engine.ragged()
             sets = np.split(rows, offsets[1:-1])
-        if self._index is None:
-            indexed = oids[:0]
-        else:
-            if hasattr(self._index, "check_invariants"):
-                self._index.check_invariants()
-            indexed = indexed_oids(self._index)
-        if not np.array_equal(indexed, oids):
-            raise InvariantError(
-                f"{self.backend} index holds {len(indexed)} ids that are not "
-                f"the {len(oids)} stored ones"
-            )
+        self._check_index_locked(oids)
         if self._hamming is not None:
             if not np.array_equal(self._hamming.oids, oids):
                 raise InvariantError(
@@ -514,6 +583,35 @@ class SimilarityDatabase:
         if engine.digest() != fresh.digest():
             raise InvariantError(
                 "engine rows differ from a fresh packing of the stored sets"
+            )
+
+    def _check_index_locked(self, oids: np.ndarray) -> None:
+        if self._core is None:
+            if self._staged():
+                raise InvariantError("index stages objects beside no packed core")
+            return
+        self._core.check_invariants()
+        if not np.isin(self._tombstones, self._core.leaf_entries()[0]).all():
+            raise InvariantError("a tombstone names no entry of the packed core")
+        live_oids, lowers, uppers = self._live_core()
+        indexed = np.sort(np.concatenate((live_oids, self._delta)))
+        if not np.array_equal(indexed, oids):
+            raise InvariantError(
+                f"{self.backend} index holds {len(indexed)} ids that are not "
+                f"the {len(oids)} stored ones"
+            )
+        if not len(live_oids):
+            return
+        engine = self._engine
+        # Bit for bit: compare the floats' bytes, not their values.
+        keys = engine.centroids[engine._rows_for(live_oids.tolist())].view(np.int64)
+        wrong = (lowers.view(np.int64) != keys).any(axis=1) | (
+            uppers.view(np.int64) != keys
+        ).any(axis=1)
+        if wrong.any():
+            raise InvariantError(
+                f"index key of object {live_oids[wrong.argmax()]} is not its "
+                "stored centroid"
             )
 
     def close(self) -> None:
@@ -581,13 +679,6 @@ class SimilarityDatabase:
         check_query_args(**args)
         return self._as_set(query)
 
-    def _make_index(self, dimension: int):
-        if self.backend == "rstar":
-            return RStarTree(dimension, capacity=self.index_capacity)
-        if self.backend == "scan":
-            return SequentialScan(dimension)
-        return XTree(dimension, capacity=self.index_capacity)
-
     def _ensure_dimension(self, arr: np.ndarray) -> None:
         if self.dimension is None:
             self.dimension = int(arr.shape[1])
@@ -598,10 +689,6 @@ class SimilarityDatabase:
                     f"omega has shape {self.omega.shape}, data is "
                     f"{self.dimension}-d"
                 )
-        if self._index is None:
-            self._index = self._make_index(self.dimension)
-        else:
-            self._ensure_mutable_index()
         self._ensure_sketcher()
 
     def _ensure_sketcher(self) -> None:
@@ -613,32 +700,99 @@ class SimilarityDatabase:
         if self._hamming is None:
             self._hamming = HammingIndex(self._sketcher.words)
 
-    def _ensure_mutable_index(self) -> None:
-        """Inflate the array core a snapshot opened as into the pointer
-        tree: mutations need the pointer structures, so they are
-        materialized here, on the first mutation, never earlier."""
-        if self._index is not None and hasattr(self._index, "inflate"):
-            self._index = self._index.inflate()
+    # -- the index: packed core + delta + tombstones ----------------------
 
-    def _query_index(self):
-        """The object queries rank with: the array core mirroring the
-        live tree (densified lazily, invalidated by mutations) or the
-        core a snapshot opened as."""
-        index = self._index
-        if hasattr(index, "serialized"):  # already an array core
-            return index
-        return index.dense_core()
+    def _pack(self) -> RTreeArrayCore | None:
+        """A fresh pack of the live set: the stored centroids in ascending
+        oid, STR-loaded into an X-tree and densified — a pure function of
+        the live set.  ``None`` for an empty database."""
+        if self._engine is None:
+            return None
+        oids, centroids = self._engine.oids, self._engine.centroids
+        order = np.argsort(oids)
+        tree = bulk_load(
+            centroids[order],
+            oids[order].tolist(),
+            tree_class=XTree,
+            capacity=self.index_capacity,
+        )
+        return densify(tree)
 
-    def _index_insert(self, oid: int, centroid: np.ndarray) -> None:
-        self._ensure_mutable_index()
-        self._index.insert(centroid, oid)
+    def _repack(self) -> None:
+        """Install a fresh pack, emptying delta and tombstones (caller
+        holds the write lock)."""
+        self._core = self._pack()
+        self._delta = self._tombstones = _NO_IDS
 
-    def _index_delete(self, oid: int, centroid: np.ndarray) -> None:
-        self._ensure_mutable_index()
-        if not self._index.delete(centroid, oid):
-            raise IndexError_(
-                f"index lost object {oid}: store and index disagree"
-            )
+    def _staged(self) -> bool:
+        return bool(len(self._delta) or len(self._tombstones))
+
+    def _stage(self, oid: int, op: str) -> None:
+        """Record one applied ``add`` / ``update`` / ``remove`` of *oid*
+        against the core (caller holds the write lock; the engine already
+        holds the new state), then re-pack if the staged objects exceed
+        :data:`REPACK_SHARE` of the core.  A live oid is staged exactly
+        when it is not a live core entry."""
+        if self.backend == "scan":
+            return
+        staged = _contains(self._delta, oid)
+        if op == "add":
+            self._delta = _with(self._delta, oid)
+        elif not staged:  # a live core entry is removed or replaced
+            self._tombstones = _with(self._tombstones, oid)
+            if op == "update":
+                self._delta = _with(self._delta, oid)
+        elif op == "remove":
+            self._delta = _without(self._delta, oid)
+        core_size = 0 if self._core is None else self._core.size
+        if len(self._delta) + len(self._tombstones) > REPACK_SHARE * core_size:
+            self._repack()
+
+    def _ranker(self):
+        """The centroid ranker of one query: the core's own ranking when
+        nothing is staged beside it, the merge of core and delta when
+        something is, and without a core ``None`` — the engine's scan of
+        its centroid rows."""
+        if self._core is None:
+            return None
+        if self._staged():
+            return self._merged_chunks
+        return self._core.ranking_chunks
+
+    def _merged_chunks(self, center: np.ndarray):
+        """The core's chunks minus the tombstones, each merged with the
+        delta entries that sort at or before its last entry, in canonical
+        ``(distance, oid)`` order, then the rest of the delta.
+
+        A delta entry's distance is ``_mindist_many`` of its point box —
+        the float a fresh pack's leaf entry gives — so the merged ranking
+        is, entry for entry, the ranking of a fresh pack of the live set.
+        """
+        engine, dead = self._engine, self._tombstones
+        points = engine.centroids[engine._rows_for(self._delta.tolist())]
+        dists = _mindist_many(center, points, points)
+        order = np.lexsort((self._delta, dists))
+        delta_oids, delta_dists = self._delta[order], dists[order]
+        keys = list(zip(delta_dists.tolist(), delta_oids.tolist()))
+        start = 0
+        for oids, chunk_dists in self._core.ranking_chunks(center):
+            last = (float(chunk_dists[-1]), int(oids[-1]))
+            if len(dead):
+                at = np.minimum(np.searchsorted(dead, oids), len(dead) - 1)
+                alive = dead[at] != oids
+                oids, chunk_dists = oids[alive], chunk_dists[alive]
+            # The delta entries that sort at or before the chunk's last.
+            stop = bisect.bisect_right(keys, last, start)
+            if stop > start:
+                oids = np.concatenate((oids, delta_oids[start:stop]))
+                chunk_dists = np.concatenate((chunk_dists, delta_dists[start:stop]))
+                merged = np.lexsort((oids, chunk_dists))
+                oids, chunk_dists = oids[merged], chunk_dists[merged]
+                start = stop
+            if len(oids):
+                yield oids, chunk_dists
+        if start < len(keys):
+            yield delta_oids[start:], delta_dists[start:]
 
     def _wal_log(self, op: str, *, oid: int | None = None, array=None) -> None:
         """Append one mutation record *before* it is applied.
@@ -669,8 +823,6 @@ class SimilarityDatabase:
             self._ensure_dimension(arr)
             centroid = extended_centroid(arr, self.capacity, self.omega)
             self._wal_log(op, oid=oid, array=arr)
-            with span("db.mutate", op=op):
-                self._index_insert(oid, centroid)
             if self._hamming is not None:
                 self._hamming.add(oid, self._sketcher.sketch(arr))
             if self._engine is None:
@@ -685,6 +837,8 @@ class SimilarityDatabase:
                 )
             else:
                 self._engine.add(oid, arr, centroid)
+            with span("db.mutate", op=op):
+                self._stage(oid, "add")
             self._bump("add")
 
     def add_grid(self, oid: int, grid) -> np.ndarray:
@@ -713,14 +867,14 @@ class SimilarityDatabase:
             if oid not in self:
                 return False
             self._wal_log("remove", oid=oid)
-            with span("db.mutate", op="remove"):
-                self._index_delete(oid, self._engine.centroid_of(oid))
             if self._hamming is not None:
                 self._hamming.remove(oid)
             if len(self._engine) == 1:
                 self._engine = None  # an engine is never empty
             else:
                 self._engine.remove(oid)
+            with span("db.mutate", op="remove"):
+                self._stage(oid, "remove")
             self._bump("remove")
             return True
 
@@ -734,21 +888,19 @@ class SimilarityDatabase:
                 raise QueryError(f"no object with id {oid}")
             centroid = extended_centroid(arr, self.capacity, self.omega)
             self._wal_log("update", oid=oid, array=arr)
-            with span("db.mutate", op="update"):
-                self._index_delete(oid, self._engine.centroid_of(oid))
-                self._index_insert(oid, centroid)
             if self._hamming is not None:
                 self._hamming.update(oid, self._sketcher.sketch(arr))
             self._engine.replace(oid, arr, centroid)
+            with span("db.mutate", op="update"):
+                self._stage(oid, "update")
             self._bump("update")
 
     def compact(self) -> None:
-        """Rebuild the index from scratch (ascending oid insertion).
+        """Re-pack the core from the live set and rebuild the sketch tier.
 
         Results are guaranteed unchanged — canonical tie-breaking makes
-        query answers independent of the tree's internal structure —
-        but a tree degraded by heavy churn gets re-packed, and tests
-        use the rebuilt tree as the reference the incrementally
+        query answers independent of when the core was packed — and
+        tests use the compacted database as the fresh reference the
         maintained one must match byte-for-byte.
         """
         self._check_open()
@@ -762,17 +914,13 @@ class SimilarityDatabase:
 
     def _compact_locked(self) -> None:
         with span("db.compact", objects=len(self), force=True):
-            index = self._make_index(self.dimension)
-            if self._engine is not None:
-                oids, _, _, centroids = self._engine.ragged()
-                for oid, centroid in zip(oids.tolist(), centroids):
-                    index.insert(centroid, oid)
+            if self.backend == "xtree":
+                self._repack()
             if self._sketcher is not None:
                 # Rebuild the sketch tier the same way — the result must
                 # be byte-identical to the incrementally maintained one
                 # (the differential harness compares digests).
                 self._hamming = self._sketched()
-            self._index = index
 
     def _sketched(self) -> HammingIndex:
         """A sketch tier built from the stored sets, ascending oid."""
@@ -814,7 +962,7 @@ class SimilarityDatabase:
             return self._empty_result()
         with self._query_context("exact"):
             return self._engine.knn_query(
-                arr, n_neighbors, centroid_ranker=self._query_index().ranking_chunks
+                arr, n_neighbors, centroid_ranker=self._ranker()
             )
 
     def _range_locked(self, arr, epsilon: float):
@@ -822,7 +970,7 @@ class SimilarityDatabase:
             return self._empty_result()
         with self._query_context("exact"):
             return self._engine.range_query(
-                arr, epsilon, centroid_ranker=self._query_index().ranking_chunks
+                arr, epsilon, centroid_ranker=self._ranker()
             )
 
     def _approx_knn_locked(self, arr, n_neighbors: int, shortlist: int | None):
@@ -898,7 +1046,11 @@ class SimilarityDatabase:
     def _snapshot_state(self) -> tuple[dict, dict[str, np.ndarray]]:
         """The (meta, arrays) archive form of the current state.
 
-        Caller must hold either lock side.
+        Caller must hold either lock side.  The index part is a pack of
+        the live set: the core when nothing is staged beside it, else a
+        fresh pack that is written but not installed (so a save under the
+        read lock writes no database state); a ``scan`` database writes
+        its centroids as a flat point table.  Nothing for an empty one.
         """
         if self._engine is None:
             no_rows = np.empty((0, self.dimension or 0))
@@ -907,8 +1059,12 @@ class SimilarityDatabase:
             stored = self._engine.ragged()
         arrays = dict(zip(_SET_ARRAYS, stored))
         index_meta = None
-        if self._index is not None:
-            index_meta, index_arrays = serialize_index(self._index)
+        if self._engine is not None:
+            if self.backend == "scan":
+                index_meta, index_arrays = serialize_points(stored[3], stored[0])
+            else:
+                core = self._pack() if self._staged() else self._core
+                index_meta, index_arrays = core.serialized()
             arrays.update(
                 {f"index__{name}": arr for name, arr in index_arrays.items()}
             )
@@ -988,7 +1144,8 @@ class SimilarityDatabase:
     def checkpoint(self) -> Path:
         """Publish a new snapshot generation and rotate the WAL.
 
-        Under the write lock: write ``snapshot-(G+1)`` atomically, seal
+        Under the write lock: re-pack the core if anything is staged
+        beside it, write ``snapshot-(G+1)`` atomically, seal
         ``wal-G`` with a checkpoint record, open ``wal-(G+1)``, then
         atomically republish ``CURRENT``.  A crash at *any* point in
         that sequence leaves either generation G fully recoverable
@@ -1003,6 +1160,8 @@ class SimilarityDatabase:
         ):
             next_generation = self._generation + 1
             snapshot_path = self._layout.snapshot_path(next_generation)
+            if self._staged():
+                self._repack()
             meta, arrays = self._snapshot_state()
             write_archive(snapshot_path, meta, arrays)
             self._wal.append("checkpoint", next_generation=next_generation)
@@ -1046,12 +1205,12 @@ class SimilarityDatabase:
         """Reconstruct a database from :meth:`save` output.
 
         A snapshot *file* loads directly: the stored sets are packed
-        into the engine by one ragged scatter, and the index is served
-        by an array core over the saved node tables — no ``insert`` is
-        ever called and no pointer tree materialized, so the first query
-        runs against the exact structure the previous process built
-        (asserted by the snapshot tests through ``structure_digest``
-        equality); the first mutation inflates the tree lazily.
+        into the engine by one ragged scatter, and an ``xtree``
+        database's core is an array core over the saved node tables — no
+        pointer tree is built and nothing is packed, so the first query
+        runs against the exact core the previous process wrote.  Layouts
+        of a retired backend open on ``xtree`` with the core packed from
+        the stored centroids.
 
         A *dense* snapshot file (:meth:`save` with ``dense=True``) maps
         the index node tables and the sketch codes zero-copy: they stay
@@ -1103,9 +1262,11 @@ class SimilarityDatabase:
         A CRC-valid payload can still be inconsistent; it is validated
         here, once, and every fault is a :class:`StorageError` naming the
         file and the meta key or arrays.  The sets are packed into the
-        engine by one ragged scatter and the index becomes an array core
-        over the saved node tables (views of the caller's buffers — of
-        the mmap, for a dense snapshot).
+        engine by one ragged scatter and an ``xtree`` core becomes an
+        array core over the saved node tables (views of the caller's
+        buffers — of the mmap, for a dense snapshot).  A ``scan``
+        layout's point table is not read: the engine's centroid rows are
+        what a ``scan`` database ranks.
         """
 
         def malformed(what) -> StorageError:
@@ -1123,18 +1284,21 @@ class SimilarityDatabase:
 
             pipeline = Pipeline(resolution=meta["resolution"])
         backend = current_backend(meta["backend"])
-        db = cls(
-            meta["capacity"],
-            backend=backend,
-            omega=None if meta["omega"] is None else np.asarray(meta["omega"]),
-            block_size=meta["block_size"],
-            index_capacity=meta["index_capacity"],
-            model=model,
-            pipeline=pipeline,
-            cache=cache,
-            sketch=bool(meta.get("sketch_enabled", True)),
-            sketch_params=meta.get("sketch_params"),
-        )
+        try:
+            db = cls(
+                meta["capacity"],
+                backend=backend,
+                omega=None if meta["omega"] is None else np.asarray(meta["omega"]),
+                block_size=meta["block_size"],
+                index_capacity=meta["index_capacity"],
+                model=model,
+                pipeline=pipeline,
+                cache=cache,
+                sketch=bool(meta.get("sketch_enabled", True)),
+                sketch_params=meta.get("sketch_params"),
+            )
+        except QueryError as exc:
+            raise malformed(exc) from exc
         db.dimension = meta["dimension"]
         if db.dimension is not None and db.omega is None:
             db.omega = np.zeros(db.dimension)
@@ -1160,24 +1324,22 @@ class SimilarityDatabase:
                 )
             except (DistanceError, QueryError) as exc:
                 raise malformed(f"{' / '.join(_SET_ARRAYS)}: {exc}") from exc
-        if meta["index_meta"] is not None and backend != meta["backend"]:
-            # A retired backend's index arrays are never parsed: the index
-            # a fresh build of the mapped backend would hold is rebuilt
-            # from the stored centroids.
-            db._compact_locked()
-        elif meta["index_meta"] is not None:
-            prefix = "index__"
-            try:
-                db._index = core_from_serialized(
-                    meta["index_meta"],
-                    {
-                        name[len(prefix) :]: arr
-                        for name, arr in arrays.items()
-                        if name.startswith(prefix)
-                    },
-                )
-            except (KeyError, IndexError_) as exc:
-                raise malformed(f"index tables: {exc}") from exc
+        if backend == "xtree" and db._engine is not None:
+            if meta["index_meta"] is None or backend != meta["backend"]:
+                # A retired backend's index arrays are never parsed: the
+                # core is packed from the stored centroids.
+                db._core = db._pack()
+            else:
+                prefix = "index__"
+                tables = {
+                    name[len(prefix) :]: arr
+                    for name, arr in arrays.items()
+                    if name.startswith(prefix)
+                }
+                try:
+                    db._core = core_from_serialized(meta["index_meta"], tables)
+                except (KeyError, IndexError_) as exc:
+                    raise malformed(f"index tables: {exc}") from exc
         db._restore_sketches(meta, arrays)
         db._version = meta["db_version"]
         return db

@@ -210,9 +210,8 @@ class ShardedSimilarityDatabase:
                     f"{root} already holds a sharded database; recover it "
                     "with ShardedSimilarityDatabase.load()"
                 )
-            root.mkdir(parents=True, exist_ok=True)
-            self._root = root
-            self._write_manifest(root)
+            # Each shard validates its settings before it creates its
+            # directory, so a rejected setting leaves no layout behind.
             self.shards = [
                 SimilarityDatabase(
                     capacity,
@@ -226,6 +225,8 @@ class ShardedSimilarityDatabase:
                 )
                 for i in range(self.n_shards)
             ]
+            self._root = root
+            self._write_manifest(root)
         else:
             if path is not None:
                 raise QueryError("path is only meaningful with durable=True")

@@ -1,12 +1,14 @@
-"""Array-native index cores: struct-of-arrays query engines.
+"""The array-native index core: a struct-of-arrays query engine.
 
-The pointer trees (:mod:`repro.index.rstar`, :mod:`repro.index.xtree`,
-:mod:`repro.index.scan`) are the mutable masters, but walking their
-Python object graphs node-by-node dominates query time once the matching
-kernels are batched.  Each core here holds the *same* flat layout the
-snapshot module serializes — BFS node tables with entry offsets, MBR
-lower/upper blocks, leaf oid blocks — and runs the query hot path over
-contiguous numpy arrays:
+Walking a pointer tree's Python object graph node by node dominates
+query time once the matching kernels are batched, and maintaining one
+under every write costs more than packing a fresh one.  The database
+therefore ranks with an *immutable* :class:`RTreeArrayCore`: the flat
+layout of :func:`repro.index.snapshot.serialize_index` — BFS node
+tables with entry offsets, MBR lower/upper blocks, leaf oid blocks —
+built once by :func:`densify` of an STR-packed X-tree (or opened as
+views over a snapshot's arrays) and never written again.  The query hot
+path runs over contiguous numpy arrays:
 
 * lower-bound distances (MBR mindist) are computed for a whole node's
   entry block in one vectorized call,
@@ -14,17 +16,12 @@ contiguous numpy arrays:
   and emits them in canonical ``(distance, oid)`` order in chunks,
 * range search walks a frontier *array* of node ids per level.
 
-The cores are read-only: any mutation goes to the pointer tree (or, for
-a zero-copy loaded core, through :meth:`inflate`), and the tree marks
-its cached core stale.  Because a core is built from — and serializes
-back to — the exact snapshot arrays, ``structure_digest`` of a core
-equals the digest of the pointer tree it mirrors.
-
 Equivalence guarantees (asserted by the differential tests):
 
-* **Results** are literally equal to the pointer traversals: same oids,
-  same ``(distance, oid)`` order, bit-identical distances (the cores
-  reuse ``_mindist_many`` on the same float inputs).
+* **Results** are literally equal to the pointer traversals of the
+  tree a core was densified from: same oids, same ``(distance, oid)``
+  order, bit-identical distances (the core reuses ``_mindist_many`` on
+  the same float inputs).
 * **Page accounting** is identical at every consumption point of the
   incremental ranking.
 """
@@ -39,6 +36,7 @@ import numpy as np
 from repro.exceptions import IndexError_
 from repro.index.pages import PageManager
 from repro.index.rstar import _mindist_many
+from repro.index.snapshot import serialize_index
 from repro.obs import counter, histogram
 
 
@@ -52,33 +50,7 @@ def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.repeat(starts - cum, counts) + np.arange(total, dtype=np.int64)
 
 
-class _ArrayCore:
-    """Shared plumbing: serialized form, digests, page accounting."""
-
-    kind: str
-
-    def __init__(self, meta: dict, arrays: dict, page_manager: PageManager | None):
-        meta = {k: v for k, v in meta.items() if k != "checksums"}
-        self.meta = meta
-        self.arrays = dict(arrays)
-        self.pages = page_manager or PageManager()
-        self.size = int(meta["size"])
-
-    def serialized(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """The exact ``(meta, arrays)`` snapshot form this core runs on."""
-        return self.meta, self.arrays
-
-    def inflate(self, *, page_manager: PageManager | None = None):
-        """Materialize the pointer tree this core mirrors (for mutation)."""
-        from repro.index.snapshot import reconstruct_index
-
-        return reconstruct_index(self.meta, self.arrays, page_manager=page_manager)
-
-    def _fail(self, message: str) -> None:
-        raise IndexError_(f"{self.kind} array core: {message}")
-
-
-class RTreeArrayCore(_ArrayCore):
+class RTreeArrayCore:
     """Struct-of-arrays query core for R*-trees and X-trees.
 
     Runs on the BFS node tables of :func:`repro.index.snapshot.serialize_index`:
@@ -88,8 +60,13 @@ class RTreeArrayCore(_ArrayCore):
     child indices in directory nodes; node 0 is the root.
     """
 
-    def __init__(self, meta, arrays, page_manager=None):
-        super().__init__(meta, arrays, page_manager)
+    def __init__(
+        self, meta: dict, arrays: dict, page_manager: PageManager | None = None
+    ):
+        self.meta = {k: v for k, v in meta.items() if k != "checksums"}
+        self.arrays = dict(arrays)
+        self.pages = page_manager or PageManager()
+        self.size = int(meta["size"])
         self.kind = meta["kind"]
         self.dimension = int(meta["dimension"])
         self.capacity = int(meta["capacity"])
@@ -106,6 +83,15 @@ class RTreeArrayCore(_ArrayCore):
         # Per-entry flag: does this entry's owning node sit at leaf level
         # (payload is an object id) or above (payload is a child node)?
         self._entry_is_obj = np.repeat(self._levels == 0, np.diff(self._offsets))
+
+    def serialized(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """The exact ``(meta, arrays)`` snapshot form this core runs on."""
+        return self.meta, self.arrays
+
+    def leaf_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(oids, lowers, uppers)`` of the leaf entries, in table order."""
+        leaf = self._entry_is_obj
+        return self._payloads[leaf], self._lowers[leaf], self._uppers[leaf]
 
     # -- queries ---------------------------------------------------------
 
@@ -235,6 +221,9 @@ class RTreeArrayCore(_ArrayCore):
 
     # -- integrity -------------------------------------------------------
 
+    def _fail(self, message: str) -> None:
+        raise IndexError_(f"{self.kind} array core: {message}")
+
     def check_invariants(self) -> None:
         """Vectorized structural validation of the dense node tables.
 
@@ -305,84 +294,18 @@ class RTreeArrayCore(_ArrayCore):
                     self._fail("child MBR escapes the stored directory box")
 
 
-class ScanArrayCore(_ArrayCore):
-    """Contiguous-matrix core for the sequential-scan baseline: the
-    vector collection is one resident (or mmapped) ``(n, d)`` block, so
-    a query is a single vectorized distance pass with no per-query
-    ``vstack``."""
-
-    kind = "scan"
-
-    def __init__(self, meta, arrays, page_manager=None):
-        super().__init__(meta, arrays, page_manager)
-        self.dimension = int(meta["dimension"])
-        self._points = np.ascontiguousarray(arrays["points"], dtype=np.float64)
-        self._oids = np.ascontiguousarray(arrays["oids"], dtype=np.int64)
-
-    def _charge_full_read(self) -> None:
-        self.pages.read_bytes(self.size * self.dimension * 8)
-
-    def ranking_chunks(
-        self, point: np.ndarray
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        if not self.size:
-            return
-        self._charge_full_read()
-        counter("index.nodes_batched").inc()
-        histogram("index.frontier_size").observe(1)
-        point = np.asarray(point, dtype=np.float64)
-        dists = np.linalg.norm(self._points - point, axis=1)
-        order = np.lexsort((self._oids, dists))
-        yield self._oids[order], dists[order]
-
-    def incremental_nearest(self, point: np.ndarray) -> Iterator[tuple[int, float]]:
-        for oids, dists in self.ranking_chunks(point):
-            for oid, dist in zip(oids.tolist(), dists.tolist()):
-                yield oid, dist
-
-    def knn(self, point: np.ndarray, k: int) -> list[tuple[int, float]]:
-        if k < 1:
-            raise IndexError_("k must be >= 1")
-        for oids, dists in self.ranking_chunks(point):
-            return list(zip(oids[:k].tolist(), dists[:k].tolist()))
-        return []
-
-    def range_search(self, center: np.ndarray, radius: float) -> list[int]:
-        if radius < 0:
-            raise IndexError_("radius must be non-negative")
-        if not self.size:
-            return []
-        self._charge_full_read()
-        center = np.asarray(center, dtype=np.float64)
-        dists = np.linalg.norm(self._points - center, axis=1)
-        return self._oids[dists <= radius].tolist()
-
-    def check_invariants(self) -> None:
-        if self._points.shape != (self.size, self.dimension):
-            self._fail(
-                f"point block {self._points.shape} != ({self.size}, {self.dimension})"
-            )
-        if len(self._oids) != self.size:
-            self._fail("oid column length disagrees with size")
-        if not np.isfinite(self._points).all():
-            self._fail("non-finite stored point")
-
-
 def core_from_serialized(
     meta: dict, arrays: dict, *, page_manager: PageManager | None = None
-):
-    """Build the matching array core from a snapshot ``(meta, arrays)``."""
+) -> RTreeArrayCore:
+    """The array core over a snapshot's R*-/X-tree ``(meta, arrays)``."""
     kind = meta.get("kind")
-    if kind in ("rstar", "xtree"):
-        return RTreeArrayCore(meta, arrays, page_manager)
-    if kind == "scan":
-        return ScanArrayCore(meta, arrays, page_manager)
-    raise IndexError_(f"unknown index kind {kind!r}")
+    if kind not in ("rstar", "xtree"):
+        raise IndexError_(f"unknown index kind {kind!r}")
+    return RTreeArrayCore(meta, arrays, page_manager)
 
 
-def densify(tree):
-    """Snapshot *tree* into a fresh array core sharing its page manager."""
-    from repro.index.snapshot import serialize_index
-
+def densify(tree) -> RTreeArrayCore:
+    """Flatten a pointer *tree* into a fresh array core sharing its page
+    manager."""
     meta, arrays = serialize_index(tree)
-    return core_from_serialized(meta, arrays, page_manager=tree.pages)
+    return RTreeArrayCore(meta, arrays, page_manager=tree.pages)

@@ -5,7 +5,8 @@ choose-subtree work and produces ~70 % fill; STR (Leutenegger et al.
 1997) packs fully filled leaves by recursively tiling the data along
 each dimension and is the standard way to build a static index — which
 is exactly the situation of the paper's experiments (load the whole
-dataset, then query).
+dataset, then query), and how :class:`repro.db.SimilarityDatabase`
+packs the immutable core it ranks with (``densify(bulk_load(...))``).
 """
 
 from __future__ import annotations
@@ -20,23 +21,30 @@ from repro.index.xtree import XTree
 
 def _tile(points: np.ndarray, order: np.ndarray, capacity: int, axis: int) -> list[np.ndarray]:
     """Recursively tile *order* (indices into points) into runs of at
-    most *capacity*, slicing along *axis* first."""
+    most *capacity*, slicing along *axis* first.
+
+    Runs are near-equal parts, never a full-size prefix plus a
+    remainder: ``len`` entries in ``ceil(len / capacity)`` runs leave
+    every run at least ``ceil(capacity / 2)`` long, so no packed node is
+    underfull.  A slab is a near-equal share of those runs (whole runs,
+    not a share of the entries), so tiling the remaining axes adds no
+    leaves beyond ``ceil(len / capacity)``."""
     if len(order) <= capacity:
         return [order]
-    dimensions = points.shape[1]
     n_leaves = -(-len(order) // capacity)
-    # Number of slabs along this axis: ceil(n_leaves^(1/remaining_dims)).
-    remaining = dimensions - axis
-    slabs = int(np.ceil(n_leaves ** (1.0 / remaining))) if remaining > 1 else n_leaves
+    remaining = points.shape[1] - axis
     ranked = order[np.argsort(points[order, axis], kind="stable")]
-    slab_size = -(-len(ranked) // slabs)
+    if remaining == 1:
+        return np.array_split(ranked, n_leaves)
+    sizes = np.full(n_leaves, len(order) // n_leaves)
+    sizes[: len(order) % n_leaves] += 1
+    edges = np.concatenate(([0], np.cumsum(sizes)))
+    # Number of slabs along this axis: ceil(n_leaves^(1/remaining_dims)).
+    slabs = int(np.ceil(n_leaves ** (1.0 / remaining)))
     groups: list[np.ndarray] = []
-    for start in range(0, len(ranked), slab_size):
-        slab = ranked[start : start + slab_size]
-        if remaining > 1:
-            groups.extend(_tile(points, slab, capacity, axis + 1))
-        else:
-            groups.append(slab)
+    for runs in np.array_split(np.arange(n_leaves), slabs):
+        slab = ranked[edges[runs[0]] : edges[runs[-1] + 1]]
+        groups.extend(_tile(points, slab, capacity, axis + 1))
     return groups
 
 

@@ -155,26 +155,6 @@ class RStarTree:
         self.reinsert_count = int(reinsert_fraction * capacity)
         self.root = self._new_node(level=0)
         self.size = 0
-        self._dense_core = None
-
-    # -- array core --------------------------------------------------------
-
-    def dense_core(self):
-        """The struct-of-arrays query core mirroring this tree.
-
-        Built lazily from the snapshot serialization and cached until
-        the next mutation; it shares this tree's page manager, so query
-        I/O accounting is unified no matter which representation served
-        the query.
-        """
-        if self._dense_core is None:
-            from repro.index.arraycore import densify
-
-            self._dense_core = densify(self)
-        return self._dense_core
-
-    def _invalidate_core(self) -> None:
-        self._dense_core = None
 
     # -- construction ------------------------------------------------------
 
@@ -187,7 +167,6 @@ class RStarTree:
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dimension,):
             raise IndexError_(f"expected a {self.dimension}-d point, got {point.shape}")
-        self._invalidate_core()
         self._insert_entry(point.copy(), point.copy(), oid, level=0, overflown=set())
         self.size += 1
 
@@ -199,7 +178,6 @@ class RStarTree:
             raise IndexError_("box corners have wrong dimension")
         if np.any(lower > upper):
             raise IndexError_("box lower corner must not exceed upper corner")
-        self._invalidate_core()
         self._insert_entry(lower.copy(), upper.copy(), oid, level=0, overflown=set())
         self.size += 1
 
@@ -358,83 +336,6 @@ class RStarTree:
             self.root = new_root
         return sibling
 
-    # -- deletion ------------------------------------------------------------
-
-    def delete(self, point: np.ndarray, oid: int) -> bool:
-        """Remove the entry (*point*, *oid*); returns whether it existed.
-
-        Underfull nodes along the path are dissolved and their remaining
-        entries reinserted (the classic CondenseTree), and a root with a
-        single directory child is shortened.
-        """
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.dimension,):
-            raise IndexError_(f"expected a {self.dimension}-d point, got {point.shape}")
-        leaf, slot = self._find_leaf(self.root, point, oid)
-        if leaf is None:
-            return False
-        self._invalidate_core()
-        keep = np.arange(leaf.size) != slot
-        leaf.set_entries(
-            leaf.lowers[keep], leaf.uppers[keep], [leaf.oids[i] for i in range(leaf.size) if i != slot]
-        )
-        self.size -= 1
-        self._entry_removed(leaf)
-        self._condense(leaf)
-        # Shrink the root while it is a directory node with one child.
-        while not self.root.is_leaf and self.root.size == 1:
-            self.root = self.root.children[0]
-            self.root.parent = None
-        return True
-
-    def _find_leaf(self, node: _Node, point: np.ndarray, oid: int):
-        if node.is_leaf:
-            for i in range(node.size):
-                if node.oids[i] == oid and np.array_equal(node.lowers[i], point):
-                    return node, i
-            return None, -1
-        for i in range(node.size):
-            if np.all(node.lowers[i] <= point) and np.all(point <= node.uppers[i]):
-                found, slot = self._find_leaf(node.children[i], point, oid)
-                if found is not None:
-                    return found, slot
-        return None, -1
-
-    def _condense(self, node: _Node) -> None:
-        """Dissolve underfull nodes bottom-up and reinsert their entries."""
-        orphans: list[tuple[np.ndarray, np.ndarray, object, int]] = []
-        while node.parent is not None:
-            parent = node.parent
-            if node.size < self.min_fill:
-                slot = parent.children.index(node)
-                keep = np.arange(parent.size) != slot
-                for i in range(node.size):
-                    orphans.append(
-                        (
-                            node.lowers[i].copy(),
-                            node.uppers[i].copy(),
-                            node.payloads()[i],
-                            node.level,
-                        )
-                    )
-                parent.set_entries(
-                    parent.lowers[keep],
-                    parent.uppers[keep],
-                    [parent.children[i] for i in range(parent.size) if i != slot],
-                )
-                self._entry_removed(parent)
-            else:
-                self._refresh_upward(node)
-            node = parent
-        # Reinsert points at the leaf level and orphaned subtrees at the
-        # level of the node that held them.
-        for lower, upper, payload, level in orphans:
-            self._insert_entry(lower, upper, payload, level, overflown=set())
-
-    def _entry_removed(self, node: _Node) -> None:
-        """Hook invoked whenever *node* loses an entry on the delete path
-        (the X-tree overrides it to shrink supernodes back)."""
-
     # -- queries -------------------------------------------------------------
 
     def range_search(self, center: np.ndarray, radius: float) -> list[int]:
@@ -537,7 +438,7 @@ class RStarTree:
     def check_invariants(self) -> None:
         """Raise :class:`IndexError_` on any violated structural invariant.
 
-        Checked after every mutation by the stateful differential tests:
+        Checked by the tree tests after inserts and STR bulk loads:
 
         * MBR containment — every entry box lies inside the box its
           parent stores for the node (exactly, no tolerance: MBRs are
@@ -545,7 +446,7 @@ class RStarTree:
         * level coherence and parent back-pointers,
         * fanout bounds — ``min_fill <= size <= capacity`` for every
           non-root node (the root may hold fewer, but a directory root
-          must keep >= 2 children or it would have been collapsed),
+          must keep >= 2 children),
         * per-node capacity rules (supernode rules in the X-tree),
         * the leaf entry count equals :attr:`size`.
         """

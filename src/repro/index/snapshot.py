@@ -1,31 +1,24 @@
-"""On-disk index snapshots: persist a built tree, reload it cold.
+"""Snapshot archives and the flat form of an index.
 
-A restarted process should answer its first query without paying an
-O(n log n) rebuild, so every access method a database can serve from is
-serialized to a single ``.npz`` snapshot and reconstructed node-for-node:
+Every snapshot the database writes is one archive of named arrays; the
+index part of it is the flat form the array cores run on:
 
 * **R*-tree / X-tree** — nodes in BFS order with flat entry tables
   (lower/upper corners plus payload: an oid for leaf entries, the BFS
   index of the child for directory entries).  Supernode capacities and
-  the X-tree's counters survive the roundtrip, page spans included.
-* **Sequential scan** — the point block and its oid column.
+  the X-tree's counters are kept, page spans included.
+* **Flat point table** (kind ``"scan"``) — the point block and its oid
+  column, what a ``scan`` database writes beside its sets.
 
 The file format borrows the guarantees of the format-v2 object store
 (:mod:`repro.io.database`): every array is CRC32-checksummed at save
 time and verified at load time, and writes go to a process-unique
 temporary file that is ``os.replace``\\ d over the target, so a crash
 mid-save can never destroy the previous snapshot.
-
-:func:`structure_digest` hashes the exact serialized form of a live
-tree; two trees digest equal iff a snapshot of one reconstructs the
-other.  Tests use it to prove a reloaded index did *zero* rebuild work —
-the loaded structure is byte-identical to the saved one, not merely
-equivalent.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -36,26 +29,16 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import SnapshotIntegrityError, StorageError
-from repro.index.pages import PageManager
 from repro.index.rstar import RStarTree, _Node
-from repro.index.scan import SequentialScan
 from repro.index.xtree import XTree
 from repro.testing.faults import crash_point
 
 SNAPSHOT_VERSION = 1
 
-_KINDS = {"rstar": RStarTree, "xtree": XTree, "scan": SequentialScan}
 
-
-def _kind_of(tree) -> str:
-    # XTree subclasses RStarTree, so test the subclass first.
-    if isinstance(tree, XTree):
-        return "xtree"
-    if isinstance(tree, RStarTree):
-        return "rstar"
-    if isinstance(tree, SequentialScan):
-        return "scan"
-    raise StorageError(f"cannot snapshot a {type(tree).__name__}")
+def _stamped(meta: dict, kind: str) -> dict:
+    meta.update(format="repro-index-snapshot", version=SNAPSHOT_VERSION, kind=kind)
+    return meta
 
 
 # -- serialization ---------------------------------------------------------
@@ -114,35 +97,6 @@ def _serialize_rtree(tree: RStarTree) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, arrays
 
 
-def _serialize_scan(tree: SequentialScan) -> tuple[dict, dict[str, np.ndarray]]:
-    points = (
-        np.vstack(tree._points)
-        if tree._points
-        else np.empty((0, tree.dimension), dtype=np.float64)
-    )
-    meta = {"dimension": tree.dimension, "size": tree.size}
-    arrays = {
-        "points": np.ascontiguousarray(points, dtype=np.float64),
-        "oids": np.asarray(tree._oids, dtype=np.int64),
-    }
-    return meta, arrays
-
-
-def _serialize(tree) -> tuple[dict, dict[str, np.ndarray]]:
-    if hasattr(tree, "serialized"):  # an array core already *is* the flat form
-        meta, arrays = tree.serialized()
-        return dict(meta), dict(arrays)
-    kind = _kind_of(tree)
-    if kind == "scan":
-        meta, arrays = _serialize_scan(tree)
-    else:
-        meta, arrays = _serialize_rtree(tree)
-    meta["format"] = "repro-index-snapshot"
-    meta["version"] = SNAPSHOT_VERSION
-    meta["kind"] = kind
-    return meta, arrays
-
-
 def _checksums(arrays: dict[str, np.ndarray]) -> dict[str, int]:
     return {
         name: zlib.crc32(np.ascontiguousarray(arr).tobytes())
@@ -150,32 +104,16 @@ def _checksums(arrays: dict[str, np.ndarray]) -> dict[str, int]:
     }
 
 
-def structure_digest(tree) -> str:
-    """A stable hex digest of the tree's exact serialized structure.
-
-    Two trees share a digest iff their snapshots are interchangeable —
-    same nodes, same entry order, same boxes/capacities.  Queries
-    never change the digest; any mutation does (modulo hash collisions).
-    """
-    meta, arrays = _serialize(tree)
-    hasher = hashlib.sha256()
-    hasher.update(json.dumps(meta, sort_keys=True).encode("utf-8"))
-    for name, arr in sorted(arrays.items()):
-        hasher.update(name.encode("utf-8"))
-        hasher.update(str(arr.shape).encode("utf-8"))
-        hasher.update(np.ascontiguousarray(arr).tobytes())
-    return hasher.hexdigest()
-
-
-# -- save / load -----------------------------------------------------------
+# -- archives --------------------------------------------------------------
 
 
 def write_archive(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> Path:
     """Write a CRC-checked ``.npz`` archive atomically (tmp + replace).
 
     *meta* must carry a ``format`` marker; per-array CRC32 checksums are
-    added here and verified by :func:`read_archive`.  Shared by index
-    snapshots and the mutable database's own snapshot file.
+    added here and verified by :func:`read_archive`.  Every snapshot
+    file of the mutable database (plain, durable generation, shard) is
+    one of these.
     """
     path = Path(path)
     meta = dict(meta)
@@ -284,159 +222,17 @@ def read_archive(
     return meta, payload
 
 
-def save_index(tree, path: str | Path, *, dense: bool = False) -> Path:
-    """Atomically write a CRC-checked snapshot of *tree* to *path*.
-
-    ``dense=True`` writes the flat mmap-able container of
-    :mod:`repro.index.dense` instead of an ``.npz`` archive;
-    :func:`load_index` then returns a zero-copy array core whose node
-    tables are views over the file.
-    """
-    meta, arrays = _serialize(tree)
-    if dense:
-        from repro.index.dense import write_dense_archive
-
-        return write_dense_archive(path, meta, arrays)
-    return write_archive(path, meta, arrays)
+def serialize_index(tree: RStarTree) -> tuple[dict, dict[str, np.ndarray]]:
+    """The (meta, arrays) flat form of a pointer R*-tree or X-tree
+    (what :func:`repro.index.arraycore.densify` builds a core from)."""
+    meta, arrays = _serialize_rtree(tree)
+    # XTree subclasses RStarTree, so test the subclass.
+    return _stamped(meta, "xtree" if isinstance(tree, XTree) else "rstar"), arrays
 
 
-def _load_arrays(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
-    meta, payload = read_archive(path, "repro-index-snapshot")
-    if meta.get("version") != SNAPSHOT_VERSION:
-        raise StorageError(
-            f"{path}: unsupported snapshot version {meta.get('version')!r}"
-        )
-    return meta, payload
-
-
-def _build_rtree(
-    meta: dict, arrays: dict[str, np.ndarray], page_manager: PageManager | None
-) -> RStarTree:
-    if meta["kind"] == "xtree":
-        tree = XTree(
-            dimension=meta["dimension"],
-            page_manager=page_manager,
-            capacity=meta["capacity"],
-            reinsert_fraction=0.0,
-            max_overlap=meta["max_overlap"],
-            max_supernode_factor=meta["max_supernode_factor"],
-        )
-        tree.supernodes_created = meta["supernodes_created"]
-        tree.supernodes_dissolved = meta["supernodes_dissolved"]
-    else:
-        tree = RStarTree(
-            dimension=meta["dimension"],
-            page_manager=page_manager,
-            capacity=meta["capacity"],
-            reinsert_fraction=0.0,
-        )
-    tree.reinsert_count = meta["reinsert_count"]
-    levels = arrays["node_level"]
-    capacities = arrays["node_capacity"]
-    offsets = arrays["entry_offsets"]
-    lowers = arrays["entry_lowers"]
-    uppers = arrays["entry_uppers"]
-    payloads = arrays["entry_payloads"]
-    base_page = tree.pages.page_size
-    nodes: list[_Node] = []
-    for i in range(len(levels)):
-        capacity = int(capacities[i])
-        span = -(-capacity // meta["capacity"])
-        page_id = tree.pages.allocate(span * base_page)
-        nodes.append(
-            _Node(int(levels[i]), meta["dimension"], capacity, page_id)
-        )
-    count = len(nodes)
-    for i, node in enumerate(nodes):
-        start, stop = int(offsets[i]), int(offsets[i + 1])
-        if node.is_leaf:
-            entry_payloads: list = [int(oid) for oid in payloads[start:stop]]
-        else:
-            entry_payloads = []
-            for child_index in payloads[start:stop]:
-                if not 0 <= child_index < count:
-                    raise StorageError(
-                        f"snapshot references node {child_index} of {count}"
-                    )
-                entry_payloads.append(nodes[int(child_index)])
-        node.set_entries(
-            lowers[start:stop].copy(), uppers[start:stop].copy(), entry_payloads
-        )
-    if not nodes:
-        raise StorageError("snapshot holds no nodes")
-    tree.root = nodes[0]
-    tree.root.parent = None
-    tree.size = meta["size"]
-    return tree
-
-
-def load_index(path: str | Path, *, page_manager: PageManager | None = None):
-    """Reconstruct the index stored at *path* without any rebuild work.
-
-    An ``.npz`` snapshot reconstructs the pointer tree exactly as saved
-    (``structure_digest`` of the result equals the saved tree's), with
-    fresh page accounting.  A dense snapshot (:func:`save_index` with ``dense=True``)
-    instead returns the matching **array core** whose node tables are
-    zero-copy mmap views over the file: the process answers its first
-    query without materializing a single node object, and the core's
-    :meth:`inflate` produces the pointer tree on demand.
-    """
-    path = Path(path)
-    from repro.index.dense import is_dense_archive
-
-    if is_dense_archive(path):
-        from repro.index.arraycore import core_from_serialized
-        from repro.index.dense import read_dense_archive
-
-        meta, arrays = read_dense_archive(path, "repro-index-snapshot")
-        if meta.get("version") != SNAPSHOT_VERSION:
-            raise StorageError(
-                f"{path}: unsupported snapshot version {meta.get('version')!r}"
-            )
-        return core_from_serialized(meta, arrays, page_manager=page_manager)
-    meta, arrays = _load_arrays(path)
-    return reconstruct_index(meta, arrays, page_manager=page_manager)
-
-
-def serialize_index(tree) -> tuple[dict, dict[str, np.ndarray]]:
-    """The (meta, arrays) snapshot form of *tree* without writing a file.
-
-    Embedders (the mutable database) stow these in their own archive
-    and rebuild with :func:`reconstruct_index`; they are responsible
-    for integrity checking the arrays themselves.
-    """
-    return _serialize(tree)
-
-
-def indexed_oids(index) -> np.ndarray:
-    """The object ids *index* stores (a pointer tree or an array core),
-    ascending — read off the leaf entries of its serialized form."""
-    meta, arrays = _serialize(index)
-    if meta["kind"] == "scan":
-        oids = arrays["oids"]
-    else:
-        in_leaf = np.repeat(
-            arrays["node_level"] == 0, np.diff(arrays["entry_offsets"])
-        )
-        oids = arrays["entry_payloads"][in_leaf]
-    return np.sort(np.asarray(oids, dtype=np.int64))
-
-
-def reconstruct_index(
-    meta: dict,
-    arrays: dict[str, np.ndarray],
-    *,
-    page_manager: PageManager | None = None,
-):
-    """Rebuild a tree from its :func:`serialize_index` form."""
-    if meta.get("kind") not in _KINDS:
-        raise StorageError(f"unknown index kind {meta.get('kind')!r}")
-    try:
-        if meta["kind"] == "scan":
-            scan = SequentialScan(meta["dimension"], page_manager)
-            scan._points = [row.copy() for row in arrays["points"]]
-            scan._oids = [int(oid) for oid in arrays["oids"]]
-            return scan
-        return _build_rtree(meta, arrays, page_manager)
-    except KeyError as exc:
-        raise StorageError(f"snapshot is missing field {exc}") from exc
+def serialize_points(
+    points: np.ndarray, oids: np.ndarray
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """The (meta, arrays) flat form of a point table (kind ``"scan"``)."""
+    meta = {"dimension": points.shape[1], "size": len(oids)}
+    return _stamped(meta, "scan"), {"points": points, "oids": oids}

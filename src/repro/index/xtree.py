@@ -124,11 +124,6 @@ class XTree(RStarTree):
             self._fit_capacity(sibling)
         return sibling
 
-    def _entry_removed(self, node: _Node) -> None:
-        """Shrink supernodes whose contents fit a smaller page span again."""
-        if not node.is_leaf and node.capacity > self.capacity:
-            self._fit_capacity(node)
-
     def _check_node_capacity(self, node: _Node) -> None:
         """Supernode size rules (checked by :meth:`check_invariants`).
 
@@ -136,7 +131,7 @@ class XTree(RStarTree):
         capacity is a multiple of the base capacity, bounded by
         ``max_supernode_factor``, and *tight*: a supernode spanning ``m``
         pages must hold more entries than ``m - 1`` pages could, or the
-        shrink path should have reclaimed the span.
+        split path's :meth:`_fit_capacity` should have reclaimed the span.
         """
         base = self.capacity
         if node.is_leaf:

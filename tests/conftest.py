@@ -85,3 +85,52 @@ def assert_engine_is_fresh(db):
     an engine exists exactly while the database holds an object."""
     db.check_invariants()
     assert (db.engine_digest() == "empty") == (not len(db))
+
+
+def freshly_packed(db):
+    """A database holding *db*'s objects, built from scratch in ascending
+    oid and packed (``compact``): no delta, no tombstones — the reference
+    a maintained core plus delta must answer like."""
+    from repro.db import SimilarityDatabase
+
+    fresh = SimilarityDatabase(
+        db.capacity,
+        backend=db.backend,
+        omega=db._omega_arg,
+        block_size=db.block_size,
+        index_capacity=db.index_capacity,
+        sketch=False,
+    )
+    for oid in db.object_ids():
+        fresh.add(oid, db.get(oid))
+    fresh.compact()
+    return fresh
+
+
+def reads_only(db, call):
+    """``call(db)``, requiring every attribute of *db* to be the very
+    object it was before: a query writes no database state."""
+    before = dict(vars(db))
+    result = call(db)
+    after = vars(db)
+    assert after.keys() == before.keys()
+    changed = [name for name, value in before.items() if after[name] is not value]
+    assert not changed, f"a query replaced {changed}"
+    return result
+
+
+def assert_answers_like_a_fresh_pack(db, queries, k, epsilon):
+    """k-nn and range answers *and* ``QueryStats`` of *db* are literally
+    those of :func:`freshly_packed`, and no query writes state."""
+    fresh = freshly_packed(db)
+    for query in queries:
+        for ask in (
+            lambda target: target.knn_query(query, k),
+            lambda target: target.range_query(query, epsilon),
+        ):
+            got, got_stats = reads_only(db, ask)
+            want, want_stats = ask(fresh)
+            assert [(m.object_id, m.distance) for m in got] == [
+                (m.object_id, m.distance) for m in want
+            ]
+            assert got_stats == want_stats

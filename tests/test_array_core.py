@@ -1,15 +1,15 @@
 """Array-native index cores: equivalence, zero-copy loads, durability.
 
-The struct-of-arrays cores of :mod:`repro.index.arraycore` promise
-*literal* equality with the pointer trees they mirror — same oids, same
-``(distance, oid)`` order, bit-identical distances — plus a dense
-snapshot container whose mmap-backed load answers its first query
-without materializing the tree.  These tests pin each promise:
+The struct-of-arrays core of :mod:`repro.index.arraycore` promises
+*literal* equality with the pointer tree it was densified from — same
+oids, same ``(distance, oid)`` order, bit-identical distances — plus a
+dense snapshot container whose mmap-backed load answers its first query
+without materializing a tree.  These tests pin each promise:
 
-* ``structure_digest`` of a core's serialized form equals the pointer
-  tree's, and ``inflate`` reconstructs an identical tree;
 * core ``knn`` / ``range_search`` equal the pointer traversals across
-  backends, corpora (uniform, clustered, duplicate-heavy) and k values;
+  trees, corpora (uniform, clustered, duplicate-heavy) and k values;
+* every STR pack densifies to a structurally sound core (no underfull
+  node) that ranks like brute force;
 * zero-copy loads keep O(1) resident copies (every table is a view on
   one shared ``np.memmap``) and survive a fresh subprocess
   byte-for-byte;
@@ -25,24 +25,21 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.db import SimilarityDatabase
 from repro.exceptions import IndexError_, SnapshotIntegrityError
-from repro.index import RStarTree, SequentialScan, XTree
-from repro.index.arraycore import (
-    RTreeArrayCore,
-    ScanArrayCore,
-    densify,
-)
+from repro.index import RStarTree, XTree, bulk_load
+from repro.index.arraycore import RTreeArrayCore, densify
 from repro.index.dense import read_dense_archive, write_dense_archive
-from repro.index.snapshot import serialize_index, structure_digest
+from repro.index.snapshot import serialize_index
 
 DIM = 4
 
 BACKENDS = {
     "rstar": lambda: RStarTree(DIM, capacity=4),
     "xtree": lambda: XTree(DIM, capacity=4, max_overlap=0.0),
-    "scan": lambda: SequentialScan(DIM),
 }
 
 
@@ -72,30 +69,12 @@ def build(backend: str, points: np.ndarray):
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_digest_and_inflate_roundtrip(backend):
-    rng = np.random.default_rng(5)
-    tree = build(backend, corpus("clustered", rng))
-    core = tree.dense_core()
-    core.check_invariants()
-    want = structure_digest(tree)
-    meta, arrays = core.serialized()
-    tree_meta, tree_arrays = serialize_index(tree)
-    assert set(arrays) == set(tree_arrays)
-    for name in arrays:
-        assert np.array_equal(arrays[name], tree_arrays[name]), name
-    inflated = core.inflate()
-    assert structure_digest(inflated) == want
-    if hasattr(inflated, "check_invariants"):
-        inflated.check_invariants()
-
-
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
 def test_core_queries_equal_pointer(backend):
     rng = np.random.default_rng(6)
     for name in ("clustered", "uniform", "duplicates"):
         points = corpus(name, rng)
         tree = build(backend, points)
-        core = tree.dense_core()
+        core = densify(tree)
         # Stored points as queries walk the zero-distance and tie paths.
         queries = np.vstack([rng.uniform(0.0, 100.0, size=(10, DIM)), points[:6]])
         for query in queries:
@@ -104,6 +83,37 @@ def test_core_queries_equal_pointer(backend):
             assert core.range_search(query, 9.0) == sorted(
                 tree.range_search(query, 9.0)
             )
+
+
+@given(
+    n=st.integers(1, 500),
+    dimension=st.integers(1, 8),
+    capacity=st.integers(4, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_pack_is_a_sound_core(n, dimension, capacity, seed):
+    """The pack the database ranks with: ``densify(bulk_load(...))``.
+    Integer coordinates make ties and duplicates common and every
+    distance exact, so brute force is a literal oracle."""
+    rng = np.random.default_rng(seed)
+    points = rng.integers(-6, 7, size=(n, dimension)).astype(float)
+    core = densify(bulk_load(points, tree_class=XTree, capacity=capacity))
+    core.check_invariants()
+    query = rng.integers(-7, 8, size=dimension).astype(float)
+    dists = np.sqrt(((points - query) ** 2).sum(axis=1))
+    ranked = [(int(i), float(dists[i])) for i in np.lexsort((np.arange(n), dists))]
+    for k in {1, min(n, 7), n}:
+        assert core.knn(query, k) == ranked[:k]
+    radius = float(np.median(dists))
+    assert core.range_search(query, radius) == np.flatnonzero(dists <= radius).tolist()
+
+
+def test_str_runs_are_near_equal():
+    """d = 1, capacity 4, n = 7 used to pack leaves of 3, 3 and 1."""
+    tree = bulk_load(np.arange(7.0)[:, None], tree_class=XTree, capacity=4)
+    assert sorted(child.size for child in tree.root.children) == [2, 2, 3]
+    tree.check_invariants()
+    densify(tree).check_invariants()
 
 
 # -- dense snapshots: zero-copy, durability, verification ------------------
@@ -139,9 +149,9 @@ def test_dense_load_is_zero_copy(tmp_path):
     assert len(bases) == 1
 
     loaded = SimilarityDatabase.load(dense_path)
-    # Zero tree rebuild: the index slot holds the array core itself,
-    # not a reconstructed pointer tree.
-    assert isinstance(loaded._index, RTreeArrayCore)
+    # Zero tree rebuild: the core is an array core over the mapped
+    # tables, not a pack.
+    assert isinstance(loaded._core, RTreeArrayCore)
     assert loaded.knn_query(query, 5)[0] == want
     assert SimilarityDatabase.load(npz_path).knn_query(query, 5)[0] == want
 

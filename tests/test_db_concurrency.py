@@ -226,7 +226,7 @@ def test_readers_see_consistent_snapshots_under_writes(backend, rng):
 def test_concurrent_mutations_serialize(rng):
     """Two writer threads interleave adds; every mutation must land and
     the version counter must count them exactly."""
-    db = SimilarityDatabase(CAPACITY, backend="rstar", index_capacity=4)
+    db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
     errors = []
     # Pre-generate inputs: the numpy Generator is not thread-safe.
     payloads = {

@@ -42,6 +42,7 @@ from repro.testing.faults import (
     corrupt_bytes,
     tamper_npz_array,
 )
+from tests.conftest import reads_only
 
 CAPACITY = 3
 DIM = 3
@@ -109,10 +110,12 @@ def apply_step(db, step) -> None:
 
 
 def fresh_build(plan, backend):
+    """The plan's final state built from scratch, its core freshly packed."""
     db = SimilarityDatabase(CAPACITY, backend=backend)
     for step in plan:
         if step[0] != "checkpoint":
             apply_step(db, step)
+    db.compact()
     return db
 
 
@@ -125,19 +128,22 @@ def same_contents(recovered, reference) -> bool:
 
 
 def assert_equivalent(recovered, reference, rng):
+    """Same contents, sound invariants, and answers *and* ``QueryStats``
+    literally the reference's, from queries that write no state."""
     assert same_contents(recovered, reference)
+    recovered.check_invariants()
     for _ in range(3):
         query = rand_set(rng)
-        got, _ = recovered.knn_query(query, 5)
-        expected, _ = reference.knn_query(query, 5)
-        assert [(m.object_id, m.distance) for m in got] == [
-            (m.object_id, m.distance) for m in expected
-        ]
-        got_r, _ = recovered.range_query(query, 6.0)
-        expected_r, _ = reference.range_query(query, 6.0)
-        assert [(m.object_id, m.distance) for m in got_r] == [
-            (m.object_id, m.distance) for m in expected_r
-        ]
+        for ask in (
+            lambda db: db.knn_query(query, 5),
+            lambda db: db.range_query(query, 6.0),
+        ):
+            got, got_stats = reads_only(recovered, ask)
+            expected, expected_stats = ask(reference)
+            assert [(m.object_id, m.distance) for m in got] == [
+                (m.object_id, m.distance) for m in expected
+            ]
+            assert got_stats == expected_stats
 
 
 def matches_some_prefix(recovered, plan, backend, floor, rng) -> bool:
@@ -290,6 +296,39 @@ class TestDurableRoundtrip:
         SimilarityDatabase(CAPACITY, durable=True, path=tmp_path / "db").close()
         with pytest.raises(StorageError, match="already holds"):
             SimilarityDatabase(CAPACITY, durable=True, path=tmp_path / "db")
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"block_size": 0},
+            {"block_size": 2.0},
+            {"capacity": 2.5},
+            {"capacity": 0},
+            {"index_capacity": 3},
+            {"index_capacity": "8"},
+            {"keep_generations": 1.5},
+            {"keep_generations": 0},
+        ],
+        ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()),
+    )
+    @pytest.mark.parametrize("shards", [None, 2], ids=["plain", "2-shard"])
+    def test_numeric_settings_are_checked_before_anything_is_written(
+        self, tmp_path, setting, shards
+    ):
+        """A setting the engine or the index would reject fails the
+        constructor, typed, before ``durable.json`` exists: no directory
+        is left to poison a later open, and no object is ever logged."""
+        kwargs = {"capacity": CAPACITY, **setting}
+        capacity = kwargs.pop("capacity")
+        path = tmp_path / "db"
+        with pytest.raises(QueryError, match=next(iter(setting))):
+            if shards:
+                ShardedSimilarityDatabase(
+                    capacity, shards=shards, durable=True, path=path, **kwargs
+                )
+            else:
+                SimilarityDatabase(capacity, durable=True, path=path, **kwargs)
+        assert not path.exists()
 
 
 class TestRecoveryLadder:

@@ -3,12 +3,12 @@
 The two headline guarantees from the issue:
 
 * after ANY interleaved add/remove/update workload, a k-nn query
-  against the incrementally maintained index returns *byte-identical*
-  results to a freshly rebuilt index;
+  against the packed core plus its delta returns *byte-identical*
+  results to a freshly packed index;
 * a snapshot saved, reloaded in a NEW PROCESS, and queried returns the
-  same results with ZERO rebuild work (no ``insert`` runs on load —
-  asserted by monkeypatching, and by ``structure_digest`` equality
-  across the process boundary).
+  same results with ZERO rebuild work (no ``insert`` and no pack runs
+  on load — asserted by monkeypatching, and by ``index_digest``
+  equality across the process boundary).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import pytest
 from contextlib import contextmanager
 
 from repro import obs
+from repro.db import core as db_core
 from repro.db import (
     BACKENDS,
     DB_FORMAT,
@@ -94,6 +95,26 @@ def flip_code_word(db, oid):
     code = db._hamming.codes[db._hamming.oids.tolist().index(oid)].copy()
     code[0] ^= np.uint64(1)
     db._hamming.update(oid, code)
+
+
+def drop_from_index(db, oid):
+    """Make the index lose *oid*: unstage it, or tombstone its core entry."""
+    if oid in db._delta:
+        db._delta = np.setdiff1d(db._delta, [oid])
+    else:
+        db._tombstones = np.union1d(db._tombstones, [oid])
+
+
+def move_core_key(db, oid):
+    """Move the core's leaf point of *oid* onto a sibling's in the same
+    leaf: the node tables stay structurally sound, only the key is wrong."""
+    db.compact()  # *oid* is a live core entry now
+    core = db._core
+    at = int(np.flatnonzero(core._entry_is_obj & (core._payloads == oid))[0])
+    node = int(np.searchsorted(core._offsets, at, "right")) - 1
+    sibling = core._offsets[node] + (at == core._offsets[node])
+    core._lowers[at] = core._lowers[sibling]
+    core._uppers[at] = core._uppers[sibling]
 
 
 def shift_centroid(db, oid):
@@ -217,7 +238,7 @@ class TestEngineInvalidation:
     def test_queries_never_see_stale_candidates(self, rng):
         """Every mutation must invalidate the packed engine: a removed
         object can never reappear, an added one is visible at once."""
-        db = SimilarityDatabase(CAPACITY, backend="rstar", index_capacity=4)
+        db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
         a, b = rand_set(rng), rand_set(rng)
         db.add(1, a)
         db.add(2, b)
@@ -246,7 +267,7 @@ class TestEngineInvalidation:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(FilterRefineEngine, "__init__", counting_init)
-        db = SimilarityDatabase(CAPACITY, backend="rstar", index_capacity=4)
+        db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
         assert not builds
         for oid in range(8):
             db.add(oid, rand_set(rng))
@@ -339,11 +360,17 @@ class TestEngineInvalidation:
         step("add", 50, 3)
         step("remove", 7)
         step("update", 3, CAPACITY)
-        db.compact()  # the index a fresh build has; the engines stay as churned
 
         fresh = make()
         for oid in sorted(contents):
             fresh.add(oid, contents[oid])
+        fresh.compact()  # a freshly packed core with nothing staged beside it
+        assert [(results_tuple(r), s) for r, s in answers(db)] == [
+            (results_tuple(r), s) for r, s in answers(fresh)
+        ]
+        # Packed, the churned database's wide events (page counts
+        # included) are the fresh pack's; its engines stay as churned.
+        db.compact()
 
         def observed(target, name):
             trace = tmp_path / f"{name}.jsonl"
@@ -406,8 +433,7 @@ class TestCheckInvariants:
         "tamper, message",
         [
             (shift_centroid, "stored centroid of object"),
-            (lambda db, oid: db._index.delete(db._engine.centroid_of(oid), oid),
-             "index holds"),
+            (drop_from_index, "index holds"),
             (lambda db, oid: db._hamming.remove(oid), "sketch tier"),
             (flip_code_word, "sketch code of object"),
             (lambda db, oid: db._engine.remove(oid), "index holds"),
@@ -417,14 +443,18 @@ class TestCheckInvariants:
              "squared norms of object"),
             (lambda db, oid: db._engine._row_of.__setitem__(
                 oid, (db._engine._row_of[oid] + 1) % len(db)), "not a bijection"),
+            (move_core_key, "index key of object"),
+            (lambda db, oid: setattr(
+                db, "_tombstones", np.union1d(db._tombstones, [10**9])),
+             "tombstone names no entry"),
         ],
         ids=["centroid", "index", "sketch", "sketch-code", "engine-ids",
-             "engine-row", "sq-norm", "row-map"],
+             "engine-row", "sq-norm", "row-map", "index-key", "tombstone"],
     )
     def test_names_the_first_disagreement(self, rng, tamper, message):
         """The faults that can still occur with one copy of every object:
-        the engine's buffers against each other, and the index and the
-        sketch tier against the engine's rows."""
+        the engine's buffers against each other, and the index (its ids
+        and its keys) and the sketch tier against the engine's rows."""
         db = self.make(rng)
         db.update(db.object_ids()[2], np.ones((1, DIM)))  # a row with a padded tail
         tamper(db, db.object_ids()[2])
@@ -456,14 +486,43 @@ class TestCheckInvariants:
         db.save(tmp_path / "bad.db", dense=dense)
         assert main(["db", "verify", str(tmp_path / "bad.db")]) == 1
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["npz", "dense"])
+    def test_verify_rejects_an_index_key_off_its_centroid(self, rng, tmp_path, dense):
+        """The CRCs are valid and the node tables sound; object 50's leaf
+        point sits on a sibling's, so a 1-nn query with its own set would
+        answer the sibling.  Only the keys-against-centroids check sees it."""
+        from repro.cli import main
+
+        db = SimilarityDatabase(CAPACITY, backend="xtree")
+        for oid in range(200):
+            db.add(oid, rand_set(rng))
+        path = tmp_path / "db"
+        db.save(path, dense=dense)
+        assert main(["db", "verify", str(path)]) == 0
+
+        def onto_a_sibling(meta, arrays):
+            offsets = arrays["index__entry_offsets"]
+            in_leaf = np.repeat(arrays["index__node_level"] == 0, np.diff(offsets))
+            at = int(np.flatnonzero(in_leaf & (arrays["index__entry_payloads"] == 50))[0])
+            node = int(np.searchsorted(offsets, at, "right")) - 1
+            sibling = offsets[node] + (at == offsets[node])
+            for name in ("index__entry_lowers", "index__entry_uppers"):
+                arrays[name] = arrays[name].copy()
+                arrays[name][at] = arrays[name][sibling]
+
+        restamp_layout(path, onto_a_sibling, lambda payload: None)
+        opened = open_database(path)
+        with pytest.raises(InvariantError, match="index key of object 50"):
+            opened.check_invariants()
+        assert main(["db", "verify", str(path)]) == 1
+
     @pytest.mark.parametrize("layout", ["plain", "2-shard"])
     @pytest.mark.parametrize("dense", [False, True], ids=["npz", "dense"])
     @pytest.mark.parametrize("backend", ALL)
     def test_negative_object_ids_are_valid(self, rng, tmp_path, backend, dense, layout):
         """``check_object_id`` admits any int64, so a snapshot holding
         negative ids verifies and answers like the database it was saved
-        from - also after a mutation of the reopened (dense: inflated)
-        index."""
+        from - also after a mutation of the reopened database."""
         from repro.cli import main
 
         if layout == "plain":
@@ -648,7 +707,7 @@ class TestValidation:
             reopened.close()
 
     def test_unknown_backend_rejected(self):
-        for backend in ("btree", "mtree"):
+        for backend in ("btree", "mtree", "rstar"):
             with pytest.raises(QueryError, match="unknown backend"):
                 SimilarityDatabase(CAPACITY, backend=backend)
             with pytest.raises(QueryError, match="unknown backend"):
@@ -684,7 +743,7 @@ class TestValidation:
 class TestSnapshotAcceptance:
     @pytest.mark.parametrize("backend", ALL)
     def test_reload_is_zero_rebuild(self, backend, rng, tmp_path, monkeypatch):
-        """load() must reconstruct the index without a single insert."""
+        """load() must open the index without a single insert or pack."""
         db = SimilarityDatabase(
             CAPACITY, backend=backend, index_capacity=4
         )
@@ -696,10 +755,11 @@ class TestSnapshotAcceptance:
         digest = db.index_digest()
 
         def boom(*a, **k):  # any rebuild work fails the test
-            raise AssertionError("load() must not insert")
+            raise AssertionError("load() must not insert or pack")
 
         for cls in (RStarTree, XTree):
             monkeypatch.setattr(cls, "insert", boom)
+        monkeypatch.setattr(db_core, "bulk_load", boom)
         loaded = SimilarityDatabase.load(path)
         assert loaded.index_digest() == digest
         assert loaded.version == db.version
@@ -780,13 +840,11 @@ print(json.dumps({
 
     @pytest.mark.parametrize("kind", ["npz", "dense", "durable", "sharded"])
     def test_retired_backend_layout_opens_on_xtree(self, kind, rng, tmp_path):
-        """A layout written with the retired M-tree backend holds every
-        set and stored centroid; only its index arrays are M-tree
-        shaped.  It opens as an X-tree database whose index is rebuilt
-        from the centroids — those arrays are never parsed — and answers
+        """A layout written with a retired backend holds every set and
+        stored centroid; only its index arrays are M-tree or R*-tree
+        shaped.  It opens as an X-tree database whose core is packed from
+        the centroids — those arrays are never parsed — and answers
         literally like a fresh build."""
-        path = tmp_path / "db"
-        contents = write_xtree_layout(kind, rng, path)
 
         def as_written_by_the_mtree_backend(meta, arrays):
             meta["backend"] = "mtree"
@@ -796,43 +854,60 @@ print(json.dumps({
                 del arrays[name]
             arrays["index__node_is_leaf"] = np.ones(1, dtype=np.int8)
 
-        restamp_layout(
-            path,
-            as_written_by_the_mtree_backend,
-            lambda payload: payload.update(backend="mtree"),
-        )
-        fresh = fresh_xtree(contents)
-        opened = open_database(path)
-        assert opened.backend == "xtree"
-        for shard in getattr(opened, "shards", [opened]):
-            assert shard.backend == "xtree"
-            shard.check_invariants()
-        if kind != "sharded":
-            # Ascending-oid insertion, exactly a fresh build's tree.
-            assert opened.index_digest() == fresh.index_digest()
-        for _ in range(4):
-            query = rand_set(rng)
-            for got, want in (
-                (opened.knn_query(query, 6), fresh.knn_query(query, 6)),
-                (
-                    opened.knn_query(query, 6, mode="approx", shortlist=12),
-                    fresh.knn_query(query, 6, mode="approx", shortlist=12),
-                ),
-                (opened.range_query(query, 5.0), fresh.range_query(query, 5.0)),
-            ):
-                assert results_tuple(got[0]) == results_tuple(want[0])
-                if kind != "sharded":
-                    assert got[1] == want[1]
-        # Still a working database: mutate, persist, reopen.
-        opened.add(901, contents[min(contents)])
-        saved = opened.save(None if kind == "durable" else tmp_path / "again")
-        opened.close()
-        again = open_database(path if kind == "durable" else saved)
-        assert again.backend == "xtree" and 901 in again
-        again.close()
+        def as_written_by_the_rstar_backend(meta, arrays):
+            meta["backend"] = "rstar"
+            if meta["index_meta"] is not None:
+                meta["index_meta"]["kind"] = "rstar"
+                # An incrementally built R*-tree's tables: never read.
+                arrays["index__entry_lowers"] = arrays["index__entry_lowers"] + 1.0
+
+        for retired, edit in (
+            ("mtree", as_written_by_the_mtree_backend),
+            ("rstar", as_written_by_the_rstar_backend),
+        ):
+            path = tmp_path / retired / "db"
+            path.parent.mkdir()
+            contents = write_xtree_layout(kind, rng, path)
+            restamp_layout(
+                path, edit, lambda payload, name=retired: payload.update(backend=name)
+            )
+            fresh = fresh_xtree(contents)
+            fresh.compact()
+            opened = open_database(path)
+            assert opened.backend == "xtree"
+            for shard in getattr(opened, "shards", [opened]):
+                assert shard.backend == "xtree"
+                shard.check_invariants()
+            if kind != "sharded":
+                # Packed from the stored centroids: a fresh pack's index.
+                assert opened.index_digest() == fresh.index_digest()
+            for _ in range(4):
+                query = rand_set(rng)
+                for got, want in (
+                    (opened.knn_query(query, 6), fresh.knn_query(query, 6)),
+                    (
+                        opened.knn_query(query, 6, mode="approx", shortlist=12),
+                        fresh.knn_query(query, 6, mode="approx", shortlist=12),
+                    ),
+                    (opened.range_query(query, 5.0), fresh.range_query(query, 5.0)),
+                ):
+                    assert results_tuple(got[0]) == results_tuple(want[0])
+                    if kind != "sharded":
+                        assert got[1] == want[1]
+            # Still a working database: mutate, persist, reopen.
+            opened.add(901, contents[min(contents)])
+            saved = opened.save(
+                None if kind == "durable" else tmp_path / retired / "again"
+            )
+            opened.close()
+            again = open_database(path if kind == "durable" else saved)
+            assert again.backend == "xtree" and 901 in again
+            for shard in getattr(again, "shards", [again]):
+                shard.check_invariants()
+            again.close()
 
     def test_snapshot_corruption_detected(self, rng, tmp_path):
-        db = SimilarityDatabase(CAPACITY, backend="rstar", index_capacity=4)
+        db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
         churn(db, rng, adds=12)
         path = tmp_path / "db.snap"
         db.save(path)
@@ -984,11 +1059,10 @@ class TestOneCopyStore:
         self, kind, rng, tmp_path, monkeypatch
     ):
         """Every layout opens on array cores over the saved node tables:
-        no pointer tree is reconstructed, inserted into or flattened
-        until the first mutation, which inflates exactly once."""
+        no pointer tree is built, inserted into, packed or flattened by
+        the open or by a query.  Mutations never insert into a pointer
+        tree either; they stage, and pack only as the re-pack rule says."""
         import repro.index.arraycore as arraycore
-        import repro.index.snapshot as snapshot
-        from repro.db import shard_of
 
         path = tmp_path / "db"
         if kind == "durable":
@@ -1025,27 +1099,20 @@ class TestOneCopyStore:
         def boom(*args, **kwargs):
             raise AssertionError("open / first query built a pointer tree")
 
-        reconstruct = snapshot.reconstruct_index
+        monkeypatch.setattr(RStarTree, "insert", boom)  # XTree inherits
         with monkeypatch.context() as patched:
-            patched.setattr(snapshot, "reconstruct_index", boom)
+            patched.setattr(db_core, "bulk_load", boom)
             patched.setattr(arraycore, "densify", boom)
-            patched.setattr(RStarTree, "insert", boom)  # XTree inherits
             opened = open_database(path)
             assert answers(opened) == want
-        inflations = []
-
-        def counting(*args, **kwargs):
-            inflations.append(1)
-            return reconstruct(*args, **kwargs)
-
-        monkeypatch.setattr(snapshot, "reconstruct_index", counting)
-        added = (900, 901, 902, 903)
-        for oid in added:
+        parts = getattr(opened, "shards", [opened])
+        for oid in (900, 901, 902, 903):
             opened.add(oid, rand_set(rng))
             opened.knn_query(queries[0], 3)
-        shards = {shard_of(oid, 2) for oid in added} if kind == "sharded" else {0}
-        assert len(inflations) == len(shards)
-        for part in getattr(opened, "shards", [opened]):
+            for part in parts:
+                staged = len(part._delta) + len(part._tombstones)
+                assert staged <= db_core.REPACK_SHARE * part._core.size
+        for part in parts:
             part.check_invariants()
         opened.close()
 
@@ -1180,7 +1247,7 @@ class TestGridIngestPath:
         cache = FeatureCache()
         db = SimilarityDatabase(
             CAPACITY,
-            backend="rstar",
+            backend="xtree",
             model=model,
             pipeline=Pipeline(resolution=12),
             cache=cache,

@@ -90,10 +90,6 @@ UNREACHED_ON_PURPOSE = {
         "centroid filter), benchmarks/test_ablation_index_structures.py; "
         "PR 24's verdict"
     ),
-    "repro.index.bulkload": (
-        "pending ROADMAP item 3: wired by add_many or deleted with the "
-        "pointer trees"
-    ),
     "repro.normalize.pca": "paper §3.2 principal-axis transform",
     "repro.voxel.metrics": (
         "paper §3.3.3 symmetric volume difference, the oracle "

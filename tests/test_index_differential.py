@@ -1,29 +1,33 @@
-"""Stateful differential testing of the three mutable access methods.
+"""Stateful differential testing of the database's index: a packed core
+plus a delta against a fresh pack and brute force.
 
-A hypothesis rule machine interleaves inserts, deletes, range queries
-and k-nn queries and asserts that the X-tree, the R*-tree and the
-linear scan return *identical* results at every step — same ids, same
-distances, same order.  Integer coordinates make every distance exactly
-representable, so equality is literal, not approximate: all three
-implementations compute ``sqrt`` of the same exact integer sum of
-squares, and ties resolve canonically by ascending object id in each
-of them.  (The insert-only M-tree is held to the same answers by
-``tests/test_index_trees.py``.)
+A hypothesis rule machine interleaves add, remove, update, compact and
+save-reload steps on an ``xtree`` database (node capacity 4, so a
+handful of objects already spans several nodes and the re-pack rule is
+crossed in both directions: steps that stage objects beside the core
+and steps that re-pack it) and on a ``scan`` database, and after every
+step requires of each:
 
-``check_invariants()`` runs on every tree after every mutation, so a
-structural violation (MBR containment, fanout bounds, supernode sizing)
-is caught at the step that introduced it, with hypothesis shrinking the
-workload to a minimal reproduction.
+* k-nn and range answers *and* ``QueryStats`` literally equal to a
+  freshly packed database of the same objects, and to brute force;
+* ``check_invariants()`` — core structurally sound, tombstones naming
+  core entries, core minus tombstones plus delta equal to the stored
+  ids, every core key its object's stored centroid, engine equal to a
+  from-scratch build;
+* queries that leave every attribute of the database the very object
+  it was (no query writes state, not even a cache).
 
-One ``SimilarityDatabase`` per backend rides along, holding every point
-as a one-vector set (capacity 1, so the matching distance *is* the
-Euclidean one): its answers must be the model's too, its
-``check_invariants()`` must hold and its refinement engine — maintained
-in place by every insert and delete — must equal a from-scratch build
-after every step.
+Integer coordinates make every distance exactly representable and ties
+common (the coordinate range is small), so equality is literal, and the
+canonical ``(distance, oid)`` order is exercised across the merge of
+core and delta.  Every object is a one-vector set of capacity 1, so the
+matching distance *is* the Euclidean one and brute force is a sort.
 """
 
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,151 +40,154 @@ from hypothesis.stateful import (
 )
 
 from repro.db import BACKENDS, SimilarityDatabase
-from repro.index import RStarTree, SequentialScan, XTree
-from tests.conftest import assert_engine_is_fresh
+from repro.db.core import REPACK_SHARE
+from tests.conftest import (
+    assert_answers_like_a_fresh_pack,
+    assert_engine_is_fresh,
+    reads_only,
+)
 
 DIMENSION = 3
 
-coordinates = st.integers(min_value=-32, max_value=32)
+coordinates = st.integers(min_value=-4, max_value=4)
 points = st.tuples(*[coordinates] * DIMENSION)
+PROBES = [np.zeros((1, DIMENSION)), np.array([[2.0, -1.0, 3.0]])]
 
 
-def euclidean(a, b):
-    return float(np.linalg.norm(np.asarray(a, float) - np.asarray(b, float)))
+def brute_force(model, center):
+    center = np.asarray(center, dtype=float)
+    return sorted(
+        (float(np.linalg.norm(np.asarray(p, dtype=float) - center)), oid)
+        for oid, p in model.items()
+    )
+
+
+def check(db, model):
+    """Everything the module docstring promises, for one database."""
+    assert_engine_is_fresh(db)
+    assert db.object_ids() == sorted(model)
+    assert_answers_like_a_fresh_pack(db, PROBES, k=5, epsilon=3.0)
+    for probe in PROBES:
+        ranked = brute_force(model, probe[0])
+        got, _ = reads_only(db, lambda target: target.knn_query(probe, 5))
+        assert [(m.object_id, m.distance) for m in got] == [
+            (oid, dist) for dist, oid in ranked[:5]
+        ]
 
 
 class IndexDifferentialMachine(RuleBasedStateMachine):
-    """All three access methods must agree with the model and each other."""
+    """Every backend's database against the model after every step."""
 
     def __init__(self):
         super().__init__()
-        # Small capacities force splits (and supernode creation for the
-        # X-tree: max_overlap=0.0 makes every overlapping split fail).
-        self.rstar = RStarTree(DIMENSION, capacity=4)
-        self.xtree = XTree(
-            DIMENSION, capacity=4, max_overlap=0.0, max_supernode_factor=8
-        )
-        self.scan = SequentialScan(DIMENSION)
-        self.trees = [self.rstar, self.xtree, self.scan]
         self.dbs = [
-            SimilarityDatabase(1, backend=backend, index_capacity=4)
+            SimilarityDatabase(1, backend=backend, index_capacity=4, sketch=False)
             for backend in BACKENDS
         ]
         self.model: dict[int, tuple[int, ...]] = {}
         self.next_oid = 0
 
+    def _each(self, call):
+        for db in self.dbs:
+            call(db)
+        for db in self.dbs:
+            check(db, self.model)
+
     # -- mutations ---------------------------------------------------------
 
-    def _check_all(self):
-        for tree in (self.rstar, self.xtree):
-            tree.check_invariants()
-        # Every mutation invalidates the cached array core; re-densify
-        # and structurally verify the fresh node tables as well.
-        for tree in self.trees:
-            tree.dense_core().check_invariants()
-        for db in self.dbs:
-            if self.model:
-                # Packs the engine at the first insert, so every later
-                # step maintains a live one.
-                db.knn_query(np.zeros((1, DIMENSION)), 1)
-            assert_engine_is_fresh(db)
-
     @rule(point=points)
-    def insert(self, point):
+    def add(self, point):
         oid = self.next_oid
         self.next_oid += 1
-        arr = np.asarray(point, dtype=float)
-        for tree in self.trees:
-            tree.insert(arr, oid)
-        for db in self.dbs:
-            db.add(oid, arr[None, :])
         self.model[oid] = point
-        self._check_all()
+        self._each(lambda db: db.add(oid, np.asarray([point], dtype=float)))
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())
-    def delete(self, data):
+    def remove(self, data):
         oid = data.draw(st.sampled_from(sorted(self.model)), label="victim")
-        point = np.asarray(self.model.pop(oid), dtype=float)
-        for tree in self.trees:
-            assert tree.delete(point, oid) is True
+        del self.model[oid]
+        self._each(lambda db: db.remove(oid))
+
+    @rule()
+    def remove_absent(self):
+        """Removing an id that is not stored is a detected no-op."""
         for db in self.dbs:
-            assert db.remove(oid) is True
-        self._check_all()
+            assert db.remove(self.next_oid + 1000) is False
+        self._each(lambda db: None)
 
     @precondition(lambda self: self.model)
     @rule(data=st.data(), point=points)
-    def delete_absent(self, data, point):
-        """Deleting an id that is not stored must be a detected no-op."""
-        oid = self.next_oid + 1000  # never assigned
-        arr = np.asarray(point, dtype=float)
-        for tree in self.trees:
-            assert tree.delete(arr, oid) is False
+    def update(self, data, point):
+        oid = data.draw(st.sampled_from(sorted(self.model)), label="target")
+        self.model[oid] = point
+        self._each(lambda db: db.update(oid, np.asarray([point], dtype=float)))
+
+    @rule()
+    def compact(self):
+        self._each(lambda db: db.compact())
         for db in self.dbs:
-            assert db.remove(oid) is False
-        self._check_all()
+            assert not len(db._delta) and not len(db._tombstones)
 
-    # -- queries -----------------------------------------------------------
+    @rule(dense=st.booleans())
+    def save_reload(self, dense):
+        """The snapshot holds a pack of the live set (written, not
+        installed: the save is a read), and the reopened database serves
+        it with nothing staged."""
+        with tempfile.TemporaryDirectory() as tmp:
+            reopened = []
+            for position, db in enumerate(self.dbs):
+                path = Path(tmp) / f"db-{position}"
+                reads_only(db, lambda target: target.save(path, dense=dense))
+                reopened.append(SimilarityDatabase.load(path))
+            for db, again in zip(self.dbs, reopened):
+                assert again.index_digest() == db.index_digest()
+                assert not len(again._delta) and not len(again._tombstones)
+            self.dbs = reopened
+            for db in self.dbs:
+                check(db, self.model)
 
-    def _expected(self, center):
-        pairs = [(euclidean(p, center), oid) for oid, p in self.model.items()]
-        pairs.sort()
-        return pairs
+    # -- drawn queries -----------------------------------------------------
 
     @precondition(lambda self: self.model)
     @rule(center=points, data=st.data())
     def knn_agrees(self, center, data):
-        k = data.draw(
-            st.integers(min_value=1, max_value=len(self.model) + 2), label="k"
-        )
-        arr = np.asarray(center, dtype=float)
-        expected = [
-            (oid, dist) for dist, oid in self._expected(center)[:k]
-        ]
-        for tree in self.trees:
-            assert tree.knn(arr, k) == expected, type(tree).__name__
-            core = tree.dense_core()
-            assert core.knn(arr, k) == expected, type(core).__name__
+        k = data.draw(st.integers(1, len(self.model) + 2), label="k")
+        query = np.asarray([center], dtype=float)
+        want = [(oid, dist) for dist, oid in brute_force(self.model, center)[:k]]
         for db in self.dbs:
-            # Exact and, over a shortlist of everything, approximate.
-            for args in ({}, {"mode": "approx", "shortlist": len(self.model)}):
-                results, _ = db.knn_query(arr[None, :], k, **args)
-                got = [(m.object_id, m.distance) for m in results]
-                assert got == expected, (db.backend, args)
+            got, _ = reads_only(db, lambda target: target.knn_query(query, k))
+            assert [(m.object_id, m.distance) for m in got] == want, db.backend
+        assert_answers_like_a_fresh_pack(self.dbs[0], [query], k=k, epsilon=2.0)
 
     @precondition(lambda self: self.model)
-    @rule(center=points, radius=st.integers(min_value=0, max_value=40))
+    @rule(center=points, radius=st.integers(0, 8))
     def range_agrees(self, center, radius):
-        arr = np.asarray(center, dtype=float)
-        expected_ids = sorted(
-            oid for dist, oid in self._expected(center) if dist <= radius
-        )
-        assert sorted(self.rstar.range_search(arr, radius)) == expected_ids
-        assert sorted(self.xtree.range_search(arr, radius)) == expected_ids
-        assert sorted(self.scan.range_search(arr, radius)) == expected_ids
-
-    @precondition(lambda self: self.model)
-    @rule(center=points)
-    def ranking_agrees(self, center):
-        """incremental_nearest yields the full canonical ranking."""
-        arr = np.asarray(center, dtype=float)
-        expected = [(oid, dist) for dist, oid in self._expected(center)]
-        for tree in (self.rstar, self.xtree, self.scan):
-            assert list(tree.incremental_nearest(arr)) == expected, (
-                type(tree).__name__
-            )
-            assert list(tree.dense_core().incremental_nearest(arr)) == (
-                expected
-            ), type(tree).__name__
+        query = np.asarray([center], dtype=float)
+        want = [
+            (oid, dist)
+            for dist, oid in brute_force(self.model, center)
+            if dist <= radius
+        ]
+        for db in self.dbs:
+            got, _ = reads_only(db, lambda target: target.range_query(query, radius))
+            assert [(m.object_id, m.distance) for m in got] == want, db.backend
 
     # -- global coherence --------------------------------------------------
 
     @invariant()
     def sizes_agree(self):
-        for tree in self.trees:
-            assert tree.size == len(self.model), type(tree).__name__
         for db in self.dbs:
             assert len(db) == len(self.model), db.backend
+
+    @invariant()
+    def staged_within_the_rule(self):
+        for db in self.dbs:
+            staged = len(db._delta) + len(db._tombstones)
+            if db._core is None:
+                assert staged == 0
+            else:
+                assert staged <= REPACK_SHARE * db._core.size
 
 
 TestIndexDifferential = IndexDifferentialMachine.TestCase
@@ -188,33 +195,90 @@ TestIndexDifferential = IndexDifferentialMachine.TestCase
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_bulk_churn_differential(seed):
-    """A dense non-hypothesis workload: hundreds of interleaved inserts
-    and deletes with invariant checks, beyond the stateful budget."""
+    """A dense non-hypothesis workload beyond the stateful budget:
+    hundreds of interleaved adds, removes and updates on both backends,
+    checked every few steps, crossing the re-pack rule both ways."""
     rng = np.random.default_rng(seed)
-    rstar = RStarTree(DIMENSION, capacity=4)
-    xtree = XTree(DIMENSION, capacity=4, max_overlap=0.0, max_supernode_factor=8)
-    scan = SequentialScan(DIMENSION)
-    trees = [rstar, xtree, scan]
-    model = {}
-    for oid in range(220):
-        point = rng.integers(-20, 21, size=DIMENSION).astype(float)
-        for tree in trees:
-            tree.insert(point, oid)
-        model[oid] = point
-        if oid % 3 == 2:  # interleave deletes
+    dbs = [
+        SimilarityDatabase(1, backend=backend, index_capacity=4, sketch=False)
+        for backend in BACKENDS
+    ]
+    xtree = dbs[BACKENDS.index("xtree")]
+    model: dict[int, tuple] = {}
+    staged_steps = packs = 0
+    for step in range(300):
+        core = xtree._core
+        point = tuple(rng.integers(-6, 7, size=DIMENSION).tolist())
+        if model and step % 3 == 2:
             victim = int(rng.choice(sorted(model)))
-            for tree in trees:
-                assert tree.delete(model[victim], victim)
             del model[victim]
-        if oid % 17 == 0:
-            for tree in (rstar, xtree):
-                tree.check_invariants()
-    for tree in (rstar, xtree):
-        tree.check_invariants()
-    assert xtree.supernodes_created > 0, "workload never made a supernode"
+            for db in dbs:
+                assert db.remove(victim)
+        elif model and step % 5 == 4:
+            target = int(rng.choice(sorted(model)))
+            model[target] = point
+            for db in dbs:
+                db.update(target, np.asarray([point], dtype=float))
+        else:
+            model[step] = point
+            for db in dbs:
+                db.add(step, np.asarray([point], dtype=float))
+        packs += xtree._core is not core
+        staged_steps += bool(len(xtree._delta) or len(xtree._tombstones))
+        if step % 17 == 0:
+            for db in dbs:
+                check(db, model)
+    for db in dbs:
+        check(db, model)
+    # Both directions of the re-pack rule were taken, many times.
+    assert packs > 10 and staged_steps > 100
 
-    center = np.zeros(DIMENSION)
-    pairs = sorted((euclidean(p, center), oid) for oid, p in model.items())
-    expected = [(oid, dist) for dist, oid in pairs[:10]]
-    for tree in trees:
-        assert tree.knn(center, 10) == expected, type(tree).__name__
+
+def test_equal_centroids_split_across_core_and_delta():
+    """Objects at one point live both in the core and in the delta (and
+    one core entry is tombstoned): the ties come out by ascending oid
+    across the merge, exactly as a fresh pack ranks them."""
+    db = SimilarityDatabase(1, backend="xtree", index_capacity=4, sketch=False)
+    tie = np.array([[1.0, 1.0, 1.0]])
+    rng = np.random.default_rng(7)
+    for oid in range(10, 138, 2):  # 64 objects, half of them at the tie
+        at_tie = oid % 4 == 2
+        db.add(oid, tie if at_tie else rng.integers(-9, 10, size=(1, 3)).astype(float))
+    db.compact()
+    assert 4 <= REPACK_SHARE * db._core.size, "room to stage four entries"
+    db.add(3, tie)  # before every core tie
+    db.update(50, tie)  # 50 was a tie already: core entry tombstoned, restaged
+    db.add(61, tie)  # between core ties
+    assert list(db._delta) == [3, 50, 61] and list(db._tombstones) == [50]
+    want = sorted([3, 61] + [oid for oid in range(10, 138, 2) if oid % 4 == 2])
+    got, _ = reads_only(db, lambda target: target.knn_query(tie, len(want)))
+    assert [m.object_id for m in got] == want
+    assert {m.distance for m in got} == {0.0}
+    got, _ = db.range_query(tie, 0.0)
+    assert [m.object_id for m in got] == want
+    assert_answers_like_a_fresh_pack(db, [tie], k=len(want) + 3, epsilon=0.0)
+    check(db, {oid: tuple(db.get(oid)[0]) for oid in db.object_ids()})
+
+
+def test_a_query_writes_no_state(tmp_path):
+    """Neither a ranking over core plus delta nor a save under the read
+    lock replaces any attribute of the database."""
+    db = SimilarityDatabase(1, backend="xtree", index_capacity=4)
+    for oid in range(64):
+        db.add(oid, np.array([[oid % 7, oid % 5, oid % 3]], dtype=float))
+    db.compact()
+    db.remove(3)
+    db.update(4, np.zeros((1, 3)))
+    assert len(db._delta) and len(db._tombstones)
+    probe = np.ones((1, 3))
+    for call in (
+        lambda target: target.knn_query(probe, 6),
+        lambda target: target.range_query(probe, 2.5),
+        lambda target: target.knn_query(probe, 6, mode="approx", shortlist=9),
+        lambda target: target.knn_query_many([probe, probe], 3),
+        lambda target: target.index_digest(),
+        lambda target: target.check_invariants(),
+        lambda target: target.save(tmp_path / "db.npz"),
+        lambda target: target.save(tmp_path / "db.dense", dense=True),
+    ):
+        reads_only(db, call)

@@ -1,4 +1,4 @@
-"""Tests for the R*-tree, X-tree, M-tree and sequential scan."""
+"""Tests for the R*-tree, X-tree and M-tree."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.exceptions import IndexError_
 from repro.index.mtree import MTree
 from repro.index.pages import PageManager
 from repro.index.rstar import RStarTree
-from repro.index.scan import SequentialScan
 from repro.index.xtree import XTree
 from tests.conftest import random_vector_sets
 
@@ -204,33 +203,3 @@ class TestMTree:
     def test_capacity_validation(self):
         with pytest.raises(IndexError_):
             MTree(lambda a, b: 0.0, capacity=2)
-
-
-class TestSequentialScan:
-    def test_matches_tree_results(self, rng):
-        points = rng.random(size=(200, 4))
-        scan = SequentialScan(4)
-        tree = RStarTree(4)
-        for i, point in enumerate(points):
-            scan.insert(point, i)
-            tree.insert(point, i)
-        query = rng.random(4)
-        assert [o for o, _ in scan.knn(query, 6)] == [o for o, _ in tree.knn(query, 6)]
-        assert sorted(scan.range_search(query, 0.5)) == sorted(
-            tree.range_search(query, 0.5)
-        )
-
-    def test_charges_full_read(self, rng):
-        pages = PageManager(page_size=4096)
-        scan = SequentialScan(4, page_manager=pages)
-        for i, point in enumerate(rng.random(size=(100, 4))):
-            scan.insert(point, i)
-        scan.knn(rng.random(4), 3)
-        assert pages.cost.bytes_read == 100 * 4 * 8
-
-    def test_validation(self):
-        scan = SequentialScan(3)
-        with pytest.raises(IndexError_):
-            scan.insert(np.zeros(2), 0)
-        with pytest.raises(IndexError_):
-            scan.knn(np.zeros(3), 0)

@@ -104,7 +104,7 @@ class TestExactness:
         assert event["blocks"] >= 1
 
     def test_approx_total_includes_shortlist_phase(self, enabled, rng):
-        db, sets = make_db("rstar", rng)
+        db, sets = make_db("xtree", rng)
         db.knn_query(sets[0], 3, mode="approx", shortlist=10)
         (event,) = query_events(enabled)
         # In approx mode the filter phase is the measured sketch +
@@ -293,7 +293,7 @@ class TestSharded:
         )
 
     def test_sharded_range_event_agrees_with_stats(self, enabled, rng):
-        db, _, sets = self.make_sharded("rstar", rng)
+        db, _, sets = self.make_sharded("xtree", rng)
         _, stats = db.range_query(sets[0], 2.0)
         events = query_events(enabled)
         outer = [e for e in events if e["kind"] == "sharded_range"]

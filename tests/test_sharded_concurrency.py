@@ -169,7 +169,7 @@ def test_scatter_gather_pins_a_version_vector(backend, rng):
 def test_cross_shard_writers_serialize(rng):
     """One writer thread per shard, disjoint oid pools: every mutation
     lands, and the version vector counts per-shard mutations exactly."""
-    db = ShardedSimilarityDatabase(CAPACITY, shards=SHARDS, backend="rstar")
+    db = ShardedSimilarityDatabase(CAPACITY, shards=SHARDS, backend="xtree")
     pools = {i: [] for i in range(SHARDS)}
     for oid in range(120):
         pools[shard_of(oid, SHARDS)].append(oid)

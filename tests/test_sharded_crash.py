@@ -39,6 +39,7 @@ from repro.db import (
 )
 from repro.testing.faults import CRASH_ENV, CRASH_EXIT_CODE
 
+from tests.conftest import assert_answers_like_a_fresh_pack, reads_only
 from tests.test_db_durable import (
     CAPACITY,
     fresh_build,
@@ -131,18 +132,22 @@ def run_worker(tmp_path, plan, backend, crash_spec=None):
 
 def assert_consistent_vector(recovered, reference_single, rng):
     """The recovered layout is one coherent database: routing holds
-    shard by shard, and scatter-gather answers are byte-identical to
-    the single-shard reference."""
+    shard by shard, every shard's invariants hold and its core plus
+    delta answers like a fresh pack, and scatter-gather answers are
+    byte-identical to the single-shard reference."""
     assert recovered.n_shards == SHARDS
+    probes = [rand_set(rng) for _ in range(2)]
     for i, shard in enumerate(recovered.shards):
         for oid in shard.object_ids():
             assert shard_of(oid, SHARDS) == i, (
                 f"oid {oid} recovered into shard {i}, "
                 f"routing says {shard_of(oid, SHARDS)}"
             )
+        shard.check_invariants()
+        assert_answers_like_a_fresh_pack(shard, probes, k=5, epsilon=6.0)
     for _ in range(3):
         query = rand_set(rng)
-        got, _ = recovered.knn_query(query, 5)
+        got, _ = reads_only(recovered, lambda db: db.knn_query(query, 5))
         want, _ = reference_single.knn_query(query, 5)
         assert [(m.object_id, m.distance) for m in got] == [
             (m.object_id, m.distance) for m in want

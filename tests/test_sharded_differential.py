@@ -37,7 +37,11 @@ from repro.db import (
     shard_of,
 )
 from repro.exceptions import QueryError, StorageError
-from tests.conftest import assert_engine_is_fresh
+from tests.conftest import (
+    assert_answers_like_a_fresh_pack,
+    assert_engine_is_fresh,
+    reads_only,
+)
 
 CAPACITY = 3
 DIM = 3
@@ -202,9 +206,13 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
             return
         probe = np.asarray([[1.0, -2.0, 3.0]])
         for backend, (sharded, mirror) in self.dbs.items():
-            got, _ = sharded.knn_query(probe, 3)
+            got, _ = reads_only(sharded, lambda db: db.knn_query(probe, 3))
             want, _ = mirror.knn_query(probe, 3)
             assert pairs(got) == pairs(want), backend
+            # Every core plus delta, each shard's and the mirror's, answers
+            # and counts like a fresh pack of its objects.
+            for db in (*sharded.shards, mirror):
+                assert_answers_like_a_fresh_pack(db, [probe], k=3, epsilon=6.0)
             got, _ = sharded.knn_query(probe, 3, mode="approx", shortlist=4)
             want, _ = mirror.knn_query(probe, 3, mode="approx", shortlist=4)
             assert pairs(got) == pairs(want), backend
