@@ -521,152 +521,6 @@ def _voxelize_for(db, path: Path):
     )
 
 
-def _verify_database(path: Path) -> int:
-    """``repro db verify``: exit 0 (ok), 1 (corrupt), 3 (degraded).
-
-    A sharded layout is verified shard by shard with the single-shard
-    walk below, plus the sharded-only invariants: a valid manifest and
-    every object living on the shard the CRC routing assigns it.  The
-    aggregated exit code is the worst per-shard outcome (corrupt
-    dominates degraded dominates ok).
-    """
-    from repro.db.sharded import MANIFEST_NAME
-
-    if path.is_dir() and (path / MANIFEST_NAME).exists():
-        return _verify_sharded(path)
-    return _verify_single(path)
-
-
-def _verify_sharded(path: Path) -> int:
-    import json as json_module
-
-    from repro.db import ShardedSimilarityDatabase, shard_of
-    from repro.db.sharded import (
-        MANIFEST_NAME,
-        _shard_archive_name,
-        _shard_dir_name,
-    )
-
-    manifest = json_module.loads((path / MANIFEST_NAME).read_text())
-    count = int(manifest["shards"])
-    durable = bool(manifest.get("durable"))
-    print(f"sharded layout: {count} shards ({'durable' if durable else 'snapshot'})")
-    worst = 0
-    for i in range(count):
-        shard_path = path / (
-            _shard_dir_name(i) if durable else _shard_archive_name(i)
-        )
-        print(f"--- shard {i}: {shard_path.name}")
-        try:
-            code = _verify_single(shard_path)
-        except ReproError as exc:
-            print(f"shard {i}: corrupt: {exc}", file=sys.stderr)
-            code = 1
-        if code == 1 or worst == 1:
-            worst = 1
-        elif code:
-            worst = code
-    # Routing invariant: the recovered layout must be one coherent
-    # database — every oid on the shard the hash assigns it.
-    db = ShardedSimilarityDatabase.load(path)
-    try:
-        misrouted = [
-            (oid, i)
-            for i, shard in enumerate(db.shards)
-            for oid in shard.object_ids()
-            if shard_of(oid, count) != i
-        ]
-    finally:
-        db.close()
-    if misrouted:
-        for oid, i in misrouted[:5]:
-            print(
-                f"misrouted: oid {oid} on shard {i}, "
-                f"routing says {shard_of(oid, count)}",
-                file=sys.stderr,
-            )
-        worst = 1
-    print(f"version vector: {db.version_vector()}")
-    print(
-        "verify: "
-        + {0: "ok", 1: "corrupt", 3: "recovered with degradation"}[worst]
-    )
-    return worst
-
-
-def _verify_single(path: Path) -> int:
-    """Exit 0 (ok), 1 (corrupt), 3 (degraded) for one shard or layout.
-
-    For a durable directory: CRC-walk every retained snapshot archive
-    and WAL segment, then run the recovery ladder in memory and
-    ``check_invariants()`` on the recovered database (the engine's rows
-    and stored centroids, the index and the sketch tier must mirror
-    each other, every index key must be its object's stored centroid,
-    and the index be structurally sound).  Anything the
-    ladder had to work around (a corrupt or malformed generation, a torn
-    or missing segment) is a degradation — the database *answers*, but
-    not from the happy path.  For a snapshot file: the load's own CRC
-    check and payload validation + invariants only.
-    Dense snapshots get a full CRC walk of every mapped array plus the
-    array core's vectorized node-table invariants (child-offset bounds,
-    MBR containment).
-    """
-    from repro import wal as wal_module
-    from repro.db import DB_FORMAT, SimilarityDatabase
-    from repro.index.dense import is_dense_archive, read_dense_archive
-    from repro.index.snapshot import read_archive
-
-    degradations: list[str] = []
-    durable = path.is_dir()
-    dense = not durable and is_dense_archive(path)
-    if dense:
-        # verify=True walks the stored CRC of every array against the
-        # mapped bytes, so bit rot in any node table or feature block is
-        # caught here rather than surfacing as wrong query results.
-        read_dense_archive(path, DB_FORMAT, verify=True)
-    elif durable:
-        layout = wal_module.DurableLayout(path)
-        layout.read_config()  # raises (-> exit 1) if this is not a durable db
-        for generation in layout.generations_on_disk():
-            snapshot = layout.snapshot_path(generation)
-            try:
-                read_archive(snapshot, DB_FORMAT)
-            except ReproError as exc:
-                degradations.append(str(exc))
-        for generation in layout.wal_generations_on_disk():
-            segment = layout.wal_path(generation)
-            records, error = wal_module.verify_segment(segment)
-            if error:
-                degradations.append(
-                    f"{segment.name}: {error} (after {records} clean records)"
-                )
-
-    db = SimilarityDatabase.load(path)
-    try:
-        db.check_invariants()
-    finally:
-        db.close()
-    report = db.last_recovery
-    if report is not None and report.degraded:
-        degradations.append(
-            f"recovery used generation {report.used_generation} of "
-            f"{report.requested_generation} ({report.fallbacks} fallbacks, "
-            f"{report.replayed_records} records replayed)"
-        )
-
-    print(f"objects:    {len(db)}")
-    print("invariants: ok")
-    if durable and report is not None:
-        print(f"generation: {db.generation} (replayed {report.replayed_records} records)")
-    if degradations:
-        for message in degradations:
-            print(f"degraded: {message}", file=sys.stderr)
-        print("verify: recovered with degradation")
-        return 3
-    print("verify: ok")
-    return 0
-
-
 def cmd_db(args) -> int:
     if args.db_command == "init":
         from repro.db import SimilarityDatabase
@@ -726,11 +580,12 @@ def cmd_db(args) -> int:
             print(f"created empty {kind}{args.backend} database -> {args.database}")
         return 0
     if args.db_command == "verify":
-        try:
-            return _verify_database(args.database)
-        except ReproError as exc:
-            print(f"verify: corrupt: {exc}", file=sys.stderr)
-            return 1
+        from repro.db.storage import verify
+
+        code, lines = verify(args.database)
+        for stream, line in lines:
+            print(line, file=sys.stderr if stream == "err" else sys.stdout)
+        return code
 
     db = _open_snapshot(args.database)
     if args.db_command == "add":

@@ -4,24 +4,21 @@
 one index, one WAL.  :mod:`repro.db.sharded` partitions objects across
 K independent cores and answers queries by scatter-gather merge on the
 canonical (distance, oid) order, byte-identical to a single-shard
-build.  :func:`open_database` dispatches a saved layout (archive file,
-durable directory, or sharded directory) to the class that wrote it.
+build.  :mod:`repro.db.storage` is every on-disk layout — snapshot file,
+durable directory, sharded directory — written, opened, recovered and
+verified in one place; :func:`open_database` opens any of them with the
+class that wrote it.
 """
 
-from repro.db.core import (
+from repro.db.core import DatabaseView, SimilarityDatabase
+from repro.db.sharded import ShardedSimilarityDatabase, open_database, shard_of
+from repro.db.storage import (
     BACKENDS,
     DB_FORMAT,
     DB_VERSION,
     DEFAULT_KEEP_GENERATIONS,
-    DatabaseView,
-    RecoveryReport,
-    SimilarityDatabase,
-)
-from repro.db.sharded import (
     SHARDED_FORMAT,
-    ShardedSimilarityDatabase,
-    open_database,
-    shard_of,
+    RecoveryReport,
 )
 
 __all__ = [

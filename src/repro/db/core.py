@@ -46,24 +46,14 @@ a mutation paying for a rebuild of anything it did not touch:
   :meth:`SimilarityDatabase.index_digest` and
   :meth:`SimilarityDatabase.check_invariants` prove the maintained
   state equal to a from-scratch build.
-* **Snapshots** (``save``/``load``) persist the object store *and* a
-  pack of the live set in one CRC-checked, atomically-written archive
-  (the format-v2 discipline of :mod:`repro.io.database`), so a
-  restarted process answers its first query with zero rebuild work —
-  the core opens as views over the saved node tables.
-* **Durability** (``durable=True``): the database lives in a directory
-  managed by :mod:`repro.wal` — every mutation is appended to a
-  CRC32-per-record write-ahead log *before* it is applied (under the
-  write lock), ``save()`` becomes a checkpoint that atomically
-  publishes a new snapshot generation and rotates the WAL segment, and
-  ``load()`` becomes a recovery ladder: newest snapshot + WAL-tail
-  replay; on snapshot corruption, the previous generation with a longer
-  replay; with no usable snapshot, a full WAL replay from empty; and as
-  a last resort a rebuild from a configured
-  :class:`~repro.io.database.ObjectDatabase` source.  Every rung emits
-  ``repro.obs`` counters (``db.recovery.fallbacks``, ...) so degraded
-  recoveries are visible, and :attr:`last_recovery` reports exactly
-  which rung served.
+* **Persistence** (``save``/``checkpoint``/``load``) is
+  :mod:`repro.db.storage`, called with the lock already held: a
+  snapshot file holds the object store *and* a pack of the live set,
+  so a restarted process answers its first query with zero rebuild
+  work.  With ``durable=True`` every mutation is appended to the
+  write-ahead log of :mod:`repro.wal` *before* it is applied (under the
+  write lock), ``save()`` becomes a checkpoint, and ``load()`` the
+  recovery ladder; :attr:`last_recovery` reports which rung served.
 
 Because every ranking breaks distance ties canonically by ascending
 object id, answers and :class:`~repro.core.queries.QueryStats` never
@@ -88,15 +78,12 @@ import hashlib
 import numbers
 import operator
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from repro.approx import ApproxFilterRefineEngine, HammingIndex, SetSketcher
 from repro.concurrency import RWLock
-from repro.core.batch import PackedSets
 from repro.core.centroid import extended_centroid
 from repro.core.queries import (
     DEFAULT_BLOCK_SIZE,
@@ -105,31 +92,14 @@ from repro.core.queries import (
     QueryStats,
 )
 from repro.core.vector_set import VectorSet
-from repro.exceptions import (
-    DistanceError,
-    IndexError_,
-    InvariantError,
-    QueryError,
-    StorageError,
-)
+from repro.db import storage
+from repro.db.storage import BACKENDS, DEFAULT_KEEP_GENERATIONS
+from repro.exceptions import InvariantError, QueryError, StorageError
 from repro.index import XTree, bulk_load
-from repro.index.arraycore import RTreeArrayCore, core_from_serialized, densify
+from repro.index.arraycore import RTreeArrayCore, densify
 from repro.index.rstar import _mindist_many
-from repro.index.snapshot import read_archive, serialize_points, write_archive
-from repro.obs import emit, registry, span
-from repro.obs import querylog
+from repro.obs import querylog, registry, span
 from repro.testing.faults import crash_point
-from repro.wal import DurableLayout, WriteAheadLog, scan_segment
-
-DB_FORMAT = "repro-similarity-db"
-DB_VERSION = 1
-
-BACKENDS = ("xtree", "scan")
-
-#: Backends that left the database.  A layout written with one still
-#: holds every set and stored centroid, so it opens on the mapped backend
-#: with the core packed from those centroids.
-_RETIRED_BACKENDS = {"mtree": "xtree", "rstar": "xtree"}
 
 #: An ``xtree`` database re-packs its core when the objects staged beside
 #: it (delta plus tombstones) exceed this share of the core's size.  A
@@ -138,61 +108,6 @@ _RETIRED_BACKENDS = {"mtree": "xtree", "rstar": "xtree"}
 #: staged overhead under 7 % of a query while a pack is paid once per
 #: n / 16 mutations.
 REPACK_SHARE = 1 / 16
-
-
-def current_backend(stored: str) -> str:
-    """The backend a layout that recorded *stored* opens on."""
-    return _RETIRED_BACKENDS.get(stored, stored)
-
-#: The object store's four snapshot arrays, in the order of
-#: :meth:`FilterRefineEngine.ragged`: ascending oids, row offsets, the
-#: unpadded sets back to back, one extended centroid per set.
-_SET_ARRAYS = ("set_oids", "set_row_offsets", "set_data", "centroids")
-
-#: Meta keys every snapshot carries (the optional ones are read with ``get``).
-_REQUIRED_META = (
-    "capacity",
-    "backend",
-    "dimension",
-    "omega",
-    "block_size",
-    "index_capacity",
-    "db_version",
-    "index_meta",
-)
-
-
-#: Default number of snapshot generations (and their WAL segments) a
-#: durable database keeps on disk for the recovery ladder's fallback.
-DEFAULT_KEEP_GENERATIONS = 2
-
-
-@dataclass
-class RecoveryReport:
-    """What the recovery ladder actually did for one ``load()``.
-
-    ``fallbacks`` counts snapshot generations that failed integrity and
-    were skipped; ``degraded`` is True whenever recovery used anything
-    but the happy path (newest snapshot + clean tail replay).
-    """
-
-    requested_generation: int
-    used_generation: int = -1
-    fallbacks: int = 0
-    replayed_records: int = 0
-    torn_segments: list[str] = field(default_factory=list)
-    missing_segments: list[str] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
-    source_rebuild: bool = False
-
-    @property
-    def degraded(self) -> bool:
-        return bool(
-            self.fallbacks
-            or self.source_rebuild
-            or self.torn_segments
-            or self.missing_segments
-        )
 
 
 class DatabaseView:
@@ -417,27 +332,16 @@ class SimilarityDatabase:
         self.fsync = fsync
         self.keep_generations = keep_generations
         self.source = None if source is None else str(source)
-        self._layout: DurableLayout | None = None
-        self._wal: WriteAheadLog | None = None
+        self._layout = None
+        self._wal = None
         self._generation = 0
         self._replaying = False
         self._closed = False
-        self.last_recovery: RecoveryReport | None = None
+        self.last_recovery: storage.RecoveryReport | None = None
         if self.durable:
             if path is None:
                 raise QueryError("durable=True needs a directory path")
-            layout = DurableLayout(path)
-            if layout.exists():
-                raise StorageError(
-                    f"{layout.root} already holds a durable database; "
-                    "recover it with SimilarityDatabase.load()"
-                )
-            layout.write_config(self._durable_config())
-            layout.publish(0)
-            self._layout = layout
-            self._wal = WriteAheadLog(
-                layout.wal_path(0), generation=0, fsync=fsync, fresh=True
-            )
+            storage.create_durable(self, path)
         elif path is not None:
             raise QueryError("path is only meaningful with durable=True")
 
@@ -636,21 +540,6 @@ class SimilarityDatabase:
         self.close()
 
     # -- internals ---------------------------------------------------------
-
-    def _durable_config(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "backend": self.backend,
-            "omega": None if self._omega_arg is None else self._omega_arg.tolist(),
-            "block_size": self.block_size,
-            "index_capacity": self.index_capacity,
-            "fsync": self.fsync if isinstance(self.fsync, (str, int)) else "always",
-            "keep_generations": self.keep_generations,
-            "source": self.source,
-            "resolution": getattr(self.pipeline, "resolution", None),
-            "sketch": self.sketch_enabled,
-            "sketch_params": self._sketch_params or None,
-        }
 
     def _as_set(self, vectors) -> np.ndarray:
         arr = np.asarray(
@@ -1041,69 +930,8 @@ class SimilarityDatabase:
         with self._lock.read(timeout=self.lock_timeout):
             yield DatabaseView(self)
 
-    # -- snapshots ---------------------------------------------------------
 
-    def _snapshot_state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """The (meta, arrays) archive form of the current state.
-
-        Caller must hold either lock side.  The index part is a pack of
-        the live set: the core when nothing is staged beside it, else a
-        fresh pack that is written but not installed (so a save under the
-        read lock writes no database state); a ``scan`` database writes
-        its centroids as a flat point table.  Nothing for an empty one.
-        """
-        if self._engine is None:
-            no_rows = np.empty((0, self.dimension or 0))
-            stored = (self._oids(), np.zeros(1, dtype=np.int64), no_rows, no_rows)
-        else:
-            stored = self._engine.ragged()
-        arrays = dict(zip(_SET_ARRAYS, stored))
-        index_meta = None
-        if self._engine is not None:
-            if self.backend == "scan":
-                index_meta, index_arrays = serialize_points(stored[3], stored[0])
-            else:
-                core = self._pack() if self._staged() else self._core
-                index_meta, index_arrays = core.serialized()
-            arrays.update(
-                {f"index__{name}": arr for name, arr in index_arrays.items()}
-            )
-        sketch_meta = None
-        if self.sketch_enabled and self._sketcher is not None:
-            # The projection matrix travels with the data, content-
-            # addressed by its digest, so sketches stay bit-reproducible
-            # in every process that loads this snapshot.
-            sketch_meta = {
-                **self._sketcher.params(),
-                "digest": self._sketcher.digest(),
-            }
-            hamming = self._hamming.serialized()
-            arrays["sketch__proj"] = np.ascontiguousarray(
-                self._sketcher.projection, dtype=np.float64
-            )
-            arrays["sketch__oids"] = hamming["oids"]
-            arrays["sketch__codes"] = hamming["codes"]
-        meta = {
-            "format": DB_FORMAT,
-            "version": DB_VERSION,
-            "capacity": self.capacity,
-            "backend": self.backend,
-            "dimension": self.dimension,
-            "omega": None if self.omega is None else self.omega.tolist(),
-            "block_size": self.block_size,
-            "index_capacity": self.index_capacity,
-            "db_version": self._version,
-            "resolution": getattr(self.pipeline, "resolution", None),
-            "index_meta": index_meta,
-            "sketch_enabled": self.sketch_enabled,
-            "sketch_meta": sketch_meta,
-        }
-        if self.sketch_enabled and self._sketcher is None and self._sketch_params:
-            # No object yet, so no sketcher to carry the parameters: the
-            # reopened database must still sketch its first object with
-            # them.  (Optional key; snapshots without it load as before.)
-            meta["sketch_params"] = self._sketch_params
-        return meta, arrays
+    # -- persistence (the layouts themselves live in repro.db.storage) -------
 
     def save(self, path: str | Path | None = None, *, dense: bool | None = None) -> Path:
         """Persist the database.
@@ -1125,72 +953,22 @@ class SimilarityDatabase:
             return self.checkpoint()
         if path is None:
             raise QueryError("save() needs a path for a non-durable database")
-        if dense is None:
-            dense = self._snapshot_dense
-        with span("db.snapshot.save", force=True) as sp, self._lock.read(
-            timeout=self.lock_timeout
-        ):
-            meta, arrays = self._snapshot_state()
-            if dense:
-                from repro.index.dense import write_dense_archive
-
-                result = write_dense_archive(path, meta, arrays)
-            else:
-                result = write_archive(path, meta, arrays)
-            sp.set(objects=len(self))
-        emit("db.snapshot", op="save", objects=len(self), path=str(path))
-        return result
+        with self._lock.read(timeout=self.lock_timeout):
+            return storage.save(
+                self, path, dense=self._snapshot_dense if dense is None else dense
+            )
 
     def checkpoint(self) -> Path:
-        """Publish a new snapshot generation and rotate the WAL.
-
-        Under the write lock: re-pack the core if anything is staged
-        beside it, write ``snapshot-(G+1)`` atomically, seal
-        ``wal-G`` with a checkpoint record, open ``wal-(G+1)``, then
-        atomically republish ``CURRENT``.  A crash at *any* point in
-        that sequence leaves either generation G fully recoverable
-        (snapshot + sealed-or-live WAL) or generation G+1 published;
-        old generations are retired only after publication succeeds.
-        """
+        """Publish a new snapshot generation and rotate the WAL
+        (:func:`repro.db.storage.checkpoint`), under the write lock and
+        with the core re-packed if anything is staged beside it."""
         if not self.durable:
             raise QueryError("checkpoint() is only available with durable=True")
         self._check_open()
-        with span("db.checkpoint", force=True) as sp, self._lock.write(
-            timeout=self.lock_timeout
-        ):
-            next_generation = self._generation + 1
-            snapshot_path = self._layout.snapshot_path(next_generation)
+        with self._lock.write(timeout=self.lock_timeout):
             if self._staged():
                 self._repack()
-            meta, arrays = self._snapshot_state()
-            write_archive(snapshot_path, meta, arrays)
-            self._wal.append("checkpoint", next_generation=next_generation)
-            self._wal.sync()
-            self._wal.close()
-            new_wal = WriteAheadLog(
-                self._layout.wal_path(next_generation),
-                generation=next_generation,
-                fsync=self.fsync,
-                fresh=True,
-            )
-            crash_point("mid-checkpoint-swap")
-            self._layout.publish(next_generation)
-            self._wal = new_wal
-            self._generation = next_generation
-            retired = self._layout.retire(
-                published=next_generation,
-                keep_generations=self.keep_generations,
-            )
-            registry().counter("db.checkpoints").inc()
-            sp.set(objects=len(self), generation=next_generation)
-        emit(
-            "db.checkpoint",
-            generation=next_generation,
-            objects=len(self),
-            retired=len(retired),
-            path=str(snapshot_path),
-        )
-        return snapshot_path
+            return storage.checkpoint(self)
 
     @classmethod
     def load(
@@ -1204,422 +982,15 @@ class SimilarityDatabase:
     ) -> "SimilarityDatabase":
         """Reconstruct a database from :meth:`save` output.
 
-        A snapshot *file* loads directly: the stored sets are packed
-        into the engine by one ragged scatter, and an ``xtree``
-        database's core is an array core over the saved node tables — no
-        pointer tree is built and nothing is packed, so the first query
-        runs against the exact core the previous process wrote.  Layouts
-        of a retired backend open on ``xtree`` with the core packed from
-        the stored centroids.
-
-        A *dense* snapshot file (:meth:`save` with ``dense=True``) maps
-        the index node tables and the sketch codes zero-copy: they stay
-        mmap views over the file.
-
-        A durable *directory* runs the recovery ladder (see the module
-        docstring); the result's :attr:`last_recovery` reports which
-        rung served and how degraded the recovery was.
+        A snapshot *file* opens with zero rebuild work: the stored sets
+        are packed into the engine by one ragged scatter and an ``xtree``
+        core is an array core over the saved node tables (mapped
+        zero-copy from a dense file).  Layouts of a retired backend open
+        on ``xtree`` with the core packed from the stored centroids.  A
+        durable *directory* runs the recovery ladder; the result's
+        :attr:`last_recovery` reports which rung served and how degraded
+        the recovery was.  See :mod:`repro.db.storage`.
         """
-        path = Path(path)
-        if path.is_dir():
-            return cls._load_durable(
-                path,
-                model=model,
-                pipeline=pipeline,
-                cache=cache,
-                lock_timeout=lock_timeout,
-            )
-        from repro.index.dense import is_dense_archive
-
-        dense = is_dense_archive(path)
-        with span("db.snapshot.load", force=True) as sp:
-            if dense:
-                from repro.index.dense import read_dense_archive
-
-                meta, arrays = read_dense_archive(path, DB_FORMAT)
-            else:
-                meta, arrays = read_archive(path, DB_FORMAT)
-            db = cls._from_archive(
-                path,
-                meta,
-                arrays,
-                model=model,
-                pipeline=pipeline,
-                cache=cache,
-            )
-            db.lock_timeout = lock_timeout
-            db._snapshot_dense = dense
-            sp.set(objects=len(db))
-        emit("db.snapshot", op="load", objects=len(db), path=str(path))
-        return db
-
-    @classmethod
-    def _from_archive(
-        cls, path, meta, arrays, *, model, pipeline, cache
-    ) -> "SimilarityDatabase":
-        """Build a database from one (meta, arrays) archive payload.
-
-        A CRC-valid payload can still be inconsistent; it is validated
-        here, once, and every fault is a :class:`StorageError` naming the
-        file and the meta key or arrays.  The sets are packed into the
-        engine by one ragged scatter and an ``xtree`` core becomes an
-        array core over the saved node tables (views of the caller's
-        buffers — of the mmap, for a dense snapshot).  A ``scan``
-        layout's point table is not read: the engine's centroid rows are
-        what a ``scan`` database ranks.
-        """
-
-        def malformed(what) -> StorageError:
-            return StorageError(f"{path}: malformed snapshot: {what}")
-
-        if meta.get("version") != DB_VERSION:
-            raise StorageError(
-                f"{path}: unsupported database version {meta.get('version')!r}"
-            )
-        for key in _REQUIRED_META:
-            if key not in meta:
-                raise malformed(f"meta key {key!r} is missing")
-        if pipeline is None and meta.get("resolution"):
-            from repro.pipeline import Pipeline
-
-            pipeline = Pipeline(resolution=meta["resolution"])
-        backend = current_backend(meta["backend"])
-        try:
-            db = cls(
-                meta["capacity"],
-                backend=backend,
-                omega=None if meta["omega"] is None else np.asarray(meta["omega"]),
-                block_size=meta["block_size"],
-                index_capacity=meta["index_capacity"],
-                model=model,
-                pipeline=pipeline,
-                cache=cache,
-                sketch=bool(meta.get("sketch_enabled", True)),
-                sketch_params=meta.get("sketch_params"),
-            )
-        except QueryError as exc:
-            raise malformed(exc) from exc
-        db.dimension = meta["dimension"]
-        if db.dimension is not None and db.omega is None:
-            db.omega = np.zeros(db.dimension)
-        try:
-            oids, offsets, rows, centroids = (arrays[name] for name in _SET_ARRAYS)
-        except KeyError as exc:
-            raise malformed(f"array {exc} is missing") from exc
-        if offsets.shape != (len(oids) + 1,) or offsets[0] or offsets[-1] != len(rows):
-            raise malformed(
-                f"'set_row_offsets' does not split 'set_data' {rows.shape} "
-                f"into {len(oids)} sets"
-            )
-        if len(oids):
-            try:
-                db._engine = FilterRefineEngine(
-                    PackedSets.from_ragged(
-                        rows, np.diff(offsets), db.capacity, db.omega
-                    ),
-                    capacity=db.capacity,
-                    block_size=db.block_size,
-                    oids=oids,
-                    centroids=centroids,
-                )
-            except (DistanceError, QueryError) as exc:
-                raise malformed(f"{' / '.join(_SET_ARRAYS)}: {exc}") from exc
-        if backend == "xtree" and db._engine is not None:
-            if meta["index_meta"] is None or backend != meta["backend"]:
-                # A retired backend's index arrays are never parsed: the
-                # core is packed from the stored centroids.
-                db._core = db._pack()
-            else:
-                prefix = "index__"
-                tables = {
-                    name[len(prefix) :]: arr
-                    for name, arr in arrays.items()
-                    if name.startswith(prefix)
-                }
-                try:
-                    db._core = core_from_serialized(meta["index_meta"], tables)
-                except (KeyError, IndexError_) as exc:
-                    raise malformed(f"index tables: {exc}") from exc
-        db._restore_sketches(meta, arrays)
-        db._version = meta["db_version"]
-        return db
-
-    def _restore_sketches(self, meta: dict, arrays: dict) -> None:
-        """Rehydrate the sketch tier from snapshot arrays.
-
-        Snapshots written before the approx tier existed carry no
-        ``sketch__*`` arrays; sketching is then rebuilt from the stored
-        sets (same seed → same bits, so the rebuilt tier is identical to
-        what the writing process *would* have persisted).  The code
-        matrix stays a view of the caller's buffer (read-only for an
-        mmapped file): every Hamming mutation path reallocates, so it is
-        never written.
-        """
-        if not self.sketch_enabled:
-            return
-        sketch_meta = meta.get("sketch_meta")
-        if sketch_meta is not None and "sketch__codes" in arrays:
-            self._sketcher = SetSketcher.from_snapshot(
-                sketch_meta, np.ascontiguousarray(arrays["sketch__proj"])
-            )
-            self._hamming = HammingIndex.from_arrays(
-                np.asarray(arrays["sketch__oids"], dtype=np.int64),
-                arrays["sketch__codes"].view(np.ndarray),
-            )
-            if not np.array_equal(self._hamming.oids, self._oids()):
-                raise StorageError(
-                    "snapshot sketch tier does not cover the stored objects"
-                )
-            return
-        if self.dimension is None:
-            return
-        self._ensure_sketcher()
-        self._hamming = self._sketched()
-
-    # -- durable recovery --------------------------------------------------
-
-    @classmethod
-    def _bare_durable(
-        cls, config: dict, *, model, pipeline, cache, lock_timeout
-    ) -> "SimilarityDatabase":
-        """An empty database matching a durable config, with no disk
-        side effects (the recovery ladder attaches layout/WAL itself)."""
-        if pipeline is None and config.get("resolution"):
-            from repro.pipeline import Pipeline
-
-            pipeline = Pipeline(resolution=config["resolution"])
-        return cls(
-            config["capacity"],
-            backend=current_backend(config["backend"]),
-            omega=None if config["omega"] is None else np.asarray(config["omega"]),
-            block_size=config["block_size"],
-            index_capacity=config["index_capacity"],
-            model=model,
-            pipeline=pipeline,
-            cache=cache,
-            lock_timeout=lock_timeout,
-            sketch=bool(config.get("sketch", True)),
-            sketch_params=config.get("sketch_params"),
+        return storage.open_plain(
+            path, model=model, pipeline=pipeline, cache=cache, lock_timeout=lock_timeout
         )
-
-    def _apply_replay(self, record: dict) -> None:
-        """Apply one WAL record idempotently (recovery only).
-
-        Idempotency makes chained/partial replays safe: re-adding an
-        identical set is a no-op, an ``add`` over a different survivor
-        degrades to ``update``, removing an absent oid is a no-op.
-        """
-        op = record["op"]
-        if op == "checkpoint":
-            return
-        if op == "compact":
-            if self.dimension is not None:
-                with self._lock.write(timeout=self.lock_timeout):
-                    self._compact_locked()
-                    self._bump("compact")
-            return
-        oid = int(record["oid"])
-        if op == "remove":
-            self.remove(oid)
-            return
-        arr = record["array"]
-        if oid not in self:
-            self.add(oid, arr)
-        elif not np.array_equal(self._engine.get(oid), arr):
-            self.update(oid, arr)
-
-    @classmethod
-    def _load_durable(
-        cls, root: Path, *, model, pipeline, cache, lock_timeout
-    ) -> "SimilarityDatabase":
-        """The recovery ladder.
-
-        Rung 1: newest published snapshot + its WAL tail.
-        Rung 2..: previous generations, each with a longer chained
-        replay (``wal-g`` holds exactly the mutations between snapshot
-        *g* and snapshot *g+1*).
-        Rung 0: an empty database + the full retained WAL chain.
-        Last resort: rebuild from the configured ObjectDatabase source.
-        """
-        layout = DurableLayout(root)
-        config = layout.read_config()
-        try:
-            published = layout.current_generation()
-        except StorageError:
-            on_disk = layout.generations_on_disk()
-            published = max(on_disk) if on_disk else 0
-        report = RecoveryReport(requested_generation=published)
-        reg = registry()
-        with span("db.recover", force=True) as sp:
-            db: SimilarityDatabase | None = None
-            wal_floor = min(layout.wal_generations_on_disk(), default=0)
-            for generation in range(published, -1, -1):
-                candidate = cls._bare_durable(
-                    config,
-                    model=model,
-                    pipeline=pipeline,
-                    cache=cache,
-                    lock_timeout=lock_timeout,
-                )
-                if generation > 0:
-                    snapshot_path = layout.snapshot_path(generation)
-                    try:
-                        meta, arrays = read_archive(snapshot_path, DB_FORMAT)
-                        candidate = cls._from_archive(
-                            snapshot_path,
-                            meta,
-                            arrays,
-                            model=model,
-                            pipeline=pipeline,
-                            cache=cache,
-                        )
-                        candidate.lock_timeout = lock_timeout
-                    except StorageError as exc:
-                        report.fallbacks += 1
-                        report.failures.append(str(exc))
-                        reg.counter("db.recovery.fallbacks").inc()
-                        emit(
-                            "db.recovery.fallback",
-                            generation=generation,
-                            error=str(exc),
-                        )
-                        continue
-                elif wal_floor > 0:
-                    # The empty-base rung needs the full WAL chain;
-                    # segment 0 was retired, so only the source rung
-                    # remains.
-                    report.failures.append(
-                        f"wal floor is generation {wal_floor}: cannot "
-                        "replay from empty"
-                    )
-                    break
-                cls._replay_chain(
-                    candidate, layout, generation, published, report
-                )
-                db = candidate
-                report.used_generation = generation
-                break
-            if db is None:
-                db = cls._rebuild_from_source(
-                    config, layout, published, report,
-                    model=model, pipeline=pipeline, cache=cache,
-                    lock_timeout=lock_timeout,
-                )
-            db.durable = True
-            db.fsync = config.get("fsync", "always")
-            db.keep_generations = int(
-                config.get("keep_generations", DEFAULT_KEEP_GENERATIONS)
-            )
-            db.source = config.get("source")
-            db._layout = layout
-            db._generation = published
-            if db._wal is None:
-                # Opening the live segment for append truncates any torn
-                # tail left by the crash we are recovering from.
-                db._wal = WriteAheadLog(
-                    layout.wal_path(published),
-                    generation=published,
-                    fsync=db.fsync,
-                )
-            db.last_recovery = report
-            if report.degraded:
-                reg.counter("db.recovery.degraded").inc()
-            reg.counter("db.recovery.replayed_records").inc(
-                report.replayed_records
-            )
-            sp.set(
-                objects=len(db),
-                generation=report.used_generation,
-                fallbacks=report.fallbacks,
-            )
-        emit(
-            "db.recovery",
-            path=str(root),
-            requested_generation=report.requested_generation,
-            used_generation=report.used_generation,
-            fallbacks=report.fallbacks,
-            replayed_records=report.replayed_records,
-            torn_segments=list(report.torn_segments),
-            source_rebuild=report.source_rebuild,
-            degraded=report.degraded,
-        )
-        return db
-
-    @classmethod
-    def _replay_chain(
-        cls, db, layout, start: int, published: int, report: RecoveryReport
-    ) -> None:
-        """Replay WAL segments ``start..published`` onto *db* in order."""
-        db._replaying = True
-        try:
-            for generation in range(start, published + 1):
-                wal_path = layout.wal_path(generation)
-                if not wal_path.exists():
-                    report.missing_segments.append(wal_path.name)
-                    continue
-                scan = scan_segment(wal_path)
-                if scan.torn:
-                    report.torn_segments.append(wal_path.name)
-                for record in scan.records:
-                    db._apply_replay(record)
-                    if record["op"] != "checkpoint":
-                        report.replayed_records += 1
-        finally:
-            db._replaying = False
-
-    @classmethod
-    def _rebuild_from_source(
-        cls, config, layout, published, report,
-        *, model, pipeline, cache, lock_timeout,
-    ) -> "SimilarityDatabase":
-        """Last rung: every snapshot failed and the WAL chain is
-        incomplete — rebuild from the configured ObjectDatabase.
-
-        Acknowledged mutations made after the source ingest are lost
-        (this rung exists so the service comes back *at all*); the
-        rebuilt state is logged to a fresh live segment so the next
-        checkpoint re-establishes a clean generation.
-        """
-        source = config.get("source")
-        if not source:
-            failures = "; ".join(report.failures) or "no usable snapshot"
-            raise StorageError(
-                f"{layout.root}: recovery impossible ({failures}) and no "
-                "ObjectDatabase source is configured for a full rebuild"
-            )
-        source_path = Path(source)
-        if not source_path.is_absolute():
-            source_path = layout.root / source_path
-        from repro.io.database import ObjectDatabase
-
-        odb = ObjectDatabase.load(source_path)
-        key = f"vector-set(k={config['capacity']})"
-        if not odb.has_features(key):
-            raise StorageError(
-                f"{source_path}: source database has no {key} features; "
-                "cannot rebuild"
-            )
-        db = cls._bare_durable(
-            config, model=model, pipeline=pipeline, cache=cache,
-            lock_timeout=lock_timeout,
-        )
-        # The rebuilt state must itself be durable: start a fresh live
-        # segment and log every re-added object into it.
-        db._wal = WriteAheadLog(
-            layout.wal_path(published),
-            generation=published,
-            fsync=config.get("fsync", "always"),
-            fresh=True,
-        )
-        for oid, vectors in enumerate(odb.get_features(key)):
-            db.add(oid, vectors)
-        report.source_rebuild = True
-        report.used_generation = -1
-        report.replayed_records += len(db)
-        registry().counter("db.recovery.source_rebuilds").inc()
-        emit(
-            "db.recovery.source_rebuild",
-            source=str(source_path),
-            objects=len(db),
-        )
-        return db

@@ -41,11 +41,11 @@ version counters (:meth:`ShardedSimilarityDatabase.version_vector`).
 A ``LockTimeout`` on any shard releases the already-pinned shards and
 propagates (counted under ``db.sharded.lock_timeouts``).
 
-Persistence: ``save()`` writes a directory — a ``sharded.json``
-manifest plus one snapshot archive per shard; ``load()`` reads each
-shard back through :meth:`SimilarityDatabase.load`.  ``durable=True``
-gives every shard its own WAL-managed directory under one root;
-``checkpoint()`` walks the shards in order (the
+Persistence (:mod:`repro.db.storage`): ``save()`` writes a directory —
+a ``sharded.json`` manifest plus one plain snapshot file per shard,
+written and read back by the same functions as a plain database's.
+``durable=True`` gives every shard its own WAL-managed directory under
+one root; ``checkpoint()`` walks the shards in order (the
 ``between-shard-checkpoints`` crash point sits in each gap — the crash
 harness proves recovery restores a consistent version vector from any
 interleaving of shard generations).
@@ -53,7 +53,6 @@ interleaving of shard generations).
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import time
@@ -65,31 +64,20 @@ import numpy as np
 
 from repro.approx.engine import default_shortlist
 from repro.core.queries import QueryMatch, QueryStats
-from repro.db.core import (
-    DEFAULT_KEEP_GENERATIONS,
-    SimilarityDatabase,
-    check_object_id,
-    check_query_args,
-    current_backend,
-)
+from repro.db import storage
+from repro.db.core import SimilarityDatabase, check_object_id, check_query_args
+from repro.db.storage import DEFAULT_KEEP_GENERATIONS, SHARDED_FORMAT, SHARDED_VERSION
 from repro.exceptions import LockTimeout, QueryError, StorageError
-from repro.index.snapshot import write_archive
 from repro.obs import emit, querylog, registry, span
 from repro.parallel import pool_map, resolve_n_jobs
-from repro.testing.faults import crash_point
 
 __all__ = [
     "SHARDED_FORMAT",
     "SHARDED_VERSION",
-    "MANIFEST_NAME",
     "ShardedSimilarityDatabase",
     "open_database",
     "shard_of",
 ]
-
-SHARDED_FORMAT = "repro-sharded-db"
-SHARDED_VERSION = 1
-MANIFEST_NAME = "sharded.json"
 
 
 def shard_of(oid: int, shards: int) -> int:
@@ -102,14 +90,6 @@ def shard_of(oid: int, shards: int) -> int:
     if shards < 1:
         raise QueryError("shards must be >= 1")
     return zlib.crc32(struct.pack("<q", int(oid))) % shards
-
-
-def _shard_archive_name(position: int) -> str:
-    return f"shard-{position:05d}.npz"
-
-
-def _shard_dir_name(position: int) -> str:
-    return f"shard-{position:05d}"
 
 
 def _sort_key(match: QueryMatch):
@@ -205,7 +185,7 @@ class ShardedSimilarityDatabase:
             if path is None:
                 raise QueryError("durable=True needs a directory path")
             root = Path(path)
-            if (root / MANIFEST_NAME).exists():
+            if storage.layout_of(root) == "sharded":
                 raise StorageError(
                     f"{root} already holds a sharded database; recover it "
                     "with ShardedSimilarityDatabase.load()"
@@ -217,7 +197,7 @@ class ShardedSimilarityDatabase:
                     capacity,
                     backend=backend,
                     durable=True,
-                    path=root / _shard_dir_name(i),
+                    path=storage.shard_path(root, i, durable=True),
                     fsync=fsync,
                     keep_generations=keep_generations,
                     lock_timeout=lock_timeout,
@@ -226,7 +206,7 @@ class ShardedSimilarityDatabase:
                 for i in range(self.n_shards)
             ]
             self._root = root
-            self._write_manifest(root)
+            storage.write_manifest(self, root)
         else:
             if path is not None:
                 raise QueryError("path is only meaningful with durable=True")
@@ -333,28 +313,15 @@ class ShardedSimilarityDatabase:
         """An empty in-memory shard configured like the live ones.
 
         The live shards are the only record of ω, block size, index
-        capacity and sketch parameters (a reloaded layout was
-        never given constructor arguments).  A shard that holds objects
-        owns a sketcher that knows its parameters; one that never saw an
-        object still holds the constructor's.
+        capacity and sketch parameters (a reloaded layout was never
+        given constructor arguments): a shard that holds objects owns a
+        sketcher that knows its parameters, so it is preferred as the
+        donor of the settings record (:func:`repro.db.storage.settings`).
         """
         donor = next(
             (s for s in self.shards if s._sketcher is not None), self.shards[0]
         )
-        sketch_params = donor._sketch_params
-        if donor._sketcher is not None:
-            sketch_params = donor._sketcher.params()
-            del sketch_params["dims"]
-        return SimilarityDatabase(
-            self.capacity,
-            backend=self.backend,
-            omega=donor._omega_arg,
-            block_size=donor.block_size,
-            index_capacity=donor.index_capacity,
-            lock_timeout=self.lock_timeout,
-            sketch=donor.sketch_enabled,
-            sketch_params=sketch_params or None,
-        )
+        return storage.empty_like(donor, lock_timeout=self.lock_timeout)
 
     def reshard(self, new_shards: int) -> None:
         """Redistribute every object across *new_shards* fresh shards.
@@ -732,29 +699,15 @@ class ShardedSimilarityDatabase:
                     )
         return out
 
-    # -- persistence ---------------------------------------------------------
-
-    def _write_manifest(self, root: Path) -> None:
-        payload = {
-            "format": SHARDED_FORMAT,
-            "version": SHARDED_VERSION,
-            "shards": self.n_shards,
-            "routing": "crc32-mod",
-            "durable": self.durable,
-            "capacity": self.capacity,
-            "backend": self.backend,
-            "resolution": getattr(self.pipeline, "resolution", None),
-        }
-        tmp = root / (MANIFEST_NAME + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
-        os.replace(tmp, root / MANIFEST_NAME)
+    # -- persistence (the layouts themselves live in repro.db.storage) -------
 
     def save(self, path: str | Path | None = None, *, dense: bool = False) -> Path:
         """Persist the sharded database to a directory.
 
         Non-durable: one atomically-written snapshot archive per shard
-        plus the ``sharded.json`` manifest.  Durable: ``save()`` with no
-        path (or the layout root) runs :meth:`checkpoint`.
+        plus the ``sharded.json`` manifest, under every shard's read lock
+        (ascending order).  Durable: ``save()`` with no path (or the
+        layout root) runs :meth:`checkpoint`.
         """
         if self.durable and (
             path is None or Path(path).resolve() == self._root.resolve()
@@ -764,67 +717,25 @@ class ShardedSimilarityDatabase:
             raise QueryError(
                 "save() needs a directory for a non-durable sharded database"
             )
-        root = Path(path)
-        root.mkdir(parents=True, exist_ok=True)
-        write = write_archive
-        if dense:
-            from repro.index.dense import write_dense_archive as write
-        with span(
-            "db.sharded.save", force=True, shards=self.n_shards
-        ) as sp, ExitStack() as stack:
+        with ExitStack() as stack:
             for shard in self.shards:
                 stack.enter_context(shard._lock.read(timeout=self.lock_timeout))
-            shard_paths = [
-                root / _shard_archive_name(i) for i in range(self.n_shards)
-            ]
-            for shard, shard_path in zip(self.shards, shard_paths):
-                write(shard_path, *shard._snapshot_state())
-            versions = [shard.version for shard in self.shards]
-            objects = len(self)
-            self._write_manifest(root)
-            # A layout saved with more shards before a reshard would
-            # otherwise leave orphan archives past the manifest's K.
-            for stale in root.glob("shard-*.npz"):
-                if stale not in shard_paths:
-                    stale.unlink()
-            sp.set(objects=objects)
-        self._shard_paths = shard_paths
-        self._saved_versions = versions
-        emit(
-            "db.snapshot",
-            op="save",
-            objects=objects,
-            path=str(root),
-            shards=self.n_shards,
-        )
-        return root
+            self._shard_paths = storage.save_sharded(self, path, dense=dense)
+            self._saved_versions = [shard.version for shard in self.shards]
+        return Path(path)
 
     def checkpoint(self) -> Path:
-        """Checkpoint every shard, ascending order.
+        """Checkpoint every shard, ascending order
+        (:func:`repro.db.storage.checkpoint_sharded`).
 
-        Each shard's checkpoint is individually atomic (snapshot, WAL
-        seal/rotate, CURRENT republish), so a crash in any gap — the
-        ``between-shard-checkpoints`` crash point fires in each one —
-        leaves a *mixed* but fully recoverable layout: already-advanced
-        shards recover from their new generation, the rest from their
-        old generation plus WAL tail.  Either way every acknowledged
-        mutation survives, which is all "consistent version vector"
-        means here: recovery equals a fresh build of the acknowledged
-        prefix, shard by shard.
+        A crash between two shard checkpoints leaves a *mixed* but fully
+        recoverable layout, so every acknowledged mutation survives,
+        which is all "consistent version vector" means here: recovery
+        equals a fresh build of the acknowledged prefix, shard by shard.
         """
         if not self.durable:
             raise QueryError("checkpoint() is only available with durable=True")
-        for i, shard in enumerate(self.shards):
-            if i:
-                crash_point("between-shard-checkpoints")
-            shard.checkpoint()
-        emit(
-            "db.checkpoint",
-            shards=self.n_shards,
-            objects=len(self),
-            path=str(self._root),
-        )
-        return self._root
+        return storage.checkpoint_sharded(self)
 
     @classmethod
     def load(
@@ -840,77 +751,14 @@ class ShardedSimilarityDatabase:
 
         Durable layouts run the per-shard recovery ladder;
         :attr:`last_recovery` is then the list of per-shard
-        :class:`~repro.db.core.RecoveryReport` objects.  Non-durable
+        :class:`~repro.db.storage.RecoveryReport` objects.  Non-durable
         layouts load each shard archive with its index served from the
         saved node tables.  With no *pipeline* given, the one the layout was
         created with is rebuilt from the manifest's ``resolution``.
         """
-        root = Path(path)
-        manifest_path = root / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise StorageError(
-                f"{root} is not a sharded database (missing {MANIFEST_NAME})"
-            )
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("format") != SHARDED_FORMAT:
-            raise StorageError(f"{root}: not a {SHARDED_FORMAT} layout")
-        if manifest.get("version") != SHARDED_VERSION:
-            raise StorageError(
-                f"{root}: unsupported sharded version {manifest.get('version')!r}"
-            )
-        count = int(manifest["shards"])
-        durable = bool(manifest.get("durable"))
-        if pipeline is None and manifest.get("resolution"):
-            from repro.pipeline import Pipeline
-
-            pipeline = Pipeline(resolution=manifest["resolution"])
-        with span("db.sharded.load", force=True, shards=count):
-            if durable:
-                shards = [
-                    SimilarityDatabase.load(
-                        root / _shard_dir_name(i), lock_timeout=lock_timeout
-                    )
-                    for i in range(count)
-                ]
-                shard_paths = None
-            else:
-                shard_paths = [root / _shard_archive_name(i) for i in range(count)]
-                for shard_path in shard_paths:
-                    if not shard_path.exists():
-                        raise StorageError(f"{root}: missing {shard_path.name}")
-                shards = [
-                    SimilarityDatabase.load(p, lock_timeout=lock_timeout)
-                    for p in shard_paths
-                ]
-        db = cls.__new__(cls)
-        db.capacity = manifest.get("capacity", shards[0].capacity)
-        db.backend = current_backend(manifest.get("backend", shards[0].backend))
-        db.n_shards = count
-        db.shards = shards
-        db.model = model
-        db.pipeline = pipeline
-        db.cache = cache
-        db.lock_timeout = lock_timeout
-        db.durable = durable
-        db.fsync = shards[0].fsync
-        db.keep_generations = shards[0].keep_generations
-        db._root = root if durable else None
-        db._shard_paths = None if durable else shard_paths
-        db._saved_versions = (
-            None if durable else [shard.version for shard in shards]
+        return storage.open_sharded(
+            path, model=model, pipeline=pipeline, cache=cache, lock_timeout=lock_timeout
         )
-        db.last_recovery = (
-            [shard.last_recovery for shard in shards] if durable else None
-        )
-        db.last_parallel_legs = None
-        emit(
-            "db.snapshot",
-            op="load",
-            objects=len(db),
-            path=str(root),
-            shards=count,
-        )
-        return db
 
 
 def open_database(
@@ -928,15 +776,6 @@ def open_database(
     file or single durable directory) loads as a
     :class:`SimilarityDatabase`.
     """
-    p = Path(path)
-    if p.is_dir() and (p / MANIFEST_NAME).exists():
-        return ShardedSimilarityDatabase.load(
-            p,
-            model=model,
-            pipeline=pipeline,
-            cache=cache,
-            lock_timeout=lock_timeout,
-        )
-    return SimilarityDatabase.load(
-        p, model=model, pipeline=pipeline, cache=cache, lock_timeout=lock_timeout
+    return storage.open_layout(
+        path, model=model, pipeline=pipeline, cache=cache, lock_timeout=lock_timeout
     )

@@ -140,6 +140,8 @@ def read_dense_archive(
         raise SnapshotIntegrityError(
             path, "meta", str(exc), kind=describe_member("meta")
         ) from exc
+    if not isinstance(header, dict) or not isinstance(header.get("meta", {}), dict):
+        raise StorageError(f"{path}: malformed snapshot: meta is not a JSON object")
     if header.get("version") != DENSE_VERSION:
         raise StorageError(
             f"{path}: unsupported dense snapshot version {header.get('version')!r}"

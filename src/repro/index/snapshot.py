@@ -204,6 +204,8 @@ def read_archive(
         raise SnapshotIntegrityError(
             path, "meta", str(exc), kind=describe_member("meta")
         ) from exc
+    if not isinstance(meta, dict):
+        raise StorageError(f"{path}: malformed snapshot: meta is not a JSON object")
     if meta.get("format") != expected_format:
         raise StorageError(
             f"{path} holds {meta.get('format')!r}, expected {expected_format!r}"

@@ -35,9 +35,9 @@ contract:
   previous generation fully recoverable.  Old generations beyond
   ``keep_generations`` are retired only after the new one is published.
 
-Recovery (the ladder itself lives in :meth:`repro.db.SimilarityDatabase.load`)
-reads ``CURRENT``, loads that snapshot, and replays its WAL segment; if
-the snapshot fails its CRC it falls back one generation and replays two
+Recovery (the ladder itself is :func:`repro.db.storage.recover`) reads
+``CURRENT``, loads that snapshot, and replays its WAL segment; if the
+snapshot fails its CRC it falls back one generation and replays two
 segments, and so on down to generation 0 (an empty database plus the
 full retained WAL chain).  Chained replay is sound because segment
 ``wal-g`` contains exactly the mutations between snapshot *g* and
@@ -396,6 +396,8 @@ class DurableLayout:
             ) from exc
         except json.JSONDecodeError as exc:
             raise WALError(f"{self.config_path}: corrupt config: {exc}") from exc
+        if not isinstance(config, dict):
+            raise WALError(f"{self.config_path}: malformed config: not a JSON object")
         if config.get("format") != CONFIG_FORMAT:
             raise WALError(
                 f"{self.config_path} holds {config.get('format')!r}, "

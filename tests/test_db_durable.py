@@ -630,6 +630,7 @@ class TestDurabilityProperties:
         import shutil
         import tempfile
 
+        from repro.db.storage import _apply_replay
         from repro.wal import replay
 
         rng = np.random.default_rng(seed)
@@ -649,7 +650,7 @@ class TestDurabilityProperties:
             try:
                 for segment in sorted(dbdir.glob("wal-*.log")):
                     for record in replay(segment):
-                        recovered._apply_replay(record)
+                        _apply_replay(recovered, record)
             finally:
                 recovered._replaying = False
             assert recovered.object_ids() == sorted(before)
