@@ -34,13 +34,13 @@ refinement (the batch formulation is exact only for the Euclidean /
 omega-norm-weight configuration of the paper).
 
 The centroid ranking itself can be delegated to a spatial index (the
-paper uses an X-tree, see :mod:`repro.index.xtree`) through the
-``centroid_ranker`` hook: a *chunk source*, called with the query's
-extended centroid and yielding ``(oids, dists)`` array pairs in
-ascending centroid distance (``ranking_chunks`` of the array-native
-index cores in :mod:`repro.index.arraycore` is one).  The default is an
-in-memory scan emitting a single chunk, which keeps this module free of
-index dependencies.
+paper uses an X-tree) through the ``centroid_ranker`` hook: a *chunk
+source*, called with the query's extended centroid and yielding
+``(oids, dists)`` array pairs in ascending centroid distance.  The
+database passes ``ranking_chunks`` of an STR-packed
+:class:`~repro.index.arraycore.RTreeArrayCore`, merged with its delta.
+The default is an in-memory scan emitting a single chunk, which keeps
+this module free of index dependencies.
 """
 
 from __future__ import annotations

@@ -29,9 +29,9 @@ a mutation paying for a rebuild of anything it did not touch:
 * **The index is an immutable packed core plus a delta.**  An
   ``xtree`` database ranks the centroids with one
   :class:`~repro.index.arraycore.RTreeArrayCore` — an STR pack of the
-  live centroids (:func:`~repro.index.bulkload.bulk_load` into an
-  X-tree, :func:`~repro.index.arraycore.densify`-ed), a pure function of
-  the live set — that no write ever touches.  A mutation records its
+  live centroids tiled straight into its node tables
+  (:func:`~repro.index.arraycore.densify`), a pure function of the live
+  set — that no write ever touches.  A mutation records its
   oid in a *delta* (objects added or replaced since the pack, ranked
   straight from the engine's centroid rows) and, when it removes or
   replaces a core entry, in a *tombstone* set; a query ranks the core
@@ -95,9 +95,7 @@ from repro.core.vector_set import VectorSet
 from repro.db import storage
 from repro.db.storage import BACKENDS, DEFAULT_KEEP_GENERATIONS
 from repro.exceptions import InvariantError, QueryError, StorageError
-from repro.index import XTree, bulk_load
-from repro.index.arraycore import RTreeArrayCore, densify
-from repro.index.rstar import _mindist_many
+from repro.index.arraycore import RTreeArrayCore, _mindist_many, densify
 from repro.obs import querylog, registry, span
 from repro.testing.faults import crash_point
 
@@ -592,20 +590,13 @@ class SimilarityDatabase:
     # -- the index: packed core + delta + tombstones ----------------------
 
     def _pack(self) -> RTreeArrayCore | None:
-        """A fresh pack of the live set: the stored centroids in ascending
-        oid, STR-loaded into an X-tree and densified — a pure function of
-        the live set.  ``None`` for an empty database."""
+        """A fresh STR pack of the stored centroids in ascending oid — a
+        pure function of the live set.  ``None`` for an empty database."""
         if self._engine is None:
             return None
         oids, centroids = self._engine.oids, self._engine.centroids
         order = np.argsort(oids)
-        tree = bulk_load(
-            centroids[order],
-            oids[order].tolist(),
-            tree_class=XTree,
-            capacity=self.index_capacity,
-        )
-        return densify(tree)
+        return densify(centroids[order], oids[order], capacity=self.index_capacity)
 
     def _repack(self) -> None:
         """Install a fresh pack, emptying delta and tombstones (caller

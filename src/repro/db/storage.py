@@ -48,7 +48,7 @@ from repro.approx import HammingIndex, SetSketcher
 from repro.core.batch import PackedSets
 from repro.core.queries import FilterRefineEngine
 from repro.exceptions import DistanceError, IndexError_, QueryError, ReproError, StorageError
-from repro.index.arraycore import core_from_serialized
+from repro.index.arraycore import RTreeArrayCore
 from repro.index.dense import is_dense_archive, read_dense_archive, write_dense_archive
 from repro.index.snapshot import read_archive, serialize_points, write_archive
 from repro.obs import emit, registry, span
@@ -364,8 +364,9 @@ def _from_archive(path, meta: dict, arrays: dict, **options):
     the meta key or arrays.  The sets are packed into the engine by one
     ragged scatter and an ``xtree`` core becomes an array core over the
     saved node tables (views of the caller's buffers — of the mmap, for
-    a dense snapshot).  A ``scan`` layout's point table is not read: the
-    engine's centroid rows are what a ``scan`` database ranks.
+    a dense snapshot), checked for shape and tree structure before a
+    query can walk them.  A ``scan`` layout's point table is not read:
+    the engine's centroid rows are what a ``scan`` database ranks.
     """
 
     def malformed(what) -> StorageError:
@@ -412,9 +413,14 @@ def _from_archive(path, meta: dict, arrays: dict, **options):
                 if name.startswith("index__")
             }
             try:
-                db._core = core_from_serialized(meta["index_meta"], tables)
-            except (KeyError, IndexError_) as exc:
+                db._core = RTreeArrayCore(meta["index_meta"], tables)
+                db._core.check_invariants()
+            except IndexError_ as exc:
                 raise malformed(f"index tables: {exc}") from exc
+            if db._core.dimension != db.dimension:
+                raise malformed(
+                    f"index tables: {db._core.dimension}-d, the sets {db.dimension}-d"
+                )
     try:
         _restore_sketches(db, meta, arrays)
     except (KeyError, TypeError, ValueError, QueryError) as exc:

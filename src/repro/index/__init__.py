@@ -6,17 +6,20 @@ under an explicit I/O cost model (8 ms per page access, 200 ns per byte
 read, Section 5.4).  This subpackage provides those pieces:
 
 * :mod:`repro.index.pages` — the page manager and cost model,
+* :mod:`repro.index.arraycore` — the immutable array core the database
+  ranks with, and :func:`~repro.index.arraycore.densify`, the STR pack
+  that builds one,
 * :mod:`repro.index.rstar` — an R*-tree (insert-only),
-* :mod:`repro.index.xtree` — the X-tree (R*-tree with supernodes),
-* :mod:`repro.index.bulkload` — STR packing of either tree,
-* :mod:`repro.index.arraycore` — the immutable array core a packed
-  tree densifies into, which the database ranks with,
+* :mod:`repro.index.xtree` — the X-tree (R*-tree with supernodes), the
+  incrementally built index of Table 2's rows,
 * :mod:`repro.index.mtree` — an M-tree for metric data such as vector
   sets under the minimal matching distance (insert-only; kept for the
   access-structure ablation, not a database backend).
+
+The pointer trees serve Table 2 and the ablations only; the database
+imports none of them.
 """
 
-from repro.index.bulkload import bulk_load
 from repro.index.mtree import MTree
 from repro.index.pages import IOCost, PageManager
 from repro.index.rstar import RStarTree
@@ -28,5 +31,4 @@ __all__ = [
     "RStarTree",
     "XTree",
     "MTree",
-    "bulk_load",
 ]

@@ -3,25 +3,21 @@
 Walking a pointer tree's Python object graph node by node dominates
 query time once the matching kernels are batched, and maintaining one
 under every write costs more than packing a fresh one.  The database
-therefore ranks with an *immutable* :class:`RTreeArrayCore`: the flat
-layout of :func:`repro.index.snapshot.serialize_index` — BFS node
-tables with entry offsets, MBR lower/upper blocks, leaf oid blocks —
-built once by :func:`densify` of an STR-packed X-tree (or opened as
-views over a snapshot's arrays) and never written again.  The query hot
-path runs over contiguous numpy arrays:
-
-* lower-bound distances (MBR mindist) are computed for a whole node's
-  entry block in one vectorized call,
-* k-nn uses a flat best-first loop that buffers leaf objects in arrays
-  and emits them in canonical ``(distance, oid)`` order in chunks,
-* range search walks a frontier *array* of node ids per level.
+therefore ranks with an *immutable* :class:`RTreeArrayCore`: BFS node
+tables with entry offsets, MBR lower/upper blocks and leaf oid blocks,
+written once by :func:`densify` — an STR pack tiled straight into those
+tables — or opened as views over a snapshot's arrays, and never written
+again.  The query hot path runs over contiguous numpy arrays: the
+lower-bound distances (MBR mindist) of a whole node's entry block are
+one vectorized call, and a flat best-first loop buffers leaf objects in
+arrays and emits them in canonical ``(distance, oid)`` order in chunks.
 
 Equivalence guarantees (asserted by the differential tests):
 
-* **Results** are literally equal to the pointer traversals of the
-  tree a core was densified from: same oids, same ``(distance, oid)``
-  order, bit-identical distances (the core reuses ``_mindist_many`` on
-  the same float inputs).
+* **Results** are literally equal to the pointer traversals of an
+  R*-/X-tree serialized into the same tables: same oids, same
+  ``(distance, oid)`` order, bit-identical distances (both use
+  :func:`_mindist_many` on the same float inputs).
 * **Page accounting** is identical at every consumption point of the
   incremental ranking.
 """
@@ -34,48 +30,111 @@ from typing import Iterator
 import numpy as np
 
 from repro.exceptions import IndexError_
-from repro.index.pages import PageManager
-from repro.index.rstar import _mindist_many
-from repro.index.snapshot import serialize_index
+from repro.index.pages import DEFAULT_PAGE_SIZE, PageManager
+from repro.index.snapshot import _stamped
 from repro.obs import counter, histogram
 
+#: The node tables a core runs on, in the order a snapshot stores them.
+_TABLES = (
+    "node_level",
+    "node_capacity",
+    "entry_offsets",
+    "entry_lowers",
+    "entry_uppers",
+    "entry_payloads",
+)
 
-def _ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(starts[i], ends[i])`` without a Python loop."""
-    counts = ends - starts
-    total = int(counts.sum())
-    if not total:
-        return np.empty(0, dtype=np.int64)
-    cum = np.cumsum(counts) - counts
-    return np.repeat(starts - cum, counts) + np.arange(total, dtype=np.int64)
+#: Target node fill of a pack: 0.9 of the capacity, the customary STR
+#: fill for a tree that takes inserts later.  A core takes none; the
+#: value stays so that packs, and the layouts pinned by their digests,
+#: stay what they were.
+_FILL = 0.9
+
+
+def min_fill(capacity: int) -> int:
+    """The fewest entries a non-root node of *capacity* may hold: the
+    pack, :meth:`RTreeArrayCore.check_invariants` and the pointer
+    R*-tree's split all obey this one rule."""
+    return max(2, int(0.4 * capacity))
+
+
+def default_capacity(dimension: int, page_size: int = DEFAULT_PAGE_SIZE) -> int:
+    """Entries per node when none is given: as many as fit one page at 8
+    bytes per coordinate (two box corners plus a pointer per entry), the
+    mechanism by which high-dimensional vectors get the small fanouts
+    that hurt them in Table 2."""
+    return max(4, page_size // (16 * dimension + 8))
+
+
+def _mindist_many(point: np.ndarray, lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
+    """Euclidean distance from *point* to each box (0 inside)."""
+    delta = np.maximum(lowers - point, 0.0) + np.maximum(point - uppers, 0.0)
+    return np.sqrt(np.sum(delta * delta, axis=1))
 
 
 class RTreeArrayCore:
     """Struct-of-arrays query core for R*-trees and X-trees.
 
-    Runs on the BFS node tables of :func:`repro.index.snapshot.serialize_index`:
-    ``node_level``/``node_capacity`` per node, ``entry_offsets`` (N+1
-    cumulative sums) slicing the flat ``entry_lowers``/``entry_uppers``/
-    ``entry_payloads`` blocks.  Payloads are oids in leaf nodes and BFS
-    child indices in directory nodes; node 0 is the root.
+    Runs on BFS node tables: ``node_level``/``node_capacity`` per node,
+    ``entry_offsets`` (N+1 cumulative sums) slicing the flat
+    ``entry_lowers``/``entry_uppers``/``entry_payloads`` blocks.
+    Payloads are oids in leaf nodes and BFS child indices in directory
+    nodes; node 0 is the root.
+
+    Construction checks that *meta* and the tables are well formed —
+    integer ``size`` / ``dimension`` / ``capacity``, every table present
+    with its shape, offsets splitting the entry table — and raises
+    :class:`~repro.exceptions.IndexError_` otherwise;
+    :meth:`check_invariants` checks that they form a sound tree.
     """
 
     def __init__(
         self, meta: dict, arrays: dict, page_manager: PageManager | None = None
     ):
+        self.kind = meta.get("kind")
+        if self.kind not in ("rstar", "xtree"):
+            raise IndexError_(f"unknown index kind {self.kind!r}")
+        for key, low in (("size", 0), ("dimension", 1), ("capacity", 1)):
+            value = meta.get(key)
+            if type(value) is not int or value < low:
+                self._fail(f"meta {key!r} holds {value!r}")
         self.meta = {k: v for k, v in meta.items() if k != "checksums"}
         self.arrays = dict(arrays)
         self.pages = page_manager or PageManager()
-        self.size = int(meta["size"])
-        self.kind = meta["kind"]
-        self.dimension = int(meta["dimension"])
-        self.capacity = int(meta["capacity"])
-        self._levels = np.ascontiguousarray(arrays["node_level"], dtype=np.int64)
-        self._caps = np.ascontiguousarray(arrays["node_capacity"], dtype=np.int64)
-        self._offsets = np.ascontiguousarray(arrays["entry_offsets"], dtype=np.int64)
-        self._lowers = np.ascontiguousarray(arrays["entry_lowers"], dtype=np.float64)
-        self._uppers = np.ascontiguousarray(arrays["entry_uppers"], dtype=np.float64)
-        self._payloads = np.ascontiguousarray(arrays["entry_payloads"], dtype=np.int64)
+        self.size = meta["size"]
+        self.dimension = meta["dimension"]
+        self.capacity = meta["capacity"]
+        missing = [name for name in _TABLES if name not in arrays]
+        if missing:
+            self._fail(f"missing tables {missing}")
+        tables = {name: np.asarray(arrays[name]) for name in _TABLES}
+        n_nodes = tables["node_level"].size
+        n_entries = tables["entry_payloads"].size
+        for name, shape in (
+            ("node_level", (n_nodes,)),
+            ("node_capacity", (n_nodes,)),
+            ("entry_offsets", (n_nodes + 1,)),
+            ("entry_lowers", (n_entries, self.dimension)),
+            ("entry_uppers", (n_entries, self.dimension)),
+            ("entry_payloads", (n_entries,)),
+        ):
+            table = tables[name]
+            kinds = "iu" if len(shape) == 1 else "iuf"
+            if table.shape != shape or table.dtype.kind not in kinds:
+                self._fail(
+                    f"table {name!r} is {table.dtype} {table.shape}, expected {shape}"
+                )
+        if not n_nodes:
+            self._fail("no nodes")
+        offsets = tables["entry_offsets"]
+        if offsets[0] != 0 or offsets[-1] != n_entries or np.any(np.diff(offsets) < 0):
+            self._fail("entry offsets do not split the entry table")
+        self._levels = np.ascontiguousarray(tables["node_level"], dtype=np.int64)
+        self._caps = np.ascontiguousarray(tables["node_capacity"], dtype=np.int64)
+        self._offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        self._lowers = np.ascontiguousarray(tables["entry_lowers"], dtype=np.float64)
+        self._uppers = np.ascontiguousarray(tables["entry_uppers"], dtype=np.float64)
+        self._payloads = np.ascontiguousarray(tables["entry_payloads"], dtype=np.int64)
         # One logical page per base capacity's worth of entries, exactly
         # how the pointer trees size supernode pages.
         self._spans = np.maximum(1, -(-self._caps // self.capacity))
@@ -159,94 +218,23 @@ class RTreeArrayCore:
             order = np.lexsort((emit_o, emit_d))
             yield emit_o[order], emit_d[order]
 
-    def incremental_nearest(self, point: np.ndarray) -> Iterator[tuple[int, float]]:
-        """``(oid, distance)`` pairs in ascending ``(distance, oid)`` order."""
-        for oids, dists in self.ranking_chunks(point):
-            for oid, dist in zip(oids.tolist(), dists.tolist()):
-                yield oid, dist
-
-    def knn(self, point: np.ndarray, k: int) -> list[tuple[int, float]]:
-        if k < 1:
-            raise IndexError_("k must be >= 1")
-        result: list[tuple[int, float]] = []
-        for oids, dists in self.ranking_chunks(point):
-            take = min(k - len(result), len(oids))
-            result.extend(zip(oids[:take].tolist(), dists[:take].tolist()))
-            if len(result) == k:
-                break
-        return result
-
-    def range_search(self, center: np.ndarray, radius: float) -> list[int]:
-        """Object ids intersecting the hypersphere, ascending.
-
-        The frontier is an array of node ids per tree level; each step
-        charges the whole frontier as one batched read and filters every
-        frontier entry with a single vectorized mindist call.  The
-        visited node set — hence ``io.page_accesses`` — is identical to
-        the pointer tree's depth-first walk.
-        """
-        center = np.asarray(center, dtype=np.float64)
-        if radius < 0:
-            raise IndexError_("radius must be non-negative")
-        offsets, levels, payloads = self._offsets, self._levels, self._payloads
-        nodes_batched = counter("index.nodes_batched")
-        frontier_size = histogram("index.frontier_size")
-        hits: list[np.ndarray] = []
-        frontier = np.zeros(1, dtype=np.int64)
-        while frontier.size:
-            self.pages.read_spans(
-                int(self._spans[frontier].sum()),
-                int(self._node_bytes[frontier].sum()),
-            )
-            nodes_batched.inc(frontier.size)
-            frontier_size.observe(frontier.size)
-            starts, ends = offsets[frontier], offsets[frontier + 1]
-            entry_idx = _ranges(starts, ends)
-            if not entry_idx.size:
-                break
-            dists = _mindist_many(
-                center, self._lowers[entry_idx], self._uppers[entry_idx]
-            )
-            within = dists <= radius
-            near = entry_idx[within]
-            owner_is_leaf = np.repeat(levels[frontier] == 0, ends - starts)
-            near_is_leaf = owner_is_leaf[within]
-            hit_oids = payloads[near[near_is_leaf]]
-            if hit_oids.size:
-                hits.append(hit_oids)
-            frontier = payloads[near[~near_is_leaf]]
-        if not hits:
-            return []
-        return np.sort(np.concatenate(hits)).tolist()
-
     # -- integrity -------------------------------------------------------
 
     def _fail(self, message: str) -> None:
         raise IndexError_(f"{self.kind} array core: {message}")
 
     def check_invariants(self) -> None:
-        """Vectorized structural validation of the dense node tables.
+        """Vectorized structural validation of the node tables.
 
         Covers what the pointer-tree ``check_invariants`` covers, plus
-        the flat-layout-specific hazards a corrupted snapshot can carry:
-        child-offset bounds, single-reference topology, offset
-        monotonicity, and exact MBR containment.
+        the flat-layout-specific hazards a corrupted snapshot can carry
+        (table shapes and offsets are checked at construction): child
+        bounds, single-reference topology, level coherence, fill and
+        capacity, and exact MBR containment.
         """
         n_nodes = len(self._levels)
         offsets = self._offsets
-        if len(offsets) != n_nodes + 1 or len(self._caps) != n_nodes:
-            self._fail("node table lengths disagree")
-        if not n_nodes:
-            self._fail("no nodes")
-        if offsets[0] != 0 or offsets[-1] != len(self._payloads):
-            self._fail("entry offsets do not span the entry table")
         counts = np.diff(offsets)
-        if np.any(counts < 0):
-            self._fail("entry offsets are not monotone")
-        if len(self._lowers) != len(self._payloads) or len(self._uppers) != len(
-            self._payloads
-        ):
-            self._fail("entry table lengths disagree")
         if not (np.isfinite(self._lowers).all() and np.isfinite(self._uppers).all()):
             self._fail("non-finite box corner")
         if np.any(self._lowers > self._uppers):
@@ -255,8 +243,7 @@ class RTreeArrayCore:
             self._fail("node holds more entries than its capacity")
         if np.any(self._caps < self.capacity):
             self._fail("node capacity below the tree's base capacity")
-        min_fill = max(2, int(0.4 * self.capacity))
-        if n_nodes > 1 and np.any(counts[1:] < min_fill):
+        if n_nodes > 1 and np.any(counts[1:] < min_fill(self.capacity)):
             self._fail("underfull non-root node")
         owner = np.repeat(np.arange(n_nodes, dtype=np.int64), counts)
         is_dir_entry = self._levels[owner] > 0
@@ -294,18 +281,123 @@ class RTreeArrayCore:
                     self._fail("child MBR escapes the stored directory box")
 
 
-def core_from_serialized(
-    meta: dict, arrays: dict, *, page_manager: PageManager | None = None
+# -- the pack ----------------------------------------------------------------
+
+
+def _tile(points: np.ndarray, order: np.ndarray, capacity: int, axis: int) -> list[np.ndarray]:
+    """Sort-Tile-Recursive (Leutenegger et al. 1997): recursively tile
+    *order* (indices into points) into runs of at most *capacity*,
+    slicing along *axis* first.
+
+    Runs are near-equal parts, never a full-size prefix plus a
+    remainder: ``len`` entries in ``ceil(len / capacity)`` runs leave
+    every run at least ``ceil(capacity / 2)`` long, so no packed node is
+    underfull.  A slab is a near-equal share of those runs (whole runs,
+    not a share of the entries), so tiling the remaining axes adds no
+    runs beyond ``ceil(len / capacity)``."""
+    if len(order) <= capacity:
+        return [order]
+    n_leaves = -(-len(order) // capacity)
+    remaining = points.shape[1] - axis
+    ranked = order[np.argsort(points[order, axis], kind="stable")]
+    if remaining == 1:
+        return np.array_split(ranked, n_leaves)
+    sizes = np.full(n_leaves, len(order) // n_leaves)
+    sizes[: len(order) % n_leaves] += 1
+    edges = np.concatenate(([0], np.cumsum(sizes)))
+    # Number of slabs along this axis: ceil(n_leaves^(1/remaining_dims)).
+    slabs = int(np.ceil(n_leaves ** (1.0 / remaining)))
+    groups: list[np.ndarray] = []
+    for runs in np.array_split(np.arange(n_leaves), slabs):
+        slab = ranked[edges[runs[0]] : edges[runs[-1] + 1]]
+        groups.extend(_tile(points, slab, capacity, axis + 1))
+    return groups
+
+
+def densify(
+    points: np.ndarray, oids: np.ndarray, capacity: int | None = None
 ) -> RTreeArrayCore:
-    """The array core over a snapshot's R*-/X-tree ``(meta, arrays)``."""
-    kind = meta.get("kind")
-    if kind not in ("rstar", "xtree"):
-        raise IndexError_(f"unknown index kind {kind!r}")
-    return RTreeArrayCore(meta, arrays, page_manager)
+    """An STR pack of the ``(n, d)`` *points* (object ids *oids*) as a
+    fresh array core: the static X-tree of the paper's filter step.
 
+    Built bottom-up: the leaves are :func:`_tile` runs of at most 0.9 of
+    *capacity* points, and each directory level tiles the centres of the
+    level below's MBRs the same way, until one node is left.  The nodes
+    are then numbered top-down in BFS order, a directory node's children
+    being its entry block in entry order.  The tables and ``meta`` are
+    those of an X-tree built that way and serialized node by node
+    (capacity by default :func:`default_capacity`, no supernodes).
+    """
+    points = np.asarray(points, dtype=np.float64)
+    oids = np.asarray(oids, dtype=np.int64)
+    if points.ndim != 2 or not points.size:
+        raise IndexError_("densify needs a non-empty (n, d) array")
+    if oids.shape != (len(points),):
+        raise IndexError_("need one oid per point")
+    n, dimension = points.shape
+    if capacity is None:
+        capacity = default_capacity(dimension)
+    if capacity < 4:
+        raise IndexError_("node capacity must be >= 4")
+    per_node = max(min_fill(capacity), int(capacity * _FILL))
 
-def densify(tree) -> RTreeArrayCore:
-    """Flatten a pointer *tree* into a fresh array core sharing its page
-    manager."""
-    meta, arrays = serialize_index(tree)
-    return RTreeArrayCore(meta, arrays, page_manager=tree.pages)
+    # Bottom-up: each level's entries grouped into its nodes, the nodes
+    # numbered in tiling order (a directory entry's payload is the
+    # tiling number of its child one level down).
+    levels = []
+    lowers = uppers = centres = points
+    payloads = oids
+    while True:
+        groups = _tile(centres, np.arange(len(centres)), per_node, axis=0)
+        order = np.concatenate(groups)
+        sizes = np.array([len(group) for group in groups], dtype=np.int64)
+        lowers, uppers, payloads = lowers[order], uppers[order], payloads[order]
+        levels.append((lowers, uppers, payloads, sizes))
+        if len(groups) == 1:
+            break
+        starts = np.cumsum(sizes) - sizes
+        lowers = np.minimum.reduceat(lowers, starts, axis=0)
+        uppers = np.maximum.reduceat(uppers, starts, axis=0)
+        payloads = np.arange(len(groups), dtype=np.int64)
+        centres = (lowers + uppers) / 2.0
+
+    # Top-down: one level's nodes in BFS order are the entries of the
+    # level above in BFS order, so a directory entry's child is the next
+    # BFS number.  rank[i] is the BFS position of tiling node i.
+    rank = np.zeros(1, dtype=np.int64)
+    first_child = 1
+    node_level, node_size, blocks = [], [], []
+    for height in range(len(levels) - 1, -1, -1):
+        lowers, uppers, payloads, sizes = levels[height]
+        by_rank = np.argsort(np.repeat(rank, sizes), kind="stable")
+        node_level.append(np.full(len(sizes), height, dtype=np.int64))
+        node_size.append(sizes[np.argsort(rank)])
+        payloads = payloads[by_rank]
+        if height:
+            rank = np.empty(len(payloads), dtype=np.int64)
+            rank[payloads] = np.arange(len(payloads))
+            payloads = np.arange(first_child, first_child + len(payloads))
+            first_child += len(payloads)
+        blocks.append((lowers[by_rank], uppers[by_rank], payloads))
+
+    offsets = np.zeros(first_child + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(node_size), out=offsets[1:])
+    meta = {
+        "dimension": dimension,
+        "capacity": capacity,
+        "reinsert_count": int(0.3 * capacity),
+        "size": n,
+        "max_overlap": 0.2,
+        "max_supernode_factor": 64,
+        "supernodes_created": 0,
+        "supernodes_dissolved": 0,
+    }
+    arrays = {
+        "node_level": np.concatenate(node_level),
+        "node_capacity": np.full(first_child, capacity, dtype=np.int64),
+        "entry_offsets": offsets,
+        "entry_lowers": np.concatenate([block[0] for block in blocks]),
+        "entry_uppers": np.concatenate([block[1] for block in blocks]),
+        "entry_payloads": np.concatenate([block[2] for block in blocks]),
+    }
+    return RTreeArrayCore(_stamped(meta, "xtree"), arrays)

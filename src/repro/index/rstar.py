@@ -27,6 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.exceptions import IndexError_
+from repro.index.arraycore import _mindist_many, default_capacity, min_fill
 from repro.index.pages import PageManager
 
 
@@ -101,17 +102,6 @@ def _overlap(lo_a, hi_a, lo_b, hi_b) -> float:
     return float(np.prod(inter))
 
 
-def _mindist(point: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
-    """Euclidean distance from a point to a box (0 inside)."""
-    delta = np.maximum(lower - point, 0.0) + np.maximum(point - upper, 0.0)
-    return float(np.linalg.norm(delta))
-
-
-def _mindist_many(point: np.ndarray, lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
-    delta = np.maximum(lowers - point, 0.0) + np.maximum(point - uppers, 0.0)
-    return np.sqrt(np.sum(delta * delta, axis=1))
-
-
 class RStarTree:
     """In-memory R*-tree over d-dimensional points or boxes.
 
@@ -144,12 +134,11 @@ class RStarTree:
         self.dimension = dimension
         self.pages = page_manager or PageManager()
         if capacity is None:
-            entry_bytes = 16 * dimension + 8
-            capacity = max(4, self.pages.page_size // entry_bytes)
+            capacity = default_capacity(dimension, self.pages.page_size)
         if capacity < 4:
             raise IndexError_("node capacity must be >= 4")
         self.capacity = capacity
-        self.min_fill = max(2, int(0.4 * capacity))
+        self.min_fill = min_fill(capacity)
         if not 0.0 <= reinsert_fraction < 1.0:
             raise IndexError_("reinsert fraction must be in [0, 1)")
         self.reinsert_count = int(reinsert_fraction * capacity)

@@ -5,8 +5,10 @@ index part of it is the flat form the array cores run on:
 
 * **R*-tree / X-tree** — nodes in BFS order with flat entry tables
   (lower/upper corners plus payload: an oid for leaf entries, the BFS
-  index of the child for directory entries).  Supernode capacities and
-  the X-tree's counters are kept, page spans included.
+  index of the child for directory entries), written by
+  :func:`repro.index.arraycore.densify`.  Layouts written before the
+  database packed its index carry incremental trees in the same form,
+  supernode capacities and the X-tree's counters included.
 * **Flat point table** (kind ``"scan"``) — the point block and its oid
   column, what a ``scan`` database writes beside its sets.
 
@@ -29,72 +31,15 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import SnapshotIntegrityError, StorageError
-from repro.index.rstar import RStarTree, _Node
-from repro.index.xtree import XTree
 from repro.testing.faults import crash_point
 
 SNAPSHOT_VERSION = 1
 
 
 def _stamped(meta: dict, kind: str) -> dict:
+    """*meta* with the index snapshot's format, version and *kind*."""
     meta.update(format="repro-index-snapshot", version=SNAPSHOT_VERSION, kind=kind)
     return meta
-
-
-# -- serialization ---------------------------------------------------------
-
-
-def _bfs_nodes(root: _Node) -> list[_Node]:
-    nodes, frontier = [], [root]
-    while frontier:
-        node = frontier.pop(0)
-        nodes.append(node)
-        frontier.extend(node.children)
-    return nodes
-
-
-def _serialize_rtree(tree: RStarTree) -> tuple[dict, dict[str, np.ndarray]]:
-    nodes = _bfs_nodes(tree.root)
-    index_of = {id(node): i for i, node in enumerate(nodes)}
-    levels = np.array([node.level for node in nodes], dtype=np.int64)
-    capacities = np.array([node.capacity for node in nodes], dtype=np.int64)
-    counts = [node.size for node in nodes]
-    offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    total = int(offsets[-1])
-    lowers = np.empty((total, tree.dimension), dtype=np.float64)
-    uppers = np.empty((total, tree.dimension), dtype=np.float64)
-    payloads = np.empty(total, dtype=np.int64)
-    for i, node in enumerate(nodes):
-        start, stop = offsets[i], offsets[i + 1]
-        lowers[start:stop] = node.lowers
-        uppers[start:stop] = node.uppers
-        if node.is_leaf:
-            payloads[start:stop] = node.oids
-        else:
-            payloads[start:stop] = [index_of[id(c)] for c in node.children]
-    meta = {
-        "dimension": tree.dimension,
-        "capacity": tree.capacity,
-        "reinsert_count": tree.reinsert_count,
-        "size": tree.size,
-    }
-    if isinstance(tree, XTree):
-        meta.update(
-            max_overlap=tree.max_overlap,
-            max_supernode_factor=tree.max_supernode_factor,
-            supernodes_created=tree.supernodes_created,
-            supernodes_dissolved=tree.supernodes_dissolved,
-        )
-    arrays = {
-        "node_level": levels,
-        "node_capacity": capacities,
-        "entry_offsets": offsets,
-        "entry_lowers": lowers,
-        "entry_uppers": uppers,
-        "entry_payloads": payloads,
-    }
-    return meta, arrays
 
 
 def _checksums(arrays: dict[str, np.ndarray]) -> dict[str, int]:
@@ -222,14 +167,6 @@ def read_archive(
                 kind=describe_member(name),
             )
     return meta, payload
-
-
-def serialize_index(tree: RStarTree) -> tuple[dict, dict[str, np.ndarray]]:
-    """The (meta, arrays) flat form of a pointer R*-tree or X-tree
-    (what :func:`repro.index.arraycore.densify` builds a core from)."""
-    meta, arrays = _serialize_rtree(tree)
-    # XTree subclasses RStarTree, so test the subclass.
-    return _stamped(meta, "xtree" if isinstance(tree, XTree) else "rstar"), arrays
 
 
 def serialize_points(

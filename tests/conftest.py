@@ -77,6 +77,101 @@ def random_vector_sets(rng, count, dim=6, max_size=7):
     ]
 
 
+def serialize_index(tree):
+    """The ``(meta, arrays)`` node tables of a pointer R*-tree or X-tree,
+    serialized node by node in BFS order — how snapshots were written
+    before the database packed its index (incremental trees, supernodes
+    and all), so the legacy-layout, corruption and core-vs-pointer tests
+    can still build them."""
+    from repro.index.snapshot import _stamped
+    from repro.index.xtree import XTree
+
+    nodes, frontier = [], [tree.root]
+    while frontier:
+        node = frontier.pop(0)
+        nodes.append(node)
+        frontier.extend(node.children)
+    index_of = {id(node): i for i, node in enumerate(nodes)}
+    offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum([node.size for node in nodes], out=offsets[1:])
+    payloads = np.concatenate(
+        [
+            np.asarray(
+                node.oids if node.is_leaf else [index_of[id(c)] for c in node.children],
+                dtype=np.int64,
+            )
+            for node in nodes
+        ]
+    )
+    meta = {
+        "dimension": tree.dimension,
+        "capacity": tree.capacity,
+        "reinsert_count": tree.reinsert_count,
+        "size": tree.size,
+    }
+    if isinstance(tree, XTree):
+        meta.update(
+            max_overlap=tree.max_overlap,
+            max_supernode_factor=tree.max_supernode_factor,
+            supernodes_created=tree.supernodes_created,
+            supernodes_dissolved=tree.supernodes_dissolved,
+        )
+    arrays = {
+        "node_level": np.array([node.level for node in nodes], dtype=np.int64),
+        "node_capacity": np.array([node.capacity for node in nodes], dtype=np.int64),
+        "entry_offsets": offsets,
+        "entry_lowers": np.concatenate([node.lowers for node in nodes]).astype(np.float64),
+        "entry_uppers": np.concatenate([node.uppers for node in nodes]).astype(np.float64),
+        "entry_payloads": payloads,
+    }
+    # XTree subclasses RStarTree, so test the subclass.
+    return _stamped(meta, "xtree" if isinstance(tree, XTree) else "rstar"), arrays
+
+
+def pointer_pack(points, oids, capacity=None):
+    """The STR pack as a pointer bulk load built it before the database
+    tiled straight into node tables: each level's ``_tile`` groups made
+    into X-tree nodes, the tree then serialized node by node — the
+    reference :func:`repro.index.arraycore.densify` equals array for
+    array and meta for meta."""
+    from repro.index.arraycore import _FILL, _tile
+    from repro.index.xtree import XTree
+
+    tree = XTree(points.shape[1], capacity=capacity)
+    per_node = max(tree.min_fill, int(tree.capacity * _FILL))
+    nodes = []
+    for group in _tile(points, np.arange(len(points)), per_node, axis=0):
+        leaf = tree._new_node(level=0)
+        leaf.set_entries(points[group].copy(), points[group].copy(), oids[group].tolist())
+        nodes.append(leaf)
+    while len(nodes) > 1:
+        boxes = [node.mbr() for node in nodes]
+        centres = np.vstack([(lo + hi) / 2.0 for lo, hi in boxes])
+        parents = []
+        for group in _tile(centres, np.arange(len(nodes)), per_node, axis=0):
+            parent = tree._new_node(level=nodes[0].level + 1)
+            parent.set_entries(
+                np.vstack([boxes[g][0] for g in group]),
+                np.vstack([boxes[g][1] for g in group]),
+                [nodes[g] for g in group],
+            )
+            parents.append(parent)
+        nodes = parents
+    tree.root, tree.size = nodes[0], len(points)
+    return serialize_index(tree)
+
+
+def ranked(core, point, k=None):
+    """The first *k* (all, by default) ``(oid, distance)`` pairs of an
+    array core's canonical ranking around *point*."""
+    out = []
+    for oids, dists in core.ranking_chunks(point):
+        out.extend(zip(oids.tolist(), dists.tolist()))
+        if k is not None and len(out) >= k:
+            break
+    return out[:k]
+
+
 def assert_engine_is_fresh(db):
     """Incremental == fresh for one ``SimilarityDatabase``: every
     structure mirrors the engine's rows (the object store) and the

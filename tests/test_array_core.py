@@ -1,15 +1,17 @@
 """Array-native index cores: equivalence, zero-copy loads, durability.
 
 The struct-of-arrays core of :mod:`repro.index.arraycore` promises
-*literal* equality with the pointer tree it was densified from — same
-oids, same ``(distance, oid)`` order, bit-identical distances — plus a
-dense snapshot container whose mmap-backed load answers its first query
-without materializing a tree.  These tests pin each promise:
+*literal* equality with a pointer tree serialized into the same tables
+— same oids, same ``(distance, oid)`` order, bit-identical distances —
+plus a dense snapshot container whose mmap-backed load answers its
+first query without materializing a tree.  These tests pin each promise:
 
-* core ``knn`` / ``range_search`` equal the pointer traversals across
-  trees, corpora (uniform, clustered, duplicate-heavy) and k values;
-* every STR pack densifies to a structurally sound core (no underfull
-  node) that ranks like brute force;
+* the core's ranking equals the pointer ``knn`` / ``range_search``
+  traversals across trees, corpora (uniform, clustered,
+  duplicate-heavy) and k values;
+* every STR pack (:func:`~repro.index.arraycore.densify`) writes the
+  tables of the pointer STR load it replaced, is a structurally sound
+  core (no underfull node) and ranks like brute force;
 * zero-copy loads keep O(1) resident copies (every table is a view on
   one shared ``np.memmap``) and survive a fresh subprocess
   byte-for-byte;
@@ -30,10 +32,10 @@ from hypothesis import strategies as st
 
 from repro.db import SimilarityDatabase
 from repro.exceptions import IndexError_, SnapshotIntegrityError
-from repro.index import RStarTree, XTree, bulk_load
+from repro.index import RStarTree, XTree
 from repro.index.arraycore import RTreeArrayCore, densify
 from repro.index.dense import read_dense_archive, write_dense_archive
-from repro.index.snapshot import serialize_index
+from tests.conftest import pointer_pack, ranked, serialize_index
 
 DIM = 4
 
@@ -74,46 +76,54 @@ def test_core_queries_equal_pointer(backend):
     for name in ("clustered", "uniform", "duplicates"):
         points = corpus(name, rng)
         tree = build(backend, points)
-        core = densify(tree)
+        core = RTreeArrayCore(*serialize_index(tree))
         # Stored points as queries walk the zero-distance and tie paths.
         queries = np.vstack([rng.uniform(0.0, 100.0, size=(10, DIM)), points[:6]])
         for query in queries:
             for k in (1, 7, 60):
-                assert core.knn(query, k) == tree.knn(query, k)
-            assert core.range_search(query, 9.0) == sorted(
-                tree.range_search(query, 9.0)
-            )
+                assert ranked(core, query, k) == tree.knn(query, k)
+            within = [oid for oid, dist in ranked(core, query) if dist <= 9.0]
+            assert sorted(within) == sorted(tree.range_search(query, 9.0))
 
 
 @given(
     n=st.integers(1, 500),
     dimension=st.integers(1, 8),
-    capacity=st.integers(4, 40),
+    capacity=st.none() | st.integers(4, 40),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_every_pack_is_a_sound_core(n, dimension, capacity, seed):
-    """The pack the database ranks with: ``densify(bulk_load(...))``.
-    Integer coordinates make ties and duplicates common and every
-    distance exact, so brute force is a literal oracle."""
+    """The pack the database ranks with: the tables and meta (key order
+    included - it is JSON in every snapshot) of the pointer STR load it
+    replaced, a sound core, and brute force's ranking.  Integer
+    coordinates make ties and duplicates common and every distance
+    exact, so brute force is a literal oracle."""
     rng = np.random.default_rng(seed)
     points = rng.integers(-6, 7, size=(n, dimension)).astype(float)
-    core = densify(bulk_load(points, tree_class=XTree, capacity=capacity))
+    core = densify(points, np.arange(n), capacity=capacity)
+    meta, arrays = core.serialized()
+    want_meta, want_arrays = pointer_pack(points, np.arange(n), capacity)
+    assert list(meta.items()) == list(want_meta.items())
+    assert list(arrays) == list(want_arrays)
+    for name, table in arrays.items():
+        assert table.dtype == want_arrays[name].dtype, name
+        assert np.array_equal(table, want_arrays[name]), name
     core.check_invariants()
     query = rng.integers(-7, 8, size=dimension).astype(float)
     dists = np.sqrt(((points - query) ** 2).sum(axis=1))
-    ranked = [(int(i), float(dists[i])) for i in np.lexsort((np.arange(n), dists))]
+    want = [(int(i), float(dists[i])) for i in np.lexsort((np.arange(n), dists))]
     for k in {1, min(n, 7), n}:
-        assert core.knn(query, k) == ranked[:k]
+        assert ranked(core, query, k) == want[:k]
     radius = float(np.median(dists))
-    assert core.range_search(query, radius) == np.flatnonzero(dists <= radius).tolist()
+    within = [oid for oid, dist in ranked(core, query) if dist <= radius]
+    assert sorted(within) == np.flatnonzero(dists <= radius).tolist()
 
 
 def test_str_runs_are_near_equal():
     """d = 1, capacity 4, n = 7 used to pack leaves of 3, 3 and 1."""
-    tree = bulk_load(np.arange(7.0)[:, None], tree_class=XTree, capacity=4)
-    assert sorted(child.size for child in tree.root.children) == [2, 2, 3]
-    tree.check_invariants()
-    densify(tree).check_invariants()
+    core = densify(np.arange(7.0)[:, None], np.arange(7), capacity=4)
+    assert sorted(np.diff(core.arrays["entry_offsets"])[1:]) == [2, 2, 3]
+    core.check_invariants()
 
 
 # -- dense snapshots: zero-copy, durability, verification ------------------
@@ -244,4 +254,4 @@ def test_dense_roundtrip_preserves_arrays(tmp_path):
     core = RTreeArrayCore(dict(got_meta, **meta), dict(got_arrays))
     core.check_invariants()
     query = rng.uniform(0.0, 100.0, size=DIM)
-    assert core.knn(query, 5) == tree.knn(query, 5)
+    assert ranked(core, query, 5) == tree.knn(query, 5)

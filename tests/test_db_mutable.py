@@ -40,7 +40,7 @@ from repro.index.dense import (
     write_dense_archive,
 )
 from repro.index.snapshot import read_archive, write_archive
-from tests.conftest import assert_engine_is_fresh
+from tests.conftest import assert_engine_is_fresh, serialize_index
 
 
 @contextmanager
@@ -759,7 +759,7 @@ class TestSnapshotAcceptance:
 
         for cls in (RStarTree, XTree):
             monkeypatch.setattr(cls, "insert", boom)
-        monkeypatch.setattr(db_core, "bulk_load", boom)
+        monkeypatch.setattr(db_core, "densify", boom)
         loaded = SimilarityDatabase.load(path)
         assert loaded.index_digest() == digest
         assert loaded.version == db.version
@@ -1006,7 +1006,6 @@ class TestOneCopyStore:
         node by node - opens, answers like a fresh build and is written
         back array for array."""
         from repro.approx import HammingIndex, SetSketcher
-        from repro.index.snapshot import serialize_index
 
         contents = {oid: rand_set(rng) for oid in (5, -3, 11, 2, 40, 7, 19, 23)}
         arrays = ragged_layout(contents)
@@ -1062,8 +1061,6 @@ class TestOneCopyStore:
         no pointer tree is built, inserted into, packed or flattened by
         the open or by a query.  Mutations never insert into a pointer
         tree either; they stage, and pack only as the re-pack rule says."""
-        import repro.index.arraycore as arraycore
-
         path = tmp_path / "db"
         if kind == "durable":
             db = SimilarityDatabase(
@@ -1101,8 +1098,7 @@ class TestOneCopyStore:
 
         monkeypatch.setattr(RStarTree, "insert", boom)  # XTree inherits
         with monkeypatch.context() as patched:
-            patched.setattr(db_core, "bulk_load", boom)
-            patched.setattr(arraycore, "densify", boom)
+            patched.setattr(db_core, "densify", boom)
             opened = open_database(path)
             assert answers(opened) == want
         parts = getattr(opened, "shards", [opened])

@@ -36,7 +36,6 @@ PUBLIC_MODULES = [
     "repro.features.scaling",
     "repro.geometry",
     "repro.index",
-    "repro.index.bulkload",
     "repro.io",
     "repro.normalize",
     "repro.pipeline",
@@ -155,6 +154,18 @@ def _imported_modules(path: Path, modules: dict[str, Path]) -> set[str]:
     return found
 
 
+def _reached(roots, modules: dict[str, Path]) -> set[str]:
+    """Every module the *roots* import, directly or transitively, the
+    roots included."""
+    pending, reached = list(roots), set()
+    while pending:
+        module = pending.pop()
+        if module not in reached:
+            reached.add(module)
+            pending.extend(_imported_modules(modules[module], modules))
+    return reached
+
+
 class TestReachability:
     def test_every_module_is_reached(self):
         """"Exported, tested, never called" is not a state a module can
@@ -162,18 +173,13 @@ class TestReachability:
         imported - directly or transitively - from a serving,
         reproduction or example path, or carries a recorded reason."""
         modules = _source_modules()
-        pending = list(REACH_ROOT_MODULES)
+        roots = list(REACH_ROOT_MODULES)
         for pattern in REACH_ROOT_SCRIPTS:
             scripts = sorted(REPO.glob(pattern))
             assert scripts, f"root pattern matches nothing: {pattern}"
             for script in scripts:
-                pending.extend(_imported_modules(script, modules))
-        reached = set()
-        while pending:
-            module = pending.pop()
-            if module not in reached:
-                reached.add(module)
-                pending.extend(_imported_modules(modules[module], modules))
+                roots.extend(_imported_modules(script, modules))
+        reached = _reached(roots, modules)
         unreached = {
             name for name, path in modules.items()
             if path.name != "__init__.py" and name not in reached
@@ -186,6 +192,18 @@ class TestReachability:
         )
         stale = sorted(set(UNREACHED_ON_PURPOSE) - unreached)
         assert not stale, f"allow-listed but reached or gone: {stale}"
+
+    def test_the_database_imports_no_pointer_tree(self):
+        """The database ranks with the array core alone: ``repro.db``, the
+        core, its pack and the snapshot containers reach no pointer tree,
+        so the R*-/X-/M-trees serve Table 2 and the ablations only."""
+        modules = _source_modules()
+        pointer_trees = {f"repro.index.{name}" for name in ("rstar", "xtree", "mtree")}
+        serving = [name for name in modules if name.split(".")[:2] == ["repro", "db"]]
+        serving += ["repro.index.arraycore", "repro.index.snapshot", "repro.index.dense"]
+        for root in serving:
+            leaked = sorted(_reached([root], modules) & pointer_trees)
+            assert not leaked, f"{root} imports {leaked}"
 
 
 class TestExamples:

@@ -1,5 +1,5 @@
 """Tests for the extension features: partial similarity, scaling toggle,
-STR bulk loading and voxel-overlap metrics."""
+STR bulk loading (the database's array pack) and voxel-overlap metrics."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from repro.core.min_matching import min_matching_distance
 from repro.core.partial import best_common_substructure, partial_matching_distance
 from repro.exceptions import DistanceError, FeatureError, IndexError_, VoxelizationError
 from repro.features.scaling import denormalize_cover_vectors, scale_aware_sets
-from repro.index.bulkload import bulk_load
+from repro.index.arraycore import densify
 from repro.index.pages import PageManager
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
@@ -20,6 +20,7 @@ from repro.voxel.metrics import (
     symmetric_volume_difference,
     volume_difference_distance,
 )
+from tests.conftest import ranked
 
 
 class TestPartialMatching:
@@ -121,46 +122,36 @@ class TestBulkLoad:
     @pytest.mark.parametrize("tree_class", [RStarTree, XTree], ids=["rstar", "xtree"])
     def test_queries_match_incremental_tree(self, tree_class, rng):
         points = rng.random(size=(800, 5))
-        packed = bulk_load(points, tree_class=tree_class)
-        packed.validate()
+        packed = densify(points, np.arange(800))
+        packed.check_invariants()
         incremental = tree_class(5)
         for i, point in enumerate(points):
             incremental.insert(point, i)
         query = rng.random(5)
-        assert [o for o, _ in packed.knn(query, 10)] == [
+        assert [o for o, _ in ranked(packed, query, 10)] == [
             o for o, _ in incremental.knn(query, 10)
         ]
 
     def test_packed_tree_is_smaller(self, rng):
         points = rng.random(size=(1000, 4))
-        packed = bulk_load(points)
+        packed = densify(points, np.arange(1000))
         incremental = RStarTree(4)
         for i, point in enumerate(points):
             incremental.insert(point, i)
-        assert packed.node_count() <= incremental.node_count()
-
-    def test_inserts_after_bulk_load_work(self, rng):
-        points = rng.random(size=(200, 3))
-        tree = bulk_load(points)
-        extra = rng.random(size=(50, 3))
-        for i, point in enumerate(extra):
-            tree.insert(point, 200 + i)
-        tree.validate()
-        assert tree.size == 250
+        assert len(packed.arrays["node_level"]) <= incremental.node_count()
 
     def test_custom_oids(self, rng):
         points = rng.random(size=(20, 2))
-        tree = bulk_load(points, oids=[100 + i for i in range(20)])
-        found = tree.knn(points[3], 1)
-        assert found[0][0] == 103
+        packed = densify(points, 100 + np.arange(20))
+        assert ranked(packed, points[3], 1)[0][0] == 103
 
     def test_validation(self, rng):
         with pytest.raises(IndexError_):
-            bulk_load(np.empty((0, 3)))
+            densify(np.empty((0, 3)), np.empty(0))
         with pytest.raises(IndexError_):
-            bulk_load(rng.random(size=(5, 3)), oids=[1, 2])
+            densify(rng.random(size=(5, 3)), [1, 2])
         with pytest.raises(IndexError_):
-            bulk_load(rng.random(size=(5, 3)), fill=0.01)
+            densify(rng.random(size=(5, 3)), np.arange(5), capacity=3)
 
 
 class TestVoxelMetrics:

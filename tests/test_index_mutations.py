@@ -13,7 +13,8 @@ import pytest
 
 from repro.exceptions import StorageError
 from repro.index import XTree
-from repro.index.snapshot import read_archive, serialize_index, write_archive
+from repro.index.snapshot import read_archive, write_archive
+from tests.conftest import serialize_index
 
 FORMAT = "repro-index-snapshot"
 

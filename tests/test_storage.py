@@ -16,6 +16,7 @@ for file, and every malformed settings record failing typed.
   and a snapshot's meta block - raise :class:`StorageError` naming the
   file (and the key, where there is one) through ``open_database``,
   and ``repro db verify`` reports them as corrupt with exit code 1.
+  So do CRC-valid index tables that do not form a sound tree.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import pytest
 
 from repro.db import ShardedSimilarityDatabase, SimilarityDatabase, open_database
 from repro.exceptions import StorageError
-from repro.index.dense import read_dense_archive
+from repro.index.dense import read_dense_archive, write_dense_archive
+from repro.index.snapshot import read_archive, write_archive
 from repro.pipeline import Pipeline
 
 CAPACITY = 4
@@ -172,8 +174,9 @@ def test_a_single_shard_is_a_plain_snapshot(backend, tmp_path):
 
 
 def saved_layout(kind: str, path: Path) -> None:
-    """A small saved database: ``plain`` / ``durable`` single files or
-    directories, ``sharded`` / ``sharded-durable`` with two shards."""
+    """A small saved database: ``plain`` / ``dense`` / ``durable`` single
+    files or directories, ``sharded`` / ``sharded-durable`` with two
+    shards."""
     options = dict(backend="xtree", index_capacity=4)
     if kind.startswith("sharded"):
         durable = kind == "sharded-durable"
@@ -190,7 +193,7 @@ def saved_layout(kind: str, path: Path) -> None:
     if durable:
         db.checkpoint()
     else:
-        db.save(path)
+        db.save(path, dense=kind == "dense")
     db.close()
 
 
@@ -297,14 +300,57 @@ def test_a_snapshot_meta_that_is_not_an_object_fails_typed(tmp_path, capsys):
     [("omega", "x"), ("dimension", "3"), ("db_version", None), ("sketch_params", 3)],
 )
 def test_a_malformed_snapshot_meta_key_fails_typed(key, value, tmp_path, capsys):
-    from repro.index.snapshot import read_archive
-
     path = tmp_path / "db.npz"
     saved_layout("plain", path)
     meta, _ = read_archive(path, "repro-similarity-db")
     meta[key] = value
     rewrite_meta(path, meta)
     assert_corrupt(path, capsys, "db.npz", repr(key))
+
+
+def _child_out_of_range(meta, arrays):
+    payloads = arrays["index__entry_payloads"].copy()
+    payloads[0] = len(arrays["index__node_level"]) + 5  # the root's first child
+    arrays["index__entry_payloads"] = payloads
+
+
+def _narrow_boxes(meta, arrays):
+    for name in ("index__entry_lowers", "index__entry_uppers"):
+        arrays[name] = np.ascontiguousarray(arrays[name][:, : DIM - 1])
+
+
+def _root_marked_leaf(meta, arrays):
+    levels = arrays["index__node_level"].copy()
+    levels[0] = 0
+    arrays["index__node_level"] = levels
+
+
+#: Case -> an edit of a saved snapshot's (meta, arrays) that keeps every
+#: CRC valid but the index tables unusable.  Each used to open; the
+#: first query then raised a bare IndexError / ValueError or, for a root
+#: marked as a leaf, answered a wrong top-5.
+INDEX_TABLES = {
+    "child-out-of-range": _child_out_of_range,
+    "narrow-boxes": _narrow_boxes,
+    "root-marked-leaf": _root_marked_leaf,
+    "string-size": lambda meta, arrays: meta["index_meta"].update(size="x"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDEX_TABLES))
+@pytest.mark.parametrize("name", ["db.npz", "db.dense"])
+def test_malformed_index_tables_fail_typed(name, case, tmp_path, capsys):
+    path = tmp_path / name
+    dense = name.endswith(".dense")
+    saved_layout("dense" if dense else "plain", path)
+    if dense:
+        meta, arrays = read_dense_archive(path, mmap=False)
+    else:
+        meta, arrays = read_archive(path, "repro-similarity-db")
+    assert len(arrays["index__node_level"]) > 1  # a directory to break
+    INDEX_TABLES[case](meta, arrays)
+    (write_dense_archive if dense else write_archive)(path, meta, arrays)
+    assert_corrupt(path, capsys, name, "index tables")
 
 
 if __name__ == "__main__":
