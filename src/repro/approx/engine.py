@@ -10,13 +10,9 @@ and runs the *exact* batched minimal-matching refine over only the
 ``shortlist`` best codes — so results are always true distances over a
 possibly-incomplete candidate set, never approximate distances.  With
 ``shortlist >= n`` every object is refined and the result equals the
-exact engine's by construction.
-
-The exact path stays the default and the oracle:
-:meth:`knn_query_with_oracle` runs both tiers and records the
-ground-truth-vs-returned overlap in :mod:`repro.obs` (histogram
-``approx.overlap``), alongside ``approx.shortlist_size`` and
-``approx.exact_skipped`` recorded on every approximate query.
+exact engine's by construction.  Every approximate query records
+``approx.shortlist_size`` and ``approx.exact_skipped`` in
+:mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -109,27 +105,3 @@ class ApproxFilterRefineEngine:
                 exact_skipped=n - len(candidates),
             )
         return results, stats
-
-    def knn_query_with_oracle(
-        self,
-        query: np.ndarray,
-        n_neighbors: int,
-        *,
-        shortlist: int | None = None,
-    ) -> tuple[list[QueryMatch], list[QueryMatch], float]:
-        """Run both tiers; returns ``(approx, exact, overlap)``.
-
-        *overlap* is ``|approx ∩ exact| / |exact|`` over the returned
-        oid sets (recall@k against the exact oracle), recorded in the
-        ``approx.overlap`` histogram.  Used by the Pareto bench and by
-        anyone wanting a live recall estimate on real traffic.
-        """
-        approx, _ = self.knn_query(query, n_neighbors, shortlist=shortlist)
-        exact, _ = self.engine.knn_query(query, n_neighbors)
-        truth = {match.object_id for match in exact}
-        got = {match.object_id for match in approx}
-        overlap = len(truth & got) / len(truth) if truth else 1.0
-        reg = registry()
-        if reg.enabled:
-            reg.histogram("approx.overlap").observe(overlap)
-        return approx, exact, overlap

@@ -2,15 +2,21 @@
 
 Commands
 --------
-``ingest``      build an object database from a synthetic dataset or a
+``ingest``      build a similarity database from a synthetic dataset or a
                 directory of STL/OFF meshes
 ``query``       k-nn search against a database (by stored name or mesh file)
+``db``          create, mutate, compact and verify a database in place
 ``cluster``     OPTICS-cluster a database and render the reachability plot
 ``experiment``  run one of the paper's experiments (table1, table2, figures)
 ``info``        show database statistics
 ``stats``       merge metrics snapshots and validate trace files
 ``obs``         export a trace as Chrome trace-event JSON (``obs export``)
                 or render metrics in OpenMetrics text (``obs expose``)
+
+There is one database: ``ingest`` and ``db init`` write a
+:class:`~repro.db.SimilarityDatabase` layout, ``query``, ``cluster``,
+``info`` and ``db`` open any layout with :func:`~repro.db.open_database`,
+and each object carries its ``name`` and ``family`` as its payload.
 
 Observability: ``ingest``, ``query``, ``cluster``, ``experiment`` and
 ``db`` accept ``--trace FILE`` (JSON-lines span/event trace) and
@@ -47,10 +53,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from repro.core.queries import FilterRefineEngine
 from repro.exceptions import ReproError
-
-MODEL_KEY = "vector-set(k={k})"
 
 
 def _add_obs_args(sub: argparse.ArgumentParser) -> None:
@@ -103,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    ingest = commands.add_parser("ingest", help="build an object database")
+    ingest = commands.add_parser("ingest", help="build a similarity database")
     source = ingest.add_mutually_exclusive_group(required=True)
     source.add_argument("--dataset", choices=["car", "aircraft"])
     source.add_argument("--meshes", type=Path, help="directory of .stl/.off files")
@@ -152,15 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     target.add_argument("--name", help="query by a stored object's name")
     target.add_argument("--mesh", type=Path, help="query with an external mesh file")
     query.add_argument("-k", type=int, default=10)
-    query.add_argument("--covers", type=int, default=7)
-    query.add_argument("--resolution", type=int, default=15)
-    query.add_argument(
-        "--snapshot",
-        action="store_true",
-        help="treat DATABASE as a `repro db` snapshot: the saved index "
-        "structure is reloaded as-is and answers the query without any "
-        "rebuild work",
-    )
     query.add_argument(
         "--mode",
         choices=["exact", "approx"],
@@ -228,9 +222,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--source",
         type=Path,
         default=None,
-        metavar="OBJECTDB",
-        help="ObjectDatabase archive used as the recovery ladder's "
-        "last-resort rebuild input",
+        metavar="ARCHIVE",
+        help="object-store archive (repro.io.database) used as the "
+        "recovery ladder's last-resort rebuild input (needs --durable, "
+        "not with --shards)",
     )
     db_init.add_argument(
         "--shards",
@@ -280,7 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster = commands.add_parser("cluster", help="OPTICS reachability plot")
     cluster.add_argument("database", type=Path)
     cluster.add_argument("--min-pts", type=int, default=5)
-    cluster.add_argument("--covers", type=int, default=7)
     cluster.add_argument("--eps", type=float, help="cut level (default: auto)")
     cluster.add_argument("--height", type=int, default=10)
     cluster.add_argument(
@@ -377,22 +371,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_mesh(path: Path):
-    from repro.io import read_mesh
-
-    return read_mesh(path)
-
-
 def cmd_ingest(args) -> int:
+    from repro.db import SimilarityDatabase
     from repro.features.cache import FeatureCache
     from repro.features.vector_set_model import VectorSetModel
-    from repro.io.database import ObjectDatabase, StoredObject
     from repro.pipeline import Pipeline
 
     pipeline = Pipeline(resolution=args.resolution)
     model = VectorSetModel(k=args.covers)
-    database = ObjectDatabase()
-    features = []
+    database = SimilarityDatabase(args.covers, pipeline=pipeline)
 
     policy = "raise" if args.strict else args.on_error
     if policy is None:
@@ -438,15 +425,10 @@ def cmd_ingest(args) -> int:
             report.demote(processed, value)
             continue
         database.add(
-            StoredObject(
-                name=processed.name,
-                family=processed.family,
-                class_id=processed.class_id,
-                grid=processed.grid,
-                pose=processed.pose,
-            )
+            len(database),
+            value,
+            payload={"name": processed.name, "family": processed.family},
         )
-        features.append(value)
 
     lookups = cache.hits + cache.misses
     hit_pct = 100.0 * cache.hits / lookups if lookups else 0.0
@@ -462,7 +444,6 @@ def cmd_ingest(args) -> int:
     if len(database) == 0:
         print("nothing ingested; database not written", file=sys.stderr)
         return 2
-    database.set_features(MODEL_KEY.format(k=args.covers), features)
     database.save(args.out)
     print(f"ingested {len(database)} objects -> {args.out}")
     if args.assert_cache_hits is not None and hit_pct < args.assert_cache_hits:
@@ -475,26 +456,15 @@ def cmd_ingest(args) -> int:
     return 0 if report.all_ok() else 3
 
 
-def _open_engine(path: Path, covers: int):
-    from repro.io.database import ObjectDatabase
+def _open(path: Path):
+    """Open any database layout ready for queries and mutations.
 
-    database = ObjectDatabase.load(path)
-    key = MODEL_KEY.format(k=covers)
-    if not database.has_features(key):
-        raise ReproError(
-            f"database has no {key} features; re-ingest with --covers {covers}"
-        )
-    sets = database.get_features(key)
-    return database, sets, FilterRefineEngine(sets, capacity=covers)
-
-
-def _open_snapshot(path: Path):
-    """Load a ``repro db`` layout ready for queries and mutations.
-
-    Dispatches on what is on disk: a directory with a ``sharded.json``
-    manifest opens as a :class:`ShardedSimilarityDatabase`, anything
-    else as a single :class:`SimilarityDatabase` — callers use the
-    common query/mutation surface and never care which they got.
+    :func:`~repro.db.open_database` dispatches on what is on disk — a
+    directory with a ``sharded.json`` manifest opens as a
+    :class:`~repro.db.ShardedSimilarityDatabase`, anything else as a
+    :class:`~repro.db.SimilarityDatabase` — so callers use the common
+    query / mutation surface and never care which they got.  The feature
+    model is the vector set model of the stored capacity.
     """
     from repro.db import open_database
     from repro.features.vector_set_model import VectorSetModel
@@ -504,9 +474,15 @@ def _open_snapshot(path: Path):
     return db
 
 
+def _field(db, oid: int, key: str) -> str:
+    """One identity field of a stored object, ``-`` when it has none."""
+    return (db.payload(oid) or {}).get(key, "-")
+
+
 def _voxelize_for(db, path: Path):
-    """Raw-voxelize a mesh with the snapshot's pipeline settings (the
+    """Raw-voxelize a mesh with the database's pipeline settings (the
     grid is normalized later, inside ``add_grid``/``features_for_grid``)."""
+    from repro.io import read_mesh
     from repro.pipeline import Pipeline
     from repro.voxel.voxelize import voxelize_mesh
 
@@ -514,7 +490,7 @@ def _voxelize_for(db, path: Path):
     if db.pipeline is None:
         db.pipeline = pipeline
     return voxelize_mesh(
-        _load_mesh(path),
+        read_mesh(path),
         pipeline.resolution,
         margin=pipeline.margin,
         keep_aspect=pipeline.keep_aspect,
@@ -542,6 +518,7 @@ def cmd_db(args) -> int:
                 path=args.database if args.durable else None,
                 fsync=args.fsync,
                 keep_generations=args.keep_generations,
+                source=args.source,
             )
             if args.durable:
                 db.checkpoint()
@@ -587,14 +564,18 @@ def cmd_db(args) -> int:
             print(line, file=sys.stderr if stream == "err" else sys.stdout)
         return code
 
-    db = _open_snapshot(args.database)
+    db = _open(args.database)
     if args.db_command == "add":
         from repro.features.cache import FeatureCache
 
         db.cache = FeatureCache(enabled=not args.no_cache)
         next_oid = max(db.object_ids(), default=-1) + 1
         for path in args.meshes:
-            db.add_grid(next_oid, _voxelize_for(db, path))
+            db.add_grid(
+                next_oid,
+                _voxelize_for(db, path),
+                payload={"name": path.stem, "family": "mesh"},
+            )
             print(f"added {path.name} as object {next_oid}")
             next_oid += 1
         db.save(args.database)
@@ -619,61 +600,28 @@ def cmd_db(args) -> int:
     return 0
 
 
-def _query_snapshot(args) -> int:
+def cmd_query(args) -> int:
+    db = _open(args.database)
+    db.close()  # a query only reads, and a closed database still answers
     if args.name:
-        print(
-            "--name needs an object-store database; `repro db` snapshots "
-            "identify objects by id (query with --mesh)",
-            file=sys.stderr,
-        )
-        return 2
-    db = _open_snapshot(args.database)
-    grid = _voxelize_for(db, args.mesh)
-    query_set = db.pipeline.features_for_grid(grid, db.model, cache=db.cache)
+        named = [oid for oid in db.object_ids() if _field(db, oid, "name") == args.name]
+        if not named:
+            print(f"no object named {args.name!r} in the database", file=sys.stderr)
+            return 2
+        query_set = db.get(named[0])
+    else:
+        grid = _voxelize_for(db, args.mesh)
+        query_set = db.pipeline.features_for_grid(grid, db.model, cache=db.cache)
     results, stats = db.knn_query(
         query_set, args.k, mode=args.mode, shortlist=args.shortlist
     )
-    print(f"{'rank':>4}  {'object':>8} distance")
+    print(f"{'rank':>4}  {'object':>8} {'name':24} {'family':14} distance")
     for rank, match in enumerate(results, 1):
-        print(f"{rank:>4}  {match.object_id:>8} {match.distance:.4f}")
-    print(f"\n{stats}")
-    return 0
-
-
-def cmd_query(args) -> int:
-    if args.snapshot:
-        return _query_snapshot(args)
-    database, sets, engine = _open_engine(args.database, args.covers)
-    if args.name:
-        names = database.names()
-        try:
-            query_set = sets[names.index(args.name)]
-        except ValueError:
-            print(f"no object named {args.name!r} in the database", file=sys.stderr)
-            return 2
-    else:
-        from repro.features.vector_set_model import VectorSetModel
-        from repro.pipeline import Pipeline
-
-        pipeline = Pipeline(resolution=args.resolution)
-        grid, _ = pipeline.process_mesh(_load_mesh(args.mesh))
-        query_set = VectorSetModel(k=args.covers).extract(grid)
-
-    if args.mode == "approx":
-        from repro.approx import ApproxFilterRefineEngine, HammingIndex, SetSketcher
-
-        sketcher = SetSketcher(sets[0].shape[1])
-        hamming = HammingIndex(sketcher.words)
-        for oid, vectors in enumerate(sets):
-            hamming.add(oid, sketcher.sketch(vectors))
-        approx = ApproxFilterRefineEngine(engine, sketcher, hamming)
-        results, stats = approx.knn_query(query_set, args.k, shortlist=args.shortlist)
-    else:
-        results, stats = engine.knn_query(query_set, args.k)
-    print(f"{'rank':>4}  {'name':24} {'family':14} distance")
-    for rank, match in enumerate(results, 1):
-        obj = database[match.object_id]
-        print(f"{rank:>4}  {obj.name:24} {obj.family:14} {match.distance:.4f}")
+        oid = match.object_id
+        print(
+            f"{rank:>4}  {oid:>8} {_field(db, oid, 'name'):24} "
+            f"{_field(db, oid, 'family'):14} {match.distance:.4f}"
+        )
     print(f"\n{stats}")
     return 0
 
@@ -686,19 +634,25 @@ def cmd_cluster(args) -> int:
         render_reachability_plot,
     )
 
-    database, sets, _ = _open_engine(args.database, args.covers)
-    rows = distance_rows_from_sets(sets, capacity=args.covers, n_jobs=args.jobs)
+    db = _open(args.database)
+    db.close()  # clustering only reads
+    oids = db.object_ids()
+    if not oids:
+        print(f"{args.database}: empty database, nothing to cluster", file=sys.stderr)
+        return 2
+    sets = [db.get(oid) for oid in oids]
+    rows = distance_rows_from_sets(sets, capacity=db.capacity, n_jobs=args.jobs)
     ordering = optics(len(sets), rows, min_pts=args.min_pts)
     print(render_reachability_plot(
         ordering, height=args.height, max_width=110,
-        title=f"{args.database.name} — vector set model (k={args.covers})",
+        title=f"{args.database.name} — vector set model (k={db.capacity})",
     ))
 
     eps = args.eps if args.eps is not None else auto_cut_level(ordering)
     clusters, noise = extract_clusters(ordering, eps)
     print(f"\ncut at eps={eps:.4f}: {len(clusters)} clusters, {len(noise)} noise")
     for index, members in enumerate(clusters):
-        composition = Counter(database[m].family for m in members)
+        composition = Counter(_field(db, oids[m], "family") for m in members)
         print(f"  cluster {index}: {dict(composition)}")
     return 0
 
@@ -827,23 +781,19 @@ def cmd_stats(args) -> int:
 
 
 def cmd_info(args) -> int:
-    from repro.io.database import ObjectDatabase
-
-    database = ObjectDatabase.load(args.database)
-    families = Counter(obj.family for obj in database)
-    resolutions = Counter(obj.grid.resolution for obj in database)
-    feature_models = Counter(
-        model for obj in database for model in obj.features
-    )
-    print(f"objects:       {len(database)}")
-    print(f"families:      {dict(families)}")
-    print(f"resolutions:   {dict(resolutions)}")
-    print(f"feature sets:  {dict(feature_models)}")
-    voxels = [obj.grid.count for obj in database]
-    print(f"voxels/object: min={min(voxels)} median={sorted(voxels)[len(voxels)//2]} "
-          f"max={max(voxels)}")
     from repro.features.cache import cache_info
 
+    db = _open(args.database)
+    db.close()  # info only reads
+    families = Counter(_field(db, oid, "family") for oid in db.object_ids())
+    resolution = db.pipeline.resolution if db.pipeline is not None else "-"
+    print(f"objects:       {len(db)}")
+    print(f"backend:       {db.backend}")
+    print(f"capacity:      {db.capacity}")
+    print(f"dimension:     {db.dimension if db.dimension is not None else '-'}")
+    print(f"resolution:    {resolution}")
+    print(f"shards:        {getattr(db, 'n_shards', 1)}")
+    print(f"families:      {dict(families)}")
     info = cache_info()
     print(
         f"feature cache: {info['entries']} entries ({info['bytes']} bytes) "

@@ -12,9 +12,8 @@ refine surviving candidates with the exact O(k^3) matching distance:
   stops as soon as the next lower bound exceeds the current k-th exact
   distance, which provably refines the minimum number of candidates.
 
-Refinement goes through the batched kernel of :mod:`repro.core.batch`
-whenever the engine uses the default minimal matching distance: the
-database lives in one omega-padded ``(n, k, d)`` tensor — packed at
+Refinement goes through the batched kernel of :mod:`repro.core.batch`:
+the database lives in one omega-padded ``(n, k, d)`` tensor — packed at
 construction, then maintained in place by ``add`` / ``replace`` /
 ``remove`` at a cost independent of ``n`` — and candidates are refined
 in blocks of *block_size* so the cost-tensor assembly and the Hungarian
@@ -28,10 +27,9 @@ them, and exactly zero for ``block_size=1``.  Results are provably
 identical to the strictly sequential order: an overshoot candidate's
 exact distance is bounded below by its lower bound, which already
 exceeded the pruning radius, so it can never displace a heap entry.
-
-With a custom ``exact_distance`` the engine falls back to per-pair
-refinement (the batch formulation is exact only for the Euclidean /
-omega-norm-weight configuration of the paper).
+The exact distance is the paper's: the minimal matching distance with
+Euclidean element distance and the weight ``w(x) = ||x - omega||``,
+the same omega as the centroids — exactly the precondition of Lemma 2.
 
 The centroid ranking itself can be delegated to a spatial index (the
 paper uses an X-tree) through the ``centroid_ranker`` hook: a *chunk
@@ -63,7 +61,6 @@ from repro.obs import querylog
 #: (object ids, centroid distances) array pairs in ascending centroid
 #: distance; spatial indexes plug in here.
 CentroidRanker = Callable[[np.ndarray], Iterator[tuple[np.ndarray, np.ndarray]]]
-ExactDistance = Callable[[np.ndarray, np.ndarray], float]
 
 #: Candidates refined per batched kernel call in blocked k-nn; see
 #: FilterRefineEngine(block_size=...).
@@ -170,14 +167,6 @@ class FilterRefineEngine:
     omega:
         Reference point of the extended centroids (default: origin; a
         :class:`~repro.core.batch.PackedSets` brings its own).
-    exact_distance:
-        Exact set distance to refine with; defaults to the minimal
-        matching distance with Euclidean element distance and the weight
-        function ``w(x) = ||x - omega||`` — i.e. the *same* omega as the
-        centroids, which is exactly the precondition of Lemma 2.  If you
-        substitute another distance you must ensure the centroid bound
-        still lower-bounds it; refinement then runs per pair instead of
-        through the batched kernel.
     block_size:
         Candidates refined per batched kernel call in k-nn queries.
         Larger blocks amortize better but may refine up to
@@ -217,7 +206,6 @@ class FilterRefineEngine:
         sets: Sequence[np.ndarray | VectorSet] | PackedSets,
         capacity: int,
         omega: np.ndarray | None = None,
-        exact_distance: ExactDistance | None = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
         oids: Sequence[int] | None = None,
         centroids: np.ndarray | None = None,
@@ -275,10 +263,6 @@ class FilterRefineEngine:
                     f"centroids have shape {self._centroid_buf.shape}, "
                     f"expected {(n, self.dimension)}"
                 )
-        # The omega-padded batch formulation realizes exactly the default
-        # distance (Euclidean elements, w(x) = ||x - omega||); a custom
-        # exact_distance is evaluated per pair on the unpadded rows.
-        self._exact = exact_distance
 
     # -- contents ----------------------------------------------------------
 
@@ -481,35 +465,19 @@ class FilterRefineEngine:
             raise QueryError(f"query set has incompatible shape {arr.shape}")
         return arr
 
-    def _prepare_query(self, query_arr: np.ndarray):
-        """Pad the query once per query (reused across all its blocks)."""
-        if self._exact is None:
-            return self._packed.pad_query(query_arr)
-        return None
+    def _refine_many(self, prepared, rows: Sequence[int]) -> np.ndarray:
+        """Exact distances from the padded query *prepared* (padded once
+        per query, reused across all its blocks) to the sets in the
+        given rows."""
+        from repro.core.batch import match_many
 
-    def _refine_many(
-        self, prepared, query_arr: np.ndarray, rows: Sequence[int]
-    ) -> np.ndarray:
-        """Exact distances from the query to the sets in the given rows."""
-        packed = self._packed
-        if self._exact is None:
-            from repro.core.batch import match_many
+        return match_many(prepared, self._packed, indices=np.asarray(rows, dtype=np.intp))
 
-            return match_many(prepared, packed, indices=np.asarray(rows, dtype=np.intp))
-        return np.array(
-            [
-                self._exact(query_arr, packed.data[row, : packed.sizes[row]])
-                for row in rows
-            ]
-        )
-
-    def _refine_block(
-        self, prepared, query_arr: np.ndarray, ids: Sequence[int]
-    ) -> tuple[np.ndarray, float]:
+    def _refine_block(self, prepared, ids: Sequence[int]) -> tuple[np.ndarray, float]:
         """One traced kernel call: ``(exact distances, seconds)``."""
         registry().histogram("query.block_candidates").observe(len(ids))
         with span("query.refine", candidates=len(ids)) as rsp:
-            exacts = self._refine_many(prepared, query_arr, ids)
+            exacts = self._refine_many(prepared, ids)
         return exacts, rsp.seconds
 
     def _refine_chunked(
@@ -523,16 +491,16 @@ class FilterRefineEngine:
         unfiltered pass is all refinement and is timed as a whole by
         its caller, so it reports 0.0 seconds here.
         """
-        prepared = self._prepare_query(query_arr)
+        prepared = self._packed.pad_query(query_arr)
         parts: list[np.ndarray] = []
         seconds = 0.0
         for start in range(0, len(positions), DEFAULT_CHUNK_SIZE):
             chunk = positions[start : start + DEFAULT_CHUNK_SIZE]
             if block_spans:
-                exacts, block_seconds = self._refine_block(prepared, query_arr, chunk)
+                exacts, block_seconds = self._refine_block(prepared, chunk)
                 seconds += block_seconds
             else:
-                exacts = self._refine_many(prepared, query_arr, chunk)
+                exacts = self._refine_many(prepared, chunk)
             parts.append(np.atleast_1d(exacts))
         exacts = np.concatenate(parts) if parts else np.empty(0)
         return exacts, seconds, len(parts)
@@ -659,7 +627,7 @@ class FilterRefineEngine:
         with span("query.knn", k=n_neighbors) as sp:
             query_arr = self._query_array(query)
             center = extended_centroid(query_arr, self.capacity, self.omega)
-            prepared = self._prepare_query(query_arr)
+            prepared = self._packed.pad_query(query_arr)
             # Max-heap over (distance, oid) via negation: heap[0] is the
             # current k-th candidate, the first to be displaced.
             heap: list[tuple[float, int]] = []
@@ -674,7 +642,7 @@ class FilterRefineEngine:
                     return
                 stats.exact_computations += len(pending_oids)
                 exacts, seconds = self._refine_block(
-                    prepared, query_arr, self._rows_for(pending_oids)
+                    prepared, self._rows_for(pending_oids)
                 )
                 refine_seconds += seconds
                 blocks += 1

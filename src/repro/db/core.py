@@ -11,7 +11,9 @@ a mutation paying for a rebuild of anything it did not touch:
 * **Mutations** (``add``/``add_grid``/``remove``/``update``) take the
   write side of a :class:`repro.concurrency.RWLock`, bump a version
   counter, and record the object in the engine, the sketch tier and the
-  index's delta.
+  index's delta.  An object may carry a payload of string identity
+  fields (:func:`~repro.db.storage.check_payload`), kept beside it
+  until it is removed.
 * **Queries** (``knn_query``/``range_query``) take the read side, so
   any number of threads can query concurrently while mutations wait;
   each query observes exactly one database version
@@ -93,7 +95,7 @@ from repro.core.queries import (
 )
 from repro.core.vector_set import VectorSet
 from repro.db import storage
-from repro.db.storage import BACKENDS, DEFAULT_KEEP_GENERATIONS
+from repro.db.storage import BACKENDS, DEFAULT_KEEP_GENERATIONS, check_payload
 from repro.exceptions import InvariantError, QueryError, StorageError
 from repro.index.arraycore import RTreeArrayCore, _mindist_many, densify
 from repro.obs import querylog, registry, span
@@ -250,7 +252,7 @@ class SimilarityDatabase:
         *keep_generations* controls how many snapshot generations stay
         on disk for the recovery ladder; *source* optionally names an
         :class:`~repro.io.database.ObjectDatabase` archive used as the
-        ladder's last-resort rebuild input.
+        ladder's last-resort rebuild input (only with ``durable=True``).
     lock_timeout:
         When set, every lock acquisition (both sides) raises
         :class:`~repro.exceptions.LockTimeout` after this many seconds
@@ -295,6 +297,8 @@ class SimilarityDatabase:
         keep_generations = _at_least("keep_generations", keep_generations, 1)
         if backend not in BACKENDS:
             raise QueryError(f"unknown backend {backend!r}; pick from {BACKENDS}")
+        if source is not None and not durable:
+            raise QueryError("source is only meaningful with durable=True")
         self.capacity = capacity
         self.backend = backend
         self.block_size = block_size
@@ -316,6 +320,8 @@ class SimilarityDatabase:
         self._tombstones = _NO_IDS
         self._version = 0
         self._engine: FilterRefineEngine | None = None
+        # The payload of every object added with one, by oid.
+        self._payloads: dict[int, dict] = {}
         self._lock = RWLock()
         self.lock_timeout = lock_timeout
         self.sketch_enabled = bool(sketch)
@@ -379,6 +385,16 @@ class SimilarityDatabase:
             if oid not in self:
                 raise QueryError(f"no object with id {oid}")
             return self._engine.get(oid)
+
+    def payload(self, oid: int) -> dict | None:
+        """An owned copy of the payload stored with *oid*; ``None`` when
+        it was added without one."""
+        oid = check_object_id(oid)
+        with self._lock.read(timeout=self.lock_timeout):
+            if oid not in self:
+                raise QueryError(f"no object with id {oid}")
+            stored = self._payloads.get(oid)
+            return None if stored is None else dict(stored)
 
     def index_digest(self) -> str:
         """SHA-256 over the live ``(oid, point)`` entries the index ranks:
@@ -450,7 +466,8 @@ class SimilarityDatabase:
         entry must be the point box of its object's stored centroid and
         every sketch code the sketch of its stored set, bit for bit, and
         the engine must digest like a fresh packing of its unpadded rows.
-        The core's own structural ``check_invariants`` runs too.  Raises
+        Every payload must belong to a stored object.  The core's own
+        structural ``check_invariants`` runs too.  Raises
         :class:`~repro.exceptions.InvariantError` naming the first
         disagreement.
         """
@@ -465,6 +482,11 @@ class SimilarityDatabase:
             _, offsets, rows, _ = engine.ragged()
             sets = np.split(rows, offsets[1:-1])
         self._check_index_locked(oids)
+        stray = self._payloads.keys() - set(oids.tolist())
+        if stray:
+            raise InvariantError(
+                f"payload of object {min(stray)} names no stored object"
+            )
         if self._hamming is not None:
             if not np.array_equal(self._hamming.oids, oids):
                 raise InvariantError(
@@ -674,27 +696,35 @@ class SimilarityDatabase:
         if start < len(keys):
             yield delta_oids[start:], delta_dists[start:]
 
-    def _wal_log(self, op: str, *, oid: int | None = None, array=None) -> None:
+    def _wal_log(
+        self, op: str, *, oid: int | None = None, array=None, payload=None
+    ) -> None:
         """Append one mutation record *before* it is applied.
 
         No-op for non-durable databases and during recovery replay.
         The record is on stable storage (per the fsync policy) when
         this returns, so the mutation it precedes is recoverable the
         instant the caller's method returns — the acknowledged-write
-        contract of ``fsync='always'``.
+        contract of ``fsync='always'``.  A payload rides in the record
+        header; a record without one is the record of a payload-free
+        database.
         """
         if self._wal is None or self._replaying:
             return
-        self._wal.append(op, oid=oid, array=array)
+        extra = {} if payload is None else {"payload": payload}
+        self._wal.append(op, oid=oid, array=array, **extra)
 
     # -- mutations ---------------------------------------------------------
 
-    def add(self, oid: int, vectors) -> None:
-        """Add one vector set under external id *oid*."""
+    def add(self, oid: int, vectors, payload: dict | None = None) -> None:
+        """Add one vector set under external id *oid*, with an optional
+        *payload* of identity fields
+        (:func:`~repro.db.storage.check_payload`)."""
         self._check_open()
-        self._add(oid, vectors, op="add")
+        self._add(oid, vectors, check_payload(payload), op="add")
 
-    def _add(self, oid: int, vectors, *, op: str) -> None:
+    def _add(self, oid: int, vectors, payload: dict | None, *, op: str) -> None:
+        """:meth:`add` with *payload* already checked."""
         oid = check_object_id(oid)
         arr = self._as_set(vectors)
         with self._lock.write(timeout=self.lock_timeout):
@@ -702,7 +732,9 @@ class SimilarityDatabase:
                 raise QueryError(f"object id {oid} already present")
             self._ensure_dimension(arr)
             centroid = extended_centroid(arr, self.capacity, self.omega)
-            self._wal_log(op, oid=oid, array=arr)
+            self._wal_log(op, oid=oid, array=arr, payload=payload)
+            if payload is not None:
+                self._payloads[oid] = payload
             if self._hamming is not None:
                 self._hamming.add(oid, self._sketcher.sketch(arr))
             if self._engine is None:
@@ -721,7 +753,7 @@ class SimilarityDatabase:
                 self._stage(oid, "add")
             self._bump("add")
 
-    def add_grid(self, oid: int, grid) -> np.ndarray:
+    def add_grid(self, oid: int, grid, payload: dict | None = None) -> np.ndarray:
         """Voxel-grid ingest: normalize, extract (through the feature
         cache), then :meth:`add`.  Returns the extracted set.
 
@@ -734,19 +766,22 @@ class SimilarityDatabase:
         from repro.pipeline import Pipeline
 
         oid = check_object_id(oid)  # before extraction fills the cache
+        payload = check_payload(payload)
         pipeline = self.pipeline or Pipeline()
         arr = pipeline.features_for_grid(grid, self.model, cache=self.cache)
-        self._add(oid, arr, op="add_grid")
+        self._add(oid, arr, payload, op="add_grid")
         return arr
 
     def remove(self, oid: int) -> bool:
-        """Remove the object stored under *oid*; False if absent."""
+        """Remove the object stored under *oid* and its payload; False
+        if absent."""
         self._check_open()
         oid = check_object_id(oid)
         with self._lock.write(timeout=self.lock_timeout):
             if oid not in self:
                 return False
             self._wal_log("remove", oid=oid)
+            self._payloads.pop(oid, None)
             if self._hamming is not None:
                 self._hamming.remove(oid)
             if len(self._engine) == 1:
@@ -759,7 +794,8 @@ class SimilarityDatabase:
             return True
 
     def update(self, oid: int, vectors) -> None:
-        """Replace the set stored under *oid* in one atomic mutation."""
+        """Replace the set stored under *oid* in one atomic mutation; its
+        payload stays."""
         self._check_open()
         oid = check_object_id(oid)
         arr = self._as_set(vectors)

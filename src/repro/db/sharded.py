@@ -67,6 +67,7 @@ from repro.core.queries import QueryMatch, QueryStats
 from repro.db import storage
 from repro.db.core import SimilarityDatabase, check_object_id, check_query_args
 from repro.db.storage import DEFAULT_KEEP_GENERATIONS, SHARDED_FORMAT, SHARDED_VERSION
+from repro.db.storage import check_payload
 from repro.exceptions import LockTimeout, QueryError, StorageError
 from repro.obs import emit, querylog, registry, span
 from repro.parallel import pool_map, resolve_n_jobs
@@ -133,7 +134,8 @@ class ShardedSimilarityDatabase:
     Parameters mirror ``SimilarityDatabase`` (every ``**shard_kwargs``
     entry — ``omega``, ``block_size``, ``index_capacity``,
     ``sketch``, ``sketch_params`` — is forwarded to each shard
-    verbatim), plus:
+    verbatim; ``source`` is refused, since a shard rebuilt from the
+    whole archive would hold every shard's objects), plus:
 
     shards:
         Number of partitions K (>= 1).
@@ -166,6 +168,11 @@ class ShardedSimilarityDatabase:
     ):
         if shards < 1:
             raise QueryError("shards must be >= 1")
+        if shard_kwargs.get("source") is not None:
+            raise QueryError(
+                "source is not supported on a sharded database: each shard "
+                "would rebuild from every object of the archive"
+            )
         self.capacity = capacity
         self.backend = backend
         self.n_shards = int(shards)
@@ -255,6 +262,9 @@ class ShardedSimilarityDatabase:
     def get(self, oid: int) -> np.ndarray:
         return self._shard_for(oid).get(oid)
 
+    def payload(self, oid: int) -> dict | None:
+        return self._shard_for(oid).payload(oid)
+
     def index_digests(self) -> list[str]:
         return [shard.index_digest() for shard in self.shards]
 
@@ -276,19 +286,20 @@ class ShardedSimilarityDatabase:
     def _shard_for(self, oid: int) -> SimilarityDatabase:
         return self.shards[shard_of(check_object_id(oid), self.n_shards)]
 
-    def add(self, oid: int, vectors) -> None:
-        self._shard_for(oid).add(oid, vectors)
+    def add(self, oid: int, vectors, payload: dict | None = None) -> None:
+        self._shard_for(oid).add(oid, vectors, payload)
 
-    def add_grid(self, oid: int, grid) -> np.ndarray:
+    def add_grid(self, oid: int, grid, payload: dict | None = None) -> np.ndarray:
         if self.model is None:
             raise QueryError("add_grid needs a database with a feature model")
         from repro.pipeline import Pipeline
 
         shard = self._shard_for(oid)  # rejects a malformed id before extraction
         shard._check_open()
+        payload = check_payload(payload)
         pipeline = self.pipeline or Pipeline()
         arr = pipeline.features_for_grid(grid, self.model, cache=self.cache)
-        shard.add(oid, arr)
+        shard.add(oid, arr, payload)
         return arr
 
     def remove(self, oid: int) -> bool:
@@ -347,14 +358,16 @@ class ShardedSimilarityDatabase:
             for shard in self.shards:
                 stack.enter_context(shard._lock.write(timeout=self.lock_timeout))
             stored: list[tuple[int, np.ndarray]] = []
+            payloads: dict[int, dict] = {}
             for shard in self.shards:
                 if shard._engine is not None:
                     oids, offsets, rows, _ = shard._engine.ragged()
                     stored.extend(zip(oids.tolist(), np.split(rows, offsets[1:-1])))
+                payloads.update(shard._payloads)
             stored.sort(key=lambda item: item[0])
             fresh = [self._fresh_shard() for _ in range(new_shards)]
             for oid, arr in stored:
-                fresh[shard_of(oid, new_shards)].add(oid, arr)
+                fresh[shard_of(oid, new_shards)].add(oid, arr, payloads.get(oid))
             self.shards = fresh
             self.n_shards = new_shards
             self._shard_paths = None

@@ -8,7 +8,8 @@ open, recover and verify.  :func:`layout_of` decides what a path holds:
 
 * a *snapshot file*: one CRC-checked archive, ``.npz`` or dense
   (:func:`snapshot_state`: the settings record in the meta block, the
-  engine's rows, a pack of the live set and the sketch tier as arrays);
+  engine's rows, a pack of the live set, the sketch tier and — only when
+  an object carries one — the payloads as arrays);
 * a *durable directory* (:class:`repro.wal.DurableLayout`): opening one
   runs the recovery ladder (:func:`recover`);
 * a *sharded directory*: the ``sharded.json`` manifest beside one plain
@@ -71,6 +72,9 @@ _RETIRED_BACKENDS = {"mtree": "xtree", "rstar": "xtree"}
 #: Default number of snapshot generations (and their WAL segments) a
 #: durable database keeps on disk for the recovery ladder's fallback.
 DEFAULT_KEEP_GENERATIONS = 2
+
+#: The most bytes one object's payload may encode to as JSON.
+MAX_PAYLOAD_BYTES = 1024
 
 #: The object store's four snapshot arrays, in the order of
 #: :meth:`FilterRefineEngine.ragged`: ascending oids, row offsets, the
@@ -318,6 +322,10 @@ def snapshot_state(db) -> tuple[dict, dict[str, np.ndarray]]:
         )
         arrays["sketch__oids"] = hamming["oids"]
         arrays["sketch__codes"] = hamming["codes"]
+    if db._payloads:
+        # Written only when there is one: a payload-free snapshot is the
+        # archive it was before payloads existed.
+        arrays["payloads"] = _encode_payloads(db._payloads)
     record = settings(db)
     meta = {
         "format": DB_FORMAT,
@@ -339,6 +347,48 @@ def snapshot_state(db) -> tuple[dict, dict[str, np.ndarray]]:
         # reopened database must still sketch its first object with them.
         meta["sketch_params"] = record["sketch_params"]
     return meta, arrays
+
+
+def check_payload(payload) -> dict | None:
+    """The one payload check of every database entry point that takes
+    one (plain, sharded, replay, snapshot): ``None``, or a dict of string
+    keys and string values that encodes to at most
+    :data:`MAX_PAYLOAD_BYTES` of JSON, else :class:`QueryError`, before
+    any lock or log record.  Returns an owned copy."""
+    if payload is None:
+        return None
+    if not isinstance(payload, dict) or not all(
+        isinstance(key, str) and isinstance(value, str) for key, value in payload.items()
+    ):
+        raise QueryError(f"payload must map strings to strings, got {payload!r:.80}")
+    if len(json.dumps(payload)) > MAX_PAYLOAD_BYTES:  # ASCII: one byte a char
+        raise QueryError(f"payload encodes to more than {MAX_PAYLOAD_BYTES} bytes")
+    return dict(payload)
+
+
+def _encode_payloads(payloads: dict[int, dict]) -> np.ndarray:
+    """The ``payloads`` member: ``[[oid, payload], ...]`` in ascending
+    oid, as UTF-8 JSON bytes."""
+    rows = [[oid, payloads[oid]] for oid in sorted(payloads)]
+    blob = json.dumps(rows, sort_keys=True).encode("utf-8")
+    return np.frombuffer(blob, dtype=np.uint8)
+
+
+def _decode_payloads(member: np.ndarray, oids: np.ndarray) -> dict[int, dict]:
+    """The checked payloads of a ``payloads`` member, which must name
+    stored *oids* in ascending order; ``ValueError`` / ``QueryError``
+    for anything else."""
+    if member.dtype != np.uint8 or member.ndim != 1:
+        raise ValueError(f"not a byte string but {member.dtype} {member.shape}")
+    rows = json.loads(member.tobytes().decode("utf-8"))
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == 2 and type(row[0]) is int for row in rows
+    ):
+        raise ValueError("not a JSON list of [oid, payload] pairs")
+    ids = [oid for oid, _ in rows]
+    if ids != sorted(set(ids)) or not set(ids) <= set(oids.tolist()):
+        raise ValueError("its oids are not stored ids in ascending order")
+    return {oid: check_payload(payload) for oid, payload in rows}
 
 
 def write_snapshot(db, path, *, dense: bool) -> Path:
@@ -425,6 +475,11 @@ def _from_archive(path, meta: dict, arrays: dict, **options):
         _restore_sketches(db, meta, arrays)
     except (KeyError, TypeError, ValueError, QueryError) as exc:
         raise malformed(f"sketch tier: {exc}") from exc
+    if "payloads" in arrays:
+        try:
+            db._payloads = _decode_payloads(arrays["payloads"], db._oids())
+        except (ValueError, QueryError) as exc:
+            raise malformed(f"payloads: {exc}") from exc
     db._version = meta["db_version"]
     return db
 
@@ -538,7 +593,9 @@ def _apply_replay(db, record: dict) -> None:
 
     Idempotency makes chained/partial replays safe: re-adding an
     identical set is a no-op, an ``add`` over a different survivor
-    degrades to ``update``, removing an absent oid is a no-op.
+    degrades to ``update``, removing an absent oid is a no-op.  An add
+    leaves the object with its record's payload either way; an update
+    record carries none and keeps the stored one.
     """
     op = record["op"]
     if op == "checkpoint":
@@ -552,11 +609,16 @@ def _apply_replay(db, record: dict) -> None:
     if op == "remove":
         db.remove(oid)
         return
-    arr = record["array"]
+    arr, payload = record["array"], record.get("payload")
     if oid not in db:
-        db.add(oid, arr)
-    elif not np.array_equal(db._engine.get(oid), arr):
+        db.add(oid, arr, payload)
+        return
+    if not np.array_equal(db._engine.get(oid), arr):
         db.update(oid, arr)
+    if op != "update":  # the database under recovery is unshared
+        db._payloads.pop(oid, None)
+        if payload is not None:
+            db._payloads[oid] = check_payload(payload)
 
 
 def _replay_chain(db, layout, start: int, published: int, report) -> None:
@@ -701,8 +763,8 @@ def _rebuild_from_source(config, layout, published, report, **options):
         fsync=config.get("fsync", "always"),
         fresh=True,
     )
-    for oid, vectors in enumerate(odb.get_features(key)):
-        db.add(oid, vectors)
+    for oid, (obj, vectors) in enumerate(zip(odb, odb.get_features(key))):
+        db.add(oid, vectors, {"name": obj.name, "family": obj.family})
     report.source_rebuild = True
     report.used_generation = -1
     report.replayed_records += len(db)

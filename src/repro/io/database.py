@@ -80,14 +80,6 @@ class StoredObject:
     pose: PoseInfo
     features: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def feature_nbytes(self, model_name: str) -> int:
-        """Bytes the named feature occupies (used by the I/O cost model;
-        vector sets are stored without dummy padding, Section 4.1)."""
-        try:
-            return int(self.features[model_name].size * 8)
-        except KeyError:
-            raise StorageError(f"{self.name}: no features for {model_name!r}") from None
-
 
 class ObjectDatabase:
     """An in-memory, persistable collection of :class:`StoredObject`."""
@@ -113,12 +105,6 @@ class ObjectDatabase:
 
     def __iter__(self):
         return iter(self._objects)
-
-    def labels(self) -> np.ndarray:
-        return np.array([obj.class_id for obj in self._objects])
-
-    def names(self) -> list[str]:
-        return [obj.name for obj in self._objects]
 
     # -- features --------------------------------------------------------------
 

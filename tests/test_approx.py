@@ -252,9 +252,10 @@ class TestApproxEngine:
         sets = materialize([3] * 12, rng)
         tier = build_tier(sets)
         query = rng.standard_normal((3, DIM))
-        approx, exact, overlap = tier.knn_query_with_oracle(
-            query, 4, shortlist=len(sets)
-        )
+        approx, _ = tier.knn_query(query, 4, shortlist=len(sets))
+        exact, _ = tier.engine.knn_query(query, 4)
+        truth = {match.object_id for match in exact}
+        overlap = len(truth & {match.object_id for match in approx}) / len(truth)
         assert overlap == 1.0
         assert approx == exact
 

@@ -4,8 +4,26 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.geometry.mesh import torus_mesh
+from repro.db import open_database
+from repro.geometry.mesh import box_mesh, torus_mesh
 from repro.io.stl import write_stl_binary
+
+
+def stored_names(path) -> list[str]:
+    """The ``name`` of every object of a database layout, ascending oid."""
+    db = open_database(path)
+    db.close()
+    return [db.payload(oid)["name"] for oid in db.object_ids()]
+
+
+def result_rows(out: str) -> list[list[str]]:
+    """The ranked rows a ``query`` printed: rank, oid, name, family,
+    distance."""
+    return [
+        line.split()
+        for line in out.splitlines()
+        if line.strip() and line.split()[0].isdigit()
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -47,17 +65,13 @@ class TestIngest:
         assert code == 2
 
     def test_ingest_parallel_matches_serial(self, tmp_path):
-        from repro.io.database import ObjectDatabase
-
         serial_path = tmp_path / "serial.npz"
         parallel_path = tmp_path / "parallel.npz"
         args = ["ingest", "--dataset", "aircraft", "--n", "10"]
         assert main(args + ["--out", str(serial_path), "--no-cache"]) == 0
         assert main(args + ["--out", str(parallel_path), "--jobs", "2",
                             "--no-cache"]) == 0
-        serial = ObjectDatabase.load(serial_path)
-        parallel = ObjectDatabase.load(parallel_path)
-        assert serial.names() == parallel.names()
+        assert stored_names(serial_path) == stored_names(parallel_path)
 
     def test_ingest_cache_warm_second_pass(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -84,9 +98,7 @@ class TestIngest:
 class TestQuery:
     def test_query_by_name(self, car_db, capsys):
         # Use whatever the first stored object is called.
-        from repro.io.database import ObjectDatabase
-
-        name = ObjectDatabase.load(car_db).names()[0]
+        name = stored_names(car_db)[0]
         code = main(["query", str(car_db), "--name", name, "-k", "3"])
         assert code == 0
         out = capsys.readouterr().out
@@ -102,9 +114,6 @@ class TestQuery:
         code = main(["query", str(car_db), "--mesh", str(mesh_path), "-k", "2"])
         assert code == 0
         assert "distance" in capsys.readouterr().out
-
-    def test_query_wrong_covers_fails(self, car_db):
-        assert main(["query", str(car_db), "--name", "x", "--covers", "5"]) == 1
 
 
 class TestClusterAndInfo:
@@ -125,7 +134,7 @@ class TestClusterAndInfo:
         assert code == 0
         out = capsys.readouterr().out
         assert "objects:       40" in out
-        assert "vector-set(k=7)" in out
+        assert "capacity:      7" in out
         assert "feature cache:" in out
 
 
@@ -140,9 +149,7 @@ class TestObservability:
     def test_query_writes_metrics_and_trace(self, car_db, tmp_path, capsys):
         import json
 
-        from repro.io.database import ObjectDatabase
-
-        name = ObjectDatabase.load(car_db).names()[0]
+        name = stored_names(car_db)[0]
         metrics = tmp_path / "q.json"
         trace = tmp_path / "q.jsonl"
         code = main(
@@ -164,9 +171,7 @@ class TestObservability:
         assert any(e["event"] == "span_start" for e in events)
 
     def test_stats_validates_and_reports(self, car_db, tmp_path, capsys):
-        from repro.io.database import ObjectDatabase
-
-        name = ObjectDatabase.load(car_db).names()[0]
+        name = stored_names(car_db)[0]
         metrics = tmp_path / "q.json"
         trace = tmp_path / "q.jsonl"
         assert main(
@@ -235,9 +240,8 @@ class TestObservability:
         import json
 
         from repro import obs
-        from repro.io.database import ObjectDatabase
 
-        name = ObjectDatabase.load(car_db).names()[0]
+        name = stored_names(car_db)[0]
         metrics = tmp_path / "first.json"
         assert main(["query", str(car_db), "--name", name,
                      "--metrics", str(metrics)]) == 0
@@ -286,34 +290,20 @@ class TestDbCommands:
         out = capsys.readouterr().out
         assert "3 objects" in out
 
-        # query --snapshot answers without any rebuild: a mesh that is
-        # already stored must come back at distance zero.
-        assert main(["query", str(db_path), "--snapshot",
-                     "--mesh", meshes[1], "-k", "3"]) == 0
-        lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
-        top = lines[1].split()
-        assert top[0] == "1" and float(top[2]) == 0.0
+        # A mesh that is already stored must come back at distance zero,
+        # under the name `db add` recorded.
+        assert main(["query", str(db_path), "--mesh", meshes[1], "-k", "3"]) == 0
+        top = result_rows(capsys.readouterr().out)[0]
+        assert top[0] == "1" and top[2:4] == ["part1", "mesh"]
+        assert float(top[-1]) == 0.0
 
         assert main(["db", "remove", str(db_path), "1"]) == 0
         assert main(["db", "remove", str(db_path), "1"]) == 2  # already gone
         assert main(["db", "compact", str(db_path)]) == 0
         capsys.readouterr()  # drop the remove/compact chatter
-        assert main(["query", str(db_path), "--snapshot",
-                     "--mesh", meshes[0], "-k", "2"]) == 0
-        body = capsys.readouterr().out
-        returned_ids = [
-            line.split()[1]
-            for line in body.splitlines()
-            if line.strip() and line.split()[0].isdigit()
-        ]
+        assert main(["query", str(db_path), "--mesh", meshes[0], "-k", "2"]) == 0
+        returned_ids = [row[1] for row in result_rows(capsys.readouterr().out)]
         assert returned_ids == ["0", "2"]  # object 1 was removed
-
-    def test_snapshot_query_rejects_name_lookup(self, tmp_path, capsys):
-        db_path = tmp_path / "sim.db"
-        assert main(["db", "init", str(db_path)]) == 0
-        code = main(["query", str(db_path), "--snapshot", "--name", "torus"])
-        assert code == 2
-        assert "by id" in capsys.readouterr().err
 
     def test_db_add_writes_metrics(self, tmp_path, mesh_dir):
         import json
@@ -334,14 +324,126 @@ class TestDbCommands:
 
     @pytest.mark.parametrize("durable", [False, True])
     def test_sharded_init_persists_resolution(self, tmp_path, durable):
-        from repro.cli import _open_snapshot
+        from repro.cli import _open
 
         db_path = tmp_path / "parts.db"
         argv = ["db", "init", str(db_path), "--resolution", "9", "--shards", "2"]
         assert main(argv + (["--durable"] if durable else [])) == 0
-        db = _open_snapshot(db_path)
+        db = _open(db_path)
         try:
             assert db.n_shards == 2 and db.durable is durable
             assert db.pipeline.resolution == 9
         finally:
             db.close()
+
+
+class TestOneDatabase:
+    """`ingest` writes a SimilarityDatabase layout and every command opens
+    any layout through open_database."""
+
+    @pytest.fixture(scope="class")
+    def meshes(self, tmp_path_factory):
+        meshes = tmp_path_factory.mktemp("onedb") / "meshes"
+        meshes.mkdir()
+        for index in range(5):
+            write_stl_binary(
+                box_mesh(size=(1 + 0.1 * index, 1, 0.5)), meshes / f"g{index}.stl"
+            )
+        return meshes
+
+    @pytest.fixture(scope="class")
+    def ingested(self, meshes):
+        path = meshes.parent / "ingested.npz"
+        assert main(["ingest", "--meshes", str(meshes), "--out", str(path),
+                     "--resolution", "10"]) == 0
+        return path
+
+    def test_ingest_and_query_normalise_alike(self, meshes, ingested, capsys):
+        capsys.readouterr()
+        assert main(["query", str(ingested), "--mesh", str(meshes / "g1.stl"),
+                     "-k", "3"]) == 0
+        top = result_rows(capsys.readouterr().out)[0]
+        assert top == ["1", "1", "g1", "mesh", "0.0000"]
+
+    def test_query_by_name_on_ingest_and_db_add_output(
+        self, meshes, ingested, tmp_path, capsys
+    ):
+        added = tmp_path / "added.db"
+        assert main(["db", "init", str(added), "--resolution", "10"]) == 0
+        assert main(["db", "add", str(added)]
+                    + [str(meshes / f"g{i}.stl") for i in range(5)]) == 0
+        for path in (ingested, added):
+            capsys.readouterr()
+            assert main(["query", str(path), "--name", "g3", "-k", "2"]) == 0
+            top = result_rows(capsys.readouterr().out)[0]
+            assert top[2:] == ["g3", "mesh", "0.0000"]
+        assert stored_names(added) == [f"g{i}" for i in range(5)]
+
+    def test_approx_with_a_full_shortlist_equals_exact(self, ingested, capsys):
+        capsys.readouterr()
+        assert main(["query", str(ingested), "--name", "g2", "-k", "4"]) == 0
+        exact = result_rows(capsys.readouterr().out)
+        assert main(["query", str(ingested), "--name", "g2", "-k", "4",
+                     "--mode", "approx", "--shortlist", "5"]) == 0
+        assert result_rows(capsys.readouterr().out) == exact
+        assert len(exact) == 4
+
+    def test_verify_passes_on_ingest_output(self, ingested, capsys):
+        assert main(["db", "verify", str(ingested)]) == 0
+        assert "verify: ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("layout", ["plain", "durable", "sharded", "empty"])
+    def test_info_on_every_layout(self, layout, meshes, tmp_path, capsys):
+        path = tmp_path / "db"
+        init = {"plain": [], "durable": ["--durable"], "sharded": ["--shards", "2"],
+                "empty": []}[layout]
+        assert main(["db", "init", str(path), "--resolution", "9"] + init) == 0
+        if layout != "empty":
+            assert main(["db", "add", str(path), str(meshes / "g0.stl"),
+                         str(meshes / "g4.stl")]) == 0
+        capsys.readouterr()
+        assert main(["info", str(path)]) == 0
+        out = capsys.readouterr().out
+        objects = 0 if layout == "empty" else 2
+        assert f"objects:       {objects}" in out
+        assert "backend:       xtree" in out
+        assert "capacity:      7" in out
+        assert "resolution:    9" in out
+        assert f"shards:        {2 if layout == 'sharded' else 1}" in out
+        assert ("families:      {}" if layout == "empty" else "{'mesh': 2}") in out
+
+    def test_an_object_store_archive_is_not_a_database(self, tmp_path, capsys):
+        from repro.io.database import ObjectDatabase
+
+        path = tmp_path / "objects.npz"
+        ObjectDatabase().save(path)
+        assert main(["query", str(path), "--name", "g1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "repro-similarity-db" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "extra", [["--shards", "2", "--durable"], ["--shards", "2"], []],
+        ids=["sharded-durable", "sharded", "not-durable"],
+    )
+    def test_db_init_refuses_a_source_it_cannot_use(self, extra, tmp_path, capsys):
+        """The source used to be dropped (not durable) or forwarded to
+        every shard, whose rebuild would then add the whole archive."""
+        path = tmp_path / "db"
+        code = main(["db", "init", str(path), "--source", str(tmp_path / "o.npz")]
+                    + extra)
+        assert code == 1
+        assert "source" in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_removed_options_are_gone(self, ingested, capsys):
+        for argv in (
+            ["query", str(ingested), "--name", "g1", "--snapshot"],
+            ["query", str(ingested), "--name", "g1", "--covers", "7"],
+            ["query", str(ingested), "--name", "g1", "--resolution", "10"],
+            ["cluster", str(ingested), "--covers", "7"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()

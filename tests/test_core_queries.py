@@ -121,22 +121,21 @@ class TestBlockedRefinement:
             )
 
     def test_matches_per_pair_refinement(self, engine, rng):
-        """The batch kernel and a per-pair exact_distance engine agree."""
+        """The batched engine agrees with a brute-force scan of the
+        per-pair reference, ``min_matching_distance``."""
         eng, sets = engine
-        per_pair = FilterRefineEngine(
-            sets, capacity=7, exact_distance=min_matching_distance
-        )
         query = rng.normal(size=(4, 6))
+        reference = sorted(
+            (min_matching_distance(query, s), oid) for oid, s in enumerate(sets)
+        )
         batched, _ = eng.knn_query(query, 8)
-        looped, _ = per_pair.knn_query(query, 8)
-        assert [m.object_id for m in batched] == [m.object_id for m in looped]
+        assert [m.object_id for m in batched] == [oid for _, oid in reference[:8]]
         assert [m.distance for m in batched] == pytest.approx(
-            [m.distance for m in looped], abs=1e-9
+            [dist for dist, _ in reference[:8]], abs=1e-9
         )
         batched_range, _ = eng.range_query(query, 4.0)
-        looped_range, _ = per_pair.range_query(query, 4.0)
         assert [m.object_id for m in batched_range] == [
-            m.object_id for m in looped_range
+            oid for dist, oid in reference if dist <= 4.0
         ]
 
     def test_invalid_block_size_rejected(self, rng):
@@ -314,23 +313,6 @@ class TestMaintainedInPlace:
             FilterRefineEngine(packed, capacity=4)
         with pytest.raises(QueryError):
             FilterRefineEngine(packed, capacity=3, omega=np.zeros(4))
-
-    def test_per_pair_engine_is_mutable_too(self, rng):
-        sets = random_vector_sets(rng, 20, dim=6, max_size=7)
-        contents = dict(enumerate(sets))
-        engine = FilterRefineEngine(sets, capacity=7, exact_distance=min_matching_distance)
-        engine.remove(0)
-        del contents[0]
-        contents[50] = rng.normal(size=(2, 6))
-        engine.add(50, contents[50])
-        reference = FilterRefineEngine(
-            list(contents.values()),
-            capacity=7,
-            exact_distance=min_matching_distance,
-            oids=list(contents),
-        )
-        query = rng.normal(size=(3, 6))
-        assert engine.knn_query(query, 5) == reference.knn_query(query, 5)
 
     def test_invalid_mutations_rejected(self, rng):
         engine = FilterRefineEngine([rng.normal(size=(2, 4))], capacity=3, oids=[5])

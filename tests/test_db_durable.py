@@ -454,6 +454,70 @@ class TestSourceRebuild:
         again.close()
 
 
+    def test_a_source_needs_one_durable_database(self, tmp_path):
+        """A source without ``durable=True`` used to be accepted and never
+        persisted, and a sharded database forwarded it to every shard,
+        whose rebuild would then add every object of the archive.  Both
+        are refused, typed, before anything is written."""
+        source = tmp_path / "objects.npz"
+        with pytest.raises(QueryError, match="durable=True"):
+            SimilarityDatabase(CAPACITY, source=source)
+        for durable in (False, True):
+            path = tmp_path / f"sharded-{durable}"
+            with pytest.raises(QueryError, match="sharded"):
+                ShardedSimilarityDatabase(
+                    CAPACITY,
+                    shards=2,
+                    durable=durable,
+                    path=path if durable else None,
+                    source=source,
+                )
+            assert not path.exists()
+
+
+#: Payloads every entry point must refuse with QueryError.
+HOSTILE_PAYLOADS = {
+    "a-list": [("name", "a")],
+    "a-string": "name=a",
+    "int-key": {1: "a"},
+    "int-value": {"name": 1},
+    "none-value": {"name": None},
+    "nested": {"name": {"first": "a"}},
+    "over-1-kib": {"name": "x" * 1100},
+}
+
+
+class TestPayloadValidation:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_PAYLOADS))
+    @pytest.mark.parametrize("shards", [None, 2], ids=["plain", "2-shard"])
+    def test_a_hostile_payload_is_refused_before_the_wal(
+        self, tmp_path, rng, case, shards
+    ):
+        path = tmp_path / "db"
+        if shards:
+            db = ShardedSimilarityDatabase(
+                CAPACITY, shards=shards, durable=True, path=path
+            )
+        else:
+            db = SimilarityDatabase(CAPACITY, durable=True, path=path)
+        db.add(0, rand_set(rng), {"name": "kept"})
+        # add_grid checks the payload before it would extract.
+        db.model = object()
+        before = {p: p.read_bytes() for p in path.rglob("*") if p.is_file()}
+        version = db.version
+        for call in (
+            lambda: db.add(1, rand_set(rng), HOSTILE_PAYLOADS[case]),
+            lambda: db.add_grid(1, None, HOSTILE_PAYLOADS[case]),
+        ):
+            with pytest.raises(QueryError, match="payload"):
+                call()
+        assert db.version == version and 1 not in db
+        assert {p: p.read_bytes() for p in path.rglob("*") if p.is_file()} == before
+        db.close()
+        with open_database(path) as reopened:
+            assert reopened.payload(0) == {"name": "kept"}
+
+
 class TestInProcessCrashPoints:
     """Every registered crash point, simulated in-process: the crashed
     database object is abandoned mid-flight and recovery runs from

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.datasets.parts import make_part
+from repro.db import open_database
 from repro.exceptions import IngestError, StorageError, VoxelizationError
 from repro.geometry.mesh import box_mesh
 from repro.geometry.sdf import Box
@@ -263,7 +264,7 @@ class TestTolerantLoad:
         tamper_npz_array(path, "grid_1")
         loaded = ObjectDatabase.load(path, strict=False)
         assert len(loaded) == 2
-        assert loaded.names() == ["obj-0", "obj-2"]
+        assert [obj.name for obj in loaded] == ["obj-0", "obj-2"]
         assert len(loaded.skipped) == 1
         skip = loaded.skipped[0]
         assert skip.index == 1 and skip.name == "obj-1"
@@ -341,7 +342,9 @@ class TestCliSurfacing:
         assert "8/10 objects ingested" in captured.err
         assert "bad-short" in captured.err and "bad-index" in captured.err
         assert "ingested 8 objects" in captured.out
-        assert len(ObjectDatabase.load(out)) == 8
+        db = open_database(out)
+        assert len(db) == 8
+        assert "bad-short" not in {db.payload(oid)["name"] for oid in db.object_ids()}
 
     def test_strict_flag_exits_1_on_first_bad_file(self, mesh_dir, tmp_path):
         code = main(

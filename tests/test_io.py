@@ -133,8 +133,8 @@ class TestObjectDatabase:
         db = self._sample_db(tire_grid, lshape_grid)
         assert len(db) == 2
         assert db[0].name == "tire-1"
-        assert db.names() == ["tire-1", "bracket-1"]
-        assert np.array_equal(db.labels(), [0, 1])
+        assert [obj.name for obj in db] == ["tire-1", "bracket-1"]
+        assert [obj.class_id for obj in db] == [0, 1]
 
     def test_features_roundtrip(self, tire_grid, lshape_grid, rng):
         db = self._sample_db(tire_grid, lshape_grid)
@@ -143,7 +143,6 @@ class TestObjectDatabase:
         assert db.has_features("vector-set(k=7)")
         loaded = db.get_features("vector-set(k=7)")
         assert np.allclose(loaded[1], features[1])
-        assert db[0].feature_nbytes("vector-set(k=7)") == 3 * 6 * 8
 
     def test_feature_count_mismatch_rejected(self, tire_grid, lshape_grid):
         db = self._sample_db(tire_grid, lshape_grid)
@@ -154,8 +153,6 @@ class TestObjectDatabase:
         db = self._sample_db(tire_grid, lshape_grid)
         with pytest.raises(StorageError):
             db.get_features("nope")
-        with pytest.raises(StorageError):
-            db[0].feature_nbytes("nope")
 
     def test_save_load_roundtrip(self, tmp_path, tire_grid, lshape_grid, rng):
         db = self._sample_db(tire_grid, lshape_grid)

@@ -16,7 +16,10 @@ for file, and every malformed settings record failing typed.
   and a snapshot's meta block - raise :class:`StorageError` naming the
   file (and the key, where there is one) through ``open_database``,
   and ``repro db verify`` reports them as corrupt with exit code 1.
-  So do CRC-valid index tables that do not form a sound tree.
+  So do CRC-valid index tables that do not form a sound tree, and a
+  CRC-valid ``payloads`` member that is not what it should be.
+* **Payloads** survive every layout, reshard included; a payload-free
+  history writes the pinned bytes above.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 import pytest
 
 from repro.db import ShardedSimilarityDatabase, SimilarityDatabase, open_database
-from repro.exceptions import StorageError
+from repro.exceptions import QueryError, StorageError
 from repro.index.dense import read_dense_archive, write_dense_archive
 from repro.index.snapshot import read_archive, write_archive
 from repro.pipeline import Pipeline
@@ -61,10 +64,10 @@ def history(seed: int = 7) -> list[tuple]:
     return steps
 
 
-def replay(db, steps) -> None:
+def replay(db, steps, payload=lambda oid: None) -> None:
     for op, oid, arr in steps:
         if op == "add":
-            db.add(oid, arr)
+            db.add(oid, arr, payload(oid))
         elif op == "update":
             db.update(oid, arr)
         elif op == "remove":
@@ -351,6 +354,103 @@ def test_malformed_index_tables_fail_typed(name, case, tmp_path, capsys):
     INDEX_TABLES[case](meta, arrays)
     (write_dense_archive if dense else write_archive)(path, meta, arrays)
     assert_corrupt(path, capsys, name, "index tables")
+
+
+# -- payloads ------------------------------------------------------------------
+
+
+def payload_of(oid: int) -> dict | None:
+    """The identity fields :func:`history` adds *oid* with (every third
+    object has none)."""
+    if oid % 3 == 0:
+        return None
+    return {"name": f"part-{oid:03d}", "family": "odd" if oid % 2 else "even"}
+
+
+def stored_payloads(db) -> dict:
+    db.close()
+    for shard in getattr(db, "shards", [db]):
+        shard.check_invariants()
+    return {oid: db.payload(oid) for oid in db.object_ids()}
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["npz", "dense", "durable-wal", "durable-checkpoint", "sharded",
+     "sharded-durable", "resharded"],
+)
+def test_a_payload_survives_every_layout(kind, tmp_path):
+    steps, path = history(), tmp_path / "db"
+    if kind.startswith("durable"):
+        db = SimilarityDatabase(CAPACITY, durable=True, path=path)
+        if kind == "durable-wal":  # nothing but WAL records to replay
+            steps = [step for step in steps if step[0] != "checkpoint"]
+    elif "sharded" in kind:
+        durable = kind == "sharded-durable"
+        db = ShardedSimilarityDatabase(
+            CAPACITY, shards=2, durable=durable, path=path if durable else None
+        )
+    else:
+        db = SimilarityDatabase(CAPACITY)
+    replay(db, steps, payload_of)
+    want = {oid: payload_of(oid) for oid in db.object_ids()}
+    assert stored_payloads(db) == want and any(want.values())
+    if kind == "resharded":
+        db.compact(shards=3)
+        assert stored_payloads(db) == want
+    if not db.durable:
+        db.save(path, dense=kind == "dense")
+    reopened = open_database(path)
+    if kind == "durable-wal":
+        assert reopened.last_recovery.used_generation == 0
+        assert reopened.last_recovery.replayed_records == len(steps)
+    assert stored_payloads(reopened) == want
+
+
+def test_remove_drops_a_payload_and_update_keeps_it(tmp_path):
+    db = SimilarityDatabase(CAPACITY, durable=True, path=tmp_path / "db")
+    db.add(1, np.ones((2, DIM)), {"name": "a"})
+    db.update(1, np.zeros((1, DIM)))
+    db.add(2, np.ones((1, DIM)), {"name": "b"})
+    db.remove(2)
+    db.add(2, np.ones((1, DIM)))
+    db.close()
+    reopened = open_database(tmp_path / "db")
+    assert reopened.payload(1) == {"name": "a"} and reopened.payload(2) is None
+    with pytest.raises(QueryError, match="no object"):
+        reopened.payload(3)
+
+
+#: Case -> the bytes of a CRC-valid ``payloads`` member that must not open.
+PAYLOAD_MEMBERS = {
+    "not-json": b"{{{",
+    "not-a-list": b'{"1": {"name": "a"}}',
+    "not-a-pair": b"[[1]]",
+    "string-oid": b'[["1", {"name": "a"}]]',
+    "descending": b'[[2, {"name": "a"}], [1, {"name": "b"}]]',
+    "unknown-oid": b'[[999, {"name": "a"}]]',
+    "number-value": b'[[1, {"name": 3}]]',
+    "too-large": b'[[1, {"name": "' + b"x" * 2000 + b'"}]]',
+    "not-bytes": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAYLOAD_MEMBERS))
+@pytest.mark.parametrize("name", ["db.npz", "db.dense"])
+def test_a_malformed_payloads_member_fails_typed(name, case, tmp_path, capsys):
+    path = tmp_path / name
+    dense = name.endswith(".dense")
+    saved_layout("dense" if dense else "plain", path)
+    if dense:
+        meta, arrays = read_dense_archive(path, mmap=False)
+    else:
+        meta, arrays = read_archive(path, "repro-similarity-db")
+    blob = PAYLOAD_MEMBERS[case]
+    arrays["payloads"] = (
+        np.zeros(3) if blob is None else np.frombuffer(blob, dtype=np.uint8)
+    )
+    (write_dense_archive if dense else write_archive)(path, meta, arrays)
+    assert_corrupt(path, capsys, name, "payloads")
 
 
 if __name__ == "__main__":
