@@ -262,6 +262,38 @@ def _cost_tensor(
     return np.sqrt(sq, out=sq)
 
 
+def query_costs(
+    query: PaddedQuery, packed: PackedSets, indices: np.ndarray | None = None
+) -> np.ndarray:
+    """The ``(len(indices), K, K)`` cost tensor from one padded query to
+    the listed sets (default: all): the stack :func:`match_many` solves,
+    for a caller that bounds it first (:func:`assignment_bounds`)."""
+    rows = slice(None) if indices is None else np.asarray(indices, dtype=np.intp)
+    return _cost_tensor(
+        query.data, query.sq_norms, packed.data[rows], packed.sq_norms[rows]
+    )
+
+
+def assignment_bounds(cost: np.ndarray) -> np.ndarray:
+    """A lower bound on every problem of a ``(B, K, K)`` cost stack that
+    never exceeds the distance :func:`_finish` computes from the same
+    entries — bit for bit, with no slack.
+
+    Each row and each column of a perfect assignment is matched exactly
+    once, so ``max(Σ row minima, Σ column minima)`` bounds the optimum
+    (the dual-feasible bound of the assignment LP).  The minima are
+    sorted ascending and summed in the shape ``_finish`` sums the
+    matched costs: the i-th smallest row (column) minimum is at most the
+    i-th smallest matched cost, and a fixed float summation never
+    decreases when a term grows.
+    """
+    rows = cost.min(axis=2)
+    rows.sort(axis=1)
+    columns = cost.min(axis=1)
+    columns.sort(axis=1)
+    return np.maximum(rows.sum(axis=1), columns.sum(axis=1))
+
+
 def _finish(
     cost: np.ndarray,
     x_sizes: np.ndarray,
@@ -293,6 +325,7 @@ def match_many(
     packed: PackedSets,
     indices: np.ndarray | None = None,
     return_flags: bool = False,
+    costs: np.ndarray | None = None,
 ):
     """Minimal matching distances from one query to many packed sets.
 
@@ -308,22 +341,20 @@ def match_many(
         Optional subset of database indices (default: all sets).
     return_flags:
         Also return per-pair identity-alignment flags (Table 1).
+    costs:
+        The cost tensor of exactly these pairs, for a caller that
+        already built it with :func:`query_costs` (default: built here).
 
     Returns
     -------
     ``(len(indices),)`` distances, or ``(distances, is_identity)``.
     """
     prepared = query if isinstance(query, PaddedQuery) else packed.pad_query(query)
-    if indices is None:
-        y_data, y_sq, y_sizes = packed.data, packed.sq_norms, packed.sizes
-    else:
-        indices = np.asarray(indices, dtype=np.intp)
-        y_data = packed.data[indices]
-        y_sq = packed.sq_norms[indices]
-        y_sizes = packed.sizes[indices]
-    cost = _cost_tensor(prepared.data, prepared.sq_norms, y_data, y_sq)
-    x_sizes = np.full(len(y_data), prepared.size, dtype=np.intp)
-    return _finish(cost, x_sizes, y_sizes, return_flags)
+    if costs is None:
+        costs = query_costs(prepared, packed, indices)
+    y_sizes = packed.sizes if indices is None else packed.sizes[indices]
+    x_sizes = np.full(len(y_sizes), prepared.size, dtype=np.intp)
+    return _finish(costs, x_sizes, y_sizes, return_flags)
 
 
 def match_pairs(

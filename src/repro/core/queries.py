@@ -10,23 +10,46 @@ refine surviving candidates with the exact O(k^3) matching distance:
 * k-nn queries use the optimal multi-step algorithm of Seidl & Kriegel:
   candidates are consumed in ascending lower-bound order and the search
   stops as soon as the next lower bound exceeds the current k-th exact
-  distance, which provably refines the minimum number of candidates.
+  distance.
 
 Refinement goes through the batched kernel of :mod:`repro.core.batch`:
 the database lives in one omega-padded ``(n, k, d)`` tensor — packed at
 construction, then maintained in place by ``add`` / ``replace`` /
-``remove`` at a cost independent of ``n`` — and candidates are refined
-in blocks of *block_size* so the cost-tensor assembly and the Hungarian
-solves amortize across the block.  k-nn queries stay *optimal
-multi-step up to one block*: the stop condition is evaluated against
-the radius as of the last completed block, which is conservative (it
-can only stop where the sequential algorithm would have stopped), and
-any candidates refined past the sequential stopping point are counted in
-:attr:`QueryStats.extra_refinements` — at most ``block_size - 1`` of
-them, and exactly zero for ``block_size=1``.  Results are provably
-identical to the strictly sequential order: an overshoot candidate's
-exact distance is bounded below by its lower bound, which already
-exceeded the pruning radius, so it can never displace a heap entry.
+``remove`` at a cost independent of ``n``.
+
+**The refine cascade.**  A candidate's cost tensor exists before its
+assignment problem is solved, and any perfect assignment on it costs at
+least ``max(Σ row minima, Σ column minima)``
+(:func:`~repro.core.batch.assignment_bounds`) — on a corpus whose
+centroids all coincide, a far tighter bound than Lemma 2.  Both query
+kinds run one loop, :meth:`FilterRefineEngine._cascade`, window by
+window:
+
+1. *Pull* candidates from the centroid ranker: while the pruning radius
+   is unknown (fewer than k neighbours found), the next *block_size*;
+   after that, every candidate whose centroid bound does not exceed the
+   radius frozen at the end of the previous window.  A range query's
+   radius is ε throughout.
+2. *Bound* the window: one cost tensor, and per candidate the combined
+   bound ``max(k * centroid distance, assignment bound)``.
+3. *Solve* in blocks of *block_size*, in ascending ``(bound, oid)``
+   order, re-testing the bounds against the current radius before each
+   block: the first bound that strictly exceeds it ends the window.
+
+The search ends at the first empty pull.  Every object whose combined
+bound does not exceed the final k-th distance is solved — its centroid
+bound never exceeds a radius the loop pulls with, and its bound never
+exceeds one it solves with — so the answer is the sequential scan's,
+and a bound that ties the radius is still solved, which resolves ties
+at the k-th distance canonically by ascending oid.  That takes a bound
+that stays below the *computed* distance, not just the real one: the
+assignment bound sums sorted minima in the shape the kernel sums sorted
+matched costs, which makes it hold bit for bit (DESIGN.md).  What the
+windows cost over the strictly sequential order is counted in
+:attr:`QueryStats.extra_refinements`: candidates solved although their
+bound exceeds the final k-th distance, tested against a radius that had
+not shrunk to it yet.
+
 The exact distance is the paper's: the minimal matching distance with
 Euclidean element distance and the weight ``w(x) = ||x - omega||``,
 the same omega as the centroids — exactly the precondition of Lemma 2.
@@ -50,7 +73,12 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.batch import DEFAULT_CHUNK_SIZE, PackedSets
+from repro.core.batch import (
+    DEFAULT_CHUNK_SIZE,
+    PackedSets,
+    assignment_bounds,
+    query_costs,
+)
 from repro.core.centroid import extended_centroid
 from repro.core.vector_set import VectorSet
 from repro.exceptions import InvariantError, QueryError
@@ -62,7 +90,7 @@ from repro.obs import querylog
 #: distance; spatial indexes plug in here.
 CentroidRanker = Callable[[np.ndarray], Iterator[tuple[np.ndarray, np.ndarray]]]
 
-#: Candidates refined per batched kernel call in blocked k-nn; see
+#: Candidates solved per batched kernel call in the refine cascade; see
 #: FilterRefineEngine(block_size=...).
 DEFAULT_BLOCK_SIZE = 16
 
@@ -79,17 +107,23 @@ class QueryStats:
         Minimal-matching distances actually evaluated (the expensive
         O(k^3) refinements).
     pruned:
-        Objects never refined thanks to the lower bound.
+        Objects never refined, by either lower bound.
     extra_refinements:
-        Refinements performed at or past the point where the strictly
-        sequential optimal multi-step algorithm would have stopped —
-        the price of blocked refinement (bounded by ``block_size - 1``).
+        Refinements of candidates whose lower bound exceeds the final
+        k-th distance: solved against a radius that had not shrunk to it
+        yet — the price of refining in windows and blocks (always 0 for
+        range queries).
+    bound_pruned:
+        Candidates whose cost tensor was built but whose assignment
+        problem was never solved, because the cascade's combined bound
+        excluded them (a subset of ``pruned``).
     """
 
     candidates_ranked: int = 0
     exact_computations: int = 0
     pruned: int = 0
     extra_refinements: int = 0
+    bound_pruned: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """Flat numeric mapping (the shared stats protocol with
@@ -100,6 +134,7 @@ class QueryStats:
             "exact_computations": self.exact_computations,
             "pruned": self.pruned,
             "extra_refinements": self.extra_refinements,
+            "bound_pruned": self.bound_pruned,
         }
 
     def merge(self, other: "QueryStats") -> "QueryStats":
@@ -108,6 +143,7 @@ class QueryStats:
         self.exact_computations += other.exact_computations
         self.pruned += other.pruned
         self.extra_refinements += other.extra_refinements
+        self.bound_pruned += other.bound_pruned
         return self
 
     def __str__(self) -> str:
@@ -115,6 +151,7 @@ class QueryStats:
         return (
             f"ranked {self.candidates_ranked}, refined "
             f"{self.exact_computations}/{total} ({self.pruned} pruned, "
+            f"{self.bound_pruned} by the assignment bound, "
             f"{self.extra_refinements} overshoot)"
         )
 
@@ -152,6 +189,59 @@ def _doubled(buf: np.ndarray) -> np.ndarray:
     return grown
 
 
+class _Candidates:
+    """A ranker's candidates as one stream, taken from the front in
+    windows.  A window depends only on the stream, never on where the
+    ranker's chunks break, and neither does any stat."""
+
+    def __init__(
+        self, chunks: Iterator[tuple[np.ndarray, np.ndarray]], capacity: int
+    ):
+        self._chunks = chunks
+        self._capacity = capacity
+        self._oids = np.empty(0, dtype=np.int64)
+        self._bounds = np.empty(0)
+        self._taken = 0
+        self._rejected = False
+
+    @property
+    def ranked(self) -> int:
+        """Candidates examined: every one taken, plus the one whose
+        centroid bound ended the last window (pulled, then rejected)."""
+        return self._taken + self._rejected
+
+    def take(self, limit: float, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """The longest prefix of at most *limit* candidates whose centroid
+        bounds (``capacity`` x centroid distance) do not exceed *radius*,
+        as ``(oids, centroid bounds)``."""
+        oids, bounds = [self._oids], [self._bounds]
+        seen, part = 0, self._bounds
+        rejected = False
+        while True:
+            # Chunks are ascending: only one whose last bound is past the
+            # radius holds the end of the window.
+            if len(part) and part[-1] > radius:
+                end = seen + int(np.argmax(part > radius))
+                rejected = end < limit
+                break
+            seen += len(part)
+            chunk = None if seen >= limit else next(self._chunks, None)
+            if chunk is None:
+                end = seen
+                break
+            part = self._capacity * np.asarray(chunk[1], dtype=float)
+            oids.append(np.asarray(chunk[0], dtype=np.int64))
+            bounds.append(part)
+        end = int(min(end, limit))
+        if end:
+            self._rejected = False  # the candidate rejected before, if any
+        self._rejected |= rejected
+        self._taken += end
+        all_oids, all_bounds = np.concatenate(oids), np.concatenate(bounds)
+        self._oids, self._bounds = all_oids[end:], all_bounds[end:]
+        return all_oids[:end], all_bounds[:end]
+
+
 class FilterRefineEngine:
     """Answer ε-range and k-nn queries over a collection of vector sets.
 
@@ -168,9 +258,11 @@ class FilterRefineEngine:
         Reference point of the extended centroids (default: origin; a
         :class:`~repro.core.batch.PackedSets` brings its own).
     block_size:
-        Candidates refined per batched kernel call in k-nn queries.
-        Larger blocks amortize better but may refine up to
-        ``block_size - 1`` candidates beyond the sequential optimum.
+        Candidates solved per batched kernel call in the refine cascade,
+        and the size of its windows while the k-th distance is unknown.
+        Larger blocks amortize the solver dispatch better but test the
+        bounds against the shrinking radius less often; answers do not
+        depend on it.
     oids:
         External object ids, one per set (default: positions
         ``0..n-1``).  Rankers yield these ids and results carry them, so
@@ -465,45 +557,88 @@ class FilterRefineEngine:
             raise QueryError(f"query set has incompatible shape {arr.shape}")
         return arr
 
-    def _refine_many(self, prepared, rows: Sequence[int]) -> np.ndarray:
+    def _refine_many(
+        self, prepared, rows: Sequence[int], costs: np.ndarray | None = None
+    ) -> np.ndarray:
         """Exact distances from the padded query *prepared* (padded once
         per query, reused across all its blocks) to the sets in the
-        given rows."""
+        given rows; *costs* is their cost tensor when already built."""
         from repro.core.batch import match_many
 
-        return match_many(prepared, self._packed, indices=np.asarray(rows, dtype=np.intp))
-
-    def _refine_block(self, prepared, ids: Sequence[int]) -> tuple[np.ndarray, float]:
-        """One traced kernel call: ``(exact distances, seconds)``."""
-        registry().histogram("query.block_candidates").observe(len(ids))
-        with span("query.refine", candidates=len(ids)) as rsp:
-            exacts = self._refine_many(prepared, ids)
-        return exacts, rsp.seconds
+        return match_many(
+            prepared, self._packed, indices=np.asarray(rows, dtype=np.intp), costs=costs
+        )
 
     def _refine_chunked(
-        self, query_arr: np.ndarray, positions: Sequence[int], *, block_spans: bool
-    ) -> tuple[np.ndarray, float, int]:
+        self, query_arr: np.ndarray, positions: Sequence[int]
+    ) -> tuple[np.ndarray, int]:
         """Refine *every* listed position, ``DEFAULT_CHUNK_SIZE`` per
-        kernel call: ``(exact distances, refine seconds, blocks)``.
-
-        *block_spans* traces each kernel call the way the blocked k-nn
-        does (a filtered query separates its refine phase); an
-        unfiltered pass is all refinement and is timed as a whole by
-        its caller, so it reports 0.0 seconds here.
-        """
+        kernel call: ``(exact distances, kernel calls)``."""
         prepared = self._packed.pad_query(query_arr)
-        parts: list[np.ndarray] = []
-        seconds = 0.0
-        for start in range(0, len(positions), DEFAULT_CHUNK_SIZE):
-            chunk = positions[start : start + DEFAULT_CHUNK_SIZE]
-            if block_spans:
-                exacts, block_seconds = self._refine_block(prepared, chunk)
-                seconds += block_seconds
-            else:
-                exacts = self._refine_many(prepared, chunk)
-            parts.append(np.atleast_1d(exacts))
-        exacts = np.concatenate(parts) if parts else np.empty(0)
-        return exacts, seconds, len(parts)
+        parts = [
+            np.atleast_1d(
+                self._refine_many(prepared, positions[start : start + DEFAULT_CHUNK_SIZE])
+            )
+            for start in range(0, len(positions), DEFAULT_CHUNK_SIZE)
+        ]
+        return (np.concatenate(parts) if parts else np.empty(0)), len(parts)
+
+    def _cascade(
+        self,
+        query_arr: np.ndarray,
+        centroid_ranker: CentroidRanker | None,
+        stats: QueryStats,
+        radius: Callable[[], float],
+        accept: Callable[[np.ndarray, np.ndarray], None],
+    ) -> tuple[float, int]:
+        """The refine cascade of the module notes, shared by k-nn and
+        range queries.  *radius* reports the current pruning radius
+        (``inf`` while it is unknown); *accept* takes every solved block
+        as ``(oids, exact distances)``.  Fills in *stats* and returns
+        ``(refine seconds, solve blocks)``."""
+        center = extended_centroid(query_arr, self.capacity, self.omega)
+        prepared = self._packed.pad_query(query_arr)
+        stream = _Candidates(
+            (centroid_ranker or self._scan_chunks)(center), self.capacity
+        )
+        solved: list[np.ndarray] = []  # the bounds of every solved candidate
+        seconds, blocks = 0.0, 0
+        while True:
+            frozen = radius()
+            limit = self.block_size if frozen == np.inf else np.inf
+            oids, centroid_bounds = stream.take(limit, frozen)
+            if not len(oids):
+                break
+            with span("query.refine", candidates=len(oids)) as rsp:
+                rows = self._rows_for(oids.tolist())
+                costs = query_costs(prepared, self._packed, rows)
+                bounds = np.maximum(centroid_bounds, assignment_bounds(costs))
+                order = np.lexsort((oids, bounds))
+                done = 0
+                while done < len(order):
+                    block = order[done : done + self.block_size]
+                    # Ascending order: the first bound past the radius
+                    # ends the window.  A NaN bound compares false, so a
+                    # NaN query reaches the solver and fails there.
+                    current = radius()
+                    if bounds[block[-1]] > current:
+                        block = block[: int(np.argmax(bounds[block] > current))]
+                        if not len(block):
+                            break
+                    registry().histogram("query.block_candidates").observe(len(block))
+                    exacts = self._refine_many(prepared, rows[block], costs[block])
+                    accept(oids[block], exacts)
+                    solved.append(bounds[block])
+                    blocks += 1
+                    done += len(block)
+            seconds += rsp.seconds
+            stats.exact_computations += done
+            stats.bound_pruned += len(order) - done
+        stats.candidates_ranked = stream.ranked
+        stats.pruned = self._n - stats.exact_computations
+        if solved:
+            stats.extra_refinements = int((np.concatenate(solved) > radius()).sum())
+        return seconds, blocks
 
     # -- telemetry ---------------------------------------------------------
 
@@ -546,42 +681,26 @@ class FilterRefineEngine:
     ) -> tuple[list[QueryMatch], QueryStats]:
         """All objects within minimal matching distance *epsilon*.
 
-        Only candidates whose centroid lies within ``epsilon / k`` of the
-        query centroid are refined (Lemma 2); the surviving prefix of the
-        ranking is refined through the batched kernel in one pass.
+        The refine cascade (module notes) with ε as its fixed radius:
+        only candidates whose centroid bound (Lemma 2) and then whose
+        combined bound do not exceed ε are solved.
         """
         if not epsilon >= 0:  # also rejects NaN
             raise QueryError("epsilon must be non-negative")
         stats = QueryStats()
         with span("query.range", epsilon=epsilon) as sp:
-            query_arr = self._query_array(query)
-            center = extended_centroid(query_arr, self.capacity, self.omega)
-            cutoff = epsilon / self.capacity
-            survivors: list[np.ndarray] = []  # internal positions
-            for chunk_oids, chunk_dists in (centroid_ranker or self._scan_chunks)(
-                center
-            ):
-                over = np.asarray(chunk_dists, dtype=float) > cutoff
-                if over.any():
-                    # Ranking is ascending: the first candidate past the
-                    # cutoff is counted (it is pulled, then rejected) and
-                    # everything after it is pruned.
-                    first = int(np.argmax(over))
-                    stats.candidates_ranked += first + 1
-                    survivors.append(self._rows_for(chunk_oids[:first].tolist()))
-                    break
-                stats.candidates_ranked += len(over)
-                survivors.append(self._rows_for(chunk_oids.tolist()))
-            positions = (
-                np.concatenate(survivors) if survivors else np.empty(0, dtype=np.intp)
+            oids: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+            exacts: list[np.ndarray] = [np.empty(0)]
+
+            def accept(block_oids: np.ndarray, block_exacts: np.ndarray) -> None:
+                within = block_exacts <= epsilon
+                oids.append(block_oids[within])
+                exacts.append(block_exacts[within])
+
+            refine_seconds, blocks = self._cascade(
+                self._query_array(query), centroid_ranker, stats, lambda: epsilon, accept
             )
-            exacts, refine_seconds, blocks = self._refine_chunked(
-                query_arr, positions, block_spans=True
-            )
-            stats.exact_computations = len(positions)
-            stats.pruned = self._n - len(positions)
-            within = exacts <= epsilon
-            results = self._nearest_of(positions[within], exacts[within])
+            results = self._nearest_of(np.concatenate(oids), np.concatenate(exacts))
             sp.set(results=len(results))
         self._record_query(
             "range",
@@ -602,106 +721,36 @@ class FilterRefineEngine:
     ) -> tuple[list[QueryMatch], QueryStats]:
         """The *n_neighbors* nearest objects by minimal matching distance.
 
-        Optimal multi-step k-nn (Seidl & Kriegel 1998), blocked:
-        candidates are consumed in ascending lower-bound order and
-        refined *block_size* at a time through the batched kernel.  The
-        stop condition uses the pruning radius as of the last completed
-        block — conservative, so the result set is identical to the
-        strictly sequential algorithm — and the walk over each refined
-        block replays the sequential stop decision to count
-        :attr:`QueryStats.extra_refinements` exactly.
-
-        The search stops only when the next lower bound *strictly*
-        exceeds the current k-th exact distance: candidates whose bound
-        ties the radius are still refined, so ties at the k-th distance
-        resolve canonically by ascending object id (a candidate with a
+        Optimal multi-step k-nn (Seidl & Kriegel 1998) through the refine
+        cascade (module notes), whose pruning radius is the current k-th
+        exact distance.  Every object whose lower bound does not exceed
+        the final k-th distance is solved, so ties at the k-th distance
+        resolve canonically by ascending object id (an object with a
         strictly greater bound can never tie, since its exact distance
-        is at least the bound).  Results are therefore independent of
-        the candidate order the ranker produces.
+        is at least the bound), and results are independent of the
+        candidate order the ranker produces.
         """
         if n_neighbors < 1:
             raise QueryError("n_neighbors must be >= 1")
         stats = QueryStats()
-        refine_seconds = 0.0
-        blocks = 0
         with span("query.knn", k=n_neighbors) as sp:
-            query_arr = self._query_array(query)
-            center = extended_centroid(query_arr, self.capacity, self.omega)
-            prepared = self._packed.pad_query(query_arr)
             # Max-heap over (distance, oid) via negation: heap[0] is the
             # current k-th candidate, the first to be displaced.
             heap: list[tuple[float, int]] = []
-            pending_oids: list[int] = []
-            pending_bounds: list[float] = []  # their lower bounds
-            stop = False
 
-            def flush() -> None:
-                """Refine the pending block and replay the sequential walk."""
-                nonlocal stop, refine_seconds, blocks
-                if not pending_oids:
-                    return
-                stats.exact_computations += len(pending_oids)
-                exacts, seconds = self._refine_block(
-                    prepared, self._rows_for(pending_oids)
-                )
-                refine_seconds += seconds
-                blocks += 1
-                for oid, lower_bound, exact in zip(
-                    pending_oids, pending_bounds, exacts
-                ):
-                    # The sequential algorithm would have stopped here; this
-                    # and every later refinement of the block is overshoot.
-                    # (Provably harmless: exact >= lower_bound > radius, so
-                    # none of them can displace a heap entry.)
-                    if stop or (
-                        len(heap) == n_neighbors and lower_bound > -heap[0][0]
-                    ):
-                        stop = True
-                        stats.extra_refinements += 1
-                        continue
-                    exact = float(exact)
+            def radius() -> float:
+                return -heap[0][0] if len(heap) == n_neighbors else np.inf
+
+            def accept(oids: np.ndarray, exacts: np.ndarray) -> None:
+                for oid, exact in zip(oids.tolist(), exacts.tolist()):
                     if len(heap) < n_neighbors:
                         heapq.heappush(heap, (-exact, -oid))
                     elif (exact, oid) < (-heap[0][0], -heap[0][1]):
                         heapq.heapreplace(heap, (-exact, -oid))
-                pending_oids.clear()
-                pending_bounds.clear()
 
-            # Between flushes the heap (and so the pruning radius) is
-            # frozen, and a flush can only occur once the pending block
-            # fills, so candidates are examined in windows of at most
-            # ``block_size - len(pending_oids)`` against a constant radius.
-            # The radius is stale while a block is pending (it can only
-            # have shrunk since), so a bound exceeding it means the
-            # sequential algorithm stopped at or before that candidate.
-            done = False
-            for chunk_oids, chunk_dists in (centroid_ranker or self._scan_chunks)(
-                center
-            ):
-                bounds = self.capacity * np.asarray(chunk_dists, dtype=float)
-                i = 0
-                while i < len(bounds) and not done:
-                    window = bounds[i : i + self.block_size - len(pending_oids)]
-                    take = len(window)
-                    if len(heap) == n_neighbors:
-                        over = window > -heap[0][0]
-                        if over.any():
-                            # The stopping candidate is pulled (counted)
-                            # but never refined.
-                            take = int(np.argmax(over))
-                            stats.candidates_ranked += 1
-                            done = True
-                    stats.candidates_ranked += take
-                    pending_oids.extend(chunk_oids[i : i + take].tolist())
-                    pending_bounds.extend(window[:take].tolist())
-                    i += take
-                    if len(pending_oids) >= self.block_size:
-                        flush()
-                        done = stop
-                if done:
-                    break
-            flush()
-            stats.pruned = self._n - stats.exact_computations
+            refine_seconds, blocks = self._cascade(
+                self._query_array(query), centroid_ranker, stats, radius, accept
+            )
             results = [QueryMatch(-neg_oid, -neg_dist) for neg_dist, neg_oid in heap]
             results.sort(key=lambda match: (match.distance, match.object_id))
             sp.set(results=len(results))
@@ -715,14 +764,14 @@ class FilterRefineEngine:
         )
         return results, stats
 
+    @staticmethod
     def _nearest_of(
-        self, positions: np.ndarray, exacts: np.ndarray, limit: int | None = None
+        oids: np.ndarray, exacts: np.ndarray, limit: int | None = None
     ) -> list[QueryMatch]:
-        """Refined positions as matches in the canonical ``(distance,
+        """Refined objects as matches in the canonical ``(distance,
         oid)`` order, cut to the *limit* closest."""
-        ext = self._oid_buf[positions]
-        order = np.lexsort((ext, exacts))[:limit]
-        return [QueryMatch(int(ext[idx]), float(exacts[idx])) for idx in order]
+        order = np.lexsort((oids, exacts))[:limit]
+        return [QueryMatch(int(oids[idx]), float(exacts[idx])) for idx in order]
 
     def knn_sequential(
         self, query: np.ndarray | VectorSet, n_neighbors: int
@@ -735,11 +784,10 @@ class FilterRefineEngine:
         n = self._n
         stats = QueryStats(candidates_ranked=n, exact_computations=n)
         with span("query.scan", k=n_neighbors) as sp:
-            positions = np.arange(n, dtype=np.intp)
-            exacts, _, blocks = self._refine_chunked(
-                self._query_array(query), positions, block_spans=False
+            exacts, blocks = self._refine_chunked(
+                self._query_array(query), np.arange(n, dtype=np.intp)
             )
-            results = self._nearest_of(positions, exacts, n_neighbors)
+            results = self._nearest_of(self.oids, exacts, n_neighbors)
         # No filter step: the whole scan is refinement.
         self._record_query(
             "scan",
@@ -769,7 +817,8 @@ class FilterRefineEngine:
         if n_neighbors < 1:
             raise QueryError("n_neighbors must be >= 1")
         query_arr = self._query_array(query)
-        positions = self._rows_for(np.asarray(oids, dtype=np.int64).tolist())
+        oids = np.asarray(oids, dtype=np.int64)
+        positions = self._rows_for(oids.tolist())
         stats = QueryStats(
             candidates_ranked=len(positions),
             exact_computations=len(positions),
@@ -779,10 +828,8 @@ class FilterRefineEngine:
             self._record_query("knn_subset", stats, k=n_neighbors)
             return [], stats
         with span("query.knn_subset", k=n_neighbors, candidates=len(positions)) as sp:
-            exacts, _, blocks = self._refine_chunked(
-                query_arr, positions, block_spans=False
-            )
-            results = self._nearest_of(positions, exacts, n_neighbors)
+            exacts, blocks = self._refine_chunked(query_arr, positions)
+            results = self._nearest_of(oids, exacts, n_neighbors)
         # The caller already filtered; the whole subset pass is refinement.
         self._record_query(
             "knn_subset",

@@ -9,9 +9,9 @@ tier) funnels through :func:`record_query`, which
   into the registry counters (exactly the pre-PR-9 behaviour), and
 * emits one *wide event* — a single ``query`` record joining phase
   timings (filter / Hamming shortlist / exact refine), engine stats
-  (candidates ranked, pruned, exact computations, overshoot,
-  shortlist size), IO deltas, backend, mode, and k — subject to
-  sampling.
+  (candidates ranked, pruned, pruned by the assignment bound, exact
+  computations, overshoot, shortlist size), IO deltas, backend, mode,
+  and k — subject to sampling.
 
 Sampling is deterministic (a fractional accumulator, no randomness —
 the repo's seeding discipline extends to telemetry): at rate *r*,
@@ -249,13 +249,15 @@ def record_query(
 
 def _explain(record: dict, stats: dict, n: int) -> dict:
     """The full payload attached to slow-query captures: where the time
-    went, how well the filter worked, and under what policy."""
+    went, how well the filter cascade worked, and under what policy."""
     total = record["seconds"] or 0.0
     phases = {
         "filter_seconds": record["filter_seconds"],
         "refine_seconds": record["refine_seconds"],
     }
     refined = stats.get("exact_computations", 0)
+    pruned = stats.get("pruned", 0)
+    bound_pruned = stats.get("bound_pruned", 0)
     return {
         "slow_ms_threshold": _config.slow_ms,
         "sample_rate": _config.sample_rate,
@@ -264,7 +266,18 @@ def _explain(record: dict, stats: dict, n: int) -> dict:
             name.replace("_seconds", ""): (value / total if total else 0.0)
             for name, value in phases.items()
         },
-        "pruning_power": stats.get("pruned", 0) / n if n else 0.0,
+        "pruning_power": pruned / n if n else 0.0,
+        # Where the objects went: the centroid filter (in approx mode,
+        # the Hamming shortlist) keeps the pruned ones out of the cost
+        # tensor, except those the assignment bound keeps out of the
+        # solver.
+        "funnel": {
+            "objects": n,
+            "ranked": stats.get("candidates_ranked", 0),
+            "centroid_pruned": pruned - bound_pruned,
+            "bound_pruned": bound_pruned,
+            "refined": refined,
+        },
         "refined_per_block": (refined / record["blocks"]) if record["blocks"] else 0.0,
         "overshoot": stats.get("extra_refinements", 0),
     }

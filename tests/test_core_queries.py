@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.batch import PackedSets, assignment_bounds, match_many, query_costs
+from repro.core.centroid import extended_centroid
 from repro.core.min_matching import min_matching_distance
 from repro.core.queries import FilterRefineEngine, QueryMatch
 from repro.core.vector_set import VectorSet
@@ -14,6 +18,87 @@ from tests.conftest import random_vector_sets
 def engine(rng):
     sets = random_vector_sets(rng, 120, dim=6, max_size=7)
     return FilterRefineEngine(sets, capacity=7), sets
+
+
+def combined_bounds(engine, query):
+    """Every object's cascade bound, in row order, computed directly."""
+    query = np.asarray(query, dtype=float)
+    costs = query_costs(
+        engine._packed.pad_query(query), engine._packed, np.arange(len(engine))
+    )
+    center = extended_centroid(query, engine.capacity, engine.omega)
+    centroid = engine.capacity * np.linalg.norm(engine.centroids - center, axis=1)
+    return np.maximum(centroid, assignment_bounds(costs))
+
+
+def record_solve_blocks(engine):
+    """Make *engine* log the size of every block it solves; returns the log."""
+    blocks = []
+    solve = engine._refine_many
+
+    def refine_many(prepared, rows, costs=None):
+        blocks.append(len(rows))
+        return solve(prepared, rows, costs)
+
+    engine._refine_many = refine_many
+    return blocks
+
+
+def near_ties(rng, query, capacity, offset, count):
+    """Sets that nearly tie with *query*: identical sets, translated
+    copies, repeated rows, ragged subsets and supersets, plus noise."""
+    dim = query.shape[1]
+    sets = []
+    for kind in rng.integers(0, 6, size=count):
+        size = int(rng.integers(1, capacity + 1))
+        if kind == 0:
+            member = query.copy()
+        elif kind == 1:
+            member = query + rng.normal(size=dim) * 10.0 ** int(rng.integers(-9, 1))
+        elif kind == 2:
+            member = np.repeat(query[rng.integers(len(query))][None], size, axis=0)
+        elif kind == 3:
+            rows = int(rng.integers(1, len(query) + 1))
+            member = query[:rows] + 1e-9 * rng.normal(size=(rows, dim))
+        elif kind == 4:
+            member = np.vstack([query, offset + rng.normal(size=(size, dim))])
+        else:
+            member = offset + rng.normal(size=(size, dim))
+        sets.append(member[:capacity])
+    return sets
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    capacity=st.integers(1, 12),
+    dim=st.integers(1, 6),
+    offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+    block=st.integers(1, 40),
+)
+def test_assignment_bound_never_exceeds_the_computed_distance(
+    seed, capacity, dim, offset, block
+):
+    """The float contract of the cascade's bound (DESIGN.md): sorted
+    minima, summed the way the kernel sums sorted matched costs, stay at
+    or below the computed distance bit for bit on near-tie inputs, and a
+    window's bounds and distances do not depend on how it is cut."""
+    rng = np.random.default_rng(seed)
+    query = offset + rng.normal(size=(int(rng.integers(1, capacity + 1)), dim))
+    omega = offset * rng.integers(0, 2) + rng.normal(size=dim)
+    packed = PackedSets.pack(
+        near_ties(rng, query, capacity, offset, 60), capacity=capacity, omega=omega
+    )
+    prepared = packed.pad_query(query)
+    rows = rng.permutation(packed.n)
+    costs = query_costs(prepared, packed, rows)
+    bounds = assignment_bounds(costs)
+    for start in range(0, len(rows), block):
+        part = slice(start, start + block)
+        exacts = match_many(prepared, packed, rows[part], costs=costs[part])
+        assert np.array_equal(exacts, match_many(prepared, packed, rows[part]))
+        assert np.array_equal(assignment_bounds(costs[part]), bounds[part])
+        assert (bounds[part] <= exacts).all(), (bounds[part] - exacts).max()
 
 
 class TestKnn:
@@ -98,27 +183,87 @@ class TestBlockedRefinement:
                 assert [m.object_id for m in got] == [m.object_id for m in expected]
                 assert [m.distance for m in got] == [m.distance for m in expected]
 
+    def test_refines_exactly_what_the_bounds_admit(self, engine, rng):
+        """The cascade's optimality, against brute force: every object
+        whose combined bound does not exceed the final k-th distance is
+        solved, and every other solve is counted as overshoot."""
+        eng, sets = engine
+        queries = [rng.normal(size=(rng.integers(1, 8), 6)) for _ in range(4)]
+        queries += [sets[3], sets[77] + 0.01]
+        for block_size in (1, 3, 16, 64, 1000):
+            other = FilterRefineEngine(sets, capacity=7, block_size=block_size)
+            for query in queries:
+                for k in (1, 5, 40):
+                    results, stats = other.knn_query(query, k)
+                    expected, _ = eng.knn_sequential(query, k)
+                    assert results == expected
+                    kth = results[-1].distance
+                    bounds = combined_bounds(other, query)
+                    admitted = int((bounds <= kth).sum())
+                    assert stats.exact_computations - stats.extra_refinements == admitted
+                    assert stats.pruned == len(sets) - stats.exact_computations
+                    assert (
+                        stats.exact_computations + stats.bound_pruned
+                        <= stats.candidates_ranked
+                    )
+
     def test_block_size_one_is_strictly_sequential(self, engine, rng):
+        """At block_size 1 every solve is a block of its own."""
         eng, sets = engine
         sequential = FilterRefineEngine(sets, capacity=7, block_size=1)
+        blocks = record_solve_blocks(sequential)
         for _ in range(5):
             query = rng.normal(size=(rng.integers(1, 8), 6))
-            _, stats = sequential.knn_query(query, 5)
-            assert stats.extra_refinements == 0
+            blocks.clear()
+            results, stats = sequential.knn_query(query, 5)
+            assert results == eng.knn_sequential(query, 5)[0]
+            assert blocks == [1] * stats.exact_computations
 
     def test_extra_refinements_bounded_by_block(self, engine, rng):
-        eng, sets = engine
+        """No solve block exceeds block_size, and everything blocking
+        solves beyond block_size 1 is counted as overshoot."""
+        _, sets = engine
+        blocked = FilterRefineEngine(sets, capacity=7)
         sequential = FilterRefineEngine(sets, capacity=7, block_size=1)
+        blocks = record_solve_blocks(blocked)
         for _ in range(5):
             query = rng.normal(size=(rng.integers(1, 8), 6))
-            _, blocked_stats = eng.knn_query(query, 5)
+            blocks.clear()
+            _, blocked_stats = blocked.knn_query(query, 5)
             _, seq_stats = sequential.knn_query(query, 5)
-            assert blocked_stats.extra_refinements <= eng.block_size - 1
-            # Exactly the overshoot beyond the sequential optimum.
+            assert max(blocks) <= blocked.block_size
+            assert sum(blocks) == blocked_stats.exact_computations
+            assert 0 <= blocked_stats.extra_refinements <= blocked_stats.exact_computations
             assert (
                 blocked_stats.exact_computations - blocked_stats.extra_refinements
-                == seq_stats.exact_computations
+                == seq_stats.exact_computations - seq_stats.extra_refinements
             )
+
+    def test_range_solves_only_what_the_bounds_admit(self, engine, rng):
+        eng, sets = engine
+        query = rng.normal(size=(4, 6))
+        bounds = combined_bounds(eng, query)
+        for epsilon in (0.0, 3.0, 6.0, np.inf):
+            _, stats = eng.range_query(query, epsilon)
+            assert stats.exact_computations == int((bounds <= epsilon).sum())
+            assert stats.extra_refinements == 0
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 33])
+    def test_stats_do_not_depend_on_chunking(self, engine, rng, chunk):
+        """Windows are cut from the candidate stream, never from the
+        ranker's chunks."""
+        eng, _ = engine
+
+        def ranker(center):
+            (oids, dists), = eng._scan_chunks(center)
+            for start in range(0, len(oids), chunk):
+                yield oids[start : start + chunk], dists[start : start + chunk]
+
+        for _ in range(3):
+            query = rng.normal(size=(rng.integers(1, 8), 6))
+            for k in (1, 10, 50):
+                assert eng.knn_query(query, k, ranker) == eng.knn_query(query, k)
+            assert eng.range_query(query, 5.0, ranker) == eng.range_query(query, 5.0)
 
     def test_matches_per_pair_refinement(self, engine, rng):
         """The batched engine agrees with a brute-force scan of the

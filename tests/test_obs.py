@@ -297,17 +297,19 @@ class TestStatsProtocol:
     def test_query_stats_protocol(self):
         from repro.core.queries import QueryStats
 
-        a = QueryStats(10, 4, 6, 1)
-        b = QueryStats(5, 2, 3, 0)
+        a = QueryStats(10, 4, 6, 1, 2)
+        b = QueryStats(5, 2, 3, 0, 1)
         assert a.as_dict() == {
             "candidates_ranked": 10,
             "exact_computations": 4,
             "pruned": 6,
             "extra_refinements": 1,
+            "bound_pruned": 2,
         }
         a.merge(b)
-        assert (a.candidates_ranked, a.exact_computations) == (15, 6)
+        assert (a.candidates_ranked, a.exact_computations, a.bound_pruned) == (15, 6, 3)
         assert "refined 6/15" in str(a)
+        assert "3 by the assignment bound" in str(a)
 
     def test_iocost_protocol(self):
         from repro.index.pages import IOCost

@@ -137,6 +137,18 @@ class TestSlowCapture:
         assert set(explain["phases"]) == {"filter_seconds", "refine_seconds"}
         assert explain["pruning_power"] == stats.pruned / len(db)
         assert explain["overshoot"] == stats.extra_refinements
+        funnel = explain["funnel"]
+        assert funnel == {
+            "objects": len(db),
+            "ranked": stats.candidates_ranked,
+            "centroid_pruned": stats.pruned - stats.bound_pruned,
+            "bound_pruned": stats.bound_pruned,
+            "refined": stats.exact_computations,
+        }
+        assert (
+            funnel["centroid_pruned"] + funnel["bound_pruned"] + funnel["refined"]
+            == len(db)
+        )
         assert obs.registry().counter("querylog.slow").value == 1
 
     def test_fast_queries_not_slow_under_high_threshold(self, enabled, rng):
@@ -288,9 +300,8 @@ class TestSharded:
         # One leg event per nonempty shard, each stamped with its shard.
         assert sorted(e["shard"] for e in inner) == self.nonempty(db)
         assert all(e["kind"] == "knn" for e in inner)
-        assert sum(e["exact_computations"] for e in inner) == (
-            stats.exact_computations
-        )
+        for key in ("exact_computations", "bound_pruned"):
+            assert sum(e[key] for e in inner) == getattr(stats, key), key
 
     def test_sharded_range_event_agrees_with_stats(self, enabled, rng):
         db, _, sets = self.make_sharded("xtree", rng)
