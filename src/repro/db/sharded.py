@@ -34,6 +34,19 @@ phase arithmetic keeps the PR 9 invariant: total == filter + refine,
 with the scatter across shards as the filter phase and the merge as the
 refine phase.
 
+Pooled batches: ``knn_query_many(..., n_jobs=J)`` with ``J >= 2`` is
+parallel over *queries*, not shards.  The batch is split into
+``min(J, len(queries))`` contiguous chunks; each pool worker opens the
+last saved layout's shard files as one database
+(:func:`repro.db.storage.open_shards_as_one`, cached per worker by the
+save's token and the files' stat) and answers its chunk with the plain
+``knn_query_many``; the chunks come back in order.  Every query runs one
+refine cascade with the global k-th distance as its radius, so pooled
+``QueryStats`` count the work done: those of one ``SimilarityDatabase``
+holding the same objects, not the per-shard sum the in-process scatter
+reports.  The price is memory: each worker holds all n objects, not
+n / K.
+
 Consistency: a scatter-gather query pins *all* shard read locks (in
 ascending shard order) for its duration, so every answer is exact with
 respect to one consistent version vector — the tuple of per-shard
@@ -57,6 +70,7 @@ import os
 import struct
 import time
 import zlib
+from collections import OrderedDict
 from contextlib import ExitStack, contextmanager, nullcontext
 from pathlib import Path
 
@@ -99,33 +113,45 @@ def _sort_key(match: QueryMatch):
 
 # -- process-pool tasks (module level so they pickle) ----------------------
 
-_WORKER_DBS: dict[tuple, SimilarityDatabase] = {}
+#: A pool worker's saved layouts, each opened as one database, least
+#: recently used first.  Two layouts answering in turn must both stay.
+_LAYOUT_DBS: OrderedDict[tuple, SimilarityDatabase] = OrderedDict()
+_LAYOUT_DB_LIMIT = 4
 
 
-def _worker_db(path: str) -> SimilarityDatabase:
-    """Per-worker shard cache: pool workers persist across batches, so
-    each worker pays the snapshot load once per (path, mtime)."""
-    key = (path, os.stat(path).st_mtime_ns)
-    db = _WORKER_DBS.get(key)
+def _layout_db(token: str, paths: tuple[Path, ...]) -> SimilarityDatabase:
+    """The saved layout *paths* opened as one database, once per worker.
+
+    Keyed on the token of the ``save()`` (or open) that produced the
+    layout plus every file's stat, so a later save is never served the
+    earlier one's objects, even when it leaves equal timestamps."""
+    try:
+        stats = tuple(os.stat(path) for path in paths)
+    except OSError as exc:
+        raise StorageError(f"cannot read snapshot: {exc}") from exc
+    key = (token, paths, *((s.st_ino, s.st_size, s.st_mtime_ns) for s in stats))
+    db = _LAYOUT_DBS.pop(key, None)
     if db is None:
-        db = SimilarityDatabase.load(path)
-        _WORKER_DBS[key] = db
+        db = storage.open_shards_as_one(paths)
+    _LAYOUT_DBS[key] = db
+    while len(_LAYOUT_DBS) > _LAYOUT_DB_LIMIT:
+        _LAYOUT_DBS.popitem(last=False)
     return db
 
 
-def _shard_knn_task(task):
-    """One shard's leg of a parallel batch: answer every query against
-    the shard snapshot at *path*, reporting worker-side service time."""
-    path, queries, k = task
-    db = _worker_db(path)
-    pairs, stats = [], []
+def _chunk_knn_task(task):
+    """One chunk of a parallel batch: answer its queries against the
+    saved layout opened as one database, reporting worker-side service
+    time.  Answers travel as plain pairs and dicts, which pickle an
+    order of magnitude faster than the match and stats objects."""
+    token, paths, queries, k = task
+    db = _layout_db(token, paths)
     start = time.perf_counter()
-    with db.read_view() as view:
-        for query in queries:
-            results, st = view.knn_query(query, k)
-            pairs.append([(int(m.object_id), float(m.distance)) for m in results])
-            stats.append(st.as_dict())
-    return pairs, stats, time.perf_counter() - start
+    answers = [
+        ([(m.object_id, m.distance) for m in matches], stats.as_dict())
+        for matches, stats in db.knn_query_many(queries, k)
+    ]
+    return answers, time.perf_counter() - start
 
 
 class ShardedSimilarityDatabase:
@@ -184,8 +210,7 @@ class ShardedSimilarityDatabase:
         self.fsync = fsync
         self.keep_generations = int(keep_generations)
         self._root: Path | None = None
-        self._shard_paths: list[Path] | None = None
-        self._saved_versions: list[int] | None = None
+        self._saved: storage.SavedLayout | None = None
         self.last_recovery = None
         self.last_parallel_legs: list[float] | None = None
         if self.durable:
@@ -370,8 +395,7 @@ class ShardedSimilarityDatabase:
                 fresh[shard_of(oid, new_shards)].add(oid, arr, payloads.get(oid))
             self.shards = fresh
             self.n_shards = new_shards
-            self._shard_paths = None
-            self._saved_versions = None
+            self._saved = None
         if registry().enabled:
             registry().counter("db.sharded.reshards").inc()
         emit("db.reshard", shards=new_shards, objects=len(stored))
@@ -629,10 +653,14 @@ class ShardedSimilarityDatabase:
         """Batch k-nn under one pinned version vector.
 
         Results equal ``[knn_query(q, k) for q in queries]`` with no
-        writer interleaving.  ``n_jobs >= 2`` fans the batch out one
-        worker process per shard over the last saved snapshot (exact
-        mode only; the snapshot must not be stale) — the path the
-        ``sharded_batch_knn`` workload of ``benchmarks/e2e`` measures.
+        writer interleaving.  ``n_jobs >= 2`` splits the batch into
+        ``min(n_jobs, len(queries))`` chunks of whole queries, each
+        answered by a pool worker over the last saved layout opened as
+        one database (exact mode only; the save must not be stale; see
+        the module notes) — the path the ``sharded_batch_knn`` workload
+        of ``benchmarks/e2e`` measures.  Pooled stats are those of one
+        database holding every object; :attr:`last_parallel_legs` holds
+        each chunk's worker-side seconds.
         """
         check_query_args(n_neighbors=n_neighbors, mode=mode, shortlist=shortlist)
         queries = [self._checked_query(q) for q in queries]
@@ -653,18 +681,22 @@ class ShardedSimilarityDatabase:
                 "parallel batch queries support mode='exact' only; "
                 "approx scatter-gather runs in-process"
             )
-        if self._shard_paths is None or self._saved_versions is None:
+        saved = self._saved
+        if saved is None:
             raise QueryError(
                 "parallel batch queries serve the saved sharded snapshot; "
                 "call save() (or load a saved layout) first"
             )
-        if list(self.version_vector()) != list(self._saved_versions):
+        if self.version_vector() != saved.versions:
             raise QueryError(
                 "sharded snapshot is stale (mutations since the last "
                 "save()); save() again before parallel batch queries"
             )
+        chunks = min(jobs, len(queries))
+        bounds = [len(queries) * i // chunks for i in range(chunks + 1)]
         tasks = [
-            (str(path), queries, n_neighbors) for path in self._shard_paths
+            (saved.token, saved.paths, queries[lo:hi], n_neighbors)
+            for lo, hi in zip(bounds, bounds[1:])
         ]
         with span(
             "query.sharded_scatter",
@@ -672,30 +704,21 @@ class ShardedSimilarityDatabase:
             shards=self.n_shards,
             jobs=jobs,
         ) as scatter_sp:
-            legs = pool_map(_shard_knn_task, tasks, min(jobs, len(tasks)))
-        self.last_parallel_legs = [seconds for _, _, seconds in legs]
+            legs = pool_map(_chunk_knn_task, tasks, chunks)
+        self.last_parallel_legs = [seconds for _, seconds in legs]
         with span("query.sharded_merge", force=True) as merge_sp:
-            out = []
-            for qi in range(len(queries)):
-                matches = sorted(
-                    (
-                        QueryMatch(oid, dist)
-                        for pairs, _, _ in legs
-                        for oid, dist in pairs[qi]
-                    ),
-                    key=_sort_key,
-                )[:n_neighbors]
-                stats = QueryStats()
-                for _, stat_dicts, _ in legs:
-                    stats.merge(QueryStats(**stat_dicts[qi]))
-                out.append((matches, stats))
+            out = [
+                ([QueryMatch(oid, dist) for oid, dist in pairs], QueryStats(**stats))
+                for answers, _ in legs
+                for pairs, stats in answers
+            ]
         if registry().enabled:
             share = 1.0 / len(queries)
             total = len(self)
             with querylog.query_context(
                 backend=self.backend,
                 mode="exact",
-                db_version=sum(self._saved_versions),
+                db_version=sum(saved.versions),
                 shards=self.n_shards,
             ):
                 for matches, stats in out:
@@ -733,8 +756,8 @@ class ShardedSimilarityDatabase:
         with ExitStack() as stack:
             for shard in self.shards:
                 stack.enter_context(shard._lock.read(timeout=self.lock_timeout))
-            self._shard_paths = storage.save_sharded(self, path, dense=dense)
-            self._saved_versions = [shard.version for shard in self.shards]
+            paths = storage.save_sharded(self, path, dense=dense)
+            self._saved = storage.SavedLayout(tuple(paths), self.version_vector())
         return Path(path)
 
     def checkpoint(self) -> Path:

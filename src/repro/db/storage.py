@@ -40,6 +40,7 @@ between two shards of a sharded one.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -406,6 +407,60 @@ def save(db, path, *, dense: bool) -> Path:
     return result
 
 
+def _malformed(path, what) -> StorageError:
+    return StorageError(f"{path}: malformed snapshot: {what}")
+
+
+def _snapshot_meta(path, meta: dict) -> dict:
+    """*meta*, the meta block of the snapshot at *path*, checked."""
+    if meta.get("version") != DB_VERSION:
+        raise StorageError(f"{path}: unsupported database version {meta.get('version')!r}")
+    return _checked(path, meta, "snapshot")
+
+
+def _set_dimension(path, db, dimension) -> None:
+    """Give the empty *db* the stored *dimension*, its ω defaulting to
+    the origin."""
+    db.dimension = dimension
+    if dimension is not None and db.omega is None:
+        db.omega = np.zeros(dimension)
+    elif dimension is not None and db.omega.shape != (dimension,):
+        raise _malformed(path, f"meta key 'omega' is not {dimension}-d")
+
+
+def _set_columns(path, arrays: dict) -> tuple[np.ndarray, ...]:
+    """The object store's arrays of a snapshot (:data:`_SET_ARRAYS`),
+    checked to split ``set_data`` into one set per oid."""
+    try:
+        oids, offsets, rows, centroids = (arrays[name] for name in _SET_ARRAYS)
+    except KeyError as exc:
+        raise _malformed(path, f"array {exc} is missing") from exc
+    if offsets.shape != (len(oids) + 1,) or offsets[0] or offsets[-1] != len(rows):
+        raise _malformed(
+            path,
+            f"'set_row_offsets' does not split 'set_data' {rows.shape} "
+            f"into {len(oids)} sets",
+        )
+    return oids, offsets, rows, centroids
+
+
+def _fill_engine(path, db, oids, sizes, rows, centroids) -> None:
+    """Pack the sets stored back to back in *rows* (``sizes[i]`` rows
+    for ``oids[i]``) into the empty *db*'s engine by one ragged scatter."""
+    if not len(oids):
+        return
+    try:
+        db._engine = FilterRefineEngine(
+            PackedSets.from_ragged(rows, sizes, db.capacity, db.omega),
+            capacity=db.capacity,
+            block_size=db.block_size,
+            oids=oids,
+            centroids=centroids,
+        )
+    except (DistanceError, QueryError) as exc:
+        raise _malformed(path, f"{' / '.join(_SET_ARRAYS)}: {exc}") from exc
+
+
 def _from_archive(path, meta: dict, arrays: dict, **options):
     """Build a database from one (meta, arrays) archive payload.
 
@@ -418,39 +473,11 @@ def _from_archive(path, meta: dict, arrays: dict, **options):
     query can walk them.  A ``scan`` layout's point table is not read:
     the engine's centroid rows are what a ``scan`` database ranks.
     """
-
-    def malformed(what) -> StorageError:
-        return StorageError(f"{path}: malformed snapshot: {what}")
-
-    if meta.get("version") != DB_VERSION:
-        raise StorageError(f"{path}: unsupported database version {meta.get('version')!r}")
-    _checked(path, meta, "snapshot")
+    _snapshot_meta(path, meta)
     db = _empty_database(path, "snapshot", meta, sketch_key="sketch_enabled", **options)
-    db.dimension = meta["dimension"]
-    if db.dimension is not None and db.omega is None:
-        db.omega = np.zeros(db.dimension)
-    elif db.dimension is not None and db.omega.shape != (db.dimension,):
-        raise malformed(f"meta key 'omega' is not {db.dimension}-d")
-    try:
-        oids, offsets, rows, centroids = (arrays[name] for name in _SET_ARRAYS)
-    except KeyError as exc:
-        raise malformed(f"array {exc} is missing") from exc
-    if offsets.shape != (len(oids) + 1,) or offsets[0] or offsets[-1] != len(rows):
-        raise malformed(
-            f"'set_row_offsets' does not split 'set_data' {rows.shape} "
-            f"into {len(oids)} sets"
-        )
-    if len(oids):
-        try:
-            db._engine = FilterRefineEngine(
-                PackedSets.from_ragged(rows, np.diff(offsets), db.capacity, db.omega),
-                capacity=db.capacity,
-                block_size=db.block_size,
-                oids=oids,
-                centroids=centroids,
-            )
-        except (DistanceError, QueryError) as exc:
-            raise malformed(f"{' / '.join(_SET_ARRAYS)}: {exc}") from exc
+    _set_dimension(path, db, meta["dimension"])
+    oids, offsets, rows, centroids = _set_columns(path, arrays)
+    _fill_engine(path, db, oids, np.diff(offsets), rows, centroids)
     if db.backend == "xtree" and db._engine is not None:
         if meta["index_meta"] is None or db.backend != meta["backend"]:
             # A retired backend's index arrays are never parsed: the core
@@ -466,20 +493,20 @@ def _from_archive(path, meta: dict, arrays: dict, **options):
                 db._core = RTreeArrayCore(meta["index_meta"], tables)
                 db._core.check_invariants()
             except IndexError_ as exc:
-                raise malformed(f"index tables: {exc}") from exc
+                raise _malformed(path, f"index tables: {exc}") from exc
             if db._core.dimension != db.dimension:
-                raise malformed(
-                    f"index tables: {db._core.dimension}-d, the sets {db.dimension}-d"
+                raise _malformed(
+                    path, f"index tables: {db._core.dimension}-d, the sets {db.dimension}-d"
                 )
     try:
         _restore_sketches(db, meta, arrays)
     except (KeyError, TypeError, ValueError, QueryError) as exc:
-        raise malformed(f"sketch tier: {exc}") from exc
+        raise _malformed(path, f"sketch tier: {exc}") from exc
     if "payloads" in arrays:
         try:
             db._payloads = _decode_payloads(arrays["payloads"], db._oids())
         except (ValueError, QueryError) as exc:
-            raise malformed(f"payloads: {exc}") from exc
+            raise _malformed(path, f"payloads: {exc}") from exc
     db._version = meta["db_version"]
     return db
 
@@ -794,6 +821,16 @@ def open_layout(path, **options):
 # -- sharded directories --------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class SavedLayout:
+    """The shard files a non-durable sharded save (or open) left, the
+    version vector they hold, and a token that no other save shares."""
+
+    paths: tuple[Path, ...]
+    versions: tuple[int, ...]
+    token: str = field(default_factory=lambda: os.urandom(16).hex())
+
+
 def save_sharded(db, root, *, dense: bool) -> list[Path]:
     """Write the sharded *db* as one snapshot file per shard plus the
     manifest (caller holds every shard's read lock); returns the shard
@@ -854,11 +891,61 @@ def open_sharded(root, *, model=None, pipeline=None, cache=None, lock_timeout=No
     db.fsync = shards[0].fsync
     db.keep_generations = shards[0].keep_generations
     db._root = root if durable else None
-    db._shard_paths = None if durable else paths
-    db._saved_versions = None if durable else [shard.version for shard in shards]
+    db._saved = None if durable else SavedLayout(tuple(paths), db.version_vector())
     db.last_recovery = [shard.last_recovery for shard in shards] if durable else None
     db.last_parallel_legs = None
     emit("db.snapshot", op="load", objects=len(db), path=str(root), shards=count)
+    return db
+
+
+#: The settings the shards of one layout share; the last two are unknown
+#: (``None``) on a shard that never held an object.
+_SHARD_SETTINGS = ("capacity", "backend", "block_size", "index_capacity", "dimension", "omega")
+
+
+def open_shards_as_one(paths):
+    """Open the snapshot files *paths* of one saved sharded layout as one
+    non-durable database, for exact queries only.
+
+    Every file is read with the integrity checks of :func:`open_snapshot`,
+    and a shard whose settings (:data:`_SHARD_SETTINGS`) disagree with the
+    shards before it is refused with a :class:`StorageError` naming it.
+    The set columns and centroids are concatenated in ascending oid and
+    the core packed once, so the result ranks and refines like one
+    database holding every object.  It has no sketch tier and no payloads.
+    """
+    root = Path(paths[0]).parent
+    with span("db.sharded.open_as_one", force=True, shards=len(paths)) as sp:
+        shared: dict = {}
+        columns, version = [], 0
+        for path in paths:
+            read = read_dense_archive if layout_of(path) == "dense" else read_archive
+            meta, arrays = read(path, DB_FORMAT)
+            _snapshot_meta(path, meta)
+            known = _SHARD_SETTINGS if meta["dimension"] is not None else _SHARD_SETTINGS[:4]
+            for key in known:
+                if shared.setdefault(key, meta[key]) != meta[key]:
+                    raise StorageError(
+                        f"{path}: shard disagrees with the shards before it: "
+                        f"{key!r} holds {meta[key]!r}, not {shared[key]!r}"
+                    )
+            oids, offsets, rows, centroids = _set_columns(path, arrays)
+            if len(oids):
+                columns.append((oids, np.diff(offsets), rows, centroids))
+            version += meta["db_version"]
+        db = _empty_database(root, "shard settings", {"omega": None, **shared, "sketch": False})
+        _set_dimension(root, db, shared.get("dimension"))
+        if columns:
+            oids, sizes, rows, centroids = map(np.concatenate, zip(*columns))
+            order = np.argsort(oids, kind="stable")
+            # A stable sort on each row's oid keeps every set's rows in order.
+            rows = rows[np.argsort(np.repeat(oids, sizes), kind="stable")]
+            _fill_engine(root, db, oids[order], sizes[order], rows, centroids[order])
+        if db.backend == "xtree":
+            db._core = db._pack()
+        db._version = version
+        sp.set(objects=len(db))
+    emit("db.snapshot", op="load", objects=len(db), path=str(root), shards=len(paths))
     return db
 
 

@@ -7,6 +7,8 @@ while still being able to distinguish finer-grained conditions.
 
 from __future__ import annotations
 
+import functools
+
 
 class ReproError(Exception):
     """Base class of all errors raised by the :mod:`repro` library."""
@@ -62,8 +64,18 @@ class SnapshotIntegrityError(StorageError):
     def __init__(self, path, member: str, detail: str, *, kind: str | None = None):
         self.path = str(path)
         self.member = member
+        self.detail = detail
         self.kind = kind or f"archive member {member!r}"
         super().__init__(f"{path}: corrupt {self.kind}: {detail}")
+
+    def __reduce__(self):
+        # The default rebuilds from ``self.args`` (the one message), which
+        # this ``__init__`` cannot take: a pool worker's error would reach
+        # the parent as a broken pool instead.
+        return (
+            functools.partial(type(self), kind=self.kind),
+            (self.path, self.member, self.detail),
+        )
 
 
 class WALError(StorageError):

@@ -5,8 +5,9 @@ object is independent), so every fan-out site — ``extract_many``,
 ``Pipeline.process_parts``/``process_mesh_directory`` and the CLI —
 shares one lazily created :class:`~concurrent.futures.ProcessPoolExecutor`
 instead of paying worker start-up per call.  The pool is recreated only
-when a caller asks for more workers than it currently has, and shut down
-at interpreter exit.
+when a caller asks for more workers than it currently has or after a
+worker died (a broken pool is dropped, never handed out again), and shut
+down at interpreter exit.
 
 All helpers keep results in submission order, so parallel runs are
 deterministic and bit-identical to serial ones.  :func:`pool_map` is the
@@ -21,6 +22,7 @@ from __future__ import annotations
 import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from repro.exceptions import ReproError
 
@@ -93,21 +95,27 @@ def pool_map(task_fn, tasks: list, n_jobs: int, chunksize: int = 1) -> list:
     Drop-in replacement for ``shared_pool(...).map(task_fn, tasks)``:
     results come back in submission order; while observability is
     enabled, each worker call's metric/event snapshot is folded into
-    this process's registry as results are consumed.
+    this process's registry as results are consumed.  One task still
+    runs in a worker, on a pool of at least two.
     """
     from repro.obs import enabled as obs_enabled
     from repro.obs import merge_worker_snapshot
     from repro.obs.tracectx import propagation
 
-    pool = shared_pool(min(n_jobs, len(tasks)))
+    pool = shared_pool(max(2, min(n_jobs, len(tasks))))
     capture = obs_enabled()
     trace_ctx = propagation() if capture else (None, None)
     payloads = [(capture, trace_ctx, task_fn, task) for task in tasks]
     results = []
-    for result, snapshot in pool.map(_captured_task, payloads, chunksize=chunksize):
-        if snapshot is not None:
-            merge_worker_snapshot(snapshot)
-        results.append(result)
+    try:
+        for result, snapshot in pool.map(_captured_task, payloads, chunksize=chunksize):
+            if snapshot is not None:
+                merge_worker_snapshot(snapshot)
+            results.append(result)
+    except BrokenProcessPool:
+        # A worker died: this batch fails, the next call starts a fresh pool.
+        _shutdown()
+        raise
     return results
 
 

@@ -18,6 +18,8 @@ guard.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -36,7 +38,8 @@ from repro.db import (
     open_database,
     shard_of,
 )
-from repro.exceptions import QueryError, StorageError
+from repro.exceptions import QueryError, SnapshotIntegrityError, StorageError
+from repro.testing.faults import corrupt_bytes
 from tests.conftest import (
     assert_answers_like_a_fresh_pack,
     assert_engine_is_fresh,
@@ -356,10 +359,123 @@ def test_parallel_batch_matches_serial(tmp_path, rng):
     single = [mirror.knn_query(q, 6) for q in queries]
     assert [pairs(r) for r, _ in parallel] == [pairs(r) for r, _ in serial]
     assert [pairs(r) for r, _ in parallel] == [pairs(r) for r, _ in single]
+    # A pool worker answers whole queries over every shard at once: its
+    # stats are the single database's, not the per-shard sum.
     assert [s.as_dict() for _, s in parallel] == [
-        s.as_dict() for _, s in serial
+        s.as_dict() for _, s in single
     ]
-    assert len(sharded.last_parallel_legs) == sharded.n_shards
+    assert len(sharded.last_parallel_legs) == 2  # min(n_jobs, queries) chunks
+
+
+def assert_pooled_like_mirror(sharded, mirror, queries, k, jobs=2):
+    """The pooled batch answers, in query order, what the serial scatter
+    and the single database answer, with the single database's stats,
+    from one leg per chunk."""
+    pooled = sharded.knn_query_many(queries, k, n_jobs=jobs)
+    serial = sharded.knn_query_many(queries, k)
+    single = [mirror.knn_query(q, k) for q in queries]
+    assert len(pooled) == len(queries)
+    assert [pairs(r) for r, _ in pooled] == [pairs(r) for r, _ in serial]
+    assert [pairs(r) for r, _ in pooled] == [pairs(r) for r, _ in single]
+    assert [s.as_dict() for _, s in pooled] == [s.as_dict() for _, s in single]
+    assert len(sharded.last_parallel_legs) == min(jobs, len(queries))
+
+
+@pytest.mark.parametrize("shards", [2, 3, 5])
+@pytest.mark.parametrize("batch", [1, 2, 5])  # 1, jobs and 2 * jobs + 1
+def test_pooled_batch_answers_like_one_database(tmp_path, rng, shards, batch):
+    sharded, mirror, sets = build_pair(rng, count=24, shards=shards)
+    sharded.save(tmp_path / "layout")
+    # Distinct queries in a shuffled order: an answer out of place shows.
+    order = rng.permutation(len(sets))[:batch]
+    assert_pooled_like_mirror(sharded, mirror, [sets[int(i)] for i in order], 5)
+
+
+def test_pooled_batch_over_a_dense_save(tmp_path, rng):
+    sharded, mirror, sets = build_pair(rng, count=20, shards=3)
+    sharded.save(tmp_path / "layout", dense=True)
+    assert_pooled_like_mirror(sharded, mirror, [sets[i] for i in (4, 0, 9)], 6)
+
+
+def test_pooled_batch_after_reshard_and_save(tmp_path, rng):
+    sharded, mirror, sets = build_pair(rng, count=20, shards=2)
+    root = sharded.save(tmp_path / "layout")
+    sharded.knn_query_many([sets[0]], 3, n_jobs=2)
+    sharded.reshard(5)
+    with pytest.raises(QueryError, match="saved sharded snapshot"):
+        sharded.knn_query_many([sets[0]], 3, n_jobs=2)
+    sharded.save(root)
+    assert_pooled_like_mirror(sharded, mirror, [sets[i] for i in (7, 3, 11, 1, 5)], 4)
+
+
+def test_pooled_batch_with_k_larger_than_a_shard(tmp_path, rng):
+    sharded, mirror, sets = build_pair(rng, count=12, shards=5)
+    sharded.save(tmp_path / "layout")
+    assert max(len(shard) for shard in sharded.shards) < 8
+    assert_pooled_like_mirror(sharded, mirror, [sets[i] for i in (2, 6, 10)], 8)
+    assert_pooled_like_mirror(sharded, mirror, [sets[3]], 20)  # k > n
+
+
+def test_pooled_batch_never_serves_an_earlier_save(tmp_path, rng):
+    """A save that leaves the shard files' timestamps as they were must
+    still reach the pool workers (a coarse clock does that, so does a
+    restored mtime)."""
+    sharded, mirror, sets = build_pair(rng, count=20, shards=2)
+    root = sharded.save(tmp_path / "layout")
+    files = sorted(root.glob("shard-*.npz"))
+    times = {path: os.stat(path).st_mtime_ns for path in files}
+    for _ in range(4):  # every worker caches the first save
+        assert sharded.knn_query_many([sets[5]] * 2, 3, n_jobs=2)[0][0][0].object_id == 5
+    sharded.remove(5)
+    mirror.remove(5)
+    sharded.save(root)
+    for path, mtime in times.items():
+        os.utime(path, ns=(mtime, mtime))
+    for _ in range(4):
+        assert_pooled_like_mirror(sharded, mirror, [sets[5], sets[5]], 3)
+
+
+def test_worker_layout_cache_is_bounded(tmp_path, rng):
+    """A worker keeps the few layouts it answered last, not one per save."""
+    from repro.db import sharded as module
+
+    sharded, _, _ = build_pair(rng, count=8, shards=2)
+    sharded.save(tmp_path / "layout")
+    paths = sharded._saved.paths
+    module._LAYOUT_DBS.clear()
+    try:
+        opened = [module._layout_db(f"save-{i}", paths) for i in range(6)]
+        assert len(module._LAYOUT_DBS) == module._LAYOUT_DB_LIMIT >= 2
+        assert module._layout_db("save-4", paths) is opened[4]
+        assert module._layout_db("save-5", paths) is opened[5]
+        assert module._layout_db("save-0", paths) is not opened[0]
+    finally:
+        module._LAYOUT_DBS.clear()
+
+
+def test_pooled_batch_reports_a_corrupt_shard_typed(tmp_path, rng):
+    sharded, mirror, sets = build_pair(rng, count=20, shards=3)
+    root = sharded.save(tmp_path / "layout")
+    damaged = root / "shard-00001.npz"
+    corrupt_bytes(damaged, offset=damaged.stat().st_size // 2, count=16)
+    with pytest.raises(SnapshotIntegrityError, match="shard-00001.npz"):
+        sharded.knn_query_many([sets[0], sets[1]], 3, n_jobs=2)
+    # The pool survives the error: a healthy layout still answers.
+    healthy, healthy_mirror, healthy_sets = build_pair(rng, count=20, shards=3)
+    healthy.save(tmp_path / "healthy")
+    assert_pooled_like_mirror(healthy, healthy_mirror, [healthy_sets[0], healthy_sets[1]], 3)
+
+
+def test_pooled_batch_refuses_shards_that_disagree(tmp_path, rng):
+    sharded, _, sets = build_pair(rng, count=12, shards=2)
+    root = sharded.save(tmp_path / "layout")
+    other = ShardedSimilarityDatabase(CAPACITY, shards=2, block_size=3)
+    for oid, arr in sets.items():
+        other.add(oid, arr)
+    other.save(tmp_path / "other")
+    (tmp_path / "other" / "shard-00001.npz").replace(root / "shard-00001.npz")
+    with pytest.raises(StorageError, match="shard-00001.npz.*'block_size'"):
+        sharded.knn_query_many([sets[0]], 3, n_jobs=2)
 
 
 def test_parallel_batch_guards(tmp_path, rng):

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.db import ShardedSimilarityDatabase, SimilarityDatabase, open_database
+from repro.db import ShardedSimilarityDatabase, SimilarityDatabase, open_database, storage
 from repro.exceptions import QueryError, StorageError
 from repro.index.dense import read_dense_archive, write_dense_archive
 from repro.index.snapshot import read_archive, write_archive
@@ -148,6 +148,44 @@ def test_every_layout_is_the_pinned_one(tmp_path):
     assert sorted(got) == sorted(want)
     for name in want:
         assert got[name] == want[name], name
+
+
+@pytest.mark.parametrize("backend", ["xtree", "scan"])
+@pytest.mark.parametrize("dense", [False, True])
+def test_shards_open_as_one_database(backend, dense, tmp_path):
+    """The pool workers' view of a saved sharded layout: one database
+    whose engine and index are a fresh build's of the same objects, also
+    when some shards are empty (at K = 40)."""
+    steps = history()
+    options = dict(backend=backend, omega=[0.5, -1.0, 2.0], index_capacity=4)
+    plain = SimilarityDatabase(CAPACITY, **options)
+    replay(plain, steps)
+    for shards in (5, 40):
+        sharded = ShardedSimilarityDatabase(CAPACITY, shards=shards, **options)
+        replay(sharded, steps)
+        root = sharded.save(tmp_path / f"sharded-{shards}", dense=dense)
+        one = storage.open_shards_as_one(sharded._saved.paths)
+        one.check_invariants()
+        assert one.object_ids() == plain.object_ids()
+        assert one.engine_digest() == plain.engine_digest()
+        assert one.index_digest() == plain.index_digest()
+        assert one._hamming is None and not one._payloads
+        assert sharded.knn_query_many([plain.get(2)], 5, n_jobs=2)[0][0] == (
+            plain.knn_query(plain.get(2), 5)[0]
+        )
+    assert any(not len(shard) for shard in sharded.shards)
+    assert len(list(root.glob("shard-*"))) == 40
+
+
+def test_shards_that_disagree_do_not_open_as_one(tmp_path):
+    layouts = {}
+    for name, options in (("a", {}), ("b", {"index_capacity": 6})):
+        db = ShardedSimilarityDatabase(CAPACITY, shards=2, **options)
+        replay(db, history())
+        layouts[name] = db.save(tmp_path / name)
+    paths = [layouts["a"] / "shard-00000.npz", layouts["b"] / "shard-00001.npz"]
+    with pytest.raises(StorageError, match=r"b/shard-00001.npz.*'index_capacity'"):
+        storage.open_shards_as_one(paths)
 
 
 def zip_members(path: Path) -> dict[str, bytes]:
