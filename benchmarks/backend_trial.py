@@ -3,12 +3,14 @@ benchmark's own set corpus, in memory.
 
 For each corpus (selective / centroid-degenerate) and size it ingests
 through ``add``, runs perturbed-member 10-nn queries (best of ``PASSES``
-passes per query), requires every backend's answers *and* distances to
-be literally equal, and times the first query after a mutation — for
-``xtree`` the ingest rate and that query are what the packed core plus
-a delta is for.  CI runs it at n = 800.  The script reads the backend
-list from the code it runs against, so a clone of an older commit
-reports that commit's backends::
+passes per query), requires every backend's answers, distances *and*
+``QueryStats`` to be literally equal — every backend ranks alike, from
+the engine's centroid column, and the backends differ only in the index
+tables their snapshots carry — and times the first query after a
+mutation.  CI runs it at n = 800.  The script reads the backend list
+from the code it runs against, so a clone of an older commit (whose
+``xtree`` walked a packed core plus a delta) reports that commit's
+backends and timings::
 
     PYTHONPATH=src python benchmarks/backend_trial.py 800 5000 20000
 """
@@ -50,7 +52,7 @@ def trial(n: int, recentre: bool) -> None:
                 start = time.perf_counter()
                 matches, stats = db.knn_query(query, KNN_K)
                 best[i] = min(best[i], time.perf_counter() - start)
-                answers.append([(m.object_id, m.distance) for m in matches])
+                answers.append(([(m.object_id, m.distance) for m in matches], stats))
                 refined.append(stats.exact_computations)
         if reference is None:
             reference = answers

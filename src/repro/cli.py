@@ -173,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_obs_args(query)
 
     db = commands.add_parser(
-        "db", help="mutable similarity database (packed index core plus a delta)"
+        "db", help="mutable similarity database (add, remove, compact, verify)"
     )
     db_commands = db.add_subparsers(dest="db_command", required=True)
 
@@ -187,8 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default="xtree",
-        help="how the centroids are ranked: a packed X-tree core plus a "
-        "delta, or a scan of every centroid (default: xtree)",
+        help="the index tables a snapshot carries: an STR-packed X-tree over "
+        "the centroids, or a flat point table; both rank alike (default: xtree)",
     )
     db_init.add_argument(
         "--dense",
@@ -239,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_obs_args(db_init)
 
     db_add = db_commands.add_parser(
-        "add", help="insert mesh files (staged in the index's delta)"
+        "add", help="insert mesh files"
     )
     db_add.add_argument("database", type=Path)
     db_add.add_argument("meshes", type=Path, nargs="+")
@@ -251,14 +251,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_obs_args(db_add)
 
     db_remove = db_commands.add_parser(
-        "remove", help="delete objects by id (tombstoned in the index)"
+        "remove", help="delete objects by id"
     )
     db_remove.add_argument("database", type=Path)
     db_remove.add_argument("ids", type=int, nargs="+")
     _add_obs_args(db_remove)
 
     db_compact = db_commands.add_parser(
-        "compact", help="re-pack the index core and the sketch tier in place"
+        "compact", help="rebuild the sketch tier in place (a sharded layout: every shard's)"
     )
     db_compact.add_argument("database", type=Path)
     _add_obs_args(db_compact)
@@ -591,8 +591,7 @@ def cmd_db(args) -> int:
         db.close()
         print(f"{len(db)} objects -> {args.database}")
         return 2 if missing else 0
-    # compact: rebuild in place; canonical tie-breaking guarantees the
-    # re-packed tree answers every query identically.
+    # compact: rebuild the sketch tier in place; answers are unchanged.
     db.compact()
     db.save(args.database)
     db.close()

@@ -25,7 +25,7 @@ centroids all coincide, a far tighter bound than Lemma 2.  Both query
 kinds run one loop, :meth:`FilterRefineEngine._cascade`, window by
 window:
 
-1. *Pull* candidates from the centroid ranker: while the pruning radius
+1. *Pull* candidates from the centroid column: while the pruning radius
    is unknown (fewer than k neighbours found), the next *block_size*;
    after that, every candidate whose centroid bound does not exceed the
    radius frozen at the end of the previous window.  A range query's
@@ -54,14 +54,17 @@ The exact distance is the paper's: the minimal matching distance with
 Euclidean element distance and the weight ``w(x) = ||x - omega||``,
 the same omega as the centroids — exactly the precondition of Lemma 2.
 
-The centroid ranking itself can be delegated to a spatial index (the
-paper uses an X-tree) through the ``centroid_ranker`` hook: a *chunk
-source*, called with the query's extended centroid and yielding
-``(oids, dists)`` array pairs in ascending centroid distance.  The
-database passes ``ranking_chunks`` of an STR-packed
-:class:`~repro.index.arraycore.RTreeArrayCore`, merged with its delta.
-The default is an in-memory scan emitting a single chunk, which keeps
-this module free of index dependencies.
+The centroid ranking is one vectorised pass per query: the distance
+from the query centroid to every row of the engine's centroid column, in
+the float form an STR pack's leaf entries give it
+(:func:`repro.index.arraycore._mindist_many` of a point box), so the
+candidate stream is, bit for bit, a fresh pack's ``ranking_chunks``.
+The cascade cuts each window straight from that column — a partition
+while the radius is unknown, a mask under it after — and sorts only the
+window (:class:`_Candidates`).  The paper's X-tree serves the same order
+from disk pages; in memory the pass over the column is faster at every
+size a workload runs (EXPERIMENTS.md), and the pack stays in
+:mod:`repro.index` for Table 2 and the ablations.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -84,11 +87,6 @@ from repro.core.vector_set import VectorSet
 from repro.exceptions import InvariantError, QueryError
 from repro.obs import registry, span
 from repro.obs import querylog
-
-#: A ranker is a chunk source: called with the query centroid, it yields
-#: (object ids, centroid distances) array pairs in ascending centroid
-#: distance; spatial indexes plug in here.
-CentroidRanker = Callable[[np.ndarray], Iterator[tuple[np.ndarray, np.ndarray]]]
 
 #: Candidates solved per batched kernel call in the refine cascade; see
 #: FilterRefineEngine(block_size=...).
@@ -190,17 +188,17 @@ def _doubled(buf: np.ndarray) -> np.ndarray:
 
 
 class _Candidates:
-    """A ranker's candidates as one stream, taken from the front in
-    windows.  A window depends only on the stream, never on where the
-    ranker's chunks break, and neither does any stat."""
+    """The engine's rows in ascending ``(centroid distance, oid)`` order,
+    taken from the front in windows.  Only a window is ever sorted: it is
+    cut from the distance column by a partition (a window of at most
+    *limit*) or a mask (the bounds within a radius), never from a sorted
+    copy of the whole column."""
 
-    def __init__(
-        self, chunks: Iterator[tuple[np.ndarray, np.ndarray]], capacity: int
-    ):
-        self._chunks = chunks
-        self._capacity = capacity
-        self._oids = np.empty(0, dtype=np.int64)
-        self._bounds = np.empty(0)
+    def __init__(self, dists: np.ndarray, oids: np.ndarray, capacity: int):
+        self._dists = dists
+        self._bounds = capacity * dists
+        self._oids = oids
+        self._left = np.ones(len(dists), dtype=bool)  # rows not yet taken
         self._taken = 0
         self._rejected = False
 
@@ -210,36 +208,34 @@ class _Candidates:
         centroid bound ended the last window (pulled, then rejected)."""
         return self._taken + self._rejected
 
+    def _smallest(self, rows: np.ndarray, limit: int) -> np.ndarray:
+        """The *limit* of *rows* first in ``(distance, oid)`` order."""
+        dists = self._dists[rows]
+        kth = np.partition(dists, limit - 1)[limit - 1]
+        below, tied = rows[dists < kth], rows[dists == kth]
+        tied = tied[np.argsort(self._oids[tied])[: limit - len(below)]]
+        return np.concatenate((below, tied))
+
     def take(self, limit: float, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """The longest prefix of at most *limit* candidates whose centroid
         bounds (``capacity`` x centroid distance) do not exceed *radius*,
-        as ``(oids, centroid bounds)``."""
-        oids, bounds = [self._oids], [self._bounds]
-        seen, part = 0, self._bounds
-        rejected = False
-        while True:
-            # Chunks are ascending: only one whose last bound is past the
-            # radius holds the end of the window.
-            if len(part) and part[-1] > radius:
-                end = seen + int(np.argmax(part > radius))
-                rejected = end < limit
-                break
-            seen += len(part)
-            chunk = None if seen >= limit else next(self._chunks, None)
-            if chunk is None:
-                end = seen
-                break
-            part = self._capacity * np.asarray(chunk[1], dtype=float)
-            oids.append(np.asarray(chunk[0], dtype=np.int64))
-            bounds.append(part)
-        end = int(min(end, limit))
-        if end:
+        as ``(engine rows, centroid bounds)``."""
+        # Bounds ascend with distances, so the rows within the radius are
+        # a prefix of the stream.
+        rows = np.flatnonzero(self._left & (self._bounds <= radius))
+        if len(rows) > limit:
+            rows = self._smallest(rows, int(limit))
+            rejected = False
+        else:
+            # A candidate left past the radius ends the window early.
+            rejected = len(rows) < min(limit, len(self._dists) - self._taken)
+        if len(rows):
+            rows = rows[np.lexsort((self._oids[rows], self._dists[rows]))]
             self._rejected = False  # the candidate rejected before, if any
+            self._left[rows] = False
+            self._taken += len(rows)
         self._rejected |= rejected
-        self._taken += end
-        all_oids, all_bounds = np.concatenate(oids), np.concatenate(bounds)
-        self._oids, self._bounds = all_oids[end:], all_bounds[end:]
-        return all_oids[:end], all_bounds[:end]
+        return rows, self._bounds[rows]
 
 
 class FilterRefineEngine:
@@ -265,11 +261,10 @@ class FilterRefineEngine:
         depend on it.
     oids:
         External object ids, one per set (default: positions
-        ``0..n-1``).  Rankers yield these ids and results carry them, so
-        a mutable database with sparse ids after deletions can plug its
-        spatial index in as *centroid_ranker* without renumbering.  Ties
-        in k-nn results resolve canonically by ascending oid, matching
-        the index layer's convention.
+        ``0..n-1``).  Results carry them, so a mutable database keeps
+        sparse ids after deletions without renumbering.  Ties in the
+        centroid ranking and in k-nn results resolve canonically by
+        ascending oid, matching the index layer's convention.
     centroids:
         The ``(n, d)`` extended centroids of *sets*, for a caller that
         already holds them (default: computed here, one
@@ -454,17 +449,6 @@ class FilterRefineEngine:
             if cells.any():
                 raise InvariantError(fault.format(oids[int(cells.any(axis=1).argmax())]))
 
-    def _rows_for(self, oids: Sequence[int]) -> np.ndarray:
-        """oid → row lookup for a list of Python ints."""
-        try:
-            return np.fromiter(
-                map(self._row_of.__getitem__, oids), dtype=np.intp, count=len(oids)
-            )
-        except KeyError as exc:
-            raise QueryError(
-                f"ranker yielded unknown object id {exc.args[0]}"
-            ) from None
-
     # -- mutation ----------------------------------------------------------
 
     def _buffers(self) -> tuple[np.ndarray, ...]:
@@ -539,13 +523,18 @@ class FilterRefineEngine:
 
     # -- filter step -------------------------------------------------------
 
-    def _scan_chunks(self, query_centroid: np.ndarray):
-        """Default centroid ranker: full scan, one chunk in ascending
-        ``(centroid distance, oid)`` order."""
-        oids = self.oids
-        dists = np.linalg.norm(self.centroids - query_centroid, axis=1)
-        order = np.lexsort((oids, dists))
-        yield oids[order], dists[order]
+    def _candidates(self, query_centroid: np.ndarray) -> _Candidates:
+        """The candidate stream of one query: the distance from
+        *query_centroid* to every stored centroid, row-aligned.
+
+        ``|c - q|`` is exactly what ``_mindist_many`` of the point box
+        ``[c, c]`` sums per coordinate (``max(c - q, 0) + max(q - c, 0)``,
+        float subtraction being sign-symmetric), squared and summed over
+        the same ``(n, d)`` shape, so every distance is bit for bit the
+        one a pack's leaf entry gives."""
+        diff = self.centroids - query_centroid
+        dists = np.sqrt(np.sum(diff * diff, axis=1))
+        return _Candidates(dists, self.oids, self.capacity)
 
     # -- refinement --------------------------------------------------------
 
@@ -555,6 +544,8 @@ class FilterRefineEngine:
         )
         if arr.ndim != 2 or arr.shape[1] != self.dimension:
             raise QueryError(f"query set has incompatible shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise QueryError("query set must be finite")
         return arr
 
     def _refine_many(
@@ -586,7 +577,6 @@ class FilterRefineEngine:
     def _cascade(
         self,
         query_arr: np.ndarray,
-        centroid_ranker: CentroidRanker | None,
         stats: QueryStats,
         radius: Callable[[], float],
         accept: Callable[[np.ndarray, np.ndarray], None],
@@ -598,19 +588,17 @@ class FilterRefineEngine:
         ``(refine seconds, solve blocks)``."""
         center = extended_centroid(query_arr, self.capacity, self.omega)
         prepared = self._packed.pad_query(query_arr)
-        stream = _Candidates(
-            (centroid_ranker or self._scan_chunks)(center), self.capacity
-        )
+        stream = self._candidates(center)
         solved: list[np.ndarray] = []  # the bounds of every solved candidate
         seconds, blocks = 0.0, 0
         while True:
             frozen = radius()
             limit = self.block_size if frozen == np.inf else np.inf
-            oids, centroid_bounds = stream.take(limit, frozen)
-            if not len(oids):
+            rows, centroid_bounds = stream.take(limit, frozen)
+            if not len(rows):
                 break
-            with span("query.refine", candidates=len(oids)) as rsp:
-                rows = self._rows_for(oids.tolist())
+            with span("query.refine", candidates=len(rows)) as rsp:
+                oids = self._oid_buf[rows]
                 costs = query_costs(prepared, self._packed, rows)
                 bounds = np.maximum(centroid_bounds, assignment_bounds(costs))
                 order = np.lexsort((oids, bounds))
@@ -618,8 +606,7 @@ class FilterRefineEngine:
                 while done < len(order):
                     block = order[done : done + self.block_size]
                     # Ascending order: the first bound past the radius
-                    # ends the window.  A NaN bound compares false, so a
-                    # NaN query reaches the solver and fails there.
+                    # ends the window.
                     current = radius()
                     if bounds[block[-1]] > current:
                         block = block[: int(np.argmax(bounds[block] > current))]
@@ -677,7 +664,6 @@ class FilterRefineEngine:
         self,
         query: np.ndarray | VectorSet,
         epsilon: float,
-        centroid_ranker: CentroidRanker | None = None,
     ) -> tuple[list[QueryMatch], QueryStats]:
         """All objects within minimal matching distance *epsilon*.
 
@@ -698,7 +684,7 @@ class FilterRefineEngine:
                 exacts.append(block_exacts[within])
 
             refine_seconds, blocks = self._cascade(
-                self._query_array(query), centroid_ranker, stats, lambda: epsilon, accept
+                self._query_array(query), stats, lambda: epsilon, accept
             )
             results = self._nearest_of(np.concatenate(oids), np.concatenate(exacts))
             sp.set(results=len(results))
@@ -717,7 +703,6 @@ class FilterRefineEngine:
         self,
         query: np.ndarray | VectorSet,
         n_neighbors: int,
-        centroid_ranker: CentroidRanker | None = None,
     ) -> tuple[list[QueryMatch], QueryStats]:
         """The *n_neighbors* nearest objects by minimal matching distance.
 
@@ -728,7 +713,7 @@ class FilterRefineEngine:
         resolve canonically by ascending object id (an object with a
         strictly greater bound can never tie, since its exact distance
         is at least the bound), and results are independent of the
-        candidate order the ranker produces.
+        order in which the cascade solves them.
         """
         if n_neighbors < 1:
             raise QueryError("n_neighbors must be >= 1")
@@ -749,7 +734,7 @@ class FilterRefineEngine:
                         heapq.heapreplace(heap, (-exact, -oid))
 
             refine_seconds, blocks = self._cascade(
-                self._query_array(query), centroid_ranker, stats, radius, accept
+                self._query_array(query), stats, radius, accept
             )
             results = [QueryMatch(-neg_oid, -neg_dist) for neg_dist, neg_oid in heap]
             results.sort(key=lambda match: (match.distance, match.object_id))
@@ -818,7 +803,14 @@ class FilterRefineEngine:
             raise QueryError("n_neighbors must be >= 1")
         query_arr = self._query_array(query)
         oids = np.asarray(oids, dtype=np.int64)
-        positions = self._rows_for(oids.tolist())
+        try:
+            positions = np.fromiter(
+                map(self._row_of.__getitem__, oids.tolist()),
+                dtype=np.intp,
+                count=len(oids),
+            )
+        except KeyError as exc:
+            raise QueryError(f"unknown object id {exc.args[0]}") from None
         stats = QueryStats(
             candidates_ranked=len(positions),
             exact_computations=len(positions),

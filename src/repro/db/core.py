@@ -10,8 +10,8 @@ a mutation paying for a rebuild of anything it did not touch:
 
 * **Mutations** (``add``/``add_grid``/``remove``/``update``) take the
   write side of a :class:`repro.concurrency.RWLock`, bump a version
-  counter, and record the object in the engine, the sketch tier and the
-  index's delta.  An object may carry a payload of string identity
+  counter, and record the object in the engine and the sketch tier.
+  An object may carry a payload of string identity
   fields (:func:`~repro.db.storage.check_payload`), kept beside it
   until it is removed.
 * **Queries** (``knn_query``/``range_query``) take the read side, so
@@ -28,22 +28,16 @@ a mutation paying for a rebuild of anything it did not touch:
   lock it already holds, at a cost independent of the database size.
   Only emptying the database drops the engine, so no reader can ever
   race a build.
-* **The index is an immutable packed core plus a delta.**  An
-  ``xtree`` database ranks the centroids with one
-  :class:`~repro.index.arraycore.RTreeArrayCore` — an STR pack of the
-  live centroids tiled straight into its node tables
-  (:func:`~repro.index.arraycore.densify`), a pure function of the live
-  set — that no write ever touches.  A mutation records its
-  oid in a *delta* (objects added or replaced since the pack, ranked
-  straight from the engine's centroid rows) and, when it removes or
-  replaces a core entry, in a *tombstone* set; a query ranks the core
-  minus the tombstones merged chunk by chunk with the delta under the
-  canonical ``(distance, oid)`` order, which is exactly the ranking of
-  a fresh pack.  Once delta plus tombstones exceed
-  :data:`REPACK_SHARE` of the core, and at :meth:`compact` /
-  :meth:`checkpoint`, the core is re-packed under the write lock.
-  A ``scan`` database never packs: its ranking is the engine's own
-  scan of the centroid rows.
+* **The index is the engine's centroid column.**  A query ranks the
+  stored extended centroids with one vectorised distance pass over the
+  engine's centroid rows and cuts its refine windows from it
+  (:class:`~repro.core.queries.FilterRefineEngine`), in the canonical
+  ``(distance, oid)`` order of a fresh STR pack — so a mutation has no
+  index of its own to maintain, and nothing is ever re-packed in
+  memory.  The pack (:func:`~repro.index.arraycore.densify`, a pure
+  function of the live set) is written by every ``xtree`` snapshot and
+  validated, key by key against the stored centroids, when one is
+  opened; a ``scan`` snapshot writes a flat point table instead.
   :meth:`SimilarityDatabase.engine_digest`,
   :meth:`SimilarityDatabase.index_digest` and
   :meth:`SimilarityDatabase.check_invariants` prove the maintained
@@ -59,14 +53,13 @@ a mutation paying for a rebuild of anything it did not touch:
 
 Because every ranking breaks distance ties canonically by ascending
 object id, answers and :class:`~repro.core.queries.QueryStats` never
-depend on when the core was last packed (:meth:`compact` re-packs in
-place for exactly that comparison).
+depend on the order of the engine's rows.
 
-Backends: ``"xtree"`` (the paper's choice) and ``"scan"``.  Both index
-the extended centroids — ``(centroid, oid)`` points, nothing else — and
-rank candidates for the filter step, so every query on every backend is
-one :class:`~repro.core.queries.FilterRefineEngine` call with that
-ranking.  ``"rstar"`` and ``"mtree"`` are retired
+Backends: ``"xtree"`` (the paper's choice) and ``"scan"``.  They rank
+alike — every query on every backend is one
+:class:`~repro.core.queries.FilterRefineEngine` call — and differ only
+in the index tables their snapshots carry: an STR pack of the centroids
+or a flat point table.  ``"rstar"`` and ``"mtree"`` are retired
 (:data:`_RETIRED_BACKENDS`): a packed R*-tree is a packed X-tree, and a
 metric index on the sets was the fastest backend in no cell of the
 backend trial (EXPERIMENTS.md); the M-tree stays in :mod:`repro.index`
@@ -75,7 +68,6 @@ for the access-structure ablation.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import numbers
 import operator
@@ -97,17 +89,8 @@ from repro.core.vector_set import VectorSet
 from repro.db import storage
 from repro.db.storage import BACKENDS, DEFAULT_KEEP_GENERATIONS, check_payload
 from repro.exceptions import InvariantError, QueryError, StorageError
-from repro.index.arraycore import RTreeArrayCore, _mindist_many, densify
 from repro.obs import querylog, registry, span
 from repro.testing.faults import crash_point
-
-#: An ``xtree`` database re-packs its core when the objects staged beside
-#: it (delta plus tombstones) exceed this share of the core's size.  A
-#: pack costs about 2 us per object and every staged object about 0.3 us
-#: per query (set corpus, n = 800 ... 2e4, DESIGN.md): 1/16 keeps the
-#: staged overhead under 7 % of a query while a pack is paid once per
-#: n / 16 mutations.
-REPACK_SHARE = 1 / 16
 
 
 class DatabaseView:
@@ -152,22 +135,6 @@ class DatabaseView:
 
 
 _NOT_GIVEN = object()
-_NO_IDS = np.empty(0, dtype=np.int64)
-
-
-def _contains(ids: np.ndarray, oid: int) -> bool:
-    at = int(np.searchsorted(ids, oid))
-    return at < len(ids) and ids[at] == oid
-
-
-def _with(ids: np.ndarray, oid: int) -> np.ndarray:
-    """Sorted *ids* plus the absent *oid* (a new array)."""
-    return np.insert(ids, np.searchsorted(ids, oid), oid)
-
-
-def _without(ids: np.ndarray, oid: int) -> np.ndarray:
-    """Sorted *ids* minus the present *oid* (a new array)."""
-    return np.delete(ids, np.searchsorted(ids, oid))
 
 
 def _integral(name: str, value) -> int:
@@ -228,18 +195,19 @@ class SimilarityDatabase:
     capacity:
         The cardinality bound ``k`` shared by all sets (Definition 8).
     backend:
-        ``"xtree"`` (default: a packed X-tree core plus a delta) or
-        ``"scan"`` (no core; one vectorized pass over the engine's
-        centroid rows): how the extended centroids are ranked for the
-        filter step.
+        ``"xtree"`` (default) or ``"scan"``: the index tables a snapshot
+        carries — an STR-packed X-tree over the extended centroids, or a
+        flat point table.  Both rank the filter step's candidates alike,
+        with one vectorised pass over the engine's centroid rows.
     omega:
         Reference point for extended centroids and matching weights
         (default: origin).
     block_size:
         Refinement block size, forwarded to :class:`FilterRefineEngine`.
     index_capacity:
-        Node capacity of the packed core, at least 4 (default: derived
-        from the page size, as in the paper's experiments).
+        Node capacity of the X-tree an ``xtree`` snapshot packs, at
+        least 4 (default: derived from the page size, as in the paper's
+        experiments).
     model / pipeline / cache:
         Feature model (e.g. :class:`VectorSetModel`), normalization
         pipeline and feature cache used by :meth:`add_grid`.  Optional —
@@ -311,13 +279,6 @@ class SimilarityDatabase:
             None if omega is None else np.asarray(omega, dtype=float)
         )
         self.omega: np.ndarray | None = self._omega_arg
-        # The index: an immutable packed core (xtree only), the oids added
-        # or replaced since it was packed, and its entries removed or
-        # replaced since; both id arrays are sorted and never written in
-        # place.
-        self._core: RTreeArrayCore | None = None
-        self._delta = _NO_IDS
-        self._tombstones = _NO_IDS
         self._version = 0
         self._engine: FilterRefineEngine | None = None
         # The payload of every object added with one, by oid.
@@ -397,35 +358,21 @@ class SimilarityDatabase:
             return None if stored is None else dict(stored)
 
     def index_digest(self) -> str:
-        """SHA-256 over the live ``(oid, point)`` entries the index ranks:
-        the core's leaf entries minus the tombstones plus the delta (every
-        stored centroid, without a core), in ascending oid.
+        """SHA-256 over the live ``(oid, point)`` entries the filter step
+        ranks — every stored extended centroid — in ascending oid.
 
-        ``"empty"`` for a database without objects.  However the core
-        was packed, a database digests like a fresh build of its sets.
+        ``"empty"`` for a database without objects.  However it was
+        mutated, a database digests like a fresh build of its sets.
         """
         with self._lock.read(timeout=self.lock_timeout):
             engine = self._engine
             if engine is None:
                 return "empty"
-            if self._core is None:
-                oids, points = engine.oids, engine.centroids
-            else:
-                oids, points, _ = self._live_core()
-                oids = np.concatenate((oids, self._delta))
-                staged = engine.centroids[engine._rows_for(self._delta.tolist())]
-                points = np.concatenate((points, staged))
+            oids, points = engine.oids, engine.centroids
             order = np.argsort(oids)
             hasher = hashlib.sha256(oids[order].tobytes())
             hasher.update(points[order].tobytes())
             return hasher.hexdigest()
-
-    def _live_core(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(oids, lowers, uppers)`` of the core's leaf entries minus the
-        tombstones (caller holds either lock side)."""
-        oids, lowers, uppers = self._core.leaf_entries()
-        live = ~np.isin(oids, self._tombstones)
-        return oids[live], lowers[live], uppers[live]
 
     def sketch_digest(self) -> str:
         """SHA-256 over the sketch tier's ``(oids, codes)`` rows.
@@ -460,14 +407,12 @@ class SimilarityDatabase:
         (:meth:`FilterRefineEngine.check_invariants`: the stored
         centroids are bit for bit the extended centroids of the stored
         sets, padded tails hold omega, squared norms are current); the
-        index and the sketch tier must hold exactly the stored object
-        ids (every tombstone a core entry, the core's entries minus the
-        tombstones plus the delta each stored id once), every live core
-        entry must be the point box of its object's stored centroid and
-        every sketch code the sketch of its stored set, bit for bit, and
-        the engine must digest like a fresh packing of its unpadded rows.
-        Every payload must belong to a stored object.  The core's own
-        structural ``check_invariants`` runs too.  Raises
+        sketch tier must hold exactly the stored object ids, every
+        sketch code the sketch of its stored set, bit for bit, and the
+        engine must digest like a fresh packing of its unpadded rows.
+        Every payload must belong to a stored object.  (The index is
+        the engine's own centroid column; the index tables of a snapshot
+        are checked against it when the snapshot is opened.)  Raises
         :class:`~repro.exceptions.InvariantError` naming the first
         disagreement.
         """
@@ -481,7 +426,6 @@ class SimilarityDatabase:
             engine.check_invariants()
             _, offsets, rows, _ = engine.ragged()
             sets = np.split(rows, offsets[1:-1])
-        self._check_index_locked(oids)
         stray = self._payloads.keys() - set(oids.tolist())
         if stray:
             raise InvariantError(
@@ -507,35 +451,6 @@ class SimilarityDatabase:
         if engine.digest() != fresh.digest():
             raise InvariantError(
                 "engine rows differ from a fresh packing of the stored sets"
-            )
-
-    def _check_index_locked(self, oids: np.ndarray) -> None:
-        if self._core is None:
-            if self._staged():
-                raise InvariantError("index stages objects beside no packed core")
-            return
-        self._core.check_invariants()
-        if not np.isin(self._tombstones, self._core.leaf_entries()[0]).all():
-            raise InvariantError("a tombstone names no entry of the packed core")
-        live_oids, lowers, uppers = self._live_core()
-        indexed = np.sort(np.concatenate((live_oids, self._delta)))
-        if not np.array_equal(indexed, oids):
-            raise InvariantError(
-                f"{self.backend} index holds {len(indexed)} ids that are not "
-                f"the {len(oids)} stored ones"
-            )
-        if not len(live_oids):
-            return
-        engine = self._engine
-        # Bit for bit: compare the floats' bytes, not their values.
-        keys = engine.centroids[engine._rows_for(live_oids.tolist())].view(np.int64)
-        wrong = (lowers.view(np.int64) != keys).any(axis=1) | (
-            uppers.view(np.int64) != keys
-        ).any(axis=1)
-        if wrong.any():
-            raise InvariantError(
-                f"index key of object {live_oids[wrong.argmax()]} is not its "
-                "stored centroid"
             )
 
     def close(self) -> None:
@@ -609,92 +524,7 @@ class SimilarityDatabase:
         if self._hamming is None:
             self._hamming = HammingIndex(self._sketcher.words)
 
-    # -- the index: packed core + delta + tombstones ----------------------
-
-    def _pack(self) -> RTreeArrayCore | None:
-        """A fresh STR pack of the stored centroids in ascending oid — a
-        pure function of the live set.  ``None`` for an empty database."""
-        if self._engine is None:
-            return None
-        oids, centroids = self._engine.oids, self._engine.centroids
-        order = np.argsort(oids)
-        return densify(centroids[order], oids[order], capacity=self.index_capacity)
-
-    def _repack(self) -> None:
-        """Install a fresh pack, emptying delta and tombstones (caller
-        holds the write lock)."""
-        self._core = self._pack()
-        self._delta = self._tombstones = _NO_IDS
-
-    def _staged(self) -> bool:
-        return bool(len(self._delta) or len(self._tombstones))
-
-    def _stage(self, oid: int, op: str) -> None:
-        """Record one applied ``add`` / ``update`` / ``remove`` of *oid*
-        against the core (caller holds the write lock; the engine already
-        holds the new state), then re-pack if the staged objects exceed
-        :data:`REPACK_SHARE` of the core.  A live oid is staged exactly
-        when it is not a live core entry."""
-        if self.backend == "scan":
-            return
-        staged = _contains(self._delta, oid)
-        if op == "add":
-            self._delta = _with(self._delta, oid)
-        elif not staged:  # a live core entry is removed or replaced
-            self._tombstones = _with(self._tombstones, oid)
-            if op == "update":
-                self._delta = _with(self._delta, oid)
-        elif op == "remove":
-            self._delta = _without(self._delta, oid)
-        core_size = 0 if self._core is None else self._core.size
-        if len(self._delta) + len(self._tombstones) > REPACK_SHARE * core_size:
-            self._repack()
-
-    def _ranker(self):
-        """The centroid ranker of one query: the core's own ranking when
-        nothing is staged beside it, the merge of core and delta when
-        something is, and without a core ``None`` — the engine's scan of
-        its centroid rows."""
-        if self._core is None:
-            return None
-        if self._staged():
-            return self._merged_chunks
-        return self._core.ranking_chunks
-
-    def _merged_chunks(self, center: np.ndarray):
-        """The core's chunks minus the tombstones, each merged with the
-        delta entries that sort at or before its last entry, in canonical
-        ``(distance, oid)`` order, then the rest of the delta.
-
-        A delta entry's distance is ``_mindist_many`` of its point box —
-        the float a fresh pack's leaf entry gives — so the merged ranking
-        is, entry for entry, the ranking of a fresh pack of the live set.
-        """
-        engine, dead = self._engine, self._tombstones
-        points = engine.centroids[engine._rows_for(self._delta.tolist())]
-        dists = _mindist_many(center, points, points)
-        order = np.lexsort((self._delta, dists))
-        delta_oids, delta_dists = self._delta[order], dists[order]
-        keys = list(zip(delta_dists.tolist(), delta_oids.tolist()))
-        start = 0
-        for oids, chunk_dists in self._core.ranking_chunks(center):
-            last = (float(chunk_dists[-1]), int(oids[-1]))
-            if len(dead):
-                at = np.minimum(np.searchsorted(dead, oids), len(dead) - 1)
-                alive = dead[at] != oids
-                oids, chunk_dists = oids[alive], chunk_dists[alive]
-            # The delta entries that sort at or before the chunk's last.
-            stop = bisect.bisect_right(keys, last, start)
-            if stop > start:
-                oids = np.concatenate((oids, delta_oids[start:stop]))
-                chunk_dists = np.concatenate((chunk_dists, delta_dists[start:stop]))
-                merged = np.lexsort((oids, chunk_dists))
-                oids, chunk_dists = oids[merged], chunk_dists[merged]
-                start = stop
-            if len(oids):
-                yield oids, chunk_dists
-        if start < len(keys):
-            yield delta_oids[start:], delta_dists[start:]
+    # -- the write-ahead log -------------------------------------------------
 
     def _wal_log(
         self, op: str, *, oid: int | None = None, array=None, payload=None
@@ -749,8 +579,6 @@ class SimilarityDatabase:
                 )
             else:
                 self._engine.add(oid, arr, centroid)
-            with span("db.mutate", op=op):
-                self._stage(oid, "add")
             self._bump("add")
 
     def add_grid(self, oid: int, grid, payload: dict | None = None) -> np.ndarray:
@@ -788,8 +616,6 @@ class SimilarityDatabase:
                 self._engine = None  # an engine is never empty
             else:
                 self._engine.remove(oid)
-            with span("db.mutate", op="remove"):
-                self._stage(oid, "remove")
             self._bump("remove")
             return True
 
@@ -807,17 +633,14 @@ class SimilarityDatabase:
             if self._hamming is not None:
                 self._hamming.update(oid, self._sketcher.sketch(arr))
             self._engine.replace(oid, arr, centroid)
-            with span("db.mutate", op="update"):
-                self._stage(oid, "update")
             self._bump("update")
 
     def compact(self) -> None:
-        """Re-pack the core from the live set and rebuild the sketch tier.
+        """Rebuild the sketch tier from the stored sets.
 
-        Results are guaranteed unchanged — canonical tie-breaking makes
-        query answers independent of when the core was packed — and
-        tests use the compacted database as the fresh reference the
-        maintained one must match byte-for-byte.
+        Results are guaranteed unchanged, and the rebuilt tier must be
+        byte-identical to the incrementally maintained one (the
+        differential harness compares digests).
         """
         self._check_open()
         with self._lock.write(timeout=self.lock_timeout):
@@ -830,12 +653,7 @@ class SimilarityDatabase:
 
     def _compact_locked(self) -> None:
         with span("db.compact", objects=len(self), force=True):
-            if self.backend == "xtree":
-                self._repack()
             if self._sketcher is not None:
-                # Rebuild the sketch tier the same way — the result must
-                # be byte-identical to the incrementally maintained one
-                # (the differential harness compares digests).
                 self._hamming = self._sketched()
 
     def _sketched(self) -> HammingIndex:
@@ -877,17 +695,13 @@ class SimilarityDatabase:
         if self._engine is None:
             return self._empty_result()
         with self._query_context("exact"):
-            return self._engine.knn_query(
-                arr, n_neighbors, centroid_ranker=self._ranker()
-            )
+            return self._engine.knn_query(arr, n_neighbors)
 
     def _range_locked(self, arr, epsilon: float):
         if self._engine is None:
             return self._empty_result()
         with self._query_context("exact"):
-            return self._engine.range_query(
-                arr, epsilon, centroid_ranker=self._ranker()
-            )
+            return self._engine.range_query(arr, epsilon)
 
     def _approx_knn_locked(self, arr, n_neighbors: int, shortlist: int | None):
         if self._engine is None:
@@ -987,14 +801,11 @@ class SimilarityDatabase:
 
     def checkpoint(self) -> Path:
         """Publish a new snapshot generation and rotate the WAL
-        (:func:`repro.db.storage.checkpoint`), under the write lock and
-        with the core re-packed if anything is staged beside it."""
+        (:func:`repro.db.storage.checkpoint`), under the write lock."""
         if not self.durable:
             raise QueryError("checkpoint() is only available with durable=True")
         self._check_open()
         with self._lock.write(timeout=self.lock_timeout):
-            if self._staged():
-                self._repack()
             return storage.checkpoint(self)
 
     @classmethod
@@ -1010,10 +821,10 @@ class SimilarityDatabase:
         """Reconstruct a database from :meth:`save` output.
 
         A snapshot *file* opens with zero rebuild work: the stored sets
-        are packed into the engine by one ragged scatter and an ``xtree``
-        core is an array core over the saved node tables (mapped
-        zero-copy from a dense file).  Layouts of a retired backend open
-        on ``xtree`` with the core packed from the stored centroids.  A
+        are packed into the engine by one ragged scatter, and an
+        ``xtree`` snapshot's node tables are validated against the stored
+        centroids and dropped.  Layouts of a retired backend open on
+        ``xtree`` without their index arrays being parsed.  A
         durable *directory* runs the recovery ladder; the result's
         :attr:`last_recovery` reports which rung served and how degraded
         the recovery was.  See :mod:`repro.db.storage`.

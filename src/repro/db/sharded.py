@@ -334,9 +334,10 @@ class ShardedSimilarityDatabase:
         self._shard_for(oid).update(oid, vectors)
 
     def compact(self, *, shards: int | None = None) -> None:
-        """Rebuild every shard index; ``shards=K'`` rebalances first.
+        """Rebuild every shard's sketch tier; ``shards=K'`` rebalances
+        first.
 
-        Compaction is the natural rebalance point: the indexes are
+        Compaction is the natural rebalance point: the sketch tiers are
         being rebuilt anyway, so redistributing to a new shard count
         costs one extra pass over the objects.
         """

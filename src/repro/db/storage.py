@@ -50,7 +50,7 @@ from repro.approx import HammingIndex, SetSketcher
 from repro.core.batch import PackedSets
 from repro.core.queries import FilterRefineEngine
 from repro.exceptions import DistanceError, IndexError_, QueryError, ReproError, StorageError
-from repro.index.arraycore import RTreeArrayCore
+from repro.index.arraycore import RTreeArrayCore, densify
 from repro.index.dense import is_dense_archive, read_dense_archive, write_dense_archive
 from repro.index.snapshot import read_archive, serialize_points, write_archive
 from repro.obs import emit, registry, span
@@ -67,7 +67,7 @@ BACKENDS = ("xtree", "scan")
 
 #: Backends that left the database.  A layout written with one still
 #: holds every set and stored centroid, so it opens on the mapped backend
-#: with the core packed from those centroids.
+#: (its index arrays are not parsed).
 _RETIRED_BACKENDS = {"mtree": "xtree", "rstar": "xtree"}
 
 #: Default number of snapshot generations (and their WAL segments) a
@@ -292,10 +292,11 @@ def read_manifest(root) -> dict:
 
 def snapshot_state(db) -> tuple[dict, dict[str, np.ndarray]]:
     """The (meta, arrays) archive form of *db* (caller holds either lock
-    side).  The index part is a pack of the live set: the core when
-    nothing is staged beside it, else a fresh pack that is written but
-    not installed (a save writes no database state); a ``scan`` database
-    writes its centroids as a flat point table."""
+    side).  The index part of an ``xtree`` database is an STR pack of the
+    stored centroids in ascending oid (:func:`densify`, a pure function of
+    the live set), written but never kept (a save writes no database
+    state); a ``scan`` database writes its centroids as a flat point
+    table."""
     engine = db._engine
     if engine is None:
         no_rows = np.empty((0, db.dimension or 0))
@@ -308,7 +309,7 @@ def snapshot_state(db) -> tuple[dict, dict[str, np.ndarray]]:
         if db.backend == "scan":
             index_meta, index_arrays = serialize_points(stored[3], stored[0])
         else:
-            core = db._pack() if db._staged() else db._core
+            core = densify(stored[3], stored[0], capacity=db.index_capacity)
             index_meta, index_arrays = core.serialized()
         arrays.update({f"index__{name}": arr for name, arr in index_arrays.items()})
     sketch_meta = None
@@ -467,37 +468,20 @@ def _from_archive(path, meta: dict, arrays: dict, **options):
     A CRC-valid payload can still be inconsistent; it is validated here,
     once, and every fault is a :class:`StorageError` naming the file and
     the meta key or arrays.  The sets are packed into the engine by one
-    ragged scatter and an ``xtree`` core becomes an array core over the
-    saved node tables (views of the caller's buffers — of the mmap, for
-    a dense snapshot), checked for shape and tree structure before a
-    query can walk them.  A ``scan`` layout's point table is not read:
-    the engine's centroid rows are what a ``scan`` database ranks.
+    ragged scatter.  An ``xtree`` layout's node tables are read here and
+    nowhere else (:func:`_check_index_tables`), then dropped: the
+    engine's centroid rows are what every database ranks.  A ``scan``
+    layout's point table is not read.
     """
     _snapshot_meta(path, meta)
     db = _empty_database(path, "snapshot", meta, sketch_key="sketch_enabled", **options)
     _set_dimension(path, db, meta["dimension"])
     oids, offsets, rows, centroids = _set_columns(path, arrays)
     _fill_engine(path, db, oids, np.diff(offsets), rows, centroids)
-    if db.backend == "xtree" and db._engine is not None:
-        if meta["index_meta"] is None or db.backend != meta["backend"]:
-            # A retired backend's index arrays are never parsed: the core
-            # is packed from the stored centroids.
-            db._core = db._pack()
-        else:
-            tables = {
-                name[len("index__") :]: arr
-                for name, arr in arrays.items()
-                if name.startswith("index__")
-            }
-            try:
-                db._core = RTreeArrayCore(meta["index_meta"], tables)
-                db._core.check_invariants()
-            except IndexError_ as exc:
-                raise _malformed(path, f"index tables: {exc}") from exc
-            if db._core.dimension != db.dimension:
-                raise _malformed(
-                    path, f"index tables: {db._core.dimension}-d, the sets {db.dimension}-d"
-                )
+    index_meta = meta["index_meta"]
+    # A retired backend's index arrays are never parsed.
+    if db._engine is not None and meta["backend"] == "xtree" and index_meta is not None:
+        _check_index_tables(path, index_meta, arrays, oids, centroids)
     try:
         _restore_sketches(db, meta, arrays)
     except (KeyError, TypeError, ValueError, QueryError) as exc:
@@ -509,6 +493,48 @@ def _from_archive(path, meta: dict, arrays: dict, **options):
             raise _malformed(path, f"payloads: {exc}") from exc
     db._version = meta["db_version"]
     return db
+
+
+def _check_index_tables(path, index_meta, arrays, oids, centroids) -> None:
+    """The node tables of an ``xtree`` snapshot, checked for shape and tree
+    structure (:class:`RTreeArrayCore`) and, bit for bit, for one leaf
+    entry per stored object whose box is the point of its stored
+    centroid — a key off its centroid would rank the object wrongly in
+    any reader of the tables.  *centroids* are row-aligned with *oids*."""
+    tables = {
+        name[len("index__") :]: arr
+        for name, arr in arrays.items()
+        if name.startswith("index__")
+    }
+    try:
+        core = RTreeArrayCore(index_meta, tables)
+        core.check_invariants()
+    except IndexError_ as exc:
+        raise _malformed(path, f"index tables: {exc}") from exc
+    if core.dimension != centroids.shape[1]:
+        raise _malformed(
+            path, f"index tables: {core.dimension}-d, the sets {centroids.shape[1]}-d"
+        )
+    leaf_oids, lowers, uppers = core.leaf_entries()
+    order, stored = np.argsort(leaf_oids), np.argsort(oids)
+    oids = oids[stored]
+    if not np.array_equal(leaf_oids[order], oids):
+        raise _malformed(
+            path,
+            f"index tables: {len(leaf_oids)} leaf ids that are not the "
+            f"{len(oids)} stored ones",
+        )
+    # Bit for bit: compare the floats' bytes, not their values.
+    keys = np.ascontiguousarray(centroids[stored], dtype=np.float64).view(np.int64)
+    wrong = (lowers[order].view(np.int64) != keys).any(axis=1) | (
+        uppers[order].view(np.int64) != keys
+    ).any(axis=1)
+    if wrong.any():
+        raise _malformed(
+            path,
+            f"index tables: index key of object {oids[wrong.argmax()]} is not "
+            "its stored centroid",
+        )
 
 
 def _restore_sketches(db, meta: dict, arrays: dict) -> None:
@@ -910,9 +936,9 @@ def open_shards_as_one(paths):
     Every file is read with the integrity checks of :func:`open_snapshot`,
     and a shard whose settings (:data:`_SHARD_SETTINGS`) disagree with the
     shards before it is refused with a :class:`StorageError` naming it.
-    The set columns and centroids are concatenated in ascending oid and
-    the core packed once, so the result ranks and refines like one
-    database holding every object.  It has no sketch tier and no payloads.
+    The set columns and centroids are concatenated in ascending oid, so
+    the result ranks and refines like one database holding every object.
+    It has no sketch tier and no payloads.
     """
     root = Path(paths[0]).parent
     with span("db.sharded.open_as_one", force=True, shards=len(paths)) as sp:
@@ -941,8 +967,6 @@ def open_shards_as_one(paths):
             # A stable sort on each row's oid keeps every set's rows in order.
             rows = rows[np.argsort(np.repeat(oids, sizes), kind="stable")]
             _fill_engine(root, db, oids[order], sizes[order], rows, centroids[order])
-        if db.backend == "xtree":
-            db._core = db._pack()
         db._version = version
         sp.set(objects=len(db))
     emit("db.snapshot", op="load", objects=len(db), path=str(root), shards=len(paths))

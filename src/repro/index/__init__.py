@@ -6,9 +6,9 @@ under an explicit I/O cost model (8 ms per page access, 200 ns per byte
 read, Section 5.4).  This subpackage provides those pieces:
 
 * :mod:`repro.index.pages` — the page manager and cost model,
-* :mod:`repro.index.arraycore` — the immutable array core the database
-  ranks with, and :func:`~repro.index.arraycore.densify`, the STR pack
-  that builds one,
+* :mod:`repro.index.arraycore` — the immutable array core, and
+  :func:`~repro.index.arraycore.densify`, the STR pack that builds one
+  (the index every ``xtree`` database snapshot carries),
 * :mod:`repro.index.rstar` — an R*-tree (insert-only),
 * :mod:`repro.index.xtree` — the X-tree (R*-tree with supernodes), the
   incrementally built index of Table 2's rows,

@@ -2,12 +2,14 @@
 
 Walking a pointer tree's Python object graph node by node dominates
 query time once the matching kernels are batched, and maintaining one
-under every write costs more than packing a fresh one.  The database
-therefore ranks with an *immutable* :class:`RTreeArrayCore`: BFS node
-tables with entry offsets, MBR lower/upper blocks and leaf oid blocks,
-written once by :func:`densify` — an STR pack tiled straight into those
-tables — or opened as views over a snapshot's arrays, and never written
-again.  The query hot path runs over contiguous numpy arrays: the
+under every write costs more than packing a fresh one.  Table 2, the
+ablations and the tests therefore rank with an *immutable*
+:class:`RTreeArrayCore`: BFS node tables with entry offsets, MBR
+lower/upper blocks and leaf oid blocks, written once by :func:`densify`
+— an STR pack tiled straight into those tables, the index every
+``xtree`` database snapshot carries — or opened as views over a
+snapshot's arrays (a database opens them only to validate them), and
+never written again.  The query hot path runs over contiguous numpy arrays: the
 lower-bound distances (MBR mindist) of a whole node's entry block are
 one vectorized call, and a flat best-first loop buffers leaf objects in
 arrays and emits them in canonical ``(distance, oid)`` order in chunks.

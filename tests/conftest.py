@@ -184,8 +184,8 @@ def assert_engine_is_fresh(db):
 
 def freshly_packed(db):
     """A database holding *db*'s objects, built from scratch in ascending
-    oid and packed (``compact``): no delta, no tombstones — the reference
-    a maintained core plus delta must answer like."""
+    oid and compacted — the reference a maintained database must answer
+    like."""
     from repro.db import SimilarityDatabase
 
     fresh = SimilarityDatabase(

@@ -159,9 +159,6 @@ def test_dense_load_is_zero_copy(tmp_path):
     assert len(bases) == 1
 
     loaded = SimilarityDatabase.load(dense_path)
-    # Zero tree rebuild: the core is an array core over the mapped
-    # tables, not a pack.
-    assert isinstance(loaded._core, RTreeArrayCore)
     assert loaded.knn_query(query, 5)[0] == want
     assert SimilarityDatabase.load(npz_path).knn_query(query, 5)[0] == want
 

@@ -11,7 +11,8 @@ from repro.core.min_matching import min_matching_distance
 from repro.core.queries import FilterRefineEngine, QueryMatch
 from repro.core.vector_set import VectorSet
 from repro.exceptions import DistanceError, QueryError
-from tests.conftest import random_vector_sets
+from repro.index.arraycore import densify
+from tests.conftest import random_vector_sets, ranked
 
 
 @pytest.fixture
@@ -99,6 +100,117 @@ def test_assignment_bound_never_exceeds_the_computed_distance(
         assert np.array_equal(exacts, match_many(prepared, packed, rows[part]))
         assert np.array_equal(assignment_bounds(costs[part]), bounds[part])
         assert (bounds[part] <= exacts).all(), (bounds[part] - exacts).max()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda eng, query: eng.knn_query(query, 3),
+        lambda eng, query: eng.range_query(query, 5.0),
+        lambda eng, query: eng.knn_sequential(query, 3),
+        lambda eng, query: eng.knn_refine_subset(query, 3, [0, 1, 2]),
+    ],
+    ids=["knn", "range", "sequential", "refine-subset"],
+)
+def test_a_non_finite_query_fails_typed(engine, rng, call, bad):
+    """A NaN or infinite query is refused before a centroid is ranked or
+    a cost matrix built: a NaN centroid distance compares false against
+    every radius, so the cascade would otherwise answer ``[]``."""
+    eng, _ = engine
+    query = rng.normal(size=(3, 6))
+    query[1, 2] = bad
+    with pytest.raises(QueryError, match="finite"):
+        call(eng, query)
+
+
+def reference_windows(pairs, capacity, windows):
+    """The windows a candidate stream ranked as *pairs* (``(oid, distance)``
+    in ascending order) yields for a sequence of ``(limit, radius)``
+    requests, one candidate at a time, and its ``ranked`` count after
+    them: the longest prefix of at most *limit* whose centroid bounds do
+    not exceed *radius*; a candidate left past the radius before the
+    limit counts as examined until a later window takes one."""
+    start, rejected, out = 0, False, []
+    for limit, radius in windows:
+        end = start
+        while (
+            end < len(pairs)
+            and end - start < limit
+            and capacity * pairs[end][1] <= radius
+        ):
+            end += 1
+        if end > start:
+            rejected = False
+        rejected |= end - start < limit and end < len(pairs)
+        out.append(pairs[start:end])
+        start = end
+    return out, start + rejected
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 500),
+    dim=st.integers(1, 8),
+    style=st.sampled_from(["grid", "coarse", "float", "one point"]),
+    capacity=st.integers(1, 5),
+    data=st.data(),
+)
+def test_the_column_cut_is_the_packed_ranking(seed, n, dim, style, capacity, data):
+    """Windows cut from the centroid column, concatenated, are a fresh
+    STR pack's ``ranking_chunks`` bit for bit — oids, order and
+    distances — and ``ranked`` counts what the one-at-a-time stream
+    would have examined, for any sequence of windows.  Duplicate
+    centroids and equal distances tie by oid; a radius drawn from the
+    bounds themselves lands exactly on a tie."""
+    rng = np.random.default_rng(seed)
+    if style == "grid":
+        points = rng.integers(-3, 4, size=(n, dim)).astype(float)
+    elif style == "coarse":
+        points = rng.integers(-1, 2, size=(n, dim)) * 0.1
+    elif style == "float":
+        points = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4)
+    else:
+        points = np.repeat(rng.normal(size=(1, dim)), n, axis=0)
+    oids = rng.choice(np.arange(-n, 3 * n), size=n, replace=False)
+    eng = FilterRefineEngine(
+        [p[None, :] for p in points], capacity=capacity, oids=oids, centroids=points
+    )
+    center = points[rng.integers(n)] + rng.integers(-1, 2, size=dim) * 0.5
+    want = ranked(densify(points, oids, capacity=4), center)
+    bounds = [capacity * dist for _, dist in want]
+    # The cascade's first window: a partition of the whole column.
+    windows = [(data.draw(st.integers(1, n), label="first limit"), np.inf)]
+    windows += data.draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(1, n + 2), st.just(np.inf)),
+                st.one_of(
+                    st.just(np.inf),
+                    st.floats(0, 50, allow_nan=False),
+                    st.sampled_from(bounds),
+                ),
+            ),
+            max_size=8,
+        ),
+        label="windows",
+    )
+    # A cascade's later window: everything within a radius that lands on
+    # a bound, usually leaving a candidate past it.
+    windows.append((np.inf, data.draw(st.sampled_from(bounds), label="last radius")))
+    stream = eng._candidates(center)
+    got = []
+    for limit, radius in windows:
+        rows, window_bounds = stream.take(limit, radius)
+        assert window_bounds.tolist() == [capacity * d for d in stream._dists[rows]]
+        got.append(list(zip(eng.oids[rows].tolist(), stream._dists[rows].tolist())))
+    expected, examined = reference_windows(want, capacity, windows)
+    assert got == expected
+    assert stream.ranked == examined
+    rows, _ = stream.take(np.inf, np.inf)
+    tail = list(zip(eng.oids[rows].tolist(), stream._dists[rows].tolist()))
+    assert [pair for window in got for pair in window] + tail == want
 
 
 class TestKnn:
@@ -250,20 +362,30 @@ class TestBlockedRefinement:
 
     @pytest.mark.parametrize("chunk", [1, 2, 5, 33])
     def test_stats_do_not_depend_on_chunking(self, engine, rng, chunk):
-        """Windows are cut from the candidate stream, never from the
-        ranker's chunks."""
+        """Windows are cut from the centroid column, so a stream taken in
+        windows of *chunk* candidates yields the pack's ranking, with the
+        same bounds and the same ``ranked`` count as one taken at once —
+        with no radius and with one that ends the stream early."""
         eng, _ = engine
-
-        def ranker(center):
-            (oids, dists), = eng._scan_chunks(center)
-            for start in range(0, len(oids), chunk):
-                yield oids[start : start + chunk], dists[start : start + chunk]
-
         for _ in range(3):
             query = rng.normal(size=(rng.integers(1, 8), 6))
-            for k in (1, 10, 50):
-                assert eng.knn_query(query, k, ranker) == eng.knn_query(query, k)
-            assert eng.range_query(query, 5.0, ranker) == eng.range_query(query, 5.0)
+            center = extended_centroid(query, eng.capacity, eng.omega)
+            want = ranked(densify(eng.centroids, eng.oids, capacity=4), center)
+            for radius in (np.inf, eng.capacity * want[len(want) // 2][1]):
+                within = [pair for pair in want if eng.capacity * pair[1] <= radius]
+                whole = eng._candidates(center)
+                whole.take(np.inf, radius)
+                stream, got = eng._candidates(center), []
+                while True:
+                    rows, bounds = stream.take(chunk, radius)
+                    dists = stream._dists[rows]
+                    assert bounds.tolist() == [eng.capacity * d for d in dists]
+                    got += zip(eng.oids[rows].tolist(), dists.tolist())
+                    if len(rows) < chunk:
+                        break
+                assert got == within
+                assert stream.ranked == whole.ranked
+                assert stream.ranked == len(within) + (len(within) < len(want))
 
     def test_matches_per_pair_refinement(self, engine, rng):
         """The batched engine agrees with a brute-force scan of the
@@ -310,40 +432,29 @@ class TestConstruction:
         assert results[0].object_id == 0
 
     def test_custom_ranker_is_used(self, engine, rng):
-        """A chunk source that yields in ascending centroid order must
-        give the same results and stats as the built-in scan — however
-        it cuts the ranking into chunks."""
+        """The ranker is the engine's centroid column, and a column the
+        caller supplies (``centroids=``, as an opened database passes its
+        stored centroids) is the one ranked: the computed column handed
+        back answers with the same results and stats, and a column with
+        one row moved onto the query's centroid ranks that row first."""
         eng, sets = engine
         query = rng.normal(size=(3, 6))
-        calls = []
-
-        def ranker(center):
-            calls.append(center)
-            dists = np.linalg.norm(eng.centroids - center, axis=1)
-            order = np.argsort(dists, kind="stable")
-            for start in range(0, len(order), 7):
-                part = order[start : start + 7]
-                yield part, dists[part]
-
-        without, plain_stats = eng.knn_query(query, 5)
-        with_ranker, stats = eng.knn_query(query, 5, centroid_ranker=ranker)
-        assert with_ranker == without
-        assert stats == plain_stats
-        in_range, range_stats = eng.range_query(query, 9.0, centroid_ranker=ranker)
-        assert (in_range, range_stats) == eng.range_query(query, 9.0)
-        assert len(calls) == 2
+        given = FilterRefineEngine(sets, capacity=7, centroids=eng.centroids)
+        assert given.knn_query(query, 5) == eng.knn_query(query, 5)
+        assert given.range_query(query, 9.0) == eng.range_query(query, 9.0)
+        center = extended_centroid(query, eng.capacity, eng.omega)
+        moved = eng.centroids.copy()
+        moved[17] = center
+        stream = FilterRefineEngine(sets, capacity=7, centroids=moved)._candidates(
+            center
+        )
+        rows, bounds = stream.take(1, np.inf)
+        assert eng.oids[rows].tolist() == [17]
+        assert bounds.tolist() == [0.0]
 
     def test_unknown_oid_chunk_rejected(self, engine, rng):
         eng, sets = engine
         query = rng.normal(size=(3, 6))
-
-        def ranker(center):
-            yield np.array([3, len(sets) + 5]), np.array([0.0, 0.1])
-
-        with pytest.raises(QueryError, match=f"unknown object id {len(sets) + 5}"):
-            eng.knn_query(query, 5, centroid_ranker=ranker)
-        with pytest.raises(QueryError, match="unknown object id"):
-            eng.range_query(query, 1e9, centroid_ranker=ranker)
         with pytest.raises(QueryError, match="unknown object id -1"):
             eng.knn_refine_subset(query, 5, [0, -1])
 
@@ -497,8 +608,6 @@ class TestMaintainedInPlace:
         same = np.ones((1, 2))
         engine = FilterRefineEngine([same] * 6, capacity=1, oids=[60, 10, 50, 20, 40, 30])
         engine.remove(60)  # row 0 now holds oid 30
-        (oids, dists), = engine._scan_chunks(np.ones(2))
-        assert oids.tolist() == [10, 20, 30, 40, 50]
         results, stats = engine.knn_query(same, 2)
         assert [m.object_id for m in results] == [10, 20]
         fresh = FilterRefineEngine([same] * 5, capacity=1, oids=[10, 20, 30, 40, 50])

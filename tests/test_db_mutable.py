@@ -3,8 +3,8 @@
 The two headline guarantees from the issue:
 
 * after ANY interleaved add/remove/update workload, a k-nn query
-  against the packed core plus its delta returns *byte-identical*
-  results to a freshly packed index;
+  against the maintained database returns *byte-identical* results to
+  a freshly built one;
 * a snapshot saved, reloaded in a NEW PROCESS, and queried returns the
   same results with ZERO rebuild work (no ``insert`` and no pack runs
   on load — asserted by monkeypatching, and by ``index_digest``
@@ -24,7 +24,7 @@ import pytest
 from contextlib import contextmanager
 
 from repro import obs
-from repro.db import core as db_core
+from repro.db import storage
 from repro.db import (
     BACKENDS,
     DB_FORMAT,
@@ -95,26 +95,6 @@ def flip_code_word(db, oid):
     code = db._hamming.codes[db._hamming.oids.tolist().index(oid)].copy()
     code[0] ^= np.uint64(1)
     db._hamming.update(oid, code)
-
-
-def drop_from_index(db, oid):
-    """Make the index lose *oid*: unstage it, or tombstone its core entry."""
-    if oid in db._delta:
-        db._delta = np.setdiff1d(db._delta, [oid])
-    else:
-        db._tombstones = np.union1d(db._tombstones, [oid])
-
-
-def move_core_key(db, oid):
-    """Move the core's leaf point of *oid* onto a sibling's in the same
-    leaf: the node tables stay structurally sound, only the key is wrong."""
-    db.compact()  # *oid* is a live core entry now
-    core = db._core
-    at = int(np.flatnonzero(core._entry_is_obj & (core._payloads == oid))[0])
-    node = int(np.searchsorted(core._offsets, at, "right")) - 1
-    sibling = core._offsets[node] + (at == core._offsets[node])
-    core._lowers[at] = core._lowers[sibling]
-    core._uppers[at] = core._uppers[sibling]
 
 
 def shift_centroid(db, oid):
@@ -364,13 +344,12 @@ class TestEngineInvalidation:
         fresh = make()
         for oid in sorted(contents):
             fresh.add(oid, contents[oid])
-        fresh.compact()  # a freshly packed core with nothing staged beside it
+        fresh.compact()
         assert [(results_tuple(r), s) for r, s in answers(db)] == [
             (results_tuple(r), s) for r, s in answers(fresh)
         ]
-        # Packed, the churned database's wide events (page counts
-        # included) are the fresh pack's; its engines stay as churned.
-        db.compact()
+        # The churned database's wide events are the fresh one's (no
+        # compaction between); its engines stay as churned.
 
         def observed(target, name):
             trace = tmp_path / f"{name}.jsonl"
@@ -433,28 +412,23 @@ class TestCheckInvariants:
         "tamper, message",
         [
             (shift_centroid, "stored centroid of object"),
-            (drop_from_index, "index holds"),
             (lambda db, oid: db._hamming.remove(oid), "sketch tier"),
             (flip_code_word, "sketch code of object"),
-            (lambda db, oid: db._engine.remove(oid), "index holds"),
+            (lambda db, oid: db._engine.remove(oid), "sketch tier"),
             (lambda db, oid: engine_row(db, oid)[0].__setitem__((-1, 0), 5.0),
              "padded tail of object"),
             (lambda db, oid: engine_row(db, oid)[1].__setitem__(0, -1.0),
              "squared norms of object"),
             (lambda db, oid: db._engine._row_of.__setitem__(
                 oid, (db._engine._row_of[oid] + 1) % len(db)), "not a bijection"),
-            (move_core_key, "index key of object"),
-            (lambda db, oid: setattr(
-                db, "_tombstones", np.union1d(db._tombstones, [10**9])),
-             "tombstone names no entry"),
         ],
-        ids=["centroid", "index", "sketch", "sketch-code", "engine-ids",
-             "engine-row", "sq-norm", "row-map", "index-key", "tombstone"],
+        ids=["centroid", "sketch", "sketch-code", "engine-ids",
+             "engine-row", "sq-norm", "row-map"],
     )
     def test_names_the_first_disagreement(self, rng, tamper, message):
         """The faults that can still occur with one copy of every object:
-        the engine's buffers against each other, and the index (its ids
-        and its keys) and the sketch tier against the engine's rows."""
+        the engine's buffers against each other, and the sketch tier
+        against the engine's rows."""
         db = self.make(rng)
         db.update(db.object_ids()[2], np.ones((1, DIM)))  # a row with a padded tail
         tamper(db, db.object_ids()[2])
@@ -489,8 +463,9 @@ class TestCheckInvariants:
     @pytest.mark.parametrize("dense", [False, True], ids=["npz", "dense"])
     def test_verify_rejects_an_index_key_off_its_centroid(self, rng, tmp_path, dense):
         """The CRCs are valid and the node tables sound; object 50's leaf
-        point sits on a sibling's, so a 1-nn query with its own set would
-        answer the sibling.  Only the keys-against-centroids check sees it."""
+        point sits on a sibling's, so a 1-nn query over the tables with its
+        own set would answer the sibling.  Only the keys-against-centroids
+        check of the open sees it."""
         from repro.cli import main
 
         db = SimilarityDatabase(CAPACITY, backend="xtree")
@@ -511,9 +486,31 @@ class TestCheckInvariants:
                 arrays[name][at] = arrays[name][sibling]
 
         restamp_layout(path, onto_a_sibling, lambda payload: None)
-        opened = open_database(path)
-        with pytest.raises(InvariantError, match="index key of object 50"):
-            opened.check_invariants()
+        with pytest.raises(StorageError, match="index key of object 50"):
+            open_database(path)
+        assert main(["db", "verify", str(path)]) == 1
+
+    def test_open_rejects_index_leaves_that_are_not_the_stored_ids(self, rng, tmp_path):
+        """Sound node tables whose leaf entry for object 50 names an
+        object that is not stored: the open refuses them, typed."""
+        from repro.cli import main
+
+        db = SimilarityDatabase(CAPACITY, backend="xtree")
+        for oid in range(200):
+            db.add(oid, rand_set(rng))
+        path = tmp_path / "db"
+        db.save(path)
+
+        def renamed(meta, arrays):
+            offsets = arrays["index__entry_offsets"]
+            in_leaf = np.repeat(arrays["index__node_level"] == 0, np.diff(offsets))
+            payloads = arrays["index__entry_payloads"].copy()
+            payloads[in_leaf & (payloads == 50)] = 10**6
+            arrays["index__entry_payloads"] = payloads
+
+        restamp_layout(path, renamed, lambda payload: None)
+        with pytest.raises(StorageError, match="leaf ids that are not the 200 stored"):
+            open_database(path)
         assert main(["db", "verify", str(path)]) == 1
 
     @pytest.mark.parametrize("layout", ["plain", "2-shard"])
@@ -759,7 +756,7 @@ class TestSnapshotAcceptance:
 
         for cls in (RStarTree, XTree):
             monkeypatch.setattr(cls, "insert", boom)
-        monkeypatch.setattr(db_core, "densify", boom)
+        monkeypatch.setattr(storage, "densify", boom)
         loaded = SimilarityDatabase.load(path)
         assert loaded.index_digest() == digest
         assert loaded.version == db.version
@@ -842,9 +839,9 @@ print(json.dumps({
     def test_retired_backend_layout_opens_on_xtree(self, kind, rng, tmp_path):
         """A layout written with a retired backend holds every set and
         stored centroid; only its index arrays are M-tree or R*-tree
-        shaped.  It opens as an X-tree database whose core is packed from
-        the centroids — those arrays are never parsed — and answers
-        literally like a fresh build."""
+        shaped.  It opens as an X-tree database ranking the stored
+        centroids — those arrays are never parsed — and answers literally
+        like a fresh build."""
 
         def as_written_by_the_mtree_backend(meta, arrays):
             meta["backend"] = "mtree"
@@ -1047,20 +1044,29 @@ class TestOneCopyStore:
             ):
                 assert results_tuple(got[0]) == results_tuple(want[0])
                 assert got[1] == want[1]
+        # Written back, every array is the parent's but the index tables:
+        # every save writes a pack of the live set, as a fresh build's does.
         opened.save(tmp_path / "again.snap")
+        fresh.save(tmp_path / "fresh.snap")
         again_meta, again = read_snapshot(tmp_path / "again.snap")
+        packed_meta, packed = read_snapshot(tmp_path / "fresh.snap")
         assert is_dense_archive(tmp_path / "again.snap") == dense
-        assert_same_arrays(again, arrays)
+        assert_same_arrays(
+            again,
+            {name: (packed if name.startswith("index__") else arrays)[name]
+             for name in arrays},
+        )
+        meta["index_meta"] = packed_meta["index_meta"]
         assert {k: again_meta[k] for k in meta} == meta
 
     @pytest.mark.parametrize("kind", ["npz", "dense", "durable", "sharded"])
     def test_open_and_first_queries_build_no_tree(
         self, kind, rng, tmp_path, monkeypatch
     ):
-        """Every layout opens on array cores over the saved node tables:
-        no pointer tree is built, inserted into, packed or flattened by
-        the open or by a query.  Mutations never insert into a pointer
-        tree either; they stage, and pack only as the re-pack rule says."""
+        """Every layout opens without building, inserting into or packing a
+        tree: the saved node tables are validated and dropped, and a
+        query ranks the engine's centroid rows.  Mutations never insert
+        into a pointer tree either."""
         path = tmp_path / "db"
         if kind == "durable":
             db = SimilarityDatabase(
@@ -1098,16 +1104,13 @@ class TestOneCopyStore:
 
         monkeypatch.setattr(RStarTree, "insert", boom)  # XTree inherits
         with monkeypatch.context() as patched:
-            patched.setattr(db_core, "densify", boom)
+            patched.setattr(storage, "densify", boom)
             opened = open_database(path)
             assert answers(opened) == want
         parts = getattr(opened, "shards", [opened])
         for oid in (900, 901, 902, 903):
             opened.add(oid, rand_set(rng))
             opened.knn_query(queries[0], 3)
-            for part in parts:
-                staged = len(part._delta) + len(part._tombstones)
-                assert staged <= db_core.REPACK_SHARE * part._core.size
         for part in parts:
             part.check_invariants()
         opened.close()

@@ -1,27 +1,24 @@
-"""Stateful differential testing of the database's index: a packed core
-plus a delta against a fresh pack and brute force.
+"""Stateful differential testing of the database's filter step: the
+ranking of a maintained database against a fresh build and brute force.
 
 A hypothesis rule machine interleaves add, remove, update, compact and
-save-reload steps on an ``xtree`` database (node capacity 4, so a
-handful of objects already spans several nodes and the re-pack rule is
-crossed in both directions: steps that stage objects beside the core
-and steps that re-pack it) and on a ``scan`` database, and after every
-step requires of each:
+save-reload steps on an ``xtree`` database (node capacity 4, so the
+pack every snapshot writes spans several nodes, and the open validates
+it against the stored centroids) and on a ``scan`` database, and after
+every step requires of each:
 
 * k-nn and range answers *and* ``QueryStats`` literally equal to a
-  freshly packed database of the same objects, and to brute force;
-* ``check_invariants()`` — core structurally sound, tombstones naming
-  core entries, core minus tombstones plus delta equal to the stored
-  ids, every core key its object's stored centroid, engine equal to a
-  from-scratch build;
+  freshly built database of the same objects, and to brute force;
+* ``check_invariants()`` — engine equal to a from-scratch build;
 * queries that leave every attribute of the database the very object
   it was (no query writes state, not even a cache).
 
 Integer coordinates make every distance exactly representable and ties
 common (the coordinate range is small), so equality is literal, and the
-canonical ``(distance, oid)`` order is exercised across the merge of
-core and delta.  Every object is a one-vector set of capacity 1, so the
-matching distance *is* the Euclidean one and brute force is a sort.
+canonical ``(distance, oid)`` order is exercised across rows that
+removals have moved.  Every object is a one-vector set of capacity 1,
+so the matching distance *is* the Euclidean one and brute force is a
+sort.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from hypothesis.stateful import (
 )
 
 from repro.db import BACKENDS, SimilarityDatabase
-from repro.db.core import REPACK_SHARE
 from tests.conftest import (
     assert_answers_like_a_fresh_pack,
     assert_engine_is_fresh,
@@ -126,14 +122,11 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
     @rule()
     def compact(self):
         self._each(lambda db: db.compact())
-        for db in self.dbs:
-            assert not len(db._delta) and not len(db._tombstones)
 
     @rule(dense=st.booleans())
     def save_reload(self, dense):
-        """The snapshot holds a pack of the live set (written, not
-        installed: the save is a read), and the reopened database serves
-        it with nothing staged."""
+        """The snapshot holds a pack of the live set (written, not kept:
+        the save is a read), and the reopened database ranks alike."""
         with tempfile.TemporaryDirectory() as tmp:
             reopened = []
             for position, db in enumerate(self.dbs):
@@ -142,7 +135,6 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
                 reopened.append(SimilarityDatabase.load(path))
             for db, again in zip(self.dbs, reopened):
                 assert again.index_digest() == db.index_digest()
-                assert not len(again._delta) and not len(again._tombstones)
             self.dbs = reopened
             for db in self.dbs:
                 check(db, self.model)
@@ -180,15 +172,6 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
         for db in self.dbs:
             assert len(db) == len(self.model), db.backend
 
-    @invariant()
-    def staged_within_the_rule(self):
-        for db in self.dbs:
-            staged = len(db._delta) + len(db._tombstones)
-            if db._core is None:
-                assert staged == 0
-            else:
-                assert staged <= REPACK_SHARE * db._core.size
-
 
 TestIndexDifferential = IndexDifferentialMachine.TestCase
 
@@ -197,17 +180,14 @@ TestIndexDifferential = IndexDifferentialMachine.TestCase
 def test_bulk_churn_differential(seed):
     """A dense non-hypothesis workload beyond the stateful budget:
     hundreds of interleaved adds, removes and updates on both backends,
-    checked every few steps, crossing the re-pack rule both ways."""
+    checked every few steps."""
     rng = np.random.default_rng(seed)
     dbs = [
         SimilarityDatabase(1, backend=backend, index_capacity=4, sketch=False)
         for backend in BACKENDS
     ]
-    xtree = dbs[BACKENDS.index("xtree")]
     model: dict[int, tuple] = {}
-    staged_steps = packs = 0
     for step in range(300):
-        core = xtree._core
         point = tuple(rng.integers(-6, 7, size=DIMENSION).tolist())
         if model and step % 3 == 2:
             victim = int(rng.choice(sorted(model)))
@@ -223,21 +203,17 @@ def test_bulk_churn_differential(seed):
             model[step] = point
             for db in dbs:
                 db.add(step, np.asarray([point], dtype=float))
-        packs += xtree._core is not core
-        staged_steps += bool(len(xtree._delta) or len(xtree._tombstones))
         if step % 17 == 0:
             for db in dbs:
                 check(db, model)
     for db in dbs:
         check(db, model)
-    # Both directions of the re-pack rule were taken, many times.
-    assert packs > 10 and staged_steps > 100
 
 
 def test_equal_centroids_split_across_core_and_delta():
-    """Objects at one point live both in the core and in the delta (and
-    one core entry is tombstoned): the ties come out by ascending oid
-    across the merge, exactly as a fresh pack ranks them."""
+    """Objects at one point, added before and after a compaction (and one
+    updated onto it in place): the ties come out by ascending oid,
+    exactly as a fresh build ranks them."""
     db = SimilarityDatabase(1, backend="xtree", index_capacity=4, sketch=False)
     tie = np.array([[1.0, 1.0, 1.0]])
     rng = np.random.default_rng(7)
@@ -245,11 +221,9 @@ def test_equal_centroids_split_across_core_and_delta():
         at_tie = oid % 4 == 2
         db.add(oid, tie if at_tie else rng.integers(-9, 10, size=(1, 3)).astype(float))
     db.compact()
-    assert 4 <= REPACK_SHARE * db._core.size, "room to stage four entries"
-    db.add(3, tie)  # before every core tie
-    db.update(50, tie)  # 50 was a tie already: core entry tombstoned, restaged
-    db.add(61, tie)  # between core ties
-    assert list(db._delta) == [3, 50, 61] and list(db._tombstones) == [50]
+    db.add(3, tie)  # before every earlier tie
+    db.update(50, tie)  # 50 was a tie already: rewritten in its row
+    db.add(61, tie)  # between earlier ties
     want = sorted([3, 61] + [oid for oid in range(10, 138, 2) if oid % 4 == 2])
     got, _ = reads_only(db, lambda target: target.knn_query(tie, len(want)))
     assert [m.object_id for m in got] == want
@@ -261,15 +235,14 @@ def test_equal_centroids_split_across_core_and_delta():
 
 
 def test_a_query_writes_no_state(tmp_path):
-    """Neither a ranking over core plus delta nor a save under the read
-    lock replaces any attribute of the database."""
+    """Neither a ranking of the mutated database nor a save under the
+    read lock replaces any attribute of the database."""
     db = SimilarityDatabase(1, backend="xtree", index_capacity=4)
     for oid in range(64):
         db.add(oid, np.array([[oid % 7, oid % 5, oid % 3]], dtype=float))
     db.compact()
     db.remove(3)
     db.update(4, np.zeros((1, 3)))
-    assert len(db._delta) and len(db._tombstones)
     probe = np.ones((1, 3))
     for call in (
         lambda target: target.knn_query(probe, 6),
