@@ -98,8 +98,6 @@ def _add_obs_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    from repro.db import BACKENDS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Similarity search on voxelized CAD objects (SIGMOD 2003 reproduction)",
@@ -184,17 +182,10 @@ def _build_parser() -> argparse.ArgumentParser:
     db_init.add_argument("--covers", type=int, default=7)
     db_init.add_argument("--resolution", type=int, default=15)
     db_init.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="xtree",
-        help="the index tables a snapshot carries: an STR-packed X-tree over "
-        "the centroids, or a flat point table; both rank alike (default: xtree)",
-    )
-    db_init.add_argument(
         "--dense",
         action="store_true",
         help="write the flat mmap-able snapshot container instead of .npz: "
-        "`load` maps node tables and sketch codes zero-copy (not with --durable)",
+        "`load` maps the sketch codes zero-copy (not with --durable)",
     )
     db_init.add_argument(
         "--durable",
@@ -511,7 +502,6 @@ def cmd_db(args) -> int:
             db = ShardedSimilarityDatabase(
                 args.covers,
                 shards=args.shards,
-                backend=args.backend,
                 pipeline=Pipeline(resolution=args.resolution),
                 model=VectorSetModel(k=args.covers),
                 durable=args.durable,
@@ -527,13 +517,11 @@ def cmd_db(args) -> int:
             db.close()
             print(
                 f"created {'durable ' if args.durable else ''}sharded "
-                f"{args.backend} database ({args.shards} shards) -> "
-                f"{args.database}/"
+                f"database ({args.shards} shards) -> {args.database}/"
             )
             return 0
         db = SimilarityDatabase(
             args.covers,
-            backend=args.backend,
             pipeline=Pipeline(resolution=args.resolution),
             model=VectorSetModel(k=args.covers),
             durable=args.durable,
@@ -548,13 +536,12 @@ def cmd_db(args) -> int:
             db.checkpoint()
             db.close()
             print(
-                f"created durable {args.backend} database "
-                f"(fsync={args.fsync}) -> {args.database}/"
+                f"created durable database (fsync={args.fsync}) -> {args.database}/"
             )
         else:
             db.save(args.database, dense=args.dense)
             kind = "dense " if args.dense else ""
-            print(f"created empty {kind}{args.backend} database -> {args.database}")
+            print(f"created empty {kind}database -> {args.database}")
         return 0
     if args.db_command == "verify":
         from repro.db.storage import verify
@@ -787,7 +774,6 @@ def cmd_info(args) -> int:
     families = Counter(_field(db, oid, "family") for oid in db.object_ids())
     resolution = db.pipeline.resolution if db.pipeline is not None else "-"
     print(f"objects:       {len(db)}")
-    print(f"backend:       {db.backend}")
     print(f"capacity:      {db.capacity}")
     print(f"dimension:     {db.dimension if db.dimension is not None else '-'}")
     print(f"resolution:    {resolution}")

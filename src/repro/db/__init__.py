@@ -13,7 +13,6 @@ class that wrote it.
 from repro.db.core import DatabaseView, SimilarityDatabase
 from repro.db.sharded import ShardedSimilarityDatabase, open_database, shard_of
 from repro.db.storage import (
-    BACKENDS,
     DB_FORMAT,
     DB_VERSION,
     DEFAULT_KEEP_GENERATIONS,
@@ -22,7 +21,6 @@ from repro.db.storage import (
 )
 
 __all__ = [
-    "BACKENDS",
     "DB_FORMAT",
     "DB_VERSION",
     "DEFAULT_KEEP_GENERATIONS",

@@ -4,9 +4,9 @@ The paper's architecture (Section 4.3) is static: extract features for
 the whole collection, build an X-tree over the extended centroids, and
 serve filter/refine queries.  :class:`SimilarityDatabase` makes the
 same pipeline *mutable* — objects flow through extraction → feature
-cache → centroid computation → the refinement engine's rows, the sketch
-tier and the index — without ever serving stale candidates and without
-a mutation paying for a rebuild of anything it did not touch:
+cache → centroid computation → the refinement engine's rows and the
+sketch tier — without ever serving stale candidates and without a
+mutation paying for a rebuild of anything it did not touch:
 
 * **Mutations** (``add``/``add_grid``/``remove``/``update``) take the
   write side of a :class:`repro.concurrency.RWLock`, bump a version
@@ -33,20 +33,17 @@ a mutation paying for a rebuild of anything it did not touch:
   engine's centroid rows and cuts its refine windows from it
   (:class:`~repro.core.queries.FilterRefineEngine`), in the canonical
   ``(distance, oid)`` order of a fresh STR pack — so a mutation has no
-  index of its own to maintain, and nothing is ever re-packed in
-  memory.  The pack (:func:`~repro.index.arraycore.densify`, a pure
-  function of the live set) is written by every ``xtree`` snapshot and
-  validated, key by key against the stored centroids, when one is
-  opened; a ``scan`` snapshot writes a flat point table instead.
+  index of its own to maintain, and nothing is ever packed, in memory
+  or on disk.
   :meth:`SimilarityDatabase.engine_digest`,
   :meth:`SimilarityDatabase.index_digest` and
   :meth:`SimilarityDatabase.check_invariants` prove the maintained
   state equal to a from-scratch build.
 * **Persistence** (``save``/``checkpoint``/``load``) is
   :mod:`repro.db.storage`, called with the lock already held: a
-  snapshot file holds the object store *and* a pack of the live set,
-  so a restarted process answers its first query with zero rebuild
-  work.  With ``durable=True`` every mutation is appended to the
+  snapshot file holds the object store, the sketch tier and the
+  payloads, so a restarted process answers its first query with zero
+  rebuild work.  With ``durable=True`` every mutation is appended to the
   write-ahead log of :mod:`repro.wal` *before* it is applied (under the
   write lock), ``save()`` becomes a checkpoint, and ``load()`` the
   recovery ladder; :attr:`last_recovery` reports which rung served.
@@ -55,15 +52,11 @@ Because every ranking breaks distance ties canonically by ascending
 object id, answers and :class:`~repro.core.queries.QueryStats` never
 depend on the order of the engine's rows.
 
-Backends: ``"xtree"`` (the paper's choice) and ``"scan"``.  They rank
-alike — every query on every backend is one
-:class:`~repro.core.queries.FilterRefineEngine` call — and differ only
-in the index tables their snapshots carry: an STR pack of the centroids
-or a flat point table.  ``"rstar"`` and ``"mtree"`` are retired
-(:data:`_RETIRED_BACKENDS`): a packed R*-tree is a packed X-tree, and a
-metric index on the sets was the fastest backend in no cell of the
-backend trial (EXPERIMENTS.md); the M-tree stays in :mod:`repro.index`
-for the access-structure ablation.
+There is one index, so there is no backend to choose: ``backend=``
+accepts ``"xtree"`` alone and stores nothing.  Layouts that recorded
+``"xtree"``, ``"scan"``, ``"rstar"`` or ``"mtree"`` open alike (their
+index members are not read); the pointer trees stay in
+:mod:`repro.index` for Table 2 and the ablations.
 """
 
 from __future__ import annotations
@@ -87,7 +80,7 @@ from repro.core.queries import (
 )
 from repro.core.vector_set import VectorSet
 from repro.db import storage
-from repro.db.storage import BACKENDS, DEFAULT_KEEP_GENERATIONS, check_payload
+from repro.db.storage import DEFAULT_KEEP_GENERATIONS, check_payload
 from repro.exceptions import InvariantError, QueryError, StorageError
 from repro.obs import querylog, registry, span
 from repro.testing.faults import crash_point
@@ -151,9 +144,16 @@ def _at_least(name: str, value, low: int) -> int:
     return value
 
 
+def check_backend(backend) -> None:
+    """The ``backend=`` keyword of both database classes: ``"xtree"``,
+    the one index there is, else :class:`QueryError`."""
+    if not isinstance(backend, str) or backend != "xtree":
+        raise QueryError(f"unknown backend {backend!r}; the one backend is 'xtree'")
+
+
 def check_object_id(oid) -> int:
     """The one object-id check of every database entry point that takes
-    one (plain and sharded): integral and within int64 — what the index
+    one (plain and sharded): integral and within int64 — what the
     snapshots, the sketch tier, the WAL records and the shard routing
     store — else :class:`QueryError`, before any lock or log record."""
     oid = _integral("object id", oid)
@@ -195,19 +195,14 @@ class SimilarityDatabase:
     capacity:
         The cardinality bound ``k`` shared by all sets (Definition 8).
     backend:
-        ``"xtree"`` (default) or ``"scan"``: the index tables a snapshot
-        carries — an STR-packed X-tree over the extended centroids, or a
-        flat point table.  Both rank the filter step's candidates alike,
-        with one vectorised pass over the engine's centroid rows.
+        ``"xtree"``, the only value (:func:`check_backend`); stored
+        nowhere.  Every query ranks the filter step's candidates with one
+        vectorised pass over the engine's centroid rows.
     omega:
         Reference point for extended centroids and matching weights
         (default: origin).
     block_size:
         Refinement block size, forwarded to :class:`FilterRefineEngine`.
-    index_capacity:
-        Node capacity of the X-tree an ``xtree`` snapshot packs, at
-        least 4 (default: derived from the page size, as in the paper's
-        experiments).
     model / pipeline / cache:
         Feature model (e.g. :class:`VectorSetModel`), normalization
         pipeline and feature cache used by :meth:`add_grid`.  Optional —
@@ -243,7 +238,6 @@ class SimilarityDatabase:
         backend: str = "xtree",
         omega: np.ndarray | None = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        index_capacity: int | None = None,
         model=None,
         pipeline=None,
         cache=None,
@@ -260,17 +254,12 @@ class SimilarityDatabase:
         # directory is created or any object is logged.
         capacity = _at_least("capacity", capacity, 1)
         block_size = _at_least("block_size", block_size, 1)
-        if index_capacity is not None:
-            index_capacity = _at_least("index_capacity", index_capacity, 4)
         keep_generations = _at_least("keep_generations", keep_generations, 1)
-        if backend not in BACKENDS:
-            raise QueryError(f"unknown backend {backend!r}; pick from {BACKENDS}")
+        check_backend(backend)
         if source is not None and not durable:
             raise QueryError("source is only meaningful with durable=True")
         self.capacity = capacity
-        self.backend = backend
         self.block_size = block_size
-        self.index_capacity = index_capacity
         self.model = model
         self.pipeline = pipeline
         self.cache = cache
@@ -411,8 +400,7 @@ class SimilarityDatabase:
         sketch code the sketch of its stored set, bit for bit, and the
         engine must digest like a fresh packing of its unpadded rows.
         Every payload must belong to a stored object.  (The index is
-        the engine's own centroid column; the index tables of a snapshot
-        are checked against it when the snapshot is opened.)  Raises
+        the engine's own centroid column.)  Raises
         :class:`~repro.exceptions.InvariantError` naming the first
         disagreement.
         """
@@ -678,18 +666,12 @@ class SimilarityDatabase:
         return [], QueryStats()
 
     def _query_context(self, mode: str):
-        """Wide-event context for one query: backend, mode, database
-        version, and the IO counter baselines that become per-query
-        page/byte deltas.  A plain ``nullcontext`` while observability
-        is disabled, so the disabled query path stays free."""
+        """Wide-event context for one query: mode and database version.
+        A plain ``nullcontext`` while observability is disabled, so the
+        disabled query path stays free."""
         if not registry().enabled:
             return nullcontext()
-        return querylog.query_context(
-            backend=self.backend,
-            mode=mode,
-            db_version=self._version,
-            io_baseline=querylog.io_baseline(),
-        )
+        return querylog.query_context(mode=mode, db_version=self._version)
 
     def _knn_locked(self, arr, n_neighbors: int):
         if self._engine is None:
@@ -784,7 +766,7 @@ class SimilarityDatabase:
 
         ``dense=True`` writes the flat mmap-able container of
         :mod:`repro.index.dense` instead of an ``.npz`` archive, so
-        :meth:`load` maps the index node tables and sketch codes zero-copy.
+        :meth:`load` maps the sketch codes zero-copy.
         Default: whatever format this database was loaded from (``.npz``
         for a fresh database).  Durable checkpoints always use ``.npz``.
         """
@@ -821,10 +803,9 @@ class SimilarityDatabase:
         """Reconstruct a database from :meth:`save` output.
 
         A snapshot *file* opens with zero rebuild work: the stored sets
-        are packed into the engine by one ragged scatter, and an
-        ``xtree`` snapshot's node tables are validated against the stored
-        centroids and dropped.  Layouts of a retired backend open on
-        ``xtree`` without their index arrays being parsed.  A
+        are packed into the engine by one ragged scatter.  The index
+        members of a layout written while snapshots carried an index are
+        not read, whatever backend it recorded.  A
         durable *directory* runs the recovery ladder; the result's
         :attr:`last_recovery` reports which rung served and how degraded
         the recovery was.  See :mod:`repro.db.storage`.

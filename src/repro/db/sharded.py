@@ -2,7 +2,7 @@
 
 Horizontal scale-out for :class:`repro.db.core.SimilarityDatabase`.
 Objects are partitioned across K *shards* — each a complete
-``SimilarityDatabase`` with its own RWLock, spatial index, sketch tier,
+``SimilarityDatabase`` with its own RWLock, object store, sketch tier,
 and (when durable) WAL + snapshot generations — by a stable hash of the
 object id (:func:`shard_of`).  Mutations route to exactly one shard;
 queries scatter to every shard and merge the per-shard answers.
@@ -13,8 +13,8 @@ k-nn of the union is exactly the (distance, oid)-merge of the per-shard
 k-nns, truncated to k — a sharded database returns *byte-identical*
 results to a single-shard build holding the same objects (the
 differential machine in ``tests/test_sharded_differential.py`` holds
-this equality through arbitrary mutation/reshard sequences, for every
-backend, exact and approx modes).
+this equality through arbitrary mutation/reshard sequences, in exact
+and approx modes).
 
 Approximate mode needs one extra step for that equality: the Hamming
 shortlist of a single-shard build is the global top-``budget`` by
@@ -79,7 +79,13 @@ import numpy as np
 from repro.approx.engine import default_shortlist
 from repro.core.queries import QueryMatch, QueryStats
 from repro.db import storage
-from repro.db.core import SimilarityDatabase, check_object_id, check_query_args
+from repro.db.core import (
+    SimilarityDatabase,
+    _at_least,
+    check_backend,
+    check_object_id,
+    check_query_args,
+)
 from repro.db.storage import DEFAULT_KEEP_GENERATIONS, SHARDED_FORMAT, SHARDED_VERSION
 from repro.db.storage import check_payload
 from repro.exceptions import LockTimeout, QueryError, StorageError
@@ -157,11 +163,12 @@ def _chunk_knn_task(task):
 class ShardedSimilarityDatabase:
     """K independent :class:`SimilarityDatabase` shards behind one API.
 
-    Parameters mirror ``SimilarityDatabase`` (every ``**shard_kwargs``
-    entry — ``omega``, ``block_size``, ``index_capacity``,
-    ``sketch``, ``sketch_params`` — is forwarded to each shard
-    verbatim; ``source`` is refused, since a shard rebuilt from the
-    whole archive would hold every shard's objects), plus:
+    Parameters mirror ``SimilarityDatabase`` (``backend`` is checked
+    alike and stored nowhere; every ``**shard_kwargs`` entry —
+    ``omega``, ``block_size``, ``sketch``, ``sketch_params`` — is
+    forwarded to each shard verbatim; ``source`` is refused, since a
+    shard rebuilt from the whole archive would hold every shard's
+    objects), plus:
 
     shards:
         Number of partitions K (>= 1).
@@ -192,23 +199,25 @@ class ShardedSimilarityDatabase:
         keep_generations: int = DEFAULT_KEEP_GENERATIONS,
         **shard_kwargs,
     ):
-        if shards < 1:
-            raise QueryError("shards must be >= 1")
+        # Checked before any shard directory is created.
+        capacity = _at_least("capacity", capacity, 1)
+        shards = _at_least("shards", shards, 1)
+        keep_generations = _at_least("keep_generations", keep_generations, 1)
+        check_backend(backend)
         if shard_kwargs.get("source") is not None:
             raise QueryError(
                 "source is not supported on a sharded database: each shard "
                 "would rebuild from every object of the archive"
             )
         self.capacity = capacity
-        self.backend = backend
-        self.n_shards = int(shards)
+        self.n_shards = shards
         self.model = model
         self.pipeline = pipeline
         self.cache = cache
         self.lock_timeout = lock_timeout
         self.durable = bool(durable)
         self.fsync = fsync
-        self.keep_generations = int(keep_generations)
+        self.keep_generations = keep_generations
         self._root: Path | None = None
         self._saved: storage.SavedLayout | None = None
         self.last_recovery = None
@@ -227,7 +236,6 @@ class ShardedSimilarityDatabase:
             self.shards = [
                 SimilarityDatabase(
                     capacity,
-                    backend=backend,
                     durable=True,
                     path=storage.shard_path(root, i, durable=True),
                     fsync=fsync,
@@ -243,13 +251,8 @@ class ShardedSimilarityDatabase:
             if path is not None:
                 raise QueryError("path is only meaningful with durable=True")
             self.shards = [
-                SimilarityDatabase(
-                    capacity,
-                    backend=backend,
-                    lock_timeout=lock_timeout,
-                    **shard_kwargs,
-                )
-                for i in range(self.n_shards)
+                SimilarityDatabase(capacity, lock_timeout=lock_timeout, **shard_kwargs)
+                for _ in range(self.n_shards)
             ]
 
     # -- introspection -----------------------------------------------------
@@ -341,17 +344,17 @@ class ShardedSimilarityDatabase:
         being rebuilt anyway, so redistributing to a new shard count
         costs one extra pass over the objects.
         """
-        if shards is not None and int(shards) != self.n_shards:
-            self.reshard(int(shards))
+        if shards is not None and _at_least("shards", shards, 1) != self.n_shards:
+            self.reshard(shards)
         for shard in self.shards:
             shard.compact()
 
     def _fresh_shard(self) -> SimilarityDatabase:
         """An empty in-memory shard configured like the live ones.
 
-        The live shards are the only record of ω, block size, index
-        capacity and sketch parameters (a reloaded layout was never
-        given constructor arguments): a shard that holds objects owns a
+        The live shards are the only record of ω, block size and sketch
+        parameters (a reloaded layout was never given constructor
+        arguments): a shard that holds objects owns a
         sketcher that knows its parameters, so it is preferred as the
         donor of the settings record (:func:`repro.db.storage.settings`).
         """
@@ -370,9 +373,7 @@ class ShardedSimilarityDatabase:
         the old shards they hold; new queries see the new layout.
         Durable layouts cannot reshard in place (the manifest pins K).
         """
-        new_shards = int(new_shards)
-        if new_shards < 1:
-            raise QueryError("shards must be >= 1")
+        new_shards = _at_least("shards", new_shards, 1)
         if self.durable:
             raise QueryError(
                 "reshard() is not available on a durable sharded database; "
@@ -435,11 +436,9 @@ class ShardedSimilarityDatabase:
         if not registry().enabled:
             return nullcontext()
         return querylog.query_context(
-            backend=self.backend,
             mode=mode,
             db_version=sum(view.version for view in views),
             shards=self.n_shards,
-            io_baseline=querylog.io_baseline(),
         )
 
     @staticmethod
@@ -717,7 +716,6 @@ class ShardedSimilarityDatabase:
             share = 1.0 / len(queries)
             total = len(self)
             with querylog.query_context(
-                backend=self.backend,
                 mode="exact",
                 db_version=sum(saved.versions),
                 shards=self.n_shards,
@@ -789,8 +787,7 @@ class ShardedSimilarityDatabase:
         Durable layouts run the per-shard recovery ladder;
         :attr:`last_recovery` is then the list of per-shard
         :class:`~repro.db.storage.RecoveryReport` objects.  Non-durable
-        layouts load each shard archive with its index served from the
-        saved node tables.  With no *pipeline* given, the one the layout was
+        layouts open each shard archive with the plain opener.  With no *pipeline* given, the one the layout was
         created with is rebuilt from the manifest's ``resolution``.
         """
         return storage.open_sharded(

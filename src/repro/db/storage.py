@@ -8,8 +8,9 @@ open, recover and verify.  :func:`layout_of` decides what a path holds:
 
 * a *snapshot file*: one CRC-checked archive, ``.npz`` or dense
   (:func:`snapshot_state`: the settings record in the meta block, the
-  engine's rows, a pack of the live set, the sketch tier and — only when
-  an object carries one — the payloads as arrays);
+  engine's rows, the sketch tier and — only when an object carries one —
+  the payloads as arrays; no index, since every query ranks the engine's
+  centroid column);
 * a *durable directory* (:class:`repro.wal.DurableLayout`): opening one
   runs the recovery ladder (:func:`recover`);
 * a *sharded directory*: the ``sharded.json`` manifest beside one plain
@@ -19,11 +20,15 @@ open, recover and verify.  :func:`layout_of` decides what a path holds:
 **The settings record.**  :func:`settings` writes it — ``durable.json``
 holds it as is, a snapshot's meta block spells ``sketch`` as
 ``sketch_enabled`` and stores the effective ``omega``, the manifest
-keeps ``capacity``, ``backend`` and ``resolution``.  :func:`_checked`
-reads every one of them: a JSON object, its required keys present,
-every key it holds passing :data:`_CHECKS`, else a
-:class:`~repro.exceptions.StorageError` naming the file and the key
-(keys no check knows, like an old ``solver``, are ignored).
+keeps ``capacity`` and ``resolution``.  :func:`_checked` reads every
+one of them: a JSON object, its required keys present, every key it
+holds passing :data:`_CHECKS`, else a
+:class:`~repro.exceptions.StorageError` naming the file and the key.
+Keys no check knows are ignored: an old ``solver``, and the
+``backend``, ``index_capacity`` and ``index_meta`` of a layout written
+while snapshots carried an index (whose ``index__*`` members are still
+CRC-checked by :func:`~repro.index.snapshot.read_archive`, but never
+parsed).
 
 **Locks.**  Storage takes none of its own: ``save`` runs under the
 database's read lock, ``checkpoint`` under its write lock, a sharded
@@ -49,10 +54,9 @@ import numpy as np
 from repro.approx import HammingIndex, SetSketcher
 from repro.core.batch import PackedSets
 from repro.core.queries import FilterRefineEngine
-from repro.exceptions import DistanceError, IndexError_, QueryError, ReproError, StorageError
-from repro.index.arraycore import RTreeArrayCore, densify
+from repro.exceptions import DistanceError, QueryError, ReproError, StorageError
 from repro.index.dense import is_dense_archive, read_dense_archive, write_dense_archive
-from repro.index.snapshot import read_archive, serialize_points, write_archive
+from repro.index.snapshot import read_archive, write_archive
 from repro.obs import emit, registry, span
 from repro.testing.faults import crash_point
 from repro.wal import DurableLayout, WriteAheadLog, scan_segment, verify_segment
@@ -62,13 +66,6 @@ DB_VERSION = 1
 SHARDED_FORMAT = "repro-sharded-db"
 SHARDED_VERSION = 1
 MANIFEST_NAME = "sharded.json"
-
-BACKENDS = ("xtree", "scan")
-
-#: Backends that left the database.  A layout written with one still
-#: holds every set and stored centroid, so it opens on the mapped backend
-#: (its index arrays are not parsed).
-_RETIRED_BACKENDS = {"mtree": "xtree", "rstar": "xtree"}
 
 #: Default number of snapshot generations (and their WAL segments) a
 #: durable database keeps on disk for the recovery ladder's fallback.
@@ -84,16 +81,10 @@ _SET_ARRAYS = ("set_oids", "set_row_offsets", "set_data", "centroids")
 
 #: The keys each kind of stored record must carry.
 _REQUIRED = {
-    "snapshot": ("capacity", "backend", "dimension", "omega", "block_size",
-                 "index_capacity", "db_version", "index_meta"),
-    "durable config": ("capacity", "backend", "omega", "block_size", "index_capacity"),
+    "snapshot": ("capacity", "dimension", "omega", "block_size", "db_version"),
+    "durable config": ("capacity", "omega", "block_size"),
     "manifest": ("format", "version", "shards", "durable"),
 }
-
-
-def current_backend(stored: str) -> str:
-    """The backend a layout that recorded *stored* opens on."""
-    return _RETIRED_BACKENDS.get(stored, stored)
 
 
 def _int(low: int):
@@ -111,14 +102,11 @@ def _of(*kinds: type):
 #: The one check of every settings key a stored record may carry.
 _CHECKS = {
     "capacity": _int(1),
-    "backend": lambda v: type(v) is str and current_backend(v) in BACKENDS,
     "omega": _maybe(lambda v: type(v) is list and all(map(_of(int, float), v))),
     "dimension": _maybe(_int(1)),
     "block_size": _int(1),
-    "index_capacity": _maybe(_int(4)),
     "db_version": _int(0),
     "resolution": _maybe(_int(2)),
-    "index_meta": _maybe(_of(dict)),
     "sketch": _of(bool),
     "sketch_enabled": _of(bool),
     "sketch_meta": _maybe(_of(dict)),
@@ -189,10 +177,8 @@ def settings(db) -> dict:
         del sketch_params["dims"]
     return {
         "capacity": db.capacity,
-        "backend": db.backend,
         "omega": None if db._omega_arg is None else db._omega_arg.tolist(),
         "block_size": db.block_size,
-        "index_capacity": db.index_capacity,
         "resolution": getattr(db.pipeline, "resolution", None),
         "sketch": db.sketch_enabled,
         "sketch_params": sketch_params or None,
@@ -208,7 +194,6 @@ def write_manifest(db, root: Path) -> None:
         "routing": "crc32-mod",
         "durable": db.durable,
         "capacity": db.capacity,
-        "backend": db.backend,
         "resolution": getattr(db.pipeline, "resolution", None),
     }
     tmp = root / (MANIFEST_NAME + ".tmp")
@@ -250,10 +235,8 @@ def _empty_database(path, what, record, *, sketch_key="sketch", pipeline=None, *
     try:
         return SimilarityDatabase(
             record["capacity"],
-            backend=current_backend(record["backend"]),
             omega=record["omega"],
             block_size=record["block_size"],
-            index_capacity=record["index_capacity"],
             pipeline=_pipeline(pipeline, record),
             sketch=record.get(sketch_key, True),
             sketch_params=record.get("sketch_params"),
@@ -292,11 +275,8 @@ def read_manifest(root) -> dict:
 
 def snapshot_state(db) -> tuple[dict, dict[str, np.ndarray]]:
     """The (meta, arrays) archive form of *db* (caller holds either lock
-    side).  The index part of an ``xtree`` database is an STR pack of the
-    stored centroids in ascending oid (:func:`densify`, a pure function of
-    the live set), written but never kept (a save writes no database
-    state); a ``scan`` database writes its centroids as a flat point
-    table."""
+    side): the settings record, the object store's columns, the sketch
+    tier and the payloads."""
     engine = db._engine
     if engine is None:
         no_rows = np.empty((0, db.dimension or 0))
@@ -304,14 +284,6 @@ def snapshot_state(db) -> tuple[dict, dict[str, np.ndarray]]:
     else:
         stored = engine.ragged()
     arrays = dict(zip(_SET_ARRAYS, stored))
-    index_meta = None
-    if engine is not None:
-        if db.backend == "scan":
-            index_meta, index_arrays = serialize_points(stored[3], stored[0])
-        else:
-            core = densify(stored[3], stored[0], capacity=db.index_capacity)
-            index_meta, index_arrays = core.serialized()
-        arrays.update({f"index__{name}": arr for name, arr in index_arrays.items()})
     sketch_meta = None
     if db.sketch_enabled and db._sketcher is not None:
         # The projection matrix travels with the data, content-addressed
@@ -333,14 +305,11 @@ def snapshot_state(db) -> tuple[dict, dict[str, np.ndarray]]:
         "format": DB_FORMAT,
         "version": DB_VERSION,
         "capacity": record["capacity"],
-        "backend": record["backend"],
         "dimension": db.dimension,
         "omega": None if db.omega is None else db.omega.tolist(),
         "block_size": record["block_size"],
-        "index_capacity": record["index_capacity"],
         "db_version": db._version,
         "resolution": record["resolution"],
-        "index_meta": index_meta,
         "sketch_enabled": record["sketch"],
         "sketch_meta": sketch_meta,
     }
@@ -468,20 +437,14 @@ def _from_archive(path, meta: dict, arrays: dict, **options):
     A CRC-valid payload can still be inconsistent; it is validated here,
     once, and every fault is a :class:`StorageError` naming the file and
     the meta key or arrays.  The sets are packed into the engine by one
-    ragged scatter.  An ``xtree`` layout's node tables are read here and
-    nowhere else (:func:`_check_index_tables`), then dropped: the
-    engine's centroid rows are what every database ranks.  A ``scan``
-    layout's point table is not read.
+    ragged scatter.  The ``index__*`` members of an older layout are not
+    read: the engine's centroid rows are what every database ranks.
     """
     _snapshot_meta(path, meta)
     db = _empty_database(path, "snapshot", meta, sketch_key="sketch_enabled", **options)
     _set_dimension(path, db, meta["dimension"])
     oids, offsets, rows, centroids = _set_columns(path, arrays)
     _fill_engine(path, db, oids, np.diff(offsets), rows, centroids)
-    index_meta = meta["index_meta"]
-    # A retired backend's index arrays are never parsed.
-    if db._engine is not None and meta["backend"] == "xtree" and index_meta is not None:
-        _check_index_tables(path, index_meta, arrays, oids, centroids)
     try:
         _restore_sketches(db, meta, arrays)
     except (KeyError, TypeError, ValueError, QueryError) as exc:
@@ -493,48 +456,6 @@ def _from_archive(path, meta: dict, arrays: dict, **options):
             raise _malformed(path, f"payloads: {exc}") from exc
     db._version = meta["db_version"]
     return db
-
-
-def _check_index_tables(path, index_meta, arrays, oids, centroids) -> None:
-    """The node tables of an ``xtree`` snapshot, checked for shape and tree
-    structure (:class:`RTreeArrayCore`) and, bit for bit, for one leaf
-    entry per stored object whose box is the point of its stored
-    centroid — a key off its centroid would rank the object wrongly in
-    any reader of the tables.  *centroids* are row-aligned with *oids*."""
-    tables = {
-        name[len("index__") :]: arr
-        for name, arr in arrays.items()
-        if name.startswith("index__")
-    }
-    try:
-        core = RTreeArrayCore(index_meta, tables)
-        core.check_invariants()
-    except IndexError_ as exc:
-        raise _malformed(path, f"index tables: {exc}") from exc
-    if core.dimension != centroids.shape[1]:
-        raise _malformed(
-            path, f"index tables: {core.dimension}-d, the sets {centroids.shape[1]}-d"
-        )
-    leaf_oids, lowers, uppers = core.leaf_entries()
-    order, stored = np.argsort(leaf_oids), np.argsort(oids)
-    oids = oids[stored]
-    if not np.array_equal(leaf_oids[order], oids):
-        raise _malformed(
-            path,
-            f"index tables: {len(leaf_oids)} leaf ids that are not the "
-            f"{len(oids)} stored ones",
-        )
-    # Bit for bit: compare the floats' bytes, not their values.
-    keys = np.ascontiguousarray(centroids[stored], dtype=np.float64).view(np.int64)
-    wrong = (lowers[order].view(np.int64) != keys).any(axis=1) | (
-        uppers[order].view(np.int64) != keys
-    ).any(axis=1)
-    if wrong.any():
-        raise _malformed(
-            path,
-            f"index tables: index key of object {oids[wrong.argmax()]} is not "
-            "its stored centroid",
-        )
 
 
 def _restore_sketches(db, meta: dict, arrays: dict) -> None:
@@ -567,7 +488,7 @@ def _restore_sketches(db, meta: dict, arrays: dict) -> None:
 
 def open_snapshot(path, *, dense: bool, **options):
     """Open one snapshot file with zero rebuild work; a dense one maps
-    its node tables and sketch codes zero-copy."""
+    its sketch codes zero-copy."""
     with span("db.snapshot.load", force=True) as sp:
         read = read_dense_archive if dense else read_archive
         db = _from_archive(path, *read(path, DB_FORMAT), **options)
@@ -906,7 +827,6 @@ def open_sharded(root, *, model=None, pipeline=None, cache=None, lock_timeout=No
         shards = [open_plain(path, lock_timeout=lock_timeout) for path in paths]
     db = ShardedSimilarityDatabase.__new__(ShardedSimilarityDatabase)
     db.capacity = manifest.get("capacity", shards[0].capacity)
-    db.backend = current_backend(manifest.get("backend", shards[0].backend))
     db.n_shards = count
     db.shards = shards
     db.model = model
@@ -926,7 +846,7 @@ def open_sharded(root, *, model=None, pipeline=None, cache=None, lock_timeout=No
 
 #: The settings the shards of one layout share; the last two are unknown
 #: (``None``) on a shard that never held an object.
-_SHARD_SETTINGS = ("capacity", "backend", "block_size", "index_capacity", "dimension", "omega")
+_SHARD_SETTINGS = ("capacity", "block_size", "dimension", "omega")
 
 
 def open_shards_as_one(paths):
@@ -948,7 +868,7 @@ def open_shards_as_one(paths):
             read = read_dense_archive if layout_of(path) == "dense" else read_archive
             meta, arrays = read(path, DB_FORMAT)
             _snapshot_meta(path, meta)
-            known = _SHARD_SETTINGS if meta["dimension"] is not None else _SHARD_SETTINGS[:4]
+            known = _SHARD_SETTINGS if meta["dimension"] is not None else _SHARD_SETTINGS[:2]
             for key in known:
                 if shared.setdefault(key, meta[key]) != meta[key]:
                     raise StorageError(

@@ -8,7 +8,7 @@ read, Section 5.4).  This subpackage provides those pieces:
 * :mod:`repro.index.pages` — the page manager and cost model,
 * :mod:`repro.index.arraycore` — the immutable array core, and
   :func:`~repro.index.arraycore.densify`, the STR pack that builds one
-  (the index every ``xtree`` database snapshot carries),
+  (the static X-tree of the access-structure ablation),
 * :mod:`repro.index.rstar` — an R*-tree (insert-only),
 * :mod:`repro.index.xtree` — the X-tree (R*-tree with supernodes), the
   incrementally built index of Table 2's rows,
@@ -16,8 +16,9 @@ read, Section 5.4).  This subpackage provides those pieces:
   sets under the minimal matching distance (insert-only; kept for the
   access-structure ablation, not a database backend).
 
-The pointer trees serve Table 2 and the ablations only; the database
-imports none of them.
+The trees and the array core serve Table 2 and the ablations only: the
+database imports none of them, ranks the engine's centroid column and
+writes no index into its snapshots.
 """
 
 from repro.index.mtree import MTree

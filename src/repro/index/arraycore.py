@@ -6,13 +6,14 @@ under every write costs more than packing a fresh one.  Table 2, the
 ablations and the tests therefore rank with an *immutable*
 :class:`RTreeArrayCore`: BFS node tables with entry offsets, MBR
 lower/upper blocks and leaf oid blocks, written once by :func:`densify`
-— an STR pack tiled straight into those tables, the index every
-``xtree`` database snapshot carries — or opened as views over a
-snapshot's arrays (a database opens them only to validate them), and
-never written again.  The query hot path runs over contiguous numpy arrays: the
-lower-bound distances (MBR mindist) of a whole node's entry block are
-one vectorized call, and a flat best-first loop buffers leaf objects in
-arrays and emits them in canonical ``(distance, oid)`` order in chunks.
+— an STR pack tiled straight into those tables — or opened as views
+over a serialized core's arrays, and never written again.  (The
+database keeps no core: its queries rank the engine's centroid column,
+and its snapshots carry no index.)  The query hot path runs over
+contiguous numpy arrays: the lower-bound distances (MBR mindist) of a
+whole node's entry block are one vectorized call, and a flat best-first
+loop buffers leaf objects in arrays and emits them in canonical
+``(distance, oid)`` order in chunks.
 
 Equivalence guarantees (asserted by the differential tests):
 
@@ -47,9 +48,9 @@ _TABLES = (
 )
 
 #: Target node fill of a pack: 0.9 of the capacity, the customary STR
-#: fill for a tree that takes inserts later.  A core takes none; the
-#: value stays so that packs, and the layouts pinned by their digests,
-#: stay what they were.
+#: fill for a tree that takes inserts later.  A core takes none, and no
+#: database layout holds a pack any more, so the fill moves no layout
+#: digest; it stays so that the ablation's packs stay what they were.
 _FILL = 0.9
 
 
@@ -141,18 +142,10 @@ class RTreeArrayCore:
         # how the pointer trees size supernode pages.
         self._spans = np.maximum(1, -(-self._caps // self.capacity))
         self._node_bytes = self._spans * self.pages.page_size
-        # Per-entry flag: does this entry's owning node sit at leaf level
-        # (payload is an object id) or above (payload is a child node)?
-        self._entry_is_obj = np.repeat(self._levels == 0, np.diff(self._offsets))
 
     def serialized(self) -> tuple[dict, dict[str, np.ndarray]]:
         """The exact ``(meta, arrays)`` snapshot form this core runs on."""
         return self.meta, self.arrays
-
-    def leaf_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(oids, lowers, uppers)`` of the leaf entries, in table order."""
-        leaf = self._entry_is_obj
-        return self._payloads[leaf], self._lowers[leaf], self._uppers[leaf]
 
     # -- queries ---------------------------------------------------------
 

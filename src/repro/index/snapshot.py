@@ -1,16 +1,13 @@
-"""Snapshot archives and the flat form of an index.
+"""Snapshot archives: one CRC-checked ``.npz`` of named arrays.
 
-Every snapshot the database writes is one archive of named arrays; the
-index part of it is the flat form the array cores run on:
-
-* **R*-tree / X-tree** — nodes in BFS order with flat entry tables
-  (lower/upper corners plus payload: an oid for leaf entries, the BFS
-  index of the child for directory entries), written by
-  :func:`repro.index.arraycore.densify`.  Layouts written before the
-  database packed its index carry incremental trees in the same form,
-  supernode capacities and the X-tree's counters included.
-* **Flat point table** (kind ``"scan"``) — the point block and its oid
-  column, what a ``scan`` database writes beside its sets.
+Every snapshot file the database writes (plain, durable generation,
+shard) is one archive of named arrays and a JSON meta block
+(:func:`write_archive` / :func:`read_archive`).  The database writes no
+index into it; an older layout's ``index__*`` members — the flat node
+tables of an R*-/X-tree, or a point table — are still CRC-checked and
+named in integrity errors (:func:`describe_member`), but never parsed.
+The flat node-table form itself lives on as the snapshot of an array
+core (:meth:`repro.index.arraycore.RTreeArrayCore.serialized`).
 
 The file format borrows the guarantees of the format-v2 object store
 (:mod:`repro.io.database`): every array is CRC32-checksummed at save
@@ -99,8 +96,6 @@ def describe_member(name: str) -> str:
         if inner.startswith("obj_"):
             return f"index stored-object array {inner!r}"
         return f"index structure array {inner!r}"
-    if name.startswith(("node_", "entry_", "obj_")) or name in ("points", "oids"):
-        return f"index snapshot array {name!r}"
     if name.startswith("set_") or name == "centroids":
         return f"object-store column {name!r}"
     return f"archive member {name!r}"
@@ -168,10 +163,3 @@ def read_archive(
             )
     return meta, payload
 
-
-def serialize_points(
-    points: np.ndarray, oids: np.ndarray
-) -> tuple[dict, dict[str, np.ndarray]]:
-    """The (meta, arrays) flat form of a point table (kind ``"scan"``)."""
-    meta = {"dimension": points.shape[1], "size": len(oids)}
-    return _stamped(meta, "scan"), {"points": points, "oids": oids}

@@ -10,8 +10,8 @@ tier) funnels through :func:`record_query`, which
 * emits one *wide event* — a single ``query`` record joining phase
   timings (filter / Hamming shortlist / exact refine), engine stats
   (candidates ranked, pruned, pruned by the assignment bound, exact
-  computations, overshoot, shortlist size), IO deltas, backend, mode,
-  and k — subject to sampling.
+  computations, overshoot, shortlist size), mode, database version and
+  k — subject to sampling.
 
 Sampling is deterministic (a fractional accumulator, no randomness —
 the repo's seeding discipline extends to telemetry): at rate *r*,
@@ -22,8 +22,7 @@ rate, and carries a full ``explain`` payload (per-phase breakdown,
 pruning power, engine configuration) so the one query that mattered is
 never the one that was sampled away.
 
-Context fields (backend, mode, database version, IO baselines) are
-contributed by outer layers through the thread-local
+Context fields (mode, database version, shard) are contributed by outer layers through the thread-local
 :func:`query_context` stack; the innermost emission point never needs
 to know who is calling it.
 """
@@ -42,7 +41,6 @@ __all__ = [
     "config",
     "configure",
     "current_context",
-    "io_baseline",
     "query_context",
     "record_query",
     "reset",
@@ -129,8 +127,8 @@ def query_context(**fields):
     """Contribute fields to every wide record emitted inside the block.
 
     Frames nest (inner frames win key conflicts); the database layer
-    uses this to stamp backend/mode/version and IO baselines without
-    threading them through every engine signature.
+    uses this to stamp mode and version without threading them through
+    every engine signature.
     """
     stack = _stack()
     stack.append(fields)
@@ -145,17 +143,6 @@ def current_context() -> dict:
     for frame in _stack():
         merged.update(frame)
     return merged
-
-
-def io_baseline() -> tuple[float, float]:
-    """Current IO counter totals, to be passed as the ``io_baseline``
-    context field; :func:`record_query` turns them into per-query
-    ``io_pages`` / ``io_bytes`` deltas at emission time."""
-    reg = metrics.registry()
-    return (
-        getattr(reg.counter("io.page_accesses"), "value", 0),
-        getattr(reg.counter("io.bytes_read"), "value", 0),
-    )
 
 
 # -- emission -----------------------------------------------------------------
@@ -213,12 +200,6 @@ def record_query(
         total_seconds = seconds
         filter_seconds = max(total_seconds - refine_seconds, 0.0)
     reg.histogram("query.seconds").observe(total_seconds)
-
-    base = fields.pop("io_baseline", None)
-    if base is not None:
-        pages, read = io_baseline()
-        fields["io_pages"] = pages - base[0]
-        fields["io_bytes"] = read - base[1]
 
     slow = (
         _config.slow_ms is not None and total_seconds * 1000.0 >= _config.slow_ms

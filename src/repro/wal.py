@@ -22,7 +22,7 @@ contract:
   database lives in::
 
       mydb/
-        durable.json          # capacity/backend/omega/... (static config)
+        durable.json          # capacity/omega/block_size/... (static config)
         CURRENT               # text: the published snapshot generation
         snapshot-00000002.npz # CRC-checked archive for generation 2
         wal-00000002.log      # mutations applied after generation 2

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,17 +191,121 @@ def freshly_packed(db):
     from repro.db import SimilarityDatabase
 
     fresh = SimilarityDatabase(
-        db.capacity,
-        backend=db.backend,
-        omega=db._omega_arg,
-        block_size=db.block_size,
-        index_capacity=db.index_capacity,
-        sketch=False,
+        db.capacity, omega=db._omega_arg, block_size=db.block_size, sketch=False
     )
     for oid in db.object_ids():
         fresh.add(oid, db.get(oid))
     fresh.compact()
     return fresh
+
+
+#: The backends a database layout recorded while its snapshots carried
+#: an index: an STR-packed X-tree, an incrementally built R*-tree, a flat
+#: point table, or M-tree node arrays.
+RECORDED_BACKENDS = ("xtree", "rstar", "scan", "mtree")
+
+
+def parent_snapshot(backend: str, capacity: int = 4):
+    """An edit of a snapshot's ``(meta, arrays)``, in place, into the
+    format written while snapshots carried an index recorded as
+    *backend*: the meta keys ``backend``, ``index_capacity`` and
+    ``index_meta`` and the ``index__*`` tables of the stored centroids
+    (:func:`~repro.index.arraycore.densify` for the trees)."""
+    from repro.index.arraycore import densify
+
+    def edit(meta, arrays):
+        meta.update(backend=backend, index_capacity=capacity, index_meta=None)
+        oids, points = arrays["set_oids"], arrays["centroids"]
+        if not len(oids):
+            return
+        stamp = {"format": "repro-index-snapshot", "version": 1, "kind": backend}
+        if backend in ("xtree", "rstar"):
+            index_meta, tables = densify(points, oids, capacity=capacity).serialized()
+            index_meta = {**index_meta, **stamp}
+        elif backend == "scan":
+            index_meta = {**stamp, "dimension": points.shape[1], "size": len(oids)}
+            tables = {"points": points, "oids": oids}
+        else:
+            index_meta = {**stamp, "size": len(oids)}
+            tables = {"node_is_leaf": np.ones(1, dtype=np.int8)}
+        meta["index_meta"] = index_meta
+        arrays.update({f"index__{name}": arr for name, arr in tables.items()})
+
+    return edit
+
+
+def parent_config(backend: str, capacity: int = 4):
+    """The matching edit of a ``durable.json`` or ``sharded.json``: the
+    manifest named the backend, a durable config also the node
+    capacity."""
+
+    def edit(payload):
+        payload["backend"] = backend
+        if "block_size" in payload:
+            payload["index_capacity"] = capacity
+
+    return edit
+
+
+def restamp_layout(path, edit_archive, edit_config):
+    """Rewrite a saved layout as an older commit wrote it: a single
+    archive file, or a directory of archives beside a JSON config
+    (``durable.json`` / ``sharded.json``), the shard directories of a
+    durable sharded layout included.  *edit_archive(meta, arrays)* and
+    *edit_config(payload)* mutate in place; CRCs are recomputed."""
+    from repro.db import DB_FORMAT
+    from repro.index.dense import is_dense_archive, read_dense_archive, write_dense_archive
+    from repro.index.snapshot import read_archive, write_archive
+
+    for file in [path] if path.is_file() else sorted(path.iterdir()):
+        if file.is_dir():
+            restamp_layout(file, edit_archive, edit_config)
+        elif file.suffix == ".json":
+            payload = json.loads(file.read_text())
+            edit_config(payload)
+            file.write_text(json.dumps(payload))
+        elif file == path or file.suffix == ".npz":
+            if is_dense_archive(file):
+                meta, arrays = read_dense_archive(file, DB_FORMAT, mmap=False)
+                write = write_dense_archive
+            else:
+                meta, arrays = read_archive(file, DB_FORMAT)
+                write = write_archive
+            edit_archive(meta, arrays)
+            write(file, meta, arrays)
+
+
+#: How a test parametrised over ``backend`` starts its database:
+#: ``"xtree"`` builds it with ``backend="xtree"``, the one value the
+#: keyword accepts; ``"scan"`` opens it from an empty layout in the
+#: format written while snapshots carried an index, recorded as ``scan``.
+#: The test then asks the same of both.
+BACKENDS = ("xtree", "scan")
+
+
+def start_database(backend, path, capacity, shards=None, **kwargs):
+    """A new, empty database started as *backend* says (see
+    :data:`BACKENDS`): plain, or sharded over *shards*.  With
+    ``durable=True`` among *kwargs* it lives in the directory *path*;
+    otherwise the ``scan`` start keeps its saved layout at *path*."""
+    from repro.db import ShardedSimilarityDatabase, SimilarityDatabase, open_database
+
+    cls = SimilarityDatabase if shards is None else ShardedSimilarityDatabase
+    if shards is not None:
+        kwargs["shards"] = shards
+    durable = kwargs.get("durable", False)
+    if durable:
+        kwargs["path"] = path
+    if backend == "xtree":
+        return cls(capacity, backend="xtree", **kwargs)
+    db = cls(capacity, **kwargs)
+    if durable:
+        db.close()
+    else:
+        path = db.save(path)
+    restamp_layout(Path(path), parent_snapshot(backend), parent_config(backend))
+    opening = ("model", "pipeline", "cache", "lock_timeout")
+    return open_database(path, **{k: v for k, v in kwargs.items() if k in opening})
 
 
 def reads_only(db, call):

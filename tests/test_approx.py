@@ -291,9 +291,7 @@ class ApproxDifferentialMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.db = SimilarityDatabase(
-            6, backend="scan", sketch_params=self.SKETCH_PARAMS
-        )
+        self.db = SimilarityDatabase(6, sketch_params=self.SKETCH_PARAMS)
         self.rng = np.random.default_rng(99)
         self.next_oid = 0
         self.tmp = tempfile.TemporaryDirectory()
@@ -362,7 +360,7 @@ TestApproxDifferential = ApproxDifferentialMachine.TestCase
 class TestDatabaseApproxMode:
     def make_db(self, n=20):
         rng = np.random.default_rng(21)
-        db = SimilarityDatabase(6, backend="xtree")
+        db = SimilarityDatabase(6)
         for oid in range(n):
             db.add(oid, rng.standard_normal((int(rng.integers(1, 5)), DIM)))
         return db, rng
@@ -376,7 +374,7 @@ class TestDatabaseApproxMode:
             db.knn_query(query, 2, shortlist=5)  # exact mode
 
     def test_sketch_disabled_paths(self):
-        db = SimilarityDatabase(6, backend="scan", sketch=False)
+        db = SimilarityDatabase(6, sketch=False)
         db.add(0, np.ones((2, DIM)))
         assert db.sketch_digest() == "disabled"
         with pytest.raises(QueryError):
@@ -414,7 +412,7 @@ class TestDatabaseApproxMode:
         for i in range(n // 20):
             rows = int(rng.integers(1, set_k + 1))
             sets[i] = rng.uniform(0.0, spread, size=(rows, dim))
-        db = SimilarityDatabase(set_k, backend="xtree")
+        db = SimilarityDatabase(set_k)
         for oid, arr in enumerate(sets):
             db.add(oid, arr)
         recalls = []
@@ -446,7 +444,7 @@ class TestDatabaseApproxMode:
 class TestSketchSnapshots:
     def make_db(self, n=12):
         rng = np.random.default_rng(31)
-        db = SimilarityDatabase(6, backend="xtree")
+        db = SimilarityDatabase(6)
         for oid in range(n):
             db.add(oid, rng.standard_normal((int(rng.integers(1, 5)), DIM)))
         return db, rng
@@ -506,7 +504,7 @@ class TestSketchSnapshots:
         back.close()
 
     def test_sketch_disabled_roundtrip(self, tmp_path):
-        db = SimilarityDatabase(6, backend="scan", sketch=False)
+        db = SimilarityDatabase(6, sketch=False)
         db.add(0, np.ones((2, DIM)))
         path = tmp_path / "nosketch.npz"
         db.save(path)

@@ -131,7 +131,7 @@ def test_str_runs_are_near_equal():
 
 def make_db(n: int = 60, seed: int = 12) -> SimilarityDatabase:
     rng = np.random.default_rng(seed)
-    db = SimilarityDatabase(5, backend="xtree")
+    db = SimilarityDatabase(5)
     for oid in range(n):
         size = int(rng.integers(1, 6))
         db.add(oid, rng.standard_normal((size, 7)))

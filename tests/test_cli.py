@@ -260,12 +260,12 @@ def test_bench_is_not_a_command(capsys):
     assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
-def test_db_init_offers_exactly_the_database_backends(tmp_path, capsys):
-    # --backend choices are repro.db.BACKENDS; the M-tree is not one.
+def test_db_init_has_no_backend_option(tmp_path, capsys):
+    # There is one index, so there is no backend to choose.
     with pytest.raises(SystemExit) as exc:
-        main(["db", "init", str(tmp_path / "x"), "--backend", "mtree"])
+        main(["db", "init", str(tmp_path / "x"), "--backend", "xtree"])
     assert exc.value.code == 2
-    assert "invalid choice: 'mtree'" in capsys.readouterr().err
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -406,7 +406,7 @@ class TestOneDatabase:
         out = capsys.readouterr().out
         objects = 0 if layout == "empty" else 2
         assert f"objects:       {objects}" in out
-        assert "backend:       xtree" in out
+        assert "backend:" not in out
         assert "capacity:      7" in out
         assert "resolution:    9" in out
         assert f"shards:        {2 if layout == 'sharded' else 1}" in out

@@ -9,7 +9,8 @@ check the crash-consistency contract:
 * under ``fsync=always`` every *acknowledged* mutation survives —
   recovery equals a fresh build over ``plan[:M]`` with ``M >= acked``;
 * knn/range answers from the recovered database are byte-identical to
-  that fresh build's, across every index backend.
+  that fresh build's, whether the directory was new or one recorded as
+  ``scan`` while snapshots carried an index (``tests.conftest.BACKENDS``).
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.db import BACKENDS, SimilarityDatabase
+from repro.db import SimilarityDatabase
 from repro.testing.faults import CRASH_ENV, CRASH_EXIT_CODE, CRASH_POINTS
 
+from tests.conftest import BACKENDS, start_database
 from tests.test_db_durable import (
     CAPACITY,
     assert_equivalent,
@@ -38,13 +40,16 @@ import json, os, sys
 import numpy as np
 from repro.db import SimilarityDatabase
 
-dbdir, planfile, ackfile, backend = sys.argv[1:5]
+dbdir, planfile, ackfile = sys.argv[1:4]
 with open(planfile) as handle:
     plan = json.load(handle)
-db = SimilarityDatabase(
-    plan["capacity"], backend=backend, durable=True, path=dbdir,
-    fsync="always",
-)
+if os.path.exists(dbdir):  # started by the test: a recorded "scan" layout
+    db = SimilarityDatabase.load(dbdir)
+else:
+    db = SimilarityDatabase(
+        plan["capacity"], backend="xtree", durable=True, path=dbdir,
+        fsync="always",
+    )
 ack = open(ackfile, "w")
 for i, (op, oid, arr) in enumerate(plan["steps"]):
     if op == "add":
@@ -83,7 +88,7 @@ CRASH_SPECS = {
 }
 
 
-def run_worker(tmp_path, plan, backend, crash_spec=None):
+def run_worker(tmp_path, plan, backend="xtree", crash_spec=None):
     worker = tmp_path / "worker.py"
     worker.write_text(WORKER)
     planfile = tmp_path / "plan.json"
@@ -100,14 +105,15 @@ def run_worker(tmp_path, plan, backend, crash_spec=None):
     )
     ackfile = tmp_path / "acks"
     dbdir = tmp_path / "db"
+    if backend != "xtree":
+        start_database(backend, dbdir, CAPACITY, durable=True, fsync="always").close()
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     env.pop(CRASH_ENV, None)
     if crash_spec is not None:
         env[CRASH_ENV] = crash_spec
     proc = subprocess.run(
-        [sys.executable, str(worker), str(dbdir), str(planfile),
-         str(ackfile), backend],
+        [sys.executable, str(worker), str(dbdir), str(planfile), str(ackfile)],
         env=env,
         capture_output=True,
         text=True,
@@ -140,9 +146,7 @@ def test_kill_and_recover(point, backend, tmp_path, rng):
     recovered = SimilarityDatabase.load(dbdir)
     state_plan = [s for s in plan if s[0] != "checkpoint"]
     acked_state = len([s for s in plan[:acked] if s[0] != "checkpoint"])
-    assert matches_some_prefix(
-        recovered, state_plan, backend, acked_state, rng
-    ), (
+    assert matches_some_prefix(recovered, state_plan, acked_state, rng), (
         f"recovered state after {point} kill matches no prefix >= the "
         f"{acked} acknowledged mutations"
     )
@@ -160,7 +164,7 @@ def test_clean_run_control(backend, tmp_path, rng):
     assert acked == len(plan)
     recovered = SimilarityDatabase.load(dbdir)
     assert not recovered.last_recovery.degraded
-    assert_equivalent(recovered, fresh_build(plan, backend), rng)
+    assert_equivalent(recovered, fresh_build(plan), rng)
     recovered.close()
 
 
@@ -172,10 +176,6 @@ def test_crash_env_spec_counts_hits(tmp_path, rng):
     late = tmp_path / "late"
     early.mkdir()
     late.mkdir()
-    _, _, acked_early = run_worker(
-        early, plan, "xtree", crash_spec="after-wal-append:2"
-    )
-    _, _, acked_late = run_worker(
-        late, plan, "xtree", crash_spec="after-wal-append:12"
-    )
+    _, _, acked_early = run_worker(early, plan, crash_spec="after-wal-append:2")
+    _, _, acked_late = run_worker(late, plan, crash_spec="after-wal-append:12")
     assert acked_early < acked_late

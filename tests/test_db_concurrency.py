@@ -23,6 +23,7 @@ from repro.concurrency import RWLock
 from repro.core.centroid import norm_weight
 from repro.core.min_matching import min_matching_distance
 from repro.db import SimilarityDatabase
+from tests.conftest import BACKENDS, start_database
 
 CAPACITY = 3
 DIM = 3
@@ -110,9 +111,9 @@ class TestRWLock:
         assert order.index("w") < order.index("r2")
 
 
-@pytest.mark.parametrize("backend", ["xtree", "scan"])
-def test_readers_see_consistent_snapshots_under_writes(backend, rng):
-    db = SimilarityDatabase(CAPACITY, backend=backend, index_capacity=4)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_readers_see_consistent_snapshots_under_writes(backend, rng, tmp_path):
+    db = start_database(backend, tmp_path / "db", CAPACITY)
 
     def rand_set():
         return rng.integers(-6, 7, size=(int(rng.integers(1, CAPACITY + 1)), DIM)).astype(
@@ -226,7 +227,7 @@ def test_readers_see_consistent_snapshots_under_writes(backend, rng):
 def test_concurrent_mutations_serialize(rng):
     """Two writer threads interleave adds; every mutation must land and
     the version counter must count them exactly."""
-    db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
+    db = SimilarityDatabase(CAPACITY)
     errors = []
     # Pre-generate inputs: the numpy Generator is not thread-safe.
     payloads = {

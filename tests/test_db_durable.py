@@ -24,7 +24,6 @@ import pytest
 
 from repro import obs
 from repro.db import (
-    BACKENDS,
     ShardedSimilarityDatabase,
     SimilarityDatabase,
     open_database,
@@ -42,7 +41,8 @@ from repro.testing.faults import (
     corrupt_bytes,
     tamper_npz_array,
 )
-from tests.conftest import reads_only
+from repro.index.snapshot import read_archive, write_archive
+from tests.conftest import BACKENDS, parent_snapshot, reads_only, start_database
 
 CAPACITY = 3
 DIM = 3
@@ -109,9 +109,9 @@ def apply_step(db, step) -> None:
         db.checkpoint()
 
 
-def fresh_build(plan, backend):
+def fresh_build(plan):
     """The plan's final state built from scratch, its core freshly packed."""
-    db = SimilarityDatabase(CAPACITY, backend=backend)
+    db = SimilarityDatabase(CAPACITY)
     for step in plan:
         if step[0] != "checkpoint":
             apply_step(db, step)
@@ -146,12 +146,12 @@ def assert_equivalent(recovered, reference, rng):
             assert got_stats == expected_stats
 
 
-def matches_some_prefix(recovered, plan, backend, floor, rng) -> bool:
+def matches_some_prefix(recovered, plan, floor, rng) -> bool:
     """True iff *recovered* equals a fresh build over plan[:M] for some
     M >= floor — the crash-consistency contract: at least everything
     acknowledged, at most everything attempted."""
     for upto in range(floor, len(plan) + 1):
-        reference = fresh_build(plan[:upto], backend)
+        reference = fresh_build(plan[:upto])
         if same_contents(recovered, reference):
             assert_equivalent(recovered, reference, rng)
             return True
@@ -163,16 +163,14 @@ class TestDurableRoundtrip:
     def test_recovery_equals_fresh_build(self, backend, tmp_path, rng):
         plan = make_plan(rng)
         dbdir = tmp_path / "db"
-        db = SimilarityDatabase(
-            CAPACITY, backend=backend, durable=True, path=dbdir
-        )
+        db = start_database(backend, dbdir, CAPACITY, durable=True)
         for step in plan:
             apply_step(db, step)
         db.close()
         recovered = SimilarityDatabase.load(dbdir)
         assert recovered.durable and recovered.last_recovery is not None
         assert not recovered.last_recovery.degraded
-        assert_equivalent(recovered, fresh_build(plan, backend), rng)
+        assert_equivalent(recovered, fresh_build(plan), rng)
         recovered.close()
 
     def test_recovery_without_any_checkpoint(self, tmp_path, rng):
@@ -304,8 +302,6 @@ class TestDurableRoundtrip:
             {"block_size": 2.0},
             {"capacity": 2.5},
             {"capacity": 0},
-            {"index_capacity": 3},
-            {"index_capacity": "8"},
             {"keep_generations": 1.5},
             {"keep_generations": 0},
         ],
@@ -315,9 +311,9 @@ class TestDurableRoundtrip:
     def test_numeric_settings_are_checked_before_anything_is_written(
         self, tmp_path, setting, shards
     ):
-        """A setting the engine or the index would reject fails the
-        constructor, typed, before ``durable.json`` exists: no directory
-        is left to poison a later open, and no object is ever logged."""
+        """A setting the engine would reject fails the constructor, typed,
+        before ``durable.json`` exists: no directory is left to poison a
+        later open, and no object is ever logged."""
         kwargs = {"capacity": CAPACITY, **setting}
         capacity = kwargs.pop("capacity")
         path = tmp_path / "db"
@@ -330,14 +326,41 @@ class TestDurableRoundtrip:
                 SimilarityDatabase(capacity, durable=True, path=path, **kwargs)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"shards": "2"},
+            {"shards": None},
+            {"shards": 2.5},
+            {"shards": 0},
+            {"keep_generations": "x"},
+            {"capacity": 2.5},
+            {"backend": "scan"},
+        ],
+        ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()),
+    )
+    @pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+    def test_sharded_settings_are_checked_before_any_shard_exists(
+        self, tmp_path, setting, durable
+    ):
+        """The sharded constructor's own settings fail typed, naming the
+        setting, before a shard or its directory exists."""
+        kwargs = {"capacity": CAPACITY, "shards": 2, **setting}
+        path = tmp_path / "db"
+        with pytest.raises(QueryError, match=next(iter(setting))):
+            ShardedSimilarityDatabase(
+                kwargs.pop("capacity"),
+                durable=durable,
+                path=path if durable else None,
+                **kwargs,
+            )
+        assert not path.exists()
+
 
 class TestRecoveryLadder:
-    def _build(self, dbdir, rng, backend="xtree"):
+    def _build(self, dbdir, rng):
         plan = make_plan(rng)
-        db = SimilarityDatabase(
-            CAPACITY, backend=backend, durable=True, path=dbdir,
-            keep_generations=3,
-        )
+        db = SimilarityDatabase(CAPACITY, durable=True, path=dbdir, keep_generations=3)
         for step in plan:
             apply_step(db, step)
         db.checkpoint()
@@ -361,7 +384,7 @@ class TestRecoveryLadder:
         assert report.degraded and report.fallbacks == 1
         assert report.used_generation == report.requested_generation - 1
         assert report.failures  # the ladder names what it skipped
-        assert_equivalent(recovered, fresh_build(plan, "xtree"), rng)
+        assert_equivalent(recovered, fresh_build(plan), rng)
         recovered.close()
 
     def test_all_snapshots_corrupt_replays_full_wal_from_empty(
@@ -375,7 +398,7 @@ class TestRecoveryLadder:
             recovered = SimilarityDatabase.load(dbdir)
             assert reg.counter("db.recovery.fallbacks").value == 2
         assert recovered.last_recovery.used_generation == 0
-        assert_equivalent(recovered, fresh_build(plan, "xtree"), rng)
+        assert_equivalent(recovered, fresh_build(plan), rng)
         recovered.close()
 
     def test_unrecoverable_without_source_raises(self, tmp_path, rng):
@@ -528,9 +551,7 @@ class TestInProcessCrashPoints:
     def test_recovery_from_crash_point(self, point, backend, tmp_path, rng):
         plan = make_plan(rng)
         dbdir = tmp_path / f"db-{point}-{backend}"
-        db = SimilarityDatabase(
-            CAPACITY, backend=backend, durable=True, path=dbdir
-        )
+        db = start_database(backend, dbdir, CAPACITY, durable=True)
         acknowledged = 0
         crashed = False
         with armed_crash_point(point, at=3 if point == "after-wal-append" else 1):
@@ -549,7 +570,7 @@ class TestInProcessCrashPoints:
             [s for s in plan[:acknowledged] if s[0] != "checkpoint"]
         )
         assert matches_some_prefix(
-            recovered, state_plan, backend, acked_state, rng
+            recovered, state_plan, acked_state, rng
         ), f"recovered state matches no acknowledged-or-later prefix ({point})"
         recovered.close()
 
@@ -575,11 +596,17 @@ class TestInProcessCrashPoints:
 
 class TestSnapshotIntegrityErrors:
     def test_crc_error_names_offending_member(self, tmp_path, rng):
+        """A snapshot written while snapshots carried an index: its index
+        tables are never parsed, but still CRC-checked."""
         db = SimilarityDatabase(CAPACITY)
         for oid in range(6):
             db.add(oid, rand_set(rng))
         path = tmp_path / "db.npz"
         db.save(path)
+        meta, arrays = read_archive(path, "repro-similarity-db")
+        parent_snapshot("xtree")(meta, arrays)
+        write_archive(path, meta, arrays)
+        SimilarityDatabase.load(path)
         tamper_npz_array(path, "index__entry_lowers")
         with pytest.raises(SnapshotIntegrityError) as excinfo:
             SimilarityDatabase.load(path)
@@ -721,7 +748,7 @@ class TestDurabilityProperties:
             for oid, arr in before.items():
                 np.testing.assert_array_equal(recovered.get(oid), arr)
             query = rand_set(rng)
-            reference = fresh_build(plan, "xtree")
+            reference = fresh_build(plan)
             got, _ = recovered.knn_query(query, 4)
             expected, _ = reference.knn_query(query, 4)
             assert [(m.object_id, m.distance) for m in got] == [
@@ -766,7 +793,7 @@ class TestDurabilityProperties:
                 [s for s in plan[:acknowledged] if s[0] != "checkpoint"]
             )
             assert matches_some_prefix(
-                recovered, state_plan, "xtree", acked_state, rng
+                recovered, state_plan, acked_state, rng
             ), f"no acknowledged-or-later prefix matches ({point}, seed={seed})"
             recovered.close()
         finally:

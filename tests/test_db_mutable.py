@@ -24,23 +24,30 @@ import pytest
 from contextlib import contextmanager
 
 from repro import obs
-from repro.db import storage
 from repro.db import (
-    BACKENDS,
     DB_FORMAT,
     ShardedSimilarityDatabase,
     SimilarityDatabase,
     open_database,
 )
 from repro.exceptions import InvariantError, QueryError, StorageError
-from repro.index import RStarTree, XTree
+from repro.index import RStarTree, XTree, arraycore
 from repro.index.dense import (
     is_dense_archive,
     read_dense_archive,
     write_dense_archive,
 )
 from repro.index.snapshot import read_archive, write_archive
-from tests.conftest import assert_engine_is_fresh, serialize_index
+from tests.conftest import (
+    BACKENDS,
+    RECORDED_BACKENDS,
+    assert_engine_is_fresh,
+    parent_config,
+    parent_snapshot,
+    restamp_layout,
+    serialize_index,
+    start_database,
+)
 
 
 @contextmanager
@@ -57,8 +64,6 @@ def capture_metrics():
 
 CAPACITY = 4
 DIM = 3
-
-ALL = list(BACKENDS)
 
 
 def rand_set(rng):
@@ -112,41 +117,16 @@ def results_tuple(results):
     return [(m.object_id, m.distance) for m in results]
 
 
-def restamp_layout(path, edit_archive, edit_config):
-    """Rewrite a saved layout as an older commit wrote it: a single
-    archive file, or a directory of archives beside a JSON config
-    (``durable.json`` / ``sharded.json``).  *edit_archive(meta, arrays)*
-    and *edit_config(payload)* mutate in place; CRCs are recomputed."""
-    for file in [path] if path.is_file() else sorted(path.iterdir()):
-        if file.suffix == ".json":
-            payload = json.loads(file.read_text())
-            edit_config(payload)
-            file.write_text(json.dumps(payload))
-        elif file == path or file.suffix == ".npz":
-            if is_dense_archive(file):
-                meta, arrays = read_dense_archive(file, DB_FORMAT, mmap=False)
-                write = write_dense_archive
-            else:
-                meta, arrays = read_archive(file, DB_FORMAT)
-                write = write_archive
-            edit_archive(meta, arrays)
-            write(file, meta, arrays)
-
-
-def write_xtree_layout(kind, rng, path):
-    """Churn an X-tree database into one of the four saved layouts
-    (``npz`` / ``dense`` / ``durable`` / ``sharded``); returns the
-    surviving sets.  The durable one keeps a WAL tail to replay."""
+def write_layout(kind, rng, path):
+    """Churn a database into one of the four saved layouts (``npz`` /
+    ``dense`` / ``durable`` / ``sharded``); returns the surviving sets.
+    The durable one keeps a WAL tail to replay."""
     if kind == "durable":
-        db = SimilarityDatabase(
-            CAPACITY, backend="xtree", index_capacity=4, durable=True, path=path
-        )
+        db = SimilarityDatabase(CAPACITY, durable=True, path=path)
     elif kind == "sharded":
-        db = ShardedSimilarityDatabase(
-            CAPACITY, shards=3, backend="xtree", index_capacity=4
-        )
+        db = ShardedSimilarityDatabase(CAPACITY, shards=3)
     else:
-        db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
+        db = SimilarityDatabase(CAPACITY)
     contents = churn(db, rng, adds=24)
     if kind == "durable":
         db.checkpoint()
@@ -158,25 +138,21 @@ def write_xtree_layout(kind, rng, path):
     return contents
 
 
-def fresh_xtree(contents):
-    fresh = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
+def fresh_database(contents):
+    fresh = SimilarityDatabase(CAPACITY)
     for oid in sorted(contents):
         fresh.add(oid, contents[oid])
     return fresh
 
 
 class TestIncrementalEqualsRebuilt:
-    @pytest.mark.parametrize("backend", ALL)
-    def test_knn_byte_identical_to_fresh_build(self, backend, rng):
-        db = SimilarityDatabase(
-            CAPACITY, backend=backend, index_capacity=4
-        )
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_knn_byte_identical_to_fresh_build(self, backend, rng, tmp_path):
+        db = start_database(backend, tmp_path / "db", CAPACITY)
         contents = churn(db, rng)
         # A brand-new database with the same final contents: its index
         # was bulk-built, never mutated.
-        fresh = SimilarityDatabase(
-            CAPACITY, backend=backend, index_capacity=4
-        )
+        fresh = SimilarityDatabase(CAPACITY)
         for oid in sorted(contents):
             fresh.add(oid, contents[oid])
         for qi in range(6):
@@ -184,13 +160,11 @@ class TestIncrementalEqualsRebuilt:
             for k in (1, 5, len(contents)):
                 got, _ = db.knn_query(query, k)
                 want, _ = fresh.knn_query(query, k)
-                assert results_tuple(got) == results_tuple(want), (backend, qi, k)
+                assert results_tuple(got) == results_tuple(want), (qi, k)
 
-    @pytest.mark.parametrize("backend", ALL)
-    def test_compact_changes_nothing_observable(self, backend, rng):
-        db = SimilarityDatabase(
-            CAPACITY, backend=backend, index_capacity=4
-        )
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_compact_changes_nothing_observable(self, backend, rng, tmp_path):
+        db = start_database(backend, tmp_path / "db", CAPACITY)
         churn(db, rng)
         query = rand_set(rng)
         before_knn, _ = db.knn_query(query, 8)
@@ -202,15 +176,13 @@ class TestIncrementalEqualsRebuilt:
         assert results_tuple(before_range) == results_tuple(after_range)
 
     def test_range_query_matches_sequential(self, rng):
-        db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
-        contents = churn(db, rng)
-        scan = SimilarityDatabase(CAPACITY, backend="scan")
-        for oid in sorted(contents):
-            scan.add(oid, contents[oid])
+        db = SimilarityDatabase(CAPACITY)
+        churn(db, rng)
         query = rand_set(rng)
+        everything, _ = db._engine.knn_sequential(query, len(db))
         for eps in (0.5, 2.75, 6.0):
             got, _ = db.range_query(query, eps)
-            want, _ = scan.range_query(query, eps)
+            want = [m for m in everything if m.distance <= eps]
             assert results_tuple(got) == results_tuple(want)
 
 
@@ -218,7 +190,7 @@ class TestEngineInvalidation:
     def test_queries_never_see_stale_candidates(self, rng):
         """Every mutation must invalidate the packed engine: a removed
         object can never reappear, an added one is visible at once."""
-        db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
+        db = SimilarityDatabase(CAPACITY)
         a, b = rand_set(rng), rand_set(rng)
         db.add(1, a)
         db.add(2, b)
@@ -247,7 +219,7 @@ class TestEngineInvalidation:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(FilterRefineEngine, "__init__", counting_init)
-        db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
+        db = SimilarityDatabase(CAPACITY)
         assert not builds
         for oid in range(8):
             db.add(oid, rand_set(rng))
@@ -283,7 +255,7 @@ class TestEngineInvalidation:
         assert len(builds) == 1
 
     @pytest.mark.parametrize("shards", [None, 2], ids=["plain", "2-shard"])
-    @pytest.mark.parametrize("backend", ALL)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_maintained_engine_answers_like_a_fresh_build(
         self, backend, shards, rng, tmp_path
     ):
@@ -295,10 +267,7 @@ class TestEngineInvalidation:
         must then be literally those of a fresh build of the contents."""
 
         def make():
-            kwargs = dict(backend=backend, index_capacity=4)
-            if shards:
-                return ShardedSimilarityDatabase(CAPACITY, shards=shards, **kwargs)
-            return SimilarityDatabase(CAPACITY, **kwargs)
+            return start_database(backend, tmp_path / "start", CAPACITY, shards=shards)
 
         query = rand_set(rng)
 
@@ -380,7 +349,7 @@ class TestEngineInvalidation:
         assert digests[0] == digests[1] and "empty" not in digests[0]
 
     def test_mutation_counters(self, rng):
-        db = SimilarityDatabase(CAPACITY, backend="scan")
+        db = SimilarityDatabase(CAPACITY)
         with capture_metrics() as reg:
             db.add(1, rand_set(rng))
             db.add(2, rand_set(rng))
@@ -393,20 +362,20 @@ class TestEngineInvalidation:
 
 
 class TestCheckInvariants:
-    def make(self, rng, backend="xtree"):
-        db = SimilarityDatabase(CAPACITY, backend=backend, index_capacity=4)
+    def make(self, rng, backend="xtree", path=None):
+        db = start_database(backend, path, CAPACITY)
         churn(db, rng, adds=16, removes=3, updates=2)
         return db
 
-    @pytest.mark.parametrize("backend", ALL)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_holds_through_churn_and_reload(self, backend, rng, tmp_path):
-        db = self.make(rng, backend)
+        db = self.make(rng, backend, tmp_path / "start")
         db.check_invariants()
         for dense in (False, True):
             path = tmp_path / f"snap-{dense}"
             db.save(path, dense=dense)
             SimilarityDatabase.load(path).check_invariants()
-        SimilarityDatabase(CAPACITY, backend=backend).check_invariants()  # empty
+        start_database(backend, tmp_path / "empty", CAPACITY).check_invariants()
 
     @pytest.mark.parametrize(
         "tamper, message",
@@ -460,74 +429,17 @@ class TestCheckInvariants:
         db.save(tmp_path / "bad.db", dense=dense)
         assert main(["db", "verify", str(tmp_path / "bad.db")]) == 1
 
-    @pytest.mark.parametrize("dense", [False, True], ids=["npz", "dense"])
-    def test_verify_rejects_an_index_key_off_its_centroid(self, rng, tmp_path, dense):
-        """The CRCs are valid and the node tables sound; object 50's leaf
-        point sits on a sibling's, so a 1-nn query over the tables with its
-        own set would answer the sibling.  Only the keys-against-centroids
-        check of the open sees it."""
-        from repro.cli import main
-
-        db = SimilarityDatabase(CAPACITY, backend="xtree")
-        for oid in range(200):
-            db.add(oid, rand_set(rng))
-        path = tmp_path / "db"
-        db.save(path, dense=dense)
-        assert main(["db", "verify", str(path)]) == 0
-
-        def onto_a_sibling(meta, arrays):
-            offsets = arrays["index__entry_offsets"]
-            in_leaf = np.repeat(arrays["index__node_level"] == 0, np.diff(offsets))
-            at = int(np.flatnonzero(in_leaf & (arrays["index__entry_payloads"] == 50))[0])
-            node = int(np.searchsorted(offsets, at, "right")) - 1
-            sibling = offsets[node] + (at == offsets[node])
-            for name in ("index__entry_lowers", "index__entry_uppers"):
-                arrays[name] = arrays[name].copy()
-                arrays[name][at] = arrays[name][sibling]
-
-        restamp_layout(path, onto_a_sibling, lambda payload: None)
-        with pytest.raises(StorageError, match="index key of object 50"):
-            open_database(path)
-        assert main(["db", "verify", str(path)]) == 1
-
-    def test_open_rejects_index_leaves_that_are_not_the_stored_ids(self, rng, tmp_path):
-        """Sound node tables whose leaf entry for object 50 names an
-        object that is not stored: the open refuses them, typed."""
-        from repro.cli import main
-
-        db = SimilarityDatabase(CAPACITY, backend="xtree")
-        for oid in range(200):
-            db.add(oid, rand_set(rng))
-        path = tmp_path / "db"
-        db.save(path)
-
-        def renamed(meta, arrays):
-            offsets = arrays["index__entry_offsets"]
-            in_leaf = np.repeat(arrays["index__node_level"] == 0, np.diff(offsets))
-            payloads = arrays["index__entry_payloads"].copy()
-            payloads[in_leaf & (payloads == 50)] = 10**6
-            arrays["index__entry_payloads"] = payloads
-
-        restamp_layout(path, renamed, lambda payload: None)
-        with pytest.raises(StorageError, match="leaf ids that are not the 200 stored"):
-            open_database(path)
-        assert main(["db", "verify", str(path)]) == 1
-
     @pytest.mark.parametrize("layout", ["plain", "2-shard"])
     @pytest.mark.parametrize("dense", [False, True], ids=["npz", "dense"])
-    @pytest.mark.parametrize("backend", ALL)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_negative_object_ids_are_valid(self, rng, tmp_path, backend, dense, layout):
         """``check_object_id`` admits any int64, so a snapshot holding
         negative ids verifies and answers like the database it was saved
         from - also after a mutation of the reopened database."""
         from repro.cli import main
 
-        if layout == "plain":
-            db = SimilarityDatabase(CAPACITY, backend=backend, index_capacity=4)
-        else:
-            db = ShardedSimilarityDatabase(
-                CAPACITY, shards=2, backend=backend, index_capacity=4
-            )
+        shards = None if layout == "plain" else 2
+        db = start_database(backend, tmp_path / "start", CAPACITY, shards=shards)
         for oid in (-5, -(2**40), *range(1, 15)):
             db.add(oid, rand_set(rng))
         db.save(tmp_path / "saved.db", dense=dense)
@@ -569,14 +481,12 @@ class TestValidation:
         assert db.remove(99) is False
 
     @pytest.mark.parametrize("layout", ["plain", "dense-reloaded", "2-shard"])
-    @pytest.mark.parametrize("backend", ALL)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_hostile_queries_raise_query_error(self, backend, layout, rng, tmp_path):
         """Every query entry point validates at the database boundary:
         one exception type, raised before any state is touched."""
-        if layout == "2-shard":
-            db = ShardedSimilarityDatabase(CAPACITY, shards=2, backend=backend)
-        else:
-            db = SimilarityDatabase(CAPACITY, backend=backend)
+        shards = 2 if layout == "2-shard" else None
+        db = start_database(backend, tmp_path / "start", CAPACITY, shards=shards)
         for oid in range(12):
             db.add(oid, rand_set(rng))
         if layout == "dense-reloaded":
@@ -704,7 +614,14 @@ class TestValidation:
             reopened.close()
 
     def test_unknown_backend_rejected(self):
-        for backend in ("btree", "mtree", "rstar"):
+        """``backend=`` names the one index there is: ``"xtree"`` is
+        accepted and stored nowhere, anything else is refused."""
+        for db in (
+            SimilarityDatabase(CAPACITY, backend="xtree"),
+            ShardedSimilarityDatabase(CAPACITY, shards=2, backend="xtree"),
+        ):
+            assert not hasattr(db, "backend")
+        for backend in ("scan", "btree", "mtree", "rstar", None):
             with pytest.raises(QueryError, match="unknown backend"):
                 SimilarityDatabase(CAPACITY, backend=backend)
             with pytest.raises(QueryError, match="unknown backend"):
@@ -713,7 +630,7 @@ class TestValidation:
             from repro.index.arraycore import MTreeArrayCore  # noqa: F401
 
     def test_version_and_views(self, rng):
-        db = SimilarityDatabase(CAPACITY, backend="scan")
+        db = SimilarityDatabase(CAPACITY)
         assert db.version == 0
         db.add(1, rand_set(rng))
         db.add(2, rand_set(rng))
@@ -738,12 +655,10 @@ class TestValidation:
 
 
 class TestSnapshotAcceptance:
-    @pytest.mark.parametrize("backend", ALL)
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_reload_is_zero_rebuild(self, backend, rng, tmp_path, monkeypatch):
         """load() must open the index without a single insert or pack."""
-        db = SimilarityDatabase(
-            CAPACITY, backend=backend, index_capacity=4
-        )
+        db = start_database(backend, tmp_path / "start", CAPACITY)
         churn(db, rng)
         path = tmp_path / "db.snap"
         db.save(path)
@@ -756,7 +671,7 @@ class TestSnapshotAcceptance:
 
         for cls in (RStarTree, XTree):
             monkeypatch.setattr(cls, "insert", boom)
-        monkeypatch.setattr(storage, "densify", boom)
+        monkeypatch.setattr(arraycore, "densify", boom)
         loaded = SimilarityDatabase.load(path)
         assert loaded.index_digest() == digest
         assert loaded.version == db.version
@@ -766,7 +681,7 @@ class TestSnapshotAcceptance:
     def test_reload_in_new_process(self, rng, tmp_path):
         """The full acceptance criterion: a different interpreter loads
         the snapshot and answers identically, without rebuild work."""
-        db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
+        db = SimilarityDatabase(CAPACITY)
         churn(db, rng)
         path = tmp_path / "db.snap"
         db.save(path)
@@ -812,14 +727,14 @@ print(json.dumps({
         durable config: they open and answer literally like a fresh
         build, whatever the value, and like files without the key."""
         path = tmp_path / "db"
-        contents = write_xtree_layout(kind, rng, path)
+        contents = write_layout(kind, rng, path)
         if legacy is not None:
             restamp_layout(
                 path,
                 lambda meta, arrays: meta.update(solver=legacy),
                 lambda payload: payload.update(solver=legacy),
             )
-        fresh = fresh_xtree(contents)
+        fresh = fresh_database(contents)
         opened = open_database(path)
         assert not hasattr(opened, "solver")
         for _ in range(4):
@@ -837,46 +752,23 @@ print(json.dumps({
 
     @pytest.mark.parametrize("kind", ["npz", "dense", "durable", "sharded"])
     def test_retired_backend_layout_opens_on_xtree(self, kind, rng, tmp_path):
-        """A layout written with a retired backend holds every set and
-        stored centroid; only its index arrays are M-tree or R*-tree
-        shaped.  It opens as an X-tree database ranking the stored
-        centroids — those arrays are never parsed — and answers literally
-        like a fresh build."""
-
-        def as_written_by_the_mtree_backend(meta, arrays):
-            meta["backend"] = "mtree"
-            if meta["index_meta"] is not None:
-                meta["index_meta"]["kind"] = "mtree"
-            for name in [n for n in arrays if n.startswith("index__")]:
-                del arrays[name]
-            arrays["index__node_is_leaf"] = np.ones(1, dtype=np.int8)
-
-        def as_written_by_the_rstar_backend(meta, arrays):
-            meta["backend"] = "rstar"
-            if meta["index_meta"] is not None:
-                meta["index_meta"]["kind"] = "rstar"
-                # An incrementally built R*-tree's tables: never read.
-                arrays["index__entry_lowers"] = arrays["index__entry_lowers"] + 1.0
-
-        for retired, edit in (
-            ("mtree", as_written_by_the_mtree_backend),
-            ("rstar", as_written_by_the_rstar_backend),
-        ):
-            path = tmp_path / retired / "db"
+        """A layout written while snapshots carried an index, whatever
+        backend it recorded (in every meta block, in ``durable.json``, in
+        the manifest), holds every set and stored centroid.  It opens on
+        the one index there is - its index members are never parsed -
+        answers literally like a fresh build, and writes no index when it
+        is saved again."""
+        for recorded in RECORDED_BACKENDS:
+            path = tmp_path / recorded / "db"
             path.parent.mkdir()
-            contents = write_xtree_layout(kind, rng, path)
-            restamp_layout(
-                path, edit, lambda payload, name=retired: payload.update(backend=name)
-            )
-            fresh = fresh_xtree(contents)
+            contents = write_layout(kind, rng, path)
+            restamp_layout(path, parent_snapshot(recorded), parent_config(recorded))
+            fresh = fresh_database(contents)
             fresh.compact()
             opened = open_database(path)
-            assert opened.backend == "xtree"
             for shard in getattr(opened, "shards", [opened]):
-                assert shard.backend == "xtree"
                 shard.check_invariants()
             if kind != "sharded":
-                # Packed from the stored centroids: a fresh pack's index.
                 assert opened.index_digest() == fresh.index_digest()
             for _ in range(4):
                 query = rand_set(rng)
@@ -894,17 +786,21 @@ print(json.dumps({
             # Still a working database: mutate, persist, reopen.
             opened.add(901, contents[min(contents)])
             saved = opened.save(
-                None if kind == "durable" else tmp_path / retired / "again"
+                None if kind == "durable" else tmp_path / recorded / "again"
             )
             opened.close()
+            for file in sorted(saved.glob("shard-*")) if saved.is_dir() else [saved]:
+                meta, arrays = read_snapshot(file)
+                assert not {"backend", "index_capacity", "index_meta"} & meta.keys()
+                assert not [name for name in arrays if name.startswith("index__")]
             again = open_database(path if kind == "durable" else saved)
-            assert again.backend == "xtree" and 901 in again
+            assert 901 in again
             for shard in getattr(again, "shards", [again]):
                 shard.check_invariants()
             again.close()
 
     def test_snapshot_corruption_detected(self, rng, tmp_path):
-        db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
+        db = SimilarityDatabase(CAPACITY)
         churn(db, rng, adds=12)
         path = tmp_path / "db.snap"
         db.save(path)
@@ -916,7 +812,7 @@ print(json.dumps({
 
     def test_save_is_atomic_under_failure(self, rng, tmp_path, monkeypatch):
         """A crash mid-save must leave the previous snapshot intact."""
-        db = SimilarityDatabase(CAPACITY, backend="scan")
+        db = SimilarityDatabase(CAPACITY)
         churn(db, rng, adds=8)
         path = tmp_path / "db.snap"
         db.save(path)
@@ -935,7 +831,7 @@ print(json.dumps({
         assert leftovers == []
 
     def test_empty_database_roundtrip(self, tmp_path, rng):
-        db = SimilarityDatabase(CAPACITY, backend="xtree")
+        db = SimilarityDatabase(CAPACITY)
         path = tmp_path / "empty.snap"
         db.save(path)
         loaded = SimilarityDatabase.load(path)
@@ -985,7 +881,7 @@ class TestOneCopyStore:
     ):
         """Swap-with-last removals scramble the engine's rows; the file
         still holds the ascending-oid layout, array for array."""
-        db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
+        db = SimilarityDatabase(CAPACITY)
         contents = churn(db, rng)
         assert db._engine.oids.tolist() != sorted(contents)  # rows are scrambled
         db.save(tmp_path / "db.snap", dense=dense)
@@ -1031,7 +927,7 @@ class TestOneCopyStore:
 
         opened = open_database(path)
         opened.check_invariants()
-        fresh = fresh_xtree(contents)
+        fresh = fresh_database(contents)
         assert opened.version == 8 and opened.object_ids() == sorted(contents)
         assert opened.engine_digest() == fresh.engine_digest()
         for _ in range(4):
@@ -1044,40 +940,33 @@ class TestOneCopyStore:
             ):
                 assert results_tuple(got[0]) == results_tuple(want[0])
                 assert got[1] == want[1]
-        # Written back, every array is the parent's but the index tables:
-        # every save writes a pack of the live set, as a fresh build's does.
+        # Written back, every array and meta key is the parent's but the
+        # index: a snapshot carries none.
         opened.save(tmp_path / "again.snap")
-        fresh.save(tmp_path / "fresh.snap")
         again_meta, again = read_snapshot(tmp_path / "again.snap")
-        packed_meta, packed = read_snapshot(tmp_path / "fresh.snap")
         assert is_dense_archive(tmp_path / "again.snap") == dense
         assert_same_arrays(
-            again,
-            {name: (packed if name.startswith("index__") else arrays)[name]
-             for name in arrays},
+            again, {name: arr for name, arr in arrays.items() if "index__" not in name}
         )
-        meta["index_meta"] = packed_meta["index_meta"]
+        for key in ("backend", "index_capacity", "index_meta"):
+            del meta[key]
         assert {k: again_meta[k] for k in meta} == meta
+        assert not {"backend", "index_capacity", "index_meta"} & again_meta.keys()
 
     @pytest.mark.parametrize("kind", ["npz", "dense", "durable", "sharded"])
     def test_open_and_first_queries_build_no_tree(
         self, kind, rng, tmp_path, monkeypatch
     ):
         """Every layout opens without building, inserting into or packing a
-        tree: the saved node tables are validated and dropped, and a
-        query ranks the engine's centroid rows.  Mutations never insert
+        tree: a query ranks the engine's centroid rows.  Mutations never insert
         into a pointer tree either."""
         path = tmp_path / "db"
         if kind == "durable":
-            db = SimilarityDatabase(
-                CAPACITY, backend="xtree", index_capacity=4, durable=True, path=path
-            )
+            db = SimilarityDatabase(CAPACITY, durable=True, path=path)
         elif kind == "sharded":
-            db = ShardedSimilarityDatabase(
-                CAPACITY, shards=2, backend="xtree", index_capacity=4
-            )
+            db = ShardedSimilarityDatabase(CAPACITY, shards=2)
         else:
-            db = SimilarityDatabase(CAPACITY, backend="xtree", index_capacity=4)
+            db = SimilarityDatabase(CAPACITY)
         churn(db, rng, adds=24)
         queries = [rand_set(rng) for _ in range(3)]
 
@@ -1104,7 +993,7 @@ class TestOneCopyStore:
 
         monkeypatch.setattr(RStarTree, "insert", boom)  # XTree inherits
         with monkeypatch.context() as patched:
-            patched.setattr(storage, "densify", boom)
+            patched.setattr(arraycore, "densify", boom)
             opened = open_database(path)
             assert answers(opened) == want
         parts = getattr(opened, "shards", [opened])
@@ -1117,7 +1006,7 @@ class TestOneCopyStore:
 
     def test_get_returns_an_owned_bit_equal_copy(self, rng, tmp_path):
         """Smaller than, equal to and (rejected) larger than capacity."""
-        db = SimilarityDatabase(CAPACITY, backend="scan")
+        db = SimilarityDatabase(CAPACITY)
         added = {
             1: rng.normal(size=(1, DIM)),
             2: rng.normal(size=(CAPACITY, DIM)),
@@ -1153,15 +1042,8 @@ class TestMalformedSnapshots:
         "no-omega": (lambda meta, arrays: meta.pop("omega"), "omega"),
         "no-dimension": (lambda meta, arrays: meta.pop("dimension"), "dimension"),
         "no-db-version": (lambda meta, arrays: meta.pop("db_version"), "db_version"),
-        "no-index-meta": (lambda meta, arrays: meta.pop("index_meta"), "index_meta"),
         "no-block-size": (lambda meta, arrays: meta.pop("block_size"), "block_size"),
         "no-set-data": (lambda meta, arrays: arrays.pop("set_data"), "set_data"),
-        "no-index-table": (
-            lambda meta, arrays: arrays.pop("index__node_level"), "node_level"
-        ),
-        "unknown-index-kind": (
-            lambda meta, arrays: meta["index_meta"].update(kind="btree"), "btree"
-        ),
         "offsets-past-the-data": (
             lambda meta, arrays: arrays["set_row_offsets"].__setitem__(
                 slice(1, None), arrays["set_row_offsets"][1:] + 1000
@@ -1202,14 +1084,13 @@ class TestMalformedSnapshots:
         edit, named = self.FAULTS[fault]
         rng = np.random.default_rng(11)
         path = tmp_path / "db"
-        db_kwargs = dict(backend="xtree", index_capacity=4)
         full = lambda: rng.integers(-8, 9, size=(CAPACITY, DIM)).astype(float)
         if kind == "durable":
-            db = SimilarityDatabase(CAPACITY, durable=True, path=path, **db_kwargs)
+            db = SimilarityDatabase(CAPACITY, durable=True, path=path)
         elif kind == "sharded":
-            db = ShardedSimilarityDatabase(CAPACITY, shards=2, **db_kwargs)
+            db = ShardedSimilarityDatabase(CAPACITY, shards=2)
         else:
-            db = SimilarityDatabase(CAPACITY, **db_kwargs)
+            db = SimilarityDatabase(CAPACITY)
         contents = {oid: full() for oid in range(12)}
         for oid, arr in contents.items():
             db.add(oid, arr)
@@ -1235,6 +1116,45 @@ class TestMalformedSnapshots:
             assert "db" in str(caught.value)  # names the file
             assert main(["db", "verify", str(path)]) == 1
 
+    #: Breaks of the index a layout carried while snapshots held one: its
+    #: members are never parsed, so none of these is a fault any more.
+    INDEX_FAULTS = {
+        "no-index-meta": lambda meta, arrays: meta.pop("index_meta"),
+        "no-index-table": lambda meta, arrays: arrays.pop("index__node_level"),
+        "unknown-index-kind": lambda meta, arrays: meta["index_meta"].update(
+            kind="btree"
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(INDEX_FAULTS))
+    @pytest.mark.parametrize("kind", ["npz", "dense", "durable", "sharded"])
+    def test_index_is_not_parsed(self, kind, fault, tmp_path):
+        """A layout recorded as ``xtree`` while snapshots carried an index,
+        that index broken in a CRC-valid way: it opens without a fallback,
+        answers like a fresh build and verifies clean."""
+        from repro.cli import main
+
+        rng = np.random.default_rng(11)
+        path = tmp_path / "db"
+        contents = write_layout(kind, rng, path)
+
+        def broken(meta, arrays):
+            parent_snapshot("xtree")(meta, arrays)
+            self.INDEX_FAULTS[fault](meta, arrays)
+
+        restamp_layout(path, broken, parent_config("xtree"))
+        opened = open_database(path)
+        if kind == "durable":
+            assert opened.last_recovery.fallbacks == 0
+        assert opened.object_ids() == sorted(contents)
+        fresh = fresh_database(contents)
+        for _ in range(3):
+            query = rand_set(rng)
+            got, want = opened.knn_query(query, 6), fresh.knn_query(query, 6)
+            assert results_tuple(got[0]) == results_tuple(want[0])
+        opened.close()
+        assert main(["db", "verify", str(path)]) == 0
+
 
 class TestGridIngestPath:
     def test_add_grid_flows_through_cache(self, lshape_grid, tire_grid):
@@ -1246,7 +1166,6 @@ class TestGridIngestPath:
         cache = FeatureCache()
         db = SimilarityDatabase(
             CAPACITY,
-            backend="xtree",
             model=model,
             pipeline=Pipeline(resolution=12),
             cache=cache,

@@ -2,10 +2,7 @@
 ranking of a maintained database against a fresh build and brute force.
 
 A hypothesis rule machine interleaves add, remove, update, compact and
-save-reload steps on an ``xtree`` database (node capacity 4, so the
-pack every snapshot writes spans several nodes, and the open validates
-it against the stored centroids) and on a ``scan`` database, and after
-every step requires of each:
+save-reload steps on a database, and after every step requires:
 
 * k-nn and range answers *and* ``QueryStats`` literally equal to a
   freshly built database of the same objects, and to brute force;
@@ -36,7 +33,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.db import BACKENDS, SimilarityDatabase
+from repro.db import SimilarityDatabase
 from tests.conftest import (
     assert_answers_like_a_fresh_pack,
     assert_engine_is_fresh,
@@ -72,14 +69,11 @@ def check(db, model):
 
 
 class IndexDifferentialMachine(RuleBasedStateMachine):
-    """Every backend's database against the model after every step."""
+    """The database against the model after every step."""
 
     def __init__(self):
         super().__init__()
-        self.dbs = [
-            SimilarityDatabase(1, backend=backend, index_capacity=4, sketch=False)
-            for backend in BACKENDS
-        ]
+        self.dbs = [SimilarityDatabase(1, sketch=False)]
         self.model: dict[int, tuple[int, ...]] = {}
         self.next_oid = 0
 
@@ -125,8 +119,7 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
 
     @rule(dense=st.booleans())
     def save_reload(self, dense):
-        """The snapshot holds a pack of the live set (written, not kept:
-        the save is a read), and the reopened database ranks alike."""
+        """The save is a read, and the reopened database ranks alike."""
         with tempfile.TemporaryDirectory() as tmp:
             reopened = []
             for position, db in enumerate(self.dbs):
@@ -149,7 +142,7 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
         want = [(oid, dist) for dist, oid in brute_force(self.model, center)[:k]]
         for db in self.dbs:
             got, _ = reads_only(db, lambda target: target.knn_query(query, k))
-            assert [(m.object_id, m.distance) for m in got] == want, db.backend
+            assert [(m.object_id, m.distance) for m in got] == want
         assert_answers_like_a_fresh_pack(self.dbs[0], [query], k=k, epsilon=2.0)
 
     @precondition(lambda self: self.model)
@@ -163,14 +156,14 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
         ]
         for db in self.dbs:
             got, _ = reads_only(db, lambda target: target.range_query(query, radius))
-            assert [(m.object_id, m.distance) for m in got] == want, db.backend
+            assert [(m.object_id, m.distance) for m in got] == want
 
     # -- global coherence --------------------------------------------------
 
     @invariant()
     def sizes_agree(self):
         for db in self.dbs:
-            assert len(db) == len(self.model), db.backend
+            assert len(db) == len(self.model)
 
 
 TestIndexDifferential = IndexDifferentialMachine.TestCase
@@ -179,13 +172,10 @@ TestIndexDifferential = IndexDifferentialMachine.TestCase
 @pytest.mark.parametrize("seed", [0, 1])
 def test_bulk_churn_differential(seed):
     """A dense non-hypothesis workload beyond the stateful budget:
-    hundreds of interleaved adds, removes and updates on both backends,
-    checked every few steps."""
+    hundreds of interleaved adds, removes and updates, checked every few
+    steps."""
     rng = np.random.default_rng(seed)
-    dbs = [
-        SimilarityDatabase(1, backend=backend, index_capacity=4, sketch=False)
-        for backend in BACKENDS
-    ]
+    dbs = [SimilarityDatabase(1, sketch=False)]
     model: dict[int, tuple] = {}
     for step in range(300):
         point = tuple(rng.integers(-6, 7, size=DIMENSION).tolist())
@@ -214,7 +204,7 @@ def test_equal_centroids_split_across_core_and_delta():
     """Objects at one point, added before and after a compaction (and one
     updated onto it in place): the ties come out by ascending oid,
     exactly as a fresh build ranks them."""
-    db = SimilarityDatabase(1, backend="xtree", index_capacity=4, sketch=False)
+    db = SimilarityDatabase(1, sketch=False)
     tie = np.array([[1.0, 1.0, 1.0]])
     rng = np.random.default_rng(7)
     for oid in range(10, 138, 2):  # 64 objects, half of them at the tie
@@ -237,7 +227,7 @@ def test_equal_centroids_split_across_core_and_delta():
 def test_a_query_writes_no_state(tmp_path):
     """Neither a ranking of the mutated database nor a save under the
     read lock replaces any attribute of the database."""
-    db = SimilarityDatabase(1, backend="xtree", index_capacity=4)
+    db = SimilarityDatabase(1)
     for oid in range(64):
         db.add(oid, np.array([[oid % 7, oid % 5, oid % 3]], dtype=float))
     db.compact()

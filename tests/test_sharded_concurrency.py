@@ -27,6 +27,7 @@ from repro.core.centroid import norm_weight
 from repro.core.min_matching import min_matching_distance
 from repro.db import ShardedSimilarityDatabase, shard_of
 from repro.exceptions import LockTimeout
+from tests.conftest import BACKENDS, start_database
 
 CAPACITY = 3
 DIM = 3
@@ -44,11 +45,9 @@ def clean_obs():
     obs.disable()
 
 
-@pytest.mark.parametrize("backend", ["xtree", "scan"])
-def test_scatter_gather_pins_a_version_vector(backend, rng):
-    db = ShardedSimilarityDatabase(
-        CAPACITY, shards=SHARDS, backend=backend, index_capacity=4
-    )
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_scatter_gather_pins_a_version_vector(backend, rng, tmp_path):
+    db = start_database(backend, tmp_path / "db", CAPACITY, shards=SHARDS)
 
     def rand_set():
         return rng.integers(
@@ -169,7 +168,7 @@ def test_scatter_gather_pins_a_version_vector(backend, rng):
 def test_cross_shard_writers_serialize(rng):
     """One writer thread per shard, disjoint oid pools: every mutation
     lands, and the version vector counts per-shard mutations exactly."""
-    db = ShardedSimilarityDatabase(CAPACITY, shards=SHARDS, backend="xtree")
+    db = ShardedSimilarityDatabase(CAPACITY, shards=SHARDS)
     pools = {i: [] for i in range(SHARDS)}
     for oid in range(120):
         pools[shard_of(oid, SHARDS)].append(oid)
@@ -203,9 +202,7 @@ def test_one_stuck_shard_degrades_loudly(rng):
     silently: scatter-gather raises LockTimeout (and counts it), while
     the healthy shards still answer direct queries."""
     obs.enable()
-    db = ShardedSimilarityDatabase(
-        CAPACITY, shards=SHARDS, backend="xtree", lock_timeout=0.05
-    )
+    db = ShardedSimilarityDatabase(CAPACITY, shards=SHARDS, lock_timeout=0.05)
     for oid in range(12):
         db.add(oid, rng.integers(-6, 7, size=(2, DIM)).astype(float))
     query = rng.integers(-6, 7, size=(1, DIM)).astype(float)

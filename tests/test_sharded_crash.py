@@ -18,7 +18,9 @@ The contract after recovery (``open_database`` on the root):
   oids the CRC routing assigns it, and all shards agree on the same
   plan prefix;
 * knn/range answers are byte-identical to a single-shard fresh build
-  of that prefix — the differential contract holds through a crash.
+  of that prefix — the differential contract holds through a crash,
+  whether the directory was new or one recorded as ``scan`` while
+  snapshots carried an index (``tests.conftest.BACKENDS``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,12 @@ from repro.db import (
 )
 from repro.testing.faults import CRASH_ENV, CRASH_EXIT_CODE
 
-from tests.conftest import assert_answers_like_a_fresh_pack, reads_only
+from tests.conftest import (
+    BACKENDS,
+    assert_answers_like_a_fresh_pack,
+    reads_only,
+    start_database,
+)
 from tests.test_db_durable import (
     CAPACITY,
     fresh_build,
@@ -55,13 +62,16 @@ import json, os, sys
 import numpy as np
 from repro.db import ShardedSimilarityDatabase
 
-dbdir, planfile, ackfile, backend = sys.argv[1:5]
+dbdir, planfile, ackfile = sys.argv[1:4]
 with open(planfile) as handle:
     plan = json.load(handle)
-db = ShardedSimilarityDatabase(
-    plan["capacity"], shards=plan["shards"], backend=backend,
-    durable=True, path=dbdir, fsync="always",
-)
+if os.path.exists(dbdir):  # started by the test: a recorded "scan" layout
+    db = ShardedSimilarityDatabase.load(dbdir)
+else:
+    db = ShardedSimilarityDatabase(
+        plan["capacity"], shards=plan["shards"], backend="xtree",
+        durable=True, path=dbdir, fsync="always",
+    )
 ack = open(ackfile, "w")
 for i, (op, oid, arr) in enumerate(plan["steps"]):
     if op == "add":
@@ -93,7 +103,7 @@ CRASH_SPECS = {
 }
 
 
-def run_worker(tmp_path, plan, backend, crash_spec=None):
+def run_worker(tmp_path, plan, backend="xtree", crash_spec=None):
     worker = tmp_path / "worker.py"
     worker.write_text(WORKER)
     planfile = tmp_path / "plan.json"
@@ -111,14 +121,17 @@ def run_worker(tmp_path, plan, backend, crash_spec=None):
     )
     ackfile = tmp_path / "acks"
     dbdir = tmp_path / "db"
+    if backend != "xtree":
+        start_database(
+            backend, dbdir, CAPACITY, shards=SHARDS, durable=True, fsync="always"
+        ).close()
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     env.pop(CRASH_ENV, None)
     if crash_spec is not None:
         env[CRASH_ENV] = crash_spec
     proc = subprocess.run(
-        [sys.executable, str(worker), str(dbdir), str(planfile),
-         str(ackfile), backend],
+        [sys.executable, str(worker), str(dbdir), str(planfile), str(ackfile)],
         env=env,
         capture_output=True,
         text=True,
@@ -159,16 +172,16 @@ def assert_consistent_vector(recovered, reference_single, rng):
         ]
 
 
-def matches_some_prefix(recovered, state_plan, backend, floor, rng) -> bool:
+def matches_some_prefix(recovered, state_plan, floor, rng) -> bool:
     for upto in range(floor, len(state_plan) + 1):
-        reference = fresh_build(state_plan[:upto], backend)
+        reference = fresh_build(state_plan[:upto])
         if same_contents(recovered, reference):
             assert_consistent_vector(recovered, reference, rng)
             return True
     return False
 
 
-@pytest.mark.parametrize("backend", ["xtree", "scan"])
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("point", sorted(CRASH_SPECS))
 def test_kill_and_recover(point, backend, tmp_path, rng):
     plan = make_plan(rng)
@@ -185,16 +198,14 @@ def test_kill_and_recover(point, backend, tmp_path, rng):
     assert len(recovered.last_recovery) == SHARDS
     state_plan = [s for s in plan if s[0] != "checkpoint"]
     acked_state = len([s for s in plan[:acked] if s[0] != "checkpoint"])
-    assert matches_some_prefix(
-        recovered, state_plan, backend, acked_state, rng
-    ), (
+    assert matches_some_prefix(recovered, state_plan, acked_state, rng), (
         f"recovered sharded state after {point} kill matches no prefix "
         f">= the {acked} acknowledged mutations"
     )
     recovered.close()
 
 
-@pytest.mark.parametrize("backend", ["xtree", "scan"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_clean_run_control(backend, tmp_path, rng):
     """No crash spec: the worker completes and recovery equals a fresh
     single-shard build over the whole plan — the baseline the kill
@@ -206,7 +217,7 @@ def test_clean_run_control(backend, tmp_path, rng):
     recovered = open_database(dbdir)
     assert all(not report.degraded for report in recovered.last_recovery)
     state_plan = [s for s in plan if s[0] != "checkpoint"]
-    reference = fresh_build(state_plan, backend)
+    reference = fresh_build(state_plan)
     assert same_contents(recovered, reference)
     assert_consistent_vector(recovered, reference, rng)
     recovered.close()
@@ -218,7 +229,7 @@ def test_gap_kill_leaves_mixed_generations(tmp_path, rng):
     still carries its tail — and recovery reconciles them anyway."""
     plan = make_plan(rng)
     proc, dbdir, acked = run_worker(
-        tmp_path, plan, "xtree", crash_spec="between-shard-checkpoints"
+        tmp_path, plan, crash_spec="between-shard-checkpoints"
     )
     assert proc.returncode == CRASH_EXIT_CODE, proc.stderr
     checkpoint_step = next(
@@ -231,5 +242,5 @@ def test_gap_kill_leaves_mixed_generations(tmp_path, rng):
     acked_state = len(
         [s for s in plan[:acked] if s[0] != "checkpoint"]
     )
-    assert matches_some_prefix(recovered, state_plan, "xtree", acked_state, rng)
+    assert matches_some_prefix(recovered, state_plan, acked_state, rng)
     recovered.close()

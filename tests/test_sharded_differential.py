@@ -5,7 +5,7 @@ query against K independent shards returns *byte-identical* results —
 same ids, same float distances, same order — to a single-shard
 ``SimilarityDatabase`` holding the same objects.  A hypothesis rule
 machine drives arbitrary add/remove/update/compact/reshard sequences
-against a (sharded, mirror) pair per backend and checks knn, range,
+against a (sharded, mirror) pair and checks knn, range,
 batch, and approx-mode answers after every step; integer coordinates
 keep every distance exactly representable, so the comparison is
 literal equality, never approximate.
@@ -32,7 +32,6 @@ from hypothesis.stateful import (
 
 from repro.core.queries import QueryStats
 from repro.db import (
-    BACKENDS,
     ShardedSimilarityDatabase,
     SimilarityDatabase,
     open_database,
@@ -60,21 +59,13 @@ def pairs(results):
 
 
 class ShardedDifferentialMachine(RuleBasedStateMachine):
-    """One (sharded, mirror) pair per backend; equality after every step."""
+    """One (sharded, mirror) pair; equality after every step."""
 
     def __init__(self):
         super().__init__()
-        self.dbs = {
-            backend: (
-                ShardedSimilarityDatabase(
-                    CAPACITY, shards=3, backend=backend, index_capacity=4
-                ),
-                SimilarityDatabase(
-                    CAPACITY, backend=backend, index_capacity=4
-                ),
-            )
-            for backend in BACKENDS
-        }
+        self.dbs = [
+            (ShardedSimilarityDatabase(CAPACITY, shards=3), SimilarityDatabase(CAPACITY))
+        ]
         self.model: dict[int, np.ndarray] = {}
         self.next_oid = 0
 
@@ -85,7 +76,7 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
         # Strided ids keep the CRC routing honest on sparse id spaces.
         oid = self.next_oid
         self.next_oid += stride
-        for sharded, mirror in self.dbs.values():
+        for sharded, mirror in self.dbs:
             sharded.add(oid, arr)
             mirror.add(oid, arr)
         self.model[oid] = arr
@@ -94,7 +85,7 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def remove(self, data):
         oid = data.draw(st.sampled_from(sorted(self.model)))
-        for sharded, mirror in self.dbs.values():
+        for sharded, mirror in self.dbs:
             assert sharded.remove(oid) is True
             assert mirror.remove(oid) is True
         del self.model[oid]
@@ -102,7 +93,7 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
     @rule()
     def remove_absent(self):
         missing = self.next_oid + 1
-        for sharded, mirror in self.dbs.values():
+        for sharded, mirror in self.dbs:
             assert sharded.remove(missing) is False
             assert mirror.remove(missing) is False
 
@@ -110,14 +101,14 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
     @rule(arr=vector_sets, data=st.data())
     def update(self, arr, data):
         oid = data.draw(st.sampled_from(sorted(self.model)))
-        for sharded, mirror in self.dbs.values():
+        for sharded, mirror in self.dbs:
             sharded.update(oid, arr)
             mirror.update(oid, arr)
         self.model[oid] = arr
 
     @rule()
     def compact(self):
-        for sharded, mirror in self.dbs.values():
+        for sharded, mirror in self.dbs:
             sharded.compact()
             mirror.compact()
 
@@ -125,13 +116,13 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
     def reshard(self, new_shards):
         # Only the sharded side repartitions; the mirror is untouched —
         # query equality must be insensitive to the partitioning.
-        for sharded, _ in self.dbs.values():
+        for sharded, _ in self.dbs:
             sharded.reshard(new_shards)
             assert sharded.n_shards == new_shards
 
     @rule(new_shards=st.integers(min_value=1, max_value=4))
     def rebalance_on_compact(self, new_shards):
-        for sharded, _ in self.dbs.values():
+        for sharded, _ in self.dbs:
             sharded.compact(shards=new_shards)
             assert sharded.n_shards == new_shards
 
@@ -140,18 +131,18 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.model)
     @rule(query=vector_sets, k=st.integers(min_value=1, max_value=6))
     def knn_matches(self, query, k):
-        for backend, (sharded, mirror) in self.dbs.items():
+        for sharded, mirror in self.dbs:
             got, _ = sharded.knn_query(query, k)
             want, _ = mirror.knn_query(query, k)
-            assert pairs(got) == pairs(want), backend
+            assert pairs(got) == pairs(want)
 
     @precondition(lambda self: self.model)
     @rule(query=vector_sets, epsilon=st.floats(0.0, 12.0, allow_nan=False))
     def range_matches(self, query, epsilon):
-        for backend, (sharded, mirror) in self.dbs.items():
+        for sharded, mirror in self.dbs:
             got, _ = sharded.range_query(query, epsilon)
             want, _ = mirror.range_query(query, epsilon)
-            assert pairs(got) == pairs(want), backend
+            assert pairs(got) == pairs(want)
 
     @precondition(lambda self: self.model)
     @rule(
@@ -162,34 +153,34 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
     def approx_matches(self, query, k, budget):
         # Approx mode must reconstruct the *global* Hamming shortlist:
         # results AND merged stats equal the single-shard build's.
-        for backend, (sharded, mirror) in self.dbs.items():
+        for sharded, mirror in self.dbs:
             got, got_stats = sharded.knn_query(
                 query, k, mode="approx", shortlist=budget
             )
             want, want_stats = mirror.knn_query(
                 query, k, mode="approx", shortlist=budget
             )
-            assert pairs(got) == pairs(want), backend
-            assert got_stats.as_dict() == want_stats.as_dict(), backend
+            assert pairs(got) == pairs(want)
+            assert got_stats.as_dict() == want_stats.as_dict()
 
     @precondition(lambda self: self.model)
     @rule(queries=st.lists(vector_sets, min_size=1, max_size=3))
     def batch_matches(self, queries):
-        for backend, (sharded, mirror) in self.dbs.items():
+        for sharded, mirror in self.dbs:
             got = sharded.knn_query_many(queries, 4)
             want = mirror.knn_query_many(queries, 4)
             assert [pairs(r) for r, _ in got] == [
                 pairs(r) for r, _ in want
-            ], backend
+            ]
 
     # -- standing invariants ------------------------------------------------
 
     @invariant()
     def membership_agrees(self):
         expected = sorted(self.model)
-        for backend, (sharded, mirror) in self.dbs.items():
-            assert sharded.object_ids() == expected, backend
-            assert mirror.object_ids() == expected, backend
+        for sharded, mirror in self.dbs:
+            assert sharded.object_ids() == expected
+            assert mirror.object_ids() == expected
             assert len(sharded) == len(mirror) == len(expected)
             assert sum(len(s) for s in sharded.shards) == len(expected)
 
@@ -197,7 +188,7 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
     def engines_match_fresh(self):
         # Every shard maintains its own engine in place; the probes
         # below keep them live.
-        for sharded, mirror in self.dbs.values():
+        for sharded, mirror in self.dbs:
             for db in (*sharded.shards, mirror):
                 assert_engine_is_fresh(db)
 
@@ -208,17 +199,17 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
         if not self.model:
             return
         probe = np.asarray([[1.0, -2.0, 3.0]])
-        for backend, (sharded, mirror) in self.dbs.items():
+        for sharded, mirror in self.dbs:
             got, _ = reads_only(sharded, lambda db: db.knn_query(probe, 3))
             want, _ = mirror.knn_query(probe, 3)
-            assert pairs(got) == pairs(want), backend
+            assert pairs(got) == pairs(want)
             # Every core plus delta, each shard's and the mirror's, answers
             # and counts like a fresh pack of its objects.
             for db in (*sharded.shards, mirror):
                 assert_answers_like_a_fresh_pack(db, [probe], k=3, epsilon=6.0)
             got, _ = sharded.knn_query(probe, 3, mode="approx", shortlist=4)
             want, _ = mirror.knn_query(probe, 3, mode="approx", shortlist=4)
-            assert pairs(got) == pairs(want), backend
+            assert pairs(got) == pairs(want)
 
 
 TestShardedDifferential = ShardedDifferentialMachine.TestCase
@@ -245,9 +236,9 @@ def test_routing_spreads_dense_ids():
 # -- persistence seams -----------------------------------------------------
 
 
-def build_pair(rng, count=30, shards=4, backend="xtree"):
-    sharded = ShardedSimilarityDatabase(CAPACITY, shards=shards, backend=backend)
-    mirror = SimilarityDatabase(CAPACITY, backend=backend)
+def build_pair(rng, count=30, shards=4):
+    sharded = ShardedSimilarityDatabase(CAPACITY, shards=shards)
+    mirror = SimilarityDatabase(CAPACITY)
     sets = {}
     for oid in range(count):
         arr = rng.integers(-8, 9, size=(int(rng.integers(1, CAPACITY + 1)), DIM)).astype(float)
@@ -291,14 +282,9 @@ def test_reshard_after_reload_keeps_shard_parameters(
     tmp_path, rng, count, sketch_kwargs
 ):
     """A reloaded layout reshards exactly like the instance that wrote
-    it: fresh shards inherit ω, block size, index capacity and sketch
-    parameters from the live shards, not constructor defaults."""
-    params = dict(
-        omega=np.full(4, 5.0),
-        block_size=4,
-        index_capacity=5,
-        **sketch_kwargs,
-    )
+    it: fresh shards inherit ω, block size and sketch parameters from
+    the live shards, not constructor defaults."""
+    params = dict(omega=np.full(4, 5.0), block_size=4, **sketch_kwargs)
     live = ShardedSimilarityDatabase(5, shards=4, **params)
     sets = [
         rng.standard_normal((int(rng.integers(1, 6)), 4)) * 3.0
@@ -312,7 +298,6 @@ def test_reshard_after_reload_keeps_shard_parameters(
     for shard in back.shards:
         assert np.array_equal(shard.omega, params["omega"])
         assert shard.block_size == 4
-        assert shard.index_capacity == 5
         assert shard.sketch_enabled is sketch_kwargs.get("sketch", True)
     assert back.index_digests() == live.index_digests()
     assert back.sketch_digests() == live.sketch_digests()

@@ -1,8 +1,9 @@
 """The storage layer (:mod:`repro.db.storage`): every layout pinned file
 for file, and every malformed settings record failing typed.
 
-* **Formats.**  One seeded history on both backends is written in every
-  layout - ``.npz``, dense, durable (two checkpoints plus a WAL tail),
+* **Formats.**  One seeded history, with ω at the origin and off it, is
+  written in every layout - ``.npz``, dense, durable (two checkpoints
+  plus a WAL tail),
   sharded K = 2 and sharded-durable K = 2 - and digested:
   SHA-256 of every WAL segment, ``CURRENT``, ``durable.json`` and
   ``sharded.json``; for every archive its meta block and a SHA-256 per
@@ -16,8 +17,9 @@ for file, and every malformed settings record failing typed.
   and a snapshot's meta block - raise :class:`StorageError` naming the
   file (and the key, where there is one) through ``open_database``,
   and ``repro db verify`` reports them as corrupt with exit code 1.
-  So do CRC-valid index tables that do not form a sound tree, and a
-  CRC-valid ``payloads`` member that is not what it should be.
+  So does a CRC-valid ``payloads`` member that is not what it should
+  be.  The index tables of a layout written while snapshots carried
+  one are never parsed: CRC-valid but broken, they open and verify.
 * **Payloads** survive every layout, reshard included; a payload-free
   history writes the pinned bytes above.
 """
@@ -38,6 +40,7 @@ from repro.exceptions import QueryError, StorageError
 from repro.index.dense import read_dense_archive, write_dense_archive
 from repro.index.snapshot import read_archive, write_archive
 from repro.pipeline import Pipeline
+from tests.conftest import BACKENDS, parent_snapshot, start_database
 
 CAPACITY = 4
 DIM = 3
@@ -79,11 +82,12 @@ def replay(db, steps, payload=lambda oid: None) -> None:
 
 
 def write_every_layout(root: Path) -> None:
-    """The history of :func:`history` in every layout, on both backends."""
+    """The history of :func:`history` in every layout, with ω at the
+    origin and off it."""
     steps = history()
-    for backend, omega in (("xtree", None), ("scan", [0.5, -1.0, 2.0])):
-        base = root / backend
-        options = dict(backend=backend, omega=omega, index_capacity=4)
+    for name, omega in (("origin", None), ("omega", [0.5, -1.0, 2.0])):
+        base = root / name
+        options = dict(omega=omega)
         durable = dict(durable=True, pipeline=Pipeline(resolution=10))
         plain = SimilarityDatabase(CAPACITY, **options)
         replay(plain, steps)
@@ -150,18 +154,19 @@ def test_every_layout_is_the_pinned_one(tmp_path):
         assert got[name] == want[name], name
 
 
-@pytest.mark.parametrize("backend", ["xtree", "scan"])
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("dense", [False, True])
 def test_shards_open_as_one_database(backend, dense, tmp_path):
     """The pool workers' view of a saved sharded layout: one database
     whose engine and index are a fresh build's of the same objects, also
     when some shards are empty (at K = 40)."""
     steps = history()
-    options = dict(backend=backend, omega=[0.5, -1.0, 2.0], index_capacity=4)
+    options = dict(omega=[0.5, -1.0, 2.0])
     plain = SimilarityDatabase(CAPACITY, **options)
     replay(plain, steps)
     for shards in (5, 40):
-        sharded = ShardedSimilarityDatabase(CAPACITY, shards=shards, **options)
+        start = tmp_path / f"start-{shards}"
+        sharded = start_database(backend, start, CAPACITY, shards=shards, **options)
         replay(sharded, steps)
         root = sharded.save(tmp_path / f"sharded-{shards}", dense=dense)
         one = storage.open_shards_as_one(sharded._saved.paths)
@@ -179,12 +184,12 @@ def test_shards_open_as_one_database(backend, dense, tmp_path):
 
 def test_shards_that_disagree_do_not_open_as_one(tmp_path):
     layouts = {}
-    for name, options in (("a", {}), ("b", {"index_capacity": 6})):
+    for name, options in (("a", {}), ("b", {"block_size": 6})):
         db = ShardedSimilarityDatabase(CAPACITY, shards=2, **options)
         replay(db, history())
         layouts[name] = db.save(tmp_path / name)
     paths = [layouts["a"] / "shard-00000.npz", layouts["b"] / "shard-00001.npz"]
-    with pytest.raises(StorageError, match=r"b/shard-00001.npz.*'index_capacity'"):
+    with pytest.raises(StorageError, match=r"b/shard-00001.npz.*'block_size'"):
         storage.open_shards_as_one(paths)
 
 
@@ -193,13 +198,11 @@ def zip_members(path: Path) -> dict[str, bytes]:
         return {member: archive.read(member) for member in archive.namelist()}
 
 
-@pytest.mark.parametrize("backend", ["xtree", "scan"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_a_single_shard_is_a_plain_snapshot(backend, tmp_path):
     steps = history()
-    plain = SimilarityDatabase(CAPACITY, backend=backend, index_capacity=4)
-    sharded = ShardedSimilarityDatabase(
-        CAPACITY, shards=1, backend=backend, index_capacity=4
-    )
+    plain = start_database(backend, tmp_path / "start-plain", CAPACITY)
+    sharded = start_database(backend, tmp_path / "start-sharded", CAPACITY, shards=1)
     for db in (plain, sharded):
         replay(db, steps)
     for dense in (False, True):
@@ -218,18 +221,14 @@ def saved_layout(kind: str, path: Path) -> None:
     """A small saved database: ``plain`` / ``dense`` / ``durable`` single
     files or directories, ``sharded`` / ``sharded-durable`` with two
     shards."""
-    options = dict(backend="xtree", index_capacity=4)
     if kind.startswith("sharded"):
         durable = kind == "sharded-durable"
         db = ShardedSimilarityDatabase(
-            CAPACITY, shards=2, durable=durable, path=path if durable else None,
-            **options,
+            CAPACITY, shards=2, durable=durable, path=path if durable else None
         )
     else:
         durable = kind == "durable"
-        db = SimilarityDatabase(
-            CAPACITY, durable=durable, path=path if durable else None, **options
-        )
+        db = SimilarityDatabase(CAPACITY, durable=durable, path=path if durable else None)
     replay(db, history()[:12])
     if durable:
         db.checkpoint()
@@ -278,7 +277,6 @@ MANIFESTS = {
     "wrong-format": (setting(format="nope"), ("'format'",)),
     "wrong-version": (setting(version=99), ("'version'",)),
     "string-capacity": (setting(capacity="x"), ("'capacity'",)),
-    "unknown-backend": (setting(backend="nope"), ("'backend'",)),
 }
 
 
@@ -302,7 +300,6 @@ CONFIGS = {
     "no-capacity": (without("capacity"), ("'capacity'",)),
     "string-capacity": (setting(capacity="x"), ("'capacity'",)),
     "zero-block-size": (setting(block_size=0), ("'block_size'",)),
-    "unknown-backend": (setting(backend="nope"), ("'backend'",)),
     "string-omega": (setting(omega="x"), ("'omega'",)),
     "string-keep": (setting(keep_generations="2"), ("'keep_generations'",)),
     "list-sketch-params": (setting(sketch_params=[1]), ("'sketch_params'",)),
@@ -318,6 +315,37 @@ def test_a_malformed_durable_config_fails_typed(kind, case, tmp_path, capsys):
     config = path / ("shard-00001" if kind == "sharded-durable" else "") / "durable.json"
     config.write_text(json.dumps(edit(json.loads(config.read_text()))))
     assert_corrupt(path, capsys, "durable.json", *named)
+
+
+@pytest.mark.parametrize(
+    "record, kind",
+    [
+        ("manifest", "sharded"),
+        ("manifest", "sharded-durable"),
+        ("config", "durable"),
+        ("config", "sharded-durable"),
+    ],
+    ids=lambda value: value,
+)
+def test_a_recorded_backend_is_ignored(record, kind, tmp_path):
+    """A manifest or ``durable.json`` naming a backend, even one that
+    never existed, opens and verifies: like the old ``solver`` key, the
+    ``backend`` key is read by no one."""
+    from repro.cli import main
+
+    path = tmp_path / "db"
+    saved_layout(kind, path)
+    query = history()[0][2]
+    with open_database(path) as db:
+        want = db.knn_query(query, 4)[0]
+    if record == "manifest":
+        file = path / "sharded.json"
+    else:
+        file = path / ("shard-00001" if kind == "sharded-durable" else "") / "durable.json"
+    file.write_text(json.dumps(setting(backend="nope")(json.loads(file.read_text()))))
+    with open_database(path) as db:
+        assert db.knn_query(query, 4)[0] == want
+    assert main(["db", "verify", str(path)]) == 0
 
 
 def rewrite_meta(path: Path, meta) -> None:
@@ -349,6 +377,12 @@ def test_a_malformed_snapshot_meta_key_fails_typed(key, value, tmp_path, capsys)
     assert_corrupt(path, capsys, "db.npz", repr(key))
 
 
+def _leaf_entries(arrays) -> np.ndarray:
+    """The entries of the index tables' leaf nodes, as a mask."""
+    offsets = arrays["index__entry_offsets"]
+    return np.repeat(arrays["index__node_level"] == 0, np.diff(offsets))
+
+
 def _child_out_of_range(meta, arrays):
     payloads = arrays["index__entry_payloads"].copy()
     payloads[0] = len(arrays["index__node_level"]) + 5  # the root's first child
@@ -366,32 +400,61 @@ def _root_marked_leaf(meta, arrays):
     arrays["index__node_level"] = levels
 
 
-#: Case -> an edit of a saved snapshot's (meta, arrays) that keeps every
-#: CRC valid but the index tables unusable.  Each used to open; the
-#: first query then raised a bare IndexError / ValueError or, for a root
-#: marked as a leaf, answered a wrong top-5.
+def _key_off_its_centroid(meta, arrays):
+    """The first leaf entry's point moved onto its sibling's."""
+    at = int(np.flatnonzero(_leaf_entries(arrays))[0])
+    for name in ("index__entry_lowers", "index__entry_uppers"):
+        arrays[name] = arrays[name].copy()
+        arrays[name][at] = arrays[name][at + 1]
+
+
+def _foreign_leaf_id(meta, arrays):
+    """A leaf entry naming an object that is not stored."""
+    payloads = arrays["index__entry_payloads"].copy()
+    payloads[np.flatnonzero(_leaf_entries(arrays))[0]] = 10**6
+    arrays["index__entry_payloads"] = payloads
+
+
+#: Case -> an edit of an older layout's (meta, arrays) that keeps every
+#: CRC valid but breaks the index tables.  Nothing reads them any more.
 INDEX_TABLES = {
     "child-out-of-range": _child_out_of_range,
     "narrow-boxes": _narrow_boxes,
     "root-marked-leaf": _root_marked_leaf,
     "string-size": lambda meta, arrays: meta["index_meta"].update(size="x"),
+    "key-off-its-centroid": _key_off_its_centroid,
+    "foreign-leaf-id": _foreign_leaf_id,
+    "no-index-meta": lambda meta, arrays: meta.pop("index_meta"),
+    "no-node-table": lambda meta, arrays: arrays.pop("index__node_level"),
+    "unknown-index-kind": lambda meta, arrays: meta["index_meta"].update(kind="btree"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INDEX_TABLES))
 @pytest.mark.parametrize("name", ["db.npz", "db.dense"])
-def test_malformed_index_tables_fail_typed(name, case, tmp_path, capsys):
+def test_malformed_index_tables_are_not_parsed(name, case, tmp_path, capsys):
+    """A snapshot written while snapshots carried an index, its tables
+    broken but CRC-valid, opens, verifies and answers like the database
+    it was saved from: the open never parses them."""
+    from repro.cli import main
+
     path = tmp_path / name
     dense = name.endswith(".dense")
     saved_layout("dense" if dense else "plain", path)
-    if dense:
-        meta, arrays = read_dense_archive(path, mmap=False)
-    else:
-        meta, arrays = read_archive(path, "repro-similarity-db")
+    want = open_database(path)
+    read = read_dense_archive if dense else read_archive
+    meta, arrays = read(path, "repro-similarity-db", **({"mmap": False} if dense else {}))
+    parent_snapshot("xtree")(meta, arrays)
     assert len(arrays["index__node_level"]) > 1  # a directory to break
     INDEX_TABLES[case](meta, arrays)
     (write_dense_archive if dense else write_archive)(path, meta, arrays)
-    assert_corrupt(path, capsys, name, "index tables")
+    opened = open_database(path)
+    opened.check_invariants()
+    probe = want.get(want.object_ids()[0])
+    assert opened.knn_query(probe, 5) == want.knn_query(probe, 5)
+    assert opened.range_query(probe, 9.0) == want.range_query(probe, 9.0)
+    capsys.readouterr()
+    assert main(["db", "verify", str(path)]) == 0
 
 
 # -- payloads ------------------------------------------------------------------
