@@ -40,7 +40,7 @@ def test_cover_count_sweep(benchmark):
             errors = []
             for grid in bundle.grids()[::10]:
                 sequence = extract_cover_sequence(grid, k)
-                errors.append(sequence.final_error / max(1, sequence.errors[0]))
+                errors.append(sequence.errors[-1] / max(1, sequence.errors[0]))
             rows.append([k, ari, float(np.mean(sizes)), float(np.mean(errors))])
         return rows
 

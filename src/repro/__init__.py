@@ -11,7 +11,7 @@ the proprietary Car and Aircraft datasets.
 
 Quickstart::
 
-    from repro import Pipeline, VectorSetModel, vector_set_distance
+    from repro import Pipeline, VectorSetModel, min_matching_distance
     from repro.datasets import make_car_dataset
 
     parts, labels = make_car_dataset()
@@ -19,7 +19,7 @@ Quickstart::
     objects = pipeline.process_parts(parts)
     model = VectorSetModel(k=7)
     sets = [model.extract(obj.grid) for obj in objects]
-    print(vector_set_distance(sets[0], sets[1]))
+    print(min_matching_distance(sets[0], sets[1]))
 
 See README.md for the architecture overview and DESIGN.md for the
 paper-to-module map.
@@ -31,7 +31,6 @@ from repro.core.min_matching import (
     MatchResult,
     min_matching_distance,
     min_matching_match,
-    vector_set_distance,
 )
 from repro.core.permutation import (
     permutation_distance_bruteforce,
@@ -72,7 +71,6 @@ __all__ = [
     "MatchResult",
     "min_matching_distance",
     "min_matching_match",
-    "vector_set_distance",
     "permutation_distance_bruteforce",
     "permutation_distance_via_matching",
     "extended_centroid",

@@ -35,9 +35,8 @@ from repro.core.min_matching import (
     MatchResult,
     min_matching_distance,
     min_matching_match,
-    vector_set_distance,
 )
-from repro.core.partial import best_common_substructure, partial_matching_distance
+from repro.core.partial import partial_matching_distance
 from repro.core.permutation import (
     permutation_distance_bruteforce,
     permutation_distance_via_matching,
@@ -52,11 +51,9 @@ __all__ = [
     "MatchResult",
     "min_matching_distance",
     "min_matching_match",
-    "vector_set_distance",
     "permutation_distance_bruteforce",
     "permutation_distance_via_matching",
     "partial_matching_distance",
-    "best_common_substructure",
     "extended_centroid",
     "centroid_lower_bound",
     "norm_weight",

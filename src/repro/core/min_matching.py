@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.centroid import norm_weight
 from repro.core.matching import assignment_cost, hungarian
 from repro.core.vector_set import VectorSet
 from repro.exceptions import DistanceError
@@ -164,7 +165,7 @@ def min_matching_match(
         )
     cross = resolve_distance(dist)
     if weight is None:
-        weight = lambda arr: np.linalg.norm(arr, axis=1)  # noqa: E731
+        weight = norm_weight()
 
     swapped = False
     if len(arr_x) < len(arr_y):
@@ -204,15 +205,3 @@ def min_matching_distance(
 ) -> float:
     """Minimal matching distance value (Definition 6)."""
     return min_matching_match(x, y, dist=dist, weight=weight, backend=backend).distance
-
-
-def vector_set_distance(
-    x: np.ndarray | VectorSet,
-    y: np.ndarray | VectorSet,
-    backend: str = "own",
-) -> float:
-    """The paper's vector set model distance: minimal matching distance
-    with Euclidean element distance and Euclidean-norm weights
-    (``omega = 0``) — the configuration used in the Figure 9
-    experiments."""
-    return min_matching_distance(x, y, dist="euclidean", weight=None, backend=backend)

@@ -14,8 +14,8 @@ that share a component.
 
 Note: partial similarity is **not** a metric (the identity of
 indiscernibles fails — two objects sharing ``i`` covers have distance 0)
-— so it must be used with scan- or M-tree-external filtering, never with
-the Lemma 2 centroid bound.
+— so it must be used with a sequential scan, never with the Lemma 2
+centroid bound.
 """
 
 from __future__ import annotations
@@ -78,20 +78,3 @@ def partial_matching_distance(
     if total >= big:
         raise DistanceError("partial matching reduction became infeasible")
     return total
-
-
-def best_common_substructure(
-    x: np.ndarray,
-    y: np.ndarray,
-    dist: str | DistanceFn = "euclidean",
-) -> list[float]:
-    """Partial distances for every i in ``1..min(m, n)``.
-
-    The resulting profile (monotonically non-decreasing in i) shows how
-    much of the two objects' structure agrees: a flat start followed by
-    a jump means a large shared sub-assembly plus disagreeing remainder.
-    """
-    arr_x = np.asarray(x, dtype=float)
-    arr_y = np.asarray(y, dtype=float)
-    upper = min(len(arr_x), len(arr_y))
-    return [partial_matching_distance(arr_x, arr_y, i, dist) for i in range(1, upper + 1)]

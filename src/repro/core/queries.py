@@ -63,8 +63,9 @@ The cascade cuts each window straight from that column — a partition
 while the radius is unknown, a mask under it after — and sorts only the
 window (:class:`_Candidates`).  The paper's X-tree serves the same order
 from disk pages; in memory the pass over the column is faster at every
-size a workload runs (EXPERIMENTS.md), and the pack stays in
-:mod:`repro.index` for Table 2 and the ablations.
+size a workload runs (EXPERIMENTS.md).  The pack stays in
+:mod:`repro.index` for the access-structure ablation and the tests that
+hold this column to it; Table 2 runs on the X-tree.
 """
 
 from __future__ import annotations
@@ -379,10 +380,6 @@ class FilterRefineEngine:
         """An owned copy of the unpadded set stored under *oid*."""
         row = self._row(oid)
         return self._store.data[row, : self._store.sizes[row]].copy()
-
-    def centroid_of(self, oid: int) -> np.ndarray:
-        """The extended centroid stored under *oid* (a view; see *Locking*)."""
-        return self._centroid_buf[self._row(oid)]
 
     def ragged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Everything stored, as owned arrays in ascending-oid order:

@@ -226,11 +226,7 @@ class ShardedSimilarityDatabase:
             if path is None:
                 raise QueryError("durable=True needs a directory path")
             root = Path(path)
-            if storage.layout_of(root) == "sharded":
-                raise StorageError(
-                    f"{root} already holds a sharded database; recover it "
-                    "with ShardedSimilarityDatabase.load()"
-                )
+            storage.refuse_existing(root)
             # Each shard validates its settings before it creates its
             # directory, so a rejected setting leaves no layout behind.
             self.shards = [

@@ -59,7 +59,13 @@ from repro.index.dense import is_dense_archive, read_dense_archive, write_dense_
 from repro.index.snapshot import read_archive, write_archive
 from repro.obs import emit, registry, span
 from repro.testing.faults import crash_point
-from repro.wal import DurableLayout, WriteAheadLog, scan_segment, verify_segment
+from repro.wal import (
+    CONFIG_NAME,
+    DurableLayout,
+    WriteAheadLog,
+    scan_segment,
+    verify_segment,
+)
 
 DB_FORMAT = "repro-similarity-db"
 DB_VERSION = 1
@@ -501,15 +507,28 @@ def open_snapshot(path, *, dense: bool, **options):
 # -- durable directories --------------------------------------------------------
 
 
+def refuse_existing(path) -> None:
+    """Refuse to create a database in the directory *path* when it
+    already holds one, plain durable or sharded, so that neither layout
+    is ever laid over the other.  Called before anything is written."""
+    root = Path(path)
+    if (root / MANIFEST_NAME).exists():
+        raise StorageError(
+            f"{root} already holds a sharded database; "
+            "recover it with ShardedSimilarityDatabase.load()"
+        )
+    if (root / CONFIG_NAME).exists() or DurableLayout(root).exists():
+        raise StorageError(
+            f"{root} already holds a durable database; "
+            "recover it with SimilarityDatabase.load()"
+        )
+
+
 def create_durable(db, path) -> None:
     """Lay out a new durable directory for the empty *db*: its
     ``durable.json``, ``CURRENT`` at generation 0 and the live WAL."""
+    refuse_existing(path)
     layout = DurableLayout(path)
-    if layout.exists():
-        raise StorageError(
-            f"{layout.root} already holds a durable database; "
-            "recover it with SimilarityDatabase.load()"
-        )
     config = settings(db)
     config["fsync"] = db.fsync if isinstance(db.fsync, (str, int)) else "always"
     config["keep_generations"] = db.keep_generations
@@ -905,7 +924,7 @@ def verify(path) -> tuple[int, list[tuple[str, str]]]:
     try:
         if layout_of(path) == "sharded":
             return _verify_sharded(Path(path), lines), lines
-        return _verify_plain(Path(path), lines), lines
+        return _verify_plain(Path(path), lines)[0], lines
     except ReproError as exc:
         lines.append(("err", f"verify: corrupt: {exc}"))
         return 1, lines
@@ -913,49 +932,52 @@ def verify(path) -> tuple[int, list[tuple[str, str]]]:
 
 def _verify_sharded(root: Path, lines: list) -> int:
     """Every shard with the plain walk (the worst code wins: corrupt over
-    degraded over ok), then every object on the shard its routing says."""
+    degraded over ok), then every object on the shard its routing says.
+    Each shard is opened once; a shard that does not open makes the
+    layout corrupt, reported as its first such failure."""
     from repro.db.sharded import shard_of
 
     manifest = read_manifest(root)
     count, durable = manifest["shards"], manifest["durable"]
     kind = "durable" if durable else "snapshot"
     lines.append(("out", f"sharded layout: {count} shards ({kind})"))
-    worst = 0
+    worst, failure, shards = 0, None, []
     for i in range(count):
         path = shard_path(root, i, durable)
         lines.append(("out", f"--- shard {i}: {path.name}"))
         try:
-            code = _verify_plain(path, lines)
+            code, shard = _verify_plain(path, lines)
+            shards.append(shard)
         except ReproError as exc:
             lines.append(("err", f"shard {i}: corrupt: {exc}"))
-            code = 1
+            failure, code = failure or exc, 1
         worst = 1 if 1 in (code, worst) else code or worst
-    db = open_sharded(root)
-    try:
-        misrouted = [
-            (oid, i)
-            for i, shard in enumerate(db.shards)
-            for oid in shard.object_ids()
-            if shard_of(oid, count) != i
-        ]
-    finally:
-        db.close()
+    if failure is not None:
+        raise failure
+    misrouted = [
+        (oid, i)
+        for i, shard in enumerate(shards)
+        for oid in shard.object_ids()
+        if shard_of(oid, count) != i
+    ]
     for oid, i in misrouted[:5]:
         routed = shard_of(oid, count)
         lines.append(("err", f"misrouted: oid {oid} on shard {i}, routing says {routed}"))
     worst = 1 if misrouted else worst
-    lines.append(("out", f"version vector: {db.version_vector()}"))
+    versions = tuple(shard.version for shard in shards)
+    lines.append(("out", f"version vector: {versions}"))
     verdict = {0: "ok", 1: "corrupt", 3: "recovered with degradation"}[worst]
     lines.append(("out", f"verify: {verdict}"))
     return worst
 
 
-def _verify_plain(path: Path, lines: list) -> int:
+def _verify_plain(path: Path, lines: list):
     """One plain layout or shard.  A durable directory: CRC-walk every
     retained snapshot and WAL segment, then recover in memory — anything
     the ladder had to work around is a degradation.  A dense file: a CRC
     walk of every mapped array (its open verifies none).  Then
-    ``check_invariants()`` on the opened database."""
+    ``check_invariants()`` on the opened database.  Returns the exit
+    code and the opened (closed again, still readable) database."""
     degradations: list[str] = []
     kind = layout_of(path)
     if kind == "dense":
@@ -995,6 +1017,6 @@ def _verify_plain(path: Path, lines: list) -> int:
     lines.extend(("err", f"degraded: {message}") for message in degradations)
     if degradations:
         lines.append(("out", "verify: recovered with degradation"))
-        return 3
+        return 3, db
     lines.append(("out", "verify: ok"))
-    return 0
+    return 0, db

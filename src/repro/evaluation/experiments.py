@@ -11,6 +11,9 @@ directory) and reused across test/benchmark runs.
 from __future__ import annotations
 
 import os
+import tempfile
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +36,35 @@ def cache_dir() -> Path:
     root = Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
     root.mkdir(parents=True, exist_ok=True)
     return root
+
+
+def _load_npz(path: Path) -> dict[str, np.ndarray] | None:
+    """Every array of the cache entry at *path*, or ``None`` on a miss.
+
+    A truncated or corrupt entry (a writer killed mid-write) is a miss
+    too, so the caller regenerates and rewrites it."""
+    if not path.exists():
+        return None
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            return {name: data[name] for name in data.files}
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error):
+        return None
+
+
+def _save_npz(path: Path, **arrays: np.ndarray) -> None:
+    """Store a cache entry atomically (unique temp file + replace)."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 @dataclass
@@ -76,13 +108,13 @@ def prepare_dataset(
     path = cache_dir() / f"grids_{key}.npz"
     pipeline = Pipeline(resolution=resolution)
 
-    if use_cache and path.exists():
-        with np.load(path, allow_pickle=False) as data:
-            labels = data["labels"]
-            packed = data["packed"]
-            names = [str(s) for s in data["names"]]
-            families = [str(s) for s in data["families"]]
-            scales = data["scales"]
+    data = _load_npz(path) if use_cache else None
+    if data is not None:
+        labels = data["labels"]
+        packed = data["packed"]
+        names = [str(s) for s in data["names"]]
+        families = [str(s) for s in data["families"]]
+        scales = data["scales"]
         from repro.normalize.pose import PoseInfo
         from repro.voxel.grid import VoxelGrid
 
@@ -104,7 +136,7 @@ def prepare_dataset(
     parts, labels = _generate_parts(dataset, n, seed)
     objects = pipeline.process_parts(parts)
     if use_cache:
-        np.savez_compressed(
+        _save_npz(
             path,
             labels=labels,
             packed=np.stack([np.packbits(obj.grid.occupancy) for obj in objects]),
@@ -196,11 +228,9 @@ def distance_matrix_for(
     the euclidean kind) — the statistic behind Table 1.
     """
     if cache_tag and use_cache:
-        path = cache_dir() / f"dist_{cache_tag}.npz"
-        if path.exists():
-            with np.load(path) as data:
-                flags = data["flags"] if "flags" in data else None
-                return data["matrix"], flags
+        data = _load_npz(cache_dir() / f"dist_{cache_tag}.npz")
+        if data is not None:
+            return data["matrix"], data.get("flags")
     n = len(features)
     matrix = np.zeros((n, n))
     flags: np.ndarray | None = None
@@ -228,5 +258,5 @@ def distance_matrix_for(
         payload = {"matrix": matrix}
         if flags is not None:
             payload["flags"] = flags
-        np.savez_compressed(cache_dir() / f"dist_{cache_tag}.npz", **payload)
+        _save_npz(cache_dir() / f"dist_{cache_tag}.npz", **payload)
     return matrix, flags

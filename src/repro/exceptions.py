@@ -87,5 +87,4 @@ class LockTimeout(ReproError):
 
 
 class IngestError(ReproError):
-    """Batch ingestion failed as a whole (bad policy, nothing ingested,
-    or a caller asked :meth:`IngestReport.raise_if_failed` to escalate)."""
+    """Batch ingestion failed as a whole (bad policy, nothing ingested)."""

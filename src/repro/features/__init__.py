@@ -21,7 +21,7 @@ from repro.features.cover_sequence import (
     extract_cover_sequence,
     max_sum_box,
 )
-from repro.features.scaling import denormalize_cover_vectors, scale_aware_sets
+from repro.features.scaling import denormalize_cover_vectors
 from repro.features.solid_angle import SolidAngleModel, solid_angle_values
 from repro.features.vector_set_model import VectorSetModel
 from repro.features.volume import VolumeModel
@@ -40,5 +40,4 @@ __all__ = [
     "max_sum_box",
     "VectorSetModel",
     "denormalize_cover_vectors",
-    "scale_aware_sets",
 ]

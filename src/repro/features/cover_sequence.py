@@ -568,10 +568,6 @@ class CoverSequence:
     errors: list[int]
     resolution: int
 
-    @property
-    def final_error(self) -> int:
-        return self.errors[-1]
-
     def approximation(self) -> np.ndarray:
         """Rebuild the boolean approximation ``S_k`` from the covers."""
         state = np.zeros((self.resolution,) * 3, dtype=bool)

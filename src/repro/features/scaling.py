@@ -48,12 +48,3 @@ def denormalize_cover_vectors(
         raise FeatureError("margin_fraction must be in [0, 1)")
     world_per_raster = max(pose.scale_factors) / (1.0 - margin_fraction)
     return arr * world_per_raster
-
-
-def scale_aware_sets(
-    sets: list[np.ndarray], poses: list[PoseInfo]
-) -> list[np.ndarray]:
-    """Denormalize a whole collection (scaling invariance OFF)."""
-    if len(sets) != len(poses):
-        raise FeatureError("need one pose per vector set")
-    return [denormalize_cover_vectors(s, p) for s, p in zip(sets, poses)]

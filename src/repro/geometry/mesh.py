@@ -68,9 +68,6 @@ class TriangleMesh:
         cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
         return 0.5 * np.linalg.norm(cross, axis=1)
 
-    def surface_area(self) -> float:
-        return float(self.triangle_areas().sum())
-
     def centroid(self) -> np.ndarray:
         """Area-weighted surface centroid."""
         tri = self.triangles()

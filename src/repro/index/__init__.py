@@ -1,4 +1,4 @@
-"""Index substrate: spatial and metric access methods with I/O accounting.
+"""Index substrate: spatial access methods with I/O accounting.
 
 The paper accelerates similarity queries with an X-tree over extended
 centroids and compares against a sequential scan; runtimes are reported
@@ -11,17 +11,14 @@ read, Section 5.4).  This subpackage provides those pieces:
   (the static X-tree of the access-structure ablation),
 * :mod:`repro.index.rstar` — an R*-tree (insert-only),
 * :mod:`repro.index.xtree` — the X-tree (R*-tree with supernodes), the
-  incrementally built index of Table 2's rows,
-* :mod:`repro.index.mtree` — an M-tree for metric data such as vector
-  sets under the minimal matching distance (insert-only; kept for the
-  access-structure ablation, not a database backend).
+  incrementally built index of Table 2's rows.
 
-The trees and the array core serve Table 2 and the ablations only: the
-database imports none of them, ranks the engine's centroid column and
-writes no index into its snapshots.
+Only the X-tree serves Table 2; the R*-tree and the array core serve
+the access-structure ablation and the X-tree's tests.  The database
+imports none of them, ranks the engine's centroid column and writes no
+index into its snapshots.
 """
 
-from repro.index.mtree import MTree
 from repro.index.pages import IOCost, PageManager
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
@@ -31,5 +28,4 @@ __all__ = [
     "IOCost",
     "RStarTree",
     "XTree",
-    "MTree",
 ]

@@ -146,9 +146,5 @@ class PageManager:
         self.cost = IOCost()
         return previous
 
-    @property
-    def allocated_pages(self) -> int:
-        return len(self._page_bytes)
-
     def total_bytes(self) -> int:
         return sum(self._page_bytes.values())

@@ -358,7 +358,7 @@ class RStarTree:
         Ties are broken canonically: at equal distance every node whose
         minimum distance matches is expanded before any object is
         yielded, and tied objects come out in ascending object id.  All
-        access methods (R*-tree, X-tree, M-tree, sequential scan) share
+        access methods (R*-tree, X-tree, sequential scan) share
         this convention, so their result sets are bit-identical even in
         the presence of duplicate points — the property the stateful
         differential tests assert.

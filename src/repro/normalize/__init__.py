@@ -8,8 +8,8 @@ Section 3.2 of the paper requires translation and rotation invariance and
   or off at query time,
 * :mod:`repro.normalize.pca` — the principal-axis transform used when
   arbitrary (not just 90-degree) rotation invariance is desired,
-* :mod:`repro.normalize.symmetry` — minimum distance over the 24/48-fold
-  cube symmetry group (Definition 2).
+* :mod:`repro.normalize.symmetry` — the canonical 90-degree pose that
+  quotients out the 24/48-fold cube symmetry group (Definition 2).
 """
 
 from repro.normalize.pca import pca_align_grid, pca_align_points, principal_axes
@@ -17,8 +17,6 @@ from repro.normalize.pose import PoseInfo, center_grid, normalize_grid
 from repro.normalize.symmetry import (
     canonical_symmetry_matrix,
     canonicalize_grid,
-    invariant_distance,
-    symmetry_variants,
 )
 
 __all__ = [
@@ -28,8 +26,6 @@ __all__ = [
     "principal_axes",
     "pca_align_points",
     "pca_align_grid",
-    "invariant_distance",
-    "symmetry_variants",
     "canonical_symmetry_matrix",
     "canonicalize_grid",
 ]

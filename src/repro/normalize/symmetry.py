@@ -1,88 +1,19 @@
-"""Minimum distance over the cube symmetry group (Definition 2).
+"""Canonical 90-degree pose: the cube symmetry group quotiented out.
 
 The paper achieves 90-degree-rotation and (optionally) reflection
 invariance by evaluating the distance for all 24/48 permutations of the
-*query* object at runtime and taking the minimum.  These helpers do the
-same for arbitrary feature models: the query grid is transformed by each
-group element, features are re-extracted, and the minimum distance to the
-database object's stored features is returned.
+*query* object at runtime and taking the minimum (Definition 2).  Table 2
+does exactly that on extracted features; dataset preparation instead
+brings every grid into one canonical pose, so the minimum need not be
+evaluated per distance.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence, TypeVar
-
 import numpy as np
 
 from repro.exceptions import VoxelizationError
-from repro.geometry.transform import symmetry_matrices
 from repro.voxel.grid import VoxelGrid
-
-FeatureT = TypeVar("FeatureT")
-
-
-def symmetry_variants(
-    grid: VoxelGrid, include_reflections: bool = True
-) -> list[VoxelGrid]:
-    """All symmetric variants of *grid* — 24 rotations, 48 with mirrors."""
-    return [grid.transformed(mat) for mat in symmetry_matrices(include_reflections)]
-
-
-def invariant_distance(
-    query_grid: VoxelGrid,
-    database_features: FeatureT,
-    extract: Callable[[VoxelGrid], FeatureT],
-    distance: Callable[[FeatureT, FeatureT], float],
-    include_reflections: bool = True,
-) -> float:
-    """Minimum distance over all query-object symmetries (Definition 2).
-
-    Parameters
-    ----------
-    query_grid:
-        Normalized voxel grid of the query object.
-    database_features:
-        Pre-extracted features of the database object.
-    extract:
-        Feature extraction to apply to every transformed query grid.
-    distance:
-        Distance on the extracted features.
-    include_reflections:
-        48 variants when true (design similarity), 24 when false
-        (production similarity, where mirrored parts differ).
-    """
-    best = np.inf
-    for variant in symmetry_variants(query_grid, include_reflections):
-        value = distance(extract(variant), database_features)
-        if value < best:
-            best = value
-    return float(best)
-
-
-def invariant_distance_precomputed(
-    query_variants: Sequence[FeatureT],
-    database_features: FeatureT,
-    distance: Callable[[FeatureT, FeatureT], float],
-) -> float:
-    """Like :func:`invariant_distance` but with the query's per-symmetry
-    features already extracted — the form used inside query loops, where
-    the 24/48 extractions are paid once per query instead of once per
-    database object."""
-    best = np.inf
-    for features in query_variants:
-        value = distance(features, database_features)
-        if value < best:
-            best = value
-    return float(best)
-
-
-def extract_all_variants(
-    grid: VoxelGrid,
-    extract: Callable[[VoxelGrid], FeatureT],
-    include_reflections: bool = True,
-) -> list[FeatureT]:
-    """Extract features for every symmetry variant of *grid* once."""
-    return [extract(variant) for variant in symmetry_variants(grid, include_reflections)]
 
 
 def canonical_symmetry_matrix(

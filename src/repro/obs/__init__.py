@@ -30,7 +30,6 @@ from repro.obs.events import (
     configure_sink,
     dispatch,
     emit,
-    sink,
 )
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -74,7 +73,6 @@ __all__ = [
     "registry",
     "reset_stack",
     "set_trace_context",
-    "sink",
     "span",
     "trace_context",
 ]

@@ -77,10 +77,6 @@ def configure_sink(path: str | Path, mode: str = "append") -> EventSink:
     return _sink
 
 
-def sink() -> EventSink | None:
-    return _sink
-
-
 def close_sink() -> None:
     global _sink
     if _sink is not None:

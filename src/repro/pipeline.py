@@ -201,14 +201,6 @@ class IngestReport(Sequence):
             )
         return "\n".join(lines)
 
-    def raise_if_failed(self) -> None:
-        """Escalate any recorded failure to an :class:`IngestError`."""
-        if self.failures:
-            raise IngestError(
-                f"{len(self.failures)} of {len(self.records)} objects failed "
-                f"to ingest:\n{self.summary()}"
-            )
-
 
 class Pipeline:
     """Voxelization + normalization pipeline.

@@ -132,12 +132,6 @@ class VoxelGrid:
             result[new_idx[:, 0], new_idx[:, 1], new_idx[:, 2]] = True
         return VoxelGrid(result, self.origin.copy(), self.voxel_size)
 
-    def all_symmetries(self, include_reflections: bool = True) -> list["VoxelGrid"]:
-        """All 24 (or 48) symmetric variants of this grid (Section 3.2)."""
-        from repro.geometry.transform import symmetry_matrices
-
-        return [self.transformed(mat) for mat in symmetry_matrices(include_reflections)]
-
     # -- equality / serialization helpers -----------------------------------
 
     def __eq__(self, other: object) -> bool:

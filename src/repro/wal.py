@@ -52,7 +52,6 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -321,15 +320,6 @@ def scan_segment(path: str | Path) -> ScanResult:
         offset = start + length
         good_until = offset
     return ScanResult(records, good_until, error)
-
-
-def replay(path: str | Path) -> Iterator[dict]:
-    """Yield the clean records of a segment in append order.
-
-    Tolerates a torn tail (yields the clean prefix); raises
-    :class:`WALError` only when the segment header itself is unreadable.
-    """
-    yield from scan_segment(path).records
 
 
 def verify_segment(path: str | Path) -> tuple[int, str | None]:

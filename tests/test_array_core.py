@@ -93,9 +93,9 @@ def test_core_queries_equal_pointer(backend):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_every_pack_is_a_sound_core(n, dimension, capacity, seed):
-    """The pack the database ranks with: the tables and meta (key order
-    included - it is JSON in every snapshot) of the pointer STR load it
-    replaced, a sound core, and brute force's ranking.  Integer
+    """The STR pack the engine's centroid column is held to: the tables
+    and meta (key order included) of the pointer STR load it replaced, a
+    sound core, and brute force's ranking.  Integer
     coordinates make ties and duplicates common and every distance
     exact, so brute force is a literal oracle."""
     rng = np.random.default_rng(seed)

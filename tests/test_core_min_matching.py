@@ -16,7 +16,6 @@ from repro.core.min_matching import (
     resolve_distance,
     squared_euclidean_cross,
     squared_euclidean_cross_reference,
-    vector_set_distance,
 )
 from repro.core.vector_set import VectorSet
 from repro.exceptions import DistanceError
@@ -167,9 +166,10 @@ class TestMinMatching:
         assert set(result.unmatched) <= set(range(5))
 
     def test_vector_set_wrapper(self, rng):
+        """A :class:`VectorSet` measures like the array it wraps."""
         x = VectorSet(rng.normal(size=(3, 6)), capacity=7)
         y = VectorSet(rng.normal(size=(5, 6)), capacity=7)
-        assert vector_set_distance(x, y) == pytest.approx(
+        assert min_matching_distance(x, y) == pytest.approx(
             min_matching_distance(x.vectors, y.vectors)
         )
 

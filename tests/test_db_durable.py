@@ -295,6 +295,42 @@ class TestDurableRoundtrip:
         with pytest.raises(StorageError, match="already holds"):
             SimilarityDatabase(CAPACITY, durable=True, path=tmp_path / "db")
 
+    def test_a_durable_database_is_never_laid_over_another(self, tmp_path, rng):
+        """A plain durable database and a sharded one each refuse the
+        other's directory before writing anything; the one already there
+        reopens with its objects."""
+        sets = {oid: rand_set(rng) for oid in range(6)}
+        plain, sharded = tmp_path / "plain", tmp_path / "sharded"
+        for db in (
+            SimilarityDatabase(CAPACITY, durable=True, path=plain),
+            ShardedSimilarityDatabase(CAPACITY, shards=2, durable=True, path=sharded),
+        ):
+            for oid, arr in sets.items():
+                db.add(oid, arr)
+            db.close()
+
+        def files(root):
+            return {
+                str(p.relative_to(root)): p.read_bytes()
+                for p in sorted(root.rglob("*"))
+                if p.is_file()
+            }
+
+        for root, create in (
+            (plain, lambda: ShardedSimilarityDatabase(
+                CAPACITY, shards=2, durable=True, path=plain)),
+            (sharded, lambda: SimilarityDatabase(CAPACITY, durable=True, path=sharded)),
+        ):
+            before = files(root)
+            with pytest.raises(StorageError, match="already holds"):
+                create()
+            assert files(root) == before
+            reopened = open_database(root)
+            assert reopened.object_ids() == sorted(sets)
+            for oid, arr in sets.items():
+                np.testing.assert_array_equal(reopened.get(oid), arr)
+            reopened.close()
+
     @pytest.mark.parametrize(
         "setting",
         [
@@ -722,7 +758,7 @@ class TestDurabilityProperties:
         import tempfile
 
         from repro.db.storage import _apply_replay
-        from repro.wal import replay
+        from repro.wal import scan_segment
 
         rng = np.random.default_rng(seed)
         plan = make_plan(rng, n=n)
@@ -740,7 +776,7 @@ class TestDurabilityProperties:
             recovered._replaying = True
             try:
                 for segment in sorted(dbdir.glob("wal-*.log")):
-                    for record in replay(segment):
+                    for record in scan_segment(segment).records:
                         _apply_replay(recovered, record)
             finally:
                 recovered._replaying = False
@@ -850,6 +886,30 @@ class TestVerifyCommand:
         tamper_npz_array(path, "set_data")
         assert main(["db", "verify", str(path)]) == 1
         assert "object-store column" in capsys.readouterr().err
+
+    def test_verify_opens_each_shard_once(self, tmp_path, rng, monkeypatch, capsys):
+        """The routing check reads the ids of the shards the walk opened
+        instead of opening the layout a second time."""
+        from repro.cli import main
+        from repro.db import storage
+
+        root = tmp_path / "sharded"
+        db = ShardedSimilarityDatabase(CAPACITY, shards=3, durable=True, path=root)
+        for oid in range(9):
+            db.add(oid, rand_set(rng))
+        versions = db.version_vector()
+        db.close()
+        opened = []
+        open_plain = storage.open_plain
+        def counting(path, **options):
+            opened.append(path)
+            return open_plain(path, **options)
+
+        monkeypatch.setattr(storage, "open_plain", counting)
+        assert main(["db", "verify", str(root)]) == 0
+        assert sorted(p.name for p in opened) == [f"shard-0000{i}" for i in range(3)]
+        out = capsys.readouterr().out
+        assert "verify: ok" in out and f"version vector: {versions}" in out
 
     def test_verify_not_a_database(self, tmp_path):
         from repro.cli import main

@@ -104,7 +104,8 @@ def flip_code_word(db, oid):
 
 def shift_centroid(db, oid):
     """Move the stored centroid of *oid* off its set's extended centroid."""
-    db._engine.centroid_of(oid)[:] += 0.5
+    engine = db._engine
+    engine._centroid_buf[engine._row(oid)] += 0.5
 
 
 def engine_row(db, oid):

@@ -51,6 +51,23 @@ class TestPreparation:
             for a, b in zip(first.objects, second.objects)
         )
 
+    def test_truncated_cache_is_regenerated(self, tiny_cache):
+        """A cache entry cut short by a killed writer is a miss: the
+        bundle is regenerated equal and the entry rewritten whole."""
+        first = prepare_dataset("aircraft", resolution=15, n=12, seed=17)
+        (path,) = tiny_cache.glob("grids_aircraft_r15_n12_s17.npz")
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        second = prepare_dataset("aircraft", resolution=15, n=12, seed=17)
+        assert np.array_equal(first.labels, second.labels)
+        assert [o.name for o in first.objects] == [o.name for o in second.objects]
+        assert all(
+            np.array_equal(a.grid.occupancy, b.grid.occupancy)
+            for a, b in zip(first.objects, second.objects)
+        )
+        with np.load(path) as data:
+            assert np.array_equal(data["labels"], first.labels)
+        assert not list(tiny_cache.glob("*.tmp"))
+
     def test_unknown_dataset_rejected(self):
         with pytest.raises(ReproError):
             prepare_dataset("submarine")

@@ -1,13 +1,13 @@
 """Tests for the extension features: partial similarity, scaling toggle,
-STR bulk loading (the database's array pack) and voxel-overlap metrics."""
+STR bulk loading into the array core and voxel-overlap metrics."""
 
 import numpy as np
 import pytest
 
 from repro.core.min_matching import min_matching_distance
-from repro.core.partial import best_common_substructure, partial_matching_distance
+from repro.core.partial import partial_matching_distance
 from repro.exceptions import DistanceError, FeatureError, IndexError_, VoxelizationError
-from repro.features.scaling import denormalize_cover_vectors, scale_aware_sets
+from repro.features.scaling import denormalize_cover_vectors
 from repro.index.arraycore import densify
 from repro.index.pages import PageManager
 from repro.index.rstar import RStarTree
@@ -32,7 +32,7 @@ class TestPartialMatching:
 
     def test_monotone_in_i(self, rng):
         x, y = rng.normal(size=(5, 3)), rng.normal(size=(6, 3))
-        profile = best_common_substructure(x, y)
+        profile = [partial_matching_distance(x, y, i) for i in range(1, 6)]
         assert all(b >= a - 1e-12 for a, b in zip(profile, profile[1:]))
 
     def test_shared_substructure_scores_zero(self, rng):
@@ -94,8 +94,9 @@ class TestScalingToggle:
         large = PoseInfo((2.0, 1.6, 1.0), (0, 0, 0))
         invariant = min_matching_distance(rows, rows)
         assert invariant == pytest.approx(0.0)
-        denorm_small, denorm_large = scale_aware_sets([rows, rows], [small, large])
-        assert min_matching_distance(denorm_small, denorm_large) > 0.1
+        assert min_matching_distance(
+            denormalize_cover_vectors(rows, small), denormalize_cover_vectors(rows, large)
+        ) > 0.1
 
     def test_same_size_objects_unaffected_relative(self, rng):
         rows_a = np.hstack([rng.normal(size=(2, 3)), rng.uniform(0.1, 0.5, (2, 3))])
@@ -114,8 +115,6 @@ class TestScalingToggle:
             denormalize_cover_vectors(rng.normal(size=(2, 5)), pose)
         with pytest.raises(FeatureError):
             denormalize_cover_vectors(rng.normal(size=(2, 6)), pose, margin_fraction=1.0)
-        with pytest.raises(FeatureError):
-            scale_aware_sets([rng.normal(size=(2, 6))], [])
 
 
 class TestBulkLoad:
@@ -194,4 +193,4 @@ class TestVoxelMetrics:
 
         sequence = extract_cover_sequence(tire_grid, 5)
         approx = VoxelGrid(sequence.approximation())
-        assert symmetric_volume_difference(tire_grid, approx) == sequence.final_error
+        assert symmetric_volume_difference(tire_grid, approx) == sequence.errors[-1]

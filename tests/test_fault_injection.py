@@ -113,8 +113,6 @@ class TestErrorIsolation:
         assert failure.name == parts[1].name
         assert failure.error_type == "VoxelizationError"
         assert not report.all_ok()
-        with pytest.raises(IngestError):
-            report.raise_if_failed()
 
     def test_raise_propagates_the_original_exception(self, pipeline, parts):
         with voxelization_faults(fail_once(at=1)):

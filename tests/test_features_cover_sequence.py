@@ -95,11 +95,11 @@ class TestCoverExtraction:
         grid = voxelize_solid(Box(size=(1.5, 1.0, 0.7)), resolution=12, supersample=1)
         sequence = extract_cover_sequence(grid, k=5)
         assert len(sequence.covers) == 1
-        assert sequence.final_error == 0
+        assert sequence.errors[-1] == 0
 
     def test_lshape_needs_two_covers(self, lshape_grid):
         sequence = extract_cover_sequence(lshape_grid, k=7)
-        assert sequence.final_error == 0
+        assert sequence.errors[-1] == 0
         assert len(sequence.covers) == 2
 
     def test_errors_monotonically_decrease(self, tire_grid):
@@ -110,7 +110,7 @@ class TestCoverExtraction:
     def test_approximation_matches_error(self, tire_grid):
         sequence = extract_cover_sequence(tire_grid, k=7)
         approx = sequence.approximation()
-        assert int((approx ^ tire_grid.occupancy).sum()) == sequence.final_error
+        assert int((approx ^ tire_grid.occupancy).sum()) == sequence.errors[-1]
 
     def test_subtraction_covers_used_for_hollow_shapes(self, tire_grid):
         sequence = extract_cover_sequence(tire_grid, k=7)
@@ -208,7 +208,7 @@ class TestCoverSymmetryTransform:
         extraction does NOT hold in general: equal-gain ties may pick a
         different but equally good decomposition.)"""
         sequence = extract_cover_sequence(lshape_grid, k=7)
-        assert sequence.final_error == 0
+        assert sequence.errors[-1] == 0
         rows = sequence.feature_vectors()
         signs = [cover.sign for cover in sequence.covers]
         for matrix in symmetry_matrices(True)[:8]:

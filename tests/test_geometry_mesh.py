@@ -17,7 +17,7 @@ from repro.geometry.transform import Transform
 class TestTriangleMesh:
     def test_surface_area_of_unit_box(self):
         mesh = box_mesh(size=(1.0, 1.0, 1.0))
-        assert mesh.surface_area() == pytest.approx(6.0)
+        assert mesh.triangle_areas().sum() == pytest.approx(6.0)
 
     def test_bounds(self):
         mesh = box_mesh(center=(1.0, 2.0, 3.0), size=(2.0, 4.0, 6.0))
@@ -33,11 +33,12 @@ class TestTriangleMesh:
         mesh = box_mesh()
         moved = mesh.transformed(Transform.rotation("z", 0.3))
         assert moved.num_faces == mesh.num_faces
-        assert moved.surface_area() == pytest.approx(mesh.surface_area())
+        assert moved.triangle_areas().sum() == pytest.approx(mesh.triangle_areas().sum())
 
     def test_scaling_scales_area_quadratically(self):
         mesh = box_mesh()
-        assert mesh.scaled(2.0).surface_area() == pytest.approx(4 * mesh.surface_area())
+        area = mesh.triangle_areas().sum()
+        assert mesh.scaled(2.0).triangle_areas().sum() == pytest.approx(4 * area)
 
     def test_merge_offsets_indices(self):
         a, b = box_mesh(), box_mesh(center=(5.0, 0.0, 0.0))
@@ -67,17 +68,17 @@ class TestTriangleMesh:
 class TestPrimitiveMeshes:
     def test_sphere_area_approximates_analytic(self):
         mesh = uv_sphere_mesh(radius=1.0, rings=40, segments=80)
-        assert mesh.surface_area() == pytest.approx(4 * np.pi, rel=0.01)
+        assert mesh.triangle_areas().sum() == pytest.approx(4 * np.pi, rel=0.01)
 
     def test_cylinder_area_approximates_analytic(self):
         mesh = cylinder_mesh(radius=1.0, height=2.0, segments=96)
         analytic = 2 * np.pi * 1.0 * 2.0 + 2 * np.pi  # side + two caps
-        assert mesh.surface_area() == pytest.approx(analytic, rel=0.01)
+        assert mesh.triangle_areas().sum() == pytest.approx(analytic, rel=0.01)
 
     def test_torus_area_approximates_analytic(self):
         mesh = torus_mesh(major_radius=1.0, minor_radius=0.3, major_segments=60, minor_segments=30)
         analytic = 4 * np.pi**2 * 1.0 * 0.3
-        assert mesh.surface_area() == pytest.approx(analytic, rel=0.02)
+        assert mesh.triangle_areas().sum() == pytest.approx(analytic, rel=0.02)
 
     @pytest.mark.parametrize(
         "factory",

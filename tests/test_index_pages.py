@@ -87,5 +87,5 @@ class TestPageManager:
         manager = PageManager()
         manager.allocate(10)
         manager.allocate(20)
-        assert manager.allocated_pages == 2
+        assert len(manager._page_bytes) == 2
         assert manager.total_bytes() == 30

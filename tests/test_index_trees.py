@@ -1,15 +1,12 @@
-"""Tests for the R*-tree, X-tree and M-tree."""
+"""Tests for the R*-tree and the X-tree."""
 
 import numpy as np
 import pytest
 
-from repro.core.min_matching import min_matching_distance
 from repro.exceptions import IndexError_
-from repro.index.mtree import MTree
 from repro.index.pages import PageManager
 from repro.index.rstar import RStarTree
 from repro.index.xtree import XTree
-from tests.conftest import random_vector_sets
 
 
 def brute_knn(points, query, k):
@@ -139,7 +136,7 @@ class TestXTreeSupernodes:
             tree.insert(point, i)
         if tree.supernodes_created:
             # At least one node spans multiple pages now.
-            assert pages.total_bytes() > pages.allocated_pages * 0  # sanity
+            assert pages.total_bytes() > 0
         tree.validate()
 
     def test_max_overlap_validation(self):
@@ -147,59 +144,3 @@ class TestXTreeSupernodes:
             XTree(3, max_overlap=1.5)
         with pytest.raises(IndexError_):
             XTree(3, max_supernode_factor=1)
-
-
-class TestMTree:
-    def test_knn_matches_brute_force_euclidean(self, rng):
-        points = rng.random(size=(300, 5))
-        metric = lambda a, b: float(np.linalg.norm(a - b))  # noqa: E731
-        tree = MTree(metric, capacity=10)
-        for i, point in enumerate(points):
-            tree.insert(point, i)
-        tree.validate()
-        query = rng.random(5)
-        ours = [oid for oid, _ in tree.knn(query, 7)]
-        assert ours == brute_knn(points, query, 7)
-
-    def test_knn_on_vector_sets_with_matching_distance(self, rng):
-        sets = random_vector_sets(rng, 150)
-        tree = MTree(min_matching_distance, capacity=8)
-        for i, vector_set in enumerate(sets):
-            tree.insert(vector_set, i)
-        query = rng.normal(size=(4, 6))
-        ours = [oid for oid, _ in tree.knn(query, 5)]
-        brute = sorted(
-            range(len(sets)), key=lambda i: (min_matching_distance(query, sets[i]), i)
-        )[:5]
-        assert ours == brute
-
-    def test_range_search_complete(self, rng):
-        points = rng.random(size=(200, 3))
-        metric = lambda a, b: float(np.linalg.norm(a - b))  # noqa: E731
-        tree = MTree(metric, capacity=8)
-        for i, point in enumerate(points):
-            tree.insert(point, i)
-        query = rng.random(3)
-        ours = {oid for oid, _ in tree.range_search(query, 0.4)}
-        brute = {
-            int(i)
-            for i in np.nonzero(np.linalg.norm(points - query, axis=1) <= 0.4)[0]
-        }
-        assert ours == brute
-
-    def test_pruning_saves_distance_computations(self, rng):
-        """On clustered data the triangle inequality must prune whole
-        subtrees."""
-        metric = lambda a, b: float(np.linalg.norm(a - b))  # noqa: E731
-        clusters = [rng.normal(loc=c, scale=0.05, size=(100, 3)) for c in ([0] * 3, [50] * 3, [100] * 3)]
-        points = np.vstack(clusters)
-        tree = MTree(metric, capacity=8)
-        for i, point in enumerate(points):
-            tree.insert(point, i)
-        tree.distance_computations = 0
-        tree.knn(points[0], 3)
-        assert tree.distance_computations < len(points)
-
-    def test_capacity_validation(self):
-        with pytest.raises(IndexError_):
-            MTree(lambda a, b: 0.0, capacity=2)

@@ -8,7 +8,6 @@ from repro.clustering.quality import best_cut_quality
 from repro.core.queries import FilterRefineEngine
 from repro.datasets.car import make_car_dataset
 from repro.features.vector_set_model import VectorSetModel
-from repro.index.mtree import MTree
 from repro.core.min_matching import min_matching_distance
 from repro.pipeline import Pipeline, pairwise_distance_matrix
 
@@ -51,17 +50,6 @@ class TestEndToEnd:
         ordering = optics(len(sets), distance_rows_from_matrix(matrix), min_pts=3)
         ari, _ = best_cut_quality(ordering, labels)
         assert ari > 0.5
-
-    def test_mtree_agrees_with_engine(self, small_car_database):
-        objects, sets, labels = small_car_database
-        engine = FilterRefineEngine(sets, capacity=7)
-        tree = MTree(min_matching_distance, capacity=6)
-        for i, vector_set in enumerate(sets):
-            tree.insert(vector_set, i)
-        for query_id in (0, 9, 17, 25):
-            from_engine, _ = engine.knn_query(sets[query_id], 5)
-            from_tree = tree.knn(sets[query_id], 5)
-            assert [m.object_id for m in from_engine] == [oid for oid, _ in from_tree]
 
     def test_range_query_self_retrieval(self, small_car_database):
         _, sets, _ = small_car_database

@@ -11,10 +11,6 @@ from repro.normalize.pose import PoseInfo, center_grid, normalize_grid
 from repro.normalize.symmetry import (
     canonical_symmetry_matrix,
     canonicalize_grid,
-    extract_all_variants,
-    invariant_distance,
-    invariant_distance_precomputed,
-    symmetry_variants,
 )
 from repro.voxel.grid import VoxelGrid
 from repro.voxel.voxelize import voxelize_solid
@@ -93,35 +89,6 @@ class TestPCA:
 
 
 class TestSymmetry:
-    def test_variants_counts(self, lshape_grid):
-        assert len(symmetry_variants(lshape_grid, False)) == 24
-        assert len(symmetry_variants(lshape_grid, True)) == 48
-
-    def test_invariant_distance_is_zero_for_rotated_copy(self, lshape_grid):
-        mats = symmetry_matrices(True)
-        rotated = lshape_grid.transformed(mats[17])
-
-        def extract(grid):
-            return grid.occupancy.astype(float).ravel()
-
-        def distance(a, b):
-            return float(np.linalg.norm(a - b))
-
-        assert invariant_distance(lshape_grid, extract(rotated), extract, distance) == 0.0
-
-    def test_invariant_distance_precomputed_matches(self, lshape_grid):
-        mats = symmetry_matrices(True)
-        rotated = lshape_grid.transformed(mats[5])
-
-        def extract(grid):
-            return grid.occupancy.astype(float).ravel()
-
-        def distance(a, b):
-            return float(np.linalg.norm(a - b))
-
-        variants = extract_all_variants(lshape_grid, extract)
-        assert invariant_distance_precomputed(variants, extract(rotated), distance) == 0.0
-
     def test_canonicalization_collapses_all_48_variants(self):
         """For a moment-non-degenerate (chiral, skewed) object the
         canonical pose of every symmetric variant is identical — the
@@ -136,7 +103,7 @@ class TestSymmetry:
         grid = voxelize_solid(chiral, resolution=12)
         canonical = {
             canonicalize_grid(variant).occupancy.tobytes()
-            for variant in symmetry_variants(grid, include_reflections=True)
+            for variant in map(grid.transformed, symmetry_matrices(True))
         }
         assert len(canonical) == 1
 
@@ -148,7 +115,7 @@ class TestSymmetry:
         small."""
         canonical = {
             canonicalize_grid(variant).occupancy.tobytes()
-            for variant in symmetry_variants(lshape_grid, include_reflections=True)
+            for variant in map(lshape_grid.transformed, symmetry_matrices(True))
         }
         assert len(canonical) <= 2
 

@@ -115,10 +115,6 @@ class TestTransform:
         with pytest.raises(VoxelizationError):
             lshape_grid.transformed(np.full((3, 3), 0.5))
 
-    def test_all_symmetries_counts(self, lshape_grid):
-        assert len(lshape_grid.all_symmetries(include_reflections=False)) == 24
-        assert len(lshape_grid.all_symmetries(include_reflections=True)) == 48
-
     def test_chiral_object_has_48_distinct_variants(self):
         """A fully chiral object (no rotational or mirror symmetry)
         produces 48 distinct grids. The L-shape fixture is mirror-
@@ -133,5 +129,8 @@ class TestTransform:
             | Box(center=(-0.6, -0.1, 0.6), size=(0.5, 0.4, 0.9))
         )
         grid = voxelize_solid(chiral, resolution=12)
-        variants = {v.occupancy.tobytes() for v in grid.all_symmetries(True)}
+        variants = {
+            variant.occupancy.tobytes()
+            for variant in map(grid.transformed, symmetry_matrices(True))
+        }
         assert len(variants) == 48

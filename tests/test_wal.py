@@ -17,7 +17,6 @@ from repro.wal import (
     DurableLayout,
     WriteAheadLog,
     _parse_fsync,
-    replay,
     scan_segment,
     verify_segment,
 )
@@ -44,7 +43,7 @@ class TestRoundtrip:
         path = tmp_path / "wal-00000000.log"
         with WriteAheadLog(path, fsync="always", fresh=True) as wal:
             plan = sample_records(wal, rng)
-        records = list(replay(path))
+        records = list(scan_segment(path).records)
         assert [r["op"] for r in records] == [op for op, _, _ in plan]
         for record, (_, oid, arr) in zip(records, plan):
             if oid is not None:
@@ -58,7 +57,7 @@ class TestRoundtrip:
         path = tmp_path / "wal.log"
         with WriteAheadLog(path, fresh=True) as wal:
             wal.append("checkpoint", next_generation=3)
-        (record,) = replay(path)
+        (record,) = scan_segment(path).records
         assert record["op"] == "checkpoint"
         assert record["next_generation"] == 3
 
@@ -68,7 +67,7 @@ class TestRoundtrip:
         with WriteAheadLog(path, fsync=fsync, fresh=True) as wal:
             for oid in range(7):
                 wal.append("add", oid=oid, array=rng.normal(size=(1, 2)))
-        assert len(list(replay(path))) == 7
+        assert len(list(scan_segment(path).records)) == 7
 
     def test_unknown_op_rejected(self, tmp_path):
         with WriteAheadLog(tmp_path / "w.log", fresh=True) as wal:
@@ -143,7 +142,7 @@ class TestCorruptionDetection:
             obs.disable()
         wal.append("add", oid=99, array=rng.normal(size=(1, 2)))
         wal.close()
-        records = list(replay(path))
+        records = list(scan_segment(path).records)
         assert [r.get("oid") for r in records] == [0, 1, 2, 3, 4, 99]
 
     def test_empty_file_is_not_a_segment(self, tmp_path):
