@@ -136,15 +136,6 @@ class QueryStats:
             "bound_pruned": self.bound_pruned,
         }
 
-    def merge(self, other: "QueryStats") -> "QueryStats":
-        """Accumulate another query's accounting in place."""
-        self.candidates_ranked += other.candidates_ranked
-        self.exact_computations += other.exact_computations
-        self.pruned += other.pruned
-        self.extra_refinements += other.extra_refinements
-        self.bound_pruned += other.bound_pruned
-        return self
-
     def __str__(self) -> str:
         total = self.exact_computations + self.pruned
         return (
@@ -394,6 +385,27 @@ class FilterRefineEngine:
         np.cumsum(sizes, out=offsets[1:])
         live = np.arange(self.capacity) < sizes[:, None]
         return self.oids[order], offsets, packed.data[order][live], self.centroids[order]
+
+    @classmethod
+    def joined(cls, engines: Sequence["FilterRefineEngine"]) -> "FilterRefineEngine":
+        """One engine holding the live rows of *engines* back to back, as
+        they lie: row order is unobservable (see *Mutation*).  The
+        engines share capacity, ω and block size, and no object id."""
+        first = engines[0]
+        stores = [engine._packed for engine in engines]
+        packed = PackedSets(
+            data=np.concatenate([store.data for store in stores]),
+            sizes=np.concatenate([store.sizes for store in stores]),
+            sq_norms=np.concatenate([store.sq_norms for store in stores]),
+            omega=first.omega,
+        )
+        return cls(
+            packed,
+            capacity=first.capacity,
+            block_size=first.block_size,
+            oids=np.concatenate([engine.oids for engine in engines]),
+            centroids=np.concatenate([engine.centroids for engine in engines]),
+        )
 
     def digest(self) -> str:
         """SHA-256 over everything the engine stores per object — oid,

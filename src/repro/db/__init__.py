@@ -2,9 +2,9 @@
 
 :mod:`repro.db.core` holds :class:`SimilarityDatabase` — one RWLock,
 one index, one WAL.  :mod:`repro.db.sharded` partitions objects across
-K independent cores and answers queries by scatter-gather merge on the
-canonical (distance, oid) order, byte-identical to a single-shard
-build.  :mod:`repro.db.storage` is every on-disk layout — snapshot file,
+K independent cores and answers each query over them joined into one
+database, byte-identical to a single-shard build.
+:mod:`repro.db.storage` is every on-disk layout — snapshot file,
 durable directory, sharded directory — written, opened, recovered and
 verified in one place; :func:`open_database` opens any of them with the
 class that wrote it.

@@ -91,7 +91,9 @@ class DatabaseView:
 
     Created by :meth:`SimilarityDatabase.read_view`; the read lock is
     held for the lifetime of the ``with`` block, so :attr:`version` and
-    every query result belong to the same database state.
+    every query result belong to the same database state.  (A sharded
+    database views its pinned shards' join the same way, under their
+    read locks.)
     """
 
     def __init__(self, db: "SimilarityDatabase"):

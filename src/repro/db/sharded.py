@@ -1,58 +1,47 @@
-"""Sharded similarity database: scatter-gather over K independent cores.
+"""Sharded similarity database: K independent cores, queried as one.
 
-Horizontal scale-out for :class:`repro.db.core.SimilarityDatabase`.
+Horizontal partitioning of :class:`repro.db.core.SimilarityDatabase`.
 Objects are partitioned across K *shards* — each a complete
 ``SimilarityDatabase`` with its own RWLock, object store, sketch tier,
 and (when durable) WAL + snapshot generations — by a stable hash of the
-object id (:func:`shard_of`).  Mutations route to exactly one shard;
-queries scatter to every shard and merge the per-shard answers.
+object id (:func:`shard_of`).  Mutations route to exactly one shard.
 
-The merge is not approximate.  Every access method in this codebase
-breaks distance ties canonically by ascending object id, so the global
-k-nn of the union is exactly the (distance, oid)-merge of the per-shard
-k-nns, truncated to k — a sharded database returns *byte-identical*
-results to a single-shard build holding the same objects (the
-differential machine in ``tests/test_sharded_differential.py`` holds
-this equality through arbitrary mutation/reshard sequences, in exact
-and approx modes).
+Queries see one database.  The paper's k-nn is one optimal multi-step
+search: one candidate stream and one pruning radius over the whole
+collection.  A query therefore pins every shard's read lock and joins
+the shards into one non-durable database
+(:func:`repro.db.storage.as_one`): the engines' row buffers
+concatenated as they lie (row order is unobservable: every ranking
+breaks distance ties by ascending oid), the sketch tiers' codes merged
+in ascending oid.  The plain query path answers over it, so a sharded
+database returns the answers *and* the ``QueryStats`` of one
+``SimilarityDatabase`` holding the same objects, in exact and approx
+mode, for k-nn, range and batch queries (the differential machine in
+``tests/test_sharded_differential.py`` holds this equality through
+arbitrary mutation/reshard sequences).  The join is rebuilt per call
+(a serial batch pays it once) and never cached, because a read lock
+writes no state.
 
-Approximate mode needs one extra step for that equality: the Hamming
-shortlist of a single-shard build is the global top-``budget`` by
-(hamming, oid), which is *not* the union of per-shard top-``budget``
-shortlists restricted per shard.  The sharded path therefore merges the
-per-shard ``(hamming, oid)`` rankings into the exact global shortlist
-first, then hands each shard only the candidates it owns for the exact
-subset refine.  Merged ``QueryStats`` equal the single-shard build's
-field for field.
-
-Observability: every scatter leg runs under a ``shard=i`` querylog
-context frame (the shard's own wide events — ``knn``, ``range``,
-``knn_subset`` — carry it), and the sharded layer records one merged
-wide event per query (``sharded_knn`` / ``sharded_range`` /
-``sharded_approx_knn``) whose stats are the per-shard merge and whose
-phase arithmetic keeps the PR 9 invariant: total == filter + refine,
-with the scatter across shards as the filter phase and the merge as the
-refine phase.
+Observability: a query logs the plain database's one wide event
+(``knn``, ``range`` or ``approx_knn``), stamped with ``shards`` (and
+``batch`` / ``jobs`` for batches), and adds 1 to ``query.count``.
 
 Pooled batches: ``knn_query_many(..., n_jobs=J)`` with ``J >= 2`` is
-parallel over *queries*, not shards.  The batch is split into
+parallel over *queries*.  The batch is split into
 ``min(J, len(queries))`` contiguous chunks; each pool worker opens the
 last saved layout's shard files as one database
-(:func:`repro.db.storage.open_shards_as_one`, cached per worker by the
-save's token and the files' stat) and answers its chunk with the plain
-``knn_query_many``; the chunks come back in order.  Every query runs one
-refine cascade with the global k-th distance as its radius, so pooled
-``QueryStats`` count the work done: those of one ``SimilarityDatabase``
-holding the same objects, not the per-shard sum the in-process scatter
-reports.  The price is memory: each worker holds all n objects, not
-n / K.
+(:func:`repro.db.storage.open_shards_as_one`, the same join, cached per
+worker by the save's token and the files' stat) and answers its chunk
+with the plain ``knn_query_many``; the chunks come back in order, and
+the workers' wide events with them.  The price is memory: each worker
+holds all n objects, not n / K.
 
-Consistency: a scatter-gather query pins *all* shard read locks (in
-ascending shard order) for its duration, so every answer is exact with
-respect to one consistent version vector — the tuple of per-shard
-version counters (:meth:`ShardedSimilarityDatabase.version_vector`).
-A ``LockTimeout`` on any shard releases the already-pinned shards and
-propagates (counted under ``db.sharded.lock_timeouts``).
+Consistency: a query pins *all* shard read locks (in ascending shard
+order) for its duration, so every answer is exact with respect to one
+consistent version vector — the tuple of per-shard version counters
+(:meth:`ShardedSimilarityDatabase.version_vector`).  A ``LockTimeout``
+on any shard releases the already-pinned shards and propagates
+(counted under ``db.sharded.lock_timeouts``).
 
 Persistence (:mod:`repro.db.storage`): ``save()`` writes a directory —
 a ``sharded.json`` manifest plus one plain snapshot file per shard,
@@ -71,15 +60,15 @@ import struct
 import time
 import zlib
 from collections import OrderedDict
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from repro.approx.engine import default_shortlist
 from repro.core.queries import QueryMatch, QueryStats
 from repro.db import storage
 from repro.db.core import (
+    DatabaseView,
     SimilarityDatabase,
     _at_least,
     check_backend,
@@ -113,10 +102,6 @@ def shard_of(oid: int, shards: int) -> int:
     return zlib.crc32(struct.pack("<q", int(oid))) % shards
 
 
-def _sort_key(match: QueryMatch):
-    return (match.distance, match.object_id)
-
-
 # -- process-pool tasks (module level so they pickle) ----------------------
 
 #: A pool worker's saved layouts, each opened as one database, least
@@ -148,15 +133,19 @@ def _layout_db(token: str, paths: tuple[Path, ...]) -> SimilarityDatabase:
 def _chunk_knn_task(task):
     """One chunk of a parallel batch: answer its queries against the
     saved layout opened as one database, reporting worker-side service
-    time.  Answers travel as plain pairs and dicts, which pickle an
-    order of magnitude faster than the match and stats objects."""
-    token, paths, queries, k = task
+    time.  Each query's wide event carries the batch's *context*
+    (shards, jobs, batch size); :func:`repro.parallel.pool_map` folds
+    the events back into the parent.  Answers travel as plain pairs and
+    dicts, which pickle an order of magnitude faster than the match and
+    stats objects."""
+    token, paths, queries, k, context = task
     db = _layout_db(token, paths)
     start = time.perf_counter()
-    answers = [
-        ([(m.object_id, m.distance) for m in matches], stats.as_dict())
-        for matches, stats in db.knn_query_many(queries, k)
-    ]
+    with querylog.query_context(**context):
+        answers = [
+            ([(m.object_id, m.distance) for m in matches], stats.as_dict())
+            for matches, stats in db.knn_query_many(queries, k)
+        ]
     return answers, time.perf_counter() - start
 
 
@@ -265,7 +254,7 @@ class ShardedSimilarityDatabase:
         return sum(shard.version for shard in self.shards)
 
     def version_vector(self) -> tuple[int, ...]:
-        """Per-shard version counters; a scatter-gather query is exact
+        """Per-shard version counters; a query is exact
         with respect to exactly one value of this tuple.  Resharding
         replaces the vector (fresh shards start at their add counts)."""
         return tuple(shard.version for shard in self.shards)
@@ -350,13 +339,11 @@ class ShardedSimilarityDatabase:
 
         The live shards are the only record of ω, block size and sketch
         parameters (a reloaded layout was never given constructor
-        arguments): a shard that holds objects owns a
-        sketcher that knows its parameters, so it is preferred as the
-        donor of the settings record (:func:`repro.db.storage.settings`).
+        arguments), so the settings record
+        (:func:`repro.db.storage.settings`) is read from
+        :func:`repro.db.storage.donor`'s choice of them.
         """
-        donor = next(
-            (s for s in self.shards if s._sketcher is not None), self.shards[0]
-        )
+        donor = storage.donor(self.shards)
         return storage.empty_like(donor, lock_timeout=self.lock_timeout)
 
     def reshard(self, new_shards: int) -> None:
@@ -398,7 +385,7 @@ class ShardedSimilarityDatabase:
             registry().counter("db.sharded.reshards").inc()
         emit("db.reshard", shards=new_shards, objects=len(stored))
 
-    # -- scatter-gather queries ---------------------------------------------
+    # -- queries ---------------------------------------------------------------
 
     @contextmanager
     def read_views(self):
@@ -423,49 +410,21 @@ class ShardedSimilarityDatabase:
                 registry().counter("db.sharded.lock_timeouts").inc()
             raise
 
-    def _shard_ctx(self, position: int):
-        if not registry().enabled:
-            return nullcontext()
-        return querylog.query_context(shard=position)
+    def _as_one(self, views) -> DatabaseView:
+        """The shards pinned by *views* as one database
+        (:func:`repro.db.storage.as_one`), viewed for this call only."""
+        return DatabaseView(storage.as_one([view._db for view in views]))
 
-    def _outer_ctx(self, mode: str, views):
-        if not registry().enabled:
-            return nullcontext()
-        return querylog.query_context(
-            mode=mode,
-            db_version=sum(view.version for view in views),
-            shards=self.n_shards,
-        )
-
-    @staticmethod
-    def _merge_matches(per_shard, limit: int | None = None):
-        merged = sorted(
-            (m for results, _ in per_shard for m in results), key=_sort_key
-        )
-        return merged if limit is None else merged[:limit]
-
-    @staticmethod
-    def _merge_stats(per_shard) -> QueryStats:
-        out = QueryStats()
-        for _, stats in per_shard:
-            out.merge(stats)
-        return out
-
-    def _record(self, kind, stats, total, *, filter_seconds, refine_seconds, **extra):
-        """One merged wide event with the PR 9 phase invariant intact:
-        total == filter + refine, where filter is the scatter across
-        shards and refine is the gather/merge."""
-        if not registry().enabled:
-            return
-        with querylog.query_context(filter_seconds=filter_seconds):
-            querylog.record_query(
-                kind,
-                stats.as_dict(),
-                total,
-                seconds=refine_seconds,
-                refine_seconds=refine_seconds,
-                **extra,
-            )
+    def _answer(self, ask, **context):
+        """``ask(view)`` under every shard's read lock, *view* being the
+        pinned shards as one database; each wide event it logs carries
+        the shard count and *context*."""
+        with self.read_views() as views:
+            one = self._as_one(views)
+            if not registry().enabled:
+                return ask(one)
+            with querylog.query_context(shards=len(views), **context):
+                return ask(one)
 
     def _checked_query(self, query, **args) -> np.ndarray:
         """Validate one query before any shard lock is taken, against a
@@ -483,157 +442,18 @@ class ShardedSimilarityDatabase:
         mode: str = "exact",
         shortlist: int | None = None,
     ):
-        """Scatter-gather k-nn, byte-identical to a single-shard build.
-
-        Exact mode merges the per-shard k-nns on (distance, oid) and
-        truncates — every member of the global top-k is in its owning
-        shard's top-k, so the merge loses nothing.  Approx mode first
-        reconstructs the *global* Hamming shortlist (see module notes),
-        then scatters the subset refine.
-        """
+        """k-nn over the shards as one database: the answer and the
+        ``QueryStats`` of one ``SimilarityDatabase`` holding the same
+        objects, in exact and approx mode."""
         arr = self._checked_query(
             query, n_neighbors=n_neighbors, mode=mode, shortlist=shortlist
         )
-        with self.read_views() as views:
-            return self._scatter_knn(views, arr, n_neighbors, mode, shortlist)
+        return self._answer(lambda one: one._knn(arr, n_neighbors, mode, shortlist))
 
     def range_query(self, query, epsilon: float):
-        """All objects within *epsilon*: the sorted union of per-shard
-        range answers (each already in canonical order)."""
+        """All objects within *epsilon*, over the shards as one database."""
         arr = self._checked_query(query, epsilon=epsilon)
-        with self.read_views() as views:
-            return self._scatter_exact(
-                views,
-                "sharded_range",
-                lambda view: view._range(arr, epsilon),
-                None,
-                {"epsilon": epsilon},
-            )
-
-    def _scatter_knn(self, views, arr, n_neighbors, mode, shortlist, batch=None):
-        if mode == "approx":
-            if not any(view.size for view in views):
-                return [], QueryStats()
-            with self._outer_ctx("approx", views):
-                return self._scatter_approx(
-                    views, arr, n_neighbors, shortlist, batch
-                )
-        return self._scatter_exact(
-            views,
-            "sharded_knn",
-            lambda view: view._knn(arr, n_neighbors),
-            n_neighbors,
-            {"k": n_neighbors},
-            batch,
-        )
-
-    def _scatter_exact(self, views, kind, leg, limit, extra, batch=None):
-        """Exact scatter → merge → record: run *leg* on every pinned
-        view, merge on ``(distance, oid)`` (cut to *limit*), and log one
-        merged *kind* event."""
-        total = sum(view.size for view in views)
-        if total == 0:
-            return [], QueryStats()
-        with self._outer_ctx("exact", views):
-            with span(
-                "query.sharded_scatter", force=True, shards=self.n_shards
-            ) as scatter_sp:
-                per_shard = []
-                for i, view in enumerate(views):
-                    with self._shard_ctx(i):
-                        per_shard.append(leg(view))
-            with span("query.sharded_merge", force=True) as merge_sp:
-                results = self._merge_matches(per_shard, limit)
-                stats = self._merge_stats(per_shard)
-            extra = {**extra, "results": len(results)}
-            if batch is not None:
-                extra["batch"] = batch
-            self._record(
-                kind,
-                stats,
-                total,
-                filter_seconds=scatter_sp.seconds,
-                refine_seconds=merge_sp.seconds,
-                **extra,
-            )
-        return results, stats
-
-    def _scatter_approx(self, views, arr, n_neighbors, shortlist, batch=None):
-        """Approx scatter-gather over the *global* Hamming shortlist.
-
-        Phase one (the filter, timed as such): sketch the query once —
-        every shard's sketcher carries the identical seeded projection,
-        content-addressed by digest — rank each shard's codes, and merge
-        the per-shard (hamming, oid) rankings into the exact shortlist a
-        single-shard build would produce.  Phase two: each shard refines
-        only the candidates it owns; the (distance, oid) merge of those
-        partial top-ks is the single-shard answer, and the merged stats
-        are its stats (Σ owned == budget, Σ (n_i - owned_i) == n -
-        budget).
-        """
-        budget = (
-            default_shortlist(n_neighbors) if shortlist is None else int(shortlist)
-        )
-        budget = max(budget, n_neighbors)
-        total = sum(view.size for view in views)
-        active = [i for i, view in enumerate(views) if view.size]
-        for i in active:
-            if self.shards[i]._hamming is None:
-                raise QueryError(
-                    "approx queries need the sketch tier; this database "
-                    "was built with sketch=False"
-                )
-        with span("query.sharded_shortlist", force=True, budget=budget) as ssp:
-            code = self.shards[active[0]]._sketcher.sketch(arr)
-            hams, oids, owners = [], [], []
-            for i in active:
-                hamming = self.shards[i]._hamming
-                hams.append(hamming.distances(code[None, :])[0])
-                oids.append(hamming.oids)
-                owners.append(np.full(len(hamming), i, dtype=np.int64))
-            ham = np.concatenate(hams)
-            oid = np.concatenate(oids)
-            owner = np.concatenate(owners)
-            order = np.lexsort((oid, ham))[: min(budget, len(oid))]
-            chosen_oids = oid[order]
-            chosen_owner = owner[order]
-        with span("query.sharded_refine", force=True) as rsp:
-            per_shard = []
-            skipped = 0
-            for i in active:
-                owned = chosen_oids[chosen_owner == i]
-                if not len(owned):
-                    # No shortlist member lives here: the whole shard is
-                    # pruned, exactly as a single-shard build would have
-                    # pruned those objects.
-                    skipped += views[i].size
-                    continue
-                with self._shard_ctx(i):
-                    per_shard.append(
-                        self.shards[i]._engine.knn_refine_subset(
-                            arr, n_neighbors, owned
-                        )
-                    )
-            results = self._merge_matches(per_shard, n_neighbors)
-            stats = self._merge_stats(per_shard)
-            stats.pruned += skipped
-        extra = {
-            "k": n_neighbors,
-            "results": len(results),
-            "budget": budget,
-            "shortlist_size": len(chosen_oids),
-        }
-        if batch is not None:
-            extra["batch"] = batch
-        self._record(
-            "sharded_approx_knn",
-            stats,
-            total,
-            filter_seconds=ssp.seconds,
-            refine_seconds=rsp.seconds,
-            **extra,
-        )
-        return results, stats
+        return self._answer(lambda one: one._range(arr, epsilon))
 
     # -- batch queries -------------------------------------------------------
 
@@ -649,7 +469,8 @@ class ShardedSimilarityDatabase:
         """Batch k-nn under one pinned version vector.
 
         Results equal ``[knn_query(q, k) for q in queries]`` with no
-        writer interleaving.  ``n_jobs >= 2`` splits the batch into
+        writer interleaving; in-process, the shards are joined into one
+        database once for the whole batch.  ``n_jobs >= 2`` splits the batch into
         ``min(n_jobs, len(queries))`` chunks of whole queries, each
         answered by a pool worker over the last saved layout opened as
         one database (exact mode only; the save must not be stale; see
@@ -663,25 +484,24 @@ class ShardedSimilarityDatabase:
         jobs = resolve_n_jobs(n_jobs)
         if jobs >= 2 and self.n_shards >= 2 and len(queries):
             return self._parallel_knn_many(queries, n_neighbors, mode, jobs)
-        with self.read_views() as views:
-            return [
-                self._scatter_knn(
-                    views, q, n_neighbors, mode, shortlist, batch=len(queries)
-                )
-                for q in queries
-            ]
+        return self._answer(
+            lambda one: [one._knn(q, n_neighbors, mode, shortlist) for q in queries],
+            batch=len(queries),
+        )
 
     def _parallel_knn_many(self, queries, n_neighbors, mode, jobs):
         if mode != "exact":
             raise QueryError(
                 "parallel batch queries support mode='exact' only; "
-                "approx scatter-gather runs in-process"
+                "approx batches run in-process"
             )
         saved = self._saved
         if saved is None:
             raise QueryError(
-                "parallel batch queries serve the saved sharded snapshot; "
-                "call save() (or load a saved layout) first"
+                "parallel batch queries serve the saved sharded snapshot that "
+                "only save(path) to a directory (or loading such a save) "
+                "leaves; a durable layout's checkpoints and its load leave "
+                "none: call save(path) first"
             )
         if self.version_vector() != saved.versions:
             raise QueryError(
@@ -690,45 +510,20 @@ class ShardedSimilarityDatabase:
             )
         chunks = min(jobs, len(queries))
         bounds = [len(queries) * i // chunks for i in range(chunks + 1)]
+        context = {"shards": self.n_shards, "jobs": jobs, "batch": len(queries)}
         tasks = [
-            (saved.token, saved.paths, queries[lo:hi], n_neighbors)
+            (saved.token, saved.paths, queries[lo:hi], n_neighbors, context)
             for lo, hi in zip(bounds, bounds[1:])
         ]
-        with span(
-            "query.sharded_scatter",
-            force=True,
-            shards=self.n_shards,
-            jobs=jobs,
-        ) as scatter_sp:
+        with span("query.sharded_scatter", shards=self.n_shards, jobs=jobs):
             legs = pool_map(_chunk_knn_task, tasks, chunks)
         self.last_parallel_legs = [seconds for _, seconds in legs]
-        with span("query.sharded_merge", force=True) as merge_sp:
-            out = [
+        with span("query.sharded_merge"):
+            return [
                 ([QueryMatch(oid, dist) for oid, dist in pairs], QueryStats(**stats))
                 for answers, _ in legs
                 for pairs, stats in answers
             ]
-        if registry().enabled:
-            share = 1.0 / len(queries)
-            total = len(self)
-            with querylog.query_context(
-                mode="exact",
-                db_version=sum(saved.versions),
-                shards=self.n_shards,
-            ):
-                for matches, stats in out:
-                    self._record(
-                        "sharded_knn",
-                        stats,
-                        total,
-                        filter_seconds=scatter_sp.seconds * share,
-                        refine_seconds=merge_sp.seconds * share,
-                        k=n_neighbors,
-                        results=len(matches),
-                        batch=len(queries),
-                        jobs=jobs,
-                    )
-        return out
 
     # -- persistence (the layouts themselves live in repro.db.storage) -------
 

@@ -437,7 +437,7 @@ def _fill_engine(path, db, oids, sizes, rows, centroids) -> None:
         raise _malformed(path, f"{' / '.join(_SET_ARRAYS)}: {exc}") from exc
 
 
-def _from_archive(path, meta: dict, arrays: dict, **options):
+def _from_archive(path, meta: dict, arrays: dict, *, tiers: bool = True, **options):
     """Build a database from one (meta, arrays) archive payload.
 
     A CRC-valid payload can still be inconsistent; it is validated here,
@@ -445,12 +445,16 @@ def _from_archive(path, meta: dict, arrays: dict, **options):
     the meta key or arrays.  The sets are packed into the engine by one
     ragged scatter.  The ``index__*`` members of an older layout are not
     read: the engine's centroid rows are what every database ranks.
+    ``tiers=False`` leaves the sketch tier and the payloads unread.
     """
     _snapshot_meta(path, meta)
     db = _empty_database(path, "snapshot", meta, sketch_key="sketch_enabled", **options)
     _set_dimension(path, db, meta["dimension"])
     oids, offsets, rows, centroids = _set_columns(path, arrays)
     _fill_engine(path, db, oids, np.diff(offsets), rows, centroids)
+    db._version = meta["db_version"]
+    if not tiers:
+        return db
     try:
         _restore_sketches(db, meta, arrays)
     except (KeyError, TypeError, ValueError, QueryError) as exc:
@@ -460,7 +464,6 @@ def _from_archive(path, meta: dict, arrays: dict, **options):
             db._payloads = _decode_payloads(arrays["payloads"], db._oids())
         except (ValueError, QueryError) as exc:
             raise _malformed(path, f"payloads: {exc}") from exc
-    db._version = meta["db_version"]
     return db
 
 
@@ -868,21 +871,63 @@ def open_sharded(root, *, model=None, pipeline=None, cache=None, lock_timeout=No
 _SHARD_SETTINGS = ("capacity", "block_size", "dimension", "omega")
 
 
+def donor(shards):
+    """The shard whose settings a fresh shard or a join takes: one that
+    owns a sketcher, which knows the sketch parameters (a shard that
+    never held an object has none), else the first."""
+    return next((s for s in shards if s._sketcher is not None), shards[0])
+
+
+def as_one(shards):
+    """The databases *shards* — the shards of one layout, each read-locked
+    by the caller or nobody else's yet — as one non-durable database
+    that answers like one holding all their objects.
+
+    The engines' live rows are concatenated as they lie
+    (:meth:`FilterRefineEngine.joined`), since no answer depends on row
+    order.  Where a shard has a sketcher, the sketch tiers' codes are
+    merged in ascending oid under it, so the Hamming shortlist is the
+    one database's.  The version is the sum of the shards'; there are
+    no payloads.  Built per call and never cached: a query holds read
+    locks, and a read lock writes no state.
+    """
+    from repro.db.core import SimilarityDatabase  # core imports this module
+
+    first = donor(shards)
+    engines = [shard._engine for shard in shards if shard._engine is not None]
+    with span("db.sharded.as_one", shards=len(shards)):
+        db = SimilarityDatabase(
+            first.capacity,
+            block_size=first.block_size,
+            sketch=first._sketcher is not None,
+        )
+        db._version = sum(shard._version for shard in shards)
+        if engines:
+            db._engine = FilterRefineEngine.joined(engines)
+            db.dimension, db.omega = db._engine.dimension, db._engine.omega
+        if first._sketcher is not None:
+            tiers = [shard._hamming for shard in shards if shard._hamming is not None]
+            oids = np.concatenate([tier.oids for tier in tiers])
+            order = np.argsort(oids)
+            codes = np.concatenate([tier.codes for tier in tiers])[order]
+            db._sketcher = first._sketcher
+            db._hamming = HammingIndex.from_arrays(oids[order], codes)
+    return db
+
+
 def open_shards_as_one(paths):
     """Open the snapshot files *paths* of one saved sharded layout as one
-    non-durable database, for exact queries only.
+    non-durable database (:func:`as_one`), for exact queries only.
 
     Every file is read with the integrity checks of :func:`open_snapshot`,
     and a shard whose settings (:data:`_SHARD_SETTINGS`) disagree with the
     shards before it is refused with a :class:`StorageError` naming it.
-    The set columns and centroids are concatenated in ascending oid, so
-    the result ranks and refines like one database holding every object.
-    It has no sketch tier and no payloads.
+    The result has no sketch tier and no payloads.
     """
     root = Path(paths[0]).parent
     with span("db.sharded.open_as_one", force=True, shards=len(paths)) as sp:
         shared: dict = {}
-        columns, version = [], 0
+        shards = []
         for path in paths:
             read = read_dense_archive if layout_of(path) == "dense" else read_archive
             meta, arrays = read(path, DB_FORMAT)
@@ -894,19 +939,8 @@ def open_shards_as_one(paths):
                         f"{path}: shard disagrees with the shards before it: "
                         f"{key!r} holds {meta[key]!r}, not {shared[key]!r}"
                     )
-            oids, offsets, rows, centroids = _set_columns(path, arrays)
-            if len(oids):
-                columns.append((oids, np.diff(offsets), rows, centroids))
-            version += meta["db_version"]
-        db = _empty_database(root, "shard settings", {"omega": None, **shared, "sketch": False})
-        _set_dimension(root, db, shared.get("dimension"))
-        if columns:
-            oids, sizes, rows, centroids = map(np.concatenate, zip(*columns))
-            order = np.argsort(oids, kind="stable")
-            # A stable sort on each row's oid keeps every set's rows in order.
-            rows = rows[np.argsort(np.repeat(oids, sizes), kind="stable")]
-            _fill_engine(root, db, oids[order], sizes[order], rows, centroids[order])
-        db._version = version
+            shards.append(_from_archive(path, meta, arrays, tiers=False))
+        db = as_one(shards)
         sp.set(objects=len(db))
     emit("db.snapshot", op="load", objects=len(db), path=str(root), shards=len(paths))
     return db

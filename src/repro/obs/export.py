@@ -8,7 +8,7 @@ into its sink).  This module reassembles those flat records:
 * :func:`assemble_tree` rebuilds the causal span tree from the
   ``id``/``parent`` edges.  Because the CLI opens one root span per
   command and :mod:`repro.parallel` propagates the submitting span into
-  every worker, a whole scatter-gather run — parent and workers —
+  every worker, a whole pooled run — parent and workers —
   reassembles into a *single* rooted tree.
 * :func:`chrome_trace` renders the records as Chrome trace-event JSON
   (the ``about:tracing`` / Perfetto format): each completed span

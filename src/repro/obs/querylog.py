@@ -22,7 +22,7 @@ rate, and carries a full ``explain`` payload (per-phase breakdown,
 pruning power, engine configuration) so the one query that mattered is
 never the one that was sampled away.
 
-Context fields (mode, database version, shard) are contributed by outer layers through the thread-local
+Context fields (mode, database version, shard count) are contributed by outer layers through the thread-local
 :func:`query_context` stack; the innermost emission point never needs
 to know who is calling it.
 """
@@ -164,7 +164,7 @@ def record_query(
     ----------
     kind:
         Query kind (``knn``, ``range``, ``scan``, ``knn_subset``,
-        ``approx_knn``, ``sharded_*``).
+        ``approx_knn``); a sharded database's queries log these too.
     stats:
         The flat ``QueryStats.as_dict()`` mapping — copied into the
         record verbatim, so the event agrees field-for-field with what

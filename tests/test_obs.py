@@ -298,7 +298,6 @@ class TestStatsProtocol:
         from repro.core.queries import QueryStats
 
         a = QueryStats(10, 4, 6, 1, 2)
-        b = QueryStats(5, 2, 3, 0, 1)
         assert a.as_dict() == {
             "candidates_ranked": 10,
             "exact_computations": 4,
@@ -306,10 +305,9 @@ class TestStatsProtocol:
             "extra_refinements": 1,
             "bound_pruned": 2,
         }
-        a.merge(b)
-        assert (a.candidates_ranked, a.exact_computations, a.bound_pruned) == (15, 6, 3)
-        assert "refined 6/15" in str(a)
-        assert "3 by the assignment bound" in str(a)
+        assert QueryStats(**a.as_dict()) == a
+        assert "refined 4/10" in str(a)
+        assert "2 by the assignment bound" in str(a)
 
     def test_iocost_protocol(self):
         from repro.index.pages import IOCost

@@ -242,13 +242,14 @@ class TestEngineAndBatchPaths:
 
 
 class TestSharded:
-    """Scatter-gather queries keep every wide-event invariant.
+    """A sharded query is one database's query, logged once.
 
-    The sharded layer records one merged event per query whose stats
-    are the (distance, oid)-merge of the per-shard legs; each leg's own
-    event carries its ``shard`` context frame.  The PR 9 arithmetic —
-    total == filter + refine — holds exactly, with the scatter as the
-    filter phase and the merge as the refine phase.
+    The shards are joined into one database for the call, so every
+    query — k-nn, range, approx, serial or pooled batch — logs exactly
+    the plain database's one wide event, stamped with ``shards``, whose
+    stats equal both the returned stats and those of one
+    ``SimilarityDatabase`` holding the same objects, and adds 1 to
+    ``query.count``.
     """
 
     def make_sharded(self, rng, count=24, dim=6):
@@ -265,80 +266,94 @@ class TestSharded:
             mirror.add(oid, vectors)
         return sharded, mirror, sets
 
-    def nonempty(self, db):
-        return [i for i, shard in enumerate(db.shards) if len(shard)]
+    def assert_one_event_per_query(self, trace, db, ask, want, kind):
+        """``ask()`` — after the mirror's answers *want*, whose events
+        come first in the trace — logs one *kind* event per answer, in
+        order, each carrying the answer's stats (== the mirror's) and
+        the shard count; returns those events."""
+        count = obs.registry().counter("query.count")
+        before = count.value
+        answers = ask()
+        assert count.value - before == len(answers)
+        events = query_events(trace)[len(want):]
+        assert len(events) == len(answers)
+        for event, (_, stats), (_, expected) in zip(events, answers, want):
+            assert stats.as_dict() == expected.as_dict()
+            assert event["kind"] == kind
+            for key, value in stats.as_dict().items():
+                assert event[key] == value, key
+            assert event["shards"] == db.n_shards
+            assert event["db_version"] == db.version
+            assert event["n"] == len(db)
+            assert "shard" not in event
+        return events
 
     def test_sharded_knn_event_agrees_with_stats(self, enabled, rng):
-        db, _, sets = self.make_sharded(rng)
-        _, stats = db.knn_query(sets[0], 3)
-        events = query_events(enabled)
-        outer = [e for e in events if e["kind"] == "sharded_knn"]
-        inner = [e for e in events if e["kind"] != "sharded_knn"]
-        assert len(outer) == 1
-        event = outer[0]
-        for key, value in stats.as_dict().items():
-            assert event[key] == value, key
-        assert not {"backend", "io_pages", "io_bytes"} & event.keys()
-        assert event["mode"] == "exact"
-        assert event["shards"] == 3
-        assert event["db_version"] == db.version
-        assert event["k"] == 3
-        # The phase invariant, exact by construction: the scatter is
-        # the filter phase, the merge is the refine phase.
-        assert event["seconds"] == pytest.approx(
-            event["filter_seconds"] + event["refine_seconds"]
+        db, mirror, sets = self.make_sharded(rng)
+        (event,) = self.assert_one_event_per_query(
+            enabled,
+            db,
+            lambda: [db.knn_query(sets[0], 3)],
+            [mirror.knn_query(sets[0], 3)],
+            "knn",
         )
-        assert event["n"] == len(db)
-        # One leg event per nonempty shard, each stamped with its shard.
-        assert sorted(e["shard"] for e in inner) == self.nonempty(db)
-        assert all(e["kind"] == "knn" for e in inner)
-        for key in ("exact_computations", "bound_pruned"):
-            assert sum(e[key] for e in inner) == getattr(stats, key), key
+        assert not {"backend", "io_pages", "io_bytes"} & event.keys()
+        assert event["mode"] == "exact" and event["k"] == 3
 
     def test_sharded_range_event_agrees_with_stats(self, enabled, rng):
-        db, _, sets = self.make_sharded(rng)
-        _, stats = db.range_query(sets[0], 2.0)
-        events = query_events(enabled)
-        outer = [e for e in events if e["kind"] == "sharded_range"]
-        inner = [e for e in events if e["kind"] != "sharded_range"]
-        assert len(outer) == 1
-        event = outer[0]
-        for key, value in stats.as_dict().items():
-            assert event[key] == value, key
-        assert event["epsilon"] == 2.0
-        assert event["shards"] == 3
-        assert event["seconds"] == pytest.approx(
-            event["filter_seconds"] + event["refine_seconds"]
+        db, mirror, sets = self.make_sharded(rng)
+        (event,) = self.assert_one_event_per_query(
+            enabled,
+            db,
+            lambda: [db.range_query(sets[0], 2.0)],
+            [mirror.range_query(sets[0], 2.0)],
+            "range",
         )
-        assert sorted(e["shard"] for e in inner) == self.nonempty(db)
-        assert all(e["kind"] == "range" for e in inner)
+        assert event["epsilon"] == 2.0 and event["mode"] == "exact"
 
     def test_sharded_approx_event_and_stats_match_single_shard(
         self, enabled, rng
     ):
         db, mirror, sets = self.make_sharded(rng)
-        _, stats = db.knn_query(sets[0], 3, mode="approx", shortlist=10)
-        _, single_stats = mirror.knn_query(
-            sets[0], 3, mode="approx", shortlist=10
+        want = mirror.knn_query(sets[0], 3, mode="approx", shortlist=10)
+        (event,) = self.assert_one_event_per_query(
+            enabled,
+            db,
+            lambda: [db.knn_query(sets[0], 3, mode="approx", shortlist=10)],
+            [want],
+            "approx_knn",
         )
-        # The global-shortlist reconstruction makes the merged stats
-        # equal the single-shard build's, field for field.
-        assert stats.as_dict() == single_stats.as_dict()
-        events = query_events(enabled)
-        outer = [e for e in events if e["kind"] == "sharded_approx_knn"]
-        assert len(outer) == 1
-        event = outer[0]
-        for key, value in stats.as_dict().items():
-            assert event[key] == value, key
         assert event["mode"] == "approx"
-        assert event["budget"] == 10
-        assert event["shortlist_size"] <= 10
+        assert event["budget"] == 10 and event["shortlist_size"] == 10
+        # The shortlist is the filter phase, the subset refine the rest.
         assert event["seconds"] == pytest.approx(
             event["filter_seconds"] + event["refine_seconds"]
         )
-        inner = [e for e in events if e["kind"] == "knn_subset"]
-        assert inner, "per-shard refine legs should log knn_subset events"
-        assert all(e["shard"] in (0, 1, 2) for e in inner)
+
+    def test_serial_sharded_batch_logs_one_event_per_query(self, enabled, rng):
+        db, mirror, sets = self.make_sharded(rng)
+        events = self.assert_one_event_per_query(
+            enabled,
+            db,
+            lambda: db.knn_query_many(sets[:3], 4),
+            mirror.knn_query_many(sets[:3], 4),
+            "knn",
+        )
+        assert all(event["batch"] == 3 for event in events)
+
+    def test_pooled_sharded_batch_logs_one_event_per_query(
+        self, enabled, rng, tmp_path
+    ):
+        db, mirror, sets = self.make_sharded(rng)
+        db.save(tmp_path / "layout")
+        events = self.assert_one_event_per_query(
+            enabled,
+            db,
+            lambda: db.knn_query_many(sets[:3], 4, n_jobs=2),
+            mirror.knn_query_many(sets[:3], 4),
+            "knn",
+        )
+        assert all(e["batch"] == 3 and e["jobs"] == 2 for e in events)
 
     def test_sharded_events_respect_sampling(self, enabled, rng):
         querylog.configure(sample_rate=0.0, slow_ms=None)

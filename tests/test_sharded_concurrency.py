@@ -126,7 +126,7 @@ def test_scatter_gather_pins_a_version_vector(backend, rng, tmp_path):
             while not all(flag.is_set() for flag in done):
                 with db.read_views() as views:
                     vector = tuple(view.version for view in views)
-                    results, _ = db._scatter_knn(views, query, 10, "exact", None)
+                    results, _ = db._as_one(views)._knn(query, 10)
                     assert (
                         tuple(view.version for view in views) == vector
                     ), "vector changed mid-pin"

@@ -1,8 +1,9 @@
 """Cross-shard differential machine: sharded == single-shard, always.
 
-The equality contract of :mod:`repro.db.sharded`: a scatter-gather
-query against K independent shards returns *byte-identical* results —
-same ids, same float distances, same order — to a single-shard
+The equality contract of :mod:`repro.db.sharded`: a query against K
+independent shards, joined into one database for the call, returns
+*byte-identical* results — same ids, same float distances, same order —
+and the same ``QueryStats``, field for field, as a single-shard
 ``SimilarityDatabase`` holding the same objects.  A hypothesis rule
 machine drives arbitrary add/remove/update/compact/reshard sequences
 against a (sharded, mirror) pair and checks knn, range,
@@ -56,6 +57,11 @@ vector_sets = st.lists(
 
 def pairs(results):
     return [(m.object_id, m.distance) for m in results]
+
+
+def answers(results):
+    """``(pairs, stats dict)`` of each ``(matches, QueryStats)`` answer."""
+    return [(pairs(matches), stats.as_dict()) for matches, stats in results]
 
 
 class ShardedDifferentialMachine(RuleBasedStateMachine):
@@ -132,17 +138,15 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
     @rule(query=vector_sets, k=st.integers(min_value=1, max_value=6))
     def knn_matches(self, query, k):
         for sharded, mirror in self.dbs:
-            got, _ = sharded.knn_query(query, k)
-            want, _ = mirror.knn_query(query, k)
-            assert pairs(got) == pairs(want)
+            got = sharded.knn_query(query, k)
+            assert answers([got]) == answers([mirror.knn_query(query, k)])
 
     @precondition(lambda self: self.model)
     @rule(query=vector_sets, epsilon=st.floats(0.0, 12.0, allow_nan=False))
     def range_matches(self, query, epsilon):
         for sharded, mirror in self.dbs:
-            got, _ = sharded.range_query(query, epsilon)
-            want, _ = mirror.range_query(query, epsilon)
-            assert pairs(got) == pairs(want)
+            got = sharded.range_query(query, epsilon)
+            assert answers([got]) == answers([mirror.range_query(query, epsilon)])
 
     @precondition(lambda self: self.model)
     @rule(
@@ -151,8 +155,8 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
         budget=st.integers(min_value=1, max_value=10),
     )
     def approx_matches(self, query, k, budget):
-        # Approx mode must reconstruct the *global* Hamming shortlist:
-        # results AND merged stats equal the single-shard build's.
+        # The joined sketch tier shortlists like the single-shard
+        # build's: results AND stats equal it.
         for sharded, mirror in self.dbs:
             got, got_stats = sharded.knn_query(
                 query, k, mode="approx", shortlist=budget
@@ -168,10 +172,7 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
     def batch_matches(self, queries):
         for sharded, mirror in self.dbs:
             got = sharded.knn_query_many(queries, 4)
-            want = mirror.knn_query_many(queries, 4)
-            assert [pairs(r) for r, _ in got] == [
-                pairs(r) for r, _ in want
-            ]
+            assert answers(got) == answers(mirror.knn_query_many(queries, 4))
 
     # -- standing invariants ------------------------------------------------
 
@@ -353,16 +354,15 @@ def test_parallel_batch_matches_serial(tmp_path, rng):
 
 
 def assert_pooled_like_mirror(sharded, mirror, queries, k, jobs=2):
-    """The pooled batch answers, in query order, what the serial scatter
-    and the single database answer, with the single database's stats,
-    from one leg per chunk."""
+    """The pooled batch answers, in query order, what the serial batch
+    and the single database answer, all three with the single database's
+    stats, from one leg per chunk."""
     pooled = sharded.knn_query_many(queries, k, n_jobs=jobs)
     serial = sharded.knn_query_many(queries, k)
     single = [mirror.knn_query(q, k) for q in queries]
     assert len(pooled) == len(queries)
-    assert [pairs(r) for r, _ in pooled] == [pairs(r) for r, _ in serial]
-    assert [pairs(r) for r, _ in pooled] == [pairs(r) for r, _ in single]
-    assert [s.as_dict() for _, s in pooled] == [s.as_dict() for _, s in single]
+    assert answers(pooled) == answers(single)
+    assert answers(serial) == answers(single)
     assert len(sharded.last_parallel_legs) == min(jobs, len(queries))
 
 
@@ -473,6 +473,27 @@ def test_parallel_batch_guards(tmp_path, rng):
         sharded.knn_query_many([sets[0]], 3, n_jobs=2)
     with pytest.raises(QueryError, match="exact"):
         sharded.knn_query_many([sets[0]], 3, mode="approx", n_jobs=2)
+
+
+def test_pooled_batch_on_a_durable_layout_names_the_export(tmp_path, rng):
+    """A durable layout's checkpoint and its load leave nothing a pool
+    serves; the refusal says that only an export to a directory does,
+    and after one the pool answers."""
+    durable = ShardedSimilarityDatabase(CAPACITY, shards=2, durable=True, path=tmp_path / "db")
+    sets = {oid: rng.integers(-8, 9, size=(2, DIM)).astype(float) for oid in range(12)}
+    for oid, arr in sets.items():
+        durable.add(oid, arr)
+    durable.save()  # a checkpoint
+    durable.close()
+    for db in (durable, ShardedSimilarityDatabase.load(tmp_path / "db")):
+        with pytest.raises(QueryError) as refused:
+            db.knn_query_many([sets[0]], 3, n_jobs=2)
+        message = str(refused.value)
+        assert "save(path) to a directory" in message
+        assert "durable layout's checkpoints and its load leave none" in message
+    db.save(tmp_path / "export")
+    pooled = db.knn_query_many([sets[0], sets[1]], 3, n_jobs=2)
+    assert answers(pooled) == answers(db.knn_query_many([sets[0], sets[1]], 3))
 
 
 def test_constructor_and_mode_validation(tmp_path):
