@@ -17,12 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import FilterRefineEngine, Pipeline, VectorSetModel
+from repro import Pipeline, VectorSetModel
 from repro.datasets import make_car_dataset
 from repro.datasets.parts import make_part, random_placement
-from repro.io.database import ObjectDatabase, StoredObject
-
-MODEL_NAME = "vector-set(k=7)"
+from repro.db import SimilarityDatabase
 
 
 def build_database(path: Path) -> None:
@@ -31,30 +29,21 @@ def build_database(path: Path) -> None:
     pipeline = Pipeline(resolution=15)
     model = VectorSetModel(k=7)
 
-    database = ObjectDatabase()
-    features = []
-    for part in parts:
+    database = SimilarityDatabase(7)
+    for oid, part in enumerate(parts):
         processed = pipeline.process_part(part)
         database.add(
-            StoredObject(
-                name=processed.name,
-                family=processed.family,
-                class_id=processed.class_id,
-                grid=processed.grid,
-                pose=processed.pose,
-            )
+            oid,
+            model.extract(processed.grid),
+            {"name": processed.name, "family": processed.family},
         )
-        features.append(model.extract(processed.grid))
-    database.set_features(MODEL_NAME, features)
     database.save(path)
     print(f"ingested {len(database)} parts -> {path}")
 
 
 def query_database(path: Path) -> None:
     """A later session: load the database and search with a new part."""
-    database = ObjectDatabase.load(path)
-    sets = database.get_features(MODEL_NAME)
-    engine = FilterRefineEngine(sets, capacity=7)
+    database = SimilarityDatabase.load(path)
 
     pipeline = Pipeline(resolution=15)
     model = VectorSetModel(k=7)
@@ -67,10 +56,10 @@ def query_database(path: Path) -> None:
         placed = new_part.solid.transformed(random_placement(rng))
         grid, _ = pipeline.process_solid(placed)
         query_set = model.extract(grid)
-        results, stats = engine.knn_query(query_set, 5)
-        families = [database[m.object_id].family for m in results]
+        results, stats = database.knn_query(query_set, 5)
+        families = [database.payload(m.object_id)["family"] for m in results]
         print(f"\norientation {trial + 1}: retrieved families = {families} "
-              f"(refined {stats.exact_computations}/{len(sets)})")
+              f"(refined {stats.exact_computations}/{len(database)})")
         assert families.count("bracket") >= 3, "retrieval should find brackets"
     print("\nretrieval is stable across orientations — reuse candidate found.")
 

@@ -213,10 +213,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--source",
         type=Path,
         default=None,
-        metavar="ARCHIVE",
-        help="object-store archive (repro.io.database) used as the "
-        "recovery ladder's last-resort rebuild input (needs --durable, "
-        "not with --shards)",
+        metavar="SNAPSHOT",
+        help="snapshot file (.npz or dense) whose objects the recovery "
+        "ladder's last rung re-adds when nothing else recovers (needs "
+        "--durable, not with --shards)",
     )
     db_init.add_argument(
         "--shards",

@@ -13,7 +13,6 @@ from repro.clustering.optics import ClusterOrdering, optics
 from repro.clustering.quality import (
     adjusted_rand_index,
     best_cut_quality,
-    cluster_purity,
     structure_contrast,
 )
 from repro.clustering.reachability import extract_clusters, render_reachability_plot
@@ -24,7 +23,6 @@ __all__ = [
     "extract_clusters",
     "render_reachability_plot",
     "adjusted_rand_index",
-    "cluster_purity",
     "best_cut_quality",
     "structure_contrast",
 ]

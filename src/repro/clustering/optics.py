@@ -56,11 +56,6 @@ class ClusterOrdering:
     def __len__(self) -> int:
         return len(self.order)
 
-    def reachability_of(self, object_index: int) -> float:
-        """Reachability value of a specific object (by database index)."""
-        position = int(np.nonzero(self.order == object_index)[0][0])
-        return float(self.reachability[position])
-
 
 def distance_rows_from_matrix(matrix: np.ndarray) -> DistanceRows:
     """Adapt a precomputed symmetric distance matrix to the row API."""

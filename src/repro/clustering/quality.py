@@ -5,8 +5,6 @@ clusters A and C are intuitively similar...").  Our synthetic datasets
 come with ground-truth part classes, so every visual claim can be scored
 numerically:
 
-* :func:`cluster_purity` — fraction of objects whose cluster's majority
-  class matches their own (noise counts as its own singleton),
 * :func:`adjusted_rand_index` — chance-corrected pair-counting agreement,
 * :func:`best_cut_quality` — sweep the eps cuts of a reachability plot
   and report the best achievable quality (how much structure the model
@@ -73,34 +71,6 @@ def adjusted_rand_index(labels_true: Sequence[int], labels_pred: Sequence[int]) 
     if max_index == expected:
         return 1.0 if sum_cells == expected else 0.0
     return float((sum_cells - expected) / (max_index - expected))
-
-
-def cluster_purity(
-    clusters: Sequence[Sequence[int]],
-    noise: Sequence[int],
-    labels: Sequence[int],
-) -> float:
-    """Weighted majority-class purity over all objects (noise objects
-    contribute purity 1 each over their singleton, diluting nothing —
-    so models that call everything noise still score low via
-    :func:`adjusted_rand_index`; use both)."""
-    labels = np.asarray(labels)
-    n = len(labels)
-    covered = 0
-    agreeing = 0
-    for members in clusters:
-        if not members:
-            continue
-        member_labels = labels[list(members)]
-        _, counts = np.unique(member_labels, return_counts=True)
-        agreeing += int(counts.max())
-        covered += len(members)
-    # Noise objects are trivially pure singletons.
-    agreeing += len(noise)
-    covered += len(noise)
-    if covered != n:
-        raise ReproError("clusters and noise must partition the dataset")
-    return agreeing / n
 
 
 def best_cut_quality(

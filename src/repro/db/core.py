@@ -215,9 +215,11 @@ class SimilarityDatabase:
         existing one with :meth:`load`).  *fsync* is the WAL flush
         policy (``"always"``, ``"none"``, ``"every-N"`` or an int);
         *keep_generations* controls how many snapshot generations stay
-        on disk for the recovery ladder; *source* optionally names an
-        :class:`~repro.io.database.ObjectDatabase` archive used as the
-        ladder's last-resort rebuild input (only with ``durable=True``).
+        on disk for the recovery ladder; *source* optionally names a
+        snapshot file (``.npz`` or dense, saved by :meth:`save`) with the
+        same capacity, whose objects, oids and payloads the ladder's
+        last rung re-adds when nothing else recovers (only with
+        ``durable=True``).
     lock_timeout:
         When set, every lock acquisition (both sides) raises
         :class:`~repro.exceptions.LockTimeout` after this many seconds

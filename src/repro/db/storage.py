@@ -390,7 +390,10 @@ def _malformed(path, what) -> StorageError:
 def _snapshot_meta(path, meta: dict) -> dict:
     """*meta*, the meta block of the snapshot at *path*, checked."""
     if meta.get("version") != DB_VERSION:
-        raise StorageError(f"{path}: unsupported database version {meta.get('version')!r}")
+        raise StorageError(
+            f"{path}: unsupported database version: meta key 'version' holds "
+            f"{meta.get('version')!r}"
+        )
     return _checked(path, meta, "snapshot")
 
 
@@ -645,7 +648,7 @@ def recover(root, **options):
     (``wal-g`` holds exactly the mutations between snapshot *g* and
     snapshot *g+1*).
     Rung 0: an empty database + the full retained WAL chain.
-    Last resort: rebuild from the configured ObjectDatabase source.
+    Last resort: rebuild from the configured source snapshot.
     """
     layout = DurableLayout(root)
     config = _durable_config(layout)
@@ -687,7 +690,7 @@ def recover(root, **options):
             report.used_generation = generation
             break
         if db is None:
-            db = _rebuild_from_source(config, layout, published, report, **options)
+            db = _rebuild_from_source(config, layout, report, **options)
         db.durable = True
         db.fsync = config.get("fsync", "always")
         db.keep_generations = config.get("keep_generations", DEFAULT_KEEP_GENERATIONS)
@@ -700,6 +703,11 @@ def recover(root, **options):
             db._wal = WriteAheadLog(
                 layout.wal_path(published), generation=published, fsync=db.fsync
             )
+        if report.source_rebuild:
+            # Publish the rebuilt state as a generation of its own: until
+            # then every open would rebuild it again and drop what was
+            # logged since.
+            checkpoint(db)
         db.last_recovery = report
         if report.degraded:
             reg.counter("db.recovery.degraded").inc()
@@ -723,44 +731,46 @@ def recover(root, **options):
     return db
 
 
-def _rebuild_from_source(config, layout, published, report, **options):
+def _rebuild_from_source(config, layout, report, **options):
     """Last rung: every snapshot failed and the WAL chain is incomplete —
-    rebuild from the configured ObjectDatabase.
+    rebuild from the configured source, a snapshot file (``.npz`` or
+    dense) with the durable config's capacity and dimension.
 
-    Acknowledged mutations made after the source ingest are lost (this
-    rung exists so the service comes back *at all*); the rebuilt state is
-    logged to a fresh live segment so the next checkpoint re-establishes
-    a clean generation.
+    Every object of the source is re-added under its own oid with its
+    payload.  Acknowledged mutations made after the source was saved are
+    lost (this rung exists so the service comes back *at all*);
+    :func:`recover` publishes the rebuilt state as a new generation.
     """
     source = config.get("source")
     if not source:
         failures = "; ".join(report.failures) or "no usable snapshot"
         raise StorageError(
             f"{layout.root}: recovery impossible ({failures}) and no "
-            "ObjectDatabase source is configured for a full rebuild"
+            "source snapshot is configured for a full rebuild"
         )
     source_path = Path(source)
     if not source_path.is_absolute():
         source_path = layout.root / source_path
-    from repro.io.database import ObjectDatabase
-
-    odb = ObjectDatabase.load(source_path)
-    key = f"vector-set(k={config['capacity']})"
-    if not odb.has_features(key):
+    if source_path.is_dir():
         raise StorageError(
-            f"{source_path}: source database has no {key} features; cannot rebuild"
+            f"{source_path}: a source must be a snapshot file, not a directory"
         )
+    src = open_snapshot(source_path, dense=layout_of(source_path) == "dense")
+    omega = config["omega"]
+    expected = {
+        "capacity": config["capacity"],
+        "dimension": None if omega is None else len(omega),
+    }
+    for key, value in expected.items():
+        held = getattr(src, key)
+        if value is not None and held is not None and held != value:
+            raise StorageError(
+                f"{source_path}: source snapshot holds {key} {held!r}, "
+                f"but the durable config has {value!r}"
+            )
     db = _empty_database(layout.config_path, "durable config", config, **options)
-    # The rebuilt state must itself be durable: start a fresh live
-    # segment and log every re-added object into it.
-    db._wal = WriteAheadLog(
-        layout.wal_path(published),
-        generation=published,
-        fsync=config.get("fsync", "always"),
-        fresh=True,
-    )
-    for oid, (obj, vectors) in enumerate(zip(odb, odb.get_features(key))):
-        db.add(oid, vectors, {"name": obj.name, "family": obj.family})
+    for oid in src.object_ids():
+        db.add(oid, src.get(oid), src.payload(oid))
     report.source_rebuild = True
     report.used_generation = -1
     report.replayed_records += len(db)

@@ -10,7 +10,7 @@ are impossible by construction and no invalidation logic is needed.
 
 The cache lives under ``$REPRO_CACHE_DIR/features`` (default
 ``.repro_cache/features``); writes are atomic (unique temp file +
-``os.replace``, the same pattern the object database uses), corrupt or
+``os.replace``, the same pattern the database snapshots use), corrupt or
 truncated entries read as misses and are re-extracted, and hit/miss
 counters accumulate for ``repro info``.
 

@@ -26,6 +26,7 @@ use".
 from __future__ import annotations
 
 import json
+import math
 import os
 import zlib
 from pathlib import Path
@@ -104,6 +105,55 @@ def write_dense_archive(
     return path
 
 
+def _natural(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _checked_table(path: Path, table) -> list[dict]:
+    """The header's array table, every record checked before it is used
+    (the header is not CRC-covered): a str ``name``; non-negative int
+    ``offset``, ``nbytes`` and ``crc32``; a ``dtype`` that parses to a
+    plain numeric dtype; a ``shape`` of non-negative ints that spans
+    exactly ``nbytes``.  Returns the records with the dtype parsed."""
+    if not isinstance(table, list):
+        raise SnapshotIntegrityError(
+            path, "arrays", "the array table is not a list", kind="dense array table"
+        )
+    checked = []
+    for position, record in enumerate(table):
+        name = record.get("name") if isinstance(record, dict) else None
+        if not isinstance(name, str):
+            raise SnapshotIntegrityError(
+                path, "arrays", f"record {position} has no name", kind="dense array table"
+            )
+
+        def damaged(what: str):
+            return SnapshotIntegrityError(
+                path, name, f"array table: {what}", kind=describe_member(name)
+            )
+
+        for key in ("offset", "nbytes", "crc32"):
+            if not _natural(record.get(key)):
+                raise damaged(f"{key} {record.get(key)!r} is not a non-negative int")
+        spelled = record.get("dtype")
+        try:
+            # np.dtype(None) would be float64: only a string may name one.
+            dtype = np.dtype(spelled if isinstance(spelled, str) else "")
+        except (TypeError, ValueError) as exc:
+            raise damaged(f"dtype {spelled!r}: {exc}") from exc
+        if dtype.kind not in "biufc" or dtype.fields or dtype.subdtype:
+            raise damaged(f"dtype {dtype.str!r} is not a plain numeric dtype")
+        shape = record.get("shape")
+        if not isinstance(shape, list) or not all(map(_natural, shape)):
+            raise damaged(f"shape {shape!r} is not a list of non-negative ints")
+        if math.prod(shape) * dtype.itemsize != record["nbytes"]:
+            raise damaged(
+                f"shape {shape} of {dtype.str} does not span {record['nbytes']} bytes"
+            )
+        checked.append({**record, "dtype": dtype})
+    return checked
+
+
 def read_dense_archive(
     path: str | Path,
     expected_format: str | None = None,
@@ -153,7 +203,7 @@ def read_dense_archive(
         )
     prefix = len(DENSE_MAGIC) + 4 + header_len
     data_start = -(-prefix // _ALIGN) * _ALIGN
-    table = header.get("arrays", [])
+    table = _checked_table(path, header.get("arrays", []))
     end = max((r["offset"] + r["nbytes"] for r in table), default=0)
     if data_start + end > file_size:
         raise SnapshotIntegrityError(
@@ -178,7 +228,7 @@ def read_dense_archive(
                 "checksum mismatch",
                 kind=describe_member(name),
             )
-        view = raw.view(np.dtype(record["dtype"])).reshape(record["shape"])
+        view = raw.view(record["dtype"]).reshape(record["shape"])
         if mmap:
             view.flags.writeable = False
         arrays[name] = view

@@ -9,18 +9,21 @@ named in integrity errors (:func:`describe_member`), but never parsed.
 The flat node-table form itself lives on as the snapshot of an array
 core (:meth:`repro.index.arraycore.RTreeArrayCore.serialized`).
 
-The file format borrows the guarantees of the format-v2 object store
-(:mod:`repro.io.database`): every array is CRC32-checksummed at save
-time and verified at load time, and writes go to a process-unique
-temporary file that is ``os.replace``\\ d over the target, so a crash
-mid-save can never destroy the previous snapshot.
+Every array is CRC32-checksummed at save time and verified at load
+time, and writes go to a process-unique temporary file that is
+``os.replace``\\ d over the target, so a crash mid-save can never
+destroy the previous snapshot.  Whatever damage the bytes carry, a read
+fails with a :class:`~repro.exceptions.StorageError` (a
+:class:`~repro.exceptions.SnapshotIntegrityError` naming the member
+where one is to blame), never with the zip or ``.npy`` reader's own
+exceptions.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
+import tokenize
 import zipfile
 import zlib
 from pathlib import Path
@@ -113,16 +116,25 @@ def read_archive(
     something is.
     """
     path = Path(path)
+    # Everything the zip and .npy readers raise on damaged bytes: a bad
+    # zip version or compression method (NotImplementedError, a
+    # RuntimeError), the "encrypted" flag (RuntimeError), a short member
+    # (EOFError), an unparsable .npy header (TokenError), ...
     member_errors = (
         OSError,
         ValueError,
         KeyError,
+        EOFError,
+        RuntimeError,
         zlib.error,
         zipfile.BadZipFile,
-        io.UnsupportedOperation,
+        tokenize.TokenError,
     )
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise StorageError(f"{path} is not a snapshot archive (a bare .npy array)")
+        with archive:
             names = list(archive.files)
             payload = {}
             for name in names:
@@ -132,7 +144,7 @@ def read_archive(
                     raise SnapshotIntegrityError(
                         path, name, f"unreadable: {exc}", kind=describe_member(name)
                     ) from exc
-    except SnapshotIntegrityError:
+    except StorageError:
         raise
     except member_errors as exc:
         raise StorageError(f"cannot read snapshot {path}: {exc}") from exc
@@ -151,6 +163,10 @@ def read_archive(
             f"{path} holds {meta.get('format')!r}, expected {expected_format!r}"
         )
     stored = meta.get("checksums", {})
+    if not isinstance(stored, dict):
+        raise StorageError(
+            f"{path}: malformed snapshot: meta key 'checksums' holds {stored!r:.80}"
+        )
     actual = _checksums(payload)
     for name in sorted(set(stored) | set(actual)):
         if stored.get(name) != actual.get(name):

@@ -1,9 +1,8 @@
-"""Persistence: mesh formats, voxel grids and the object database."""
+"""Persistence: mesh formats and voxel grids."""
 
 from pathlib import Path
 
 from repro.exceptions import StorageError
-from repro.io.database import ObjectDatabase, SkippedRecord, StoredObject
 from repro.io.off import read_off, write_off
 from repro.io.stl import read_stl, write_stl_ascii, write_stl_binary
 from repro.io.vox import load_grid, save_grid
@@ -31,7 +30,4 @@ __all__ = [
     "write_stl_binary",
     "save_grid",
     "load_grid",
-    "ObjectDatabase",
-    "StoredObject",
-    "SkippedRecord",
 ]

@@ -34,15 +34,6 @@ class PoseInfo:
     scale_factors: tuple[float, float, float]
     translation: tuple[int, int, int]
 
-    def size_ratio(self, other: "PoseInfo") -> float:
-        """Ratio of bounding-volume sizes in [0, 1]; used as an optional
-        penalty when scaling invariance is disabled."""
-        mine = float(np.prod(self.scale_factors))
-        theirs = float(np.prod(other.scale_factors))
-        if mine == 0 or theirs == 0:
-            return 0.0
-        return min(mine, theirs) / max(mine, theirs)
-
 
 def center_grid(grid: VoxelGrid) -> VoxelGrid:
     """Translate the occupied voxels so their bounding box is centered.

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-__all__ = ["assemble_tree", "chrome_trace", "load_trace", "query_records"]
+__all__ = ["assemble_tree", "chrome_trace", "load_trace"]
 
 
 def load_trace(path: str | Path) -> list[dict]:
@@ -43,11 +43,6 @@ def _span_pid(record: dict) -> int:
         return int(str(span_id).split("-", 1)[0])
     except ValueError:
         return int(record.get("pid", 0))
-
-
-def query_records(records: list[dict]) -> list[dict]:
-    """The wide query-log records of a trace."""
-    return [r for r in records if r.get("event") == "query"]
 
 
 def assemble_tree(records: list[dict]) -> dict:

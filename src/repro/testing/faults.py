@@ -324,10 +324,10 @@ def corrupt_bytes(path: str | Path, offset: int, count: int = 8, xor: int = 0xFF
 def tamper_npz_array(path: str | Path, key: str, xor: int = 0x01) -> None:
     """Rewrite one array inside an ``.npz`` with its payload bytes flipped.
 
-    The container stays a valid zip (so tolerant loaders can still walk
-    it), but the named record's data no longer matches its stored
-    checksum — the record-level corruption the database's
-    ``strict=False`` mode must survive.
+    The container stays a valid zip, but the named member's data no
+    longer matches its stored checksum — the member-level corruption a
+    snapshot read must name (:class:`~repro.exceptions.SnapshotIntegrityError`)
+    and a durable directory's recovery ladder must fall back past.
     """
     path = Path(path)
     with np.load(path) as data:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -413,14 +415,20 @@ class TestOneDatabase:
         assert ("families:      {}" if layout == "empty" else "{'mesh': 2}") in out
 
     def test_an_object_store_archive_is_not_a_database(self, tmp_path, capsys):
-        from repro.io.database import ObjectDatabase
-
+        """A foreign ``.npz`` (plain ``np.savez``): without a meta block,
+        and with one of another format (the object-store archive the
+        recovery ladder read before the snapshot became the one store)."""
         path = tmp_path / "objects.npz"
-        ObjectDatabase().save(path)
-        assert main(["query", str(path), "--name", "g1"]) == 1
-        err = capsys.readouterr().err
-        assert "error: " in err and "repro-similarity-db" in err
-        assert "Traceback" not in err
+        old_meta = json.dumps({"format_version": 2, "records": []}).encode()
+        for meta, message in (
+            ({}, "not a snapshot archive"),
+            ({"meta": np.frombuffer(old_meta, dtype=np.uint8)}, "repro-similarity-db"),
+        ):
+            np.savez(path, grid_0=np.zeros(8, dtype=np.uint8), **meta)
+            assert main(["query", str(path), "--name", "g1"]) == 1
+            err = capsys.readouterr().err
+            assert "error: " in err and message in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "extra", [["--shards", "2", "--durable"], ["--shards", "2"], []],

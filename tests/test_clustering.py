@@ -12,7 +12,6 @@ from repro.clustering.optics import (
 from repro.clustering.quality import (
     adjusted_rand_index,
     best_cut_quality,
-    cluster_purity,
     structure_contrast,
 )
 from repro.clustering.reachability import (
@@ -111,12 +110,6 @@ class TestOptics:
         again = optics(len(labels), distance_rows_from_matrix(matrix), min_pts=5)
         assert np.array_equal(ordering.order, again.order)
 
-    def test_reachability_of_lookup(self, blob_ordering):
-        ordering, _, _ = blob_ordering
-        position = 10
-        obj = int(ordering.order[position])
-        assert ordering.reachability_of(obj) == ordering.reachability[position]
-
     def test_parameter_validation(self):
         with pytest.raises(ReproError):
             optics(0, lambda i: np.zeros(0))
@@ -210,18 +203,6 @@ class TestQualityMetrics:
     def test_ari_length_mismatch_rejected(self):
         with pytest.raises(ReproError):
             adjusted_rand_index([0, 1], [0, 1, 2])
-
-    def test_purity_perfect(self):
-        labels = np.array([0, 0, 1, 1])
-        assert cluster_purity([[0, 1], [2, 3]], [], labels) == pytest.approx(1.0)
-
-    def test_purity_mixed_cluster(self):
-        labels = np.array([0, 0, 1, 1])
-        assert cluster_purity([[0, 1, 2, 3]], [], labels) == pytest.approx(0.5)
-
-    def test_purity_partition_enforced(self):
-        with pytest.raises(ReproError):
-            cluster_purity([[0]], [], np.array([0, 1]))
 
     def test_best_cut_finds_good_eps(self, blob_ordering):
         ordering, labels, _ = blob_ordering

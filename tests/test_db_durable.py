@@ -109,6 +109,19 @@ def apply_step(db, step) -> None:
         db.checkpoint()
 
 
+def set_compression_method(path, member: str, method: int) -> None:
+    """Overwrite the compression method of *member*'s central-directory
+    entry in the zip file at *path*."""
+    data = bytearray(Path(path).read_bytes())
+    name = member.encode()
+    entry = data.find(b"PK\x01\x02")
+    while data[entry + 46 : entry + 46 + len(name)] != name:
+        entry = data.find(b"PK\x01\x02", entry + 4)
+        assert entry >= 0, f"{member} is not in {path}"
+    data[entry + 10 : entry + 12] = method.to_bytes(2, "little")
+    Path(path).write_bytes(bytes(data))
+
+
 def fresh_build(plan):
     """The plan's final state built from scratch, its core freshly packed."""
     db = SimilarityDatabase(CAPACITY)
@@ -423,6 +436,25 @@ class TestRecoveryLadder:
         assert_equivalent(recovered, fresh_build(plan), rng)
         recovered.close()
 
+    def test_an_unsupported_compression_method_falls_back_one_generation(
+        self, tmp_path, rng
+    ):
+        """A zip member whose central-directory entry names compression
+        method 99 makes the zip reader raise NotImplementedError; the
+        ladder must see a damaged generation and open the one before."""
+        dbdir = tmp_path / "db"
+        plan = self._build(dbdir, rng)
+        newest = sorted(dbdir.glob("snapshot-*.npz"))[-1]
+        set_compression_method(newest, "set_data.npy", 99)
+        with pytest.raises(SnapshotIntegrityError, match="set_data"):
+            SimilarityDatabase.load(newest)
+        recovered = SimilarityDatabase.load(dbdir)
+        report = recovered.last_recovery
+        assert report.fallbacks == 1
+        assert report.used_generation == report.requested_generation - 1 == 1
+        assert_equivalent(recovered, fresh_build(plan), rng)
+        recovered.close()
+
     def test_all_snapshots_corrupt_replays_full_wal_from_empty(
         self, tmp_path, rng
     ):
@@ -443,7 +475,7 @@ class TestRecoveryLadder:
         for snapshot in dbdir.glob("snapshot-*.npz"):
             corrupt_bytes(snapshot, 100, 64)
         # Retire the early WAL chain: the empty-base rung is now
-        # impossible and no ObjectDatabase source is configured.
+        # impossible and no source snapshot is configured.
         (dbdir / "wal-00000000.log").unlink()
         with pytest.raises(StorageError, match="recovery impossible"):
             SimilarityDatabase.load(dbdir)
@@ -465,53 +497,86 @@ class TestRecoveryLadder:
         healed.close()
 
 
+def source_snapshot(path, *, capacity=CAPACITY, dense=False):
+    """A saved database whose objects carry payloads: oids 5 and 9, the
+    source rung's input."""
+    db = SimilarityDatabase(capacity)
+    db.add(
+        9, np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]]), {"name": "nine", "family": "f"}
+    )
+    db.add(5, np.array([[4.0, 0.0, -1.0]]), {"name": "five", "family": "g"})
+    db.save(path, dense=dense)
+    return db
+
+
+def durable_without_snapshots(dbdir, source):
+    """A durable directory at *dbdir* configured with *source* whose
+    every snapshot is corrupt and whose early WAL chain is gone, so only
+    the source rung can open it."""
+    db = SimilarityDatabase(CAPACITY, durable=True, path=dbdir, source=source)
+    db.add(0, np.ones((1, DIM)))
+    db.checkpoint()
+    db.close()
+    for snapshot in dbdir.glob("snapshot-*.npz"):
+        corrupt_bytes(snapshot, 100, 64)
+    (dbdir / "wal-00000000.log").unlink()
+
+
 class TestSourceRebuild:
     def test_last_rung_rebuilds_from_object_database(self, tmp_path):
-        from repro.features.vector_set_model import VectorSetModel
-        from repro.geometry.sdf import Box, Sphere
-        from repro.io.database import ObjectDatabase, StoredObject
-        from repro.pipeline import Pipeline
+        """The source is a saved database, an ``.npz`` or a dense
+        snapshot: the one object store on disk."""
+        for dense in (False, True):
+            source = tmp_path / ("objects.dense" if dense else "objects.npz")
+            original = source_snapshot(source, dense=dense)
+            dbdir = tmp_path / f"db-{source.suffix[1:]}"
+            durable_without_snapshots(dbdir, source)
+            with capture_metrics() as reg:
+                recovered = SimilarityDatabase.load(dbdir)
+                assert reg.counter("db.recovery.source_rebuilds").value == 1
+            assert recovered.last_recovery.source_rebuild
+            assert recovered.last_recovery.degraded
+            # Oids and payloads survive; the object the WAL lost is gone.
+            assert recovered.object_ids() == [5, 9]
+            for oid in (5, 9):
+                assert np.array_equal(recovered.get(oid), original.get(oid))
+                assert recovered.payload(oid) == original.payload(oid)
+            # The rebuilt state is a published generation: a reload opens
+            # it without rebuilding again, with what was logged since.
+            recovered.add(77, np.zeros((1, DIM)), {"name": "later"})
+            recovered.close()
+            again = SimilarityDatabase.load(dbdir)
+            assert not again.last_recovery.degraded
+            assert again.object_ids() == [5, 9, 77]
+            assert again.payload(9) == {"name": "nine", "family": "f"}
+            assert again.payload(77) == {"name": "later"}
+            again.close()
 
-        # A tiny real ingest: two solids -> ObjectDatabase with features.
-        model = VectorSetModel(k=CAPACITY)
-        pipeline = Pipeline(resolution=10)
-        odb = ObjectDatabase()
-        features = []
-        for name, solid in [
-            ("box", Box(size=(2.0, 1.0, 0.5))),
-            ("ball", Sphere(radius=1.0)),
-        ]:
-            grid, pose = pipeline.process_solid(solid)
-            odb.add(StoredObject(name=name, family="f", class_id=0,
-                                 grid=grid, pose=pose))
-            features.append(model.extract(grid))
-        odb.set_features(f"vector-set(k={CAPACITY})", features)
-        source = tmp_path / "objects.npz"
-        odb.save(source)
-
-        dbdir = tmp_path / "db"
-        db = SimilarityDatabase(
-            CAPACITY, durable=True, path=dbdir, source=source
+    def test_a_source_that_is_no_snapshot_fails_typed(self, tmp_path):
+        """A directory, a source of another capacity and an archive of
+        another format each fail the rung with a StorageError naming the
+        file, and the durable directory is left as it was."""
+        other_capacity = tmp_path / "wide.npz"
+        source_snapshot(other_capacity, capacity=CAPACITY + 1)
+        old_archive = tmp_path / "archive.npz"
+        meta = {"format_version": 2, "records": []}
+        np.savez_compressed(
+            old_archive, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         )
-        db.add(0, features[0])
-        db.checkpoint()
-        db.close()
-        # Destroy every snapshot AND the early WAL chain.
-        for snapshot in dbdir.glob("snapshot-*.npz"):
-            corrupt_bytes(snapshot, 100, 64)
-        (dbdir / "wal-00000000.log").unlink()
-        with capture_metrics() as reg:
-            recovered = SimilarityDatabase.load(dbdir)
-            assert reg.counter("db.recovery.source_rebuilds").value == 1
-        assert recovered.last_recovery.source_rebuild
-        assert recovered.last_recovery.degraded
-        assert len(recovered) == 2
-        # The rebuilt state is itself durable: a plain reload works.
-        recovered.close()
-        again = SimilarityDatabase.load(dbdir)
-        assert len(again) == 2
-        again.close()
-
+        cases = {
+            tmp_path / "a-directory": "not a directory",
+            other_capacity: "capacity",
+            old_archive: "expected 'repro-similarity-db'",
+        }
+        (tmp_path / "a-directory").mkdir()
+        for source, reason in cases.items():
+            dbdir = tmp_path / f"db-{source.stem}"
+            durable_without_snapshots(dbdir, source)
+            before = {p.name: p.read_bytes() for p in dbdir.iterdir()}
+            with pytest.raises(StorageError) as caught:
+                SimilarityDatabase.load(dbdir)
+            assert str(source) in str(caught.value) and reason in str(caught.value)
+            assert {p.name: p.read_bytes() for p in dbdir.iterdir()} == before
 
     def test_a_source_needs_one_durable_database(self, tmp_path):
         """A source without ``durable=True`` used to be accepted and never

@@ -157,11 +157,7 @@ UNREFERENCED_ON_PURPOSE = {
 #: retire more of their own tests than one change should; each is to go
 #: in a later change, with the tests whose only subject it is.
 DELETION_DEFERRED = {
-    "repro.clustering.optics.ClusterOrdering.reachability_of",
-    "repro.clustering.quality.cluster_purity",
     "repro.index.rstar.RStarTree.insert_box",
-    "repro.normalize.pose.PoseInfo.size_ratio",
-    "repro.obs.export.query_records",
     "repro.obs.tracectx.trace_context",
     "repro.voxel.morphology.connected_components",
     "repro.voxel.morphology.dilate",

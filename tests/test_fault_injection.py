@@ -2,8 +2,8 @@
 
 Uses the deterministic harness in :mod:`repro.testing.faults` to make
 voxelization, file reads and ``np.savez`` fail on schedule, and asserts
-that error isolation, the retry ladder, atomic saves and tolerant loads
-all behave exactly as documented.
+that error isolation, the retry ladder, atomic saves and the tolerant
+load of a durable directory all behave exactly as documented.
 """
 
 import numpy as np
@@ -11,13 +11,17 @@ import pytest
 
 from repro.cli import main
 from repro.datasets.parts import make_part
-from repro.db import open_database
-from repro.exceptions import IngestError, StorageError, VoxelizationError
+from repro.db import SimilarityDatabase, open_database
+from repro.exceptions import (
+    IngestError,
+    SnapshotIntegrityError,
+    StorageError,
+    VoxelizationError,
+)
 from repro.geometry.mesh import box_mesh
-from repro.geometry.sdf import Box
-from repro.io.database import ObjectDatabase, StoredObject
+from repro.index.dense import read_dense_archive, write_dense_archive
+from repro.index.snapshot import read_archive, write_archive
 from repro.io.stl import write_stl_binary
-from repro.normalize.pose import PoseInfo
 from repro.pipeline import Pipeline
 from repro.testing import (
     corrupt_bytes,
@@ -31,7 +35,6 @@ from repro.testing import (
     tamper_npz_array,
     voxelization_faults,
 )
-from repro.voxel.voxelize import voxelize_solid
 
 
 @pytest.fixture
@@ -65,22 +68,10 @@ def mesh_dir(tmp_path):
     return directory
 
 
-def sample_database(n=3, resolution=8):
-    db = ObjectDatabase()
+def sample_database(n=3):
+    db = SimilarityDatabase(2)
     for index in range(n):
-        grid = voxelize_solid(
-            Box(size=(1.0 + 0.2 * index, 1.0, 0.5)), resolution=resolution
-        )
-        db.add(
-            StoredObject(
-                name=f"obj-{index}",
-                family="box",
-                class_id=index,
-                grid=grid,
-                pose=PoseInfo((1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
-            )
-        )
-    db.set_features("m", [np.full((2, 6), float(index)) for index in range(n)])
+        db.add(index, np.full((2, 6), float(index)), {"name": f"obj-{index}"})
     return db
 
 
@@ -216,11 +207,12 @@ class TestAtomicSave:
         path = tmp_path / "db.npz"
         db.save(path)
         before = path.read_bytes()
+        db.add(3, np.ones((1, 6)))
         with savez_faults(fail_once()):
-            with pytest.raises(StorageError, match="injected"):
+            with pytest.raises(OSError, match="injected"):
                 db.save(path)
         assert path.read_bytes() == before  # byte-for-byte untouched
-        assert len(ObjectDatabase.load(path)) == 3
+        assert SimilarityDatabase.load(path).object_ids() == [0, 1, 2]
         # no temp-file litter either
         assert [p.name for p in tmp_path.iterdir()] == ["db.npz"]
 
@@ -228,7 +220,7 @@ class TestAtomicSave:
         db = sample_database()
         path = tmp_path / "fresh.npz"
         with savez_faults(fail_once()):
-            with pytest.raises(StorageError):
+            with pytest.raises(OSError, match="injected"):
                 db.save(path)
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
@@ -247,83 +239,65 @@ class TestAtomicSave:
 
 
 class TestTolerantLoad:
+    """A damaged snapshot: one file is refused, naming the damage; a
+    durable directory tolerates it, its recovery ladder opening the
+    generation before and replaying the log from there."""
+
+    @staticmethod
+    def durable(path):
+        """A durable database with two generations, one object logged
+        after the newest."""
+        db = SimilarityDatabase(2, durable=True, path=path)
+        for index in range(3):
+            db.add(index, np.full((2, 6), float(index)))
+            db.checkpoint()
+        db.add(3, np.ones((1, 6)))
+        db.close()
+        return sorted(path.glob("snapshot-*.npz"))[-1]
+
     def test_strict_load_rejects_corrupted_record(self, tmp_path):
-        db = sample_database()
         path = tmp_path / "db.npz"
-        db.save(path)
-        tamper_npz_array(path, "grid_1")
-        with pytest.raises(StorageError, match="checksum"):
-            ObjectDatabase.load(path)
+        sample_database().save(path)
+        tamper_npz_array(path, "set_data")
+        with pytest.raises(SnapshotIntegrityError, match="checksum") as caught:
+            SimilarityDatabase.load(path)
+        assert caught.value.member == "set_data"
 
     def test_tolerant_load_skips_exactly_the_corrupted_record(self, tmp_path):
-        db = sample_database()
-        path = tmp_path / "db.npz"
-        db.save(path)
-        tamper_npz_array(path, "grid_1")
-        loaded = ObjectDatabase.load(path, strict=False)
-        assert len(loaded) == 2
-        assert [obj.name for obj in loaded] == ["obj-0", "obj-2"]
-        assert len(loaded.skipped) == 1
-        skip = loaded.skipped[0]
-        assert skip.index == 1 and skip.name == "obj-1"
-        assert skip.error_type == "StorageError"
-        assert "checksum" in skip.error
+        newest = self.durable(tmp_path / "db")
+        tamper_npz_array(newest, "set_data")
+        recovered = SimilarityDatabase.load(tmp_path / "db")
+        report = recovered.last_recovery
+        assert report.fallbacks == 1
+        assert report.used_generation == report.requested_generation - 1
+        assert len(report.failures) == 1 and "set_data" in report.failures[0]
+        assert recovered.object_ids() == [0, 1, 2, 3]
+        recovered.close()
 
     def test_tampered_features_detected(self, tmp_path):
-        db = sample_database()
         path = tmp_path / "db.npz"
-        db.save(path)
-        tamper_npz_array(path, "feat_0_m")
-        loaded = ObjectDatabase.load(path, strict=False)
-        assert len(loaded) == 2
-        assert loaded.skipped[0].name == "obj-0"
+        sample_database().save(path)
+        tamper_npz_array(path, "centroids")
+        with pytest.raises(SnapshotIntegrityError, match="object-store column"):
+            SimilarityDatabase.load(path)
 
     def test_container_level_corruption_still_raises(self, tmp_path):
-        db = sample_database()
         path = tmp_path / "db.npz"
-        db.save(path)
+        sample_database().save(path)
         corrupt_bytes(path, offset=-40, count=24)  # hits the central directory
         with pytest.raises(StorageError):
-            ObjectDatabase.load(path, strict=False)
-
-    def test_format_v1_files_still_load(self, tmp_path):
-        """Databases written before checksums (meta = bare list) load fine."""
-        db = sample_database()
-        path = tmp_path / "v2.npz"
-        db.save(path)
-        import json
-
-        with np.load(path) as data:
-            arrays = {name: np.asarray(data[name]) for name in data.files}
-        meta = json.loads(bytes(arrays["meta"]).decode())
-        v1_records = [
-            {key: value for key, value in record.items() if key != "checksum"}
-            for record in meta["records"]
-        ]
-        arrays["meta"] = np.frombuffer(
-            json.dumps(v1_records).encode(), dtype=np.uint8
-        )
-        v1_path = tmp_path / "v1.npz"
-        with open(v1_path, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-        loaded = ObjectDatabase.load(v1_path)
-        assert len(loaded) == 3 and not loaded.skipped
+            SimilarityDatabase.load(path)
 
     def test_future_format_version_rejected(self, tmp_path):
-        import json
-
-        db = sample_database(n=1)
-        path = tmp_path / "db.npz"
-        db.save(path)
-        with np.load(path) as data:
-            arrays = {name: np.asarray(data[name]) for name in data.files}
-        meta = json.loads(bytes(arrays["meta"]).decode())
-        meta["format_version"] = 99
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-        with pytest.raises(StorageError, match="format version"):
-            ObjectDatabase.load(path)
+        for dense in (False, True):
+            path = tmp_path / ("db.dense" if dense else "db.npz")
+            sample_database(n=1).save(path, dense=dense)
+            read = read_dense_archive if dense else read_archive
+            meta, arrays = read(path, "repro-similarity-db")
+            meta["version"] = 2
+            (write_dense_archive if dense else write_archive)(path, meta, arrays)
+            with pytest.raises(StorageError, match="unsupported database version"):
+                SimilarityDatabase.load(path)
 
 
 class TestCliSurfacing:

@@ -61,27 +61,21 @@ class TestEndToEnd:
     def test_database_save_load_preserves_queries(
         self, small_car_database, tmp_path
     ):
-        from repro.io.database import ObjectDatabase, StoredObject
+        from repro.db import SimilarityDatabase
 
         objects, sets, labels = small_car_database
-        db = ObjectDatabase()
-        for obj in objects:
-            db.add(
-                StoredObject(
-                    name=obj.name,
-                    family=obj.family,
-                    class_id=obj.class_id,
-                    grid=obj.grid,
-                    pose=obj.pose,
-                )
-            )
-        db.set_features("vs7", sets)
+        db = SimilarityDatabase(7)
+        for oid, (obj, vectors) in enumerate(zip(objects, sets)):
+            db.add(oid, vectors, {"name": obj.name, "family": obj.family})
         path = tmp_path / "car.npz"
         db.save(path)
-        loaded = ObjectDatabase.load(path)
-        loaded_sets = loaded.get_features("vs7")
-        engine_a = FilterRefineEngine(sets, capacity=7)
-        engine_b = FilterRefineEngine(loaded_sets, capacity=7)
-        ra, _ = engine_a.knn_query(sets[5], 3)
-        rb, _ = engine_b.knn_query(loaded_sets[5], 3)
-        assert [m.object_id for m in ra] == [m.object_id for m in rb]
+        loaded = SimilarityDatabase.load(path)
+        assert [loaded.payload(oid)["name"] for oid in range(len(objects))] == [
+            obj.name for obj in objects
+        ]
+        engine = FilterRefineEngine(sets, capacity=7)
+        expected, _ = engine.knn_query(sets[5], 3)
+        answer, _ = loaded.knn_query(loaded.get(5), 3)
+        assert [(m.object_id, m.distance) for m in answer] == [
+            (m.object_id, m.distance) for m in expected
+        ]

@@ -1,15 +1,13 @@
-"""Tests for the persistence layer (OFF, STL, voxel grids, database)."""
+"""Tests for the persistence layer (OFF, STL, voxel grids)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import StorageError
 from repro.geometry.mesh import box_mesh, uv_sphere_mesh
-from repro.io.database import ObjectDatabase, StoredObject
 from repro.io.off import read_off, write_off
 from repro.io.stl import read_stl, write_stl_ascii, write_stl_binary
 from repro.io.vox import load_grid, save_grid
-from repro.normalize.pose import PoseInfo
 from repro.voxel.grid import VoxelGrid
 
 
@@ -105,70 +103,3 @@ class TestVoxPersistence:
         path.write_bytes(b"not an npz")
         with pytest.raises(StorageError):
             load_grid(path)
-
-
-class TestObjectDatabase:
-    def _sample_db(self, tire_grid, lshape_grid):
-        db = ObjectDatabase()
-        db.add(
-            StoredObject(
-                name="tire-1",
-                family="tire",
-                class_id=0,
-                grid=tire_grid,
-                pose=PoseInfo((1.0, 1.0, 0.5), (0, 0, 0)),
-            )
-        )
-        db.add(
-            StoredObject(
-                name="bracket-1",
-                family="bracket",
-                class_id=1,
-                grid=lshape_grid,
-                pose=PoseInfo((2.0, 1.0, 1.0), (1, 0, 0)),
-            )
-        )
-        return db
-
-    def test_collection_interface(self, tire_grid, lshape_grid):
-        db = self._sample_db(tire_grid, lshape_grid)
-        assert len(db) == 2
-        assert db[0].name == "tire-1"
-        assert [obj.name for obj in db] == ["tire-1", "bracket-1"]
-        assert [obj.class_id for obj in db] == [0, 1]
-
-    def test_features_roundtrip(self, tire_grid, lshape_grid, rng):
-        db = self._sample_db(tire_grid, lshape_grid)
-        features = [rng.normal(size=(3, 6)), rng.normal(size=(2, 6))]
-        db.set_features("vector-set(k=7)", features)
-        assert db.has_features("vector-set(k=7)")
-        loaded = db.get_features("vector-set(k=7)")
-        assert np.allclose(loaded[1], features[1])
-
-    def test_feature_count_mismatch_rejected(self, tire_grid, lshape_grid):
-        db = self._sample_db(tire_grid, lshape_grid)
-        with pytest.raises(StorageError):
-            db.set_features("x", [np.zeros(3)])
-
-    def test_missing_features_rejected(self, tire_grid, lshape_grid):
-        db = self._sample_db(tire_grid, lshape_grid)
-        with pytest.raises(StorageError):
-            db.get_features("nope")
-
-    def test_save_load_roundtrip(self, tmp_path, tire_grid, lshape_grid, rng):
-        db = self._sample_db(tire_grid, lshape_grid)
-        db.set_features("m", [rng.normal(size=(2, 6)), rng.normal(size=(1, 6))])
-        path = tmp_path / "db.npz"
-        db.save(path)
-        loaded = ObjectDatabase.load(path)
-        assert len(loaded) == 2
-        assert loaded[0].name == "tire-1"
-        assert loaded[1].pose.scale_factors == (2.0, 1.0, 1.0)
-        assert loaded[0].grid == tire_grid
-        assert np.allclose(loaded[0].features["m"], db[0].features["m"])
-
-    def test_load_corrupt_rejected(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        path.write_bytes(b"garbage")
-        with pytest.raises(StorageError):
-            ObjectDatabase.load(path)

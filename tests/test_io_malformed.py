@@ -1,7 +1,7 @@
 """Malformed-input corpus, fuzzing, and round-trip properties for the parsers.
 
 The contract under test: no parser entry point (`read_stl`, `read_off`,
-`load_grid`, `ObjectDatabase.load`) may raise anything outside the
+`load_grid`, `SimilarityDatabase.load`) may raise anything outside the
 :class:`ReproError` hierarchy on arbitrary input bytes — never a bare
 ``ValueError``/``IndexError``/``MemoryError`` — and hostile headers must
 fail fast without large allocations.
@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.db import SimilarityDatabase
 from repro.exceptions import ReproError, StorageError
 from repro.geometry.mesh import TriangleMesh, box_mesh
 from repro.io import read_mesh
-from repro.io.database import ObjectDatabase
 from repro.io.off import read_off, write_off
 from repro.io.stl import read_stl, write_stl_ascii, write_stl_binary
 from repro.io.vox import load_grid
@@ -165,7 +165,7 @@ class TestVoxMalformed:
 
 # -- deterministic fuzzing ----------------------------------------------------
 
-PREFIXES = [b"", b"solid ", b"OFF\n", b"PK\x03\x04"]
+PREFIXES = [b"", b"solid ", b"OFF\n", b"PK\x03\x04", b"REPRODNS"]
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -187,11 +187,10 @@ def test_parsers_never_leak_foreign_exceptions(seed, tmp_path):
 
     path = tmp_path / "fuzz-db.npz"
     path.write_bytes(blob)
-    for strict in (True, False):
-        try:
-            ObjectDatabase.load(path, strict=strict)
-        except ReproError:
-            pass
+    try:
+        SimilarityDatabase.load(path)
+    except ReproError:
+        pass
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -212,6 +211,30 @@ def test_bitflipped_valid_files_stay_inside_the_hierarchy(seed, tmp_path):
         path.write_bytes(bytes(data))
         try:
             read_mesh(path)
+        except ReproError:
+            pass
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["npz", "dense"])
+def test_bitflipped_snapshots_fail_typed(dense, tmp_path):
+    """Flipping 1-3 bytes of a valid snapshot either still opens or
+    raises a ReproError, in both containers: zip structure, .npy headers,
+    the dense header's array table, the meta block and the data."""
+    rng = np.random.default_rng(41)
+    db = SimilarityDatabase(3)
+    for oid in range(12):
+        vectors = rng.integers(-8, 9, size=(int(rng.integers(1, 4)), 3)).astype(float)
+        db.add(oid, vectors, {"name": f"part-{oid}"})
+    good = db.save(tmp_path / "db.snap", dense=dense).read_bytes()
+    path = tmp_path / "flipped.snap"
+    for seed in range(500):
+        flips = np.random.default_rng(seed)
+        data = bytearray(good)
+        for _ in range(int(flips.integers(1, 4))):
+            data[int(flips.integers(0, len(data)))] ^= int(flips.integers(1, 256))
+        path.write_bytes(bytes(data))
+        try:
+            SimilarityDatabase.load(path)
         except ReproError:
             pass
 

@@ -7,7 +7,7 @@ from repro.exceptions import VoxelizationError
 from repro.geometry.sdf import Box, Cylinder
 from repro.geometry.transform import symmetry_matrices
 from repro.normalize.pca import pca_align_grid, pca_align_points, principal_axes
-from repro.normalize.pose import PoseInfo, center_grid, normalize_grid
+from repro.normalize.pose import center_grid, normalize_grid
 from repro.normalize.symmetry import (
     canonical_symmetry_matrix,
     canonicalize_grid,
@@ -42,11 +42,6 @@ class TestPose:
         assert sx == pytest.approx(2.0, rel=0.2)
         assert sy == pytest.approx(1.0, rel=0.25)
         assert sz == pytest.approx(0.5, rel=0.35)
-
-    def test_size_ratio_symmetric(self):
-        a = PoseInfo((1.0, 1.0, 1.0), (0, 0, 0))
-        b = PoseInfo((2.0, 2.0, 2.0), (0, 0, 0))
-        assert a.size_ratio(b) == b.size_ratio(a) == pytest.approx(1 / 8)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(VoxelizationError):

@@ -13,7 +13,7 @@ import pytest
 
 from repro import obs
 from repro.obs import querylog
-from repro.obs.export import assemble_tree, chrome_trace, load_trace, query_records
+from repro.obs.export import assemble_tree, chrome_trace, load_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import span
 from repro.obs.tracectx import (
@@ -118,10 +118,6 @@ class TestTreeAssembly:
         ]
         tree = assemble_tree(records)
         assert tree["roots"] == ["1-1", "1-2"]
-
-    def test_query_records_filter(self):
-        records = [{"event": "query", "kind": "knn"}, {"event": "span_end"}]
-        assert query_records(records) == [{"event": "query", "kind": "knn"}]
 
 
 class TestChromeTrace:

@@ -366,7 +366,13 @@ def test_a_snapshot_meta_that_is_not_an_object_fails_typed(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("omega", "x"), ("dimension", "3"), ("db_version", None), ("sketch_params", 3)],
+    [
+        ("omega", "x"),
+        ("dimension", "3"),
+        ("db_version", None),
+        ("sketch_params", 3),
+        ("version", 2),  # a future snapshot version
+    ],
 )
 def test_a_malformed_snapshot_meta_key_fails_typed(key, value, tmp_path, capsys):
     path = tmp_path / "db.npz"
