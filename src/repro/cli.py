@@ -216,7 +216,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SNAPSHOT",
         help="snapshot file (.npz or dense) whose objects the recovery "
         "ladder's last rung re-adds when nothing else recovers (needs "
-        "--durable, not with --shards)",
+        "--durable, not with --shards); a relative path is taken from "
+        "the current directory and stored absolute (the Python API's "
+        "source= is relative to the durable directory)",
     )
     db_init.add_argument(
         "--shards",
@@ -494,6 +496,9 @@ def cmd_db(args) -> int:
         from repro.features.vector_set_model import VectorSetModel
         from repro.pipeline import Pipeline
 
+        # The rung resolves a relative source against the durable
+        # directory; on the command line it means the current one.
+        source = None if args.source is None else args.source.absolute()
         if args.shards is not None:
             from repro.db import ShardedSimilarityDatabase
 
@@ -508,7 +513,7 @@ def cmd_db(args) -> int:
                 path=args.database if args.durable else None,
                 fsync=args.fsync,
                 keep_generations=args.keep_generations,
-                source=args.source,
+                source=source,
             )
             if args.durable:
                 db.checkpoint()
@@ -528,7 +533,7 @@ def cmd_db(args) -> int:
             path=args.database if args.durable else None,
             fsync=args.fsync,
             keep_generations=args.keep_generations,
-            source=args.source,
+            source=source,
         )
         if args.durable:
             if args.dense:

@@ -21,11 +21,16 @@ swaps, and dummy columns without any per-pair case analysis.
 **Gram-identity cost tensors.**  All candidate cost matrices of a batch
 are built in a single vectorized pass as
 ``sqrt(clip(||x||^2 + ||y||^2 - 2 x.y, 0))`` — no ``(m, n, d)``
-broadcast temporaries.  Dot products go through ``np.einsum`` whose
-fixed summation order is independent of batch shape, so identical
-vectors cancel to exactly zero (self-queries keep their exact-zero
-distances) and batched results match the per-pair path to the last
-ulp of the cost entries.
+broadcast temporaries.  Dot products go through ``np.einsum``, which
+reduces over ``d`` in the same order whatever the batch's shape and
+whichever output layout it writes, so identical vectors cancel to
+exactly zero (self-queries keep their exact-zero distances) and batched
+results match the per-pair path to the last ulp of the cost entries.
+The one-query branch writes the layout einsum writes fastest, the
+stored sets' rows first, finishes the formula in that storage and hands
+on one contiguous copy with the query's rows first: the same bits as
+the query-first layout, from an einsum about 2.5x faster at the
+cascade's window sizes.
 
 **One compiled solver.**  The stacked ``(B, K, K)`` assignment problems
 go one by one to :func:`scipy.optimize.linear_sum_assignment`: 2.3 µs
@@ -234,11 +239,9 @@ def hungarian_batch(costs: np.ndarray) -> np.ndarray:
         raise DistanceError(f"expected (B, n, n) cost stack, got {stack.shape}")
     if not np.all(np.isfinite(stack)):
         raise DistanceError("cost matrices must be finite")
-    assignment = np.empty(stack.shape[:2], dtype=np.intp)
-    for b, matrix in enumerate(stack):
-        # Square problem: the returned row indices are arange(n).
-        assignment[b] = linear_sum_assignment(matrix)[1]
-    return assignment
+    # Square problems: the returned row indices are arange(n).
+    columns = [linear_sum_assignment(matrix)[1] for matrix in stack]
+    return np.array(columns, dtype=np.intp).reshape(stack.shape[:2])
 
 
 # -- batched minimal matching -------------------------------------------------
@@ -250,14 +253,21 @@ def _cost_tensor(
     """Stacked cross-distance matrices of omega-padded sets.
 
     ``x_data`` is ``(K, d)`` (one query, broadcast over the batch) or
-    ``(C, K, d)``; ``y_data`` is ``(C, K, d)``.  Returns ``(C, K, K)``.
+    ``(C, K, d)``; ``y_data`` is ``(C, K, d)``.  Returns the C-contiguous
+    ``(C, K, K)`` stack, ``x``'s rows first.
     """
     if x_data.ndim == 2:
-        dots = np.einsum("kd,cld->ckl", x_data, y_data)
-        sq = x_sq[None, :, None] + y_sq[:, None, :] - 2.0 * dots
-    else:
-        dots = np.einsum("ckd,cld->ckl", x_data, y_data)
-        sq = x_sq[:, :, None] + y_sq[:, None, :] - 2.0 * dots
+        # The stored sets' rows first: the layout einsum writes fastest,
+        # with the dots of the x-first layout bit for bit.
+        dots = np.einsum("cld,kd->clk", y_data, x_data)
+        dots *= 2.0
+        sq = y_sq[:, :, None] + x_sq
+        sq -= dots
+        np.maximum(sq, 0.0, out=sq)
+        np.sqrt(sq, out=sq)
+        return np.ascontiguousarray(sq.transpose(0, 2, 1))
+    dots = np.einsum("ckd,cld->ckl", x_data, y_data)
+    sq = x_sq[:, :, None] + y_sq[:, None, :] - 2.0 * dots
     np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq, out=sq)
 
@@ -287,20 +297,25 @@ def assignment_bounds(cost: np.ndarray) -> np.ndarray:
     i-th smallest matched cost, and a fixed float summation never
     decreases when a term grows.
     """
-    rows = cost.min(axis=2)
+    # K - 1 elementwise minima over (B, K) slices: a minimum rounds
+    # nothing, and NumPy reduces the short axes of .min(axis=...) slowly.
+    rows = cost[:, :, 0].copy()
+    columns = cost[:, 0, :].copy()
+    for j in range(1, cost.shape[2]):
+        np.minimum(rows, cost[:, :, j], out=rows)
+        np.minimum(columns, cost[:, j, :], out=columns)
     rows.sort(axis=1)
-    columns = cost.min(axis=1)
     columns.sort(axis=1)
     return np.maximum(rows.sum(axis=1), columns.sum(axis=1))
 
 
 def _finish(
     cost: np.ndarray,
-    x_sizes: np.ndarray,
-    y_sizes: np.ndarray,
-    return_flags: bool,
+    x_sizes: np.ndarray | None = None,
+    y_sizes: np.ndarray | None = None,
 ):
-    """Solve a cost stack and extract distances (and identity flags)."""
+    """Solve a cost stack and extract distances, and the identity flags
+    too when the true cardinalities *x_sizes* / *y_sizes* are given."""
     batch, capacity, _ = cost.shape
     assignment = hungarian_batch(cost)
     b_idx = np.arange(batch)[:, None]
@@ -311,7 +326,7 @@ def _finish(
     matched_costs = cost[b_idx, rows, assignment]
     matched_costs.sort(axis=1)
     distances = matched_costs.sum(axis=1)
-    if not return_flags:
+    if x_sizes is None:
         return distances
     # A pair is "real" when both endpoints are non-virtual; the matching
     # is the identity alignment when every real pair matches x_i to y_i.
@@ -352,9 +367,11 @@ def match_many(
     prepared = query if isinstance(query, PaddedQuery) else packed.pad_query(query)
     if costs is None:
         costs = query_costs(prepared, packed, indices)
+    if not return_flags:
+        return _finish(costs)
     y_sizes = packed.sizes if indices is None else packed.sizes[indices]
     x_sizes = np.full(len(y_sizes), prepared.size, dtype=np.intp)
-    return _finish(costs, x_sizes, y_sizes, return_flags)
+    return _finish(costs, x_sizes, y_sizes)
 
 
 def match_pairs(
@@ -386,7 +403,9 @@ def match_pairs(
     cost = _cost_tensor(
         packed.data[i_idx], packed.sq_norms[i_idx], right.data[j_idx], right.sq_norms[j_idx]
     )
-    return _finish(cost, packed.sizes[i_idx], right.sizes[j_idx], return_flags)
+    if not return_flags:
+        return _finish(cost)
+    return _finish(cost, packed.sizes[i_idx], right.sizes[j_idx])
 
 
 # -- full pairwise matrices ---------------------------------------------------

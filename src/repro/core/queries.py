@@ -81,6 +81,7 @@ from repro.core.batch import (
     DEFAULT_CHUNK_SIZE,
     PackedSets,
     assignment_bounds,
+    match_many,
     query_costs,
 )
 from repro.core.centroid import extended_centroid
@@ -563,8 +564,6 @@ class FilterRefineEngine:
         """Exact distances from the padded query *prepared* (padded once
         per query, reused across all its blocks) to the sets in the
         given rows; *costs* is their cost tensor when already built."""
-        from repro.core.batch import match_many
-
         return match_many(
             prepared, self._packed, indices=np.asarray(rows, dtype=np.intp), costs=costs
         )

@@ -219,7 +219,8 @@ class SimilarityDatabase:
         snapshot file (``.npz`` or dense, saved by :meth:`save`) with the
         same capacity, whose objects, oids and payloads the ladder's
         last rung re-adds when nothing else recovers (only with
-        ``durable=True``).
+        ``durable=True``); a relative *source* is relative to *path*,
+        the durable directory.
     lock_timeout:
         When set, every lock acquisition (both sides) raises
         :class:`~repro.exceptions.LockTimeout` after this many seconds

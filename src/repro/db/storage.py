@@ -734,7 +734,9 @@ def recover(root, **options):
 def _rebuild_from_source(config, layout, report, **options):
     """Last rung: every snapshot failed and the WAL chain is incomplete —
     rebuild from the configured source, a snapshot file (``.npz`` or
-    dense) with the durable config's capacity and dimension.
+    dense) with the durable config's capacity and dimension, read with
+    every member CRC-checked; a relative source is relative to the
+    durable directory.
 
     Every object of the source is re-added under its own oid with its
     payload.  Acknowledged mutations made after the source was saved are
@@ -755,7 +757,13 @@ def _rebuild_from_source(config, layout, report, **options):
         raise StorageError(
             f"{source_path}: a source must be a snapshot file, not a directory"
         )
-    src = open_snapshot(source_path, dense=layout_of(source_path) == "dense")
+    # A plain dense open verifies no CRC; the rung re-adds whatever
+    # vectors it reads, so it checks them all first.
+    if layout_of(source_path) == "dense":
+        archive = read_dense_archive(source_path, DB_FORMAT, verify=True)
+    else:
+        archive = read_archive(source_path, DB_FORMAT)
+    src = _from_archive(source_path, *archive)
     omega = config["omega"]
     expected = {
         "capacity": config["capacity"],

@@ -54,7 +54,8 @@ def is_dense_archive(path: str | Path) -> bool:
 def write_dense_archive(
     path: str | Path, meta: dict, arrays: dict[str, np.ndarray]
 ) -> Path:
-    """Atomically write *arrays* in the dense mmap-able layout."""
+    """Atomically write *arrays* in the dense mmap-able layout; a failed
+    write raises :class:`StorageError` naming *path*."""
     path = Path(path)
     blocks: list[tuple[str, np.ndarray]] = [
         (name, np.ascontiguousarray(arrays[name])) for name in sorted(arrays)
@@ -80,9 +81,9 @@ def write_dense_archive(
     ).encode("utf-8")
     prefix = len(DENSE_MAGIC) + 4 + len(header)
     data_start = -(-prefix // _ALIGN) * _ALIGN
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "wb") as handle:
             handle.write(DENSE_MAGIC)
             handle.write(np.uint32(len(header)).tobytes())
@@ -99,6 +100,8 @@ def write_dense_archive(
             os.fsync(handle.fileno())
         crash_point("mid-snapshot-write")
         os.replace(tmp, path)
+    except OSError as exc:
+        raise StorageError(f"cannot write snapshot {path}: {exc}") from exc
     finally:
         if tmp.exists():
             tmp.unlink(missing_ok=True)

@@ -58,7 +58,9 @@ def write_archive(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -
     *meta* must carry a ``format`` marker; per-array CRC32 checksums are
     added here and verified by :func:`read_archive`.  Every snapshot
     file of the mutable database (plain, durable generation, shard) is
-    one of these.
+    one of these.  A failed write (a full disk, a missing permission)
+    raises :class:`StorageError` naming *path* and leaves no temporary
+    file behind.
     """
     path = Path(path)
     meta = dict(meta)
@@ -67,9 +69,9 @@ def write_archive(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -
     payload["meta"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(tmp, "wb") as handle:
             np.savez_compressed(handle, **payload)
             handle.flush()
@@ -78,6 +80,8 @@ def write_archive(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -
         # file; dying here must leave the published snapshot untouched.
         crash_point("mid-snapshot-write")
         os.replace(tmp, path)
+    except OSError as exc:
+        raise StorageError(f"cannot write snapshot {path}: {exc}") from exc
     finally:
         if tmp.exists():
             tmp.unlink(missing_ok=True)

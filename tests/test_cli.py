@@ -338,6 +338,72 @@ class TestDbCommands:
         finally:
             db.close()
 
+    def test_a_failed_snapshot_write_is_one_error_line(
+        self, tmp_path, mesh_dir, monkeypatch, capsys
+    ):
+        """A full disk under `db init` / `db add` exits 1 with one line
+        naming the file, never a traceback, and publishes nothing."""
+        from repro.testing.faults import fail_once, savez_faults
+
+        db_path = tmp_path / "sim.npz"
+        with savez_faults(fail_once()):
+            assert main(["db", "init", str(db_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write snapshot") and str(db_path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not db_path.exists()
+
+        assert main(["db", "init", str(db_path), "--resolution", "12"]) == 0
+        before = db_path.read_bytes()
+        mesh = str(next(iter(sorted(mesh_dir.glob("*.stl")))))
+        capsys.readouterr()
+        with savez_faults(fail_once()):
+            assert main(["db", "add", str(db_path), mesh]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write snapshot") and err.count("\n") == 1
+        assert db_path.read_bytes() == before
+
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device")
+
+        dense = tmp_path / "sim.dense"
+        monkeypatch.setattr("repro.index.dense.os.replace", full_disk)
+        assert main(["db", "init", str(dense), "--dense"]) == 1
+        err = capsys.readouterr().err
+        assert "No space left on device" in err and str(dense) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["meshes", "sim.npz"]
+
+    def test_a_relative_source_is_the_init_directory(
+        self, tmp_path, mesh_dir, monkeypatch, capsys
+    ):
+        """`--source db.npz` names the file beside the caller, not one
+        inside the durable directory: it is stored absolute, and the
+        rung finds it after every snapshot is corrupted."""
+        from repro.testing.faults import corrupt_bytes
+
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        meshes = sorted(str(p) for p in mesh_dir.glob("*.stl"))
+        settings = ["--covers", "5", "--resolution", "12"]
+        assert main(["db", "init", "db.npz"] + settings) == 0
+        assert main(["db", "add", "db.npz"] + meshes) == 0
+        assert main(["db", "init", "d", "--durable", "--source", "db.npz"]
+                    + settings) == 0
+        config = json.loads((work / "d" / "durable.json").read_text())
+        assert config["source"] == str(work / "db.npz")
+
+        monkeypatch.chdir(tmp_path)
+        for snapshot in (work / "d").glob("snapshot-*.npz"):
+            corrupt_bytes(snapshot, 100, 64)
+        (work / "d" / "wal-00000000.log").unlink()
+        capsys.readouterr()
+        assert main(["query", str(work / "d"), "--name", "part1", "-k", "3"]) == 0
+        top = result_rows(capsys.readouterr().out)[0]
+        assert top[2] == "part1" and float(top[-1]) == 0.0
+        assert stored_names(work / "d") == ["part0", "part1", "part2"]
+
 
 class TestOneDatabase:
     """`ingest` writes a SimilarityDatabase layout and every command opens

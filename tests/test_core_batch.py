@@ -14,15 +14,18 @@ from benchmarks.e2e.inputs import set_corpus
 from repro.core.batch import (
     PackedSets,
     _cost_tensor,
+    assignment_bounds,
     hungarian_batch,
     match_many,
     match_pairs,
     pairwise_matrix,
+    query_costs,
 )
 from repro.core.matching import assignment_cost, hungarian
 from repro.core.min_matching import min_matching_distance, min_matching_match
 from repro.exceptions import DistanceError
 from tests.conftest import random_vector_sets
+from tests.test_core_queries import near_ties
 
 # Collections of 2..8 ragged sets (1..5 vectors each, 3-d), bounded
 # values so the scipy oracle and the omega-padded kernel see the same
@@ -254,6 +257,72 @@ class TestHungarianBatch:
         costs[1, 0, 0] = np.inf
         with pytest.raises(DistanceError):
             hungarian_batch(costs)
+
+
+def gram_reference(x, x_sq, y, y_sq):
+    """The query-to-batch cost stack as the Gram formula reads: the dots
+    ``x_k . y_cl`` written query rows first, ``(||x||^2 + ||y||^2) - 2 x.y``
+    clipped at zero, square-rooted."""
+    dots = np.einsum("kd,cld->ckl", x, y)
+    sq = x_sq[None, :, None] + y_sq[:, None, :] - 2.0 * dots
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def minima_reference(cost):
+    """``max(sorted row-minima sum, sorted column-minima sum)``."""
+    rows = np.sort(cost.min(axis=2), axis=1)
+    columns = np.sort(cost.min(axis=1), axis=1)
+    return np.maximum(rows.sum(axis=1), columns.sum(axis=1))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    capacity=st.integers(1, 12),
+    dim=st.integers(1, 8),
+    offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]),
+    block=st.integers(1, 40),
+)
+def test_query_kernels_equal_their_formulas_bit_for_bit(
+    seed, capacity, dim, offset, block
+):
+    """`query_costs` and `assignment_bounds` are the written formulas to
+    the last bit on near-tie inputs: the cost stack is C-contiguous with
+    the query's rows first, a set equal to the query costs exactly zero,
+    and no row's costs depend on which rows share its batch."""
+    rng = np.random.default_rng(seed)
+    query = offset + rng.normal(size=(int(rng.integers(1, capacity + 1)), dim))
+    omega = offset * rng.integers(0, 2) + rng.normal(size=dim)
+    sets = near_ties(rng, query, capacity, offset, 60) + [query]
+    packed = PackedSets.pack(sets, capacity=capacity, omega=omega)
+    prepared = packed.pad_query(query)
+    rows = rng.permutation(packed.n)
+    costs = query_costs(prepared, packed, rows)
+
+    expected = gram_reference(
+        prepared.data, prepared.sq_norms, packed.data[rows], packed.sq_norms[rows]
+    )
+    assert costs.shape == (len(rows), capacity, capacity)
+    assert costs.flags.c_contiguous
+    assert np.array_equal(costs, expected)
+    assert np.array_equal(assignment_bounds(costs), minima_reference(costs))
+
+    selves = [
+        position
+        for position, row in enumerate(rows)
+        if packed.sizes[row] == len(query) and np.array_equal(packed.data[row], prepared.data)
+    ]
+    assert selves  # the query itself is one of the sets
+    for position in selves:
+        assert (np.diagonal(costs[position]) == 0.0).all()
+    assert (match_many(prepared, packed, rows[selves]) == 0.0).all()
+
+    for start in range(0, len(rows), block):
+        part = slice(start, start + block)
+        assert np.array_equal(query_costs(prepared, packed, rows[part]), costs[part])
+    alone = int(rng.integers(len(rows)))
+    assert np.array_equal(
+        query_costs(prepared, packed, rows[alone : alone + 1]), costs[alone : alone + 1]
+    )
 
 
 class TestMatchMany:

@@ -552,6 +552,26 @@ class TestSourceRebuild:
             assert again.payload(77) == {"name": "later"}
             again.close()
 
+    def test_a_flipped_byte_in_a_dense_source_fails_the_rung(self, tmp_path):
+        """A plain dense open verifies no CRC, so a flipped data byte
+        would be re-added as a changed vector; the rung reads its source
+        with every member checked and names the damaged one."""
+        source = tmp_path / "objects.dense"
+        source_snapshot(source, dense=True)
+        vector = np.array([4.0, 0.0, -1.0]).tobytes()
+        offset = source.read_bytes().find(vector)
+        assert offset > 0
+        corrupt_bytes(source, offset + 7, count=1, xor=0x01)
+        assert SimilarityDatabase.load(source).get(5)[0, 0] != 4.0  # the plain open
+        dbdir = tmp_path / "db"
+        durable_without_snapshots(dbdir, source)
+        before = {p.name: p.read_bytes() for p in dbdir.iterdir()}
+        with pytest.raises(SnapshotIntegrityError) as caught:
+            SimilarityDatabase.load(dbdir)
+        assert caught.value.member == "set_data"
+        assert str(source) in str(caught.value) and "set_data" in str(caught.value)
+        assert {p.name: p.read_bytes() for p in dbdir.iterdir()} == before
+
     def test_a_source_that_is_no_snapshot_fails_typed(self, tmp_path):
         """A directory, a source of another capacity and an archive of
         another format each fail the rung with a StorageError naming the

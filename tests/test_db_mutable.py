@@ -825,8 +825,10 @@ print(json.dumps({
             raise OSError("disk full")
 
         monkeypatch.setattr(snap_mod.os, "replace", crash)
-        with pytest.raises(OSError):
+        with pytest.raises(StorageError, match="disk full") as failure:
             db.save(path)
+        assert str(path) in str(failure.value)
+        assert isinstance(failure.value.__cause__, OSError)
         assert path.read_bytes() == good
         leftovers = [p for p in tmp_path.iterdir() if p.name != "db.snap"]
         assert leftovers == []

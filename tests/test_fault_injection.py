@@ -209,7 +209,7 @@ class TestAtomicSave:
         before = path.read_bytes()
         db.add(3, np.ones((1, 6)))
         with savez_faults(fail_once()):
-            with pytest.raises(OSError, match="injected"):
+            with pytest.raises(StorageError, match="injected"):
                 db.save(path)
         assert path.read_bytes() == before  # byte-for-byte untouched
         assert SimilarityDatabase.load(path).object_ids() == [0, 1, 2]
@@ -220,7 +220,7 @@ class TestAtomicSave:
         db = sample_database()
         path = tmp_path / "fresh.npz"
         with savez_faults(fail_once()):
-            with pytest.raises(OSError, match="injected"):
+            with pytest.raises(StorageError, match="injected"):
                 db.save(path)
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []
