@@ -1,9 +1,12 @@
-"""Micro-benchmarks of the cover-extraction fast path (PR 3).
+"""Micro-benchmarks of the cover-extraction fast path.
 
-Times the three levers the parallel-ingestion work added:
+Times three levers:
 
-* the blocked exact max-sum-box kernel vs the dense reference tensor,
-* full incremental greedy extraction vs the reference extractor,
+* the exact max-sum-box search — slab-row bounds, x-pairs scanned best
+  first, every x-pair bounded below the best value found dropped — vs
+  the dense reference tensor,
+* full incremental greedy extraction (whose "-" search also gets the
+  "+" gain as a floor) vs the reference extractor,
 * a warm content-addressed feature-cache lookup vs re-extraction.
 
 The correctness of each lever is asserted inline (bit-identical results)
@@ -37,7 +40,7 @@ def test_bench_max_sum_box_reference(benchmark, weights_r15):
     benchmark(max_sum_box, weights_r15, engine="reference")
 
 
-def test_bench_max_sum_box_blocked(benchmark, weights_r15):
+def test_bench_max_sum_box_pruned(benchmark, weights_r15):
     expected = max_sum_box(weights_r15, engine="reference")
     got = max_sum_box(weights_r15)
     assert got[0] == expected[0]

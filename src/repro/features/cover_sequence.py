@@ -22,6 +22,7 @@ set (Section 4.1).
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -35,6 +36,12 @@ from repro.voxel.grid import VoxelGrid
 #: Approximate peak-memory budget (bytes) of one blocked max-sum-box
 #: search; overridable per call or via ``REPRO_MAXBOX_BLOCK_BYTES``.
 DEFAULT_BLOCK_BYTES = 32 * 1024 * 1024
+
+#: x-pairs per scan block of the best-first search: the bound is
+#: re-checked against the incumbent before every block, so small blocks
+#: prune more and large ones dispatch fewer scans (on the r = 15 parts
+#: grids 8 measured fastest, 16 about the same, 4 and 32 ~10 % slower).
+SCAN_BLOCK = 8
 
 #: The extraction engines ``extract_cover_sequence`` accepts.
 EXTRACTION_ENGINES = ("incremental", "reference")
@@ -56,11 +63,15 @@ def default_block_bytes() -> int:
     return value
 
 
+@functools.lru_cache(maxsize=128)
 def _pair_indices(r: int) -> tuple[np.ndarray, np.ndarray]:
-    """All (lo, hi) with 0 <= lo < hi <= r as two flat arrays."""
+    """All (lo, hi) with 0 <= lo < hi <= r as two flat read-only arrays."""
     lo, hi = np.meshgrid(np.arange(r + 1), np.arange(r + 1), indexing="ij")
     keep = lo < hi
-    return lo[keep], hi[keep]
+    lo, hi = lo[keep], hi[keep]
+    lo.flags.writeable = False
+    hi.flags.writeable = False
+    return lo, hi
 
 
 def _max_sum_box_cropped(weights: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -75,9 +86,9 @@ def _max_sum_box_cropped(weights: np.ndarray) -> tuple[float, np.ndarray, np.nda
     This is the *oracle* implementation: it materializes the full
     ``(n_x_pairs, n_y_pairs, r_z + 1)`` z-prefix tensor (O(r^4) doubles,
     ~54 MB at r = 30 and growing with the fourth power of the
-    resolution).  Production extraction goes through
-    :func:`_max_sum_box_blocked`, which is bit-identical but
-    memory-capped; this version is kept for cross-checking.
+    resolution).  Production extraction goes through :func:`_best_box`,
+    which is bit-identical but memory-capped and pruned; this version is
+    kept for cross-checking.
     """
     rx, ry, rz = weights.shape
     sat = np.zeros((rx + 1, ry + 1, rz + 1))
@@ -120,7 +131,7 @@ def _sat_dtypes(weights: np.ndarray) -> tuple[np.dtype, np.dtype, float]:
     provably holds every prefix sum (bounded by the total absolute
     weight), halving memory traffic on the bandwidth-bound scan; the
     scan buffers use a wider dtype because prefix *differences* span
-    twice that range (and the pruning bound four times it).  Every box
+    twice that range (the slab-row bound is summed in int64).  Every box
     sum stays exactly representable, so all comparisons — and hence the
     selected box — are identical to the float64 reference.
     """
@@ -157,9 +168,11 @@ def _kadane_best_values(
 
     *diff* holds ``(rz + 1, b, ry + 1)`` y/z prefix differences for a
     block of ``b`` x-pairs; the classic running-minimum scan finds, for
-    every (x-pair, y-pair), the maximal z-interval sum.  Only *values*
-    are tracked — four dense passes per z-plane instead of the nine (and
-    three 8-byte index arrays) that coordinate bookkeeping would cost.
+    every (x-pair, y-pair), the maximal z-interval sum.  *y_lo* / *y_hi*
+    index the y-interval ends (arrays, or slices for single rows).  Only
+    *values* are tracked — four dense passes per z-plane instead of the
+    nine (and three 8-byte index arrays) that coordinate bookkeeping
+    would cost.
     The z-interval of the single winning entry is recovered afterwards
     by :func:`_recover_z_interval`.  ``np.maximum`` keeps the earlier
     value on ties, matching the reference scan's first-occurrence rule.
@@ -203,38 +216,83 @@ def _recover_z_interval(prefix: np.ndarray) -> tuple[int, int]:
     return z1_best, z2_best
 
 
-def _max_sum_box_blocked(
-    weights: np.ndarray, block_bytes: int | None = None
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Blocked, memory-capped max-sum box over a cropped weight grid.
+def _block_size(
+    n_x: int,
+    n_cols: int,
+    ry: int,
+    rz: int,
+    sat_dtype: np.dtype,
+    scan_dtype: np.dtype,
+    block_bytes: int,
+) -> int:
+    """x-pairs per block so the working set stays under *block_bytes*.
 
-    The x-pair enumeration is chunked so that the per-block working set
-    (z-major prefix differences plus the Kadane scan arrays) stays under
-    *block_bytes* regardless of resolution — the O(r^4) z-prefix tensor
-    of the reference scan is never materialized.  Three further ideas
-    keep it exact while usually doing far less work:
+    Dominant per-x-pair working set of a scan over *n_cols* y-intervals:
+    the two ``(rz+1, b, n_cols)`` prefix gathers, ~8 scan/temporary
+    arrays of ``(b, n_cols)``, and the ``(rz+1, b, ry+1)`` prefix
+    differences with their gather temporaries.
+    """
+    sat_item = np.dtype(sat_dtype).itemsize
+    scan_item = np.dtype(scan_dtype).itemsize
+    per_pair = (
+        n_cols * (2 * (rz + 1) * sat_item + 8 * scan_item)
+        + 3 * (ry + 1) * (rz + 1) * sat_item
+    )
+    return int(max(1, min(n_x, block_bytes // max(per_pair, 1))))
 
-    **Integer summed-area tables.**  Integer weight grids (the
-    extraction path uses int8) build an int32/int64 SAT instead of
-    float64, halving memory traffic on the bandwidth-bound scan; every
-    box sum stays exactly representable, so all comparisons — and hence
-    the selected box — are identical to the float64 reference.
 
-    **Prefix-spread pruning.**  For each x-pair the ordered spread of
-    its y/z prefix sums (``max_z max-ordered-y-spread - min_z
-    min-ordered-y-spread``) upper-bounds every box sum realizable with
-    that x-extent.  Blocks are processed in x-pair order with a running
-    incumbent; x-pairs whose bound cannot *strictly* beat the incumbent
-    are dropped before the expensive scan.  Since the reference argmax
-    also resolves ties to the earliest x-pair, pruning preserves
-    bit-identical results.
+def _slab_row_bounds(
+    sat_z: np.ndarray,
+    x_lo: np.ndarray,
+    x_hi: np.ndarray,
+    scan_dtype: np.dtype,
+    sentinel,
+    block_bytes: int,
+) -> np.ndarray:
+    """Upper bound of every box sum per x-pair, from its slab rows.
 
-    **Incumbent seeding.**  Before the first block, the single
-    full-x-extent pair is scanned (O(r^2) work) to establish a value
-    some box provably achieves.  Blocks whose bound falls *below* that
-    value cannot contain the optimum at all and are pruned immediately
-    — pairs that might tie it are still scanned, so first-occurrence
-    tie resolution is untouched.
+    A slab row is one x-pair at one y.  Its best z-interval sum is the
+    Kadane scan with single-row y-intervals; a box of that x-pair sums
+    row by row over its y-interval, so the positive parts of the row
+    bests, summed over y, bound every box of the slab.  Integer SAT
+    arithmetic makes the bound exact (no slack).  Computed in x-pair
+    blocks so the pass stays inside *block_bytes*.
+    """
+    rz1, _, ry1 = sat_z.shape
+    n_x = len(x_lo)
+    block = _block_size(
+        n_x, ry1 - 1, ry1 - 1, rz1 - 1, sat_z.dtype, scan_dtype, block_bytes
+    )
+    rows_lo, rows_hi = slice(0, ry1 - 1), slice(1, ry1)
+    bound = np.empty(n_x, dtype=np.int64)
+    for start in range(0, n_x, block):
+        stop = min(start + block, n_x)
+        diff = sat_z[:, x_hi[start:stop], :] - sat_z[:, x_lo[start:stop], :]
+        rows = _kadane_best_values(diff, rows_lo, rows_hi, sentinel, scan_dtype)
+        bound[start:stop] = np.maximum(rows, 0).sum(axis=1)
+    return bound
+
+
+def _best_box(
+    weights: np.ndarray, block_bytes: int | None = None, floor: float | None = None
+) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """Best-first, bound-pruned max-sum box over a cropped weight grid.
+
+    Every x-pair gets the slab-row bound of :func:`_slab_row_bounds`;
+    x-pairs are then scanned in descending bound order, :data:`SCAN_BLOCK`
+    at a time (fewer if *block_bytes* demands), and before each block
+    every x-pair whose bound is below the best value found so far is
+    dropped.  Pairs whose bound *ties* it are kept, so every x-pair that
+    reaches the maximum is scanned and the winner is the first of them
+    in index order — the first y-pair of its row and
+    :func:`_recover_z_interval` then pick the box, exactly as the
+    reference scan does.  The winner's z-interval comes from the prefix
+    columns its block already gathered.
+
+    With a *floor*, only boxes summing strictly above it count: x-pairs
+    bounded at or below it are never scanned, and ``None`` means no box
+    beats it.  Float grids have no exact bound; they scan every x-pair,
+    in index order, in the same loop.
     """
     if block_bytes is None:
         block_bytes = default_block_bytes()
@@ -246,202 +304,96 @@ def _max_sum_box_blocked(
     x_lo, x_hi = _pair_indices(rx)
     y_lo, y_hi = _pair_indices(ry)
     n_x, n_y = len(x_lo), len(y_lo)
-    block = _block_size(n_x, n_y, ry, rz, sat_dtype, scan_dtype, block_bytes)
-
-    # Seed: the full-x-extent pair (index rx - 1 in lo-major order).
-    seed = rx - 1
-    seed_diff = np.subtract(
-        sat_z[:, x_hi[seed : seed + 1], :],
-        sat_z[:, x_lo[seed : seed + 1], :],
-        dtype=scan_dtype,
-    )
-    seed_val = _kadane_best_values(seed_diff, y_lo, y_hi, sentinel, scan_dtype).max()
-
-    best_val = sentinel
-    best_lower = np.zeros(3, dtype=np.intp)
-    best_upper = np.zeros(3, dtype=np.intp)
-    have_best = False
-    for start in range(0, n_x, block):
-        stop = min(start + block, n_x)
-        diff = sat_z[:, x_hi[start:stop], :] - sat_z[:, x_lo[start:stop], :]
-        run_min = np.minimum.accumulate(diff, axis=2)
-        # max ordered y-spread per z (wide dtype: spreads span 2x the
-        # sat range, the bound 4x)
-        upper_y = np.subtract(diff, run_min, dtype=scan_dtype).max(axis=2)
-        run_max = np.maximum.accumulate(diff, axis=2)
-        lower_y = np.subtract(diff, run_max, dtype=scan_dtype).min(axis=2)
-        bound = upper_y.max(axis=0) - lower_y.min(axis=0)
-        # An x-pair must be scanned only if it could still (a) tie the
-        # seeded achievable value and (b) strictly beat the in-order
-        # incumbent; everything else provably loses or ties later.
-        survives = bound >= seed_val
-        if have_best:
-            survives &= bound > best_val
-        keep = np.nonzero(survives)[0]
-        if not keep.size:
-            continue
-        if keep.size < diff.shape[1]:
-            diff = diff[:, keep, :]
-        else:
-            keep = None
-        block_best = _kadane_best_values(diff, y_lo, y_hi, sentinel, scan_dtype)
-        flat = int(np.argmax(block_best))
-        bx, by = np.unravel_index(flat, block_best.shape)
-        if not have_best or block_best[bx, by] > best_val:
-            best_val = block_best[bx, by]
-            z1, z2 = _recover_z_interval(
-                np.subtract(diff[:, bx, y_hi[by]], diff[:, bx, y_lo[by]], dtype=scan_dtype)
-            )
-            gx = start + (int(keep[bx]) if keep is not None else int(bx))
-            best_lower = np.array([x_lo[gx], y_lo[by], z1])
-            best_upper = np.array([x_hi[gx] - 1, y_hi[by] - 1, z2 - 1])
-            have_best = True
-    return float(best_val), best_lower, best_upper
-
-
-def _block_size(
-    n_x: int,
-    n_y: int,
-    ry: int,
-    rz: int,
-    sat_dtype: np.dtype,
-    scan_dtype: np.dtype,
-    block_bytes: int,
-) -> int:
-    """x-pairs per block so the working set stays under *block_bytes*.
-
-    Dominant per-x-pair working set: the two ``(rz+1, b, n_y)`` prefix
-    gathers, ~8 scan/temporary arrays of ``(b, n_y)``, and the
-    ``(rz+1, b, ry+1)`` prefix differences with their pruning
-    temporaries.
-    """
-    sat_item = np.dtype(sat_dtype).itemsize
-    scan_item = np.dtype(scan_dtype).itemsize
-    per_pair = (
-        n_y * (2 * (rz + 1) * sat_item + 8 * scan_item)
-        + 3 * (ry + 1) * (rz + 1) * sat_item
-    )
-    return int(max(1, min(n_x, block_bytes // max(per_pair, 1))))
-
-
-def _pair_best_values(
-    sat_z: np.ndarray,
-    x_lo_sel: np.ndarray,
-    x_hi_sel: np.ndarray,
-    y_lo: np.ndarray,
-    y_hi: np.ndarray,
-    scan_dtype: np.dtype,
-    sentinel,
-    block_bytes: int,
-) -> np.ndarray:
-    """Exact best box value for each selected x-pair (blocked, unpruned).
-
-    Feeds the cross-iteration memo of :class:`_PairValueCache`: every
-    selected pair gets its true value (no bound pruning — a pruned
-    pair's value would go stale and could silently become the maximum
-    in a later iteration).  Values are returned as float64, which holds
-    every realizable integer box sum exactly.
-    """
-    rz1, _, ry1 = sat_z.shape
-    n_sel, n_y = len(x_lo_sel), len(y_lo)
-    block = _block_size(n_sel, n_y, ry1 - 1, rz1 - 1, sat_z.dtype, scan_dtype, block_bytes)
-    out = np.empty(n_sel, dtype=np.float64)
-    for start in range(0, n_sel, block):
-        stop = min(start + block, n_sel)
-        diff = sat_z[:, x_hi_sel[start:stop], :] - sat_z[:, x_lo_sel[start:stop], :]
-        block_best = _kadane_best_values(diff, y_lo, y_hi, sentinel, scan_dtype)
-        out[start:stop] = block_best.max(axis=1)
-    return out
-
-
-class _PairValueCache:
-    """Cross-iteration memo of exact per-x-pair best box values.
-
-    Greedy extraction re-searches the same weight grid after each
-    accepted cover, but only voxels *inside* the cover's box changed —
-    so the best box value of every x-pair whose slab does not overlap
-    the box in x is provably unchanged.  The engine records each
-    accepted box via :meth:`invalidate`; the next search recomputes only
-    overlapping pairs and reuses the rest.  The memo is keyed to the
-    crop window (crop growth/shrink renumbers pairs, forcing a full
-    recompute) and stores exact values, so the reported box — including
-    first-occurrence tie resolution over x-pair-major order — stays
-    bit-identical to the stateless search.
-    """
-
-    __slots__ = ("crop", "values", "pending")
-
-    def __init__(self) -> None:
-        self.crop: tuple | None = None
-        self.values: np.ndarray | None = None
-        self.pending: list[tuple[int, int]] = []
-
-    def invalidate(self, x_start: int, x_stop: int) -> None:
-        """Record that weights changed inside ``[x_start, x_stop)``."""
-        self.pending.append((x_start, x_stop))
-
-
-def _max_sum_box_memo(
-    cropped: np.ndarray,
-    lows: np.ndarray,
-    cache: _PairValueCache,
-    block_bytes: int | None,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Best box of *cropped* reusing cached per-x-pair values.
-
-    Coordinates are returned in the cropped frame (the caller offsets by
-    *lows*; they are only needed here to key the memo to the crop
-    window).
-    """
-    if block_bytes is None:
-        block_bytes = default_block_bytes()
-    if block_bytes < 1:
-        raise FeatureError("block_bytes must be >= 1")
-    rx, ry, rz = cropped.shape
-    sat_dtype, scan_dtype, sentinel = _sat_dtypes(cropped)
-    sat_z = _build_sat_z(cropped, sat_dtype)
-    x_lo, x_hi = _pair_indices(rx)
-    y_lo, y_hi = _pair_indices(ry)
-    n_x = len(x_lo)
-    crop_key = (int(lows[0]), int(lows[1]), int(lows[2]), rx, ry, rz)
-    if cache.values is None or cache.crop != crop_key:
-        sel = np.arange(n_x)
-        cache.values = np.empty(n_x, dtype=np.float64)
+    exact = scan_dtype.kind == "i"
+    if exact:
+        bound = _slab_row_bounds(sat_z, x_lo, x_hi, scan_dtype, sentinel, block_bytes)
+        counter("extract.xpairs_bounded").inc(n_x)
+        order = np.argsort(-bound, kind="stable")
+        if floor is not None:
+            order = order[bound[order] > floor]
     else:
-        invalid = np.zeros(n_x, dtype=bool)
-        for gx0, gx1 in cache.pending:
-            c0 = max(gx0 - int(lows[0]), 0)
-            c1 = min(gx1 - int(lows[0]), rx)
-            if c0 < c1:
-                # pair (lo, hi) spans the slab [lo, hi): overlap test
-                invalid |= (x_lo < c1) & (x_hi > c0)
-        sel = np.nonzero(invalid)[0]
-    cache.crop = crop_key
-    cache.pending.clear()
-    if sel.size:
-        cache.values[sel] = _pair_best_values(
-            sat_z, x_lo[sel], x_hi[sel], y_lo, y_hi, scan_dtype, sentinel, block_bytes
-        )
-    winner = int(np.argmax(cache.values))  # first occurrence == reference order
-    # Recover (y, z) of the winning pair with a single-pair scan.
-    pair_diff = np.subtract(
-        sat_z[:, x_hi[winner] : x_hi[winner] + 1, :],
-        sat_z[:, x_lo[winner] : x_lo[winner] + 1, :],
-        dtype=scan_dtype,
+        order = np.arange(n_x)
+    block = min(
+        SCAN_BLOCK, _block_size(n_x, n_y, ry, rz, sat_dtype, scan_dtype, block_bytes)
     )
-    pair_vals = _kadane_best_values(pair_diff, y_lo, y_hi, sentinel, scan_dtype)
-    by = int(np.argmax(pair_vals[0]))
-    z1, z2 = _recover_z_interval(pair_diff[:, 0, y_hi[by]] - pair_diff[:, 0, y_lo[by]])
-    lower = np.array([x_lo[winner], y_lo[by], z1])
-    upper = np.array([x_hi[winner] - 1, y_hi[by] - 1, z2 - 1])
-    return float(cache.values[winner]), lower, upper
+
+    winner, best_val, best_by, best_diff = -1, None, 0, None
+    scanned = 0
+    for start in range(0, len(order), block):
+        sel = order[start : start + block]
+        if exact and winner >= 0:
+            # Descending bounds: once a block is cut, nothing later survives.
+            sel = sel[bound[sel] >= best_val]
+            if not sel.size:
+                break
+        scanned += len(sel)
+        diff = sat_z[:, x_hi[sel], :] - sat_z[:, x_lo[sel], :]
+        values = _kadane_best_values(diff, y_lo, y_hi, sentinel, scan_dtype)
+        pair_best = values.max(axis=1)
+        top = pair_best.max()
+        if floor is not None and not top > floor:
+            continue
+        if winner >= 0 and top < best_val:
+            continue
+        # Ties go to the first x-pair in index order, as in the reference.
+        ties = np.nonzero(pair_best == top)[0]
+        at = int(ties[np.argmin(sel[ties])])
+        if winner < 0 or top > best_val or sel[at] < winner:
+            winner, best_val = int(sel[at]), top
+            best_by = int(np.argmax(values[at]))
+            best_diff = diff[:, at, :].copy()
+    counter("extract.xpairs_scanned").inc(scanned)
+    if winner < 0:
+        return None
+    column = np.subtract(
+        best_diff[:, y_hi[best_by]], best_diff[:, y_lo[best_by]], dtype=scan_dtype
+    )
+    z1, z2 = _recover_z_interval(column)
+    lower = np.array([x_lo[winner], y_lo[best_by], z1])
+    upper = np.array([x_hi[winner] - 1, y_hi[best_by] - 1, z2 - 1])
+    return float(best_val), lower, upper
+
+
+def _nonzero_window(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Inclusive ``(lows, highs)`` of the non-zero weights, None if all zero.
+
+    Read from per-axis projections of one boolean mask, so no index
+    array of the grid's size is built.
+    """
+    mask = weights != 0
+    lows, highs = np.zeros(3, dtype=np.intp), np.zeros(3, dtype=np.intp)
+    for axis in range(3):
+        hits = np.flatnonzero(mask.any(axis=tuple(a for a in range(3) if a != axis)))
+        if not hits.size:
+            return None
+        lows[axis], highs[axis] = hits[0], hits[-1]
+    return lows, highs
+
+
+def _search_above(
+    weights: np.ndarray, block_bytes: int | None, floor: float | None = None
+) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """:func:`_best_box` on the non-zero window of *weights*, in its frame.
+
+    For grids holding a positive weight (the extraction engine searches
+    no other), so the best box never lies outside the window.
+    """
+    lows, highs = _nonzero_window(weights)
+    found = _best_box(
+        weights[lows[0] : highs[0] + 1, lows[1] : highs[1] + 1, lows[2] : highs[2] + 1],
+        block_bytes,
+        floor,
+    )
+    if found is None:
+        return None
+    best, lower, upper = found
+    return best, lower + lows, upper + lows
 
 
 def max_sum_box(
     weights: np.ndarray,
     block_bytes: int | None = None,
     engine: str = "blocked",
-    _cache: _PairValueCache | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Exact maximum-sum axis-aligned box of a 3-D weight grid.
 
@@ -457,13 +409,9 @@ def max_sum_box(
         Approximate peak-memory budget of the blocked search (default:
         :func:`default_block_bytes`); ignored by the reference engine.
     engine:
-        ``"blocked"`` (default) for the memory-capped blocked scan,
-        ``"reference"`` for the original full-tensor oracle.  Both
-        return bit-identical results.
-    _cache:
-        Internal: a :class:`_PairValueCache` carrying per-x-pair values
-        across repeated searches of an incrementally updated grid (used
-        by the incremental extraction engine with ``engine="blocked"``).
+        ``"blocked"`` (default) for the memory-capped, bound-pruned
+        best-first search (:func:`_best_box`), ``"reference"`` for the
+        original full-tensor oracle.  Both return bit-identical results.
     """
     weights = np.asarray(weights)
     if weights.dtype == bool:
@@ -479,21 +427,18 @@ def max_sum_box(
         raise FeatureError(
             f"unknown max_sum_box engine {engine!r}; choose 'blocked' or 'reference'"
         )
-    nonzero = np.nonzero(weights)
-    if not len(nonzero[0]):
+    window = _nonzero_window(weights)
+    if window is None:
         # All-zero grid: every box sums to zero; report a single voxel.
         return 0.0, np.zeros(3, dtype=int), np.zeros(3, dtype=int)
-    lows = np.array([axis.min() for axis in nonzero])
-    highs = np.array([axis.max() for axis in nonzero])
+    lows, highs = window
     cropped = weights[
         lows[0] : highs[0] + 1, lows[1] : highs[1] + 1, lows[2] : highs[2] + 1
     ]
     if engine == "reference":
         best, lower, upper = _max_sum_box_cropped(cropped.astype(np.float64))
-    elif _cache is not None:
-        best, lower, upper = _max_sum_box_memo(cropped, lows, _cache, block_bytes)
     else:
-        best, lower, upper = _max_sum_box_blocked(cropped, block_bytes)
+        best, lower, upper = _best_box(cropped, block_bytes)
     covers_whole_grid = np.all(lows == 0) and np.all(
         highs == np.asarray(weights.shape) - 1
     )
@@ -684,12 +629,16 @@ def _extract_incremental(
     in place after each accepted cover — only voxels inside the chosen
     box change weight (to fixed values determined by ``target`` alone),
     so the update is O(box volume), and the boolean ``state`` raster is
-    never materialized at all.  Greedy sub-searches whose weight grid
-    provably has no positive cell (no uncovered object voxel for "+",
-    no wrongly covered voxel for "-") are skipped: their gain would be
-    <= 0 and could never be selected, so the produced sequence is
-    bit-identical to :func:`_extract_reference` — a property the test
-    suite and ``benchmarks/test_perf_extraction.py`` check explicitly.
+    never materialized at all.  A "+" search whose grid has no positive
+    cell (no uncovered object voxel) is skipped: its gain would be <= 0.
+    The "-" search runs second, with a floor: its box is chosen only
+    strictly above ``max(gain_add, 0)`` (ties go to "+"), so it prunes
+    every x-pair bounded at or below that, and it is skipped outright
+    when the wrongly covered count (its total positive weight) does not
+    exceed the floor.  Neither shortcut changes a choice, so the
+    produced sequence is bit-identical to :func:`_extract_reference` — a
+    property the test suite and ``benchmarks/test_perf_extraction.py``
+    check explicitly.
     """
     target = grid.occupancy
     # All voxels start uncovered: "+" rewards object voxels (+1) and
@@ -700,28 +649,26 @@ def _extract_incremental(
     errors = [int(target.sum())]
     uncovered_target = errors[0]  # object voxels not yet in the union
     wrongly_covered = 0  # empty voxels currently in the union
-    # Per-grid memos: each accepted cover only changes weights inside
-    # its box, so x-pairs not overlapping it in x keep their best values.
-    add_cache = _PairValueCache()
-    sub_cache = _PairValueCache()
 
     for _ in range(k):
         counter("extract.iterations").inc()
         gain_add = -np.inf
         if uncovered_target:
             counter("extract.searches").inc()
-            gain_add, lo_add, hi_add = max_sum_box(
-                weight_add, block_bytes, _cache=add_cache
-            )
+            gain_add, lo_add, hi_add = _search_above(weight_add, block_bytes)
         else:
             counter("extract.searches_skipped").inc()
         gain_sub = -np.inf
         if allow_subtraction and covers:
-            if wrongly_covered:
+            # A "-" box is chosen only strictly above gain_add (ties go
+            # to "+") and above zero, and no box sums above the wrongly
+            # covered count (its only positive weights).
+            floor = max(gain_add, 0.0)
+            if wrongly_covered > floor:
                 counter("extract.searches").inc()
-                gain_sub, lo_sub, hi_sub = max_sum_box(
-                    weight_sub, block_bytes, _cache=sub_cache
-                )
+                found = _search_above(weight_sub, block_bytes, floor)
+                if found is not None:
+                    gain_sub, lo_sub, hi_sub = found
             else:
                 counter("extract.searches_skipped").inc()
 
@@ -762,8 +709,6 @@ def _extract_incremental(
             uncovered_target += int(np.count_nonzero(removed == -1))
             weight_sub[box] = 0
             weight_add[box] = np.where(in_box, np.int8(1), np.int8(-1))
-        add_cache.invalidate(cover.lower[0], cover.upper[0] + 1)
-        sub_cache.invalidate(cover.lower[0], cover.upper[0] + 1)
         # The box's weight sum IS the error reduction (that is what the
         # weight grids encode), so the error trajectory needs no raster.
         errors.append(errors[-1] - cover.gain)
@@ -793,7 +738,7 @@ def extract_cover_sequence(
     ----------
     engine:
         ``"incremental"`` (default) maintains the weight grids in place
-        and uses the blocked, memory-capped max-sum-box search;
+        and uses the bound-pruned, memory-capped max-sum-box search;
         ``"reference"`` is the original reconstruct-every-iteration
         oracle.  Both produce bit-identical sequences.
     block_bytes:

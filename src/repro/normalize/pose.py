@@ -35,22 +35,28 @@ class PoseInfo:
     translation: tuple[int, int, int]
 
 
+def _centering_shift(lower: np.ndarray, upper: np.ndarray, r: int) -> np.ndarray:
+    """Integer shift that centers the box ``[lower, upper]`` on an r-raster.
+
+    The desired lower corner is centered with the extra cell (if any)
+    below, so ties round toward the origin.
+    """
+    return (r - (upper - lower + 1)) // 2 - lower
+
+
 def center_grid(grid: VoxelGrid) -> VoxelGrid:
     """Translate the occupied voxels so their bounding box is centered.
 
     The integer translation moves the bounding-box center as close as
     possible to the raster center; ties round toward the origin so the
-    operation is deterministic.
+    operation is deterministic.  One scan of the occupancy: the bounding
+    box comes from the voxel indices it moves.
     """
     if grid.is_empty():
         raise VoxelizationError("cannot center an empty grid")
-    lower, upper = grid.bounding_box()
-    r = grid.resolution
-    # Desired lower corner: centered with the extra cell (if any) below.
-    extent = upper - lower + 1
-    target_lower = (r - extent) // 2
-    shift = target_lower - lower
-    idx = grid.indices() + shift
+    idx = grid.indices()
+    shift = _centering_shift(idx.min(axis=0), idx.max(axis=0), grid.resolution)
+    idx += shift
     occupancy = np.zeros_like(grid.occupancy)
     occupancy[idx[:, 0], idx[:, 1], idx[:, 2]] = True
     return VoxelGrid(occupancy, grid.origin - shift * grid.voxel_size, grid.voxel_size)
@@ -60,17 +66,17 @@ def normalize_grid(grid: VoxelGrid) -> tuple[VoxelGrid, PoseInfo]:
     """Center *grid* and report its pose bookkeeping.
 
     Returns the centered grid and a :class:`PoseInfo` carrying the world
-    extents (scale factors) and the applied integer translation.
+    extents (scale factors) and the applied integer translation.  The
+    translation is the centering shift itself, so the centered grid's
+    bounding box is never scanned.
     """
     if grid.is_empty():
         raise VoxelizationError("cannot normalize an empty grid")
     lower, upper = grid.bounding_box()
     extents = (upper - lower + 1) * grid.voxel_size
-    centered = center_grid(grid)
-    new_lower, _ = centered.bounding_box()
-    shift = new_lower - lower
+    shift = _centering_shift(lower, upper, grid.resolution)
     info = PoseInfo(
         scale_factors=(float(extents[0]), float(extents[1]), float(extents[2])),
         translation=(int(shift[0]), int(shift[1]), int(shift[2])),
     )
-    return centered, info
+    return center_grid(grid), info

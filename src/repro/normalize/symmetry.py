@@ -36,7 +36,8 @@ def canonical_symmetry_matrix(
     """
     if grid.is_empty():
         raise VoxelizationError("cannot canonicalize an empty grid")
-    centered = grid.indices() - grid.center_of_mass()
+    idx = grid.indices()
+    centered = idx - idx.mean(axis=0)  # the center of mass, from the same scan
     variance = centered.var(axis=0)
     skewness = (centered**3).mean(axis=0)
     # Stable ordering: variance descending, axis index as tie-breaker.

@@ -124,6 +124,10 @@ UNREFERENCED_ON_PURPOSE = {
         "(a) S_k rebuilt from the covers, tests/test_extensions.py::"
         "TestVoxelMetrics::test_cover_sequence_error_agrees"
     ),
+    "repro.voxel.grid.VoxelGrid.center_of_mass": (
+        "(a) the written mean of the canonical pose, tests/test_normalize.py::"
+        "TestNormalizationMatchesTheWrittenFormulas::test_canonical_pose"
+    ),
     "repro.index.rstar.RStarTree.knn": (
         "(a) tests/test_array_core.py::test_core_queries_equal_pointer"
     ),

@@ -126,3 +126,71 @@ class TestSymmetry:
     def test_empty_grid_rejected(self):
         with pytest.raises(VoxelizationError):
             canonicalize_grid(VoxelGrid.empty(4))
+
+
+def _written_centering(grid):
+    """Centering and pose as written out: every quantity from its own scan."""
+    lower, upper = grid.bounding_box()
+    target_lower = (grid.resolution - (upper - lower + 1)) // 2
+    shift = target_lower - lower
+    idx = grid.indices() + shift
+    occupancy = np.zeros_like(grid.occupancy)
+    occupancy[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+    origin = grid.origin - shift * grid.voxel_size
+    centered = VoxelGrid(occupancy, origin, grid.voxel_size)
+    new_lower, _ = centered.bounding_box()
+    extents = tuple(float(e) for e in (upper - lower + 1) * grid.voxel_size)
+    return centered, extents, tuple(int(t) for t in new_lower - lower)
+
+
+def _written_symmetry_matrix(grid, include_reflections):
+    centered = grid.indices() - grid.center_of_mass()
+    variance = centered.var(axis=0)
+    skewness = (centered**3).mean(axis=0)
+    order = np.lexsort((np.arange(3), -variance))
+    signs = np.where(skewness[order] >= 0, 1.0, -1.0)
+    matrix = np.zeros((3, 3))
+    for new_axis in range(3):
+        matrix[new_axis, order[new_axis]] = signs[new_axis]
+    if not include_reflections and np.linalg.det(matrix) < 0:
+        weakest = int(np.argmin(np.abs(skewness[order])))
+        matrix[weakest] = -matrix[weakest]
+    return matrix
+
+
+class TestNormalizationMatchesTheWrittenFormulas:
+    """Normalization derives the centered box from the shift and the mean
+    from the indices it holds; on seeded parts every output must equal
+    the formulas computed the long way, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def part_grids(self):
+        from repro.datasets import make_aircraft_dataset
+
+        parts, _ = make_aircraft_dataset(30, seed=20030609)
+        grids = [voxelize_solid(part.solid, resolution=15) for part in parts]
+        return [grid for grid in grids if not grid.is_empty()]
+
+    def test_center_and_normalize(self, part_grids):
+        for grid in part_grids:
+            expected, extents, translation = _written_centering(grid)
+            centered, pose = normalize_grid(grid)
+            for got in (center_grid(grid), centered):
+                assert np.array_equal(got.occupancy, expected.occupancy)
+                assert np.array_equal(got.origin, expected.origin)
+                assert got.voxel_size == expected.voxel_size
+            assert pose.scale_factors == extents
+            assert pose.translation == translation
+
+    @pytest.mark.parametrize("include_reflections", [True, False])
+    def test_canonical_pose(self, part_grids, include_reflections):
+        for grid in part_grids:
+            centered, _ = normalize_grid(grid)
+            matrix = _written_symmetry_matrix(centered, include_reflections)
+            assert np.array_equal(
+                canonical_symmetry_matrix(centered, include_reflections), matrix
+            )
+            assert np.array_equal(
+                canonicalize_grid(centered, include_reflections).occupancy,
+                centered.transformed(matrix).occupancy,
+            )

@@ -411,6 +411,20 @@ class TestExtractionTelemetry:
         assert reg.counter("extract.iterations").value >= len(sequence.covers)
         assert reg.histogram("extract.covers").count == 1
         assert reg.histogram("span.extract.seconds").count == 1
+        # The pruned search bounds every x-pair and scans only survivors;
+        # the counts are a function of the grid, so a rerun repeats them.
+        names = (
+            "extract.searches",
+            "extract.searches_skipped",
+            "extract.xpairs_bounded",
+            "extract.xpairs_scanned",
+        )
+        first = {name: reg.counter(name).value for name in names}
+        assert 0 < first["extract.xpairs_scanned"] <= first["extract.xpairs_bounded"]
+        extract_cover_sequence(lshape_grid, 3)
+        assert {name: reg.counter(name).value for name in names} == {
+            name: 2 * value for name, value in first.items()
+        }
 
     def test_cache_counters(self, tmp_path, lshape_grid):
         from repro.features.cache import FeatureCache
