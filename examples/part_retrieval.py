@@ -7,7 +7,9 @@ of manufactured).  This example
 * builds and persists a part database with precomputed features,
 * reloads it (as a separate session would),
 * queries it with a *new, unseen* part in a random orientation,
-* and shows that the retrieval is invariant to that orientation.
+* shows that the retrieval is invariant to that orientation,
+* and spreads the parts over shards, then reshards them, with every
+  answer the single database's.
 
 Run:  python examples/part_retrieval.py
 """
@@ -20,7 +22,7 @@ import numpy as np
 from repro import Pipeline, VectorSetModel
 from repro.datasets import make_car_dataset
 from repro.datasets.parts import make_part, random_placement
-from repro.db import SimilarityDatabase
+from repro.db import ShardedSimilarityDatabase, SimilarityDatabase
 
 
 def build_database(path: Path) -> None:
@@ -64,11 +66,27 @@ def query_database(path: Path) -> None:
     print("\nretrieval is stable across orientations — reuse candidate found.")
 
 
+def shard_database(path: Path) -> None:
+    """Scale-out: the same parts over 2 shards, then over 3, answer like
+    the one database."""
+    database = SimilarityDatabase.load(path)
+    sharded = ShardedSimilarityDatabase(7, shards=2)
+    for oid in database.object_ids():
+        sharded.add(oid, database.get(oid), database.payload(oid))
+    probe = database.get(database.object_ids()[0])
+    expected = database.knn_query(probe, 5)[0]
+    assert sharded.knn_query(probe, 5)[0] == expected
+    sharded.reshard(3)
+    assert sharded.knn_query(probe, 5)[0] == expected
+    print(f"\n{sharded.n_shards} shards answer like one database.")
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "car_parts.npz"
         build_database(path)
         query_database(path)
+        shard_database(path)
 
 
 if __name__ == "__main__":

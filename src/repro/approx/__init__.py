@@ -1,8 +1,9 @@
 """Approximate candidate tier: LSH set sketches + Hamming shortlisting.
 
 See :mod:`repro.approx.sketch` (set → packed binary sketch),
-:mod:`repro.approx.hamming` (incremental Hamming index) and
-:mod:`repro.approx.engine` (shortlist-then-exact-refine queries).
+:mod:`repro.approx.hamming` (Hamming ranking over the engine's code
+column) and :mod:`repro.approx.engine` (shortlist-then-exact-refine
+queries).
 """
 
 from repro.approx.engine import ApproxFilterRefineEngine, default_shortlist

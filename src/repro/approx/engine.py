@@ -3,9 +3,10 @@
 :class:`ApproxFilterRefineEngine` composes the three exact-tier pieces
 this package adds nothing to: the existing
 :class:`~repro.core.queries.FilterRefineEngine` (refinement + canonical
-result order), a :class:`~repro.approx.sketch.SetSketcher` (query →
-packed code) and a :class:`~repro.approx.hamming.HammingIndex`
-(code → shortlist).  A query sketches once, Hamming-ranks the database,
+result order, and the code column holding every object's sketch), a
+:class:`~repro.approx.sketch.SetSketcher` (query → packed code) and a
+:class:`~repro.approx.hamming.HammingIndex` over the engine's oids and
+codes (code → shortlist).  A query sketches once, Hamming-ranks the database,
 and runs the *exact* batched minimal-matching refine over only the
 ``shortlist`` best codes — so results are always true distances over a
 possibly-incomplete candidate set, never approximate distances.  With
@@ -35,22 +36,19 @@ def default_shortlist(n_neighbors: int) -> int:
 
 
 class ApproxFilterRefineEngine:
-    """Sketch-shortlisted approximate k-nn over an exact engine."""
+    """Sketch-shortlisted approximate k-nn over an exact engine whose
+    code column holds *sketcher*'s code of every stored set."""
 
-    def __init__(
-        self,
-        engine: FilterRefineEngine,
-        sketcher: SetSketcher,
-        hamming: HammingIndex,
-    ):
-        if sketcher.words != hamming.words:
+    def __init__(self, engine: FilterRefineEngine, sketcher: SetSketcher):
+        codes = engine.codes
+        if codes is None or codes.shape[1] != sketcher.words:
+            held = "no" if codes is None else f"{codes.shape[1]}-word"
             raise QueryError(
                 f"sketcher produces {sketcher.words}-word codes but the "
-                f"Hamming index stores {hamming.words}-word codes"
+                f"engine carries {held} codes"
             )
         self.engine = engine
         self.sketcher = sketcher
-        self.hamming = hamming
 
     def knn_query(
         self,
@@ -73,7 +71,7 @@ class ApproxFilterRefineEngine:
         if budget < 1:
             raise QueryError("shortlist budget must be >= 1")
         budget = max(budget, n_neighbors)
-        n = len(self.hamming)
+        n = len(self.engine)
         with span("query.approx_knn", k=n_neighbors, budget=budget):
             # The sketch + Hamming shortlist is this tier's filter
             # phase; its measured time rides into the wide query record
@@ -81,7 +79,8 @@ class ApproxFilterRefineEngine:
             # refine only measures refinement).
             with span("query.shortlist", force=True, budget=budget) as ssp:
                 code = self.sketcher.sketch(query)
-                candidates = self.hamming.shortlist(code[None, :], budget)[0]
+                hamming = HammingIndex(self.engine.oids, self.engine.codes)
+                candidates = hamming.shortlist(code[None, :], budget)[0]
             with querylog.query_context(
                 mode="approx",
                 kind="approx_knn",

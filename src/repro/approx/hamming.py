@@ -1,23 +1,19 @@
 """Vectorized Hamming shortlisting over packed binary sketches.
 
-The index keeps one ``(words,)`` uint64 code per object, rows always in
-ascending-oid order.  That single invariant is what makes incremental
-maintenance *byte-identical* to a fresh build: an add inserts at the
-``searchsorted`` position, a remove deletes the row, and the resulting
-``(oids, codes)`` arrays are exactly what sketching the surviving
-objects in sorted-oid order would produce — the differential harness
-asserts this via :meth:`digest` equality after arbitrary mutation
-sequences.
+The codes live in one place: the code column of the refinement engine
+(:attr:`~repro.core.queries.FilterRefineEngine.codes`), one ``(words,)``
+uint64 row per object, row-aligned with the engine's oids and maintained
+in place with its other columns.  A :class:`HammingIndex` is a read-only
+view over those two columns, built per approximate query; it keeps no
+copy of either.
 
 Distances are popcounts of XOR-ed words (``np.bitwise_count``), batched
 over queries × objects; shortlists come back in the canonical
-``(hamming, oid)`` order so downstream exact refinement sees a
-deterministic candidate set.
+``(hamming, oid)`` order, whatever order the rows lie in, so downstream
+exact refinement sees a deterministic candidate set.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -31,77 +27,17 @@ _BLOCK = 8192
 
 
 class HammingIndex:
-    """Incrementally maintained Hamming index over packed sketches."""
+    """Hamming ranking over row-aligned ``(n,)`` oids and ``(n, words)``
+    uint64 codes (views, neither copied nor written)."""
 
-    def __init__(self, words: int):
-        if words < 1:
-            raise QueryError("HammingIndex words must be >= 1")
-        self.words = int(words)
-        self._oids = np.zeros(0, dtype=np.int64)
-        self._codes = np.zeros((0, self.words), dtype=np.uint64)
-
-    def __len__(self) -> int:
-        return len(self._oids)
-
-    def __contains__(self, oid: int) -> bool:
-        return self._find(int(oid)) is not None
-
-    @property
-    def oids(self) -> np.ndarray:
-        """Ascending oid array (read-only view)."""
-        view = self._oids.view()
-        view.setflags(write=False)
-        return view
-
-    @property
-    def codes(self) -> np.ndarray:
-        """``(n, words)`` code matrix, row *i* belonging to ``oids[i]``."""
-        view = self._codes.view()
-        view.setflags(write=False)
-        return view
-
-    # -- maintenance -------------------------------------------------------
-
-    def _find(self, oid: int) -> int | None:
-        pos = int(np.searchsorted(self._oids, oid))
-        if pos < len(self._oids) and self._oids[pos] == oid:
-            return pos
-        return None
-
-    def _check_code(self, code: np.ndarray) -> np.ndarray:
-        arr = np.ascontiguousarray(code, dtype=np.uint64)
-        if arr.shape != (self.words,):
-            raise QueryError(f"sketch code shape {arr.shape} != ({self.words},)")
-        return arr
-
-    def add(self, oid: int, code: np.ndarray) -> None:
-        oid = int(oid)
-        arr = self._check_code(code)
-        pos = int(np.searchsorted(self._oids, oid))
-        if pos < len(self._oids) and self._oids[pos] == oid:
-            raise QueryError(f"object id {oid} already in Hamming index")
-        self._oids = np.insert(self._oids, pos, oid)
-        self._codes = np.insert(self._codes, pos, arr, axis=0)
-
-    def remove(self, oid: int) -> None:
-        pos = self._find(int(oid))
-        if pos is None:
-            raise QueryError(f"object id {oid} not in Hamming index")
-        self._oids = np.delete(self._oids, pos)
-        self._codes = np.delete(self._codes, pos, axis=0)
-
-    def update(self, oid: int, code: np.ndarray) -> None:
-        """Replace the code of an existing object (oid position is stable)."""
-        pos = self._find(int(oid))
-        if pos is None:
-            raise QueryError(f"object id {oid} not in Hamming index")
-        # Replace the whole row array so snapshot zero-copy views are
-        # never mutated in place.
-        codes = self._codes.copy()
-        codes[pos] = self._check_code(code)
+    def __init__(self, oids: np.ndarray, codes: np.ndarray):
+        if codes.ndim != 2 or not codes.shape[1] or oids.shape != codes.shape[:1]:
+            raise QueryError(
+                f"{oids.shape} oids do not index {codes.shape} sketch codes"
+            )
+        self._oids = oids
         self._codes = codes
-
-    # -- queries -----------------------------------------------------------
+        self.words = codes.shape[1]
 
     def distances(self, queries: np.ndarray) -> np.ndarray:
         """Hamming distances: ``(q, words)`` codes → ``(q, n)`` uint32."""
@@ -134,35 +70,5 @@ class HammingIndex:
         out: list[np.ndarray] = []
         for row in dists:
             order = np.lexsort((self._oids, row))[:budget]
-            out.append(self._oids[order].copy())
+            out.append(self._oids[order])
         return out
-
-    # -- persistence -------------------------------------------------------
-
-    def serialized(self) -> dict[str, np.ndarray]:
-        """Snapshot arrays (``oids``, row-matched ``codes``)."""
-        return {"oids": self._oids.copy(), "codes": self._codes.copy()}
-
-    @classmethod
-    def from_arrays(cls, oids: np.ndarray, codes: np.ndarray) -> "HammingIndex":
-        """Adopt snapshot arrays without copying (read-only views welcome:
-        every mutation path reallocates, so the buffers are never written)."""
-        codes = np.asarray(codes, dtype=np.uint64)
-        if codes.ndim != 2:
-            raise QueryError(f"codes must be 2-D, got shape {codes.shape}")
-        oids = np.asarray(oids, dtype=np.int64)
-        if oids.shape != (len(codes),):
-            raise QueryError(f"{len(oids)} oids for {len(codes)} codes")
-        if len(oids) > 1 and not np.all(oids[:-1] < oids[1:]):
-            raise QueryError("Hamming index oids must be strictly ascending")
-        index = cls(codes.shape[1])
-        index._oids = oids
-        index._codes = codes
-        return index
-
-    def digest(self) -> str:
-        """SHA-256 over rows — the differential harness's equality probe."""
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self._oids).tobytes())
-        h.update(np.ascontiguousarray(self._codes).tobytes())
-        return h.hexdigest()

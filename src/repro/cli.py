@@ -5,7 +5,7 @@ Commands
 ``ingest``      build a similarity database from a synthetic dataset or a
                 directory of STL/OFF meshes
 ``query``       k-nn search against a database (by stored name or mesh file)
-``db``          create, mutate, compact and verify a database in place
+``db``          create, mutate and verify a database in place
 ``cluster``     OPTICS-cluster a database and render the reachability plot
 ``experiment``  run one of the paper's experiments (table1, table2, figures)
 ``info``        show database statistics
@@ -171,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_obs_args(query)
 
     db = commands.add_parser(
-        "db", help="mutable similarity database (add, remove, compact, verify)"
+        "db", help="mutable similarity database (add, remove, verify)"
     )
     db_commands = db.add_subparsers(dest="db_command", required=True)
 
@@ -185,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dense",
         action="store_true",
         help="write the flat mmap-able snapshot container instead of .npz: "
-        "`load` maps the sketch codes zero-copy (not with --durable)",
+        "`load` maps its arrays instead of inflating them (not with --durable)",
     )
     db_init.add_argument(
         "--durable",
@@ -249,12 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     db_remove.add_argument("database", type=Path)
     db_remove.add_argument("ids", type=int, nargs="+")
     _add_obs_args(db_remove)
-
-    db_compact = db_commands.add_parser(
-        "compact", help="rebuild the sketch tier in place (a sharded layout: every shard's)"
-    )
-    db_compact.add_argument("database", type=Path)
-    _add_obs_args(db_compact)
 
     db_verify = db_commands.add_parser(
         "verify",
@@ -575,20 +569,14 @@ def cmd_db(args) -> int:
         db.cache.flush_stats()
         print(f"{len(db)} objects -> {args.database}")
         return 0
-    if args.db_command == "remove":
-        missing = [oid for oid in args.ids if not db.remove(oid)]
-        for oid in missing:
-            print(f"no object with id {oid}", file=sys.stderr)
-        db.save(args.database)
-        db.close()
-        print(f"{len(db)} objects -> {args.database}")
-        return 2 if missing else 0
-    # compact: rebuild the sketch tier in place; answers are unchanged.
-    db.compact()
+    # remove
+    missing = [oid for oid in args.ids if not db.remove(oid)]
+    for oid in missing:
+        print(f"no object with id {oid}", file=sys.stderr)
     db.save(args.database)
     db.close()
-    print(f"compacted {len(db)} objects -> {args.database}")
-    return 0
+    print(f"{len(db)} objects -> {args.database}")
+    return 2 if missing else 0
 
 
 def cmd_query(args) -> int:

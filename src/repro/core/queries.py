@@ -263,10 +263,17 @@ class FilterRefineEngine:
         already holds them (default: computed here, one
         :func:`extended_centroid` per set).  They are trusted, not
         re-derived.
+    codes:
+        An ``(n, words)`` uint64 column of per-object codes carried
+        row-aligned beside the sets — the packed sketches of
+        :mod:`repro.approx` — or ``None`` (default) for an engine
+        without one.  Like *centroids*, trusted; with a column, every
+        :meth:`add` and :meth:`replace` takes the object's code.
 
     **Mutation.**  :meth:`add`, :meth:`replace` and :meth:`remove` keep
-    the packed tensor, the squared norms, the centroid table and the oid
-    column current in place, in buffers that double when full;
+    the packed tensor, the squared norms, the centroid table, the code
+    column and the oid column current in place, in buffers that double
+    when full;
     ``remove`` moves the last row into the hole, so the live rows stay a
     dense prefix and nothing is ever compacted.  Rows are therefore in no
     particular order, and nothing observable depends on it: every answer
@@ -276,9 +283,9 @@ class FilterRefineEngine:
     **Locking.**  The engine takes no lock of its own.  The mutation
     methods need the caller's *exclusive* lock (no query in flight); a
     query needs at least a shared one for its whole duration.  Arrays the
-    engine hands out (:attr:`oids`, :attr:`centroids`) are views of the
-    live buffers, overwritten by the next mutation: none may outlive the
-    lock it was read under.
+    engine hands out (:attr:`oids`, :attr:`centroids`, :attr:`codes`) are
+    views of the live buffers, overwritten by the next mutation: none may
+    outlive the lock it was read under.
     """
 
     def __init__(
@@ -289,6 +296,7 @@ class FilterRefineEngine:
         block_size: int = DEFAULT_BLOCK_SIZE,
         oids: Sequence[int] | None = None,
         centroids: np.ndarray | None = None,
+        codes: np.ndarray | None = None,
     ):
         if capacity < 1:
             raise QueryError("capacity must be >= 1")
@@ -343,6 +351,11 @@ class FilterRefineEngine:
                     f"centroids have shape {self._centroid_buf.shape}, "
                     f"expected {(n, self.dimension)}"
                 )
+        self._code_buf = None
+        if codes is not None:
+            self._code_buf = np.array(codes, dtype=np.uint64)
+            if self._code_buf.ndim != 2 or len(self._code_buf) != n:
+                raise QueryError(f"codes have shape {self._code_buf.shape} for {n} sets")
 
     # -- contents ----------------------------------------------------------
 
@@ -358,6 +371,12 @@ class FilterRefineEngine:
     def centroids(self) -> np.ndarray:
         """Extended centroids, row-aligned with :attr:`oids` (a view)."""
         return self._centroid_buf[: self._n]
+
+    @property
+    def codes(self) -> np.ndarray | None:
+        """The code column, row-aligned with :attr:`oids` (a view), or
+        ``None`` for an engine without one."""
+        return None if self._code_buf is None else self._code_buf[: self._n]
 
     def __contains__(self, oid: int) -> bool:
         return oid in self._row_of
@@ -391,7 +410,8 @@ class FilterRefineEngine:
     def joined(cls, engines: Sequence["FilterRefineEngine"]) -> "FilterRefineEngine":
         """One engine holding the live rows of *engines* back to back, as
         they lie: row order is unobservable (see *Mutation*).  The
-        engines share capacity, ω and block size, and no object id."""
+        engines share capacity, ω, block size and whether they carry a
+        code column, and no object id."""
         first = engines[0]
         stores = [engine._packed for engine in engines]
         packed = PackedSets(
@@ -406,6 +426,9 @@ class FilterRefineEngine:
             block_size=first.block_size,
             oids=np.concatenate([engine.oids for engine in engines]),
             centroids=np.concatenate([engine.centroids for engine in engines]),
+            codes=None if first.codes is None else np.concatenate(
+                [engine.codes for engine in engines]
+            ),
         )
 
     def digest(self) -> str:
@@ -463,43 +486,58 @@ class FilterRefineEngine:
 
     def _buffers(self) -> tuple[np.ndarray, ...]:
         store = self._store
+        codes = () if self._code_buf is None else (self._code_buf,)
         return (
-            store.data, store.sizes, store.sq_norms, self._centroid_buf, self._oid_buf
+            store.data, store.sizes, store.sq_norms, self._centroid_buf, self._oid_buf,
+            *codes,
         )
 
-    def _checked(self, vectors, centroid) -> tuple[np.ndarray, np.ndarray]:
-        """Validated ``(set, centroid)`` of one mutation; every rejection
-        happens here, before a buffer is touched."""
+    def _checked(self, vectors, centroid, code) -> tuple[np.ndarray, ...]:
+        """Validated ``(set, centroid, code)`` of one mutation; every
+        rejection happens here, before a buffer is touched."""
         arr = _as_set(vectors, self.dimension, self.capacity, "set")
         if centroid is None:
             centroid = extended_centroid(arr, self.capacity, self.omega)
         elif np.shape(centroid) != (self.dimension,):
             raise QueryError(f"centroid has shape {np.shape(centroid)}")
-        return arr, centroid
+        if self._code_buf is None:
+            if code is not None:
+                raise QueryError("this engine carries no code column")
+        elif np.shape(code) != self._code_buf.shape[1:]:
+            raise QueryError(
+                f"code has shape {np.shape(code)}, expected {self._code_buf.shape[1:]}"
+            )
+        return arr, centroid, code
 
-    def _write(self, row: int, arr: np.ndarray, centroid: np.ndarray) -> None:
+    def _write(self, row: int, arr: np.ndarray, centroid: np.ndarray, code) -> None:
         self._store.write_row(row, arr)
         self._centroid_buf[row] = centroid
+        if code is not None:
+            self._code_buf[row] = code
 
     def add(
         self,
         oid: int,
         vectors: np.ndarray | VectorSet,
         centroid: np.ndarray | None = None,
+        code: np.ndarray | None = None,
     ) -> None:
         """Append one set under the new id *oid*; *centroid* is its
-        extended centroid when the caller already computed it."""
+        extended centroid when the caller already computed it, *code* its
+        row of the code column (required exactly when there is one)."""
         oid = int(oid)
         if oid in self._row_of:
             raise QueryError(f"object id {oid} already present")
-        arr, centroid = self._checked(vectors, centroid)
+        checked = self._checked(vectors, centroid, code)
         row = self._n
         if row == len(self._oid_buf):
-            data, sizes, sq_norms, self._centroid_buf, self._oid_buf = (
+            data, sizes, sq_norms, self._centroid_buf, self._oid_buf, *codes = (
                 _doubled(buf) for buf in self._buffers()
             )
             self._store = PackedSets(data, sizes, sq_norms, self.omega)
-        self._write(row, arr, centroid)
+            if codes:
+                self._code_buf = codes[0]
+        self._write(row, *checked)
         self._oid_buf[row] = oid
         self._row_of[oid] = row
         self._n = row + 1
@@ -510,9 +548,10 @@ class FilterRefineEngine:
         oid: int,
         vectors: np.ndarray | VectorSet,
         centroid: np.ndarray | None = None,
+        code: np.ndarray | None = None,
     ) -> None:
-        """Overwrite the set stored under *oid* in its row."""
-        self._write(self._row(oid), *self._checked(vectors, centroid))
+        """Overwrite the set (and code) stored under *oid* in its row."""
+        self._write(self._row(oid), *self._checked(vectors, centroid, code))
 
     def remove(self, oid: int) -> None:
         """Drop the set stored under *oid*: the last live row moves into

@@ -4,13 +4,13 @@ The paper's architecture (Section 4.3) is static: extract features for
 the whole collection, build an X-tree over the extended centroids, and
 serve filter/refine queries.  :class:`SimilarityDatabase` makes the
 same pipeline *mutable* — objects flow through extraction → feature
-cache → centroid computation → the refinement engine's rows and the
-sketch tier — without ever serving stale candidates and without a
-mutation paying for a rebuild of anything it did not touch:
+cache → centroid and sketch computation → the refinement engine's rows
+— without ever serving stale candidates and without a mutation paying
+for a rebuild of anything it did not touch:
 
 * **Mutations** (``add``/``add_grid``/``remove``/``update``) take the
   write side of a :class:`repro.concurrency.RWLock`, bump a version
-  counter, and record the object in the engine and the sketch tier.
+  counter, and record the object in the engine's rows.
   An object may carry a payload of string identity
   fields (:func:`~repro.db.storage.check_payload`), kept beside it
   until it is removed.
@@ -19,9 +19,9 @@ mutation paying for a rebuild of anything it did not touch:
   each query observes exactly one database version
   (:meth:`read_view` exposes that version for consistency testing) and
   writes no database state — not even a cache.
-* **The refinement engine is the object store.**  Every set and its
-  extended centroid live once, in the row buffers of one
-  :class:`~repro.core.queries.FilterRefineEngine`: the first ``add``
+* **The refinement engine is the object store.**  Every set, its
+  extended centroid and its sketch code live once, in the row buffers
+  of one :class:`~repro.core.queries.FilterRefineEngine`: the first ``add``
   creates it (under the write lock), ``load`` packs it with one ragged
   scatter (before the database is shared), and from then on every
   ``add`` / ``update`` / ``remove`` writes its one row under the write
@@ -36,12 +36,17 @@ mutation paying for a rebuild of anything it did not touch:
   index of its own to maintain, and nothing is ever packed, in memory
   or on disk.
   :meth:`SimilarityDatabase.engine_digest`,
-  :meth:`SimilarityDatabase.index_digest` and
+  :meth:`SimilarityDatabase.index_digest`,
+  :meth:`SimilarityDatabase.sketch_digest` and
   :meth:`SimilarityDatabase.check_invariants` prove the maintained
   state equal to a from-scratch build.
+* **The sketch tier is the engine's code column.**  An approximate
+  query Hamming-ranks the engine's codes through a
+  :class:`~repro.approx.hamming.HammingIndex` view built for that
+  query, so the tier has no store, no upkeep and no rebuild of its own.
 * **Persistence** (``save``/``checkpoint``/``load``) is
   :mod:`repro.db.storage`, called with the lock already held: a
-  snapshot file holds the object store, the sketch tier and the
+  snapshot file holds the object store (sketch codes included) and the
   payloads, so a restarted process answers its first query with zero
   rebuild work.  With ``durable=True`` every mutation is appended to the
   write-ahead log of :mod:`repro.wal` *before* it is applied (under the
@@ -69,7 +74,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.approx import ApproxFilterRefineEngine, HammingIndex, SetSketcher
+from repro.approx import ApproxFilterRefineEngine, SetSketcher
 from repro.concurrency import RWLock
 from repro.core.centroid import extended_centroid
 from repro.core.queries import (
@@ -82,8 +87,7 @@ from repro.core.vector_set import VectorSet
 from repro.db import storage
 from repro.db.storage import DEFAULT_KEEP_GENERATIONS, check_payload
 from repro.exceptions import InvariantError, QueryError, StorageError
-from repro.obs import querylog, registry, span
-from repro.testing.faults import crash_point
+from repro.obs import querylog, registry
 
 
 class DatabaseView:
@@ -226,10 +230,9 @@ class SimilarityDatabase:
         :class:`~repro.exceptions.LockTimeout` after this many seconds
         instead of blocking forever.
     sketch / sketch_params:
-        ``sketch=True`` (default) maintains the approximate candidate
-        tier of :mod:`repro.approx` alongside the index: every
-        object gets a packed binary sketch in an incrementally
-        maintained :class:`~repro.approx.hamming.HammingIndex`, and
+        ``sketch=True`` (default) keeps the approximate candidate tier
+        of :mod:`repro.approx`: every object's packed binary sketch is
+        a row of the engine's code column, and
         ``knn_query(..., mode="approx", shortlist=m)`` answers from an
         exact refine over the Hamming shortlist.  *sketch_params*
         overrides :class:`~repro.approx.sketch.SetSketcher` parameters
@@ -284,7 +287,6 @@ class SimilarityDatabase:
         if not self.sketch_enabled and sketch_params:
             raise QueryError("sketch_params is only meaningful with sketch=True")
         self._sketcher: SetSketcher | None = None
-        self._hamming: HammingIndex | None = None
         self._snapshot_dense = False
         # -- durability state ---------------------------------------------
         self.durable = bool(durable)
@@ -369,7 +371,8 @@ class SimilarityDatabase:
             return hasher.hexdigest()
 
     def sketch_digest(self) -> str:
-        """SHA-256 over the sketch tier's ``(oids, codes)`` rows.
+        """SHA-256 over the stored oids, then their sketch codes, in
+        ascending oid.
 
         ``"disabled"`` when sketching is off, ``"empty"`` before the
         first add.  The differential harness compares this against a
@@ -378,9 +381,15 @@ class SimilarityDatabase:
         with self._lock.read(timeout=self.lock_timeout):
             if not self.sketch_enabled:
                 return "disabled"
-            if self._hamming is None:
+            if self._sketcher is None:
                 return "empty"
-            return self._hamming.digest()
+            hasher = hashlib.sha256()
+            engine = self._engine
+            if engine is not None:
+                order = np.argsort(engine.oids)
+                hasher.update(engine.oids[order].tobytes())
+                hasher.update(engine.codes[order].tobytes())
+            return hasher.hexdigest()
 
     def engine_digest(self) -> str:
         """:meth:`FilterRefineEngine.digest` of the live refinement engine.
@@ -400,12 +409,11 @@ class SimilarityDatabase:
         The engine's own buffers must agree with each other
         (:meth:`FilterRefineEngine.check_invariants`: the stored
         centroids are bit for bit the extended centroids of the stored
-        sets, padded tails hold omega, squared norms are current); the
-        sketch tier must hold exactly the stored object ids, every
-        sketch code the sketch of its stored set, bit for bit, and the
-        engine must digest like a fresh packing of its unpadded rows.
-        Every payload must belong to a stored object.  (The index is
-        the engine's own centroid column.)  Raises
+        sets, padded tails hold omega, squared norms are current); every
+        sketch code must be the sketch of the set in its row, bit for
+        bit, and the engine must digest like a fresh packing of its
+        unpadded rows.  Every payload must belong to a stored object.
+        (The index is the engine's own centroid column.)  Raises
         :class:`~repro.exceptions.InvariantError` naming the first
         disagreement.
         """
@@ -413,31 +421,27 @@ class SimilarityDatabase:
             self._check_invariants_locked()
 
     def _check_invariants_locked(self) -> None:
-        engine = self._engine
-        oids, sets = self._oids(), []
+        engine, oids = self._engine, self._oids()
         if engine is not None:
             engine.check_invariants()
-            _, offsets, rows, _ = engine.ragged()
-            sets = np.split(rows, offsets[1:-1])
         stray = self._payloads.keys() - set(oids.tolist())
         if stray:
             raise InvariantError(
                 f"payload of object {min(stray)} names no stored object"
             )
-        if self._hamming is not None:
-            if not np.array_equal(self._hamming.oids, oids):
-                raise InvariantError(
-                    "sketch tier and object store hold different ids"
-                )
-            # Both columns ascend, so code row i belongs to set i.
-            for oid, code, arr in zip(oids.tolist(), self._hamming.codes, sets):
+        if engine is None:
+            return
+        _, offsets, rows, _ = engine.ragged()
+        sets = np.split(rows, offsets[1:-1])
+        if self._sketcher is not None:
+            # ragged() lists the sets in this ascending-oid order.
+            codes = engine.codes[np.argsort(engine.oids)]
+            for oid, code, arr in zip(oids.tolist(), codes, sets):
                 if not np.array_equal(code, self._sketcher.sketch(arr)):
                     raise InvariantError(
                         f"sketch code of object {oid} is not the sketch of "
                         "its stored set"
                     )
-        if engine is None:
-            return
         fresh = FilterRefineEngine(
             sets, capacity=self.capacity, omega=self.omega, oids=oids
         )
@@ -509,13 +513,13 @@ class SimilarityDatabase:
         self._ensure_sketcher()
 
     def _ensure_sketcher(self) -> None:
-        """Materialize the sketch tier once the dimension is known."""
-        if not self.sketch_enabled or self.dimension is None:
-            return
-        if self._sketcher is None:
+        """Materialize the sketcher once the dimension is known."""
+        if self.sketch_enabled and self.dimension is not None and self._sketcher is None:
             self._sketcher = SetSketcher(self.dimension, **self._sketch_params)
-        if self._hamming is None:
-            self._hamming = HammingIndex(self._sketcher.words)
+
+    def _code(self, arr: np.ndarray) -> np.ndarray | None:
+        """The sketch code of *arr*, ``None`` without a sketch tier."""
+        return None if self._sketcher is None else self._sketcher.sketch(arr)
 
     # -- the write-ahead log -------------------------------------------------
 
@@ -555,11 +559,10 @@ class SimilarityDatabase:
                 raise QueryError(f"object id {oid} already present")
             self._ensure_dimension(arr)
             centroid = extended_centroid(arr, self.capacity, self.omega)
+            code = self._code(arr)
             self._wal_log(op, oid=oid, array=arr, payload=payload)
             if payload is not None:
                 self._payloads[oid] = payload
-            if self._hamming is not None:
-                self._hamming.add(oid, self._sketcher.sketch(arr))
             if self._engine is None:
                 # Created under the write lock: no reader can see it half built.
                 self._engine = FilterRefineEngine(
@@ -569,9 +572,10 @@ class SimilarityDatabase:
                     block_size=self.block_size,
                     oids=[oid],
                     centroids=centroid[None, :],
+                    codes=None if code is None else code[None, :],
                 )
             else:
-                self._engine.add(oid, arr, centroid)
+                self._engine.add(oid, arr, centroid, code)
             self._bump("add")
 
     def add_grid(self, oid: int, grid, payload: dict | None = None) -> np.ndarray:
@@ -603,8 +607,6 @@ class SimilarityDatabase:
                 return False
             self._wal_log("remove", oid=oid)
             self._payloads.pop(oid, None)
-            if self._hamming is not None:
-                self._hamming.remove(oid)
             if len(self._engine) == 1:
                 self._engine = None  # an engine is never empty
             else:
@@ -622,41 +624,10 @@ class SimilarityDatabase:
             if oid not in self:
                 raise QueryError(f"no object with id {oid}")
             centroid = extended_centroid(arr, self.capacity, self.omega)
+            code = self._code(arr)
             self._wal_log("update", oid=oid, array=arr)
-            if self._hamming is not None:
-                self._hamming.update(oid, self._sketcher.sketch(arr))
-            self._engine.replace(oid, arr, centroid)
+            self._engine.replace(oid, arr, centroid, code)
             self._bump("update")
-
-    def compact(self) -> None:
-        """Rebuild the sketch tier from the stored sets.
-
-        Results are guaranteed unchanged, and the rebuilt tier must be
-        byte-identical to the incrementally maintained one (the
-        differential harness compares digests).
-        """
-        self._check_open()
-        with self._lock.write(timeout=self.lock_timeout):
-            if self.dimension is None:
-                return
-            self._wal_log("compact")
-            crash_point("mid-compaction")
-            self._compact_locked()
-            self._bump("compact")
-
-    def _compact_locked(self) -> None:
-        with span("db.compact", objects=len(self), force=True):
-            if self._sketcher is not None:
-                self._hamming = self._sketched()
-
-    def _sketched(self) -> HammingIndex:
-        """A sketch tier built from the stored sets, ascending oid."""
-        hamming = HammingIndex(self._sketcher.words)
-        if self._engine is not None:
-            oids, offsets, rows, _ = self._engine.ragged()
-            for oid, arr in zip(oids.tolist(), np.split(rows, offsets[1:-1])):
-                hamming.add(oid, self._sketcher.sketch(arr))
-        return hamming
 
     def _bump(self, op: str) -> None:
         self._version += 1
@@ -693,12 +664,12 @@ class SimilarityDatabase:
     def _approx_knn_locked(self, arr, n_neighbors: int, shortlist: int | None):
         if self._engine is None:
             return self._empty_result()
-        if self._hamming is None:
+        if self._sketcher is None:
             raise QueryError(
                 "approx queries need the sketch tier; this database was "
                 "built with sketch=False"
             )
-        engine = ApproxFilterRefineEngine(self._engine, self._sketcher, self._hamming)
+        engine = ApproxFilterRefineEngine(self._engine, self._sketcher)
         with self._query_context("approx"):
             return engine.knn_query(arr, n_neighbors, shortlist=shortlist)
 
@@ -770,8 +741,9 @@ class SimilarityDatabase:
         a plain archive export instead).
 
         ``dense=True`` writes the flat mmap-able container of
-        :mod:`repro.index.dense` instead of an ``.npz`` archive, so
-        :meth:`load` maps the sketch codes zero-copy.
+        :mod:`repro.index.dense` instead of an ``.npz`` archive, whose
+        arrays :meth:`load` maps instead of inflating (the engine packs
+        its own copy of them).
         Default: whatever format this database was loaded from (``.npz``
         for a fresh database).  Durable checkpoints always use ``.npz``.
         """

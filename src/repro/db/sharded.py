@@ -2,25 +2,25 @@
 
 Horizontal partitioning of :class:`repro.db.core.SimilarityDatabase`.
 Objects are partitioned across K *shards* — each a complete
-``SimilarityDatabase`` with its own RWLock, object store, sketch tier,
-and (when durable) WAL + snapshot generations — by a stable hash of the
-object id (:func:`shard_of`).  Mutations route to exactly one shard.
+``SimilarityDatabase`` with its own RWLock, object store (sketch codes
+included) and (when durable) WAL + snapshot generations — by a stable
+hash of the object id (:func:`shard_of`).  Mutations route to exactly
+one shard.
 
 Queries see one database.  The paper's k-nn is one optimal multi-step
 search: one candidate stream and one pruning radius over the whole
 collection.  A query therefore pins every shard's read lock and joins
 the shards into one non-durable database
-(:func:`repro.db.storage.as_one`): the engines' row buffers
-concatenated as they lie (row order is unobservable: every ranking
-breaks distance ties by ascending oid), the sketch tiers' codes merged
-in ascending oid.  The plain query path answers over it, so a sharded
-database returns the answers *and* the ``QueryStats`` of one
-``SimilarityDatabase`` holding the same objects, in exact and approx
-mode, for k-nn, range and batch queries (the differential machine in
-``tests/test_sharded_differential.py`` holds this equality through
-arbitrary mutation/reshard sequences).  The join is rebuilt per call
-(a serial batch pays it once) and never cached, because a read lock
-writes no state.
+(:func:`repro.db.storage.as_one`): the engines' row buffers, sketch
+codes included, concatenated as they lie (row order is unobservable:
+every ranking breaks distance ties by ascending oid).  The plain query
+path answers over it, so a sharded database returns the answers *and*
+the ``QueryStats`` of one ``SimilarityDatabase`` holding the same
+objects, in exact and approx mode, for k-nn, range and batch queries
+(the differential machine in ``tests/test_sharded_differential.py``
+holds this equality through arbitrary mutation/reshard sequences).
+The join is rebuilt per call (a serial batch pays it once) and never
+cached, because a read lock writes no state.
 
 Observability: a query logs the plain database's one wide event
 (``knn``, ``range`` or ``approx_knn``), stamped with ``shards`` (and
@@ -320,19 +320,6 @@ class ShardedSimilarityDatabase:
 
     def update(self, oid: int, vectors) -> None:
         self._shard_for(oid).update(oid, vectors)
-
-    def compact(self, *, shards: int | None = None) -> None:
-        """Rebuild every shard's sketch tier; ``shards=K'`` rebalances
-        first.
-
-        Compaction is the natural rebalance point: the sketch tiers are
-        being rebuilt anyway, so redistributing to a new shard count
-        costs one extra pass over the objects.
-        """
-        if shards is not None and _at_least("shards", shards, 1) != self.n_shards:
-            self.reshard(shards)
-        for shard in self.shards:
-            shard.compact()
 
     def _fresh_shard(self) -> SimilarityDatabase:
         """An empty in-memory shard configured like the live ones.

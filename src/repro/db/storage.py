@@ -8,9 +8,9 @@ open, recover and verify.  :func:`layout_of` decides what a path holds:
 
 * a *snapshot file*: one CRC-checked archive, ``.npz`` or dense
   (:func:`snapshot_state`: the settings record in the meta block, the
-  engine's rows, the sketch tier and — only when an object carries one —
-  the payloads as arrays; no index, since every query ranks the engine's
-  centroid column);
+  engine's rows, its sketch codes with the sketcher's projection and —
+  only when an object carries one — the payloads as arrays; no index,
+  since every query ranks the engine's centroid column);
 * a *durable directory* (:class:`repro.wal.DurableLayout`): opening one
   runs the recovery ladder (:func:`recover`);
 * a *sharded directory*: the ``sharded.json`` manifest beside one plain
@@ -51,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.approx import HammingIndex, SetSketcher
+from repro.approx import SetSketcher
 from repro.core.batch import PackedSets
 from repro.core.queries import FilterRefineEngine
 from repro.exceptions import DistanceError, QueryError, ReproError, StorageError
@@ -63,8 +63,10 @@ from repro.wal import (
     CONFIG_NAME,
     DurableLayout,
     WriteAheadLog,
+    fsync_dir,
     scan_segment,
     verify_segment,
+    write_synced,
 )
 
 DB_FORMAT = "repro-similarity-db"
@@ -192,7 +194,9 @@ def settings(db) -> dict:
 
 
 def write_manifest(db, root: Path) -> None:
-    """Atomically write the ``sharded.json`` of the sharded *db* at *root*."""
+    """Atomically and durably write the ``sharded.json`` of the sharded
+    *db* at *root*: the file is synced before the rename, the directory
+    after it."""
     payload = {
         "format": SHARDED_FORMAT,
         "version": SHARDED_VERSION,
@@ -203,8 +207,9 @@ def write_manifest(db, root: Path) -> None:
         "resolution": getattr(db.pipeline, "resolution", None),
     }
     tmp = root / (MANIFEST_NAME + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2) + "\n")
-    tmp.replace(root / MANIFEST_NAME)
+    write_synced(tmp, json.dumps(payload, indent=2) + "\n")
+    os.replace(tmp, root / MANIFEST_NAME)
+    fsync_dir(root)
 
 
 def _checked(path, record, what: str, **expected) -> dict:
@@ -282,7 +287,7 @@ def read_manifest(root) -> dict:
 def snapshot_state(db) -> tuple[dict, dict[str, np.ndarray]]:
     """The (meta, arrays) archive form of *db* (caller holds either lock
     side): the settings record, the object store's columns, the sketch
-    tier and the payloads."""
+    codes and the payloads."""
     engine = db._engine
     if engine is None:
         no_rows = np.empty((0, db.dimension or 0))
@@ -296,12 +301,17 @@ def snapshot_state(db) -> tuple[dict, dict[str, np.ndarray]]:
         # by its digest, so sketches stay bit-reproducible in every
         # process that loads this snapshot.
         sketch_meta = {**db._sketcher.params(), "digest": db._sketcher.digest()}
-        hamming = db._hamming.serialized()
         arrays["sketch__proj"] = np.ascontiguousarray(
             db._sketcher.projection, dtype=np.float64
         )
-        arrays["sketch__oids"] = hamming["oids"]
-        arrays["sketch__codes"] = hamming["codes"]
+        # The codes in ragged()'s ascending-oid order, under the oids
+        # again: the layout the archive has always had.
+        arrays["sketch__oids"] = stored[0]
+        arrays["sketch__codes"] = (
+            np.zeros((0, db._sketcher.words), dtype=np.uint64)
+            if engine is None
+            else engine.codes[np.argsort(engine.oids)]
+        )
     if db._payloads:
         # Written only when there is one: a payload-free snapshot is the
         # archive it was before payloads existed.
@@ -423,9 +433,10 @@ def _set_columns(path, arrays: dict) -> tuple[np.ndarray, ...]:
     return oids, offsets, rows, centroids
 
 
-def _fill_engine(path, db, oids, sizes, rows, centroids) -> None:
+def _fill_engine(path, db, oids, sizes, rows, centroids, codes) -> None:
     """Pack the sets stored back to back in *rows* (``sizes[i]`` rows
-    for ``oids[i]``) into the empty *db*'s engine by one ragged scatter."""
+    for ``oids[i]``) into the empty *db*'s engine by one ragged scatter,
+    *codes* (or ``None``) its code column."""
     if not len(oids):
         return
     try:
@@ -435,6 +446,7 @@ def _fill_engine(path, db, oids, sizes, rows, centroids) -> None:
             block_size=db.block_size,
             oids=oids,
             centroids=centroids,
+            codes=codes,
         )
     except (DistanceError, QueryError) as exc:
         raise _malformed(path, f"{' / '.join(_SET_ARRAYS)}: {exc}") from exc
@@ -446,22 +458,28 @@ def _from_archive(path, meta: dict, arrays: dict, *, tiers: bool = True, **optio
     A CRC-valid payload can still be inconsistent; it is validated here,
     once, and every fault is a :class:`StorageError` naming the file and
     the meta key or arrays.  The sets are packed into the engine by one
-    ragged scatter.  The ``index__*`` members of an older layout are not
-    read: the engine's centroid rows are what every database ranks.
+    ragged scatter, their sketch codes (:func:`_sketch_codes`) copied in
+    as its code column.  The ``index__*`` members of an older layout are
+    not read: the engine's centroid rows are what every database ranks.
     ``tiers=False`` leaves the sketch tier and the payloads unread.
     """
     _snapshot_meta(path, meta)
     db = _empty_database(path, "snapshot", meta, sketch_key="sketch_enabled", **options)
     _set_dimension(path, db, meta["dimension"])
     oids, offsets, rows, centroids = _set_columns(path, arrays)
-    _fill_engine(path, db, oids, np.diff(offsets), rows, centroids)
+    codes = fault = None
+    if tiers:
+        try:
+            codes = _sketch_codes(db, meta, arrays, oids, offsets, rows)
+        except (KeyError, TypeError, ValueError, QueryError) as exc:
+            fault = exc
+    # A fault of the object store's own arrays is the one to name.
+    _fill_engine(path, db, oids, np.diff(offsets), rows, centroids, codes)
+    if fault is not None:
+        raise _malformed(path, f"sketch tier: {fault}") from fault
     db._version = meta["db_version"]
     if not tiers:
         return db
-    try:
-        _restore_sketches(db, meta, arrays)
-    except (KeyError, TypeError, ValueError, QueryError) as exc:
-        raise _malformed(path, f"sketch tier: {exc}") from exc
     if "payloads" in arrays:
         try:
             db._payloads = _decode_payloads(arrays["payloads"], db._oids())
@@ -470,37 +488,43 @@ def _from_archive(path, meta: dict, arrays: dict, *, tiers: bool = True, **optio
     return db
 
 
-def _restore_sketches(db, meta: dict, arrays: dict) -> None:
-    """Rehydrate the sketch tier from snapshot arrays.
+def _sketch_codes(db, meta: dict, arrays: dict, oids, offsets, rows):
+    """The empty *db*'s sketcher, set from the snapshot, and the code
+    column for the sets it stores (``set_oids`` *oids*); ``None`` when
+    sketching is off.
 
-    Snapshots written before the approx tier existed carry no
-    ``sketch__*`` arrays; sketching is then rebuilt from the stored sets
-    (same seed → same bits, so the rebuilt tier is identical to what the
-    writing process *would* have persisted).  The code matrix stays a
-    view of the caller's buffer (read-only for an mmapped file): every
-    Hamming mutation path reallocates, so it is never written.
+    The snapshot's ``sketch__codes`` must hold one uint64 code of the
+    sketcher's width per stored set, listed under ``sketch__oids`` equal
+    to ``set_oids``.  Snapshots written before the approx tier existed
+    carry no ``sketch__*`` arrays; the codes are then sketched from the
+    stored sets (same seed → same bits, so they are what the writing
+    process *would* have persisted).
     """
     if not db.sketch_enabled:
-        return
+        return None
     sketch_meta = meta.get("sketch_meta")
     if sketch_meta is not None and "sketch__codes" in arrays:
         db._sketcher = SetSketcher.from_snapshot(
             sketch_meta, np.ascontiguousarray(arrays["sketch__proj"])
         )
-        db._hamming = HammingIndex.from_arrays(
-            np.asarray(arrays["sketch__oids"], dtype=np.int64),
-            arrays["sketch__codes"].view(np.ndarray),
-        )
-        if not np.array_equal(db._hamming.oids, db._oids()):
-            raise StorageError("snapshot sketch tier does not cover the stored objects")
-    elif db.dimension is not None:
-        db._ensure_sketcher()
-        db._hamming = db._sketched()
+        codes, want = arrays["sketch__codes"], (len(oids), db._sketcher.words)
+        if codes.dtype != np.uint64 or codes.shape != want:
+            raise ValueError(
+                f"'sketch__codes' holds {codes.dtype} {codes.shape}, not uint64 {want}"
+            )
+        if not np.array_equal(arrays["sketch__oids"], oids):
+            raise ValueError("'sketch__oids' are not 'set_oids'")
+        return codes
+    db._ensure_sketcher()
+    if db._sketcher is None or not len(oids):
+        return None
+    sets = np.split(rows, offsets[1:-1])
+    return np.stack([db._sketcher.sketch(arr) for arr in sets])
 
 
 def open_snapshot(path, *, dense: bool, **options):
-    """Open one snapshot file with zero rebuild work; a dense one maps
-    its sketch codes zero-copy."""
+    """Open one snapshot file with zero rebuild work; a dense one is
+    mapped, and the engine packs its own copy of the arrays."""
     with span("db.snapshot.load", force=True) as sp:
         read = read_dense_archive if dense else read_archive
         db = _from_archive(path, *read(path, DB_FORMAT), **options)
@@ -600,9 +624,10 @@ def _apply_replay(db, record: dict) -> None:
     if op == "checkpoint":
         return
     if op == "compact":
-        if db.dimension is not None:  # the database under recovery is unshared
-            db._compact_locked()
-            db._bump("compact")
+        # Logged by a release that had compact(), which changed nothing
+        # but the version; the database under recovery is unshared.
+        if db.dimension is not None:
+            db._version += 1
         return
     oid = int(record["oid"])
     if op == "remove":
@@ -901,13 +926,12 @@ def as_one(shards):
     by the caller or nobody else's yet — as one non-durable database
     that answers like one holding all their objects.
 
-    The engines' live rows are concatenated as they lie
-    (:meth:`FilterRefineEngine.joined`), since no answer depends on row
-    order.  Where a shard has a sketcher, the sketch tiers' codes are
-    merged in ascending oid under it, so the Hamming shortlist is the
-    one database's.  The version is the sum of the shards'; there are
-    no payloads.  Built per call and never cached: a query holds read
-    locks, and a read lock writes no state.
+    The engines' live rows — sketch codes included — are concatenated
+    as they lie (:meth:`FilterRefineEngine.joined`), since no answer
+    depends on row order; the sketcher is the donor's.  The version is
+    the sum of the shards'; there are no payloads.  Built per call and
+    never cached: a query holds read locks, and a read lock writes no
+    state.
     """
     from repro.db.core import SimilarityDatabase  # core imports this module
 
@@ -923,13 +947,7 @@ def as_one(shards):
         if engines:
             db._engine = FilterRefineEngine.joined(engines)
             db.dimension, db.omega = db._engine.dimension, db._engine.omega
-        if first._sketcher is not None:
-            tiers = [shard._hamming for shard in shards if shard._hamming is not None]
-            oids = np.concatenate([tier.oids for tier in tiers])
-            order = np.argsort(oids)
-            codes = np.concatenate([tier.codes for tier in tiers])[order]
-            db._sketcher = first._sketcher
-            db._hamming = HammingIndex.from_arrays(oids[order], codes)
+        db._sketcher = first._sketcher
     return db
 
 

@@ -48,7 +48,6 @@ from repro.obs.tracectx import (
     current_trace_id,
     new_trace_id,
     set_trace_context,
-    trace_context,
 )
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "reset_stack",
     "set_trace_context",
     "span",
-    "trace_context",
 ]
 
 

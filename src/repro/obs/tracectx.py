@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
 
 __all__ = [
     "clear_trace_context",
@@ -30,7 +29,6 @@ __all__ = [
     "propagated_parent",
     "propagation",
     "set_trace_context",
-    "trace_context",
 ]
 
 _trace_id: str | None = None
@@ -74,18 +72,3 @@ def propagation() -> tuple[str | None, str | None]:
     stack = spans._stack()
     parent = stack[-1].span_id if stack else _parent_span_id
     return _trace_id, parent
-
-
-@contextmanager
-def trace_context(trace_id: str | None = None, parent_span_id: str | None = None):
-    """Install a trace context for the duration of the block.
-
-    ``trace_id=None`` mints a fresh id.  Restores the previous context
-    on exit, so nested batches (or tests) never leak state.
-    """
-    previous = (_trace_id, _parent_span_id)
-    set_trace_context(trace_id or new_trace_id(), parent_span_id)
-    try:
-        yield _trace_id
-    finally:
-        set_trace_context(*previous)

@@ -203,7 +203,7 @@ def savez_faults(schedule: FaultSchedule, partial: bytes = PARTIAL_WRITE):
 # -- crash-point injection -----------------------------------------------------
 #
 # Named seams in the durability code path (WAL append, snapshot write,
-# checkpoint publication, compaction) call :func:`crash_point`.  In
+# checkpoint publication) call :func:`crash_point`.  In
 # production the call is a single dict lookup and returns immediately.
 # Two trigger mechanisms exist:
 #
@@ -226,7 +226,6 @@ CRASH_POINTS = (
     "after-wal-append",
     "mid-snapshot-write",
     "mid-checkpoint-swap",
-    "mid-compaction",
     "between-shard-checkpoints",
 )
 

@@ -8,7 +8,6 @@ from interior voxels exactly as Section 3.3 requires.
 
 from repro.voxel.grid import VoxelGrid
 from repro.voxel.morphology import (
-    dilate,
     erode,
     flood_fill_outside,
     sphere_kernel,
@@ -30,7 +29,6 @@ __all__ = [
     "sphere_kernel",
     "flood_fill_outside",
     "surface_mask",
-    "dilate",
     "erode",
     "symmetric_volume_difference",
     "intersection_over_union",

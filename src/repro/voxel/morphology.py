@@ -45,19 +45,9 @@ def _shifted(arr: np.ndarray, offset: tuple[int, int, int]) -> np.ndarray:
     return result
 
 
-def dilate(occupancy: np.ndarray, iterations: int = 1) -> np.ndarray:
-    """6-connected binary dilation."""
-    arr = _require_3d(occupancy)
-    for _ in range(iterations):
-        grown = arr.copy()
-        for offset in FACE_NEIGHBORS:
-            grown |= _shifted(arr, offset)
-        arr = grown
-    return arr
-
-
 def erode(occupancy: np.ndarray, iterations: int = 1) -> np.ndarray:
-    """6-connected binary erosion (complement of dilating the complement)."""
+    """6-connected binary erosion: a voxel survives when it and its six
+    face neighbours are occupied."""
     arr = _require_3d(occupancy)
     for _ in range(iterations):
         shrunk = arr.copy()
@@ -128,32 +118,3 @@ def sphere_kernel(radius: int) -> np.ndarray:
     coords = np.arange(side) - radius
     xs, ys, zs = np.meshgrid(coords, coords, coords, indexing="ij")
     return xs**2 + ys**2 + zs**2 <= radius**2
-
-
-def connected_components(occupancy: np.ndarray) -> np.ndarray:
-    """Label 6-connected components of occupied voxels.
-
-    Returns an integer array where 0 is empty space and components are
-    numbered from 1.  Small and simple BFS labelling — adequate for the
-    grid resolutions used in the paper (r <= 30).
-    """
-    arr = _require_3d(occupancy)
-    labels = np.zeros(arr.shape, dtype=int)
-    next_label = 0
-    remaining = arr.copy()
-    while remaining.any():
-        next_label += 1
-        seed_index = np.transpose(np.nonzero(remaining))[0]
-        component = np.zeros_like(arr)
-        component[tuple(seed_index)] = True
-        while True:
-            grown = component.copy()
-            for offset in FACE_NEIGHBORS:
-                grown |= _shifted(component, offset)
-            grown &= arr
-            if np.array_equal(grown, component):
-                break
-            component = grown
-        labels[component] = next_label
-        remaining &= ~component
-    return labels

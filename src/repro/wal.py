@@ -69,7 +69,9 @@ _HEADER_LEN = struct.Struct("<I")
 
 #: Mutation operations a segment may carry.  ``checkpoint`` is a
 #: control record sealing a segment; everything else replays as a state
-#: change.
+#: change.  Nothing logs ``compact`` any more; a segment written while
+#: databases had ``compact()`` still reads, and its record replays as a
+#: version bump.
 RECORD_OPS = ("add", "add_grid", "remove", "update", "compact", "checkpoint")
 
 
@@ -95,7 +97,16 @@ def _parse_fsync(policy) -> int:
     return interval
 
 
-def _fsync_dir(path: Path) -> None:
+def write_synced(path: Path, text: str) -> None:
+    """Write *text* to *path* and fsync it: the temp-file half of an
+    atomic replace, whose rename must never publish unflushed bytes."""
+    with open(path, "w") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+def fsync_dir(path: Path) -> None:
     """Flush directory metadata so a rename/create survives power loss."""
     try:
         fd = os.open(path, os.O_RDONLY)
@@ -188,7 +199,7 @@ class WriteAheadLog:
                 handle.write(header)
                 handle.flush()
                 os.fsync(handle.fileno())
-            _fsync_dir(self.path.parent)
+            fsync_dir(self.path.parent)
             self._file = open(self.path, "r+b")
             self._file.seek(0, io.SEEK_END)
         else:
@@ -373,9 +384,9 @@ class DurableLayout:
         payload["version"] = CONFIG_VERSION
         self.root.mkdir(parents=True, exist_ok=True)
         tmp = self.config_path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_synced(tmp, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         os.replace(tmp, self.config_path)
-        _fsync_dir(self.root)
+        fsync_dir(self.root)
 
     def read_config(self) -> dict:
         try:
@@ -414,12 +425,9 @@ class DurableLayout:
     def publish(self, generation: int) -> None:
         """Atomically repoint ``CURRENT`` (tmp + fsync + rename + dir fsync)."""
         tmp = self.current_path.with_suffix(f".{os.getpid()}.tmp")
-        with open(tmp, "w") as handle:
-            handle.write(f"{generation}\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        write_synced(tmp, f"{generation}\n")
         os.replace(tmp, self.current_path)
-        _fsync_dir(self.root)
+        fsync_dir(self.root)
 
     # -- housekeeping ------------------------------------------------------
 
@@ -462,6 +470,6 @@ class DurableLayout:
                 path.unlink(missing_ok=True)
                 removed.append(path)
         if removed:
-            _fsync_dir(self.root)
+            fsync_dir(self.root)
             registry().counter("wal.segments_retired").inc(len(removed))
         return removed

@@ -47,6 +47,37 @@ def rng():
 
 
 @pytest.fixture
+def sync_events(monkeypatch):
+    """Every ``os.fsync`` and ``os.replace`` from here on, in call order,
+    as ``("fsync", inode)`` of the file or directory synced and
+    ``("replace", inode)`` of the file renamed (which keeps its inode
+    under the new name)."""
+    events: list[tuple[str, int]] = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        return real_fsync(fd)
+
+    def replace(src, dst, **kwargs):
+        events.append(("replace", os.stat(src).st_ino))
+        return real_replace(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return events
+
+
+def assert_synced_replace(events, path) -> None:
+    """*events* (:func:`sync_events`) renamed a file onto *path* after
+    syncing it, then synced the directory holding it."""
+    path = Path(path)
+    renamed = events.index(("replace", os.stat(path).st_ino))
+    assert ("fsync", os.stat(path).st_ino) in events[:renamed], events
+    assert ("fsync", os.stat(path.parent).st_ino) in events[renamed + 1 :], events
+
+
+@pytest.fixture
 def lshape_grid():
     """A small asymmetric L-shaped solid on a 12^3 grid — handy because
     it has no nontrivial symmetry and needs two covers exactly."""
@@ -186,8 +217,7 @@ def assert_engine_is_fresh(db):
 
 def freshly_packed(db):
     """A database holding *db*'s objects, built from scratch in ascending
-    oid and compacted — the reference a maintained database must answer
-    like."""
+    oid — the reference a maintained database must answer like."""
     from repro.db import SimilarityDatabase
 
     fresh = SimilarityDatabase(
@@ -195,7 +225,6 @@ def freshly_packed(db):
     )
     for oid in db.object_ids():
         fresh.add(oid, db.get(oid))
-    fresh.compact()
     return fresh
 
 

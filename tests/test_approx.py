@@ -1,4 +1,4 @@
-"""The approximate candidate tier: sketches, Hamming index, engine.
+"""The approximate candidate tier: sketches, Hamming ranking, engine.
 
 Four layers of assurance:
 
@@ -7,19 +7,21 @@ Four layers of assurance:
   distance is a metric on packed codes, and a full-database shortlist
   contains the exact top-k by construction;
 * a stateful differential machine interleaving add/remove/update/
-  compact on :class:`SimilarityDatabase` and proving after every step
-  that the incrementally-maintained sketch tier is *byte-identical* to
-  a from-scratch rebuild, and that approx queries with a full budget
-  reproduce the exact tier literally;
+  reload on :class:`SimilarityDatabase` and proving after every step
+  that the engine's incrementally-maintained code column is
+  *byte-identical* to a from-scratch rebuild, and that approx queries
+  with a full budget reproduce the exact tier literally;
 * one seeded quality gate: recall@10 on a centroid-degenerate family
   corpus with a fifth of the database as shortlist;
 * snapshot round-trips (``.npz`` and dense mmap) carrying the
-  projection matrix content-addressed by digest, plus corruption
-  detection through ``repro db verify``.
+  projection matrix content-addressed by digest, hostile ``sketch__*``
+  members failing typed, plus corruption detection through
+  ``repro db verify``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -44,7 +46,10 @@ from repro.approx import (
 )
 from repro.core.queries import FilterRefineEngine
 from repro.db import ShardedSimilarityDatabase, SimilarityDatabase, open_database
-from repro.exceptions import QueryError, ReproError
+from repro.db.storage import DB_FORMAT
+from repro.exceptions import QueryError, ReproError, StorageError
+from repro.index.dense import read_dense_archive, write_dense_archive
+from repro.index.snapshot import read_archive, write_archive
 from repro.seeding import resolve_seed, spawn
 from tests.conftest import assert_engine_is_fresh
 
@@ -120,11 +125,25 @@ class TestSetSketcher:
             SetSketcher.from_snapshot(params, tampered)
 
 
-# -- HammingIndex -----------------------------------------------------------
+# -- HammingIndex over the engine's code column -----------------------------
 
 codes64 = st.lists(
     st.integers(min_value=0, max_value=2**64 - 1), min_size=2, max_size=2
 ).map(lambda ws: np.array(ws, dtype=np.uint64))
+
+
+def random_codes(rng, n, words):
+    return rng.integers(0, 2**63, (n, words)).astype(np.uint64)
+
+
+def coded_engine(oids, codes):
+    """An engine holding one trivial set per oid, *codes* its code column."""
+    sets = [np.full((1, 2), float(oid)) for oid in oids]
+    return FilterRefineEngine(sets, capacity=2, oids=oids, codes=codes)
+
+
+def code_of(engine, oid):
+    return engine.codes[engine.oids.tolist().index(oid)]
 
 
 class TestHammingIndex:
@@ -132,57 +151,75 @@ class TestHammingIndex:
     @settings(max_examples=50, deadline=None)
     def test_metric_axioms(self, a, b, c):
         """Hamming distance on packed words: identity, symmetry, triangle."""
-        index = HammingIndex(2)
-        index.add(0, a)
-        index.add(1, b)
-        index.add(2, c)
+        index = HammingIndex(np.arange(3), np.stack([a, b, c]))
         d = index.distances(np.stack([a, b, c]))
         assert d[0, 0] == 0 and d[1, 1] == 0 and d[2, 2] == 0
         assert d[0, 1] == d[1, 0] and d[0, 2] == d[2, 0]
         assert d[0, 2] <= d[0, 1] + d[1, 2]
 
     def test_duplicate_add_rejected(self):
-        index = HammingIndex(1)
-        index.add(7, np.zeros(1, dtype=np.uint64))
+        """An oid already stored is refused before any column is
+        written, the code column included."""
+        engine = coded_engine([7], np.zeros((1, 1), dtype=np.uint64))
         with pytest.raises(QueryError):
-            index.add(7, np.ones(1, dtype=np.uint64))
+            engine.add(7, np.ones((1, 2)), code=np.ones(1, dtype=np.uint64))
+        with pytest.raises(QueryError):  # a code of the wrong width
+            engine.add(8, np.ones((1, 2)), code=np.ones(2, dtype=np.uint64))
+        with pytest.raises(QueryError):  # no code for a coded engine
+            engine.add(8, np.ones((1, 2)))
+        with pytest.raises(QueryError):  # a code for an engine without one
+            FilterRefineEngine([np.ones((1, 2))], 2).add(
+                8, np.ones((1, 2)), code=np.ones(1, dtype=np.uint64)
+            )
+        assert engine.oids.tolist() == [7] and engine.codes.tolist() == [[0]]
 
     def test_shortlist_full_budget_is_everything(self):
         rng = np.random.default_rng(3)
-        index = HammingIndex(2)
-        oids = [5, 1, 9, 3, 14]
-        for oid in oids:
-            index.add(oid, rng.integers(0, 2**63, 2).astype(np.uint64))
-        query = rng.integers(0, 2**63, 2).astype(np.uint64)
-        got = index.shortlist(query[None, :], len(oids) + 10)[0]
-        assert sorted(got.tolist()) == sorted(oids)
+        oids = np.array([5, 1, 9, 3, 14])
+        index = HammingIndex(oids, random_codes(rng, len(oids), 2))
+        query = random_codes(rng, 1, 2)
+        got = index.shortlist(query, len(oids) + 10)[0]
+        assert sorted(got.tolist()) == sorted(oids.tolist())
 
     def test_shortlist_prefix_nesting(self):
         """A smaller budget must be a prefix of a larger one (same
-        ranking, so the exact top-k survives any budget >= its rank)."""
+        ranking, so the exact top-k survives any budget >= its rank),
+        and the ranking is the canonical ``(hamming, oid)`` one whatever
+        order the rows lie in."""
         rng = np.random.default_rng(4)
-        index = HammingIndex(2)
-        for oid in range(30):
-            index.add(oid, rng.integers(0, 2**63, 2).astype(np.uint64))
-        query = rng.integers(0, 2**63, 2).astype(np.uint64)
-        big = index.shortlist(query[None, :], 20)[0]
-        small = index.shortlist(query[None, :], 5)[0]
+        oids, codes = np.arange(30), random_codes(rng, 30, 2)
+        codes[10:15] = codes[3]  # ties, broken by ascending oid
+        index = HammingIndex(oids, codes)
+        query = random_codes(rng, 1, 2)
+        big = index.shortlist(query, 20)[0]
+        small = index.shortlist(query, 5)[0]
         assert small.tolist() == big[:5].tolist()
+        shuffle = rng.permutation(30)
+        assert HammingIndex(oids[shuffle], codes[shuffle]).shortlist(
+            query, 20
+        )[0].tolist() == big.tolist()
 
     def test_remove_and_update(self):
+        """The code column moves with its row: a removal moves the last
+        row (code included) into the hole, growth past the buffer keeps
+        every code, and a replace overwrites the one code."""
         rng = np.random.default_rng(5)
-        index = HammingIndex(1)
-        for oid in range(5):
-            index.add(oid, rng.integers(0, 2**63, 1).astype(np.uint64))
-        before = index.digest()
-        index.remove(2)
-        assert 2 not in index.oids.tolist()
-        index.add(2, rng.integers(0, 2**63, 1).astype(np.uint64))
-        code = np.array([12345], dtype=np.uint64)
-        index.update(2, code)
-        row = index.oids.tolist().index(2)
-        assert index.codes[row, 0] == 12345
-        assert index.digest() != before
+        codes = random_codes(rng, 5, 1)
+        engine = coded_engine(list(range(5)), codes)
+        engine.remove(2)
+        assert 2 not in engine.oids.tolist()
+        assert [code_of(engine, oid)[0] for oid in (0, 1, 3, 4)] == codes[
+            [0, 1, 3, 4], 0
+        ].tolist()
+        extra = random_codes(rng, 8, 1)
+        for i, oid in enumerate(range(10, 18)):  # buffer 5 -> 10 -> 20 rows
+            engine.add(oid, np.ones((1, 2)), code=extra[i])
+        assert [code_of(engine, oid)[0] for oid in range(10, 18)] == extra[:, 0].tolist()
+        engine.replace(4, np.ones((1, 2)), code=np.array([12345], dtype=np.uint64))
+        assert code_of(engine, 4)[0] == 12345
+        assert code_of(engine, 3)[0] == codes[3, 0]
+        joined = FilterRefineEngine.joined([engine, coded_engine([99], codes[:1])])
+        assert code_of(joined, 4)[0] == 12345 and code_of(joined, 99)[0] == codes[0, 0]
 
 
 # -- ApproxFilterRefineEngine ----------------------------------------------
@@ -191,12 +228,13 @@ class TestHammingIndex:
 def build_tier(sets, seed=SEED):
     dim = sets[0].shape[1]
     # Capacity covers the stored sets AND the (<= 4-row) test queries.
-    engine = FilterRefineEngine(sets, capacity=max(4, *(len(s) for s in sets)))
     sketcher = SetSketcher(dim, width=128, wta=12, seed=seed)
-    hamming = HammingIndex(sketcher.words)
-    for oid, vectors in enumerate(sets):
-        hamming.add(oid, sketcher.sketch(vectors))
-    return ApproxFilterRefineEngine(engine, sketcher, hamming)
+    engine = FilterRefineEngine(
+        sets,
+        capacity=max(4, *(len(s) for s in sets)),
+        codes=np.stack([sketcher.sketch(vectors) for vectors in sets]),
+    )
+    return ApproxFilterRefineEngine(engine, sketcher)
 
 
 class TestApproxEngine:
@@ -206,10 +244,12 @@ class TestApproxEngine:
 
     def test_word_mismatch_rejected(self):
         sets = [np.ones((2, DIM))]
-        engine = FilterRefineEngine(sets, capacity=2)
         sketcher = SetSketcher(DIM, width=128, seed=SEED)
+        one_word = FilterRefineEngine(sets, capacity=2, codes=np.zeros((1, 1), np.uint64))
         with pytest.raises(QueryError):
-            ApproxFilterRefineEngine(engine, sketcher, HammingIndex(1))
+            ApproxFilterRefineEngine(one_word, sketcher)
+        with pytest.raises(QueryError):  # an engine without a code column
+            ApproxFilterRefineEngine(FilterRefineEngine(sets, capacity=2), sketcher)
 
     @given(row_counts=small_sets(min_sets=3), budget=st.integers(1, 40))
     @settings(
@@ -275,10 +315,11 @@ def fresh_sketch_digest(db: SimilarityDatabase, sketch_params=None) -> str:
     if sketch_params is None:
         sketch_params = db._sketch_params
     sketcher = SetSketcher(db.dimension, **sketch_params)
-    hamming = HammingIndex(sketcher.words)
-    for oid in sorted(db.object_ids()):
-        hamming.add(oid, sketcher.sketch(db.get(oid)))
-    return hamming.digest()
+    oids = sorted(db.object_ids())
+    hasher = hashlib.sha256(np.array(oids, dtype=np.int64).tobytes())
+    for oid in oids:
+        hasher.update(sketcher.sketch(db.get(oid)).tobytes())
+    return hasher.hexdigest()
 
 
 class ApproxDifferentialMachine(RuleBasedStateMachine):
@@ -315,10 +356,6 @@ class ApproxDifferentialMachine(RuleBasedStateMachine):
     def update(self, data, rows):
         oid = data.draw(st.sampled_from(self.db.object_ids()))
         self.db.update(oid, self.rng.standard_normal((rows, DIM)))
-
-    @rule()
-    def compact(self):
-        self.db.compact()
 
     @rule(dense=st.booleans())
     def reload(self, dense):
@@ -467,16 +504,54 @@ class TestSketchSnapshots:
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_loaded_db_still_mutable(self, tmp_path, dense):
-        """Mutations after a (possibly zero-copy) load keep the tier in
-        sync — the mmapped code matrix is reallocated, never written."""
+        """Mutations after a load keep the code column in sync, and
+        write into the engine's own copy: the snapshot file (for a dense
+        one, the mapped arrays) stays byte-identical."""
         db, rng = self.make_db()
         path = tmp_path / ("db.dns" if dense else "db.npz")
         db.save(path, dense=dense)
+        saved = path.read_bytes()
         loaded = SimilarityDatabase.load(path)
         loaded.add(100, rng.standard_normal((3, DIM)))
         loaded.remove(0)
         loaded.update(1, rng.standard_normal((2, DIM)))
         assert loaded.sketch_digest() == fresh_sketch_digest(loaded)
+        assert path.read_bytes() == saved
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["npz", "dense"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda a: a.__setitem__("sketch__oids", a["sketch__oids"][::-1].copy()),
+            lambda a: a.__setitem__("sketch__oids", a["sketch__oids"] + 1),
+            lambda a: a.__setitem__("sketch__codes", a["sketch__codes"][1:].copy()),
+            lambda a: a.__setitem__(
+                "sketch__codes", np.concatenate([a["sketch__codes"]] * 2, axis=1)
+            ),
+            lambda a: a.__setitem__("sketch__codes", a["sketch__codes"].view(np.int64)),
+            lambda a: a.__setitem__("sketch__codes", a["sketch__codes"][:, 0].copy()),
+            lambda a: a.pop("sketch__oids"),
+        ],
+        ids=["oids-reordered", "oids-not-set-oids", "rows", "words", "dtype",
+             "one-dim", "oids-missing"],
+    )
+    def test_a_hostile_sketch_member_fails_typed(self, tmp_path, dense, case):
+        """A CRC-valid snapshot whose ``sketch__*`` members do not fit the
+        stored sets fails the open with a StorageError naming the file."""
+        db, _ = self.make_db()
+        path = tmp_path / ("db.dns" if dense else "db.npz")
+        db.save(path, dense=dense)
+        read, write = (
+            (read_dense_archive, write_dense_archive)
+            if dense
+            else (read_archive, write_archive)
+        )
+        meta, arrays = read(path, DB_FORMAT)
+        arrays = {name: np.array(arr) for name, arr in arrays.items()}
+        case(arrays)
+        write(path, meta, arrays)
+        with pytest.raises(StorageError, match=f"{path}.*sketch"):
+            open_database(path)
 
     @pytest.mark.parametrize("layout", ["npz", "dense", "sharded", "durable"])
     def test_empty_database_keeps_sketch_params(self, tmp_path, layout):

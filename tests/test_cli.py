@@ -283,7 +283,7 @@ class TestDbCommands:
             )
         return meshes
 
-    def test_init_add_query_remove_compact(self, tmp_path, mesh_dir, capsys):
+    def test_init_add_query_remove(self, tmp_path, mesh_dir, capsys):
         db_path = tmp_path / "sim.db"
         assert main(["db", "init", str(db_path), "--covers", "5",
                      "--resolution", "12"]) == 0
@@ -301,8 +301,11 @@ class TestDbCommands:
 
         assert main(["db", "remove", str(db_path), "1"]) == 0
         assert main(["db", "remove", str(db_path), "1"]) == 2  # already gone
-        assert main(["db", "compact", str(db_path)]) == 0
-        capsys.readouterr()  # drop the remove/compact chatter
+        capsys.readouterr()  # drop the remove chatter
+        with pytest.raises(SystemExit) as exc:  # nothing is left to compact
+            main(["db", "compact", str(db_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'compact'" in capsys.readouterr().err
         assert main(["query", str(db_path), "--mesh", meshes[0], "-k", "2"]) == 0
         returned_ids = [row[1] for row in result_rows(capsys.readouterr().out)]
         assert returned_ids == ["0", "2"]  # object 1 was removed

@@ -58,8 +58,6 @@ for i, (op, oid, arr) in enumerate(plan["steps"]):
         db.remove(oid)
     elif op == "update":
         db.update(oid, np.asarray(arr, dtype=float))
-    elif op == "compact":
-        db.compact()
     elif op == "checkpoint":
         db.checkpoint()
     # The ack is this harness's stand-in for replying to a client:
@@ -74,8 +72,8 @@ ack.close()
 
 # Hit counts chosen so every point actually fires mid-plan: the plan
 # from make_plan() contains one checkpoint (mid-snapshot-write,
-# mid-checkpoint-swap), one compact (mid-compaction), and dozens of
-# appends (after-wal-append fires on the 7th).  The single-database
+# mid-checkpoint-swap) and dozens of appends (after-wal-append fires on
+# the 7th).  The single-database
 # plan never reaches "between-shard-checkpoints" (it fires only inside
 # ShardedSimilarityDatabase.checkpoint) — its kill matrix lives in
 # tests/test_sharded_crash.py, so this suite parametrizes over the
@@ -84,7 +82,6 @@ CRASH_SPECS = {
     "after-wal-append": "after-wal-append:7",
     "mid-snapshot-write": "mid-snapshot-write",
     "mid-checkpoint-swap": "mid-checkpoint-swap",
-    "mid-compaction": "mid-compaction",
 }
 
 
@@ -126,7 +123,7 @@ def run_worker(tmp_path, plan, backend="xtree", crash_spec=None):
 
 
 def test_specs_cover_single_database_points():
-    """Every registered crash point is exercised somewhere: the four
+    """Every registered crash point is exercised somewhere: the three
     single-database points here, the sharded gap in the sharded kill
     matrix."""
     assert set(CRASH_SPECS) == set(CRASH_POINTS) - {"between-shard-checkpoints"}

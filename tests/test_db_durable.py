@@ -74,8 +74,8 @@ def rand_set(rng):
 
 
 def make_plan(rng, n=18):
-    """A deterministic interleaved mutation plan with checkpoints and a
-    compaction, expressed as replayable (op, oid, array) tuples."""
+    """A deterministic interleaved mutation plan with a checkpoint,
+    expressed as replayable (op, oid, array) tuples."""
     plan, live, oid = [], set(), 0
     for step in range(n):
         plan.append(("add", oid, rand_set(rng)))
@@ -90,8 +90,6 @@ def make_plan(rng, n=18):
             plan.append(("update", target, rand_set(rng)))
         if step == n // 2:
             plan.append(("checkpoint", None, None))
-        if step == n - 3:
-            plan.append(("compact", None, None))
     return plan
 
 
@@ -103,8 +101,6 @@ def apply_step(db, step) -> None:
         db.remove(oid)
     elif op == "update":
         db.update(oid, arr)
-    elif op == "compact":
-        db.compact()
     elif op == "checkpoint":
         db.checkpoint()
 
@@ -123,12 +119,11 @@ def set_compression_method(path, member: str, method: int) -> None:
 
 
 def fresh_build(plan):
-    """The plan's final state built from scratch, its core freshly packed."""
+    """The plan's final state built from scratch."""
     db = SimilarityDatabase(CAPACITY)
     for step in plan:
         if step[0] != "checkpoint":
             apply_step(db, step)
-    db.compact()
     return db
 
 
@@ -197,6 +192,29 @@ class TestDurableRoundtrip:
         assert recovered.last_recovery.used_generation == 0
         assert recovered.last_recovery.replayed_records == 8
         assert recovered.object_ids() == sorted(sets)
+        recovered.close()
+
+    def test_a_logged_compact_record_replays_as_a_version_bump(self, tmp_path, rng):
+        """A segment written while databases had ``compact()`` carries
+        ``compact`` records.  Recovery still reads them: one bumps the
+        version once there is data (as the call did), and the contents
+        are what the other records made them."""
+        dbdir = tmp_path / "db"
+        db = SimilarityDatabase(CAPACITY, durable=True, path=dbdir)
+        db._wal.append("compact")  # before any object: no version bump
+        sets = {oid: rand_set(rng) for oid in range(4)}
+        for oid, arr in sets.items():
+            db.add(oid, arr)
+        db._wal.append("compact")
+        db.remove(2)
+        db.close()
+        recovered = SimilarityDatabase.load(dbdir)
+        assert recovered.last_recovery.replayed_records == 7
+        assert recovered.version == 6
+        del sets[2]
+        assert recovered.object_ids() == sorted(sets)
+        assert all(np.array_equal(recovered.get(oid), sets[oid]) for oid in sets)
+        recovered.check_invariants()
         recovered.close()
 
     def test_mutations_after_recovery_are_durable(self, tmp_path, rng):
@@ -285,7 +303,6 @@ class TestDurableRoundtrip:
             lambda: db.add_grid(99, VoxelGrid.empty(6)),
             lambda: db.update(1, probe),
             lambda: db.remove(1),
-            db.compact,
             db.checkpoint,
         ):
             with pytest.raises(StorageError, match="database is closed"):

@@ -97,9 +97,16 @@ def churn(db, rng, adds=40, removes=12, updates=6):
 
 def flip_code_word(db, oid):
     """Flip one bit of the stored sketch code of *oid*."""
-    code = db._hamming.codes[db._hamming.oids.tolist().index(oid)].copy()
-    code[0] ^= np.uint64(1)
-    db._hamming.update(oid, code)
+    engine = db._engine
+    engine._code_buf[engine._row(oid), 0] ^= np.uint64(1)
+
+
+def swap_codes(db, oid):
+    """Swap the stored sketch codes of *oid* and the object after it:
+    each is a valid sketch, in the wrong row."""
+    engine = db._engine
+    rows = [engine._row(oid), engine._row(db.object_ids()[3])]
+    engine._code_buf[rows] = engine._code_buf[rows[::-1]]
 
 
 def shift_centroid(db, oid):
@@ -163,19 +170,6 @@ class TestIncrementalEqualsRebuilt:
                 want, _ = fresh.knn_query(query, k)
                 assert results_tuple(got) == results_tuple(want), (qi, k)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_compact_changes_nothing_observable(self, backend, rng, tmp_path):
-        db = start_database(backend, tmp_path / "db", CAPACITY)
-        churn(db, rng)
-        query = rand_set(rng)
-        before_knn, _ = db.knn_query(query, 8)
-        before_range, _ = db.range_query(query, 4.0)
-        db.compact()
-        after_knn, _ = db.knn_query(query, 8)
-        after_range, _ = db.range_query(query, 4.0)
-        assert results_tuple(before_knn) == results_tuple(after_knn)
-        assert results_tuple(before_range) == results_tuple(after_range)
-
     def test_range_query_matches_sequential(self, rng):
         db = SimilarityDatabase(CAPACITY)
         churn(db, rng)
@@ -236,7 +230,6 @@ class TestEngineInvalidation:
             db.knn_query(query, 2)
             db.knn_query(query, 2, mode="approx", shortlist=4)
             db.range_query(query, 3.0)
-        db.compact()
         assert len(builds) == 1
         for dense in (False, True):
             db.save(tmp_path / "db.snap", dense=dense)
@@ -262,7 +255,7 @@ class TestEngineInvalidation:
     ):
         """With an engine live from the first object on, walk every kind
         of step — adds across buffer growths, removals that move the last
-        row, shrinking and growing updates, compaction, emptying the
+        row, shrinking and growing updates, emptying the
         database and refilling it, save and reload — holding incremental
         == fresh after each.  Results, ``QueryStats`` and wide events
         must then be literally those of a fresh build of the contents."""
@@ -299,7 +292,6 @@ class TestEngineInvalidation:
             step("remove", oid)
         step("update", 5, 1)
         step("update", 5, CAPACITY)
-        db.compact()
         step("add", 40, 2)
         for oid in sorted(contents):
             step("remove", oid)
@@ -314,12 +306,11 @@ class TestEngineInvalidation:
         fresh = make()
         for oid in sorted(contents):
             fresh.add(oid, contents[oid])
-        fresh.compact()
         assert [(results_tuple(r), s) for r, s in answers(db)] == [
             (results_tuple(r), s) for r, s in answers(fresh)
         ]
         # The churned database's wide events are the fresh one's (no
-        # compaction between); its engines stay as churned.
+        # rebuild between); its engines stay as churned.
 
         def observed(target, name):
             trace = tmp_path / f"{name}.jsonl"
@@ -382,9 +373,10 @@ class TestCheckInvariants:
         "tamper, message",
         [
             (shift_centroid, "stored centroid of object"),
-            (lambda db, oid: db._hamming.remove(oid), "sketch tier"),
+            (swap_codes, "sketch code of object"),
             (flip_code_word, "sketch code of object"),
-            (lambda db, oid: db._engine.remove(oid), "sketch tier"),
+            (lambda db, oid: db._engine._oid_buf.__setitem__(
+                db._engine._row(oid), 10**9), "not a bijection"),
             (lambda db, oid: engine_row(db, oid)[0].__setitem__((-1, 0), 5.0),
              "padded tail of object"),
             (lambda db, oid: engine_row(db, oid)[1].__setitem__(0, -1.0),
@@ -765,7 +757,6 @@ print(json.dumps({
             contents = write_layout(kind, rng, path)
             restamp_layout(path, parent_snapshot(recorded), parent_config(recorded))
             fresh = fresh_database(contents)
-            fresh.compact()
             opened = open_database(path)
             for shard in getattr(opened, "shards", [opened]):
                 shard.check_invariants()
@@ -901,7 +892,7 @@ class TestOneCopyStore:
         per-object loops over a dict store, a pointer tree serialized
         node by node - opens, answers like a fresh build and is written
         back array for array."""
-        from repro.approx import HammingIndex, SetSketcher
+        from repro.approx import SetSketcher
 
         contents = {oid: rand_set(rng) for oid in (5, -3, 11, 2, 40, 7, 19, 23)}
         arrays = ragged_layout(contents)
@@ -911,12 +902,11 @@ class TestOneCopyStore:
         index_meta, index_arrays = serialize_index(tree)
         arrays.update({f"index__{name}": arr for name, arr in index_arrays.items()})
         sketcher = SetSketcher(DIM)
-        hamming = HammingIndex(sketcher.words)
-        for oid in sorted(contents):
-            hamming.add(oid, sketcher.sketch(contents[oid]))
         arrays["sketch__proj"] = np.ascontiguousarray(sketcher.projection)
-        arrays["sketch__oids"] = hamming.serialized()["oids"]
-        arrays["sketch__codes"] = hamming.serialized()["codes"]
+        arrays["sketch__oids"] = np.array(sorted(contents), dtype=np.int64)
+        arrays["sketch__codes"] = np.stack(
+            [sketcher.sketch(contents[oid]) for oid in sorted(contents)]
+        )
         meta = {
             "format": DB_FORMAT, "version": 1, "capacity": CAPACITY,
             "backend": "xtree", "dimension": DIM, "omega": [0.0] * DIM,

@@ -153,6 +153,10 @@ UNREFERENCED_ON_PURPOSE = {
     "repro.db.sharded.ShardedSimilarityDatabase.sketch_digests": "(c)",
     "repro.index.arraycore.RTreeArrayCore.ranking_chunks": "(d) index.ranking_chunks",
     "repro.index.arraycore.densify": "(d) index.densify",
+    "repro.index.arraycore.RTreeArrayCore.serialized": (
+        "(e) tests/conftest.py::parent_snapshot writes an older layout's "
+        "index tables with it"
+    ),
     "repro.geometry.mesh.uv_sphere_mesh": "(e)",
     "repro.io.stl.write_stl_ascii": "(e)",
 }
@@ -162,9 +166,6 @@ UNREFERENCED_ON_PURPOSE = {
 #: in a later change, with the tests whose only subject it is.
 DELETION_DEFERRED = {
     "repro.index.rstar.RStarTree.insert_box",
-    "repro.obs.tracectx.trace_context",
-    "repro.voxel.morphology.connected_components",
-    "repro.voxel.morphology.dilate",
     "repro.voxel.voxelize.voxelize_points",
 }
 

@@ -1,7 +1,7 @@
 """Stateful differential testing of the database's filter step: the
 ranking of a maintained database against a fresh build and brute force.
 
-A hypothesis rule machine interleaves add, remove, update, compact and
+A hypothesis rule machine interleaves add, remove, update and
 save-reload steps on a database, and after every step requires:
 
 * k-nn and range answers *and* ``QueryStats`` literally equal to a
@@ -113,10 +113,6 @@ class IndexDifferentialMachine(RuleBasedStateMachine):
         self.model[oid] = point
         self._each(lambda db: db.update(oid, np.asarray([point], dtype=float)))
 
-    @rule()
-    def compact(self):
-        self._each(lambda db: db.compact())
-
     @rule(dense=st.booleans())
     def save_reload(self, dense):
         """The save is a read, and the reopened database ranks alike."""
@@ -201,16 +197,15 @@ def test_bulk_churn_differential(seed):
 
 
 def test_equal_centroids_split_across_core_and_delta():
-    """Objects at one point, added before and after a compaction (and one
-    updated onto it in place): the ties come out by ascending oid,
-    exactly as a fresh build ranks them."""
+    """Objects at one point, added before, among and after 64 others
+    (and one updated onto it in place): the ties come out by ascending
+    oid, exactly as a fresh build ranks them."""
     db = SimilarityDatabase(1, sketch=False)
     tie = np.array([[1.0, 1.0, 1.0]])
     rng = np.random.default_rng(7)
     for oid in range(10, 138, 2):  # 64 objects, half of them at the tie
         at_tie = oid % 4 == 2
         db.add(oid, tie if at_tie else rng.integers(-9, 10, size=(1, 3)).astype(float))
-    db.compact()
     db.add(3, tie)  # before every earlier tie
     db.update(50, tie)  # 50 was a tie already: rewritten in its row
     db.add(61, tie)  # between earlier ties
@@ -230,7 +225,6 @@ def test_a_query_writes_no_state(tmp_path):
     db = SimilarityDatabase(1)
     for oid in range(64):
         db.add(oid, np.array([[oid % 7, oid % 5, oid % 3]], dtype=float))
-    db.compact()
     db.remove(3)
     db.update(4, np.zeros((1, 3)))
     probe = np.ones((1, 3))

@@ -20,7 +20,6 @@ from repro.obs.tracectx import (
     clear_trace_context,
     new_trace_id,
     set_trace_context,
-    trace_context,
 )
 
 
@@ -55,15 +54,6 @@ def _worker_task(index):
 
 
 class TestTraceContext:
-    def test_trace_context_mints_and_restores(self):
-        assert obs.current_trace_id() is None
-        with trace_context() as trace_id:
-            assert obs.current_trace_id() == trace_id
-            with trace_context("override") as inner:
-                assert inner == "override"
-            assert obs.current_trace_id() == trace_id
-        assert obs.current_trace_id() is None
-
     def test_events_and_spans_stamp_trace(self, enabled):
         set_trace_context(new_trace_id())
         trace_id = obs.current_trace_id()
@@ -204,9 +194,10 @@ class TestObsCli:
     def test_export_round_trip(self, enabled, tmp_path, capsys):
         from repro.cli import main
 
-        with trace_context():
-            with span("cli.test"):
-                obs.emit("query", kind="knn")
+        set_trace_context(new_trace_id())
+        with span("cli.test"):
+            obs.emit("query", kind="knn")
+        clear_trace_context()
         obs.close_sink()
         obs.disable()
         out = tmp_path / "trace.chrome.json"

@@ -80,8 +80,6 @@ for i, (op, oid, arr) in enumerate(plan["steps"]):
         db.remove(oid)
     elif op == "update":
         db.update(oid, np.asarray(arr, dtype=float))
-    elif op == "compact":
-        db.compact()
     elif op == "checkpoint":
         db.checkpoint()
     ack.write(f"{i}\\n")

@@ -5,7 +5,7 @@ independent shards, joined into one database for the call, returns
 *byte-identical* results — same ids, same float distances, same order —
 and the same ``QueryStats``, field for field, as a single-shard
 ``SimilarityDatabase`` holding the same objects.  A hypothesis rule
-machine drives arbitrary add/remove/update/compact/reshard sequences
+machine drives arbitrary add/remove/update/reshard sequences
 against a (sharded, mirror) pair and checks knn, range,
 batch, and approx-mode answers after every step; integer coordinates
 keep every distance exactly representable, so the comparison is
@@ -112,24 +112,12 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
             mirror.update(oid, arr)
         self.model[oid] = arr
 
-    @rule()
-    def compact(self):
-        for sharded, mirror in self.dbs:
-            sharded.compact()
-            mirror.compact()
-
     @rule(new_shards=st.integers(min_value=1, max_value=5))
     def reshard(self, new_shards):
         # Only the sharded side repartitions; the mirror is untouched —
         # query equality must be insensitive to the partitioning.
         for sharded, _ in self.dbs:
             sharded.reshard(new_shards)
-            assert sharded.n_shards == new_shards
-
-    @rule(new_shards=st.integers(min_value=1, max_value=4))
-    def rebalance_on_compact(self, new_shards):
-        for sharded, _ in self.dbs:
-            sharded.compact(shards=new_shards)
             assert sharded.n_shards == new_shards
 
     # -- drawn queries ------------------------------------------------------

@@ -40,7 +40,12 @@ from repro.exceptions import QueryError, StorageError
 from repro.index.dense import read_dense_archive, write_dense_archive
 from repro.index.snapshot import read_archive, write_archive
 from repro.pipeline import Pipeline
-from tests.conftest import BACKENDS, parent_snapshot, start_database
+from tests.conftest import (
+    BACKENDS,
+    assert_synced_replace,
+    parent_snapshot,
+    start_database,
+)
 
 CAPACITY = 4
 DIM = 3
@@ -48,8 +53,8 @@ FIXTURE = Path(__file__).with_name("layout_digests.json")
 
 
 def history(seed: int = 7) -> list[tuple]:
-    """A seeded mutation history: adds, updates, removes, a compaction,
-    and two checkpoints (which non-durable layouts skip)."""
+    """A seeded mutation history: adds, updates, removes and two
+    checkpoints (which non-durable layouts skip)."""
     rng = np.random.default_rng(seed)
 
     def vectors():
@@ -61,7 +66,6 @@ def history(seed: int = 7) -> list[tuple]:
     steps += [("remove", oid, None) for oid in (0, 5, 9, 17)]
     steps.append(("checkpoint", None, None))
     steps += [("add", oid, vectors()) for oid in range(24, 30)]
-    steps.append(("compact", None, None))
     steps.append(("checkpoint", None, None))
     steps += [("update", 2, vectors()), ("remove", 4, None), ("add", 30, vectors())]
     return steps
@@ -75,8 +79,6 @@ def replay(db, steps, payload=lambda oid: None) -> None:
             db.update(oid, arr)
         elif op == "remove":
             db.remove(oid)
-        elif op == "compact":
-            db.compact()
         elif db.durable:
             db.checkpoint()
 
@@ -174,7 +176,7 @@ def test_shards_open_as_one_database(backend, dense, tmp_path):
         assert one.object_ids() == plain.object_ids()
         assert one.engine_digest() == plain.engine_digest()
         assert one.index_digest() == plain.index_digest()
-        assert one._hamming is None and not one._payloads
+        assert one._engine.codes is None and not one._payloads
         assert sharded.knn_query_many([plain.get(2)], 5, n_jobs=2)[0][0] == (
             plain.knn_query(plain.get(2), 5)[0]
         )
@@ -212,6 +214,22 @@ def test_a_single_shard_is_a_plain_snapshot(backend, tmp_path):
             assert shard.read_bytes() == plain_path.read_bytes()
         else:
             assert zip_members(shard) == zip_members(plain_path)
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["snapshot", "durable"])
+def test_the_manifest_is_synced_before_and_after_its_rename(
+    durable, tmp_path, sync_events
+):
+    """``sharded.json`` is written to a temp file, fsynced, renamed into
+    place and its directory fsynced, like every other settings record."""
+    root = tmp_path / "db"
+    db = ShardedSimilarityDatabase(
+        CAPACITY, shards=2, durable=durable, path=root if durable else None
+    )
+    if not durable:
+        db.save(root)
+    assert_synced_replace(sync_events, root / storage.MANIFEST_NAME)
+    db.close()
 
 
 # -- malformed settings records ------------------------------------------------
@@ -503,7 +521,7 @@ def test_a_payload_survives_every_layout(kind, tmp_path):
     want = {oid: payload_of(oid) for oid in db.object_ids()}
     assert stored_payloads(db) == want and any(want.values())
     if kind == "resharded":
-        db.compact(shards=3)
+        db.reshard(3)
         assert stored_payloads(db) == want
     if not db.durable:
         db.save(path, dense=kind == "dense")

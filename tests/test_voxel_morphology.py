@@ -5,8 +5,6 @@ import pytest
 
 from repro.exceptions import VoxelizationError
 from repro.voxel.morphology import (
-    connected_components,
-    dilate,
     erode,
     fill_solid,
     flood_fill_outside,
@@ -22,13 +20,17 @@ def single_voxel(shape=(7, 7, 7), at=(3, 3, 3)):
 
 
 class TestDilateErode:
-    def test_dilate_single_voxel_gives_cross(self):
-        grown = dilate(single_voxel())
-        assert grown.sum() == 7  # center + 6 face neighbors
-
-    def test_erode_inverts_dilate_on_ball(self):
-        arr = sphere_kernel(3)
-        assert np.array_equal(erode(dilate(arr)) | arr, dilate(erode(arr)) | arr)
+    def test_erode_matches_reference_on_ball(self):
+        """The ball ``|c|^2 <= r^2`` keeps a voxel iff its farthest face
+        neighbour, one step out along the voxel's largest coordinate, is
+        in the ball: ``|c|^2 + 2 max|c_i| + 1 <= r^2``."""
+        for radius in (2, 3, 4):
+            coords = np.arange(2 * radius + 1) - radius
+            xs, ys, zs = np.meshgrid(coords, coords, coords, indexing="ij")
+            farthest = np.maximum(np.maximum(abs(xs), abs(ys)), abs(zs))
+            reference = xs**2 + ys**2 + zs**2 + 2 * farthest + 1 <= radius**2
+            assert np.array_equal(erode(sphere_kernel(radius)), reference)
+        assert erode(sphere_kernel(2)).sum() == 7  # the centre and its cross
 
     def test_erode_removes_isolated_voxel(self):
         assert erode(single_voxel()).sum() == 0
@@ -41,11 +43,11 @@ class TestDilateErode:
 
     def test_iterations_compose(self):
         arr = sphere_kernel(4)
-        assert np.array_equal(dilate(arr, 2), dilate(dilate(arr)))
+        assert np.array_equal(erode(arr, 2), erode(erode(arr)))
 
     def test_non_3d_rejected(self):
         with pytest.raises(VoxelizationError):
-            dilate(np.zeros((3, 3), dtype=bool))
+            erode(np.zeros((3, 3), dtype=bool))
 
 
 class TestSurfaceMask:
@@ -111,21 +113,3 @@ class TestSphereKernel:
         with pytest.raises(VoxelizationError):
             sphere_kernel(0)
 
-
-class TestConnectedComponents:
-    def test_two_separate_blobs(self):
-        arr = np.zeros((8, 8, 8), dtype=bool)
-        arr[1:3, 1:3, 1:3] = True
-        arr[5:7, 5:7, 5:7] = True
-        labels = connected_components(arr)
-        assert labels.max() == 2
-        assert (labels > 0).sum() == arr.sum()
-
-    def test_diagonal_voxels_are_separate_under_6_connectivity(self):
-        arr = np.zeros((4, 4, 4), dtype=bool)
-        arr[1, 1, 1] = True
-        arr[2, 2, 2] = True
-        assert connected_components(arr).max() == 2
-
-    def test_empty_grid(self):
-        assert connected_components(np.zeros((3, 3, 3), dtype=bool)).max() == 0

@@ -13,6 +13,7 @@ import pytest
 
 from repro import obs
 from repro.exceptions import WALError
+from tests.conftest import assert_synced_replace
 from repro.wal import (
     DurableLayout,
     WriteAheadLog,
@@ -161,6 +162,18 @@ class TestDurableLayout:
         assert layout.current_generation() == 7
         layout.publish(8)
         assert layout.current_generation() == 8
+
+    def test_write_config_syncs_the_file_before_the_rename(
+        self, tmp_path, sync_events
+    ):
+        """``durable.json`` is written to a temp file, fsynced, renamed
+        into place and its directory fsynced: a crash never publishes a
+        config whose bytes were not on disk."""
+        layout = DurableLayout(tmp_path / "db")
+        layout.write_config({"capacity": 4})
+        assert_synced_replace(sync_events, layout.config_path)
+        layout.publish(1)
+        assert_synced_replace(sync_events, layout.current_path)
 
     def test_missing_markers_raise(self, tmp_path):
         layout = DurableLayout(tmp_path / "nope")
