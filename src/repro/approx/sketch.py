@@ -160,6 +160,15 @@ class SetSketcher:
         h.update(np.ascontiguousarray(self.projection).tobytes())
         return h.hexdigest()
 
+    def fits(self, dims: int, **params) -> bool:
+        """Whether ``SetSketcher(dims, **params)`` has this sketcher's
+        parameters, so that this one can serve in its place."""
+        try:
+            other = SetSketcher(dims, projection=self.projection, **params)
+        except QueryError:
+            return False
+        return other.params() == self.params()
+
     @classmethod
     def from_snapshot(cls, params: dict, projection: np.ndarray) -> "SetSketcher":
         """Rebuild from persisted parameters + matrix, verifying the digest."""
@@ -176,29 +185,45 @@ class SetSketcher:
     # -- sketching ---------------------------------------------------------
 
     def _pack(self, bits: np.ndarray) -> np.ndarray:
-        """Pack a ``(width,)`` 0/1 array into little-endian uint64 words."""
-        packed = np.packbits(bits.astype(np.uint8), bitorder="little")
-        return np.frombuffer(packed.tobytes(), dtype="<u8").astype(np.uint64)
+        """Pack a ``(width,)`` bool array into little-endian uint64 words."""
+        return np.packbits(bits, bitorder="little").view("<u8")
+
+    def _winners(self, acts: np.ndarray) -> np.ndarray:
+        """The ``(width,)`` bool union of each ``(rows, width)`` *acts*
+        row's top-``wta`` activations.
+
+        A row's ``wta``-th largest activation is its threshold: every
+        activation above it wins, and the places left go to the
+        activations equal to it, lowest bit index first — the winners of
+        a stable descending sort, found without sorting.
+        """
+        at = self.width - self.wta
+        cut = np.partition(acts, at, axis=1)[:, at, None]
+        above = acts > cut
+        ties = acts == cut
+        left = self.wta - np.count_nonzero(above, axis=1)
+        return (above | (ties & (np.cumsum(ties, axis=1) <= left[:, None]))).any(axis=0)
 
     def sketch(self, vectors: np.ndarray) -> np.ndarray:
         """Sketch one set: ``(m, dims)`` → ``(words,)`` uint64.
 
-        Deterministic including ties: the top-``wta`` activations are
-        selected by a stable sort, so equal activations resolve to the
-        lower bit index in every process.
+        Deterministic including ties: an element's bits are its
+        activations above its ``wta``-th largest, then those equal to
+        that threshold, lowest bit index first, until ``wta`` are lit
+        (the winners of a stable descending sort).  A set whose
+        activations are not all finite (NaN, inf, or entries such as
+        1e308 that overflow through the projection) has no such order
+        and raises :class:`QueryError`.
         """
         arr = np.asarray(
             getattr(vectors, "vectors", vectors), dtype=np.float64
         )
         if arr.ndim != 2 or not len(arr) or arr.shape[1] != self.dims:
             raise QueryError(f"cannot sketch set of shape {arr.shape}")
-        acts = arr @ self.projection.T  # (m, width)
-        bits = np.zeros(self.width, dtype=bool)
-        if self.pool == "or":
-            top = np.argsort(-acts, axis=1, kind="stable")[:, : self.wta]
-            bits[top.ravel()] = True
-        else:  # "wta": pool activations, threshold once
-            pooled = acts.max(axis=0)
-            top = np.argsort(-pooled, kind="stable")[: self.wta]
-            bits[top] = True
-        return self._pack(bits)
+        with np.errstate(over="ignore", invalid="ignore"):
+            acts = arr @ self.projection.T  # (m, width)
+        if not np.isfinite(acts).all():
+            raise QueryError("cannot sketch a set whose activations are not finite")
+        if self.pool == "wta":  # pool activations, threshold once
+            acts = acts.max(axis=0, keepdims=True)
+        return self._pack(self._winners(acts))

@@ -287,6 +287,9 @@ class SimilarityDatabase:
         if not self.sketch_enabled and sketch_params:
             raise QueryError("sketch_params is only meaningful with sketch=True")
         self._sketcher: SetSketcher | None = None
+        # A sketcher to take instead of building an equal one: a shard's
+        # layout shares one (ShardedSimilarityDatabase sets it).
+        self._sketch_donor: SetSketcher | None = None
         self._snapshot_dense = False
         # -- durability state ---------------------------------------------
         self.durable = bool(durable)
@@ -513,9 +516,14 @@ class SimilarityDatabase:
         self._ensure_sketcher()
 
     def _ensure_sketcher(self) -> None:
-        """Materialize the sketcher once the dimension is known."""
+        """Materialize the sketcher once the dimension is known: the
+        donor's, when it is the one this database would build."""
         if self.sketch_enabled and self.dimension is not None and self._sketcher is None:
-            self._sketcher = SetSketcher(self.dimension, **self._sketch_params)
+            donor = self._sketch_donor
+            if donor is not None and donor.fits(self.dimension, **self._sketch_params):
+                self._sketcher = donor
+            else:
+                self._sketcher = SetSketcher(self.dimension, **self._sketch_params)
 
     def _code(self, arr: np.ndarray) -> np.ndarray | None:
         """The sketch code of *arr*, ``None`` without a sketch tier."""
@@ -558,8 +566,8 @@ class SimilarityDatabase:
             if oid in self:
                 raise QueryError(f"object id {oid} already present")
             self._ensure_dimension(arr)
-            centroid = extended_centroid(arr, self.capacity, self.omega)
             code = self._code(arr)
+            centroid = extended_centroid(arr, self.capacity, self.omega)
             self._wal_log(op, oid=oid, array=arr, payload=payload)
             if payload is not None:
                 self._payloads[oid] = payload
@@ -623,8 +631,8 @@ class SimilarityDatabase:
         with self._lock.write(timeout=self.lock_timeout):
             if oid not in self:
                 raise QueryError(f"no object with id {oid}")
-            centroid = extended_centroid(arr, self.capacity, self.omega)
             code = self._code(arr)
+            centroid = extended_centroid(arr, self.capacity, self.omega)
             self._wal_log("update", oid=oid, array=arr)
             self._engine.replace(oid, arr, centroid, code)
             self._bump("update")

@@ -299,15 +299,28 @@ class ShardedSimilarityDatabase:
     def _shard_for(self, oid: int) -> SimilarityDatabase:
         return self.shards[shard_of(check_object_id(oid), self.n_shards)]
 
+    def _receiver(self, oid: int) -> SimilarityDatabase:
+        """The shard owning *oid*, about to store a set.
+
+        The shards of one layout sketch with one projection
+        (:func:`repro.db.storage.as_one` sketches every query with the
+        donor's), so a shard that has no sketcher yet is handed the
+        donor's to take rather than generating an equal matrix again.
+        """
+        shard = self._shard_for(oid)
+        if shard._sketcher is None:
+            shard._sketch_donor = storage.donor(self.shards)._sketcher
+        return shard
+
     def add(self, oid: int, vectors, payload: dict | None = None) -> None:
-        self._shard_for(oid).add(oid, vectors, payload)
+        self._receiver(oid).add(oid, vectors, payload)
 
     def add_grid(self, oid: int, grid, payload: dict | None = None) -> np.ndarray:
         if self.model is None:
             raise QueryError("add_grid needs a database with a feature model")
         from repro.pipeline import Pipeline
 
-        shard = self._shard_for(oid)  # rejects a malformed id before extraction
+        shard = self._receiver(oid)  # rejects a malformed id before extraction
         shard._check_open()
         payload = check_payload(payload)
         pipeline = self.pipeline or Pipeline()
@@ -331,7 +344,9 @@ class ShardedSimilarityDatabase:
         :func:`repro.db.storage.donor`'s choice of them.
         """
         donor = storage.donor(self.shards)
-        return storage.empty_like(donor, lock_timeout=self.lock_timeout)
+        shard = storage.empty_like(donor, lock_timeout=self.lock_timeout)
+        shard._sketch_donor = donor._sketcher
+        return shard
 
     def reshard(self, new_shards: int) -> None:
         """Redistribute every object across *new_shards* fresh shards.

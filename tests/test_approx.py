@@ -3,6 +3,7 @@
 Four layers of assurance:
 
 * property tests (hypothesis) for the algebra the tier relies on —
+  the partition kernel lights the bits of the stable-sort formula,
   sketches are permutation invariant over set elements, Hamming
   distance is a metric on packed codes, and a full-database shortlist
   contains the exact top-k by construction;
@@ -21,6 +22,7 @@ Four layers of assurance:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -116,6 +118,26 @@ class TestSetSketcher:
         assert code.dtype == np.uint64
         assert code.shape == (sketcher.words,) == (3,)
 
+    @pytest.mark.parametrize("pool", ["or", "wta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+    def test_non_finite_activations_are_refused(self, pool, bad):
+        """NaN, inf and entries that overflow through the projection
+        (1e308 is finite; its activations are not) have no top-``wta``
+        order: refused typed, not sketched."""
+        sketcher = SetSketcher(DIM, seed=SEED, pool=pool)
+        vectors = np.ones((3, DIM))
+        vectors[1] = bad
+        with pytest.raises(QueryError, match="not finite"):
+            sketcher.sketch(vectors)
+
+    def test_fits_names_the_sketcher_a_database_would_build(self):
+        sketcher = SetSketcher(DIM, seed=SEED, wta=12)
+        assert sketcher.fits(DIM, seed=SEED, wta=12)
+        assert not sketcher.fits(DIM, seed=SEED)  # default wta
+        assert not sketcher.fits(DIM + 1, seed=SEED, wta=12)
+        assert not sketcher.fits(DIM, seed=SEED, wta=12, width=128)
+        assert not sketcher.fits(DIM, seed=SEED, wta=12, nnz=DIM + 1)  # invalid
+
     def test_snapshot_digest_mismatch_rejected(self):
         sketcher = SetSketcher(DIM, seed=SEED)
         params = {**sketcher.params(), "digest": sketcher.digest()}
@@ -123,6 +145,68 @@ class TestSetSketcher:
         tampered[0, 0] += 1.0
         with pytest.raises(QueryError):
             SetSketcher.from_snapshot(params, tampered)
+
+
+def stable_sort_sketch(sketcher, vectors):
+    """The sketch as its formula reads: each element's (or, with
+    ``pool="wta"``, the max-pooled row's) first ``wta`` bits in a stable
+    sort of the negated activations light, and the bits pack into
+    little-endian uint64 words."""
+    acts = vectors @ sketcher.projection.T
+    if sketcher.pool == "wta":
+        acts = acts.max(axis=0, keepdims=True)
+    top = np.argsort(-acts, axis=1, kind="stable")[:, : sketcher.wta]
+    bits = np.zeros(sketcher.width, dtype=np.uint8)
+    bits[top.ravel()] = 1
+    packed = np.packbits(bits, bitorder="little")
+    return np.frombuffer(packed.tobytes(), dtype="<u8").astype(np.uint64)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_sketcher(dims, width, wta, pool):
+    return SetSketcher(dims, width=width, wta=wta, seed=SEED, pool=pool)
+
+
+#: Set shapes whose activations tie at the cut: integer coordinates (few
+#: distinct projection sums), one element repeated, a single element,
+#: all zeros (every activation ties) — and plain normals beside them.
+SET_KINDS = ("normal", "integer", "repeated", "single", "zeros")
+
+
+def kind_set(rng, kind, m, dims):
+    if kind == "normal":
+        return rng.normal(size=(m, dims)) * 10.0 ** rng.integers(-3, 4)
+    if kind == "integer":
+        return rng.integers(-2, 3, size=(m, dims)).astype(float)
+    if kind == "repeated":
+        return np.repeat(rng.integers(-3, 4, size=(1, dims)).astype(float), m, axis=0)
+    if kind == "single":
+        return rng.integers(-1, 2, size=(1, dims)).astype(float)
+    return np.zeros((m, dims))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.integers(1, 8),
+    width=st.sampled_from([64, 512]),
+    wta=st.sampled_from(["one", "default", "width"]),
+    pool=st.sampled_from(["or", "wta"]),
+    kind=st.sampled_from(SET_KINDS),
+    m=st.integers(1, 9),
+)
+def test_sketch_equals_the_stable_sort_formula_bit_for_bit(
+    seed, dims, width, wta, pool, kind, m
+):
+    """The partition kernel lights the bits a stable sort would: every
+    activation above the ``wta``-th largest, then the ties at it in
+    ascending bit order — on tie-heavy sets too, for both pools, for
+    ``wta`` from 1 to the whole width."""
+    keep = {"one": 1, "default": 40, "width": width}[wta]
+    sketcher = cached_sketcher(dims, width, keep, pool)
+    vectors = kind_set(np.random.default_rng(seed), kind, m, dims)
+    code = sketcher.sketch(vectors)
+    assert code.dtype == np.uint64 and code.shape == (sketcher.words,)
+    assert np.array_equal(code, stable_sort_sketch(sketcher, vectors))
 
 
 # -- HammingIndex over the engine's code column -----------------------------
@@ -418,6 +502,52 @@ class TestDatabaseApproxMode:
             db.knn_query(np.ones((1, DIM)), 1, mode="approx")
         with pytest.raises(QueryError):
             SimilarityDatabase(6, sketch=False, sketch_params={"width": 128})
+
+    @pytest.mark.parametrize("op", ["add", "update"])
+    def test_an_unsketchable_set_is_refused_before_the_wal(self, tmp_path, op):
+        """A finite set whose activations overflow (entries of 1e308)
+        fails typed at the sketch, before the WAL append and before the
+        engine changes: size, version and the directory stay as they
+        were."""
+        dbdir = tmp_path / "db"
+        db = SimilarityDatabase(6, durable=True, path=dbdir)
+        db.add(0, np.ones((2, DIM)))
+        before = {p.name: p.read_bytes() for p in dbdir.iterdir()}
+        version, digest = db.version, db.engine_digest()
+        with pytest.raises(QueryError, match="not finite"):
+            getattr(db, op)(0 if op == "update" else 1, np.full((2, DIM), 1e308))
+        assert len(db) == 1 and db.version == version
+        assert db.engine_digest() == digest
+        assert {p.name: p.read_bytes() for p in dbdir.iterdir()} == before
+        db.close()
+
+    def test_a_fresh_sharded_database_builds_its_projection_once(self, monkeypatch):
+        """Every shard sketches with the one sketcher the first add
+        builds; the layout answers as one database holding the same
+        objects."""
+        import repro.approx.sketch as sketch_module
+
+        calls = []
+        build = sketch_module._projection
+        monkeypatch.setattr(
+            sketch_module, "_projection", lambda *args: calls.append(args) or build(*args)
+        )
+        db = ShardedSimilarityDatabase(6, shards=4)
+        rng = np.random.default_rng(22)
+        for oid in range(24):
+            db.add(oid, rng.standard_normal((int(rng.integers(1, 5)), DIM)))
+        assert all(len(shard) for shard in db.shards)
+        assert len(calls) == 1
+        assert len({id(shard._sketcher) for shard in db.shards}) == 1
+        db.reshard(3)  # fresh shards take the live one too
+        assert len(calls) == 1
+        plain = SimilarityDatabase(6)
+        for oid in db.object_ids():
+            plain.add(oid, db.get(oid))
+        query = rng.standard_normal((2, DIM))
+        assert db.knn_query(query, 5, mode="approx", shortlist=6) == plain.knn_query(
+            query, 5, mode="approx", shortlist=6
+        )
 
     def test_every_budget_returns_valid_results(self):
         db, rng = self.make_db(15)
