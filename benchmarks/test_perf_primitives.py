@@ -3,8 +3,9 @@
 These are classic pytest-benchmark timings (multiple rounds) of the
 operations whose complexity the paper argues about:
 
-* the O(k^3) Kuhn–Munkres matching at the paper's k = 7,
-* one minimal-matching distance on extracted cover sets,
+* one minimal-matching distance on extracted cover sets (the O(k^3)
+  assignment at the paper's k = 7 inside it; the solver alone is timed
+  by test_perf_batch.py::test_bench_hungarian_batch),
 * one greedy cover extraction at r = 15,
 * the extended-centroid filter distance (the thing that replaces a
   matching in the filter step — it must be orders of magnitude cheaper).
@@ -14,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core.centroid import centroid_lower_bound, extended_centroid
-from repro.core.matching import hungarian
 from repro.core.min_matching import min_matching_distance
 from repro.features.cover_sequence import extract_cover_sequence
 from repro.geometry.sdf import Box, Torus
@@ -25,12 +25,6 @@ from repro.voxel.voxelize import voxelize_solid
 def cover_sets():
     rng = np.random.default_rng(0)
     return [rng.normal(size=(7, 6)) for _ in range(2)]
-
-
-def test_bench_hungarian_k7(benchmark):
-    rng = np.random.default_rng(1)
-    matrix = rng.normal(size=(7, 7))
-    benchmark(hungarian, matrix)
 
 
 def test_bench_min_matching_distance(benchmark, cover_sets):

@@ -26,7 +26,6 @@ paper-to-module map.
 """
 
 from repro.core.centroid import centroid_lower_bound, extended_centroid
-from repro.core.matching import hungarian
 from repro.core.min_matching import (
     MatchResult,
     min_matching_distance,
@@ -67,7 +66,6 @@ __all__ = [
     "VectorSetModel",
     "extract_cover_sequence",
     "VectorSet",
-    "hungarian",
     "MatchResult",
     "min_matching_distance",
     "min_matching_match",

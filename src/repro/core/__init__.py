@@ -3,10 +3,10 @@
 This subpackage implements Section 4 of the paper:
 
 * :mod:`repro.core.vector_set` — the vector set representation,
-* :mod:`repro.core.matching` — the Kuhn–Munkres (Hungarian) algorithm,
-  written from scratch with O(k^3) worst-case complexity,
 * :mod:`repro.core.min_matching` — the minimal matching distance
-  (Definition 6) with pluggable weight functions,
+  (Definition 6) with pluggable element distances and weight functions,
+  solved by the same assignment solver and summed by the same arithmetic
+  as the batched kernels,
 * :mod:`repro.core.permutation` — the minimum Euclidean distance under
   permutation (Definitions 3/4), both brute force and via matching,
 * :mod:`repro.core.centroid` — extended centroids and the Lemma 2 lower
@@ -14,8 +14,10 @@ This subpackage implements Section 4 of the paper:
 * :mod:`repro.core.queries` — filter-and-refine ε-range and optimal
   multi-step k-nn query processing,
 * :mod:`repro.core.batch` — batched minimal-matching kernels over
-  omega-padded packed tensors, solved by one compiled assignment
-  solver, and a parallel pairwise-distance engine.
+  omega-padded packed tensors, the one assignment solver (scipy's
+  compiled O(k^3) shortest-augmenting-path solver, reached through
+  :func:`~repro.core.batch.hungarian_batch`), and a parallel
+  pairwise-distance engine.
 """
 
 from repro.core.batch import (
@@ -25,16 +27,12 @@ from repro.core.batch import (
     match_pairs,
     pairwise_matrix,
 )
-from repro.core.centroid import (
-    centroid_lower_bound,
-    extended_centroid,
-    norm_weight,
-)
-from repro.core.matching import hungarian, assignment_cost
+from repro.core.centroid import centroid_lower_bound, extended_centroid
 from repro.core.min_matching import (
     MatchResult,
     min_matching_distance,
     min_matching_match,
+    norm_weight,
 )
 from repro.core.partial import partial_matching_distance
 from repro.core.permutation import (
@@ -46,8 +44,6 @@ from repro.core.vector_set import VectorSet
 
 __all__ = [
     "VectorSet",
-    "hungarian",
-    "assignment_cost",
     "MatchResult",
     "min_matching_distance",
     "min_matching_match",

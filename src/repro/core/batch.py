@@ -33,21 +33,29 @@ the query-first layout, from an einsum about 2.5x faster at the
 cascade's window sizes.
 
 **One compiled solver.**  The stacked ``(B, K, K)`` assignment problems
-go one by one to :func:`scipy.optimize.linear_sum_assignment`: 2.3 µs
-per pair in the engine's 16-pair blocks, 3.2 µs at B = 4096 (7 x 7
-stacks, measured on the parent of PR 21).  The two solvers it replaced
-won at no batch size — a vectorised numpy Kuhn–Munkres that advanced a
-whole stack per step (113 µs per pair at B = 16, 9.8 at B = 4096) and a
-loop over the from-scratch scalar solver (29 and 34) — so there is no
-solver to choose.  :mod:`repro.core.matching`'s Kuhn–Munkres remains the
-paper's §4 and the reference the tests compare against.
+go one by one to :func:`scipy.optimize.linear_sum_assignment`, scipy's
+shortest-augmenting-path solver (Crouse 2016, a Jonker–Volgenant
+variant, O(k^3) per problem): 2.3 µs per pair in the engine's 16-pair
+blocks, 3.2 µs at B = 4096 (7 x 7 stacks on a 2-core x86 machine).
+A vectorised numpy Kuhn–Munkres that advanced a whole stack per step
+(113 µs per pair at B = 16, 9.8 at B = 4096) and a loop over a
+from-scratch scalar Kuhn–Munkres (29 and 34) won at no batch size, so
+there is no solver to choose.  :func:`hungarian_batch` is the one call
+site, for the per-pair Definition 6 of :mod:`repro.core.min_matching`
+and the partial matching too; an independent Kuhn–Munkres lives in the
+tests as their oracle.
 
 **Tie-canonical distances.**  Omega padding makes all virtual rows (and
 columns) of a problem identical, so a ragged pair has many optimal
 assignments, all matching the same multiset of costs.  The distance is
-the sum of the matched costs in ascending order: a function of that
-multiset, not of the optimum a solver's tie-breaking happens to return
-(DESIGN.md states the contract, residual ties included).
+:func:`ascending_sum` of the matched costs: the terms in ascending
+order, added one after another.  That is a function of the multiset,
+not of the optimum a solver's tie-breaking happens to return, nor of
+the capacity: the extra virtual-virtual pairs of a wider layout cost
+exactly zero, sort first and leave every partial sum as it was
+(NumPy's ``sum`` regroups its terms from eight on, so its float would
+depend on how many zeros padded them).  DESIGN.md states the contract,
+residual ties included.
 """
 
 from __future__ import annotations
@@ -226,6 +234,21 @@ class PackedSets:
 # -- batched assignment -------------------------------------------------------
 
 
+def ascending_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum along the last axis in ascending order, one term after
+    another — the one summation of Definition 6's matched costs and of
+    the bounds that must never exceed them.  Sorts *terms* in place.
+
+    Sequential, unlike ``ndarray.sum``, whose grouping changes from
+    eight terms on: with it, zero terms before the first non-zero one
+    (the virtual-virtual pairs of omega padding) leave the float
+    unchanged, so a distance does not depend on the packed capacity.
+    Up to seven terms it is bit for bit what ``sum`` returns.
+    """
+    terms.sort(axis=-1)
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
 def hungarian_batch(costs: np.ndarray) -> np.ndarray:
     """Solve a ``(B, n, n)`` stack of square assignment problems, one
     :func:`scipy.optimize.linear_sum_assignment` call per problem.
@@ -292,10 +315,10 @@ def assignment_bounds(cost: np.ndarray) -> np.ndarray:
     Each row and each column of a perfect assignment is matched exactly
     once, so ``max(Σ row minima, Σ column minima)`` bounds the optimum
     (the dual-feasible bound of the assignment LP).  The minima are
-    sorted ascending and summed in the shape ``_finish`` sums the
-    matched costs: the i-th smallest row (column) minimum is at most the
-    i-th smallest matched cost, and a fixed float summation never
-    decreases when a term grows.
+    summed by :func:`ascending_sum`, as ``_finish`` sums the matched
+    costs: the i-th smallest row (column) minimum is at most the i-th
+    smallest matched cost, and a fixed float summation never decreases
+    when a term grows.
     """
     # K - 1 elementwise minima over (B, K) slices: a minimum rounds
     # nothing, and NumPy reduces the short axes of .min(axis=...) slowly.
@@ -304,9 +327,7 @@ def assignment_bounds(cost: np.ndarray) -> np.ndarray:
     for j in range(1, cost.shape[2]):
         np.minimum(rows, cost[:, :, j], out=rows)
         np.minimum(columns, cost[:, j, :], out=columns)
-    rows.sort(axis=1)
-    columns.sort(axis=1)
-    return np.maximum(rows.sum(axis=1), columns.sum(axis=1))
+    return np.maximum(ascending_sum(rows), ascending_sum(columns))
 
 
 def _finish(
@@ -323,9 +344,7 @@ def _finish(
     # Ascending summation: optima that differ only in which of the
     # identical virtual rows / columns they use match the same cost
     # multiset, so the float does not depend on a solver's tie-breaking.
-    matched_costs = cost[b_idx, rows, assignment]
-    matched_costs.sort(axis=1)
-    distances = matched_costs.sum(axis=1)
+    distances = ascending_sum(cost[b_idx, rows, assignment])
     if x_sizes is None:
         return distances
     # A pair is "real" when both endpoints are non-virtual; the matching

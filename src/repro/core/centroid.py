@@ -18,22 +18,10 @@ candidates: for an ε-range query only sets whose centroid is within
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.core.vector_set import VectorSet
 from repro.exceptions import DistanceError
-
-
-def norm_weight(omega: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
-    """The weight function family ``w_omega(x) = || x - omega ||_2``
-    of Definition 7.  ``omega = None`` means the origin — the paper's
-    choice, because no real cover has zero volume, keeping ``w > 0``."""
-    if omega is None:
-        return lambda arr: np.linalg.norm(arr, axis=1)
-    ref = np.asarray(omega, dtype=float)
-    return lambda arr: np.linalg.norm(arr - ref, axis=1)
 
 
 def extended_centroid(

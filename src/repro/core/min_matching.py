@@ -13,7 +13,14 @@ Ramon & Bruynooghe).
 
 Implementation: the ``m x m`` cost matrix gets one dummy column per
 missing element of the smaller set, whose cost for row ``x`` is ``w(x)``;
-a standard square assignment then realizes Definition 6 exactly.
+a standard square assignment then realizes Definition 6 exactly.  The
+assignment is solved by :func:`repro.core.batch.hungarian_batch` and its
+matched costs summed by :func:`repro.core.batch.ascending_sum` — the
+solver and the arithmetic every database query uses, so with the default
+element distance and weight this function returns, bit for bit, the
+float :func:`repro.core.batch.match_many` returns for the same pair at
+any packed capacity (unless two optima of different matched-cost
+multisets tie; DESIGN.md "Tie-canonical distances").
 """
 
 from __future__ import annotations
@@ -23,8 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.centroid import norm_weight
-from repro.core.matching import assignment_cost, hungarian
+from repro.core.batch import ascending_sum, hungarian_batch
 from repro.core.vector_set import VectorSet
 from repro.exceptions import DistanceError
 
@@ -105,8 +111,22 @@ def as_set_array(vectors: np.ndarray | VectorSet) -> np.ndarray:
     return arr
 
 
-# Backwards-compatible private alias.
-_as_array = as_set_array
+def norm_weight(omega: np.ndarray | None = None) -> WeightFn:
+    """The weight function family ``w_omega(x) = || x - omega ||_2``
+    of Definition 7.  ``omega = None`` means the origin — the paper's
+    choice, because no real cover has zero volume, keeping ``w > 0``.
+
+    The norm is the Gram-form :func:`euclidean_cross` entry between
+    ``x`` and ``omega``: exactly the cost the omega-padded kernel of
+    :mod:`repro.core.batch` writes for a real element matched to a
+    virtual one, so the weight column and the kernel agree to the bit.
+    """
+
+    def weight(arr: np.ndarray) -> np.ndarray:
+        ref = np.zeros(arr.shape[1]) if omega is None else np.asarray(omega, dtype=float)
+        return euclidean_cross(arr, ref[np.newaxis])[:, 0]
+
+    return weight
 
 
 @dataclass(frozen=True)
@@ -138,7 +158,6 @@ def min_matching_match(
     y: np.ndarray | VectorSet,
     dist: str | DistanceFn = "euclidean",
     weight: WeightFn | None = None,
-    backend: str = "own",
 ) -> MatchResult:
     """Minimal matching distance with the full matching reported.
 
@@ -154,11 +173,9 @@ def min_matching_match(
         to the Euclidean norm (``omega = 0``, the paper's choice).  For
         metric behaviour it must satisfy the Lemma 1 conditions together
         with *dist*.
-    backend:
-        Assignment backend, see :func:`repro.core.matching.hungarian`.
     """
-    arr_x = _as_array(x)
-    arr_y = _as_array(y)
+    arr_x = as_set_array(x)
+    arr_y = as_set_array(y)
     if arr_x.shape[1] != arr_y.shape[1]:
         raise DistanceError(
             f"dimension mismatch: {arr_x.shape[1]} vs {arr_y.shape[1]}"
@@ -181,8 +198,8 @@ def min_matching_match(
             raise DistanceError("weight function must return one value per vector")
         cost[:, n:] = penalties[:, np.newaxis]
 
-    assignment = hungarian(cost, backend=backend)
-    total = assignment_cost(cost, assignment)
+    assignment = hungarian_batch(cost[np.newaxis])[0]
+    total = float(ascending_sum(cost[np.arange(m), assignment]))
 
     matched_rows = np.nonzero(assignment < n)[0]
     pairs = np.column_stack([matched_rows, assignment[matched_rows]])
@@ -201,7 +218,6 @@ def min_matching_distance(
     y: np.ndarray | VectorSet,
     dist: str | DistanceFn = "euclidean",
     weight: WeightFn | None = None,
-    backend: str = "own",
 ) -> float:
     """Minimal matching distance value (Definition 6)."""
-    return min_matching_match(x, y, dist=dist, weight=weight, backend=backend).distance
+    return min_matching_match(x, y, dist=dist, weight=weight).distance

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.matching import hungarian
+from repro.core.batch import hungarian_batch
 from repro.core.min_matching import DistanceFn, resolve_distance
 from repro.exceptions import DistanceError
 
@@ -73,7 +73,7 @@ def partial_matching_distance(
         matrix[:m, n:] = 0.0  # x unmatched
     if n > i:
         matrix[m:, :n] = 0.0  # y unmatched
-    assignment = hungarian(matrix)
+    assignment = hungarian_batch(matrix[np.newaxis])[0]
     total = float(matrix[np.arange(size), assignment].sum())
     if total >= big:
         raise DistanceError("partial matching reduction became infeasible")

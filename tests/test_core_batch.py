@@ -21,10 +21,10 @@ from repro.core.batch import (
     pairwise_matrix,
     query_costs,
 )
-from repro.core.matching import assignment_cost, hungarian
 from repro.core.min_matching import min_matching_distance, min_matching_match
 from repro.exceptions import DistanceError
 from tests.conftest import random_vector_sets
+from tests.kuhn_munkres import assignment_cost, definition_6, kuhn_munkres
 from tests.test_core_queries import near_ties
 
 # Collections of 2..8 ragged sets (1..5 vectors each, 3-d), bounded
@@ -51,17 +51,29 @@ tied_collections = st.lists(
     max_size=8,
 )
 
+# The paper's shape of set: up to seven 6-d vectors at full double
+# precision.  Seven terms past a few padding zeros are what ndarray.sum
+# regroups, and 6-d doubles are where the Gram-form norm and
+# `np.linalg.norm` part in the last bit.
+cover_collections = st.lists(
+    st.integers(1, 7).flatmap(
+        lambda m: arrays(float, (m, 6), elements=st.floats(-50, 50, allow_nan=False))
+    ),
+    min_size=2,
+    max_size=6,
+)
+
 
 def _degenerate_sets(seed, n=48):
     """The benchmark's centroid-degenerate corpus (ragged one-offs first)."""
     return set_corpus(np.random.default_rng(seed), n, recentre=True)[0]
 
 
-def _kernel_view(query, sets):
-    """What the kernel computes for *query* against *sets*: the padded
-    cost stack, the matched costs of its assignments (ascending), and
-    the distances `match_many` returns."""
-    packed = PackedSets.pack(sets)
+def _kernel_view(query, sets, capacity=None):
+    """What the kernel computes for *query* against *sets* packed at
+    *capacity*: the padded cost stack, the matched costs of its
+    assignments (ascending), and the distances `match_many` returns."""
+    packed = PackedSets.pack(sets, capacity=capacity)
     prepared = packed.pad_query(query)
     costs = _cost_tensor(
         prepared.data, prepared.sq_norms, packed.data, packed.sq_norms
@@ -92,7 +104,7 @@ def _check_row_order_invariance(sets, rng):
 
 def _check_against_scratch_solver(sets):
     costs, matched, distances = _kernel_view(sets[0], sets)
-    scratch = [hungarian(cost, backend="own") for cost in costs]
+    scratch = [kuhn_munkres(cost) for cost in costs]
     _assert_same_up_to_ties(
         distances,
         matched,
@@ -221,15 +233,15 @@ class TestHungarianBatch:
                 )
                 for cost, got in zip(costs, assignment):
                     assert assignment_cost(cost, got) == pytest.approx(
-                        assignment_cost(cost, hungarian(cost, backend="own")),
+                        assignment_cost(cost, kuhn_munkres(cost)),
                         abs=tolerance,
                     )
 
     @given(tied_collections)
     @settings(max_examples=60, deadline=None)
     def test_distance_matches_scratch_solver(self, sets):
-        """The kernel distance is `assignment_cost` of the scratch
-        solver's assignment on the same padded matrix — bit for bit,
+        """The kernel distance is `assignment_cost` of the independent
+        Kuhn–Munkres's assignment on the same padded matrix — bit for bit,
         whichever optimum either solver's tie-breaking picked."""
         _check_against_scratch_solver(sets)
 
@@ -268,11 +280,22 @@ def gram_reference(x, x_sq, y, y_sq):
     return np.sqrt(np.maximum(sq, 0.0))
 
 
+def _sequential_sum(terms):
+    """Ascending terms added one after another, as a plain loop."""
+    total = np.zeros(terms.shape[:-1])
+    for j in range(terms.shape[-1]):
+        total += terms[..., j]
+    return total
+
+
 def minima_reference(cost):
-    """``max(sorted row-minima sum, sorted column-minima sum)``."""
+    """``max(sorted row-minima sum, sorted column-minima sum)``, each sum
+    sequential in ascending order: the summation of the distance the
+    bound must never exceed.  (``.sum(axis=1)`` regroups its terms from
+    eight on, so at capacities of eight and more it is not that sum.)"""
     rows = np.sort(cost.min(axis=2), axis=1)
     columns = np.sort(cost.min(axis=1), axis=1)
-    return np.maximum(rows.sum(axis=1), columns.sum(axis=1))
+    return np.maximum(_sequential_sum(rows), _sequential_sum(columns))
 
 
 @given(
@@ -381,14 +404,43 @@ class TestMatchMany:
     @settings(max_examples=40, deadline=None)
     def test_property_matches_per_pair_and_oracle(self, sets):
         """Ragged cardinalities, m<n swaps and k=1 all reduce to the same
-        distances as the per-pair path and the scipy oracle."""
+        distances as the per-pair path and the independent oracle."""
         packed = PackedSets.pack(sets)
         query = sets[0]
         batch = match_many(query, packed)
-        oracle = [min_matching_distance(query, s, backend="scipy") for s in sets]
+        oracle = [definition_6(query, s) for s in sets]
         reference = np.array([min_matching_distance(query, s) for s in sets])
         assert np.allclose(batch, oracle, atol=1e-8)
         assert np.allclose(batch, reference, atol=1e-8)
+
+    @given(st.one_of(cover_collections, tied_collections))
+    @settings(max_examples=80, deadline=None)
+    def test_definition_6_is_the_kernel_distance_bit_for_bit(self, sets):
+        """`min_matching_distance` returns the very float `match_many`
+        does, at the tightest capacity and at wider ones (twelve puts
+        more than seven terms in every sum); only a true tie - an
+        optimum of another matched-cost multiset - may round otherwise."""
+        query = sets[0]
+        largest = max(len(s) for s in sets)
+        for capacity in (largest, largest + 2, 12):
+            costs, matched, distances = _kernel_view(query, sets, capacity)
+            for cost, kernel_costs, distance, other in zip(
+                costs, matched, distances, sets
+            ):
+                result = min_matching_match(query, other)
+                size = max(len(query), len(other))
+                # The per-pair optimum's matched costs, read off the
+                # kernel's padded matrix (query rows first; the last row
+                # and column are virtual whenever the sizes differ).
+                own = [cost[i, j] for i, j in result.pairs]
+                if len(query) > len(other):
+                    own += [cost[i, -1] for i in result.unmatched]
+                else:
+                    own += [cost[-1, j] for j in result.unmatched]
+                own += [cost[-1, -1]] * (capacity - size)
+                _assert_same_up_to_ties(
+                    [result.distance], [np.sort(own)], [distance], [kernel_costs]
+                )
 
     @given(tied_collections, st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -452,6 +504,15 @@ class TestPairwiseMatrix:
         assert np.allclose(matrix, self._reference(sets), atol=1e-9)
         assert np.array_equal(matrix, matrix.T)
         assert np.all(np.diag(matrix) == 0.0)
+
+    def test_capacity_is_invisible(self, rng):
+        """Wider padding adds virtual-virtual pairs of cost zero; they
+        must not move a single distance (sets of seven are summed past
+        eight terms at capacity eleven)."""
+        sets = random_vector_sets(rng, 60, dim=6, max_size=7)
+        assert np.array_equal(
+            pairwise_matrix(sets, capacity=7), pairwise_matrix(sets, capacity=11)
+        )
 
     def test_chunking_is_invisible(self, rng):
         sets = random_vector_sets(rng, 20, dim=6, max_size=7)

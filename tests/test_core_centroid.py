@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.centroid import centroid_lower_bound, extended_centroid, norm_weight
+from repro.core.centroid import centroid_lower_bound, extended_centroid
+from repro.core.min_matching import norm_weight
 from repro.core.min_matching import min_matching_distance
 from repro.core.vector_set import VectorSet
 from repro.exceptions import DistanceError

@@ -1,24 +1,27 @@
-"""Tests for the from-scratch Kuhn–Munkres implementation."""
+"""The tests' independent Kuhn–Munkres (tests/kuhn_munkres.py) against
+the program's one assignment solver, scipy's through `hungarian_batch`.
+
+Both must return optimal permutations of equal cost; everything else in
+the suite that compares a distance with "the scratch solver" leans on
+this file for the oracle being right."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
 
-from repro.core.matching import (
-    _SCALAR_CUTOFF,
-    _hungarian_own,
-    _hungarian_scalar,
-    assignment_cost,
-    hungarian,
-)
+from repro.core.batch import hungarian_batch
 from repro.exceptions import DistanceError
+from tests.kuhn_munkres import assignment_cost, kuhn_munkres
 
 
-def _optimal_cost(matrix: np.ndarray) -> float:
-    rows, cols = linear_sum_assignment(matrix)
-    return float(matrix[rows, cols].sum())
+def _solve(matrix: np.ndarray) -> np.ndarray:
+    """One problem through the program's solver, as `min_matching_match`
+    and `partial_matching_distance` call it."""
+    return hungarian_batch(matrix[np.newaxis])[0]
+
+
+SOLVERS = (kuhn_munkres, _solve)
 
 
 class TestAgainstScipy:
@@ -26,36 +29,17 @@ class TestAgainstScipy:
     def test_random_matrices(self, n, rng):
         for _ in range(10):
             matrix = rng.normal(size=(n, n)) * rng.uniform(0.1, 100)
-            assignment = hungarian(matrix)
+            assignment = kuhn_munkres(matrix)
             assert sorted(assignment) == list(range(n))  # a permutation
             assert assignment_cost(matrix, assignment) == pytest.approx(
-                _optimal_cost(matrix)
+                assignment_cost(matrix, _solve(matrix))
             )
 
-    def test_scalar_and_vectorized_agree(self, rng):
-        for n in (2, 5, 9, 17):
-            matrix = rng.normal(size=(n, n))
-            cost_scalar = assignment_cost(matrix, _hungarian_scalar(matrix))
-            cost_vector = assignment_cost(matrix, _hungarian_own(matrix))
-            assert cost_scalar == pytest.approx(cost_vector)
-
-    def test_scipy_backend(self, rng):
-        matrix = rng.normal(size=(6, 6))
-        assert assignment_cost(matrix, hungarian(matrix, backend="scipy")) == pytest.approx(
-            _optimal_cost(matrix)
-        )
-
     def test_integer_costs_with_many_ties(self, rng):
+        """Integer costs sum exactly, so the optima are equal literally."""
         matrix = rng.integers(0, 3, size=(10, 10)).astype(float)
-        assert assignment_cost(matrix, hungarian(matrix)) == pytest.approx(
-            _optimal_cost(matrix)
-        )
-
-    def test_large_matrix_uses_vectorized_path(self, rng):
-        n = _SCALAR_CUTOFF + 5
-        matrix = rng.normal(size=(n, n))
-        assert assignment_cost(matrix, hungarian(matrix)) == pytest.approx(
-            _optimal_cost(matrix)
+        assert assignment_cost(matrix, kuhn_munkres(matrix)) == assignment_cost(
+            matrix, _solve(matrix)
         )
 
 
@@ -63,38 +47,39 @@ class TestEdgeCases:
     def test_identity_is_optimal_on_diagonal_costs(self):
         matrix = np.full((4, 4), 10.0)
         np.fill_diagonal(matrix, 0.0)
-        assert list(hungarian(matrix)) == [0, 1, 2, 3]
+        for solve in SOLVERS:
+            assert list(solve(matrix)) == [0, 1, 2, 3]
 
     def test_anti_diagonal(self):
         matrix = np.full((3, 3), 5.0)
         matrix[0, 2] = matrix[1, 1] = matrix[2, 0] = 0.0
-        assert list(hungarian(matrix)) == [2, 1, 0]
+        for solve in SOLVERS:
+            assert list(solve(matrix)) == [2, 1, 0]
 
     def test_single_element(self):
-        assert list(hungarian(np.array([[3.5]]))) == [0]
+        for solve in SOLVERS:
+            assert list(solve(np.array([[3.5]]))) == [0]
 
     def test_empty_matrix(self):
-        assert len(hungarian(np.empty((0, 0)))) == 0
+        """A 0 x 0 problem (an empty batch is test_core_batch's)."""
+        for solve in SOLVERS:
+            assert len(solve(np.empty((0, 0)))) == 0
 
     def test_negative_costs_fine(self, rng):
         matrix = rng.normal(size=(7, 7)) - 50
-        assert assignment_cost(matrix, hungarian(matrix)) == pytest.approx(
-            _optimal_cost(matrix)
+        assert assignment_cost(matrix, kuhn_munkres(matrix)) == pytest.approx(
+            assignment_cost(matrix, _solve(matrix))
         )
 
     def test_non_square_rejected(self):
         with pytest.raises(DistanceError):
-            hungarian(np.zeros((2, 3)))
+            _solve(np.zeros((2, 3)))
 
     def test_non_finite_rejected(self):
         matrix = np.zeros((3, 3))
         matrix[1, 1] = np.inf
         with pytest.raises(DistanceError):
-            hungarian(matrix)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(DistanceError):
-            hungarian(np.zeros((2, 2)), backend="magic")
+            _solve(matrix)
 
 
 @given(
@@ -108,10 +93,10 @@ class TestEdgeCases:
 )
 @settings(max_examples=80, deadline=None)
 def test_hungarian_optimality_property(matrix_rows):
-    """The returned assignment's cost equals scipy's optimum."""
+    """The oracle's assignment costs what the program's solver's does."""
     matrix = np.asarray(matrix_rows)
-    assignment = hungarian(matrix)
+    assignment = kuhn_munkres(matrix)
     assert sorted(assignment) == list(range(len(matrix)))
     assert assignment_cost(matrix, assignment) == pytest.approx(
-        _optimal_cost(matrix), abs=1e-6
+        assignment_cost(matrix, _solve(matrix)), abs=1e-6
     )

@@ -19,6 +19,7 @@ from repro.core.min_matching import (
 )
 from repro.core.vector_set import VectorSet
 from repro.exceptions import DistanceError
+from tests.kuhn_munkres import definition_6
 
 finite_sets = st.integers(1, 5).flatmap(
     lambda m: arrays(
@@ -115,21 +116,20 @@ class TestMinMatching:
         assert min_matching_distance(x, y) == pytest.approx(min_matching_distance(y, x))
 
     def test_brute_force_equivalence_small(self, rng):
-        """Exhaustively verify Definition 6 on small sets."""
+        """Exhaustively verify Definition 6 on sets of up to seven, the
+        paper's k: every enumeration of the larger set, its first n
+        elements matched to y in order, the rest paying their norm."""
         from itertools import permutations
 
         for _ in range(20):
-            m, n = rng.integers(1, 5, size=2)
+            m, n = rng.integers(1, 8, size=2)
             if m < n:
                 m, n = n, m
             x, y = rng.normal(size=(m, 3)), rng.normal(size=(n, 3))
-            best = np.inf
-            for order in permutations(range(m)):
-                matched = sum(
-                    np.linalg.norm(x[order[i]] - y[i]) for i in range(n)
-                )
-                unmatched = sum(np.linalg.norm(x[order[i]]) for i in range(n, m))
-                best = min(best, matched + unmatched)
+            orders = np.array(list(permutations(range(m))))
+            matched = np.linalg.norm(x[orders[:, :n]] - y, axis=2).sum(axis=1)
+            unmatched = np.linalg.norm(x[orders[:, n:]], axis=2).sum(axis=1)
+            best = (matched + unmatched).min()
             assert min_matching_distance(x, y) == pytest.approx(best)
 
     def test_size_mismatch_pays_weight(self):
@@ -182,12 +182,12 @@ class TestMinMatching:
             min_matching_distance(np.empty((0, 3)), np.zeros((1, 3)))
 
     def test_backends_agree(self, rng):
+        """The one solver (scipy's) against the independent Kuhn–Munkres
+        on broadcast distances of tests/kuhn_munkres.py."""
         for _ in range(20):
             x = rng.normal(size=(rng.integers(1, 8), 5))
             y = rng.normal(size=(rng.integers(1, 8), 5))
-            assert min_matching_distance(x, y, backend="own") == pytest.approx(
-                min_matching_distance(x, y, backend="scipy")
-            )
+            assert min_matching_distance(x, y) == pytest.approx(definition_6(x, y))
 
     def test_pairs_never_empty_via_public_api(self, rng):
         """The smaller set is always fully matched, so `pairs` has at

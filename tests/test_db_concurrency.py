@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.concurrency import RWLock
-from repro.core.centroid import norm_weight
+from repro.core.min_matching import norm_weight
 from repro.core.min_matching import min_matching_distance
 from repro.db import SimilarityDatabase
 from tests.conftest import BACKENDS, start_database

@@ -20,7 +20,6 @@ PUBLIC_MODULES = [
     "repro",
     "repro.cli",
     "repro.core",
-    "repro.core.matching",
     "repro.core.min_matching",
     "repro.core.partial",
     "repro.core.permutation",

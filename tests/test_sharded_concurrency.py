@@ -23,7 +23,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.core.centroid import norm_weight
+from repro.core.min_matching import norm_weight
 from repro.core.min_matching import min_matching_distance
 from repro.db import ShardedSimilarityDatabase, shard_of
 from repro.exceptions import LockTimeout
