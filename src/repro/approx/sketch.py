@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -31,16 +32,41 @@ from repro.seeding import DEFAULT_SEED, spawn
 
 __all__ = ["SetSketcher", "DEFAULT_WIDTH", "DEFAULT_NNZ", "DEFAULT_WTA"]
 
-#: Sketch width in bits; must be a multiple of 64 (one uint64 word each).
+#: Widest default sketch in bits (one uint64 word per 64): the default
+#: width of a feature space with at least this many distinct rows.
 DEFAULT_WIDTH = 512
 
 #: Nonzero entries per projection row (sparse fly-style expansion).
 DEFAULT_NNZ = 4
 
-#: Activations kept per element (winner-take-all sparsification).
+#: Activations kept per element (winner-take-all sparsification) at the
+#: widest default; the default ``wta`` of a narrower sketch scales with
+#: its width.
 DEFAULT_WTA = 40
 
 _POOLS = ("or", "wta")
+
+#: The row count a projection is drawn from must fit an int64 rank.
+_MAX_ROWS = 2**63 - 1
+
+
+def _row_count(dims: int, nnz: int) -> int:
+    """How many distinct rows a projection can have: C(dims, nnz) · 2^nnz."""
+    return math.comb(dims, nnz) << nnz
+
+
+def _combinations(ranks: np.ndarray, dims: int, nnz: int) -> np.ndarray:
+    """The ``nnz``-subsets of ``range(dims)`` of colex rank *ranks*, as
+    ``(len(ranks), nnz)`` ascending columns (the combinatorial number
+    system: a rank is ``C(c_nnz, nnz) + … + C(c_1, 1)``)."""
+    cols = np.empty((len(ranks), nnz), dtype=np.int64)
+    rest = ranks.copy()
+    for i in range(nnz, 0, -1):
+        # C(c, i) for every c the i-th smallest column can take.
+        table = np.array([math.comb(c, i) for c in range(dims - nnz + i)], dtype=np.int64)
+        cols[:, i - 1] = np.searchsorted(table, rest, side="right") - 1
+        rest -= table[cols[:, i - 1]]
+    return cols
 
 
 def _projection(dims: int, width: int, nnz: int, seed: int) -> np.ndarray:
@@ -50,13 +76,25 @@ def _projection(dims: int, width: int, nnz: int, seed: int) -> np.ndarray:
     with signs ±1.  Signed (rather than the fly's binary) connections
     keep the expansion informative when features are correlated or share
     a common offset, at identical cost.
+
+    No two rows are equal while ``width`` is at most the
+    ``C(dims, nnz) · 2^nnz`` rows that exist; a wider matrix cycles
+    through fresh permutations of all of them.  One call draws distinct
+    row ranks, which are unranked into columns (colex combination rank)
+    and signs (the low ``nnz`` bits), so the cost does not grow with the
+    row count.
     """
     rng = spawn(seed, "sketch-projection", dims, width, nnz)
+    count = _row_count(dims, nnz)
+    if width <= count:
+        ranks = rng.choice(count, size=width, replace=False)
+    else:
+        laps = np.tile(np.arange(count), (-(-width // count), 1))
+        ranks = rng.permuted(laps, axis=1).ravel()[:width]
+    cols = _combinations(ranks >> nnz, dims, nnz)
+    signs = ((ranks[:, None] >> np.arange(nnz)) & 1) * 2.0 - 1.0
     proj = np.zeros((width, dims), dtype=np.float64)
-    for row in range(width):
-        cols = rng.choice(dims, size=nnz, replace=False)
-        signs = rng.integers(0, 2, size=nnz) * 2 - 1
-        proj[row, cols] = signs.astype(np.float64)
+    np.put_along_axis(proj, cols, signs, axis=1)
     return proj
 
 
@@ -68,12 +106,17 @@ class SetSketcher:
     dims:
         Element dimensionality of the sets to sketch.
     width:
-        Sketch width in bits (multiple of 64).
+        Sketch width in bits (multiple of 64).  Default: the largest
+        multiple of 64 not above the ``C(dims, nnz) · 2^nnz`` distinct
+        projection rows, within ``[64, DEFAULT_WIDTH]`` — 192 at
+        ``dims=6``, 512 from ``dims=7`` on.
     nnz:
-        Nonzero entries per projection row.
+        Nonzero entries per projection row.  Default:
+        ``min(DEFAULT_NNZ, dims)``.
     wta:
         Bits set per element before pooling (``pool="or"``) or kept in
-        the pooled activation (``pool="wta"``).
+        the pooled activation (``pool="wta"``).  Default:
+        ``DEFAULT_WTA`` per ``DEFAULT_WIDTH`` bits of *width* (15 at 192).
     seed:
         Root seed for the projection matrix (see :mod:`repro.seeding`).
     pool:
@@ -91,9 +134,9 @@ class SetSketcher:
         self,
         dims: int,
         *,
-        width: int = DEFAULT_WIDTH,
+        width: int | None = None,
         nnz: int | None = None,
-        wta: int = DEFAULT_WTA,
+        wta: int | None = None,
         seed: int = DEFAULT_SEED,
         pool: str = "or",
         projection: np.ndarray | None = None,
@@ -104,10 +147,14 @@ class SetSketcher:
             # The default clamps to low-dimensional feature spaces (a
             # row cannot draw more distinct coordinates than exist).
             nnz = min(DEFAULT_NNZ, int(dims))
-        if width < 64 or width % 64:
-            raise QueryError(f"sketch width must be a positive multiple of 64: {width}")
         if not 1 <= nnz <= dims:
             raise QueryError(f"sketch nnz must be in [1, dims={dims}]: {nnz}")
+        if width is None:
+            width = min(DEFAULT_WIDTH, max(64, _row_count(dims, nnz) // 64 * 64))
+        if width < 64 or width % 64:
+            raise QueryError(f"sketch width must be a positive multiple of 64: {width}")
+        if wta is None:
+            wta = DEFAULT_WTA * width // DEFAULT_WIDTH
         if not 1 <= wta <= width:
             raise QueryError(f"sketch wta must be in [1, width={width}]: {wta}")
         if pool not in _POOLS:
@@ -119,6 +166,11 @@ class SetSketcher:
         self.seed = int(seed)
         self.pool = pool
         if projection is None:
+            if _row_count(self.dims, self.nnz) > _MAX_ROWS:
+                raise QueryError(
+                    f"sketch nnz={nnz} at dims={dims} has too many distinct "
+                    "projection rows to draw from"
+                )
             projection = _projection(self.dims, self.width, self.nnz, self.seed)
         else:
             projection = np.ascontiguousarray(projection, dtype=np.float64)

@@ -66,7 +66,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.core.vector_set import VectorSet
 from repro.exceptions import DistanceError
@@ -262,6 +261,10 @@ def hungarian_batch(costs: np.ndarray) -> np.ndarray:
         raise DistanceError(f"expected (B, n, n) cost stack, got {stack.shape}")
     if not np.all(np.isfinite(stack)):
         raise DistanceError("cost matrices must be finite")
+    # Imported on the first solve: scipy.optimize is slow to import, and
+    # a process that never solves (repro info, db init) need not pay it.
+    from scipy.optimize import linear_sum_assignment
+
     # Square problems: the returned row indices are arange(n).
     columns = [linear_sum_assignment(matrix)[1] for matrix in stack]
     return np.array(columns, dtype=np.intp).reshape(stack.shape[:2])

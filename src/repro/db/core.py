@@ -503,27 +503,36 @@ class SimilarityDatabase:
         check_query_args(**args)
         return self._as_set(query)
 
-    def _ensure_dimension(self, arr: np.ndarray) -> None:
-        if self.dimension is None:
-            self.dimension = int(arr.shape[1])
-            if self.omega is None:
-                self.omega = np.zeros(self.dimension)
-            elif self.omega.shape != (self.dimension,):
-                raise QueryError(
-                    f"omega has shape {self.omega.shape}, data is "
-                    f"{self.dimension}-d"
-                )
-        self._ensure_sketcher()
+    def _settle(self, arr: np.ndarray) -> np.ndarray | None:
+        """The sketch code of *arr* about to be added (``None`` without a
+        sketch tier).  The first add also fixes the dimension, ω and the
+        sketcher; they are committed only once the code is built, so a
+        refused first add leaves the database as empty as it was."""
+        if self.dimension is not None:
+            return self._code(arr)
+        dimension = int(arr.shape[1])
+        omega = np.zeros(dimension) if self.omega is None else self.omega
+        if omega.shape != (dimension,):
+            raise QueryError(f"omega has shape {omega.shape}, data is {dimension}-d")
+        sketcher = self._new_sketcher(dimension)
+        code = None if sketcher is None else sketcher.sketch(arr)
+        self.dimension, self.omega, self._sketcher = dimension, omega, sketcher
+        return code
 
     def _ensure_sketcher(self) -> None:
-        """Materialize the sketcher once the dimension is known: the
-        donor's, when it is the one this database would build."""
-        if self.sketch_enabled and self.dimension is not None and self._sketcher is None:
-            donor = self._sketch_donor
-            if donor is not None and donor.fits(self.dimension, **self._sketch_params):
-                self._sketcher = donor
-            else:
-                self._sketcher = SetSketcher(self.dimension, **self._sketch_params)
+        """Materialize the sketcher once the dimension is known."""
+        if self._sketcher is None and self.dimension is not None:
+            self._sketcher = self._new_sketcher(self.dimension)
+
+    def _new_sketcher(self, dimension: int) -> SetSketcher | None:
+        """The sketcher of *dimension*-d sets (``None`` without a sketch
+        tier): the donor's, when it is the one this database would build."""
+        if not self.sketch_enabled:
+            return None
+        donor = self._sketch_donor
+        if donor is not None and donor.fits(dimension, **self._sketch_params):
+            return donor
+        return SetSketcher(dimension, **self._sketch_params)
 
     def _code(self, arr: np.ndarray) -> np.ndarray | None:
         """The sketch code of *arr*, ``None`` without a sketch tier."""
@@ -565,8 +574,7 @@ class SimilarityDatabase:
         with self._lock.write(timeout=self.lock_timeout):
             if oid in self:
                 raise QueryError(f"object id {oid} already present")
-            self._ensure_dimension(arr)
-            code = self._code(arr)
+            code = self._settle(arr)
             centroid = extended_centroid(arr, self.capacity, self.omega)
             self._wal_log(op, oid=oid, array=arr, payload=payload)
             if payload is not None:

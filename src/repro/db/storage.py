@@ -890,6 +890,7 @@ def open_sharded(root, *, model=None, pipeline=None, cache=None, lock_timeout=No
             if not durable and not path.exists():
                 raise StorageError(f"{root}: missing {path.name}")
         shards = [open_plain(path, lock_timeout=lock_timeout) for path in paths]
+        _share_sketcher(shards, paths)
     db = ShardedSimilarityDatabase.__new__(ShardedSimilarityDatabase)
     db.capacity = manifest.get("capacity", shards[0].capacity)
     db.n_shards = count
@@ -919,6 +920,32 @@ def donor(shards):
     owns a sketcher, which knows the sketch parameters (a shard that
     never held an object has none), else the first."""
     return next((s for s in shards if s._sketcher is not None), shards[0])
+
+
+def _share_sketcher(shards, paths) -> None:
+    """Make the opened *shards* (at *paths*) of one layout sketch with
+    the donor's projection, whatever defaults they were written under.
+
+    A shard that never held an object stored no sketch parameters: it
+    takes the donor's, so that its first add takes the donor's sketcher.
+    A durable shard that was empty at its last checkpoint drew its own
+    projection while replaying its WAL: its sets are sketched again
+    with the donor's.
+    """
+    first = donor(shards)
+    sketcher = first._sketcher
+    if sketcher is None:
+        return
+    for shard, path in zip(shards, paths):
+        if shard._sketcher is None:
+            shard._sketch_params = settings(first)["sketch_params"]
+        elif shard._sketcher.digest() != sketcher.digest():
+            shard._sketcher = sketcher
+            if shard._engine is not None:
+                oids, offsets, rows, centroids = shard._engine.ragged()
+                sets = np.split(rows, offsets[1:-1])
+                codes = np.stack([sketcher.sketch(arr) for arr in sets])
+                _fill_engine(path, shard, oids, np.diff(offsets), rows, centroids, codes)
 
 
 def as_one(shards):

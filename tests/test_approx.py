@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -40,6 +41,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+import repro.approx.sketch as sketch_module
 from repro.approx import (
     ApproxFilterRefineEngine,
     HammingIndex,
@@ -145,6 +147,39 @@ class TestSetSketcher:
         tampered[0, 0] += 1.0
         with pytest.raises(QueryError):
             SetSketcher.from_snapshot(params, tampered)
+
+
+@pytest.mark.parametrize("dims, nnz", [(3, 3), (6, 4), (8, 4), (42, 4)])
+def test_projection_rows_are_distinct_signed_and_seeded(dims, nnz):
+    """No row repeats while rows remain: a matrix wider than the
+    ``C(dims, nnz) · 2^nnz`` rows that exist holds all of them in its
+    first lap.  (At (42, 4) a matrix past its 1.8 million rows would
+    take 600 MB; it is left out.)"""
+    count = math.comb(dims, nnz) << nnz
+    widths = [64, 192, 512] + ([(count // 64 + 1) * 64] if count < 2048 else [])
+    for width in widths:
+        proj = sketch_module._projection(dims, width, nnz, SEED)
+        assert proj.shape == (width, dims)
+        assert (np.count_nonzero(proj, axis=1) == nnz).all()
+        assert np.isin(proj, (-1.0, 0.0, 1.0)).all()
+        assert len(np.unique(proj[:count], axis=0)) == min(width, count)
+        assert np.array_equal(proj, sketch_module._projection(dims, width, nnz, SEED))
+        assert not np.array_equal(
+            proj, sketch_module._projection(dims, width, nnz, SEED + 1)
+        )
+
+
+@pytest.mark.parametrize(
+    "dims, width, wta",
+    [(1, 64, 5), (3, 64, 5), (5, 64, 5), (6, 192, 15), (7, 512, 40), (42, 512, 40)],
+)
+def test_default_width_fits_the_rows_that_exist(dims, width, wta):
+    """The default width is the largest multiple of 64 not above the
+    distinct row count, within [64, 512]; the default ``wta`` is 40 per
+    512 bits of it."""
+    sketcher = SetSketcher(dims)
+    assert (sketcher.width, sketcher.wta) == (width, wta)
+    assert SetSketcher(dims, width=128).wta == 10
 
 
 def stable_sort_sketch(sketcher, vectors):
@@ -521,6 +556,17 @@ class TestDatabaseApproxMode:
         assert {p.name: p.read_bytes() for p in dbdir.iterdir()} == before
         db.close()
 
+    def test_a_refused_first_add_leaves_the_database_empty(self):
+        """The first add fixes the dimension and builds the sketcher, but
+        commits them only with its code: refused, it leaves neither."""
+        db = SimilarityDatabase(4)
+        with pytest.raises(QueryError, match="not finite"):
+            db.add(1, np.full((2, 3), 1e308))
+        assert db.dimension is None
+        assert db.sketch_digest() == "empty"
+        db.add(2, np.ones((2, 5)))
+        assert db.dimension == 5 and len(db) == 1
+
     def test_a_fresh_sharded_database_builds_its_projection_once(self, monkeypatch):
         """Every shard sketches with the one sketcher the first add
         builds; the layout answers as one database holding the same
@@ -606,6 +652,40 @@ class TestDatabaseApproxMode:
 
 
 # -- snapshot round-trips ---------------------------------------------------
+
+
+def legacy_projection(dims, width, nnz, seed):
+    """The projection as databases drew it before its rows were drawn
+    distinct, one ``rng.choice`` per row: the matrix the snapshots of
+    that time carry, at width 512 and wta 40 in every dimension."""
+    rng = spawn(seed, "sketch-projection", dims, width, nnz)
+    proj = np.zeros((width, dims))
+    for row in range(width):
+        cols = rng.choice(dims, size=nnz, replace=False)
+        proj[row, cols] = rng.integers(0, 2, size=nnz) * 2 - 1
+    return proj
+
+
+LEGACY_SKETCH = {"width": 512, "wta": 40}
+
+
+def legacy_database(monkeypatch, sets, shards=None):
+    """A database holding *sets* (under their positions, or the oids of
+    a dict) sketched as before: the legacy matrix and parameters."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sketch_module, "_projection", legacy_projection)
+        if shards is None:
+            db = SimilarityDatabase(6, sketch_params=LEGACY_SKETCH)
+        else:
+            db = ShardedSimilarityDatabase(6, shards=shards, sketch_params=LEGACY_SKETCH)
+        for oid, arr in (sets.items() if isinstance(sets, dict) else enumerate(sets)):
+            db.add(oid, arr)
+    return db
+
+
+def parts_of(db):
+    """The shards of a sharded database, else the database itself."""
+    return getattr(db, "shards", [db])
 
 
 class TestSketchSnapshots:
@@ -706,6 +786,100 @@ class TestSketchSnapshots:
             db.add(0, np.arange(2.0 * DIM).reshape(2, DIM))
         got = back.sketch_digests() if layout == "sharded" else [back.sketch_digest()]
         assert reference.sketch_digest() in got
+        back.close()
+
+    @pytest.mark.parametrize("layout", ["npz", "dense", "sharded"])
+    def test_a_legacy_projection_survives_reopening(self, tmp_path, monkeypatch, layout):
+        """A layout written with the per-row-loop matrix at width 512 and
+        wta 40 reopens with that matrix, its codes and its approx
+        answers, whatever today's draw and default width are."""
+        rng = np.random.default_rng(41)
+        sets = [rng.standard_normal((int(rng.integers(1, 5)), 6)) for _ in range(16)]
+        query = rng.standard_normal((3, 6))
+        db = legacy_database(monkeypatch, sets, shards=2 if layout == "sharded" else None)
+        path = tmp_path / layout
+        db.save(path, dense=layout == "dense")
+        back = open_database(path)
+        for sketcher in (part._sketcher for part in parts_of(back)):
+            assert (sketcher.width, sketcher.wta) == (512, 40)
+            assert np.array_equal(
+                sketcher.projection, legacy_projection(6, 512, 4, sketcher.seed)
+            )
+        assert [part.sketch_digest() for part in parts_of(back)] == [
+            part.sketch_digest() for part in parts_of(db)
+        ]
+        assert back.knn_query(query, 5, mode="approx", shortlist=6) == db.knn_query(
+            query, 5, mode="approx", shortlist=6
+        )
+
+    def test_a_legacy_shard_that_never_held_an_object_takes_its_layouts_projection(
+        self, tmp_path, monkeypatch
+    ):
+        """A shard given no sketch parameters, saved before its first
+        object, stored none: after the reopen its first add sketches with
+        the layout's legacy matrix, not with today's default."""
+        from repro.db.sharded import shard_of
+        from tests.conftest import restamp_layout
+
+        rng = np.random.default_rng(43)
+        first = [oid for oid in range(60) if shard_of(oid, 2) == 0][:12]
+        late = next(oid for oid in range(60) if shard_of(oid, 2) == 1)
+        live = legacy_database(
+            monkeypatch, {oid: rng.standard_normal((3, 6)) for oid in first}, shards=2
+        )
+        path = tmp_path / "sharded"
+        live.save(path)
+        restamp_layout(
+            path / "shard-00001.npz",
+            lambda meta, arrays: meta.pop("sketch_params"),
+            lambda payload: None,
+        )
+        back = open_database(path)
+        arr = rng.standard_normal((2, 6))
+        back.add(late, arr)
+        live.add(late, arr)
+        assert back.shards[1]._sketcher is back.shards[0]._sketcher
+        assert back.sketch_digests() == live.sketch_digests()
+        query = rng.standard_normal((2, 6))
+        assert back.knn_query(query, 5, mode="approx", shortlist=4) == live.knn_query(
+            query, 5, mode="approx", shortlist=4
+        )
+
+    def test_a_legacy_durable_shard_that_replayed_takes_its_layouts_projection(
+        self, tmp_path, monkeypatch
+    ):
+        """A durable shard given no sketch parameters and empty at its last
+        checkpoint draws a projection of its own while replaying its WAL;
+        the reopened layout sketches its sets again with the donor's
+        legacy matrix, and answers as it did."""
+        from repro.db.sharded import shard_of
+        from tests.conftest import restamp_layout
+
+        rng = np.random.default_rng(47)
+        path = tmp_path / "durable"
+        monkeypatch.setattr(sketch_module, "_projection", legacy_projection)
+        live = ShardedSimilarityDatabase(
+            6, shards=2, durable=True, path=path, sketch_params=LEGACY_SKETCH
+        )
+        for oid in [oid for oid in range(60) if shard_of(oid, 2) == 0][:8]:
+            live.add(oid, rng.standard_normal((3, 6)))
+        live.checkpoint()
+        for oid in [oid for oid in range(60) if shard_of(oid, 2) == 1][:3]:
+            live.add(oid, rng.standard_normal((3, 6)))
+        query = rng.standard_normal((2, 6))
+        answer = live.knn_query(query, 5, mode="approx", shortlist=4)
+        digests = live.sketch_digests()
+        live.close()
+        monkeypatch.undo()
+        restamp_layout(
+            path / "shard-00001",
+            lambda meta, arrays: meta.pop("sketch_params"),
+            lambda payload: payload.pop("sketch_params"),
+        )
+        back = open_database(path)
+        assert back.shards[1]._sketcher is back.shards[0]._sketcher
+        assert back.sketch_digests() == digests
+        assert back.knn_query(query, 5, mode="approx", shortlist=4) == answer
         back.close()
 
     def test_sketch_disabled_roundtrip(self, tmp_path):
