@@ -30,7 +30,7 @@ def test_cover_count_sweep(benchmark):
         for k in (1, 2, 3, 5, 7, 9):
             features = extract_features(bundle, VectorSetModel(k=k))
             matrix, _ = distance_matrix_for(
-                bundle, features, "matching", cache_tag=f"ablation_k{k}_car"
+                features, "matching", cache_tag=f"ablation_k{k}_car"
             )
             ordering = optics(
                 bundle.n, distance_rows_from_matrix(matrix), min_pts=5

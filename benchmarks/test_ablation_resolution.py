@@ -27,7 +27,7 @@ def test_resolution_sweep(benchmark):
             bundle = prepare_dataset("car", resolution=resolution)
             features = extract_features(bundle, VectorSetModel(k=7))
             matrix, _ = distance_matrix_for(
-                bundle, features, "matching", cache_tag=f"res{resolution}_car_k7"
+                features, "matching", cache_tag=f"res{resolution}_car_k7"
             )
             ordering = optics(
                 bundle.n, distance_rows_from_matrix(matrix), min_pts=5

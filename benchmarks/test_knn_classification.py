@@ -34,7 +34,7 @@ def test_knn_family_classification(benchmark):
             model = paper_model(model_name, k=7)
             features = extract_features(bundle, model)
             matrix, _ = distance_matrix_for(
-                bundle, features, kind, cache_tag=f"knnq_{model_name}_car"
+                features, kind, cache_tag=f"knnq_{model_name}_car"
             )
             families = [obj.family for obj in bundle.objects]
             results.append(

@@ -11,12 +11,12 @@ Run:  python examples/cluster_catalog.py
 
 from collections import Counter
 
-from repro import Pipeline, VectorSetModel, min_matching_distance
+from repro import Pipeline, VectorSetModel
 from repro.clustering import extract_clusters, optics, render_reachability_plot
 from repro.clustering.optics import distance_rows_from_matrix
 from repro.clustering.quality import best_cut_quality
 from repro.datasets import make_car_dataset
-from repro.pipeline import pairwise_distance_matrix
+from repro.evaluation import distance_matrix_for
 
 
 def main() -> None:
@@ -33,7 +33,7 @@ def main() -> None:
     sets = [model.extract(obj.grid) for obj in objects]
 
     print("computing pairwise minimal matching distances ...")
-    matrix = pairwise_distance_matrix(sets, min_matching_distance)
+    matrix, _ = distance_matrix_for(sets, "matching")
     ordering = optics(len(sets), distance_rows_from_matrix(matrix), min_pts=4)
 
     print()

@@ -9,29 +9,19 @@ version of the paper's Figures 6–9 comparison.
 Run:  python examples/model_comparison.py
 """
 
-import numpy as np
-
 from repro import (
     CoverSequenceModel,
     Pipeline,
     SolidAngleModel,
     VectorSetModel,
     VolumeModel,
-    min_matching_distance,
-    permutation_distance_via_matching,
 )
 from repro.clustering import optics
 from repro.clustering.optics import distance_rows_from_matrix
 from repro.clustering.quality import best_cut_quality, structure_contrast
 from repro.datasets import make_car_dataset
+from repro.evaluation import distance_matrix_for
 from repro.evaluation.report import format_table
-from repro.pipeline import pairwise_distance_matrix
-
-
-def euclidean_matrix(features):
-    flat = np.vstack([np.asarray(f).ravel() for f in features])
-    diff = flat[:, np.newaxis, :] - flat[np.newaxis, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
 
 
 def main() -> None:
@@ -48,7 +38,8 @@ def main() -> None:
 
     rows = []
 
-    def score(name, matrix):
+    def score(name, features, kind):
+        matrix, _ = distance_matrix_for(features, kind)
         ordering = optics(len(parts), distance_rows_from_matrix(matrix), min_pts=4)
         ari, _ = best_cut_quality(ordering, labels)
         rows.append([name, ari, structure_contrast(ordering)])
@@ -56,23 +47,17 @@ def main() -> None:
     # Histogram models on r = 30 (the paper's pairing).
     for model in (VolumeModel(5), SolidAngleModel(5, kernel_radius=4)):
         features = [model.extract(obj.grid) for obj in objects30]
-        score(model.name, euclidean_matrix(features))
+        score(model.name, features, "euclidean")
 
     # Cover-based models on r = 15.
     cover_model = CoverSequenceModel(k=7)
     cover_features = [cover_model.extract(obj.grid) for obj in objects15]
-    score(cover_model.name + " / euclidean", euclidean_matrix(cover_features))
+    score(cover_model.name + " / euclidean", cover_features, "euclidean")
 
     set_model = VectorSetModel(k=7)
     vector_sets = [set_model.extract(obj.grid) for obj in objects15]
-    score(
-        "cover sequence / permutation distance",
-        pairwise_distance_matrix(vector_sets, permutation_distance_via_matching),
-    )
-    score(
-        set_model.name + " / min matching",
-        pairwise_distance_matrix(vector_sets, min_matching_distance),
-    )
+    score("cover sequence / permutation distance", vector_sets, "permutation")
+    score(set_model.name + " / min matching", vector_sets, "matching")
 
     print()
     print(

@@ -60,8 +60,6 @@ residual ties included.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -432,16 +430,17 @@ def match_pairs(
 
 # -- full pairwise matrices ---------------------------------------------------
 
-_WORKER_PACKED: PackedSets | None = None
-
-
-def _pairwise_worker_init(data, sizes, sq_norms, omega) -> None:
-    global _WORKER_PACKED
-    _WORKER_PACKED = PackedSets(data=data, sizes=sizes, sq_norms=sq_norms, omega=omega)
-
-
-def _pairwise_worker(i_idx: np.ndarray, j_idx: np.ndarray, return_flags: bool):
-    return match_pairs(_WORKER_PACKED, i_idx, j_idx, return_flags=return_flags)
+def _pairwise_share(task):
+    """One contiguous share of a matrix's pairs, ``DEFAULT_CHUNK_SIZE``
+    per kernel call: ``(distances, is_identity flags)``."""
+    packed, i_idx, j_idx, return_flags = task
+    distances = np.empty(len(i_idx))
+    identity = np.zeros(len(i_idx), dtype=bool)
+    for start in range(0, len(i_idx), DEFAULT_CHUNK_SIZE):
+        chunk = slice(start, start + DEFAULT_CHUNK_SIZE)
+        output = match_pairs(packed, i_idx[chunk], j_idx[chunk], return_flags=return_flags)
+        distances[chunk], identity[chunk] = output if return_flags else (output, False)
+    return distances, identity
 
 
 def pairwise_matrix(
@@ -449,61 +448,42 @@ def pairwise_matrix(
     capacity: int | None = None,
     omega: np.ndarray | None = None,
     n_jobs: int | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     return_flags: bool = False,
 ):
     """Full symmetric minimal-matching distance matrix.
 
-    Only the ``i < j`` half is computed (symmetric halving), in chunks
-    of *chunk_size* pairs per kernel call.  With ``n_jobs`` greater
-    than one (or ``-1`` for all cores) the chunks fan out over a
-    :class:`~concurrent.futures.ProcessPoolExecutor`; the packed tensor
-    ships to each worker once via the pool initializer.
+    Only the ``i < j`` half is computed (symmetric halving),
+    ``DEFAULT_CHUNK_SIZE`` pairs per kernel call.  The calls split into
+    one contiguous share per worker of ``n_jobs`` (``-1`` for all cores),
+    never more shares than calls, run by :func:`repro.parallel.pool_map`;
+    the packed tensor ships once per share, and every call covers the
+    same pairs whatever the worker count.
 
     Returns the ``(n, n)`` matrix, or ``(matrix, flags)`` with the
     boolean proper-permutation flags (*not* identity-aligned — the
     Table 1 statistic) when ``return_flags`` is set.
     """
+    from repro.parallel import pool_map, resolve_n_jobs
+
     packed = PackedSets.pack(sets, capacity=capacity, omega=omega)
     n = packed.n
+    i_all, j_all = np.triu_indices(n, k=1)
+    calls = -(-len(i_all) // DEFAULT_CHUNK_SIZE)
+    shares = max(1, min(resolve_n_jobs(n_jobs), calls))
+    cuts = [
+        min(len(i_all), DEFAULT_CHUNK_SIZE * (calls * share // shares))
+        for share in range(shares + 1)
+    ]
+    tasks = [
+        (packed, i_all[lo:hi], j_all[lo:hi], return_flags)
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
     matrix = np.zeros((n, n))
     flags = np.zeros((n, n), dtype=bool) if return_flags else None
-    i_all, j_all = np.triu_indices(n, k=1)
-    if chunk_size < 1:
-        raise DistanceError("chunk_size must be >= 1")
-    chunks = [
-        slice(start, min(start + chunk_size, len(i_all)))
-        for start in range(0, len(i_all), chunk_size)
-    ]
-
-    if n_jobs is not None and n_jobs < 0:
-        n_jobs = os.cpu_count() or 1
-    if n_jobs is None or n_jobs <= 1 or len(chunks) <= 1:
-        outputs = [
-            match_pairs(packed, i_all[sl], j_all[sl], return_flags=return_flags)
-            for sl in chunks
-        ]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(n_jobs, len(chunks)),
-            initializer=_pairwise_worker_init,
-            initargs=(packed.data, packed.sizes, packed.sq_norms, packed.omega),
-        ) as pool:
-            futures = [
-                pool.submit(_pairwise_worker, i_all[sl], j_all[sl], return_flags)
-                for sl in chunks
-            ]
-            outputs = [future.result() for future in futures]
-
-    for sl, output in zip(chunks, outputs):
-        distances, pair_flags = output if return_flags else (output, None)
-        i_chunk, j_chunk = i_all[sl], j_all[sl]
-        matrix[i_chunk, j_chunk] = distances
-        matrix[j_chunk, i_chunk] = distances
-        if return_flags:
-            proper = ~pair_flags  # flag = optimal matching is NOT the identity
-            flags[i_chunk, j_chunk] = proper
-            flags[j_chunk, i_chunk] = proper
-    if return_flags:
-        return matrix, flags
-    return matrix
+    for (_, i_idx, j_idx, _), (distances, identity) in zip(
+        tasks, pool_map(_pairwise_share, tasks, shares)
+    ):
+        matrix[i_idx, j_idx] = matrix[j_idx, i_idx] = distances
+        if return_flags:  # proper permutation: the optimum is NOT the identity
+            flags[i_idx, j_idx] = flags[j_idx, i_idx] = ~identity
+    return (matrix, flags) if return_flags else matrix

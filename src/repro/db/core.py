@@ -89,6 +89,13 @@ from repro.db.storage import DEFAULT_KEEP_GENERATIONS, check_payload
 from repro.exceptions import InvariantError, QueryError, StorageError
 from repro.obs import querylog, registry
 
+#: The magnitude domain of a stored or query set: every coordinate
+#: satisfies ``|x| <= MAGNITUDE_BOUND``.  Within it every Gram entry,
+#: centroid distance and sketch activation the kernels compute stays
+#: finite for any dimension and capacity an array can index, with a
+#: factor of at least 1e88 to spare (DESIGN.md "The magnitude domain").
+MAGNITUDE_BOUND = 1e100
+
 
 class DatabaseView:
     """A consistent read view: queries against one database version.
@@ -487,8 +494,13 @@ class SimilarityDatabase:
             raise QueryError(
                 f"set holds {len(arr)} vectors, capacity is {self.capacity}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise QueryError("vector sets must be finite")
+        if not (np.abs(arr) <= MAGNITUDE_BOUND).all():
+            if not np.isfinite(arr).all():
+                raise QueryError("vector sets must be finite")
+            raise QueryError(
+                f"vector set entries beyond ±{MAGNITUDE_BOUND:g} make "
+                "matching costs not finite"
+            )
         if self.dimension is not None and arr.shape[1] != self.dimension:
             raise QueryError(
                 f"dimension mismatch: database holds {self.dimension}-d "
@@ -499,7 +511,8 @@ class SimilarityDatabase:
     def _checked_query(self, query, **args) -> np.ndarray:
         """Validate one query at the database boundary: the arguments
         (:func:`check_query_args`) and the vector set (like a stored
-        set — non-empty, finite, within capacity, right dimension)."""
+        set — non-empty, within ``MAGNITUDE_BOUND``, within capacity,
+        right dimension)."""
         check_query_args(**args)
         return self._as_set(query)
 

@@ -518,7 +518,7 @@ class ShardedSimilarityDatabase:
             for lo, hi in zip(bounds, bounds[1:])
         ]
         with span("query.sharded_scatter", shards=self.n_shards, jobs=jobs):
-            legs = pool_map(_chunk_knn_task, tasks, chunks)
+            legs = pool_map(_chunk_knn_task, tasks, jobs)
         self.last_parallel_legs = [seconds for _, seconds in legs]
         with span("query.sharded_merge"):
             return [

@@ -200,7 +200,6 @@ def extract_features(
 
 
 def distance_matrix_for(
-    bundle: DatasetBundle,
     features: list[np.ndarray],
     kind: str,
     cache_tag: str | None = None,
@@ -245,12 +244,12 @@ def distance_matrix_for(
 
         matrix, flags = pairwise_matrix(features, n_jobs=n_jobs, return_flags=True)
     elif kind == "permutation":
-        flags = np.zeros((n, n), dtype=bool)
+        # Per pair: Definition 4 sums squared element costs, which the
+        # batched kernel does not compute.
         for i in range(n):
             for j in range(i + 1, n):
                 value = permutation_distance_via_matching(features[i], features[j])
                 matrix[i, j] = matrix[j, i] = value
-        flags = None
     else:
         raise ReproError(f"unknown distance kind {kind!r}")
 

@@ -86,7 +86,7 @@ def run_panel(
     features = extract_features(bundle, model, use_cache=use_cache)
     tag = f"{figure}_{dataset}_n{bundle.n}"
     matrix, _ = distance_matrix_for(
-        bundle, features, kind=kind, cache_tag=tag, use_cache=use_cache
+        features, kind=kind, cache_tag=tag, use_cache=use_cache
     )
     ordering = optics(bundle.n, distance_rows_from_matrix(matrix), min_pts=min_pts)
     ari, eps = best_cut_quality(ordering, bundle.labels)

@@ -49,7 +49,7 @@ def permutation_rate_for_k(
     features = extract_features(bundle, model, use_cache=use_cache)
     tag = f"table1_{bundle.dataset}_n{bundle.n}_k{k}"
     matrix, flags = distance_matrix_for(
-        bundle, features, kind="matching", cache_tag=tag, use_cache=use_cache
+        features, kind="matching", cache_tag=tag, use_cache=use_cache
     )
     assert flags is not None
     # Run OPTICS so the statistic covers a real clustering run (it

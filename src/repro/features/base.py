@@ -121,16 +121,12 @@ class FeatureModel(ABC):
             else:
                 pending.append(index)
         if pending:
-            if jobs > 1 and len(pending) > 1:
-                chunk = max(1, len(pending) // (4 * jobs))
-                outcomes = pool_map(
-                    _extract_outcome,
-                    [(self, grids[i]) for i in pending],
-                    jobs,
-                    chunksize=chunk,
-                )
-            else:
-                outcomes = [_extract_outcome((self, grids[i])) for i in pending]
+            outcomes = pool_map(
+                _extract_outcome,
+                [(self, grids[i]) for i in pending],
+                jobs,
+                chunksize=max(1, len(pending) // (4 * jobs)),
+            )
             for index, outcome in zip(pending, outcomes):
                 results[index] = outcome
                 if outcome[0] and cache is not None:

@@ -16,7 +16,6 @@ large values concave.  Per histogram cell the model stores
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import convolve
 
 from repro.exceptions import FeatureError
 from repro.features.base import FeatureModel, cell_index_of_voxels, check_partition
@@ -31,6 +30,9 @@ def solid_angle_values(grid: VoxelGrid, kernel_radius: int) -> np.ndarray:
     ``grid.surface_indices()``.  Space outside the raster counts as empty
     (``mode="constant"``), matching the set-intersection definition.
     """
+    # Imported on first use: scipy.ndimage is most of `import repro`.
+    from scipy.ndimage import convolve
+
     kernel = sphere_kernel(kernel_radius)
     filled = convolve(
         grid.occupancy.astype(np.float64), kernel.astype(np.float64), mode="constant"

@@ -1,9 +1,10 @@
-"""Shared process-pool infrastructure for object-level parallelism.
+"""The one ordered fan-out of every batch path.
 
-Feature extraction and voxelization parallelize over *objects* (each
-object is independent), so every fan-out site — ``extract_many``,
-``Pipeline.process_parts``/``process_mesh_directory`` and the CLI —
-shares one lazily created :class:`~concurrent.futures.ProcessPoolExecutor`
+Every batch site — ``extract_many``, ``Pipeline.process_parts``/
+``process_mesh_directory``, ``pairwise_matrix`` and the sharded
+``knn_query_many`` — makes one :func:`pool_map` call.  Below two
+workers it runs the tasks in-process; otherwise every site shares one
+lazily created :class:`~concurrent.futures.ProcessPoolExecutor`
 instead of paying worker start-up per call.  The pool is recreated only
 when a caller asks for more workers than it currently has or after a
 worker died (a broken pool is dropped, never handed out again), and shut
@@ -34,8 +35,7 @@ def resolve_n_jobs(n_jobs: int | None) -> int:
     """Normalize an ``n_jobs`` argument to a concrete worker count.
 
     ``None`` and ``0`` mean serial (1); negative values mean "all
-    cores" (``os.cpu_count()``), mirroring the convention of
-    :func:`repro.core.batch.pairwise_matrix`.
+    cores" (``os.cpu_count()``).
     """
     if n_jobs is None or n_jobs == 0:
         return 1
@@ -90,19 +90,21 @@ def _captured_task(payload):
 
 
 def pool_map(task_fn, tasks: list, n_jobs: int, chunksize: int = 1) -> list:
-    """Ordered map over the shared pool with worker-metrics merging.
-
-    Drop-in replacement for ``shared_pool(...).map(task_fn, tasks)``:
+    """``[task_fn(task) for task in tasks]``, in-process below two
+    workers, otherwise over the shared pool with worker-metrics merging:
     results come back in submission order; while observability is
     enabled, each worker call's metric/event snapshot is folded into
     this process's registry as results are consumed.  One task still
     runs in a worker, on a pool of at least two.
     """
+    jobs = resolve_n_jobs(n_jobs)
+    if jobs < 2 or not tasks:
+        return [task_fn(task) for task in tasks]
     from repro.obs import enabled as obs_enabled
     from repro.obs import merge_worker_snapshot
     from repro.obs.tracectx import propagation
 
-    pool = shared_pool(max(2, min(n_jobs, len(tasks))))
+    pool = shared_pool(max(2, min(jobs, len(tasks))))
     capture = obs_enabled()
     trace_ctx = propagation() if capture else (None, None)
     payloads = [(capture, trace_ctx, task_fn, task) for task in tasks]

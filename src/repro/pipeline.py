@@ -356,15 +356,9 @@ class Pipeline:
         return ladder
 
     def _ingest_one(
-        self,
-        name: str,
-        build,
-        kind: str,
-        on_error: str,
-        report: IngestReport,
-        source: str | None = None,
-    ) -> None:
-        """Run *build* under the *on_error* policy, recording the outcome.
+        self, name: str, build, kind: str, on_error: str, source: str | None = None
+    ) -> IngestReport:
+        """Run *build* under the *on_error* policy: its one-object report.
 
         ``build(**overrides)`` must return a :class:`ProcessedObject`.
         With ``on_error="raise"`` the first exception propagates
@@ -373,6 +367,7 @@ class Pipeline:
         a failure.
         """
         ladder = self._retry_ladder(kind) if on_error == "retry" else [(None, {})]
+        report = IngestReport(on_error)
         start = time.perf_counter()
         last_exc: BaseException | None = None
         with span("ingest.object", object=name, kind=kind):
@@ -391,7 +386,7 @@ class Pipeline:
                     fallback=fallback,
                     source=source,
                 )
-                return
+                return report
         assert last_exc is not None
         report.record_failure(
             name,
@@ -400,6 +395,7 @@ class Pipeline:
             seconds=time.perf_counter() - start,
             source=source,
         )
+        return report
 
     def process_parts(
         self,
@@ -423,11 +419,11 @@ class Pipeline:
         n_jobs:
             Worker processes (``None``/``0`` = serial, negative = all
             cores) from the shared pool of :mod:`repro.parallel`.  Each
-            part is voxelized and normalized in a worker under the same
-            per-object policy/retry ladder; single-part reports are
-            merged back in input order, so results — including the
-            records and the first-failure semantics of ``"raise"`` —
-            match the serial path exactly.
+            part is voxelized and normalized by one task under the same
+            per-object policy/retry ladder, in this process or in a
+            worker; single-part reports are merged back in input order,
+            so results — including the records and the first-failure
+            semantics of ``"raise"`` — do not depend on the worker count.
 
         Returns
         -------
@@ -440,25 +436,12 @@ class Pipeline:
             raise IngestError(
                 f"unknown on_error policy {on_error!r}; choose from {ON_ERROR_POLICIES}"
             )
-        from repro.parallel import resolve_n_jobs
+        from repro.parallel import pool_map, resolve_n_jobs
 
         jobs = resolve_n_jobs(n_jobs)
         with span("ingest.process_parts", n=len(parts), jobs=jobs, policy=on_error):
-            if jobs > 1 and len(parts) > 1:
-                tasks = [(self, part, on_error) for part in parts]
-                report = _merge_reports(
-                    on_error, _pool_map(_ingest_part_task, tasks, jobs)
-                )
-            else:
-                report = IngestReport(on_error)
-                for part in parts:
-                    self._ingest_one(
-                        part.name,
-                        lambda **ov: self.process_part(part, **ov),
-                        "solid",
-                        on_error,
-                        report,
-                    )
+            tasks = [(self, part, on_error) for part in parts]
+            report = _merge_reports(on_error, pool_map(_ingest_part_task, tasks, jobs))
         _record_ingest_report(report)
         return report
 
@@ -485,8 +468,7 @@ class Pipeline:
             raise IngestError(
                 f"unknown on_error policy {on_error!r}; choose from {ON_ERROR_POLICIES}"
             )
-        from repro.io import read_mesh
-        from repro.parallel import resolve_n_jobs
+        from repro.parallel import pool_map, resolve_n_jobs
 
         directory = Path(directory)
         try:
@@ -499,57 +481,30 @@ class Pipeline:
         with span(
             "ingest.process_meshes", n=len(files), jobs=jobs, policy=on_error
         ):
-            if jobs > 1 and len(files) > 1:
-                tasks = [
-                    (self, path, class_id, on_error, fill)
-                    for class_id, path in enumerate(files)
-                ]
-                report = _merge_reports(
-                    on_error, _pool_map(_ingest_mesh_task, tasks, jobs)
-                )
-            else:
-                report = IngestReport(on_error)
-                for class_id, path in enumerate(files):
-
-                    def build(path=path, class_id=class_id, **overrides):
-                        mesh = read_mesh(path)
-                        grid, pose = self.process_mesh(mesh, fill=fill, **overrides)
-                        return ProcessedObject(
-                            name=path.stem,
-                            family="mesh",
-                            class_id=class_id,
-                            grid=grid,
-                            pose=pose,
-                        )
-
-                    self._ingest_one(
-                        path.stem, build, "mesh", on_error, report, source=str(path)
-                    )
+            tasks = [
+                (self, path, class_id, on_error, fill)
+                for class_id, path in enumerate(files)
+            ]
+            report = _merge_reports(on_error, pool_map(_ingest_mesh_task, tasks, jobs))
         _record_ingest_report(report)
         return report
 
 
-# -- process-pool work units ---------------------------------------------------
+# -- pool_map work units -------------------------------------------------------
 #
 # Module-level (picklable) single-object tasks: each runs the full
 # per-object pipeline — voxelization included — under the caller's
-# on_error policy inside a worker process and returns a one-object
-# IngestReport.  Under on_error="raise" the exception propagates out of
-# the worker; _pool_map iterates results in submission order, so the
-# *earliest* failing object aborts the batch, matching the serial path.
+# on_error policy and returns a one-object IngestReport.  Under
+# on_error="raise" the exception propagates out of the task; pool_map
+# keeps submission order, so the *earliest* failing object aborts the
+# batch at every worker count.
 
 
 def _ingest_part_task(task) -> IngestReport:
     pipeline, part, on_error = task
-    report = IngestReport(on_error)
-    pipeline._ingest_one(
-        part.name,
-        lambda **ov: pipeline.process_part(part, **ov),
-        "solid",
-        on_error,
-        report,
+    return pipeline._ingest_one(
+        part.name, lambda **ov: pipeline.process_part(part, **ov), "solid", on_error
     )
-    return report
 
 
 def _ingest_mesh_task(task) -> IngestReport:
@@ -567,15 +522,7 @@ def _ingest_mesh_task(task) -> IngestReport:
             pose=pose,
         )
 
-    report = IngestReport(on_error)
-    pipeline._ingest_one(path.stem, build, "mesh", on_error, report, source=str(path))
-    return report
-
-
-def _pool_map(task_fn, tasks: list, jobs: int) -> list:
-    from repro.parallel import pool_map
-
-    return pool_map(task_fn, tasks, jobs)
+    return pipeline._ingest_one(path.stem, build, "mesh", on_error, source=str(path))
 
 
 def _record_ingest_report(report: IngestReport) -> None:
@@ -607,19 +554,3 @@ def _merge_reports(on_error: str, partials: list[IngestReport]) -> IngestReport:
         report.objects.extend(partial.objects)
         report.records.extend(partial.records)
     return report
-
-
-def pairwise_distance_matrix(objects: list, distance) -> np.ndarray:
-    """Symmetric pairwise distance matrix of arbitrary objects.
-
-    Evaluates ``distance`` once per unordered pair; handy for OPTICS on
-    small datasets.
-    """
-    n = len(objects)
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = float(distance(objects[i], objects[j]))
-            matrix[i, j] = value
-            matrix[j, i] = value
-    return matrix

@@ -29,6 +29,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -554,6 +555,31 @@ class TestDatabaseApproxMode:
         assert len(db) == 1 and db.version == version
         assert db.engine_digest() == digest
         assert {p.name: p.read_bytes() for p in dbdir.iterdir()} == before
+        db.close()
+
+    @pytest.mark.parametrize("op", ["add", "update"])
+    def test_a_set_beyond_the_magnitude_bound_is_refused_before_the_wal(
+        self, tmp_path, op
+    ):
+        """Entries of 1e200 sketch to finite activations but square to
+        inf in the kernels: refused at the boundary like 1e308, before
+        the WAL append, and every query path keeps answering."""
+        dbdir = tmp_path / "db"
+        db = SimilarityDatabase(6, durable=True, path=dbdir)
+        db.add(0, np.ones((2, DIM)))
+        before = {p.name: p.read_bytes() for p in dbdir.iterdir()}
+        version, digest = db.version, db.engine_digest()
+        with pytest.raises(QueryError, match="beyond"):
+            getattr(db, op)(0 if op == "update" else 1, np.full((2, DIM), 1e200))
+        assert len(db) == 1 and db.version == version
+        assert db.engine_digest() == digest
+        assert {p.name: p.read_bytes() for p in dbdir.iterdir()} == before
+        with pytest.raises(QueryError, match="beyond"):
+            db.knn_query(np.full((2, DIM), -1e200), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mode in ("exact", "approx"):
+                assert db.knn_query(np.ones((1, DIM)), 1, mode=mode)[0][0].object_id == 0
         db.close()
 
     def test_a_refused_first_add_leaves_the_database_empty(self):

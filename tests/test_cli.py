@@ -127,9 +127,13 @@ class TestClusterAndInfo:
         assert "cut at eps" in out
 
     def test_cluster_parallel_jobs(self, car_db, capsys):
+        assert main(["cluster", str(car_db), "--min-pts", "3", "--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
         code = main(["cluster", str(car_db), "--min-pts", "3", "--jobs", "2"])
         assert code == 0
-        assert "cut at eps" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "cut at eps" in out
+        assert out == serial
 
     def test_info(self, car_db, capsys):
         code = main(["info", str(car_db)])

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from benchmarks.e2e.inputs import set_corpus
 from repro.core.batch import (
+    DEFAULT_CHUNK_SIZE,
     PackedSets,
     _cost_tensor,
     assignment_bounds,
@@ -120,6 +121,7 @@ def test_the_solver_is_imported_on_the_first_solve():
     check = (
         "import sys, numpy, repro, repro.db, repro.cli\n"
         "assert 'scipy.optimize' not in sys.modules\n"
+        "assert 'scipy.ndimage' not in sys.modules\n"
         "from repro.core.batch import hungarian_batch\n"
         "hungarian_batch(numpy.eye(2)[None])\n"
         "assert 'scipy.optimize' in sys.modules\n"
@@ -518,23 +520,25 @@ class TestPairwiseMatrix:
         )
 
     def test_chunking_is_invisible(self, rng):
-        sets = random_vector_sets(rng, 20, dim=6, max_size=7)
+        """100 sets are 4 950 pairs, two kernel calls: the matrix is what
+        one call over every pair gives."""
+        sets = random_vector_sets(rng, 100, dim=6, max_size=7)
+        i_idx, j_idx = np.triu_indices(len(sets), k=1)
+        assert len(i_idx) > DEFAULT_CHUNK_SIZE
+        matrix = pairwise_matrix(sets)
         assert np.array_equal(
-            pairwise_matrix(sets, chunk_size=7), pairwise_matrix(sets)
+            matrix[i_idx, j_idx], match_pairs(PackedSets.pack(sets), i_idx, j_idx)
         )
 
     def test_parallel_equals_serial(self, rng):
-        sets = random_vector_sets(rng, 24, dim=6, max_size=7)
-        serial = pairwise_matrix(sets, chunk_size=32)
-        parallel = pairwise_matrix(sets, chunk_size=32, n_jobs=2)
-        assert np.array_equal(serial, parallel)
+        """Two workers take one share of the two kernel calls each."""
+        sets = random_vector_sets(rng, 100, dim=6, max_size=7)
+        assert np.array_equal(pairwise_matrix(sets), pairwise_matrix(sets, n_jobs=2))
 
     def test_parallel_flags_equal_serial(self, rng):
-        sets = random_vector_sets(rng, 16, dim=6, max_size=7)
-        serial, serial_flags = pairwise_matrix(sets, chunk_size=16, return_flags=True)
-        parallel, parallel_flags = pairwise_matrix(
-            sets, chunk_size=16, n_jobs=2, return_flags=True
-        )
+        sets = random_vector_sets(rng, 100, dim=6, max_size=7)
+        serial, serial_flags = pairwise_matrix(sets, return_flags=True)
+        parallel, parallel_flags = pairwise_matrix(sets, n_jobs=2, return_flags=True)
         assert np.array_equal(serial, parallel)
         assert np.array_equal(serial_flags, parallel_flags)
 
@@ -545,10 +549,6 @@ class TestPairwiseMatrix:
             for j in range(i + 1, len(sets)):
                 result = min_matching_match(sets[i], sets[j])
                 assert flags[i, j] == (not result.is_identity)
-
-    def test_rejects_bad_chunk_size(self, rng):
-        with pytest.raises(DistanceError):
-            pairwise_matrix(random_vector_sets(rng, 4), chunk_size=0)
 
     def test_singleton_sets(self, rng):
         """k=1: every 'matching' is a single Euclidean distance."""

@@ -91,19 +91,19 @@ class TestFeatureExtraction:
     def test_distance_matrix_kinds(self, tiny_aircraft):
         model = paper_model("vector-set", k=3)
         features = extract_features(tiny_aircraft, model)
-        matching, flags = distance_matrix_for(tiny_aircraft, features, "matching")
+        matching, flags = distance_matrix_for(features, "matching")
         assert matching.shape == (40, 40)
         assert np.allclose(matching, matching.T)
         assert flags is not None and flags.dtype == bool
-        permutation, _ = distance_matrix_for(tiny_aircraft, features, "permutation")
+        permutation, _ = distance_matrix_for(features, "permutation")
         assert np.all(permutation >= 0)
         with pytest.raises(ReproError):
-            distance_matrix_for(tiny_aircraft, features, "telepathy")
+            distance_matrix_for(features, "telepathy")
 
     def test_euclidean_matrix_on_flat_features(self, tiny_aircraft):
         model = paper_model("cover", k=3)
         features = extract_features(tiny_aircraft, model)
-        matrix, flags = distance_matrix_for(tiny_aircraft, features, "euclidean")
+        matrix, flags = distance_matrix_for(features, "euclidean")
         assert flags is None
         manual = np.linalg.norm(features[0] - features[1])
         assert matrix[0, 1] == pytest.approx(manual)

@@ -5,11 +5,11 @@ import pytest
 
 from repro.clustering.optics import distance_rows_from_matrix, optics
 from repro.clustering.quality import best_cut_quality
+from repro.core.batch import pairwise_matrix
 from repro.core.queries import FilterRefineEngine
 from repro.datasets.car import make_car_dataset
 from repro.features.vector_set_model import VectorSetModel
-from repro.core.min_matching import min_matching_distance
-from repro.pipeline import Pipeline, pairwise_distance_matrix
+from repro.pipeline import Pipeline
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +46,7 @@ class TestEndToEnd:
 
     def test_optics_recovers_families(self, small_car_database):
         objects, sets, labels = small_car_database
-        matrix = pairwise_distance_matrix(sets, min_matching_distance)
+        matrix = pairwise_matrix(sets)
         ordering = optics(len(sets), distance_rows_from_matrix(matrix), min_pts=3)
         ari, _ = best_cut_quality(ordering, labels)
         assert ari > 0.5

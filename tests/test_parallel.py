@@ -1,5 +1,6 @@
-"""The shared process pool: errors cross it typed, a dead worker does
-not leave it broken for the rest of the process."""
+"""The one fan-out: below two workers it runs in the calling process,
+from two up on the shared pool, whose errors cross it typed and where a
+dead worker does not leave it broken for the rest of the process."""
 
 from __future__ import annotations
 
@@ -8,9 +9,11 @@ import os
 import pickle
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from repro import exceptions
+from repro.db import ShardedSimilarityDatabase, sharded
 from repro.parallel import pool_map
 
 
@@ -59,3 +62,34 @@ def test_a_dead_worker_does_not_break_later_batches():
     with pytest.raises(BrokenProcessPool):
         pool_map(_exit_worker, [0, 1], 2)
     assert pool_map(_square, [1, 2, 3, 4], 2) == [1, 4, 9, 16]
+
+
+def _pid(_task) -> int:
+    return os.getpid()
+
+
+def test_one_worker_runs_in_the_calling_process():
+    assert pool_map(_pid, [0, 1, 2], 1) == [os.getpid()] * 3
+    assert pool_map(_pid, [0, 1, 2], None) == [os.getpid()] * 3
+
+
+def test_two_workers_run_in_the_pool():
+    assert os.getpid() not in pool_map(_pid, [0, 1, 2], 2)
+
+
+def test_a_pooled_sharded_batch_of_one_query_runs_in_a_worker(tmp_path):
+    """A one-query batch is one chunk, yet it is answered by a worker: the
+    calling process never opens the saved layout itself."""
+    rng = np.random.default_rng(7)
+    db = ShardedSimilarityDatabase(6, shards=2)
+    for oid in range(12):
+        db.add(oid, rng.standard_normal((int(rng.integers(1, 5)), 3)))
+    db.save(tmp_path / "layout")
+    opened = set(sharded._LAYOUT_DBS)
+    query = rng.standard_normal((2, 3))
+    pooled = db.knn_query_many([query], 4, n_jobs=2)
+    assert set(sharded._LAYOUT_DBS) == opened
+    assert len(db.last_parallel_legs) == 1
+    assert [m.object_id for m in pooled[0][0]] == [
+        m.object_id for m in db.knn_query(query, 4)[0]
+    ]

@@ -9,7 +9,7 @@ from repro.features.vector_set_model import VectorSetModel
 from repro.core.min_matching import min_matching_distance
 from repro.geometry.mesh import box_mesh
 from repro.geometry.sdf import Box, Sphere
-from repro.pipeline import Pipeline, pairwise_distance_matrix
+from repro.pipeline import Pipeline
 
 
 class TestPipeline:
@@ -86,26 +86,6 @@ class TestPipeline:
         degenerate = Box(center=(0, 0, 0)) & Box(center=(10, 10, 10))
         with pytest.raises(ReproError):
             pipeline.process_solid(degenerate)
-
-
-class TestPairwiseMatrix:
-    def test_symmetric_zero_diagonal(self, rng):
-        objects = [rng.normal(size=3) for _ in range(6)]
-        matrix = pairwise_distance_matrix(
-            objects, lambda a, b: float(np.linalg.norm(a - b))
-        )
-        assert np.allclose(matrix, matrix.T)
-        assert np.allclose(np.diag(matrix), 0.0)
-
-    def test_calls_distance_once_per_pair(self, rng):
-        calls = []
-
-        def spy(a, b):
-            calls.append(1)
-            return 0.0
-
-        pairwise_distance_matrix(list(range(5)), spy)
-        assert len(calls) == 10  # 5 choose 2
 
 
 class TestParallelIngestion:
