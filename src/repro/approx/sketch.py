@@ -244,17 +244,25 @@ class SetSketcher:
         """The ``(width,)`` bool union of each ``(rows, width)`` *acts*
         row's top-``wta`` activations.
 
-        A row's ``wta``-th largest activation is its threshold: every
-        activation above it wins, and the places left go to the
-        activations equal to it, lowest bit index first — the winners of
-        a stable descending sort, found without sorting.
+        A row's ``wta``-th largest activation is its cut, and every
+        activation ``>=`` the cut lights: at least ``wta`` bits, exactly
+        ``wta`` unless activations tie at the cut.  When some row lights
+        more, the tie fill runs on the set's rows with the same cut: the
+        activations above it win, and the places left go to those equal
+        to it, lowest bit index first — the winners of a stable
+        descending sort, found without sorting.  The fill leaves a row
+        without ties as it was; picking out the tied rows would cost
+        more than filling the others (DESIGN.md "Selecting the winners").
         """
         at = self.width - self.wta
         cut = np.partition(acts, at, axis=1)[:, at, None]
-        above = acts > cut
-        ties = acts == cut
-        left = self.wta - np.count_nonzero(above, axis=1)
-        return (above | (ties & (np.cumsum(ties, axis=1) <= left[:, None]))).any(axis=0)
+        lit = acts >= cut
+        if np.count_nonzero(lit) > self.wta * len(acts):
+            ties = acts == cut
+            above = lit ^ ties
+            left = self.wta - above.sum(axis=1)
+            lit = above | (ties & (ties.cumsum(axis=1) <= left[:, None]))
+        return lit.any(axis=0)
 
     def sketch(self, vectors: np.ndarray) -> np.ndarray:
         """Sketch one set: ``(m, dims)`` → ``(words,)`` uint64.

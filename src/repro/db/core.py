@@ -157,6 +157,33 @@ def _at_least(name: str, value, low: int) -> int:
     return value
 
 
+def _check_domain(arr: np.ndarray, what: str, entries: str) -> None:
+    """Refuse *arr* unless every entry is inside the magnitude domain."""
+    if not (np.abs(arr) <= MAGNITUDE_BOUND).all():
+        if not np.isfinite(arr).all():
+            raise QueryError(f"{what} must be finite")
+        raise QueryError(
+            f"{entries} beyond ±{MAGNITUDE_BOUND:g} make matching costs not finite"
+        )
+
+
+def check_omega(omega) -> np.ndarray | None:
+    """The ``omega=`` keyword of both database classes: ``None`` (the
+    origin) or a vector inside the magnitude domain, since ω pads every
+    stored set and query; else :class:`QueryError`, before anything is
+    written."""
+    if omega is None:
+        return None
+    try:
+        arr = np.asarray(omega, dtype=float)
+    except (TypeError, ValueError):
+        raise QueryError(f"omega must be a vector of numbers, got {omega!r}") from None
+    if arr.ndim != 1:
+        raise QueryError(f"omega must be a vector, got shape {arr.shape}")
+    _check_domain(arr, "omega", "omega entries")
+    return arr
+
+
 def check_backend(backend) -> None:
     """The ``backend=`` keyword of both database classes: ``"xtree"``,
     the one index there is, else :class:`QueryError`."""
@@ -271,6 +298,7 @@ class SimilarityDatabase:
         block_size = _at_least("block_size", block_size, 1)
         keep_generations = _at_least("keep_generations", keep_generations, 1)
         check_backend(backend)
+        omega = check_omega(omega)
         if source is not None and not durable:
             raise QueryError("source is only meaningful with durable=True")
         self.capacity = capacity
@@ -279,9 +307,7 @@ class SimilarityDatabase:
         self.pipeline = pipeline
         self.cache = cache
         self.dimension: int | None = None
-        self._omega_arg = (
-            None if omega is None else np.asarray(omega, dtype=float)
-        )
+        self._omega_arg = omega
         self.omega: np.ndarray | None = self._omega_arg
         self._version = 0
         self._engine: FilterRefineEngine | None = None
@@ -494,13 +520,7 @@ class SimilarityDatabase:
             raise QueryError(
                 f"set holds {len(arr)} vectors, capacity is {self.capacity}"
             )
-        if not (np.abs(arr) <= MAGNITUDE_BOUND).all():
-            if not np.isfinite(arr).all():
-                raise QueryError("vector sets must be finite")
-            raise QueryError(
-                f"vector set entries beyond ±{MAGNITUDE_BOUND:g} make "
-                "matching costs not finite"
-            )
+        _check_domain(arr, "vector sets", "vector set entries")
         if self.dimension is not None and arr.shape[1] != self.dimension:
             raise QueryError(
                 f"dimension mismatch: database holds {self.dimension}-d "

@@ -107,10 +107,19 @@ def _of(*kinds: type):
     return lambda value: type(value) in kinds
 
 
+def _omega(value) -> bool:
+    """A persisted ω: a list of numbers inside the magnitude domain."""
+    from repro.db.core import MAGNITUDE_BOUND  # core imports this module
+
+    return type(value) is list and all(
+        type(v) in (int, float) and abs(v) <= MAGNITUDE_BOUND for v in value
+    )
+
+
 #: The one check of every settings key a stored record may carry.
 _CHECKS = {
     "capacity": _int(1),
-    "omega": _maybe(lambda v: type(v) is list and all(map(_of(int, float), v))),
+    "omega": _maybe(_omega),
     "dimension": _maybe(_int(1)),
     "block_size": _int(1),
     "db_version": _int(0),

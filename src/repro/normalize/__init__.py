@@ -13,19 +13,14 @@ Section 3.2 of the paper requires translation and rotation invariance and
 """
 
 from repro.normalize.pca import pca_align_grid, pca_align_points, principal_axes
-from repro.normalize.pose import PoseInfo, center_grid, normalize_grid
-from repro.normalize.symmetry import (
-    canonical_symmetry_matrix,
-    canonicalize_grid,
-)
+from repro.normalize.pose import PoseInfo, normalize_grid
+from repro.normalize.symmetry import canonical_symmetry_matrix
 
 __all__ = [
     "PoseInfo",
     "normalize_grid",
-    "center_grid",
     "principal_axes",
     "pca_align_points",
     "pca_align_grid",
     "canonical_symmetry_matrix",
-    "canonicalize_grid",
 ]

@@ -4,7 +4,8 @@ The paper stores every object "normalized with respect to translation and
 scaling" together with its three original scale factors, so that scaling
 invariance can be (de)activated at runtime.  :func:`normalize_grid`
 implements exactly that: it recenters the occupied bounding box on the
-raster and records the world extents in a :class:`PoseInfo`.
+raster and records the world extents in a :class:`PoseInfo` (and, on
+request, brings the object into its canonical 90-degree pose).
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import VoxelizationError
-from repro.voxel.grid import VoxelGrid
+from repro.normalize.symmetry import canonical_symmetry_matrix
+from repro.voxel.grid import VoxelGrid, moved_indices
 
 
 @dataclass(frozen=True)
@@ -44,39 +46,33 @@ def _centering_shift(lower: np.ndarray, upper: np.ndarray, r: int) -> np.ndarray
     return (r - (upper - lower + 1)) // 2 - lower
 
 
-def center_grid(grid: VoxelGrid) -> VoxelGrid:
-    """Translate the occupied voxels so their bounding box is centered.
+def normalize_grid(
+    grid: VoxelGrid, canonical_pose: bool = False, include_reflections: bool = True
+) -> tuple[VoxelGrid, PoseInfo]:
+    """Center *grid*, optionally bring it into its canonical 90-degree
+    pose, and report its pose bookkeeping.
 
-    The integer translation moves the bounding-box center as close as
-    possible to the raster center; ties round toward the origin so the
-    operation is deterministic.  One scan of the occupancy: the bounding
-    box comes from the voxel indices it moves.
+    Returns the normalized grid and a :class:`PoseInfo` carrying the
+    world extents (scale factors) and the applied integer translation.
+    With *canonical_pose* the centered grid is transformed by its
+    :func:`~repro.normalize.symmetry.canonical_symmetry_matrix`.  One
+    scan of the occupancy serves every step: the bounding box and the
+    shift come from the voxel indices, the centered grid's indices are
+    those plus the shift in the same order, and they give the moments
+    and the transform's scatter.
     """
-    if grid.is_empty():
-        raise VoxelizationError("cannot center an empty grid")
     idx = grid.indices()
-    shift = _centering_shift(idx.min(axis=0), idx.max(axis=0), grid.resolution)
-    idx += shift
-    occupancy = np.zeros_like(grid.occupancy)
-    occupancy[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-    return VoxelGrid(occupancy, grid.origin - shift * grid.voxel_size, grid.voxel_size)
-
-
-def normalize_grid(grid: VoxelGrid) -> tuple[VoxelGrid, PoseInfo]:
-    """Center *grid* and report its pose bookkeeping.
-
-    Returns the centered grid and a :class:`PoseInfo` carrying the world
-    extents (scale factors) and the applied integer translation.  The
-    translation is the centering shift itself, so the centered grid's
-    bounding box is never scanned.
-    """
-    if grid.is_empty():
+    if not len(idx):
         raise VoxelizationError("cannot normalize an empty grid")
-    lower, upper = grid.bounding_box()
-    extents = (upper - lower + 1) * grid.voxel_size
+    lower, upper = idx.min(axis=0), idx.max(axis=0)
     shift = _centering_shift(lower, upper, grid.resolution)
+    idx += shift
+    if canonical_pose:
+        matrix = canonical_symmetry_matrix(idx, include_reflections)
+        idx = moved_indices(idx, matrix, grid.resolution)
+    extents = (upper - lower + 1) * grid.voxel_size
     info = PoseInfo(
         scale_factors=(float(extents[0]), float(extents[1]), float(extents[2])),
         translation=(int(shift[0]), int(shift[1]), int(shift[2])),
     )
-    return center_grid(grid), info
+    return grid.with_indices(idx, grid.origin - shift * grid.voxel_size), info

@@ -13,13 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import VoxelizationError
-from repro.voxel.grid import VoxelGrid
 
 
 def canonical_symmetry_matrix(
-    grid: VoxelGrid, include_reflections: bool = True
+    idx: np.ndarray, include_reflections: bool = True
 ) -> np.ndarray:
-    """A deterministic cube symmetry that brings *grid* into canonical pose.
+    """A deterministic cube symmetry that brings the object whose voxel
+    indices are *idx* (``(n, 3)``, in scan order) into canonical pose.
 
     This is the principal-axis idea of Section 3.2 restricted to the
     90-degree group: axes are reordered by decreasing coordinate variance
@@ -29,14 +29,15 @@ def canonical_symmetry_matrix(
     orientations canonicalize to near-identical grids — which lets
     dataset preparation quotient out the 24/48-fold invariance once
     instead of evaluating Definition 2's minimum for every distance.
+    :func:`~repro.normalize.pose.normalize_grid` applies it to the
+    centered grid's indices, which it holds without a second scan.
 
     With ``include_reflections=False`` the returned matrix is forced to
     determinant +1 (mirrored parts then remain distinguishable) by
     flipping the sign of the axis with the smallest absolute skewness.
     """
-    if grid.is_empty():
+    if not len(idx):
         raise VoxelizationError("cannot canonicalize an empty grid")
-    idx = grid.indices()
     centered = idx - idx.mean(axis=0)  # the center of mass, from the same scan
     variance = centered.var(axis=0)
     skewness = (centered**3).mean(axis=0)
@@ -50,8 +51,3 @@ def canonical_symmetry_matrix(
         weakest = int(np.argmin(np.abs(skewness[order])))
         matrix[weakest] = -matrix[weakest]
     return matrix
-
-
-def canonicalize_grid(grid: VoxelGrid, include_reflections: bool = True) -> VoxelGrid:
-    """Transform *grid* into its canonical 90-degree pose."""
-    return grid.transformed(canonical_symmetry_matrix(grid, include_reflections))

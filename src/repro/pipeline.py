@@ -29,7 +29,6 @@ from repro.exceptions import IngestError, ReproError, StorageError
 from repro.geometry.mesh import TriangleMesh
 from repro.geometry.sdf import Solid
 from repro.normalize.pose import PoseInfo, normalize_grid
-from repro.normalize.symmetry import canonicalize_grid
 from repro.obs import emit, registry, span
 from repro.voxel.grid import VoxelGrid
 from repro.voxel.voxelize import voxelize_mesh, voxelize_solid
@@ -245,10 +244,7 @@ class Pipeline:
 
     def process_grid(self, grid: VoxelGrid) -> tuple[VoxelGrid, PoseInfo]:
         """Normalize an already-voxelized object."""
-        normalized, pose = normalize_grid(grid)
-        if self.canonical_pose:
-            normalized = canonicalize_grid(normalized, self.include_reflections)
-        return normalized, pose
+        return normalize_grid(grid, self.canonical_pose, self.include_reflections)
 
     def process_solid(
         self,

@@ -116,21 +116,16 @@ class VoxelGrid:
         cube symmetries qualify).  Used to realize the invariances of
         Definition 2 at the voxel level.
         """
-        mat = np.rint(np.asarray(matrix, dtype=float)).astype(int)
-        if mat.shape != (3, 3) or not np.allclose(mat @ mat.T, np.eye(3)):
-            raise VoxelizationError("grid transforms must be signed permutations")
-        r = self.resolution
-        result = np.zeros_like(self.occupancy)
-        idx = self.indices()
-        if len(idx):
-            # Rotate doubled, centered coordinates so everything stays integral.
-            centered = 2 * idx - (r - 1)
-            moved = centered @ mat.T
-            new_idx = (moved + (r - 1)) // 2
-            if new_idx.min() < 0 or new_idx.max() >= r:  # pragma: no cover
-                raise VoxelizationError("transform moved voxels out of the grid")
-            result[new_idx[:, 0], new_idx[:, 1], new_idx[:, 2]] = True
-        return VoxelGrid(result, self.origin.copy(), self.voxel_size)
+        idx = moved_indices(self.indices(), matrix, self.resolution)
+        return self.with_indices(idx, self.origin.copy())
+
+    def with_indices(self, idx: np.ndarray, origin: np.ndarray) -> "VoxelGrid":
+        """A grid of this one's raster and voxel size whose object voxels
+        are the ``(n, 3)`` indices *idx*, with its voxel ``(0, 0, 0)``
+        at *origin*."""
+        occupancy = np.zeros_like(self.occupancy)
+        occupancy[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+        return VoxelGrid(occupancy, origin, self.voxel_size)
 
     # -- equality / serialization helpers -----------------------------------
 
@@ -169,3 +164,19 @@ class VoxelGrid:
             f"VoxelGrid(r={self.resolution}, occupied={self.count}, "
             f"voxel_size={self.voxel_size:g})"
         )
+
+
+def moved_indices(idx: np.ndarray, matrix: np.ndarray, resolution: int) -> np.ndarray:
+    """The ``(n, 3)`` voxel indices *idx* mapped through the
+    signed-permutation *matrix* about the center of an r-raster, in the
+    same order (the index map of :meth:`VoxelGrid.transformed`)."""
+    mat = np.rint(np.asarray(matrix, dtype=float)).astype(int)
+    if mat.shape != (3, 3) or not (mat @ mat.T == np.eye(3, dtype=int)).all():
+        raise VoxelizationError("grid transforms must be signed permutations")
+    r = resolution
+    # Rotate doubled, centered coordinates so everything stays integral.
+    moved = (2 * idx - (r - 1)) @ mat.T
+    new_idx = (moved + (r - 1)) // 2
+    if len(new_idx) and (new_idx.min() < 0 or new_idx.max() >= r):  # pragma: no cover
+        raise VoxelizationError("transform moved voxels out of the grid")
+    return new_idx

@@ -245,6 +245,53 @@ def test_sketch_equals_the_stable_sort_formula_bit_for_bit(
     assert np.array_equal(code, stable_sort_sketch(sketcher, vectors))
 
 
+def cover_lattice_set(rng, m, dims=6):
+    """A set of cover features as the r = 15 parts corpus extracts them:
+    multiples of 1/30.  Their activations tie at the cut."""
+    return rng.integers(-15, 31, size=(m, dims)) / 30
+
+
+def continuous_set(rng, m, dims=6):
+    """A set of continuous features: its activations never tie."""
+    return rng.normal(size=(m, dims))
+
+
+def ties_at_the_cut(sketcher, vectors) -> bool:
+    """Whether some element lights more than ``wta`` bits at ``>=`` its
+    ``wta``-th largest activation: the sets the tie fill runs on."""
+    acts = vectors @ sketcher.projection.T
+    at = sketcher.width - sketcher.wta
+    cut = np.partition(acts, at, axis=1)[:, at, None]
+    return bool((np.count_nonzero(acts >= cut, axis=1) > sketcher.wta).any())
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 7),
+    kind=st.sampled_from([cover_lattice_set, continuous_set]),
+    pool=st.sampled_from(["or", "wta"]),
+)
+def test_the_default_sketch_of_cover_features_equals_the_stable_sort_formula(
+    seed, m, kind, pool
+):
+    """At the default 6-d sketcher (192 bits, wta 15), the sets the
+    database sketches most: cover features, which tie at the cut and
+    take the tie fill, and continuous sets, which take the threshold
+    alone — bit for bit the stable sort's winners either way."""
+    sketcher = cached_sketcher(6, 192, 15, pool)
+    vectors = kind(np.random.default_rng(seed), m)
+    assert np.array_equal(sketcher.sketch(vectors), stable_sort_sketch(sketcher, vectors))
+
+
+def test_cover_features_tie_at_the_cut_and_continuous_sets_do_not():
+    """Both branches of the kernel are what the property above draws."""
+    sketcher = cached_sketcher(6, 192, 15, "or")
+    rng = np.random.default_rng(SEED)
+    lattice = [ties_at_the_cut(sketcher, cover_lattice_set(rng, 7)) for _ in range(100)]
+    continuous = [ties_at_the_cut(sketcher, continuous_set(rng, 7)) for _ in range(100)]
+    assert sum(lattice) >= 90 and not any(continuous)
+
+
 # -- HammingIndex over the engine's code column -----------------------------
 
 codes64 = st.lists(

@@ -28,6 +28,7 @@ from repro.db import (
     SimilarityDatabase,
     open_database,
 )
+from repro.db.core import MAGNITUDE_BOUND
 from repro.exceptions import (
     LockTimeout,
     QueryError,
@@ -391,6 +392,35 @@ class TestDurableRoundtrip:
             else:
                 SimilarityDatabase(capacity, durable=True, path=path, **kwargs)
         assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "1e200"])
+    @pytest.mark.parametrize("durable", [False, True], ids=["plain", "durable"])
+    @pytest.mark.parametrize("shards", [None, 2], ids=["single", "2-shard"])
+    def test_an_omega_outside_the_magnitude_domain_is_refused(
+        self, tmp_path, bad, durable, shards
+    ):
+        """ω pads every stored set and query, so it is held to the domain
+        of their entries: a NaN ω would prune every candidate (empty
+        answers) and a 1e200 one overflow the first k-nn.  Both fail the
+        constructor, typed, before anything is written."""
+        path = tmp_path / "db"
+        kwargs = {"omega": np.full(DIM, bad), "durable": durable}
+        if durable:
+            kwargs["path"] = path
+        with pytest.raises(QueryError, match="omega"):
+            if shards:
+                ShardedSimilarityDatabase(CAPACITY, shards=shards, **kwargs)
+            else:
+                SimilarityDatabase(CAPACITY, **kwargs)
+        assert not path.exists()
+
+    def test_an_omega_inside_the_domain_is_kept(self):
+        edge = np.full(DIM, -MAGNITUDE_BOUND)
+        db = SimilarityDatabase(CAPACITY, omega=list(edge))
+        assert np.array_equal(db.omega, edge)
+        for shape in ((), (1, DIM)):
+            with pytest.raises(QueryError, match="omega must be a vector"):
+                SimilarityDatabase(CAPACITY, omega=np.zeros(shape))
 
     @pytest.mark.parametrize(
         "setting",

@@ -123,6 +123,10 @@ UNREFERENCED_ON_PURPOSE = {
         "(a) S_k rebuilt from the covers, tests/test_extensions.py::"
         "TestVoxelMetrics::test_cover_sequence_error_agrees"
     ),
+    "repro.voxel.grid.VoxelGrid.bounding_box": (
+        "(a) the written bounding box of the centering, tests/test_normalize.py::"
+        "TestNormalizationMatchesTheWrittenFormulas::test_one_scan_equals_the_composition"
+    ),
     "repro.voxel.grid.VoxelGrid.center_of_mass": (
         "(a) the written mean of the canonical pose, tests/test_normalize.py::"
         "TestNormalizationMatchesTheWrittenFormulas::test_canonical_pose"

@@ -2,18 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import VoxelizationError
 from repro.geometry.sdf import Box, Cylinder
 from repro.geometry.transform import symmetry_matrices
 from repro.normalize.pca import pca_align_grid, pca_align_points, principal_axes
-from repro.normalize.pose import center_grid, normalize_grid
-from repro.normalize.symmetry import (
-    canonical_symmetry_matrix,
-    canonicalize_grid,
-)
+from repro.normalize.pose import PoseInfo, normalize_grid
+from repro.normalize.symmetry import canonical_symmetry_matrix
+from repro.pipeline import Pipeline
 from repro.voxel.grid import VoxelGrid
 from repro.voxel.voxelize import voxelize_solid
+
+
+def center_grid(grid):
+    return normalize_grid(grid)[0]
+
+
+def canonicalize_grid(grid, include_reflections=True):
+    """*grid* transformed into its canonical pose, uncentered."""
+    return grid.transformed(canonical_symmetry_matrix(grid.indices(), include_reflections))
 
 
 class TestPose:
@@ -115,12 +125,12 @@ class TestSymmetry:
         assert len(canonical) <= 2
 
     def test_canonical_matrix_is_cube_symmetry(self, lshape_grid):
-        mat = canonical_symmetry_matrix(lshape_grid)
+        mat = canonical_symmetry_matrix(lshape_grid.indices())
         assert np.allclose(np.abs(mat).sum(axis=0), 1)
         assert np.allclose(mat @ mat.T, np.eye(3))
 
     def test_rotation_only_canonicalization_has_det_one(self, lshape_grid):
-        mat = canonical_symmetry_matrix(lshape_grid, include_reflections=False)
+        mat = canonical_symmetry_matrix(lshape_grid.indices(), include_reflections=False)
         assert np.isclose(np.linalg.det(mat), 1.0)
 
     def test_empty_grid_rejected(self):
@@ -175,10 +185,9 @@ class TestNormalizationMatchesTheWrittenFormulas:
         for grid in part_grids:
             expected, extents, translation = _written_centering(grid)
             centered, pose = normalize_grid(grid)
-            for got in (center_grid(grid), centered):
-                assert np.array_equal(got.occupancy, expected.occupancy)
-                assert np.array_equal(got.origin, expected.origin)
-                assert got.voxel_size == expected.voxel_size
+            assert np.array_equal(centered.occupancy, expected.occupancy)
+            assert np.array_equal(centered.origin, expected.origin)
+            assert centered.voxel_size == expected.voxel_size
             assert pose.scale_factors == extents
             assert pose.translation == translation
 
@@ -188,9 +197,53 @@ class TestNormalizationMatchesTheWrittenFormulas:
             centered, _ = normalize_grid(grid)
             matrix = _written_symmetry_matrix(centered, include_reflections)
             assert np.array_equal(
-                canonical_symmetry_matrix(centered, include_reflections), matrix
+                canonical_symmetry_matrix(centered.indices(), include_reflections), matrix
             )
             assert np.array_equal(
-                canonicalize_grid(centered, include_reflections).occupancy,
+                normalize_grid(grid, True, include_reflections)[0].occupancy,
                 centered.transformed(matrix).occupancy,
             )
+
+    @pytest.mark.parametrize("include_reflections", [True, False])
+    @pytest.mark.parametrize("canonical_pose", [True, False])
+    def test_one_scan_equals_the_composition(
+        self, part_grids, canonical_pose, include_reflections
+    ):
+        pipeline = Pipeline(
+            canonical_pose=canonical_pose, include_reflections=include_reflections
+        )
+        for grid in part_grids:
+            assert_normalized_as_written(
+                grid, pipeline.process_grid(grid), canonical_pose, include_reflections
+            )
+
+    @given(
+        occupancy=st.integers(2, 9).flatmap(lambda r: arrays(bool, (r, r, r))),
+        origin=arrays(float, 3, elements=st.floats(-1e3, 1e3)),
+        voxel_size=st.floats(1e-3, 1e3),
+        canonical_pose=st.booleans(),
+        include_reflections=st.booleans(),
+    )
+    def test_one_scan_equals_the_composition_on_any_grid(
+        self, occupancy, origin, voxel_size, canonical_pose, include_reflections
+    ):
+        assume(occupancy.any())
+        grid = VoxelGrid(occupancy, origin, voxel_size)
+        got = normalize_grid(grid, canonical_pose, include_reflections)
+        assert_normalized_as_written(grid, got, canonical_pose, include_reflections)
+
+
+def assert_normalized_as_written(grid, got, canonical_pose, include_reflections):
+    """*got*, a ``(grid, PoseInfo)`` pair, is byte for byte what centering
+    and then, with *canonical_pose*, the canonical transform give when
+    each step scans the grid it is handed."""
+    expected, extents, translation = _written_centering(grid)
+    if canonical_pose:
+        matrix = _written_symmetry_matrix(expected, include_reflections)
+        expected = expected.transformed(matrix)
+    normalized, pose = got
+    assert normalized.occupancy.dtype == expected.occupancy.dtype
+    assert normalized.occupancy.tobytes() == expected.occupancy.tobytes()
+    assert normalized.origin.tobytes() == expected.origin.tobytes()
+    assert normalized.voxel_size == expected.voxel_size
+    assert pose == PoseInfo(extents, translation)

@@ -321,6 +321,9 @@ CONFIGS = {
     "string-omega": (setting(omega="x"), ("'omega'",)),
     "string-keep": (setting(keep_generations="2"), ("'keep_generations'",)),
     "list-sketch-params": (setting(sketch_params=[1]), ("'sketch_params'",)),
+    "nan-omega": (setting(omega=[float("nan")] * DIM), ("'omega'",)),
+    "inf-omega": (setting(omega=[float("inf")] * DIM), ("'omega'",)),
+    "huge-omega": (setting(omega=[1e200] * DIM), ("'omega'",)),
 }
 
 
@@ -386,6 +389,9 @@ def test_a_snapshot_meta_that_is_not_an_object_fails_typed(tmp_path, capsys):
     "key, value",
     [
         ("omega", "x"),
+        ("omega", [float("nan")] * DIM),
+        ("omega", [float("-inf")] * DIM),
+        ("omega", [1e200] * DIM),
         ("dimension", "3"),
         ("db_version", None),
         ("sketch_params", 3),
