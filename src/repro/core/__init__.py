@@ -4,11 +4,10 @@ This subpackage implements Section 4 of the paper:
 
 * :mod:`repro.core.vector_set` — the vector set representation,
 * :mod:`repro.core.min_matching` — the minimal matching distance
-  (Definition 6) with pluggable element distances and weight functions,
-  solved by the same assignment solver and summed by the same arithmetic
-  as the batched kernels,
+  (Definition 6) of one pair, a one-pair call of the batched kernel,
 * :mod:`repro.core.permutation` — the minimum Euclidean distance under
-  permutation (Definitions 3/4), both brute force and via matching,
+  permutation (Definitions 3/4), both brute force and via matching on
+  the same kernel,
 * :mod:`repro.core.centroid` — extended centroids and the Lemma 2 lower
   bound used as a filter step,
 * :mod:`repro.core.queries` — filter-and-refine ε-range and optimal
@@ -32,7 +31,6 @@ from repro.core.min_matching import (
     MatchResult,
     min_matching_distance,
     min_matching_match,
-    norm_weight,
 )
 from repro.core.partial import partial_matching_distance
 from repro.core.permutation import (
@@ -52,7 +50,6 @@ __all__ = [
     "partial_matching_distance",
     "extended_centroid",
     "centroid_lower_bound",
-    "norm_weight",
     "FilterRefineEngine",
     "QueryStats",
     "PackedSets",

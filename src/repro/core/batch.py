@@ -41,9 +41,15 @@ A vectorised numpy Kuhn–Munkres that advanced a whole stack per step
 (113 µs per pair at B = 16, 9.8 at B = 4096) and a loop over a
 from-scratch scalar Kuhn–Munkres (29 and 34) won at no batch size, so
 there is no solver to choose.  :func:`hungarian_batch` is the one call
-site, for the per-pair Definition 6 of :mod:`repro.core.min_matching`
-and the partial matching too; an independent Kuhn–Munkres lives in the
-tests as their oracle.
+site, for the partial matching too; an independent Kuhn–Munkres lives
+in the tests as its oracle.
+
+**One cost construction.**  Every distance of a pair is this kernel's:
+the one-pair Definition 6 of :mod:`repro.core.min_matching` is a pack of
+two sets, and Definition 4 (:mod:`repro.core.permutation`) is the pair
+path with its entries left squared — with ``ω = 0`` the dummy cost is
+``‖x‖²`` exactly — summed by :func:`ascending_sum` and rooted once
+(§4.2's reduction at the packed capacity).
 
 **Tie-canonical distances.**  Omega padding makes all virtual rows (and
 columns) of a problem identical, so a ragged pair has many optimal
@@ -272,13 +278,19 @@ def hungarian_batch(costs: np.ndarray) -> np.ndarray:
 
 
 def _cost_tensor(
-    x_data: np.ndarray, x_sq: np.ndarray, y_data: np.ndarray, y_sq: np.ndarray
+    x_data: np.ndarray,
+    x_sq: np.ndarray,
+    y_data: np.ndarray,
+    y_sq: np.ndarray,
+    squared: bool = False,
 ) -> np.ndarray:
     """Stacked cross-distance matrices of omega-padded sets.
 
     ``x_data`` is ``(K, d)`` (one query, broadcast over the batch) or
     ``(C, K, d)``; ``y_data`` is ``(C, K, d)``.  Returns the C-contiguous
-    ``(C, K, K)`` stack, ``x``'s rows first.
+    ``(C, K, K)`` stack, ``x``'s rows first.  *squared* (pairs only)
+    leaves the entries squared: Definition 4's element costs, and with
+    ``ω = 0`` its dummy cost ``‖x‖²``.
     """
     if x_data.ndim == 2:
         # The stored sets' rows first: the layout einsum writes fastest,
@@ -293,7 +305,7 @@ def _cost_tensor(
     dots = np.einsum("ckd,cld->ckl", x_data, y_data)
     sq = x_sq[:, :, None] + y_sq[:, None, :] - 2.0 * dots
     np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq, out=sq)
+    return sq if squared else np.sqrt(sq, out=sq)
 
 
 def query_costs(
@@ -331,13 +343,9 @@ def assignment_bounds(cost: np.ndarray) -> np.ndarray:
     return np.maximum(ascending_sum(rows), ascending_sum(columns))
 
 
-def _finish(
-    cost: np.ndarray,
-    x_sizes: np.ndarray | None = None,
-    y_sizes: np.ndarray | None = None,
-):
-    """Solve a cost stack and extract distances, and the identity flags
-    too when the true cardinalities *x_sizes* / *y_sizes* are given."""
+def _solve(cost: np.ndarray, squared: bool = False):
+    """Solve a cost stack: ``(distances, assignment)``.  With *squared*
+    entries each distance is the root of their matched sum (§4.2)."""
     batch, capacity, _ = cost.shape
     assignment = hungarian_batch(cost)
     b_idx = np.arange(batch)[:, None]
@@ -346,8 +354,21 @@ def _finish(
     # identical virtual rows / columns they use match the same cost
     # multiset, so the float does not depend on a solver's tie-breaking.
     distances = ascending_sum(cost[b_idx, rows, assignment])
+    return (np.sqrt(distances) if squared else distances), assignment
+
+
+def _finish(
+    cost: np.ndarray,
+    x_sizes: np.ndarray | None = None,
+    y_sizes: np.ndarray | None = None,
+    squared: bool = False,
+):
+    """Solve a cost stack and extract distances, and the identity flags
+    too when the true cardinalities *x_sizes* / *y_sizes* are given."""
+    distances, assignment = _solve(cost, squared)
     if x_sizes is None:
         return distances
+    rows = np.arange(cost.shape[1])[None, :]
     # A pair is "real" when both endpoints are non-virtual; the matching
     # is the identity alignment when every real pair matches x_i to y_i.
     matched = (rows < x_sizes[:, None]) & (assignment < y_sizes[:, None])
@@ -420,12 +441,32 @@ def match_pairs(
     j_idx = np.asarray(j_idx, dtype=np.intp)
     if i_idx.shape != j_idx.shape or i_idx.ndim != 1:
         raise DistanceError("index arrays must be equal-length 1-D")
+    return _match_pairs(packed, i_idx, j_idx, right, return_flags)
+
+
+def _match_pairs(left, i_idx, j_idx, right, return_flags=False, squared=False):
+    """:func:`match_pairs` on checked indices; *squared* is Definition 4."""
     cost = _cost_tensor(
-        packed.data[i_idx], packed.sq_norms[i_idx], right.data[j_idx], right.sq_norms[j_idx]
+        left.data[i_idx], left.sq_norms[i_idx], right.data[j_idx], right.sq_norms[j_idx],
+        squared,
     )
     if not return_flags:
-        return _finish(cost)
-    return _finish(cost, packed.sizes[i_idx], right.sizes[j_idx])
+        return _finish(cost, squared=squared)
+    return _finish(cost, left.sizes[i_idx], right.sizes[j_idx], squared)
+
+
+def _solve_pair(x, y, capacity: int | None = None, squared: bool = False):
+    """One pair on the pair path at *capacity* (default: the larger
+    set's size): ``(distance, padded assignment)``, ``x``'s rows first."""
+    packed = PackedSets.pack([x, y], capacity=capacity)
+    distances, assignment = _solve(
+        _cost_tensor(
+            packed.data[:1], packed.sq_norms[:1], packed.data[1:], packed.sq_norms[1:],
+            squared,
+        ),
+        squared,
+    )
+    return float(distances[0]), assignment[0]
 
 
 # -- full pairwise matrices ---------------------------------------------------
@@ -433,12 +474,14 @@ def match_pairs(
 def _pairwise_share(task):
     """One contiguous share of a matrix's pairs, ``DEFAULT_CHUNK_SIZE``
     per kernel call: ``(distances, is_identity flags)``."""
-    packed, i_idx, j_idx, return_flags = task
+    packed, i_idx, j_idx, return_flags, squared = task
     distances = np.empty(len(i_idx))
     identity = np.zeros(len(i_idx), dtype=bool)
     for start in range(0, len(i_idx), DEFAULT_CHUNK_SIZE):
         chunk = slice(start, start + DEFAULT_CHUNK_SIZE)
-        output = match_pairs(packed, i_idx[chunk], j_idx[chunk], return_flags=return_flags)
+        output = _match_pairs(
+            packed, i_idx[chunk], j_idx[chunk], packed, return_flags, squared
+        )
         distances[chunk], identity[chunk] = output if return_flags else (output, False)
     return distances, identity
 
@@ -463,9 +506,15 @@ def pairwise_matrix(
     boolean proper-permutation flags (*not* identity-aligned — the
     Table 1 statistic) when ``return_flags`` is set.
     """
+    packed = PackedSets.pack(sets, capacity=capacity, omega=omega)
+    return _pairwise(packed, n_jobs, return_flags)
+
+
+def _pairwise(packed, n_jobs, return_flags=False, squared=False):
+    """:func:`pairwise_matrix` of a packed layout; *squared* is
+    Definition 4 (:func:`repro.core.permutation.permutation_distance_matrix`)."""
     from repro.parallel import pool_map, resolve_n_jobs
 
-    packed = PackedSets.pack(sets, capacity=capacity, omega=omega)
     n = packed.n
     i_all, j_all = np.triu_indices(n, k=1)
     calls = -(-len(i_all) // DEFAULT_CHUNK_SIZE)
@@ -475,12 +524,12 @@ def pairwise_matrix(
         for share in range(shares + 1)
     ]
     tasks = [
-        (packed, i_all[lo:hi], j_all[lo:hi], return_flags)
+        (packed, i_all[lo:hi], j_all[lo:hi], return_flags, squared)
         for lo, hi in zip(cuts, cuts[1:])
     ]
     matrix = np.zeros((n, n))
     flags = np.zeros((n, n), dtype=bool) if return_flags else None
-    for (_, i_idx, j_idx, _), (distances, identity) in zip(
+    for (_, i_idx, j_idx, *_), (distances, identity) in zip(
         tasks, pool_map(_pairwise_share, tasks, shares)
     ):
         matrix[i_idx, j_idx] = matrix[j_idx, i_idx] = distances

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.batch import hungarian_batch
-from repro.core.min_matching import DistanceFn, resolve_distance
+from repro.core.min_matching import euclidean_cross
 from repro.exceptions import DistanceError
 
 
@@ -31,7 +31,6 @@ def partial_matching_distance(
     x: np.ndarray,
     y: np.ndarray,
     i: int,
-    dist: str | DistanceFn = "euclidean",
 ) -> float:
     """Sum of the ``i`` cheapest pairs of the optimal partial matching.
 
@@ -45,8 +44,6 @@ def partial_matching_distance(
         ``(m, d)`` and ``(n, d)`` vector sets.
     i:
         Number of element pairs to match; ``1 <= i <= min(m, n)``.
-    dist:
-        Element distance (name or cross-distance callable).
     """
     arr_x = np.asarray(x, dtype=float)
     arr_y = np.asarray(y, dtype=float)
@@ -57,7 +54,7 @@ def partial_matching_distance(
     m, n = len(arr_x), len(arr_y)
     if not 1 <= i <= min(m, n):
         raise DistanceError(f"need 1 <= i <= min(m, n) = {min(m, n)}, got {i}")
-    cross = resolve_distance(dist)(arr_x, arr_y)
+    cross = euclidean_cross(arr_x, arr_y)
 
     # Optimal i-cardinality matching == assignment on an augmented
     # square matrix: each x row gets (n - ?) ... construction: size

@@ -9,12 +9,19 @@ implementations are provided:
   ``k!`` permutations (exponential; usable for small ``k`` and as the
   oracle in tests),
 * :func:`permutation_distance_via_matching` — the paper's O(k^3)
-  reduction (Section 4.2): run the minimal matching distance with the
-  *squared* Euclidean element distance and the *squared* norm as weight
-  function, then take the square root.
+  reduction (Section 4.2): an optimal assignment on the *squared*
+  Euclidean costs of the two sets padded with zero rows (dummy covers)
+  to the capacity ``k``, whose dummy cost is the *squared* norm, then
+  the square root of the matched sum.  It runs on the batched kernel's
+  pair path (:mod:`repro.core.batch`), as
+  :func:`permutation_distance_matrix` does for a whole collection.
 
-Both accept either padded ``6k`` vectors or ``(m, d)`` vector sets; sets
-are padded with zero rows (dummy covers) to the common capacity first.
+The reduction equals Definition 4 only when both sides are padded to
+the same ``k`` as the enumeration: with ``k > max(m, n)`` two real
+covers may both be matched to dummy blocks, which Definition 6's
+``min(m, n)`` forced real pairs would forbid.
+
+Both accept either padded ``6k`` vectors or ``(m, d)`` vector sets.
 """
 
 from __future__ import annotations
@@ -23,12 +30,12 @@ from itertools import permutations
 
 import numpy as np
 
-from repro.core.min_matching import min_matching_distance
+from repro.core.batch import PackedSets, _pairwise, _solve_pair
 from repro.core.vector_set import VectorSet
 from repro.exceptions import DistanceError
 
 
-def _to_rows(obj: np.ndarray | VectorSet, d: int | None, k: int | None) -> np.ndarray:
+def _to_rows(obj: np.ndarray | VectorSet, d: int | None) -> np.ndarray:
     """Normalize input into an ``(m, d)`` row array."""
     if isinstance(obj, VectorSet):
         return np.asarray(obj.vectors)
@@ -64,8 +71,8 @@ def permutation_distance_bruteforce(
     matching reduction avoids; kept for validation and for the
     crossover ablation benchmark.
     """
-    rows_x = _to_rows(x, d, k)
-    rows_y = _to_rows(y, d, k)
+    rows_x = _to_rows(x, d)
+    rows_y = _to_rows(y, d)
     if rows_x.shape[1] != rows_y.shape[1]:
         raise DistanceError("block dimension mismatch")
     capacity = k or max(len(rows_x), len(rows_y))
@@ -85,21 +92,21 @@ def permutation_distance_via_matching(
     d: int = 6,
     k: int | None = None,
 ) -> float:
-    """Definition 4 in O(k^3) via the minimal matching distance.
-
-    Using the squared Euclidean distance between elements and the squared
-    Euclidean norm as weight function, the minimal matching distance
-    equals the *squared* minimum Euclidean distance under permutation
-    (Section 4.2); the square root restores the metric.
-    """
-    rows_x = _to_rows(x, d, k)
-    rows_y = _to_rows(y, d, k)
+    """Definition 4 in O(k^3) at capacity ``k`` (default ``max(m, n)``;
+    below that is a :class:`DistanceError`), via the Section 4.2
+    reduction on the kernel's pair path."""
+    rows_x = _to_rows(x, d)
+    rows_y = _to_rows(y, d)
     if rows_x.shape[1] != rows_y.shape[1]:
         raise DistanceError("block dimension mismatch")
-    squared = min_matching_distance(
-        rows_x,
-        rows_y,
-        dist="sqeuclidean",
-        weight=lambda arr: np.sum(arr * arr, axis=1),
-    )
-    return float(np.sqrt(squared))
+    return _solve_pair(rows_x, rows_y, capacity=k, squared=True)[0]
+
+
+def permutation_distance_matrix(
+    sets: list[np.ndarray | VectorSet], n_jobs: int | None = None
+) -> np.ndarray:
+    """Definition 4 for every pair of *sets* at the capacity of the
+    largest: one packed kernel pass on :func:`repro.core.batch.pairwise_matrix`'s
+    fan-out (``n_jobs`` workers), entry for entry the float of
+    :func:`permutation_distance_via_matching` at that ``k``."""
+    return _pairwise(PackedSets.pack(sets), n_jobs, squared=True)

@@ -10,6 +10,7 @@ directory) and reused across test/benchmark runs.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 import zipfile
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.permutation import permutation_distance_via_matching
+from repro.core.permutation import permutation_distance_matrix
 from repro.datasets.aircraft import default_aircraft_size, make_aircraft_dataset
 from repro.datasets.car import make_car_dataset
 from repro.exceptions import ReproError
@@ -199,6 +200,25 @@ def extract_features(
 # -- pairwise distance matrices ------------------------------------------------
 
 
+#: What each kind computes.  A cached matrix is keyed by this text and
+#: the features' bytes, so new features or a changed definition miss
+#: instead of being served a matrix of the old ones.
+_KIND_DEFINITIONS = {
+    "euclidean": "Euclidean distance of the flattened features",
+    "matching": "Definition 6, omega = 0, the batched kernel",
+    "permutation": "Definition 4 at the largest set's capacity, the batched kernel",
+}
+
+
+def _matrix_key(features: list[np.ndarray], kind: str) -> str:
+    digest = hashlib.sha256(_KIND_DEFINITIONS[kind].encode())
+    for feature in features:
+        arr = np.ascontiguousarray(feature, dtype=float)
+        digest.update(repr(arr.shape).encode())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()[:16]
+
+
 def distance_matrix_for(
     features: list[np.ndarray],
     kind: str,
@@ -216,22 +236,25 @@ def distance_matrix_for(
         (Euclidean elements, norm weights), computed through the batched
         kernel of :mod:`repro.core.batch`;
         ``"permutation"`` — minimum Euclidean distance under permutation
-        computed via the matching reduction.
+        (Definition 4) at the capacity of the largest set, through the
+        same kernel's squared form.
     n_jobs:
-        Worker processes for the ``"matching"`` kind (default: serial).
+        Worker processes for the set kinds (default: serial).
 
     Returns
     -------
     ``(matrix, proper_permutation)`` where the flag matrix marks pairs
     whose optimal matching was *not* the identity alignment (None for
-    the euclidean kind) — the statistic behind Table 1.
+    the euclidean and permutation kinds) — the statistic behind Table 1.
     """
+    if kind not in _KIND_DEFINITIONS:
+        raise ReproError(f"unknown distance kind {kind!r}")
+    path = None
     if cache_tag and use_cache:
-        data = _load_npz(cache_dir() / f"dist_{cache_tag}.npz")
+        path = cache_dir() / f"dist_{cache_tag}_{_matrix_key(features, kind)}.npz"
+        data = _load_npz(path)
         if data is not None:
             return data["matrix"], data.get("flags")
-    n = len(features)
-    matrix = np.zeros((n, n))
     flags: np.ndarray | None = None
 
     if kind == "euclidean":
@@ -243,19 +266,12 @@ def distance_matrix_for(
         from repro.core.batch import pairwise_matrix
 
         matrix, flags = pairwise_matrix(features, n_jobs=n_jobs, return_flags=True)
-    elif kind == "permutation":
-        # Per pair: Definition 4 sums squared element costs, which the
-        # batched kernel does not compute.
-        for i in range(n):
-            for j in range(i + 1, n):
-                value = permutation_distance_via_matching(features[i], features[j])
-                matrix[i, j] = matrix[j, i] = value
     else:
-        raise ReproError(f"unknown distance kind {kind!r}")
+        matrix = permutation_distance_matrix(features, n_jobs=n_jobs)
 
-    if cache_tag and use_cache:
+    if path is not None:
         payload = {"matrix": matrix}
         if flags is not None:
             payload["flags"] = flags
-        _save_npz(cache_dir() / f"dist_{cache_tag}.npz", **payload)
+        _save_npz(path, **payload)
     return matrix, flags

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.centroid import centroid_lower_bound, extended_centroid
-from repro.core.min_matching import norm_weight
 from repro.core.min_matching import min_matching_distance
 from repro.core.vector_set import VectorSet
 from repro.exceptions import DistanceError
@@ -46,17 +45,6 @@ class TestExtendedCentroid:
     def test_wrong_omega_dimension_rejected(self, rng):
         with pytest.raises(DistanceError):
             extended_centroid(rng.normal(size=(2, 3)), 4, omega=np.zeros(2))
-
-
-class TestNormWeight:
-    def test_default_is_origin_norm(self, rng):
-        x = rng.normal(size=(5, 3))
-        assert np.allclose(norm_weight()(x), np.linalg.norm(x, axis=1))
-
-    def test_shifted_reference(self, rng):
-        x = rng.normal(size=(5, 3))
-        omega = np.ones(3)
-        assert np.allclose(norm_weight(omega)(x), np.linalg.norm(x - 1.0, axis=1))
 
 
 class TestLemma2:

@@ -10,10 +10,8 @@ from repro.core.min_matching import (
     as_set_array,
     euclidean_cross,
     euclidean_cross_reference,
-    manhattan_cross,
     min_matching_distance,
     min_matching_match,
-    resolve_distance,
     squared_euclidean_cross,
     squared_euclidean_cross_reference,
 )
@@ -38,15 +36,6 @@ class TestCrossDistances:
     def test_squared_is_square(self, rng):
         x, y = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
         assert np.allclose(squared_euclidean_cross(x, y), euclidean_cross(x, y) ** 2)
-
-    def test_manhattan(self, rng):
-        x, y = rng.normal(size=(2, 4)), rng.normal(size=(3, 4))
-        assert manhattan_cross(x, y)[1, 2] == pytest.approx(np.abs(x[1] - y[2]).sum())
-
-    def test_resolver(self):
-        assert resolve_distance("euclidean") is euclidean_cross
-        with pytest.raises(DistanceError):
-            resolve_distance("chebyshov")
 
     def test_gram_form_matches_broadcast_reference(self, rng):
         """The Gram-identity kernel agrees with the pre-optimization
@@ -137,12 +126,6 @@ class TestMinMatching:
         y = np.array([[3.0, 4.0], [6.0, 8.0]])  # second element norm 10
         # Optimal: match identical pair, pay ||(6,8)|| = 10.
         assert min_matching_distance(x, y) == pytest.approx(10.0)
-
-    def test_custom_weight_function(self):
-        x = np.array([[1.0, 0.0]])
-        y = np.array([[1.0, 0.0], [9.0, 0.0]])
-        flat = min_matching_distance(x, y, weight=lambda arr: np.full(len(arr), 2.5))
-        assert flat == pytest.approx(2.5)
 
     def test_match_result_reports_pairs(self, rng):
         x = rng.normal(size=(3, 2))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.permutation import (
     permutation_distance_bruteforce,
+    permutation_distance_matrix,
     permutation_distance_via_matching,
 )
 from repro.core.vector_set import VectorSet
@@ -15,14 +16,30 @@ class TestEquivalence:
     def test_bruteforce_equals_matching_reduction(self, rng):
         """The paper's Section 4.2 claim, verified exactly: matching with
         squared Euclidean distance + squared norm weight, then sqrt,
-        equals the k!-enumeration of Definition 4."""
+        equals the k!-enumeration of Definition 4 at the same capacity
+        k - the default max(m, n), and every k above it up to seven,
+        where two real covers may both be matched to dummy blocks."""
         for _ in range(40):
             m, n = rng.integers(1, 6, size=2)
             x = rng.normal(size=(m, 3))
             y = rng.normal(size=(n, 3))
-            brute = permutation_distance_bruteforce(x, y, d=3)
-            fast = permutation_distance_via_matching(x, y, d=3)
-            assert fast == pytest.approx(brute, abs=1e-9)
+            for k in (None, *range(max(m, n), 8)):
+                brute = permutation_distance_bruteforce(x, y, d=3, k=k)
+                fast = permutation_distance_via_matching(x, y, d=3, k=k)
+                assert abs(fast - brute) <= 1e-12, (m, n, k)
+
+    def test_matrix_entries_are_the_one_pair_calls(self, rng):
+        """The packed matrix, serial and pooled, holds the very float of
+        the one-pair call at the largest set's capacity."""
+        sets = [rng.normal(size=(int(rng.integers(1, 8)), 6)) for _ in range(12)]
+        matrix = permutation_distance_matrix(sets)
+        assert np.array_equal(matrix, permutation_distance_matrix(sets, n_jobs=2))
+        capacity = max(len(s) for s in sets)
+        for i in range(len(sets)):
+            assert matrix[i, i] == 0.0
+            for j in range(i + 1, len(sets)):
+                pair = permutation_distance_via_matching(sets[i], sets[j], k=capacity)
+                assert matrix[i, j] == matrix[j, i] == pair
 
     def test_flat_vector_input(self, rng):
         """6k-dimensional one-vector inputs are split into blocks."""
@@ -74,10 +91,9 @@ class TestValidation:
             permutation_distance_bruteforce(rng.normal(size=7), rng.normal(size=7), d=6)
 
     def test_capacity_overflow_rejected(self, rng):
-        with pytest.raises(DistanceError):
-            permutation_distance_bruteforce(
-                rng.normal(size=(4, 3)), rng.normal(size=(2, 3)), d=3, k=3
-            )
+        for distance in (permutation_distance_bruteforce, permutation_distance_via_matching):
+            with pytest.raises(DistanceError):
+                distance(rng.normal(size=(4, 3)), rng.normal(size=(2, 3)), d=3, k=3)
 
     def test_vector_set_inputs(self, rng):
         x = VectorSet(rng.normal(size=(3, 6)), capacity=7)

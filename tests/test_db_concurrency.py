@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.concurrency import RWLock
-from repro.core.min_matching import norm_weight
 from repro.core.min_matching import min_matching_distance
 from repro.db import SimilarityDatabase
 from tests.conftest import BACKENDS, start_database
@@ -121,12 +120,11 @@ def test_readers_see_consistent_snapshots_under_writes(backend, rng, tmp_path):
         )
 
     query = rand_set()
-    weight = norm_weight(None)
 
     def answer(contents):
         """The exact 10-nn of *query* over ``{oid: set}``."""
         return sorted(
-            (min_matching_distance(query, arr, weight=weight), oid)
+            (min_matching_distance(query, arr), oid)
             for oid, arr in contents.items()
         )[:10]
 

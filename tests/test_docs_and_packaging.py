@@ -111,9 +111,23 @@ UNREFERENCED_ON_PURPOSE = {
         "(a) tests/test_core_min_matching.py::TestCrossDistances::"
         "test_gram_form_matches_broadcast_reference"
     ),
+    "repro.core.batch.match_pairs": (
+        "(a) one kernel call over explicit pairs, the reference the chunked "
+        "matrix is held to, tests/test_core_batch.py::TestPairwiseMatrix::"
+        "test_chunking_is_invisible"
+    ),
+    "repro.core.min_matching.min_matching_match": (
+        "(a) the matching behind the kernel's identity flags, "
+        "tests/test_core_batch.py::TestPairwiseMatrix::test_flags_match_per_pair"
+    ),
     "repro.core.permutation.permutation_distance_bruteforce": (
         "(a) tests/test_core_permutation.py::TestEquivalence::"
         "test_bruteforce_equals_matching_reduction"
+    ),
+    "repro.core.permutation.permutation_distance_via_matching": (
+        "(a) Definition 4 of one pair, the entry the packed matrix is held "
+        "to, tests/test_core_permutation.py::TestEquivalence::"
+        "test_matrix_entries_are_the_one_pair_calls"
     ),
     "repro.core.queries.FilterRefineEngine.knn_sequential": (
         "(a) the sequential-scan answer, "

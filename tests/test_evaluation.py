@@ -100,6 +100,23 @@ class TestFeatureExtraction:
         with pytest.raises(ReproError):
             distance_matrix_for(features, "telepathy")
 
+    def test_matrix_cache_is_keyed_by_features_and_kind(self, tiny_cache, rng):
+        """A cached matrix is served only for the features and the kind
+        it was computed from: under the same tag, other features or
+        another kind are a miss."""
+        sets = [rng.normal(size=(int(rng.integers(1, 5)), 6)) for _ in range(6)]
+        matching, _ = distance_matrix_for(sets, "matching", cache_tag="keyed")
+        hit, _ = distance_matrix_for(sets, "matching", cache_tag="keyed")
+        assert np.array_equal(hit, matching)
+        scaled = [2.0 * s for s in sets]
+        fresh, _ = distance_matrix_for(scaled, "matching", cache_tag="keyed")
+        assert not np.array_equal(fresh, matching)
+        assert np.array_equal(fresh, distance_matrix_for(scaled, "matching")[0])
+        permutation, flags = distance_matrix_for(sets, "permutation", cache_tag="keyed")
+        assert flags is None
+        assert np.array_equal(permutation, distance_matrix_for(sets, "permutation")[0])
+        assert len(list(tiny_cache.glob("dist_keyed_*.npz"))) == 3
+
     def test_euclidean_matrix_on_flat_features(self, tiny_aircraft):
         model = paper_model("cover", k=3)
         features = extract_features(tiny_aircraft, model)

@@ -23,7 +23,6 @@ import time
 import pytest
 
 from repro import obs
-from repro.core.min_matching import norm_weight
 from repro.core.min_matching import min_matching_distance
 from repro.db import ShardedSimilarityDatabase, shard_of
 from repro.exceptions import LockTimeout
@@ -89,11 +88,7 @@ def test_scatter_gather_pins_a_version_vector(backend, rng, tmp_path):
         scripts.append(script)
 
     query = rand_set()
-    weight = norm_weight(None)
-    exact = {
-        oid: min_matching_distance(query, arr, weight=weight)
-        for oid, arr in sets.items()
-    }
+    exact = {oid: min_matching_distance(query, arr) for oid, arr in sets.items()}
 
     errors = []
     done = [threading.Event() for _ in range(SHARDS)]
