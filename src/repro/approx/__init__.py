@@ -2,8 +2,8 @@
 
 See :mod:`repro.approx.sketch` (set → packed binary sketch),
 :mod:`repro.approx.hamming` (Hamming ranking over the engine's code
-column) and :mod:`repro.approx.engine` (shortlist-then-exact-refine
-queries).
+column) and :mod:`repro.approx.engine` (queries whose Hamming shortlist is the
+candidate source of the exact refine cascade).
 """
 
 from repro.approx.engine import ApproxFilterRefineEngine, default_shortlist

@@ -1,19 +1,19 @@
-"""Approximate filter-refine: Hamming shortlist, exact refine on top.
+"""Approximate filter-refine: a Hamming shortlist feeds the exact cascade.
 
 :class:`ApproxFilterRefineEngine` composes the three exact-tier pieces
 this package adds nothing to: the existing
-:class:`~repro.core.queries.FilterRefineEngine` (refinement + canonical
-result order, and the code column holding every object's sketch), a
-:class:`~repro.approx.sketch.SetSketcher` (query → packed code) and a
-:class:`~repro.approx.hamming.HammingIndex` over the engine's oids and
-codes (code → shortlist).  A query sketches once, Hamming-ranks the database,
-and runs the *exact* batched minimal-matching refine over only the
-``shortlist`` best codes — so results are always true distances over a
-possibly-incomplete candidate set, never approximate distances.  With
-``shortlist >= n`` every object is refined and the result equals the
+:class:`~repro.core.queries.FilterRefineEngine` (the refine cascade,
+canonical result order, and the code column holding every object's
+sketch), a :class:`~repro.approx.sketch.SetSketcher` (query → packed
+code) and a :class:`~repro.approx.hamming.HammingIndex` over the
+engine's oids and codes (code → shortlist).  A query sketches once,
+Hamming-ranks the database, and runs the exact k-nn cascade with only
+the ``shortlist`` best codes as its candidate source — so results are
+always true distances over a possibly-incomplete candidate set, never
+approximate distances.  With ``shortlist >= n`` the result equals the
 exact engine's by construction.  Every approximate query records
-``approx.shortlist_size`` and ``approx.exact_skipped`` in
-:mod:`repro.obs`.
+``approx.shortlist_size`` and ``approx.exact_skipped`` (objects never
+solved) in :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class ApproxFilterRefineEngine:
         *,
         shortlist: int | None = None,
     ) -> tuple[list[QueryMatch], QueryStats]:
-        """Approximate k-nn: exact refine restricted to a Hamming shortlist.
+        """Approximate k-nn: the exact k-nn cascade over a Hamming shortlist.
 
         ``shortlist`` is the candidate budget (clamped to at least
         ``n_neighbors``, at most the database size); ``None`` picks
@@ -73,10 +73,9 @@ class ApproxFilterRefineEngine:
         budget = max(budget, n_neighbors)
         n = len(self.engine)
         with span("query.approx_knn", k=n_neighbors, budget=budget):
-            # The sketch + Hamming shortlist is this tier's filter
-            # phase; its measured time rides into the wide query record
-            # as the filter_seconds context field (the inner subset
-            # refine only measures refinement).
+            # The sketch + Hamming shortlist runs before the subset
+            # cascade; its measured time rides into the wide query
+            # record as the shortlist_seconds context field.
             with span("query.shortlist", force=True, budget=budget) as ssp:
                 code = self.sketcher.sketch(query)
                 hamming = HammingIndex(self.engine.oids, self.engine.codes)
@@ -86,7 +85,7 @@ class ApproxFilterRefineEngine:
                 kind="approx_knn",
                 budget=budget,
                 shortlist_size=len(candidates),
-                filter_seconds=ssp.seconds,
+                shortlist_seconds=ssp.seconds,
             ):
                 results, stats = self.engine.knn_refine_subset(
                     query, n_neighbors, candidates
@@ -95,12 +94,13 @@ class ApproxFilterRefineEngine:
         if reg.enabled:
             reg.counter("approx.queries").inc()
             reg.histogram("approx.shortlist_size").observe(len(candidates))
-            reg.counter("approx.exact_skipped").inc(n - len(candidates))
+            skipped = n - stats.exact_computations
+            reg.counter("approx.exact_skipped").inc(skipped)
             emit(
                 "approx_query",
                 k=n_neighbors,
                 budget=budget,
                 shortlist=len(candidates),
-                exact_skipped=n - len(candidates),
+                exact_skipped=skipped,
             )
         return results, stats

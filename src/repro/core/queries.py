@@ -21,12 +21,14 @@ construction, then maintained in place by ``add`` / ``replace`` /
 assignment problem is solved, and any perfect assignment on it costs at
 least ``max(Σ row minima, Σ column minima)``
 (:func:`~repro.core.batch.assignment_bounds`) — on a corpus whose
-centroids all coincide, a far tighter bound than Lemma 2.  Both query
-kinds run one loop, :meth:`FilterRefineEngine._cascade`, window by
-window:
+centroids all coincide, a far tighter bound than Lemma 2.  Every query
+runs one loop, :meth:`FilterRefineEngine._cascade`, window by window
+over a *candidate source*: the whole centroid column, or the rows given
+to :meth:`~FilterRefineEngine.knn_refine_subset` (the Hamming shortlist
+of :mod:`repro.approx`), whose centroid distances alone are computed:
 
-1. *Pull* candidates from the centroid column: while the pruning radius
-   is unknown (fewer than k neighbours found), the next *block_size*;
+1. *Pull* candidates from the source: while the pruning radius is
+   unknown (fewer than k neighbours found), the next *block_size*;
    after that, every candidate whose centroid bound does not exceed the
    radius frozen at the end of the previous window.  A range query's
    radius is ε throughout.
@@ -36,12 +38,12 @@ window:
    order, re-testing the bounds against the current radius before each
    block: the first bound that strictly exceeds it ends the window.
 
-The search ends at the first empty pull.  Every object whose combined
+The search ends at the first empty pull.  Every candidate whose combined
 bound does not exceed the final k-th distance is solved — its centroid
 bound never exceeds a radius the loop pulls with, and its bound never
-exceeds one it solves with — so the answer is the sequential scan's,
-and a bound that ties the radius is still solved, which resolves ties
-at the k-th distance canonically by ascending oid.  That takes a bound
+exceeds one it solves with — so the answer is a sequential scan's of the
+source, and a bound that ties the radius is still solved, which resolves
+ties at the k-th distance canonically by ascending oid.  That takes a bound
 that stays below the *computed* distance, not just the real one: the
 assignment bound sums sorted minima in the shape the kernel sums sorted
 matched costs, which makes it hold bit for bit (DESIGN.md).  What the
@@ -55,7 +57,7 @@ Euclidean element distance and the weight ``w(x) = ||x - omega||``,
 the same omega as the centroids — exactly the precondition of Lemma 2.
 
 The centroid ranking is one vectorised pass per query: the distance
-from the query centroid to every row of the engine's centroid column, in
+from the query centroid to every source row of the centroid column, in
 the float form an STR pack's leaf entries give it
 (:func:`repro.index.arraycore._mindist_many` of a point box), so the
 candidate stream is, bit for bit, a fresh pack's ``ranking_chunks``.
@@ -78,7 +80,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.batch import (
-    DEFAULT_CHUNK_SIZE,
     PackedSets,
     assignment_bounds,
     match_many,
@@ -181,16 +182,20 @@ def _doubled(buf: np.ndarray) -> np.ndarray:
 
 
 class _Candidates:
-    """The engine's rows in ascending ``(centroid distance, oid)`` order,
-    taken from the front in windows.  Only a window is ever sorted: it is
-    cut from the distance column by a partition (a window of at most
-    *limit*) or a mask (the bounds within a radius), never from a sorted
-    copy of the whole column."""
+    """A candidate source's rows in ascending ``(centroid distance, oid)``
+    order, taken from the front in windows.  Only a window is ever
+    sorted: it is cut from the distance column by a partition (a window
+    of at most *limit*) or a mask (the bounds within a radius), never
+    from a sorted copy of the whole column.  *rows* maps the column's
+    positions to engine rows (``None``: position ``i`` is row ``i``)."""
 
-    def __init__(self, dists: np.ndarray, oids: np.ndarray, capacity: int):
+    def __init__(
+        self, dists: np.ndarray, oids: np.ndarray, capacity: int, rows: np.ndarray | None
+    ):
         self._dists = dists
         self._bounds = capacity * dists
         self._oids = oids
+        self._rows = rows
         self._left = np.ones(len(dists), dtype=bool)  # rows not yet taken
         self._taken = 0
         self._rejected = False
@@ -228,7 +233,7 @@ class _Candidates:
             self._left[rows] = False
             self._taken += len(rows)
         self._rejected |= rejected
-        return rows, self._bounds[rows]
+        return (rows if self._rows is None else self._rows[rows]), self._bounds[rows]
 
 
 class FilterRefineEngine:
@@ -572,18 +577,24 @@ class FilterRefineEngine:
 
     # -- filter step -------------------------------------------------------
 
-    def _candidates(self, query_centroid: np.ndarray) -> _Candidates:
+    def _candidates(
+        self, query_centroid: np.ndarray, rows: np.ndarray | None = None
+    ) -> _Candidates:
         """The candidate stream of one query: the distance from
-        *query_centroid* to every stored centroid, row-aligned.
+        *query_centroid* to every stored centroid, or to those of *rows*.
 
         ``|c - q|`` is exactly what ``_mindist_many`` of the point box
         ``[c, c]`` sums per coordinate (``max(c - q, 0) + max(q - c, 0)``,
-        float subtraction being sign-symmetric), squared and summed over
-        the same ``(n, d)`` shape, so every distance is bit for bit the
-        one a pack's leaf entry gives."""
-        diff = self.centroids - query_centroid
+        float subtraction being sign-symmetric), squared and summed per
+        row, so every distance is bit for bit the one a pack's leaf entry
+        gives, whichever rows are asked for."""
+        if rows is None:
+            centroids, oids = self.centroids, self.oids
+        else:
+            centroids, oids = self._centroid_buf[rows], self._oid_buf[rows]
+        diff = centroids - query_centroid
         dists = np.sqrt(np.sum(diff * diff, axis=1))
-        return _Candidates(dists, self.oids, self.capacity)
+        return _Candidates(dists, oids, self.capacity, rows)
 
     # -- refinement --------------------------------------------------------
 
@@ -607,35 +618,22 @@ class FilterRefineEngine:
             prepared, self._packed, indices=np.asarray(rows, dtype=np.intp), costs=costs
         )
 
-    def _refine_chunked(
-        self, query_arr: np.ndarray, positions: Sequence[int]
-    ) -> tuple[np.ndarray, int]:
-        """Refine *every* listed position, ``DEFAULT_CHUNK_SIZE`` per
-        kernel call: ``(exact distances, kernel calls)``."""
-        prepared = self._packed.pad_query(query_arr)
-        parts = [
-            np.atleast_1d(
-                self._refine_many(prepared, positions[start : start + DEFAULT_CHUNK_SIZE])
-            )
-            for start in range(0, len(positions), DEFAULT_CHUNK_SIZE)
-        ]
-        return (np.concatenate(parts) if parts else np.empty(0)), len(parts)
-
     def _cascade(
         self,
         query_arr: np.ndarray,
         stats: QueryStats,
         radius: Callable[[], float],
         accept: Callable[[np.ndarray, np.ndarray], None],
+        rows: np.ndarray | None = None,
     ) -> tuple[float, int]:
-        """The refine cascade of the module notes, shared by k-nn and
-        range queries.  *radius* reports the current pruning radius
+        """The refine cascade of the module notes over every row, or over
+        *rows* (distinct) only.  *radius* reports the current pruning radius
         (``inf`` while it is unknown); *accept* takes every solved block
         as ``(oids, exact distances)``.  Fills in *stats* and returns
         ``(refine seconds, solve blocks)``."""
         center = extended_centroid(query_arr, self.capacity, self.omega)
         prepared = self._packed.pad_query(query_arr)
-        stream = self._candidates(center)
+        stream = self._candidates(center, rows)
         solved: list[np.ndarray] = []  # the bounds of every solved candidate
         seconds, blocks = 0.0, 0
         while True:
@@ -764,8 +762,16 @@ class FilterRefineEngine:
         """
         if n_neighbors < 1:
             raise QueryError("n_neighbors must be >= 1")
+        return self._knn(self._query_array(query), n_neighbors)
+
+    def _knn(
+        self, query_arr: np.ndarray, n_neighbors: int, rows: np.ndarray | None = None
+    ) -> tuple[list[QueryMatch], QueryStats]:
+        """The k-nn cascade over every row (``knn``) or over *rows* only
+        (``knn_subset``), its telemetry recorded."""
+        kind = "knn" if rows is None else "knn_subset"
         stats = QueryStats()
-        with span("query.knn", k=n_neighbors) as sp:
+        with span(f"query.{kind}", k=n_neighbors) as sp:
             # Max-heap over (distance, oid) via negation: heap[0] is the
             # current k-th candidate, the first to be displaced.
             heap: list[tuple[float, int]] = []
@@ -781,13 +787,16 @@ class FilterRefineEngine:
                         heapq.heapreplace(heap, (-exact, -oid))
 
             refine_seconds, blocks = self._cascade(
-                self._query_array(query), stats, radius, accept
+                query_arr, stats, radius, accept, rows
             )
+            if rows is not None:
+                # The caller's filter ranked the subset.
+                stats.candidates_ranked = len(rows)
             results = [QueryMatch(-neg_oid, -neg_dist) for neg_dist, neg_oid in heap]
             results.sort(key=lambda match: (match.distance, match.object_id))
             sp.set(results=len(results))
         self._record_query(
-            "knn",
+            kind,
             stats,
             seconds=sp.seconds,
             refine_seconds=refine_seconds,
@@ -816,17 +825,15 @@ class FilterRefineEngine:
         n = self._n
         stats = QueryStats(candidates_ranked=n, exact_computations=n)
         with span("query.scan", k=n_neighbors) as sp:
-            exacts, blocks = self._refine_chunked(
-                self._query_array(query), np.arange(n, dtype=np.intp)
-            )
+            exacts = match_many(self._query_array(query), self._packed)
             results = self._nearest_of(self.oids, exacts, n_neighbors)
-        # No filter step: the whole scan is refinement.
+        # No filter step: the whole scan is refinement, one kernel call.
         self._record_query(
             "scan",
             stats,
             seconds=sp.seconds,
             refine_seconds=sp.seconds,
-            blocks=blocks,
+            blocks=1,
             k=n_neighbors,
         )
         return results, stats
@@ -839,43 +846,26 @@ class FilterRefineEngine:
     ) -> tuple[list[QueryMatch], QueryStats]:
         """Exact k-nn restricted to an explicit candidate subset.
 
-        Refines *every* listed object through the batched kernel (no
-        lower-bound pruning — the caller already did its own filtering,
-        e.g. the Hamming shortlist of :mod:`repro.approx`) and returns
-        the *n_neighbors* closest in the canonical ``(distance, oid)``
-        order.  Unknown oids raise :class:`QueryError`; oids must be
-        unique (the result carries one entry per listed object).
+        The k-nn cascade of :meth:`knn_query` with the listed objects —
+        e.g. the Hamming shortlist of :mod:`repro.approx` — as its
+        candidate source, so it answers what solving every one of them
+        would, in the canonical ``(distance, oid)`` order.  The stats are
+        the cascade's, but ``candidates_ranked`` counts the listed
+        objects.  Unknown or repeated oids raise :class:`QueryError`
+        before anything is solved.
         """
         if n_neighbors < 1:
             raise QueryError("n_neighbors must be >= 1")
         query_arr = self._query_array(query)
         oids = np.asarray(oids, dtype=np.int64)
         try:
-            positions = np.fromiter(
+            rows = np.fromiter(
                 map(self._row_of.__getitem__, oids.tolist()),
                 dtype=np.intp,
                 count=len(oids),
             )
         except KeyError as exc:
             raise QueryError(f"unknown object id {exc.args[0]}") from None
-        stats = QueryStats(
-            candidates_ranked=len(positions),
-            exact_computations=len(positions),
-            pruned=self._n - len(positions),
-        )
-        if not len(positions):
-            self._record_query("knn_subset", stats, k=n_neighbors)
-            return [], stats
-        with span("query.knn_subset", k=n_neighbors, candidates=len(positions)) as sp:
-            exacts, blocks = self._refine_chunked(query_arr, positions)
-            results = self._nearest_of(oids, exacts, n_neighbors)
-        # The caller already filtered; the whole subset pass is refinement.
-        self._record_query(
-            "knn_subset",
-            stats,
-            seconds=sp.seconds,
-            refine_seconds=sp.seconds,
-            blocks=blocks,
-            k=n_neighbors,
-        )
-        return results, stats
+        if len(np.unique(rows)) != len(rows):
+            raise QueryError("object ids must be unique")
+        return self._knn(query_arr, n_neighbors, rows)

@@ -172,12 +172,12 @@ def record_query(
     n:
         Database size at query time (denominator of selectivity).
     seconds / refine_seconds / blocks:
-        Total measured wall time, the part spent in exact refinement,
-        and the number of refine blocks.  The filter phase is the
-        remainder — except in approx mode, where the shortlist phase is
-        measured by the approx engine and contributed as the
-        ``filter_seconds`` context field (the engine-side ``seconds``
-        then covers only the refine subset and the total is their sum).
+        The engine's measured wall time, the part of it spent in exact
+        refinement, and the number of refine blocks.  One rule for every
+        kind: the total is *seconds* plus the ``shortlist_seconds``
+        context field (the approx engine's measured sketch + Hamming
+        shortlist, which runs before the engine's query; 0 elsewhere),
+        and the filter phase is the total minus refinement.
     extra:
         Per-kind fields (k, epsilon, result count, ...).
     """
@@ -192,13 +192,8 @@ def record_query(
     fields = current_context()
     fields.update(extra)
 
-    filter_override = fields.pop("filter_seconds", None)
-    if filter_override is not None:
-        filter_seconds = float(filter_override)
-        total_seconds = seconds + filter_seconds
-    else:
-        total_seconds = seconds
-        filter_seconds = max(total_seconds - refine_seconds, 0.0)
+    total_seconds = seconds + fields.pop("shortlist_seconds", 0.0)
+    filter_seconds = max(total_seconds - refine_seconds, 0.0)
     reg.histogram("query.seconds").observe(total_seconds)
 
     slow = (
@@ -249,9 +244,9 @@ def _explain(record: dict, stats: dict, n: int) -> dict:
         },
         "pruning_power": pruned / n if n else 0.0,
         # Where the objects went: the centroid filter (in approx mode,
-        # the Hamming shortlist) keeps the pruned ones out of the cost
-        # tensor, except those the assignment bound keeps out of the
-        # solver.
+        # the Hamming shortlist, then the centroid filter within it)
+        # keeps the pruned ones out of the cost tensor, except those
+        # the assignment bound keeps out of the solver.
         "funnel": {
             "objects": n,
             "ranked": stats.get("candidates_ranked", 0),

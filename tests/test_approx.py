@@ -49,7 +49,8 @@ from repro.approx import (
     SetSketcher,
     default_shortlist,
 )
-from repro.core.queries import FilterRefineEngine
+from repro.core.batch import PackedSets, match_many
+from repro.core.queries import FilterRefineEngine, QueryMatch
 from repro.db import ShardedSimilarityDatabase, SimilarityDatabase, open_database
 from repro.db.storage import DB_FORMAT
 from repro.exceptions import QueryError, ReproError, StorageError
@@ -465,6 +466,89 @@ class TestApproxEngine:
         overlap = len(truth & {match.object_id for match in approx}) / len(truth)
         assert overlap == 1.0
         assert approx == exact
+
+
+# -- the subset cascade: the shortlist as the cascade's candidate source ----
+
+#: Cardinality bound of the tied engines below (sets and queries).
+TIED_CAPACITY = 4
+
+
+def tied_engine(seed, n_base, copies, block_size):
+    """An engine over ``n_base * copies`` sets drawn from *n_base* coarse
+    (0.1-lattice) ones, so equal sets sit under distinct, sparse oids
+    and distances tie at every rank, and a query that is one of them or
+    another lattice set: ``(engine, sets, oids, query, rng)``."""
+    rng = np.random.default_rng(seed)
+
+    def lattice_set():
+        rows = int(rng.integers(1, TIED_CAPACITY + 1))
+        return rng.normal(size=(rows, 3)).round(1)
+
+    base = [lattice_set() for _ in range(n_base)]
+    sets = [base[i] for i in rng.integers(0, n_base, size=n_base * copies)]
+    oids = rng.permutation(4 * len(sets))[: len(sets)] - len(sets)
+    engine = FilterRefineEngine(
+        sets, capacity=TIED_CAPACITY, block_size=block_size, oids=oids
+    )
+    query = base[int(rng.integers(n_base))] if rng.random() < 0.5 else lattice_set()
+    return engine, sets, oids, query, rng
+
+
+def solve_everything(sets, oids, query, k, subset):
+    """The subset k-nn by solving every listed object: one kernel call
+    over the subset, then the canonical ``(distance, oid)`` cut."""
+    if not len(subset):
+        return []
+    by_oid = dict(zip(oids.tolist(), sets))
+    listed = np.asarray(subset, dtype=np.int64)
+    packed = PackedSets.pack([by_oid[oid] for oid in subset], capacity=TIED_CAPACITY)
+    exacts = match_many(query, packed)
+    return [
+        QueryMatch(int(listed[i]), float(exacts[i]))
+        for i in np.lexsort((listed, exacts))[:k]
+    ]
+
+
+tied_engines = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n_base=st.integers(1, 12),
+    copies=st.integers(1, 4),
+    k=st.integers(1, 10),
+    block_size=st.integers(1, 8),
+)
+
+
+@given(data=st.data(), **tied_engines)
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_subset_cascade_equals_solving_every_listed_object(
+    data, seed, n_base, copies, k, block_size
+):
+    """knn_refine_subset prunes inside the subset by the cascade's
+    bounds, yet answers exactly what solving every listed object does,
+    ties at the k-th distance resolved by ascending oid."""
+    engine, sets, oids, query, _ = tied_engine(seed, n_base, copies, block_size)
+    subset = data.draw(st.lists(st.sampled_from(oids.tolist()), unique=True))
+    got, stats = engine.knn_refine_subset(query, k, subset)
+    assert got == solve_everything(sets, oids, query, k, subset)
+    assert stats.candidates_ranked == len(subset)
+    assert stats.exact_computations <= len(subset)
+    assert stats.exact_computations + stats.pruned == len(sets)
+
+
+@given(**tied_engines)
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_a_subset_of_every_row_is_the_exact_query(seed, n_base, copies, k, block_size):
+    """Every oid, in any order, as the subset: the candidate stream is
+    the whole centroid column, so the answer and the cascade's work are
+    knn_query's."""
+    engine, _, oids, query, rng = tied_engine(seed, n_base, copies, block_size)
+    got, stats = engine.knn_refine_subset(query, k, rng.permutation(oids))
+    want, exact = engine.knn_query(query, k)
+    assert got == want
+    for key in ("exact_computations", "pruned", "bound_pruned", "extra_refinements"):
+        assert getattr(stats, key) == getattr(exact, key), key
+    assert stats.candidates_ranked == len(oids)
 
 
 # -- database integration: incremental == fresh ----------------------------

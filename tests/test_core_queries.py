@@ -457,6 +457,14 @@ class TestConstruction:
         with pytest.raises(QueryError, match="unknown object id -1"):
             eng.knn_refine_subset(query, 5, [0, -1])
 
+    def test_repeated_oids_rejected_before_a_solve(self, engine, rng):
+        """A repeated oid would be solved, and answered, twice."""
+        eng, _ = engine
+        blocks = record_solve_blocks(eng)
+        with pytest.raises(QueryError, match="unique"):
+            eng.knn_refine_subset(rng.normal(size=(3, 6)), 3, [0, 0, 1, 2])
+        assert blocks == []
+
     def test_unsorted_oids_answer_like_sorted(self, rng):
         sets = random_vector_sets(rng, 60, dim=6, max_size=7)
         oids = (rng.permutation(60) * 3 + 11).tolist()

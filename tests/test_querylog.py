@@ -81,6 +81,17 @@ class TestExactness:
         assert event["db_version"] == db.version
         assert not {"backend", "io_pages", "io_bytes"} & event.keys()
         assert event["kind"] == {"exact": "knn", "approx": "approx_knn"}[mode]
+        if mode == "approx":
+            # What the shortlist and the cascade inside it never solved.
+            skipped = len(db) - stats.exact_computations
+            (approx,) = [
+                json.loads(line)
+                for line in enabled.read_text().splitlines()
+                if json.loads(line)["event"] == "approx_query"
+            ]
+            assert approx["exact_skipped"] == skipped
+            assert approx["shortlist"] == stats.candidates_ranked == 10
+            assert obs.registry().counter("approx.exact_skipped").value == skipped
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_range_event_agrees_with_stats(self, enabled, rng, backend, tmp_path):
@@ -205,14 +216,19 @@ class TestContext:
             assert querylog.current_context()["mode"] == "exact"
         assert querylog.current_context() == {}
 
-    def test_filter_override_arithmetic(self, enabled):
-        with querylog.query_context(filter_seconds=0.25):
+    def test_shortlist_seconds_arithmetic(self, enabled):
+        """One timing rule: the shortlist's seconds add to the engine's,
+        and the filter phase is the total minus refinement."""
+        with querylog.query_context(shortlist_seconds=0.25):
             querylog.record_query(
-                "knn", {"exact_computations": 2}, 10, seconds=0.75
+                "knn", {"exact_computations": 2}, 10, seconds=0.75,
+                refine_seconds=0.5,
             )
         (event,) = query_events(enabled)
         assert event["seconds"] == 1.0
-        assert event["filter_seconds"] == 0.25
+        assert event["filter_seconds"] == 0.5
+        assert event["refine_seconds"] == 0.5
+        assert "shortlist_seconds" not in event
 
 
 class TestEngineAndBatchPaths:
@@ -234,11 +250,15 @@ class TestEngineAndBatchPaths:
         engine = FilterRefineEngine(sets, capacity=5)
         engine.knn_sequential(sets[0], 3)
         engine.knn_refine_subset(sets[1], 3, np.arange(10))
-        events = query_events(enabled)
-        assert [e["kind"] for e in events] == ["scan", "knn_subset"]
-        for event in events:
-            assert event["refine_seconds"] == event["seconds"]
-            assert event["filter_seconds"] == 0.0
+        scan, subset = query_events(enabled)
+        assert [scan["kind"], subset["kind"]] == ["scan", "knn_subset"]
+        assert scan["refine_seconds"] == scan["seconds"]
+        assert scan["filter_seconds"] == 0.0
+        # The subset runs the cascade: centroid and bound phase, then
+        # refinement.
+        assert subset["filter_seconds"] + subset["refine_seconds"] == pytest.approx(
+            subset["seconds"]
+        )
 
 
 class TestSharded:
