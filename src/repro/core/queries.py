@@ -127,9 +127,8 @@ class QueryStats:
     bound_pruned: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        """Flat numeric mapping (the shared stats protocol with
-        :class:`repro.index.pages.IOCost`): feeds the metrics registry
-        via ``registry().count_many(prefix, stats.as_dict())``."""
+        """Flat numeric mapping: feeds the metrics registry via
+        ``registry().count_many(prefix, stats.as_dict())``."""
         return {
             "candidates_ranked": self.candidates_ranked,
             "exact_computations": self.exact_computations,

@@ -29,9 +29,9 @@ Observability: a query logs the plain database's one wide event
 Pooled batches: ``knn_query_many(..., n_jobs=J)`` with ``J >= 2`` is
 parallel over *queries*.  The batch is split into
 ``min(J, len(queries))`` contiguous chunks; each pool worker opens the
-last saved layout's shard files as one database
-(:func:`repro.db.storage.open_shards_as_one`, the same join, cached per
-worker by the save's token and the files' stat) and answers its chunk
+last saved layout (:func:`repro.db.storage.open_sharded`), joins its
+shards as one database (:func:`repro.db.storage.as_one`, the same join),
+caches it by the save's token and the files' stat, and answers its chunk
 with the plain ``knn_query_many``; the chunks come back in order, and
 the workers' wide events with them.  The price is memory: each worker
 holds all n objects, not n / K.
@@ -123,7 +123,7 @@ def _layout_db(token: str, paths: tuple[Path, ...]) -> SimilarityDatabase:
     key = (token, paths, *((s.st_ino, s.st_size, s.st_mtime_ns) for s in stats))
     db = _LAYOUT_DBS.pop(key, None)
     if db is None:
-        db = storage.open_shards_as_one(paths)
+        db = storage.as_one(storage.open_sharded(paths[0].parent).shards)
     _LAYOUT_DBS[key] = db
     while len(_LAYOUT_DBS) > _LAYOUT_DB_LIMIT:
         _LAYOUT_DBS.popitem(last=False)
@@ -231,7 +231,7 @@ class ShardedSimilarityDatabase:
                 for i in range(self.n_shards)
             ]
             self._root = root
-            storage.write_manifest(self, root)
+            storage.write_manifest(self, root, durable=True)
         else:
             if path is not None:
                 raise QueryError("path is only meaningful with durable=True")

@@ -202,16 +202,17 @@ def settings(db) -> dict:
     }
 
 
-def write_manifest(db, root: Path) -> None:
+def write_manifest(db, root: Path, *, durable: bool) -> None:
     """Atomically and durably write the ``sharded.json`` of the sharded
-    *db* at *root*: the file is synced before the rename, the directory
+    *db* at *root*, whose shards are WAL directories if *durable*, else
+    snapshot files: the file is synced before the rename, the directory
     after it."""
     payload = {
         "format": SHARDED_FORMAT,
         "version": SHARDED_VERSION,
         "shards": db.n_shards,
         "routing": "crc32-mod",
-        "durable": db.durable,
+        "durable": durable,
         "capacity": db.capacity,
         "resolution": getattr(db.pipeline, "resolution", None),
     }
@@ -461,7 +462,7 @@ def _fill_engine(path, db, oids, sizes, rows, centroids, codes) -> None:
         raise _malformed(path, f"{' / '.join(_SET_ARRAYS)}: {exc}") from exc
 
 
-def _from_archive(path, meta: dict, arrays: dict, *, tiers: bool = True, **options):
+def _from_archive(path, meta: dict, arrays: dict, **options):
     """Build a database from one (meta, arrays) archive payload.
 
     A CRC-valid payload can still be inconsistent; it is validated here,
@@ -470,25 +471,21 @@ def _from_archive(path, meta: dict, arrays: dict, *, tiers: bool = True, **optio
     ragged scatter, their sketch codes (:func:`_sketch_codes`) copied in
     as its code column.  The ``index__*`` members of an older layout are
     not read: the engine's centroid rows are what every database ranks.
-    ``tiers=False`` leaves the sketch tier and the payloads unread.
     """
     _snapshot_meta(path, meta)
     db = _empty_database(path, "snapshot", meta, sketch_key="sketch_enabled", **options)
     _set_dimension(path, db, meta["dimension"])
     oids, offsets, rows, centroids = _set_columns(path, arrays)
     codes = fault = None
-    if tiers:
-        try:
-            codes = _sketch_codes(db, meta, arrays, oids, offsets, rows)
-        except (KeyError, TypeError, ValueError, QueryError) as exc:
-            fault = exc
+    try:
+        codes = _sketch_codes(db, meta, arrays, oids, offsets, rows)
+    except (KeyError, TypeError, ValueError, QueryError) as exc:
+        fault = exc
     # A fault of the object store's own arrays is the one to name.
     _fill_engine(path, db, oids, np.diff(offsets), rows, centroids, codes)
     if fault is not None:
         raise _malformed(path, f"sketch tier: {fault}") from fault
     db._version = meta["db_version"]
-    if not tiers:
-        return db
     if "payloads" in arrays:
         try:
             db._payloads = _decode_payloads(arrays["payloads"], db._oids())
@@ -862,7 +859,7 @@ def save_sharded(db, root, *, dense: bool) -> list[Path]:
         paths = [shard_path(root, i, durable=False) for i in range(db.n_shards)]
         for shard, path in zip(db.shards, paths):
             write_snapshot(shard, path, dense=dense)
-        write_manifest(db, root)
+        write_manifest(db, root, durable=False)
         # A layout saved with more shards before a reshard would
         # otherwise leave orphan archives past the manifest's K.
         for stale in root.glob("shard-*.npz"):
@@ -887,7 +884,8 @@ def checkpoint_sharded(db) -> Path:
 
 def open_sharded(root, *, model=None, pipeline=None, cache=None, lock_timeout=None):
     """Open the sharded layout at *root*: every shard through the plain
-    openers, the pipeline rebuilt from the manifest if none is given."""
+    openers, checked to agree with the others (:func:`_check_agreement`),
+    the pipeline rebuilt from the manifest if none is given."""
     from repro.db.sharded import ShardedSimilarityDatabase  # it imports this module
 
     root = Path(root)
@@ -899,6 +897,7 @@ def open_sharded(root, *, model=None, pipeline=None, cache=None, lock_timeout=No
             if not durable and not path.exists():
                 raise StorageError(f"{root}: missing {path.name}")
         shards = [open_plain(path, lock_timeout=lock_timeout) for path in paths]
+        _check_agreement(shards, paths)
         _share_sketcher(shards, paths)
     db = ShardedSimilarityDatabase.__new__(ShardedSimilarityDatabase)
     db.capacity = manifest.get("capacity", shards[0].capacity)
@@ -922,6 +921,26 @@ def open_sharded(root, *, model=None, pipeline=None, cache=None, lock_timeout=No
 #: The settings the shards of one layout share; the last two are unknown
 #: (``None``) on a shard that never held an object.
 _SHARD_SETTINGS = ("capacity", "block_size", "dimension", "omega")
+
+
+def _check_agreement(shards, paths) -> None:
+    """Refuse the opened *shards* (at *paths*) of one layout unless they
+    share :data:`_SHARD_SETTINGS`: a :class:`StorageError` names the
+    first shard that disagrees with the shards before it, and the key.
+    :func:`open_sharded` (every sharded open, a pool worker's included)
+    and ``repro db verify`` run it, so no query joins engines of
+    different widths or metrics."""
+    shared: dict = {}
+    for shard, path in zip(shards, paths):
+        known = _SHARD_SETTINGS if shard.dimension is not None else _SHARD_SETTINGS[:2]
+        for key in known:
+            value = getattr(shard, key)
+            value = value.tolist() if key == "omega" else value
+            if shared.setdefault(key, value) != value:
+                raise StorageError(
+                    f"{path}: shard disagrees with the shards before it: "
+                    f"{key!r} holds {value!r}, not {shared[key]!r}"
+                )
 
 
 def donor(shards):
@@ -987,37 +1006,6 @@ def as_one(shards):
     return db
 
 
-def open_shards_as_one(paths):
-    """Open the snapshot files *paths* of one saved sharded layout as one
-    non-durable database (:func:`as_one`), for exact queries only.
-
-    Every file is read with the integrity checks of :func:`open_snapshot`,
-    and a shard whose settings (:data:`_SHARD_SETTINGS`) disagree with the
-    shards before it is refused with a :class:`StorageError` naming it.
-    The result has no sketch tier and no payloads.
-    """
-    root = Path(paths[0]).parent
-    with span("db.sharded.open_as_one", force=True, shards=len(paths)) as sp:
-        shared: dict = {}
-        shards = []
-        for path in paths:
-            read = read_dense_archive if layout_of(path) == "dense" else read_archive
-            meta, arrays = read(path, DB_FORMAT)
-            _snapshot_meta(path, meta)
-            known = _SHARD_SETTINGS if meta["dimension"] is not None else _SHARD_SETTINGS[:2]
-            for key in known:
-                if shared.setdefault(key, meta[key]) != meta[key]:
-                    raise StorageError(
-                        f"{path}: shard disagrees with the shards before it: "
-                        f"{key!r} holds {meta[key]!r}, not {shared[key]!r}"
-                    )
-            shards.append(_from_archive(path, meta, arrays, tiers=False))
-        db = as_one(shards)
-        sp.set(objects=len(db))
-    emit("db.snapshot", op="load", objects=len(db), path=str(root), shards=len(paths))
-    return db
-
-
 # -- verification ---------------------------------------------------------------
 
 
@@ -1060,6 +1048,7 @@ def _verify_sharded(root: Path, lines: list) -> int:
         worst = 1 if 1 in (code, worst) else code or worst
     if failure is not None:
         raise failure
+    _check_agreement(shards, [shard_path(root, i, durable) for i in range(count)])
     misrouted = [
         (oid, i)
         for i, shard in enumerate(shards)

@@ -19,7 +19,6 @@ from repro.features.cover_sequence import (
     CoverSequence,
     CoverSequenceModel,
     extract_cover_sequence,
-    max_sum_box,
 )
 from repro.features.scaling import denormalize_cover_vectors
 from repro.features.solid_angle import SolidAngleModel, solid_angle_values
@@ -37,7 +36,6 @@ __all__ = [
     "CoverSequence",
     "CoverSequenceModel",
     "extract_cover_sequence",
-    "max_sum_box",
     "VectorSetModel",
     "denormalize_cover_vectors",
 ]

@@ -12,6 +12,8 @@ added.  The key subroutine is finding the axis-aligned box with maximum
 total weight over a signed voxel-weight grid; we solve that *exactly*
 over all O(r^6) boxes with a 3-D summed-area table and vectorized
 difference tables (see DESIGN.md), so the greedy step itself is optimal.
+The search and the extractor are held, bit for bit, to a full-tensor
+oracle that the test suite keeps (``tests/cover_oracle.py``).
 
 Each cover contributes six feature values (position and extent per axis,
 Section 3.3.3); sequences shorter than ``k`` are padded with dummy covers
@@ -23,7 +25,6 @@ set (Section 4.1).
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,9 @@ from repro.features.base import FeatureModel
 from repro.obs import counter, histogram, span
 from repro.voxel.grid import VoxelGrid
 
-#: Approximate peak-memory budget (bytes) of one blocked max-sum-box
-#: search; overridable per call or via ``REPRO_MAXBOX_BLOCK_BYTES``.
+#: Approximate peak-memory budget (bytes) of one max-sum-box search,
+#: read by :func:`_block_size` at call time; it only splits blocks at
+#: large resolutions (at r = 15 every pass fits in one block).
 DEFAULT_BLOCK_BYTES = 32 * 1024 * 1024
 
 #: x-pairs per scan block of the best-first search: the bound is
@@ -42,26 +44,6 @@ DEFAULT_BLOCK_BYTES = 32 * 1024 * 1024
 #: prune more and large ones dispatch fewer scans (on the r = 15 parts
 #: grids 8 measured fastest, 16 about the same, 4 and 32 ~10 % slower).
 SCAN_BLOCK = 8
-
-#: The extraction engines ``extract_cover_sequence`` accepts.
-EXTRACTION_ENGINES = ("incremental", "reference")
-
-
-def default_block_bytes() -> int:
-    """The effective block budget (env override, else the default)."""
-    raw = os.environ.get("REPRO_MAXBOX_BLOCK_BYTES")
-    if raw is None:
-        return DEFAULT_BLOCK_BYTES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise FeatureError(
-            f"REPRO_MAXBOX_BLOCK_BYTES must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise FeatureError("REPRO_MAXBOX_BLOCK_BYTES must be >= 1")
-    return value
-
 
 @functools.lru_cache(maxsize=128)
 def _pair_indices(r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -74,56 +56,6 @@ def _pair_indices(r: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _max_sum_box_cropped(weights: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Reference max-sum box over the full (already cropped) weight grid.
-
-    All (x1, x2) x (y1, y2) interval pairs are enumerated via a 3-D
-    summed-area table; the best z-interval for each pair is then found
-    with a vectorized running-minimum scan over the z-prefix sums
-    (the 1-D Kadane trick), which avoids materializing all O(r^6) box
-    sums while still checking every box.
-
-    This is the *oracle* implementation: it materializes the full
-    ``(n_x_pairs, n_y_pairs, r_z + 1)`` z-prefix tensor (O(r^4) doubles,
-    ~54 MB at r = 30 and growing with the fourth power of the
-    resolution).  Production extraction goes through :func:`_best_box`,
-    which is bit-identical but memory-capped and pruned; this version is
-    kept for cross-checking.
-    """
-    rx, ry, rz = weights.shape
-    sat = np.zeros((rx + 1, ry + 1, rz + 1))
-    sat[1:, 1:, 1:] = weights.cumsum(0).cumsum(1).cumsum(2)
-
-    x_lo, x_hi = _pair_indices(rx)
-    y_lo, y_hi = _pair_indices(ry)
-    # z-prefix sums for every (x-pair, y-pair): shape (n_x, n_y, rz + 1).
-    diff_x = sat[x_hi] - sat[x_lo]
-    pref = diff_x[:, y_hi, :] - diff_x[:, y_lo, :]
-
-    shape = pref.shape[:2]
-    running_min = pref[..., 0].copy()
-    running_arg = np.zeros(shape, dtype=np.intp)
-    best = np.full(shape, -np.inf)
-    best_z1 = np.zeros(shape, dtype=np.intp)
-    best_z2 = np.ones(shape, dtype=np.intp)
-    for z2 in range(1, rz + 1):
-        column = pref[..., z2]
-        candidate = column - running_min
-        better = candidate > best
-        best[better] = candidate[better]
-        best_z1[better] = running_arg[better]
-        best_z2[better] = z2
-        lower_min = column < running_min
-        running_min[lower_min] = column[lower_min]
-        running_arg[lower_min] = z2
-
-    flat = int(np.argmax(best))
-    ix, iy = np.unravel_index(flat, shape)
-    lower = np.array([x_lo[ix], y_lo[iy], best_z1[ix, iy]])
-    upper = np.array([x_hi[ix] - 1, y_hi[iy] - 1, best_z2[ix, iy] - 1])
-    return float(best[ix, iy]), lower, upper
-
-
 def _sat_dtypes(weights: np.ndarray) -> tuple[np.dtype, np.dtype, float]:
     """(sat dtype, scan dtype, sentinel) for an exact scan of *weights*.
 
@@ -133,7 +65,7 @@ def _sat_dtypes(weights: np.ndarray) -> tuple[np.dtype, np.dtype, float]:
     scan buffers use a wider dtype because prefix *differences* span
     twice that range (the slab-row bound is summed in int64).  Every box
     sum stays exactly representable, so all comparisons — and hence the
-    selected box — are identical to the float64 reference.
+    selected box — are identical to a float64 scan.
     """
     if np.issubdtype(weights.dtype, np.integer):
         spread = int(np.abs(weights.astype(np.int64, copy=False)).sum())
@@ -175,7 +107,7 @@ def _kadane_best_values(
     would cost.
     The z-interval of the single winning entry is recovered afterwards
     by :func:`_recover_z_interval`.  ``np.maximum`` keeps the earlier
-    value on ties, matching the reference scan's first-occurrence rule.
+    value on ties, matching the full scan's first-occurrence rule.
     """
     rz_levels = diff.shape[0]
     right = diff[:, :, y_hi]  # (rz+1, b, n_y) z-prefix sums per y-pair
@@ -196,10 +128,10 @@ def _kadane_best_values(
 
 
 def _recover_z_interval(prefix: np.ndarray) -> tuple[int, int]:
-    """The z-interval the reference scan selects for one prefix column.
+    """The z-interval the full scan selects for one prefix column.
 
     Replays the running-minimum scan on a single ``(rz + 1,)`` z-prefix
-    column with the reference tie rules — strict improvement, first
+    column with the full scan's tie rules — strict improvement, first
     running minimum — so the recovered ``(z1, z2)`` matches what full
     coordinate tracking would have produced for the winning entry.
     """
@@ -223,9 +155,8 @@ def _block_size(
     rz: int,
     sat_dtype: np.dtype,
     scan_dtype: np.dtype,
-    block_bytes: int,
 ) -> int:
-    """x-pairs per block so the working set stays under *block_bytes*.
+    """x-pairs per block so the working set stays under the budget.
 
     Dominant per-x-pair working set of a scan over *n_cols* y-intervals:
     the two ``(rz+1, b, n_cols)`` prefix gathers, ~8 scan/temporary
@@ -238,7 +169,7 @@ def _block_size(
         n_cols * (2 * (rz + 1) * sat_item + 8 * scan_item)
         + 3 * (ry + 1) * (rz + 1) * sat_item
     )
-    return int(max(1, min(n_x, block_bytes // max(per_pair, 1))))
+    return int(max(1, min(n_x, DEFAULT_BLOCK_BYTES // max(per_pair, 1))))
 
 
 def _slab_row_bounds(
@@ -247,7 +178,6 @@ def _slab_row_bounds(
     x_hi: np.ndarray,
     scan_dtype: np.dtype,
     sentinel,
-    block_bytes: int,
 ) -> np.ndarray:
     """Upper bound of every box sum per x-pair, from its slab rows.
 
@@ -256,13 +186,11 @@ def _slab_row_bounds(
     row by row over its y-interval, so the positive parts of the row
     bests, summed over y, bound every box of the slab.  Integer SAT
     arithmetic makes the bound exact (no slack).  Computed in x-pair
-    blocks so the pass stays inside *block_bytes*.
+    blocks so the pass stays inside :data:`DEFAULT_BLOCK_BYTES`.
     """
     rz1, _, ry1 = sat_z.shape
     n_x = len(x_lo)
-    block = _block_size(
-        n_x, ry1 - 1, ry1 - 1, rz1 - 1, sat_z.dtype, scan_dtype, block_bytes
-    )
+    block = _block_size(n_x, ry1 - 1, ry1 - 1, rz1 - 1, sat_z.dtype, scan_dtype)
     rows_lo, rows_hi = slice(0, ry1 - 1), slice(1, ry1)
     bound = np.empty(n_x, dtype=np.int64)
     for start in range(0, n_x, block):
@@ -274,19 +202,19 @@ def _slab_row_bounds(
 
 
 def _best_box(
-    weights: np.ndarray, block_bytes: int | None = None, floor: float | None = None
+    weights: np.ndarray, floor: float | None = None
 ) -> tuple[float, np.ndarray, np.ndarray] | None:
     """Best-first, bound-pruned max-sum box over a cropped weight grid.
 
     Every x-pair gets the slab-row bound of :func:`_slab_row_bounds`;
     x-pairs are then scanned in descending bound order, :data:`SCAN_BLOCK`
-    at a time (fewer if *block_bytes* demands), and before each block
+    at a time (fewer if the byte budget demands), and before each block
     every x-pair whose bound is below the best value found so far is
     dropped.  Pairs whose bound *ties* it are kept, so every x-pair that
     reaches the maximum is scanned and the winner is the first of them
     in index order — the first y-pair of its row and
     :func:`_recover_z_interval` then pick the box, exactly as the
-    reference scan does.  The winner's z-interval comes from the prefix
+    full scan does.  The winner's z-interval comes from the prefix
     columns its block already gathered.
 
     With a *floor*, only boxes summing strictly above it count: x-pairs
@@ -294,10 +222,6 @@ def _best_box(
     beats it.  Float grids have no exact bound; they scan every x-pair,
     in index order, in the same loop.
     """
-    if block_bytes is None:
-        block_bytes = default_block_bytes()
-    if block_bytes < 1:
-        raise FeatureError("block_bytes must be >= 1")
     rx, ry, rz = weights.shape
     sat_dtype, scan_dtype, sentinel = _sat_dtypes(weights)
     sat_z = _build_sat_z(weights, sat_dtype)
@@ -306,16 +230,14 @@ def _best_box(
     n_x, n_y = len(x_lo), len(y_lo)
     exact = scan_dtype.kind == "i"
     if exact:
-        bound = _slab_row_bounds(sat_z, x_lo, x_hi, scan_dtype, sentinel, block_bytes)
+        bound = _slab_row_bounds(sat_z, x_lo, x_hi, scan_dtype, sentinel)
         counter("extract.xpairs_bounded").inc(n_x)
         order = np.argsort(-bound, kind="stable")
         if floor is not None:
             order = order[bound[order] > floor]
     else:
         order = np.arange(n_x)
-    block = min(
-        SCAN_BLOCK, _block_size(n_x, n_y, ry, rz, sat_dtype, scan_dtype, block_bytes)
-    )
+    block = min(SCAN_BLOCK, _block_size(n_x, n_y, ry, rz, sat_dtype, scan_dtype))
 
     winner, best_val, best_by, best_diff = -1, None, 0, None
     scanned = 0
@@ -335,7 +257,7 @@ def _best_box(
             continue
         if winner >= 0 and top < best_val:
             continue
-        # Ties go to the first x-pair in index order, as in the reference.
+        # Ties go to the first x-pair in index order, as in the full scan.
         ties = np.nonzero(pair_best == top)[0]
         at = int(ties[np.argmin(sel[ties])])
         if winner < 0 or top > best_val or sel[at] < winner:
@@ -371,91 +293,21 @@ def _nonzero_window(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None
 
 
 def _search_above(
-    weights: np.ndarray, block_bytes: int | None, floor: float | None = None
+    weights: np.ndarray, floor: float | None = None
 ) -> tuple[float, np.ndarray, np.ndarray] | None:
     """:func:`_best_box` on the non-zero window of *weights*, in its frame.
 
-    For grids holding a positive weight (the extraction engine searches
+    For grids holding a positive weight (the extractor searches
     no other), so the best box never lies outside the window.
     """
     lows, highs = _nonzero_window(weights)
     found = _best_box(
         weights[lows[0] : highs[0] + 1, lows[1] : highs[1] + 1, lows[2] : highs[2] + 1],
-        block_bytes,
         floor,
     )
     if found is None:
         return None
     best, lower, upper = found
-    return best, lower + lows, upper + lows
-
-
-def max_sum_box(
-    weights: np.ndarray,
-    block_bytes: int | None = None,
-    engine: str = "blocked",
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Exact maximum-sum axis-aligned box of a 3-D weight grid.
-
-    Returns ``(best_sum, lower, upper)`` with inclusive integer corner
-    indices.  The search is exact over all ``O(r^6)`` boxes; as a
-    sum-preserving reduction it first crops to the bounding box of the
-    non-zero weights (any optimal box can be clipped to that region
-    without changing its sum).
-
-    Parameters
-    ----------
-    block_bytes:
-        Approximate peak-memory budget of the blocked search (default:
-        :func:`default_block_bytes`); ignored by the reference engine.
-    engine:
-        ``"blocked"`` (default) for the memory-capped, bound-pruned
-        best-first search (:func:`_best_box`), ``"reference"`` for the
-        original full-tensor oracle.  Both return bit-identical results.
-    """
-    weights = np.asarray(weights)
-    if weights.dtype == bool:
-        weights = weights.astype(np.int8)
-    elif not (
-        np.issubdtype(weights.dtype, np.integer)
-        or np.issubdtype(weights.dtype, np.floating)
-    ):
-        weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 3:
-        raise FeatureError(f"expected a 3-D weight grid, got shape {weights.shape}")
-    if engine not in ("blocked", "reference"):
-        raise FeatureError(
-            f"unknown max_sum_box engine {engine!r}; choose 'blocked' or 'reference'"
-        )
-    window = _nonzero_window(weights)
-    if window is None:
-        # All-zero grid: every box sums to zero; report a single voxel.
-        return 0.0, np.zeros(3, dtype=int), np.zeros(3, dtype=int)
-    lows, highs = window
-    cropped = weights[
-        lows[0] : highs[0] + 1, lows[1] : highs[1] + 1, lows[2] : highs[2] + 1
-    ]
-    if engine == "reference":
-        best, lower, upper = _max_sum_box_cropped(cropped.astype(np.float64))
-    else:
-        best, lower, upper = _best_box(cropped, block_bytes)
-    covers_whole_grid = np.all(lows == 0) and np.all(
-        highs == np.asarray(weights.shape) - 1
-    )
-    if best < 0 and not covers_whole_grid:
-        # All boxes inside the non-zero region sum negative, but a
-        # zero-sum box exists outside it (cropping only preserves sums
-        # of boxes that *intersect* the region).
-        for axis in range(3):
-            cell = list(lows)  # a cell inside the region, then step out
-            if lows[axis] > 0:
-                cell[axis] = 0
-            elif highs[axis] < weights.shape[axis] - 1:
-                cell[axis] = weights.shape[axis] - 1
-            else:
-                continue
-            zero_cell = np.array(cell)
-            return 0.0, zero_cell, zero_cell.copy()
     return best, lower + lows, upper + lows
 
 
@@ -555,74 +407,10 @@ class CoverSequence:
         return padded.reshape(-1)
 
 
-def _extract_reference(
+def _extract_incremental(
     grid: VoxelGrid, k: int, allow_subtraction: bool
 ) -> CoverSequence:
-    """The original greedy loop: weight grids rebuilt from scratch every
-    iteration, max-sum boxes found by the full-tensor reference scan.
-
-    Kept as the oracle the incremental engine is verified against
-    (property tests and ``benchmarks/test_perf_extraction.py`` require
-    bit-identical cover sequences).  The weight grids are built with
-    direct boolean arithmetic on int8 views — two temporaries per grid
-    instead of the four float ``np.where`` passes of earlier revisions;
-    the values (and hence every box choice) are unchanged.
-    """
-    target = grid.occupancy
-    state = np.zeros_like(target)
-    covers: list[Cover] = []
-    errors = [int(target.sum())]
-
-    for _ in range(k):
-        counter("extract.iterations").inc()
-        uncovered = ~state
-        # "+": object voxels not yet covered are gains, empty voxels
-        # not yet covered would become errors.
-        weight_add = (target & uncovered).astype(np.int8) - (
-            ~target & uncovered
-        ).astype(np.int8)
-        counter("extract.searches").inc()
-        gain_add, lo_add, hi_add = max_sum_box(weight_add, engine="reference")
-
-        gain_sub = -np.inf
-        if allow_subtraction and covers:
-            # "-": wrongly covered voxels are gains, correctly covered
-            # object voxels would become errors.
-            weight_sub = (state & ~target).astype(np.int8) - (state & target).astype(
-                np.int8
-            )
-            counter("extract.searches").inc()
-            gain_sub, lo_sub, hi_sub = max_sum_box(weight_sub, engine="reference")
-
-        if max(gain_add, gain_sub) <= 0:
-            break
-        if gain_add >= gain_sub:
-            sign, gain, lower, upper = 1, gain_add, lo_add, hi_add
-        else:
-            sign, gain, lower, upper = -1, gain_sub, lo_sub, hi_sub
-
-        cover = Cover(
-            sign=sign,
-            lower=(int(lower[0]), int(lower[1]), int(lower[2])),
-            upper=(int(upper[0]), int(upper[1]), int(upper[2])),
-            gain=int(round(gain)),
-        )
-        covers.append(cover)
-        if sign > 0:
-            state |= cover.mask(grid.resolution)
-        else:
-            state &= ~cover.mask(grid.resolution)
-        errors.append(int(np.count_nonzero(state ^ target)))
-        if errors[-1] == 0:
-            break
-
-    return CoverSequence(covers=covers, errors=errors, resolution=grid.resolution)
-
-
-def _extract_incremental(
-    grid: VoxelGrid, k: int, allow_subtraction: bool, block_bytes: int | None
-) -> CoverSequence:
-    """Incremental greedy extraction: the production engine.
+    """Incremental greedy extraction.
 
     Instead of rebuilding the "+"/"-" weight grids from ``target`` and
     ``state`` every iteration, both are kept as int8 arrays and patched
@@ -636,9 +424,9 @@ def _extract_incremental(
     every x-pair bounded at or below that, and it is skipped outright
     when the wrongly covered count (its total positive weight) does not
     exceed the floor.  Neither shortcut changes a choice, so the
-    produced sequence is bit-identical to :func:`_extract_reference` — a
-    property the test suite and ``benchmarks/test_perf_extraction.py``
-    check explicitly.
+    produced sequence is bit-identical to rebuilding both grids and
+    searching them in full every iteration — the oracle extractor the
+    test suite holds this one to.
     """
     target = grid.occupancy
     # All voxels start uncovered: "+" rewards object voxels (+1) and
@@ -655,7 +443,7 @@ def _extract_incremental(
         gain_add = -np.inf
         if uncovered_target:
             counter("extract.searches").inc()
-            gain_add, lo_add, hi_add = _search_above(weight_add, block_bytes)
+            gain_add, lo_add, hi_add = _search_above(weight_add)
         else:
             counter("extract.searches_skipped").inc()
         gain_sub = -np.inf
@@ -666,7 +454,7 @@ def _extract_incremental(
             floor = max(gain_add, 0.0)
             if wrongly_covered > floor:
                 counter("extract.searches").inc()
-                found = _search_above(weight_sub, block_bytes, floor)
+                found = _search_above(weight_sub, floor)
                 if found is not None:
                     gain_sub, lo_sub, hi_sub = found
             else:
@@ -722,8 +510,6 @@ def extract_cover_sequence(
     grid: VoxelGrid,
     k: int = 7,
     allow_subtraction: bool = True,
-    engine: str = "incremental",
-    block_bytes: int | None = None,
 ) -> CoverSequence:
     """Greedy cover sequence of *grid* with at most *k* covers.
 
@@ -733,31 +519,13 @@ def extract_cover_sequence(
     of wrongly covered voxels), and keeps the better of the two.  The
     loop stops early when no cover improves the symmetric volume
     difference or the approximation is exact.
-
-    Parameters
-    ----------
-    engine:
-        ``"incremental"`` (default) maintains the weight grids in place
-        and uses the bound-pruned, memory-capped max-sum-box search;
-        ``"reference"`` is the original reconstruct-every-iteration
-        oracle.  Both produce bit-identical sequences.
-    block_bytes:
-        Peak-memory budget per max-sum-box search for the incremental
-        engine (default: :func:`default_block_bytes`).
     """
     if k < 1:
         raise FeatureError("need k >= 1 covers")
     if grid.is_empty():
         raise FeatureError("cannot extract covers from an empty grid")
-    if engine not in EXTRACTION_ENGINES:
-        raise FeatureError(
-            f"unknown extraction engine {engine!r}; choose from {EXTRACTION_ENGINES}"
-        )
-    with span("extract", engine=engine, k=k, resolution=grid.resolution):
-        if engine == "incremental":
-            sequence = _extract_incremental(grid, k, allow_subtraction, block_bytes)
-        else:
-            sequence = _extract_reference(grid, k, allow_subtraction)
+    with span("extract", k=k, resolution=grid.resolution):
+        sequence = _extract_incremental(grid, k, allow_subtraction)
     counter("extract.objects").inc()
     histogram("extract.covers").observe(len(sequence.covers))
     return sequence
@@ -784,14 +552,12 @@ class CoverSequenceModel(FeatureModel):
         k: int = 7,
         allow_subtraction: bool = True,
         normalize: bool = True,
-        engine: str = "incremental",
     ):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
         self.allow_subtraction = allow_subtraction
         self.normalize = normalize
-        self.engine = engine
 
     @property
     def name(self) -> str:
@@ -801,9 +567,7 @@ class CoverSequenceModel(FeatureModel):
         return 6 * self.k
 
     def extract(self, grid: VoxelGrid) -> np.ndarray:
-        sequence = extract_cover_sequence(
-            grid, self.k, self.allow_subtraction, engine=self.engine
-        )
+        sequence = extract_cover_sequence(grid, self.k, self.allow_subtraction)
         return sequence.feature_vector(self.k, self.normalize)
 
 

@@ -30,14 +30,12 @@ class VectorSetModel(FeatureModel):
         k: int = 7,
         allow_subtraction: bool = True,
         normalize: bool = True,
-        engine: str = "incremental",
     ):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
         self.allow_subtraction = allow_subtraction
         self.normalize = normalize
-        self.engine = engine
 
     @property
     def name(self) -> str:
@@ -48,7 +46,5 @@ class VectorSetModel(FeatureModel):
         return 6
 
     def extract(self, grid: VoxelGrid) -> np.ndarray:
-        sequence = extract_cover_sequence(
-            grid, self.k, self.allow_subtraction, engine=self.engine
-        )
+        sequence = extract_cover_sequence(grid, self.k, self.allow_subtraction)
         return sequence.feature_vectors(self.normalize)

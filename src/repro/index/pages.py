@@ -36,26 +36,8 @@ class IOCost:
             + self.bytes_read * SECONDS_PER_BYTE
         )
 
-    def add(self, other: "IOCost") -> None:
-        self.page_accesses += other.page_accesses
-        self.bytes_read += other.bytes_read
-
-    def __iadd__(self, other: "IOCost") -> "IOCost":
-        self.add(other)
-        return self
-
     def copy(self) -> "IOCost":
         return IOCost(self.page_accesses, self.bytes_read)
-
-    def as_dict(self) -> dict[str, int]:
-        """Flat numeric mapping (the shared stats protocol with
-        :class:`repro.core.queries.QueryStats`)."""
-        return {"page_accesses": self.page_accesses, "bytes_read": self.bytes_read}
-
-    def merge(self, other: "IOCost") -> "IOCost":
-        """Accumulate another cost in place (protocol alias of :meth:`add`)."""
-        self.add(other)
-        return self
 
     def __str__(self) -> str:
         return (

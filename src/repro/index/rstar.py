@@ -472,7 +472,3 @@ class RStarTree:
                     stack.append((child, node.lowers[i], node.uppers[i]))
         if seen != self.size:
             raise IndexError_(f"tree holds {seen} entries, expected {self.size}")
-
-    def validate(self) -> None:
-        """Backwards-compatible alias of :meth:`check_invariants`."""
-        self.check_invariants()

@@ -281,9 +281,8 @@ class MetricsRegistry:
     def count_many(self, prefix: str, values: dict) -> None:
         """Fold a flat numeric mapping into prefixed counters.
 
-        The bridge from the ``as_dict()`` protocol of
-        :class:`~repro.core.queries.QueryStats` and
-        :class:`~repro.index.pages.IOCost` into the registry.
+        The bridge from :meth:`~repro.core.queries.QueryStats.as_dict`
+        into the registry.
         """
         if not self.enabled:
             return

@@ -1,15 +1,18 @@
-"""The incremental extraction engine and its pruned search vs the oracle.
+"""The incremental extractor and its pruned search vs the oracle.
 
 The production max-sum-box search bounds every x-pair by its slab rows,
 scans x-pairs best first and drops those whose bound is below the best
 value found; the incremental greedy extractor gives its "-" search a
-floor.  Both are required to be *bit-identical* to the reference path —
-same covers, same signs, same error sequence, same coordinates — so
-every test here compares against ``engine="reference"`` (or a brute
-force) rather than against golden values.
+floor.  Both are required to be *bit-identical* to the full-tensor
+oracle of ``tests/cover_oracle.py`` — same covers, same signs, same
+error sequence, same coordinates — so every test here compares against
+that oracle (or a brute force) rather than against golden values.  The
+small-budget cases lower ``DEFAULT_BLOCK_BYTES``, the one memory budget
+every search reads.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.datasets import make_aircraft_dataset
 from repro.exceptions import FeatureError
+from repro.features import cover_sequence
 from repro.features.cover_sequence import (
     DEFAULT_BLOCK_BYTES,
     _build_sat_z,
@@ -26,13 +30,17 @@ from repro.features.cover_sequence import (
     _sat_dtypes,
     _search_above,
     _slab_row_bounds,
-    default_block_bytes,
     extract_cover_sequence,
-    max_sum_box,
 )
 from repro.features.vector_set_model import VectorSetModel
 from repro.pipeline import Pipeline
 from repro.voxel.grid import VoxelGrid
+from tests import cover_oracle
+
+
+def budget(block_bytes):
+    """Cap every max-sum-box search at *block_bytes* inside a with block."""
+    return mock.patch.object(cover_sequence, "DEFAULT_BLOCK_BYTES", block_bytes)
 
 
 @st.composite
@@ -92,22 +100,32 @@ def assert_same_sequence(got, expected):
     assert got.errors == expected.errors
 
 
+def assert_same_box(got, expected):
+    assert got[0] == expected[0]
+    assert np.array_equal(got[1], expected[1])
+    assert np.array_equal(got[2], expected[2])
+
+
 class TestBlockedMaxSumBox:
     @pytest.mark.parametrize("block_bytes", [2_000, 50_000, DEFAULT_BLOCK_BYTES])
     def test_matches_reference_on_random_grids(self, rng, block_bytes):
+        searched = 0
         for _ in range(25):
             shape = tuple(rng.integers(2, 9, size=3))
             weights = rng.integers(-3, 4, size=shape).astype(np.int8)
-            gain_ref, lo_ref, hi_ref = max_sum_box(weights, engine="reference")
-            gain, lo, hi = max_sum_box(weights, block_bytes=block_bytes)
-            assert gain == gain_ref
-            assert np.array_equal(lo, lo_ref)
-            assert np.array_equal(hi, hi_ref)
+            if not (weights > 0).any():
+                continue
+            with budget(block_bytes):
+                found = _search_above(weights)
+            assert_same_box(found, cover_oracle.max_sum_box(weights))
+            searched += 1
+        assert searched > 20
 
     def test_matches_reference_on_float_weights(self, rng):
         weights = rng.normal(size=(6, 7, 5))
-        gain_ref, lo_ref, hi_ref = max_sum_box(weights, engine="reference")
-        gain, lo, hi = max_sum_box(weights, block_bytes=4_000)
+        gain_ref, lo_ref, hi_ref = cover_oracle.max_sum_box(weights)
+        with budget(4_000):
+            gain, lo, hi = _search_above(weights)
         assert gain == pytest.approx(gain_ref)
         assert np.array_equal(lo, lo_ref)
         assert np.array_equal(hi, hi_ref)
@@ -116,29 +134,37 @@ class TestBlockedMaxSumBox:
         # Sums near the int16 and int32 SAT limits: the scan must widen
         # instead of wrapping.
         weights = np.full((8, 8, 8), 60, dtype=np.int64)
-        gain, lo, hi = max_sum_box(weights, block_bytes=3_000)
+        with budget(3_000):
+            gain, lo, hi = _search_above(weights)
         assert gain == 60 * 8**3
         assert np.array_equal(lo, [0, 0, 0])
         assert np.array_equal(hi, [7, 7, 7])
 
         big = np.full((16, 16, 16), 2**18, dtype=np.int64)
         big[0, 0, 0] = -1
-        gain, _, _ = max_sum_box(big, block_bytes=100_000)
+        with budget(100_000):
+            gain, _, _ = _search_above(big)
         assert gain == 2**18 * (16**3 - 1) - 1
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(FeatureError):
-            max_sum_box(np.ones((2, 2, 2)), engine="turbo")
 
 
 class TestPrunedSearch:
     @given(weights=tie_heavy_weights())
     def test_tie_heavy_boxes_match_reference(self, weights):
-        gain_ref, lo_ref, hi_ref = max_sum_box(weights, engine="reference")
-        gain, lo, hi = max_sum_box(weights)
-        assert gain == gain_ref
-        assert np.array_equal(lo, lo_ref)
-        assert np.array_equal(hi, hi_ref)
+        assume((weights > 0).any())
+        assert_same_box(_search_above(weights), cover_oracle.max_sum_box(weights))
+
+    @given(
+        weights=arrays(
+            np.int8,
+            st.tuples(*[st.integers(1, 7)] * 3),
+            elements=st.sampled_from([0, 0, 0, 0, -2, -1, 1, 2]),
+        )
+    )
+    def test_sparse_grids_match_reference_in_the_grid_frame(self, weights):
+        # Zero borders make the search crop to the non-zero window; the
+        # box must come back in the frame of the whole grid.
+        assume((weights > 0).any())
+        assert_same_box(_search_above(weights), cover_oracle.max_sum_box(weights))
 
     @given(
         weights=st.one_of(
@@ -153,22 +179,21 @@ class TestPrunedSearch:
     def test_slab_row_bound_is_never_below_a_pair_best(self, weights):
         sat_dtype, scan_dtype, sentinel = _sat_dtypes(weights)
         x_lo, x_hi = _pair_indices(weights.shape[0])
-        bound = _slab_row_bounds(
-            _build_sat_z(weights, sat_dtype), x_lo, x_hi, scan_dtype, sentinel, 500
-        )
+        with budget(500):
+            bound = _slab_row_bounds(
+                _build_sat_z(weights, sat_dtype), x_lo, x_hi, scan_dtype, sentinel
+            )
         assert np.all(bound >= brute_force_pair_values(weights))
 
     @given(weights=tie_heavy_weights(), offset=st.integers(-3, 3))
     def test_floored_search_finds_only_boxes_above_the_floor(self, weights, offset):
         assume((weights > 0).any())
-        unfloored = max_sum_box(weights)
+        unfloored = _search_above(weights)
         floor = unfloored[0] + offset  # at, just below and just above the best
-        found = _search_above(weights, None, floor)
+        found = _search_above(weights, floor)
         if unfloored[0] > floor:
             assert found is not None
-            assert found[0] == unfloored[0]
-            assert np.array_equal(found[1], unfloored[1])
-            assert np.array_equal(found[2], unfloored[2])
+            assert_same_box(found, unfloored)
         else:
             assert found is None
 
@@ -184,29 +209,27 @@ class TestMemoryBudget:
             tracemalloc.stop()
 
     def test_search_stays_within_twice_its_budget(self):
-        budget = 2 * 1024 * 1024
+        cap = 2 * 1024 * 1024
         weights = np.random.default_rng(20030609).choice(
             np.array([-1, 1], dtype=np.int8), size=(40, 40, 40)
         )
-        # The reference tensor would take ~220 MB here; the default budget
+        # The oracle's tensor would take ~220 MB here; the default budget
         # is the comparison (the result must not depend on the budget).
-        expected = max_sum_box(weights)
-        peak, got = self.peak_bytes(lambda: max_sum_box(weights, block_bytes=budget))
-        assert got[0] == expected[0]
-        assert np.array_equal(got[1], expected[1])
-        assert np.array_equal(got[2], expected[2])
-        assert peak <= 2 * budget, peak
+        expected = _search_above(weights)
+        with budget(cap):
+            peak, got = self.peak_bytes(lambda: _search_above(weights))
+        assert_same_box(got, expected)
+        assert peak <= 2 * cap, peak
 
     def test_resolution_64_extraction_stays_within_twice_its_budget(self):
-        budget = 8 * 1024 * 1024
+        cap = 8 * 1024 * 1024
         occupancy = np.zeros((64, 64, 64), dtype=bool)
         occupancy[2:62, 2:62, 2:62] = True
         grid = VoxelGrid(occupancy)
-        peak, sequence = self.peak_bytes(
-            lambda: extract_cover_sequence(grid, k=3, block_bytes=budget)
-        )
+        with budget(cap):
+            peak, sequence = self.peak_bytes(lambda: extract_cover_sequence(grid, k=3))
         assert len(sequence.covers) == 1
-        assert peak <= 2 * budget, peak
+        assert peak <= 2 * cap, peak
 
 
 class TestResolution64Regression:
@@ -219,9 +242,8 @@ class TestResolution64Regression:
         """
         occupancy = np.zeros((64, 64, 64), dtype=bool)
         occupancy[2:62, 2:62, 2:62] = True
-        sequence = extract_cover_sequence(
-            VoxelGrid(occupancy), k=3, block_bytes=8 * 1024 * 1024
-        )
+        with budget(8 * 1024 * 1024):
+            sequence = extract_cover_sequence(VoxelGrid(occupancy), k=3)
         assert len(sequence.covers) == 1
         cover = sequence.covers[0]
         assert cover.sign == 1
@@ -240,12 +262,8 @@ class TestIncrementalEngine:
     def test_identical_to_reference(self, occupancy, k, allow_subtraction):
         assume(occupancy.any())
         grid = VoxelGrid(occupancy)
-        reference = extract_cover_sequence(
-            grid, k, allow_subtraction, engine="reference"
-        )
-        incremental = extract_cover_sequence(
-            grid, k, allow_subtraction, engine="incremental"
-        )
+        reference = cover_oracle.extract_cover_sequence(grid, k, allow_subtraction)
+        incremental = extract_cover_sequence(grid, k, allow_subtraction)
         assert_same_sequence(incremental, reference)
 
     @given(
@@ -259,9 +277,7 @@ class TestIncrementalEngine:
     ):
         grid = VoxelGrid(weights > 0)
         assume(not grid.is_empty())
-        reference = extract_cover_sequence(
-            grid, k, allow_subtraction, engine="reference"
-        )
+        reference = cover_oracle.extract_cover_sequence(grid, k, allow_subtraction)
         incremental = extract_cover_sequence(grid, k, allow_subtraction)
         assert_same_sequence(incremental, reference)
 
@@ -273,27 +289,17 @@ class TestIncrementalEngine:
         pipeline = Pipeline(resolution=15)
         for part in members + one_offs:
             grid, _ = pipeline.process_solid(part.solid)
-            reference = extract_cover_sequence(grid, 7, engine="reference")
+            reference = cover_oracle.extract_cover_sequence(grid, 7)
             incremental = extract_cover_sequence(grid, 7)
             assert_same_sequence(incremental, reference)
 
     @pytest.mark.parametrize("block_bytes", [3_000, None])
     def test_identical_on_shaped_grids(self, lshape_grid, tire_grid, block_bytes):
         for grid in (lshape_grid, tire_grid):
-            reference = extract_cover_sequence(grid, 7, engine="reference")
-            incremental = extract_cover_sequence(
-                grid, 7, engine="incremental", block_bytes=block_bytes
-            )
+            reference = cover_oracle.extract_cover_sequence(grid, 7)
+            with budget(block_bytes or DEFAULT_BLOCK_BYTES):
+                incremental = extract_cover_sequence(grid, 7)
             assert_same_sequence(incremental, reference)
-
-    def test_rejects_unknown_engine(self, lshape_grid):
-        with pytest.raises(FeatureError):
-            extract_cover_sequence(lshape_grid, 3, engine="bogus")
-
-    def test_model_engine_parameter(self, lshape_grid):
-        fast = VectorSetModel(k=5).extract(lshape_grid)
-        slow = VectorSetModel(k=5, engine="reference").extract(lshape_grid)
-        assert np.array_equal(fast, slow)
 
 
 class TestExtractMany:
@@ -317,18 +323,3 @@ class TestExtractMany:
         with pytest.raises(FeatureError, match="empty grid"):
             ExplodingModel(k=3).extract_many([lshape_grid, empty, lshape_grid])
 
-
-class TestBlockBudgetEnv:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAXBOX_BLOCK_BYTES", "12345")
-        assert default_block_bytes() == 12345
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MAXBOX_BLOCK_BYTES", raising=False)
-        assert default_block_bytes() == DEFAULT_BLOCK_BYTES
-
-    @pytest.mark.parametrize("raw", ["zero?", "0", "-4"])
-    def test_invalid_values_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_MAXBOX_BLOCK_BYTES", raw)
-        with pytest.raises(FeatureError):
-            default_block_bytes()

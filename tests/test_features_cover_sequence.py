@@ -1,4 +1,9 @@
-"""Tests for greedy cover-sequence extraction and max-sum box search."""
+"""Tests for greedy cover-sequence extraction and the max-sum box oracle.
+
+The oracle's ``max_sum_box`` (``tests/cover_oracle.py``) is held to a
+brute force here; ``tests/test_extraction_engine.py`` holds the
+production search to the oracle.
+"""
 
 import numpy as np
 import pytest
@@ -11,13 +16,13 @@ from repro.features.cover_sequence import (
     Cover,
     CoverSequenceModel,
     extract_cover_sequence,
-    max_sum_box,
     transform_cover_vectors,
 )
 from repro.geometry.sdf import Box
 from repro.geometry.transform import symmetry_matrices
 from repro.voxel.grid import VoxelGrid
 from repro.voxel.voxelize import voxelize_solid
+from tests.cover_oracle import max_sum_box
 
 
 def brute_force_max_box(weights: np.ndarray) -> float:

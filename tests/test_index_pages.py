@@ -21,13 +21,6 @@ class TestCostModel:
         cost = IOCost(page_accesses=100, bytes_read=1_000_000)
         assert cost.seconds() == pytest.approx(100 * 8e-3 + 1_000_000 * 200e-9)
 
-    def test_add(self):
-        total = IOCost()
-        total += IOCost(2, 100)
-        total += IOCost(3, 50)
-        assert total.page_accesses == 5
-        assert total.bytes_read == 150
-
 
 class TestPageManager:
     def test_read_counts_pages_and_bytes(self):

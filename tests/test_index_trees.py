@@ -27,7 +27,7 @@ def built_tree(request, rng):
 class TestSpatialTrees:
     def test_structural_invariants(self, built_tree):
         tree, _ = built_tree
-        tree.validate()
+        tree.check_invariants()
         assert tree.size == 500
 
     def test_knn_matches_brute_force(self, built_tree, rng):
@@ -82,7 +82,7 @@ class TestSpatialTrees:
         point = np.array([0.5, 0.5, 0.5])
         for i in range(30):
             tree.insert(point, i)
-        tree.validate()
+        tree.check_invariants()
         assert len(tree.knn(point, 30)) == 30
 
     def test_box_entries(self, rng):
@@ -111,7 +111,7 @@ class TestSpatialTrees:
         tree = RStarTree(3, reinsert_fraction=0.0)
         for i, point in enumerate(points):
             tree.insert(point, i)
-        tree.validate()
+        tree.check_invariants()
         query = rng.random(3)
         assert [oid for oid, _ in tree.knn(query, 5)] == brute_knn(points, query, 5)
 
@@ -125,7 +125,7 @@ class TestXTreeSupernodes:
         points = np.vstack([c + rng.normal(scale=0.3, size=(200, 16)) for c in centers])
         for i, point in enumerate(points):
             tree.insert(point, i)
-        tree.validate()
+        tree.check_invariants()
         query = points[0]
         assert [oid for oid, _ in tree.knn(query, 3)] == brute_knn(points, query, 3)
 
@@ -137,7 +137,7 @@ class TestXTreeSupernodes:
         if tree.supernodes_created:
             # At least one node spans multiple pages now.
             assert pages.total_bytes() > 0
-        tree.validate()
+        tree.check_invariants()
 
     def test_max_overlap_validation(self):
         with pytest.raises(IndexError_):

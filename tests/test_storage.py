@@ -159,9 +159,10 @@ def test_every_layout_is_the_pinned_one(tmp_path):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("dense", [False, True])
 def test_shards_open_as_one_database(backend, dense, tmp_path):
-    """The pool workers' view of a saved sharded layout: one database
-    whose engine and index are a fresh build's of the same objects, also
-    when some shards are empty (at K = 40)."""
+    """The pool workers' view of a saved sharded layout, the opened
+    shards joined: one database whose engine, index and sketch codes are
+    a fresh build's of the same objects, also when some shards are empty
+    (at K = 40)."""
     steps = history()
     options = dict(omega=[0.5, -1.0, 2.0])
     plain = SimilarityDatabase(CAPACITY, **options)
@@ -171,12 +172,13 @@ def test_shards_open_as_one_database(backend, dense, tmp_path):
         sharded = start_database(backend, start, CAPACITY, shards=shards, **options)
         replay(sharded, steps)
         root = sharded.save(tmp_path / f"sharded-{shards}", dense=dense)
-        one = storage.open_shards_as_one(sharded._saved.paths)
+        one = storage.as_one(storage.open_sharded(root).shards)
         one.check_invariants()
         assert one.object_ids() == plain.object_ids()
         assert one.engine_digest() == plain.engine_digest()
         assert one.index_digest() == plain.index_digest()
-        assert one._engine.codes is None and not one._payloads
+        assert one.sketch_digest() == plain.sketch_digest()
+        assert not one._payloads
         assert sharded.knn_query_many([plain.get(2)], 5, n_jobs=2)[0][0] == (
             plain.knn_query(plain.get(2), 5)[0]
         )
@@ -184,15 +186,74 @@ def test_shards_open_as_one_database(backend, dense, tmp_path):
     assert len(list(root.glob("shard-*"))) == 40
 
 
+def mixed_layout(tmp_path, key) -> Path:
+    """A saved K = 2 layout whose second shard file comes from a save
+    that differs from the first in the setting *key* alone."""
+    wider = [
+        (op, oid, None if arr is None else np.hstack([arr, arr[:, :1]]))
+        for op, oid, arr in history()
+    ]
+    other = {
+        "capacity": (CAPACITY + 1, {}, history()),
+        "block_size": (CAPACITY, {"block_size": 6}, history()),
+        "dimension": (CAPACITY, {}, wider),
+        "omega": (CAPACITY, {"omega": [0.5, -1.0, 2.0]}, history()),
+    }[key]
+    roots = []
+    for name, (capacity, options, steps) in zip("ab", [(CAPACITY, {}, history()), other]):
+        db = ShardedSimilarityDatabase(capacity, shards=2, **options)
+        replay(db, steps)
+        roots.append(db.save(tmp_path / name))
+    shard = "shard-00001.npz"
+    (roots[0] / shard).write_bytes((roots[1] / shard).read_bytes())
+    return roots[0]
+
+
 def test_shards_that_disagree_do_not_open_as_one(tmp_path):
-    layouts = {}
-    for name, options in (("a", {}), ("b", {"block_size": 6})):
-        db = ShardedSimilarityDatabase(CAPACITY, shards=2, **options)
-        replay(db, history())
-        layouts[name] = db.save(tmp_path / name)
-    paths = [layouts["a"] / "shard-00000.npz", layouts["b"] / "shard-00001.npz"]
-    with pytest.raises(StorageError, match=r"b/shard-00001.npz.*'block_size'"):
-        storage.open_shards_as_one(paths)
+    """A pool worker joins the shards of the layout it is handed through
+    the one checked opener: a shard file replaced after the save fails
+    the batch typed."""
+    db = ShardedSimilarityDatabase(CAPACITY, shards=2)
+    replay(db, history())
+    root = db.save(tmp_path / "a")
+    other = ShardedSimilarityDatabase(CAPACITY, shards=2, block_size=6)
+    replay(other, history())
+    other.save(tmp_path / "b")
+    shard = "shard-00001.npz"
+    (root / shard).write_bytes((tmp_path / "b" / shard).read_bytes())
+    with pytest.raises(StorageError, match=r"a/shard-00001.npz.*'block_size' holds 6"):
+        db.knn_query_many([db.get(1)], 3, n_jobs=2)
+
+
+def test_an_export_of_a_durable_sharded_database_opens(tmp_path):
+    """``save(path)`` of a durable sharded database writes snapshot
+    files, and its manifest says so: the export opens and verifies as a
+    non-durable layout holding the same objects."""
+    db = ShardedSimilarityDatabase(CAPACITY, shards=2, durable=True, path=tmp_path / "db")
+    replay(db, history())
+    export = db.save(tmp_path / "export")
+    assert json.loads((export / "sharded.json").read_text())["durable"] is False
+    opened = open_database(export)
+    assert not opened.durable
+    assert opened.object_ids() == db.object_ids()
+    assert opened.index_digests() == db.index_digests()
+    assert storage.verify(export)[0] == 0
+    db.close()
+
+
+@pytest.mark.parametrize("key", ["capacity", "block_size", "dimension", "omega"])
+def test_shards_that_disagree_do_not_open(tmp_path, key):
+    """Every opener of a sharded layout and ``repro db verify`` refuse
+    shards that disagree on a setting they must share."""
+    root = mixed_layout(tmp_path, key)
+    message = rf"shard-00001.npz: shard disagrees with the shards before it: '{key}'"
+    with pytest.raises(StorageError, match=message):
+        open_database(root)
+    with pytest.raises(StorageError, match=message):
+        ShardedSimilarityDatabase.load(root)
+    code, lines = storage.verify(root)
+    assert code == 1
+    assert lines[-1][0] == "err" and "shard disagrees" in lines[-1][1]
 
 
 def zip_members(path: Path) -> dict[str, bytes]:
