@@ -7,7 +7,9 @@ database, byte-identical to a single-shard build.
 :mod:`repro.db.storage` is every on-disk layout — snapshot file,
 durable directory, sharded directory — written, opened, recovered and
 verified in one place; :func:`open_database` opens any of them with the
-class that wrote it.
+class that wrote it.  :mod:`repro.db.archive` is the one snapshot file
+format, in its two containers (``.npz`` and dense): one writer, and one
+reader that CRC-checks every member on every open.
 """
 
 from repro.db.core import DatabaseView, SimilarityDatabase

@@ -790,9 +790,10 @@ class SimilarityDatabase:
         a plain archive export instead).
 
         ``dense=True`` writes the flat mmap-able container of
-        :mod:`repro.index.dense` instead of an ``.npz`` archive, whose
+        :mod:`repro.db.archive` instead of an ``.npz`` archive, whose
         arrays :meth:`load` maps instead of inflating (the engine packs
-        its own copy of them).
+        its own copy of them); either container's every member is
+        CRC-checked on every open.
         Default: whatever format this database was loaded from (``.npz``
         for a fresh database).  Durable checkpoints always use ``.npz``.
         """

@@ -6,7 +6,8 @@ The one module that knows how a database sits on disk.
 locking and queries and call in here, locks already held, to write,
 open, recover and verify.  :func:`layout_of` decides what a path holds:
 
-* a *snapshot file*: one CRC-checked archive, ``.npz`` or dense
+* a *snapshot file*: one archive of :mod:`repro.db.archive`, ``.npz``
+  or dense, every member CRC-checked on every open
   (:func:`snapshot_state`: the settings record in the meta block, the
   engine's rows, its sketch codes with the sketcher's projection and —
   only when an object carries one — the payloads as arrays; no index,
@@ -27,7 +28,7 @@ holds passing :data:`_CHECKS`, else a
 Keys no check knows are ignored: an old ``solver``, and the
 ``backend``, ``index_capacity`` and ``index_meta`` of a layout written
 while snapshots carried an index (whose ``index__*`` members are still
-CRC-checked by :func:`~repro.index.snapshot.read_archive`, but never
+CRC-checked by :func:`~repro.db.archive.read_archive`, but never
 parsed).
 
 **Locks.**  Storage takes none of its own: ``save`` runs under the
@@ -36,10 +37,11 @@ database's read lock, ``checkpoint`` under its write lock, a sharded
 opened or recovered is nobody else's yet.
 
 **Crash points** a checkpoint meets, in order: ``after-wal-append`` (the
-checkpoint record), ``mid-snapshot-write`` (inside the archive writers,
-before the rename), ``mid-checkpoint-swap`` (new WAL segment open,
-``CURRENT`` not yet republished); ``between-shard-checkpoints`` sits
-between two shards of a sharded one.
+checkpoint record), ``mid-snapshot-write`` (inside
+:func:`~repro.db.archive.write_archive`, before the rename),
+``mid-checkpoint-swap`` (new WAL segment open, ``CURRENT`` not yet
+republished); ``between-shard-checkpoints`` sits between two shards of
+a sharded one.
 """
 
 from __future__ import annotations
@@ -54,19 +56,17 @@ import numpy as np
 from repro.approx import SetSketcher
 from repro.core.batch import PackedSets
 from repro.core.queries import FilterRefineEngine
+from repro.db.archive import is_dense_archive, read_archive, write_archive
 from repro.exceptions import DistanceError, QueryError, ReproError, StorageError
-from repro.index.dense import is_dense_archive, read_dense_archive, write_dense_archive
-from repro.index.snapshot import read_archive, write_archive
 from repro.obs import emit, registry, span
 from repro.testing.faults import crash_point
 from repro.wal import (
     CONFIG_NAME,
     DurableLayout,
     WriteAheadLog,
-    fsync_dir,
+    replace_synced,
     scan_segment,
     verify_segment,
-    write_synced,
 )
 
 DB_FORMAT = "repro-similarity-db"
@@ -216,10 +216,7 @@ def write_manifest(db, root: Path, *, durable: bool) -> None:
         "capacity": db.capacity,
         "resolution": getattr(db.pipeline, "resolution", None),
     }
-    tmp = root / (MANIFEST_NAME + ".tmp")
-    write_synced(tmp, json.dumps(payload, indent=2) + "\n")
-    os.replace(tmp, root / MANIFEST_NAME)
-    fsync_dir(root)
+    replace_synced(root / MANIFEST_NAME, json.dumps(payload, indent=2) + "\n")
 
 
 def _checked(path, record, what: str, **expected) -> dict:
@@ -390,8 +387,7 @@ def _decode_payloads(member: np.ndarray, oids: np.ndarray) -> dict[int, dict]:
 
 def write_snapshot(db, path, *, dense: bool) -> Path:
     """Write *db* as one snapshot file (caller holds either lock side)."""
-    write = write_dense_archive if dense else write_archive
-    return write(path, *snapshot_state(db))
+    return write_archive(path, *snapshot_state(db), dense=dense)
 
 
 def save(db, path, *, dense: bool) -> Path:
@@ -528,12 +524,14 @@ def _sketch_codes(db, meta: dict, arrays: dict, oids, offsets, rows):
     return np.stack([db._sketcher.sketch(arr) for arr in sets])
 
 
-def open_snapshot(path, *, dense: bool, **options):
-    """Open one snapshot file with zero rebuild work; a dense one is
-    mapped, and the engine packs its own copy of the arrays."""
+def open_snapshot(path, **options):
+    """Open one snapshot file with zero rebuild work, every member
+    CRC-checked; a dense one is mapped, and the engine packs its own
+    copy of the arrays.  A save without ``dense=`` keeps the container
+    the file was read from."""
     with span("db.snapshot.load", force=True) as sp:
-        read = read_dense_archive if dense else read_archive
-        db = _from_archive(path, *read(path, DB_FORMAT), **options)
+        meta, arrays, dense = read_archive(path, DB_FORMAT)
+        db = _from_archive(path, meta, arrays, **options)
         db._snapshot_dense = dense
         sp.set(objects=len(db))
     emit("db.snapshot", op="load", objects=len(db), path=str(path))
@@ -697,7 +695,7 @@ def recover(root, **options):
             if generation > 0:
                 snapshot_path = layout.snapshot_path(generation)
                 try:
-                    meta, arrays = read_archive(snapshot_path, DB_FORMAT)
+                    meta, arrays, _ = read_archive(snapshot_path, DB_FORMAT)
                     candidate = _from_archive(snapshot_path, meta, arrays, **options)
                 except StorageError as exc:
                     report.fallbacks += 1
@@ -765,9 +763,9 @@ def recover(root, **options):
 def _rebuild_from_source(config, layout, report, **options):
     """Last rung: every snapshot failed and the WAL chain is incomplete —
     rebuild from the configured source, a snapshot file (``.npz`` or
-    dense) with the durable config's capacity and dimension, read with
-    every member CRC-checked; a relative source is relative to the
-    durable directory.
+    dense, every member CRC-checked like any open) with the durable
+    config's capacity and dimension; a relative source is relative to
+    the durable directory.
 
     Every object of the source is re-added under its own oid with its
     payload.  Acknowledged mutations made after the source was saved are
@@ -788,13 +786,8 @@ def _rebuild_from_source(config, layout, report, **options):
         raise StorageError(
             f"{source_path}: a source must be a snapshot file, not a directory"
         )
-    # A plain dense open verifies no CRC; the rung re-adds whatever
-    # vectors it reads, so it checks them all first.
-    if layout_of(source_path) == "dense":
-        archive = read_dense_archive(source_path, DB_FORMAT, verify=True)
-    else:
-        archive = read_archive(source_path, DB_FORMAT)
-    src = _from_archive(source_path, *archive)
+    meta, arrays, _ = read_archive(source_path, DB_FORMAT)
+    src = _from_archive(source_path, meta, arrays)
     omega = config["omega"]
     expected = {
         "capacity": config["capacity"],
@@ -826,7 +819,7 @@ def open_plain(path, **options):
         raise StorageError(f"{path} is a sharded database: open it with open_database()")
     if kind == "durable":
         return recover(path, **options)
-    return open_snapshot(path, dense=kind == "dense", **options)
+    return open_snapshot(path, **options)
 
 
 def open_layout(path, **options):
@@ -1069,15 +1062,13 @@ def _verify_sharded(root: Path, lines: list) -> int:
 def _verify_plain(path: Path, lines: list):
     """One plain layout or shard.  A durable directory: CRC-walk every
     retained snapshot and WAL segment, then recover in memory — anything
-    the ladder had to work around is a degradation.  A dense file: a CRC
-    walk of every mapped array (its open verifies none).  Then
+    the ladder had to work around is a degradation.  A snapshot file,
+    either container, is CRC-checked by its open.  Then
     ``check_invariants()`` on the opened database.  Returns the exit
     code and the opened (closed again, still readable) database."""
     degradations: list[str] = []
     kind = layout_of(path)
-    if kind == "dense":
-        read_dense_archive(path, DB_FORMAT, verify=True)
-    elif kind == "durable":
+    if kind == "durable":
         layout = DurableLayout(path)
         _durable_config(layout)  # raises (-> exit 1) if this is not a durable db
         for generation in layout.generations_on_disk():

@@ -56,25 +56,26 @@ def _pair_indices(r: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _sat_dtypes(weights: np.ndarray) -> tuple[np.dtype, np.dtype, float]:
-    """(sat dtype, scan dtype, sentinel) for an exact scan of *weights*.
+def _sat_dtypes(weights: np.ndarray) -> tuple[np.dtype, np.dtype, int]:
+    """(sat dtype, scan dtype, sentinel) for an exact scan of the
+    integer grid *weights*; any other grid is refused.
 
-    Integer grids use the narrowest summed-area-table dtype whose range
-    provably holds every prefix sum (bounded by the total absolute
-    weight), halving memory traffic on the bandwidth-bound scan; the
-    scan buffers use a wider dtype because prefix *differences* span
-    twice that range (the slab-row bound is summed in int64).  Every box
-    sum stays exactly representable, so all comparisons — and hence the
-    selected box — are identical to a float64 scan.
+    The summed-area table takes the narrowest dtype whose range provably
+    holds every prefix sum (bounded by the total absolute weight),
+    halving memory traffic on the bandwidth-bound scan; the scan buffers
+    use a wider dtype because prefix *differences* span twice that range
+    (the slab-row bound is summed in int64).  Every box sum stays
+    exactly representable, so all comparisons — and hence the selected
+    box — are identical to a float64 scan.
     """
-    if np.issubdtype(weights.dtype, np.integer):
-        spread = int(np.abs(weights.astype(np.int64, copy=False)).sum())
-        if spread < 2**15:
-            return np.dtype(np.int16), np.dtype(np.int32), np.iinfo(np.int32).min
-        if spread < 2**29:
-            return np.dtype(np.int32), np.dtype(np.int32), np.iinfo(np.int32).min
-        return np.dtype(np.int64), np.dtype(np.int64), np.iinfo(np.int64).min
-    return np.dtype(np.float64), np.dtype(np.float64), -np.inf
+    if not np.issubdtype(weights.dtype, np.integer):
+        raise FeatureError(f"max-sum-box weights must be integers, not {weights.dtype}")
+    spread = int(np.abs(weights.astype(np.int64, copy=False)).sum())
+    if spread < 2**15:
+        return np.dtype(np.int16), np.dtype(np.int32), np.iinfo(np.int32).min
+    if spread < 2**29:
+        return np.dtype(np.int32), np.dtype(np.int32), np.iinfo(np.int32).min
+    return np.dtype(np.int64), np.dtype(np.int64), np.iinfo(np.int64).min
 
 
 def _build_sat_z(weights: np.ndarray, sat_dtype: np.dtype) -> np.ndarray:
@@ -135,7 +136,7 @@ def _recover_z_interval(prefix: np.ndarray) -> tuple[int, int]:
     running minimum — so the recovered ``(z1, z2)`` matches what full
     coordinate tracking would have produced for the winning entry.
     """
-    values = [int(v) for v in prefix] if prefix.dtype.kind in "iu" else list(prefix)
+    values = [int(v) for v in prefix]
     best = None
     z1_best, z2_best = 0, 1
     run_min, run_arg = values[0], 0
@@ -219,8 +220,7 @@ def _best_box(
 
     With a *floor*, only boxes summing strictly above it count: x-pairs
     bounded at or below it are never scanned, and ``None`` means no box
-    beats it.  Float grids have no exact bound; they scan every x-pair,
-    in index order, in the same loop.
+    beats it.  *weights* must be an integer grid (:func:`_sat_dtypes`).
     """
     rx, ry, rz = weights.shape
     sat_dtype, scan_dtype, sentinel = _sat_dtypes(weights)
@@ -228,22 +228,18 @@ def _best_box(
     x_lo, x_hi = _pair_indices(rx)
     y_lo, y_hi = _pair_indices(ry)
     n_x, n_y = len(x_lo), len(y_lo)
-    exact = scan_dtype.kind == "i"
-    if exact:
-        bound = _slab_row_bounds(sat_z, x_lo, x_hi, scan_dtype, sentinel)
-        counter("extract.xpairs_bounded").inc(n_x)
-        order = np.argsort(-bound, kind="stable")
-        if floor is not None:
-            order = order[bound[order] > floor]
-    else:
-        order = np.arange(n_x)
+    bound = _slab_row_bounds(sat_z, x_lo, x_hi, scan_dtype, sentinel)
+    counter("extract.xpairs_bounded").inc(n_x)
+    order = np.argsort(-bound, kind="stable")
+    if floor is not None:
+        order = order[bound[order] > floor]
     block = min(SCAN_BLOCK, _block_size(n_x, n_y, ry, rz, sat_dtype, scan_dtype))
 
     winner, best_val, best_by, best_diff = -1, None, 0, None
     scanned = 0
     for start in range(0, len(order), block):
         sel = order[start : start + block]
-        if exact and winner >= 0:
+        if winner >= 0:
             # Descending bounds: once a block is cut, nothing later survives.
             sel = sel[bound[sel] >= best_val]
             if not sel.size:

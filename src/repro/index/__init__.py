@@ -1,4 +1,4 @@
-"""Index substrate: spatial access methods with I/O accounting.
+"""Index substrate: the paper's spatial access methods and page model.
 
 The paper accelerates similarity queries with an X-tree over extended
 centroids and compares against a sequential scan; runtimes are reported
@@ -16,7 +16,8 @@ read, Section 5.4).  This subpackage provides those pieces:
 Only the X-tree serves Table 2; the R*-tree and the array core serve
 the access-structure ablation and the X-tree's tests.  The database
 imports none of them, ranks the engine's centroid column and writes no
-index into its snapshots.
+index into its snapshots (whose file format is
+:mod:`repro.db.archive`).
 """
 
 from repro.index.pages import IOCost, PageManager

@@ -34,8 +34,10 @@ import numpy as np
 
 from repro.exceptions import IndexError_
 from repro.index.pages import DEFAULT_PAGE_SIZE, PageManager
-from repro.index.snapshot import _stamped
 from repro.obs import counter, histogram
+
+#: The version stamped into a serialized core's meta (:func:`_stamped`).
+SNAPSHOT_VERSION = 1
 
 #: The node tables a core runs on, in the order a snapshot stores them.
 _TABLES = (
@@ -52,6 +54,12 @@ _TABLES = (
 #: database layout holds a pack any more, so the fill moves no layout
 #: digest; it stays so that the ablation's packs stay what they were.
 _FILL = 0.9
+
+
+def _stamped(meta: dict, kind: str) -> dict:
+    """*meta* with a serialized core's format, version and *kind*."""
+    meta.update(format="repro-index-snapshot", version=SNAPSHOT_VERSION, kind=kind)
+    return meta
 
 
 def min_fill(capacity: int) -> int:

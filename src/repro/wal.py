@@ -97,13 +97,17 @@ def _parse_fsync(policy) -> int:
     return interval
 
 
-def write_synced(path: Path, text: str) -> None:
-    """Write *text* to *path* and fsync it: the temp-file half of an
-    atomic replace, whose rename must never publish unflushed bytes."""
-    with open(path, "w") as handle:
+def replace_synced(path: Path, text: str) -> None:
+    """Atomically and durably replace *path* with *text*: a process-unique
+    temporary file, synced before the rename (which must never publish
+    unflushed bytes), the directory after it."""
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")
+    with open(tmp, "w") as handle:
         handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    fsync_dir(path.parent)
 
 
 def fsync_dir(path: Path) -> None:
@@ -383,10 +387,8 @@ class DurableLayout:
         payload["format"] = CONFIG_FORMAT
         payload["version"] = CONFIG_VERSION
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.config_path.with_suffix(f".{os.getpid()}.tmp")
-        write_synced(tmp, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, self.config_path)
-        fsync_dir(self.root)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        replace_synced(self.config_path, text)
 
     def read_config(self) -> dict:
         try:
@@ -423,11 +425,8 @@ class DurableLayout:
             ) from exc
 
     def publish(self, generation: int) -> None:
-        """Atomically repoint ``CURRENT`` (tmp + fsync + rename + dir fsync)."""
-        tmp = self.current_path.with_suffix(f".{os.getpid()}.tmp")
-        write_synced(tmp, f"{generation}\n")
-        os.replace(tmp, self.current_path)
-        fsync_dir(self.root)
+        """Atomically repoint ``CURRENT`` (:func:`replace_synced`)."""
+        replace_synced(self.current_path, f"{generation}\n")
 
     # -- housekeeping ------------------------------------------------------
 

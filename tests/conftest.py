@@ -116,7 +116,7 @@ def serialize_index(tree):
     before the database packed its index (incremental trees, supernodes
     and all), so the legacy-layout, corruption and core-vs-pointer tests
     can still build them."""
-    from repro.index.snapshot import _stamped
+    from repro.index.arraycore import _stamped
     from repro.index.xtree import XTree
 
     nodes, frontier = [], [tree.root]
@@ -283,8 +283,7 @@ def restamp_layout(path, edit_archive, edit_config):
     durable sharded layout included.  *edit_archive(meta, arrays)* and
     *edit_config(payload)* mutate in place; CRCs are recomputed."""
     from repro.db import DB_FORMAT
-    from repro.index.dense import is_dense_archive, read_dense_archive, write_dense_archive
-    from repro.index.snapshot import read_archive, write_archive
+    from repro.db.archive import read_archive, write_archive
 
     for file in [path] if path.is_file() else sorted(path.iterdir()):
         if file.is_dir():
@@ -294,14 +293,10 @@ def restamp_layout(path, edit_archive, edit_config):
             edit_config(payload)
             file.write_text(json.dumps(payload))
         elif file == path or file.suffix == ".npz":
-            if is_dense_archive(file):
-                meta, arrays = read_dense_archive(file, DB_FORMAT, mmap=False)
-                write = write_dense_archive
-            else:
-                meta, arrays = read_archive(file, DB_FORMAT)
-                write = write_archive
+            meta, arrays, dense = read_archive(file, DB_FORMAT)
+            arrays = {name: np.array(arr) for name, arr in arrays.items()}
             edit_archive(meta, arrays)
-            write(file, meta, arrays)
+            write_archive(file, meta, arrays, dense=dense)
 
 
 #: How a test parametrised over ``backend`` starts its database:

@@ -52,10 +52,9 @@ from repro.approx import (
 from repro.core.batch import PackedSets, match_many
 from repro.core.queries import FilterRefineEngine, QueryMatch
 from repro.db import ShardedSimilarityDatabase, SimilarityDatabase, open_database
+from repro.db.archive import read_archive, write_archive
 from repro.db.storage import DB_FORMAT
 from repro.exceptions import QueryError, ReproError, StorageError
-from repro.index.dense import read_dense_archive, write_dense_archive
-from repro.index.snapshot import read_archive, write_archive
 from repro.seeding import resolve_seed, spawn
 from tests.conftest import assert_engine_is_fresh
 
@@ -908,15 +907,10 @@ class TestSketchSnapshots:
         db, _ = self.make_db()
         path = tmp_path / ("db.dns" if dense else "db.npz")
         db.save(path, dense=dense)
-        read, write = (
-            (read_dense_archive, write_dense_archive)
-            if dense
-            else (read_archive, write_archive)
-        )
-        meta, arrays = read(path, DB_FORMAT)
+        meta, arrays, _ = read_archive(path, DB_FORMAT)
         arrays = {name: np.array(arr) for name, arr in arrays.items()}
         case(arrays)
-        write(path, meta, arrays)
+        write_archive(path, meta, arrays, dense=dense)
         with pytest.raises(StorageError, match=f"{path}.*sketch"):
             open_database(path)
 

@@ -15,9 +15,9 @@ first query without materializing a tree.  These tests pin each promise:
 * zero-copy loads keep O(1) resident copies (every table is a view on
   one shared ``np.memmap``) and survive a fresh subprocess
   byte-for-byte;
-* CRC corruption and structural corruption are both caught — by
-  ``read_dense_archive(verify=True)`` / ``repro db verify`` and by
-  ``check_invariants`` respectively.
+* CRC corruption and structural corruption are both caught — by every
+  open (:func:`~repro.db.archive.read_archive`) / ``repro db verify``
+  and by ``check_invariants`` respectively.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.db import SimilarityDatabase
+from repro.db import DB_FORMAT, SimilarityDatabase
+from repro.db.archive import read_archive, write_archive
 from repro.exceptions import IndexError_, SnapshotIntegrityError
 from repro.index import RStarTree, XTree
 from repro.index.arraycore import RTreeArrayCore, densify
-from repro.index.dense import read_dense_archive, write_dense_archive
 from tests.conftest import pointer_pack, ranked, serialize_index
 
 DIM = 4
@@ -147,7 +147,8 @@ def test_dense_load_is_zero_copy(tmp_path):
     db.save(npz_path)
     db.save(dense_path, dense=True)
 
-    meta, arrays = read_dense_archive(dense_path)
+    meta, arrays, dense = read_archive(dense_path, DB_FORMAT)
+    assert dense
     bases = set()
     for name, array in arrays.items():
         base = array
@@ -222,7 +223,9 @@ def test_dense_crc_corruption_detected(tmp_path):
     raw[-8] ^= 0xFF  # flip a byte inside the last array block
     dense_path.write_bytes(bytes(raw))
     with pytest.raises(SnapshotIntegrityError):
-        read_dense_archive(dense_path, verify=True)
+        read_archive(dense_path, DB_FORMAT)
+    with pytest.raises(SnapshotIntegrityError):
+        SimilarityDatabase.load(dense_path)
     assert main(["db", "verify", str(dense_path)]) == 1
 
 
@@ -243,8 +246,8 @@ def test_dense_roundtrip_preserves_arrays(tmp_path):
     tree = build("xtree", corpus("clustered", rng, n=150))
     meta, arrays = serialize_index(tree)
     path = tmp_path / "tree.dense"
-    write_dense_archive(path, dict(meta, format="test"), arrays)
-    got_meta, got_arrays = read_dense_archive(path, "test", verify=True)
+    write_archive(path, dict(meta, format="test"), arrays, dense=True)
+    got_meta, got_arrays, _ = read_archive(path, "test")
     assert set(got_arrays) == set(arrays)
     for name in arrays:
         assert np.array_equal(got_arrays[name], arrays[name]), name

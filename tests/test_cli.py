@@ -374,7 +374,7 @@ class TestDbCommands:
             raise OSError(28, "No space left on device")
 
         dense = tmp_path / "sim.dense"
-        monkeypatch.setattr("repro.index.dense.os.replace", full_disk)
+        monkeypatch.setattr("repro.db.archive.os.replace", full_disk)
         assert main(["db", "init", str(dense), "--dense"]) == 1
         err = capsys.readouterr().err
         assert "No space left on device" in err and str(dense) in err

@@ -28,6 +28,7 @@ from repro.db import (
     SimilarityDatabase,
     open_database,
 )
+from repro.db.archive import read_archive, write_archive
 from repro.db.core import MAGNITUDE_BOUND
 from repro.exceptions import (
     LockTimeout,
@@ -42,7 +43,6 @@ from repro.testing.faults import (
     corrupt_bytes,
     tamper_npz_array,
 )
-from repro.index.snapshot import read_archive, write_archive
 from tests.conftest import BACKENDS, parent_snapshot, reads_only, start_database
 
 CAPACITY = 3
@@ -600,16 +600,18 @@ class TestSourceRebuild:
             again.close()
 
     def test_a_flipped_byte_in_a_dense_source_fails_the_rung(self, tmp_path):
-        """A plain dense open verifies no CRC, so a flipped data byte
-        would be re-added as a changed vector; the rung reads its source
-        with every member checked and names the damaged one."""
+        """A flipped data byte of a dense source would be re-added as a
+        changed vector; every open checks every member's CRC, the plain
+        one and the rung's alike, and names the damaged one."""
         source = tmp_path / "objects.dense"
         source_snapshot(source, dense=True)
         vector = np.array([4.0, 0.0, -1.0]).tobytes()
         offset = source.read_bytes().find(vector)
         assert offset > 0
         corrupt_bytes(source, offset + 7, count=1, xor=0x01)
-        assert SimilarityDatabase.load(source).get(5)[0, 0] != 4.0  # the plain open
+        with pytest.raises(SnapshotIntegrityError) as caught:
+            SimilarityDatabase.load(source)  # the plain open
+        assert caught.value.member == "set_data"
         dbdir = tmp_path / "db"
         durable_without_snapshots(dbdir, source)
         before = {p.name: p.read_bytes() for p in dbdir.iterdir()}
@@ -771,9 +773,9 @@ class TestSnapshotIntegrityErrors:
             db.add(oid, rand_set(rng))
         path = tmp_path / "db.npz"
         db.save(path)
-        meta, arrays = read_archive(path, "repro-similarity-db")
+        meta, arrays, _ = read_archive(path, "repro-similarity-db")
         parent_snapshot("xtree")(meta, arrays)
-        write_archive(path, meta, arrays)
+        write_archive(path, meta, arrays, dense=False)
         SimilarityDatabase.load(path)
         tamper_npz_array(path, "index__entry_lowers")
         with pytest.raises(SnapshotIntegrityError) as excinfo:

@@ -30,14 +30,9 @@ from repro.db import (
     SimilarityDatabase,
     open_database,
 )
+from repro.db.archive import read_archive, write_archive
 from repro.exceptions import InvariantError, QueryError, StorageError
 from repro.index import RStarTree, XTree, arraycore
-from repro.index.dense import (
-    is_dense_archive,
-    read_dense_archive,
-    write_dense_archive,
-)
-from repro.index.snapshot import read_archive, write_archive
 from tests.conftest import (
     BACKENDS,
     RECORDED_BACKENDS,
@@ -782,7 +777,7 @@ print(json.dumps({
             )
             opened.close()
             for file in sorted(saved.glob("shard-*")) if saved.is_dir() else [saved]:
-                meta, arrays = read_snapshot(file)
+                meta, arrays, _ = read_archive(file, DB_FORMAT)
                 assert not {"backend", "index_capacity", "index_meta"} & meta.keys()
                 assert not [name for name in arrays if name.startswith("index__")]
             again = open_database(path if kind == "durable" else saved)
@@ -810,12 +805,12 @@ print(json.dumps({
         db.save(path)
         good = path.read_bytes()
         db.add(500, rand_set(rng))
-        import repro.index.snapshot as snap_mod
+        import repro.db.archive as archive_mod
 
         def crash(src, dst):
             raise OSError("disk full")
 
-        monkeypatch.setattr(snap_mod.os, "replace", crash)
+        monkeypatch.setattr(archive_mod.os, "replace", crash)
         with pytest.raises(StorageError, match="disk full") as failure:
             db.save(path)
         assert str(path) in str(failure.value)
@@ -852,12 +847,6 @@ def ragged_layout(contents):
     }
 
 
-def read_snapshot(path):
-    if is_dense_archive(path):
-        return read_dense_archive(path, DB_FORMAT, mmap=False)
-    return read_archive(path, DB_FORMAT)
-
-
 def assert_same_arrays(got, want):
     assert sorted(got) == sorted(want)
     for name in want:
@@ -879,7 +868,7 @@ class TestOneCopyStore:
         contents = churn(db, rng)
         assert db._engine.oids.tolist() != sorted(contents)  # rows are scrambled
         db.save(tmp_path / "db.snap", dense=dense)
-        meta, arrays = read_snapshot(tmp_path / "db.snap")
+        meta, arrays, _ = read_archive(tmp_path / "db.snap", DB_FORMAT)
         want = ragged_layout(contents)
         assert_same_arrays({name: arrays[name] for name in want}, want)
         assert meta["db_version"] == db.version and meta["dimension"] == DIM
@@ -916,7 +905,7 @@ class TestOneCopyStore:
             "sketch_meta": {**sketcher.params(), "digest": sketcher.digest()},
         }
         path = tmp_path / "parent.snap"
-        (write_dense_archive if dense else write_archive)(path, meta, arrays)
+        write_archive(path, meta, arrays, dense=dense)
 
         opened = open_database(path)
         opened.check_invariants()
@@ -936,8 +925,10 @@ class TestOneCopyStore:
         # Written back, every array and meta key is the parent's but the
         # index: a snapshot carries none.
         opened.save(tmp_path / "again.snap")
-        again_meta, again = read_snapshot(tmp_path / "again.snap")
-        assert is_dense_archive(tmp_path / "again.snap") == dense
+        again_meta, again, again_dense = read_archive(
+            tmp_path / "again.snap", DB_FORMAT
+        )
+        assert again_dense == dense
         assert_same_arrays(
             again, {name: arr for name, arr in arrays.items() if "index__" not in name}
         )

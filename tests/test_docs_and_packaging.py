@@ -353,12 +353,12 @@ class TestReachability:
 
     def test_the_database_imports_no_pointer_tree(self):
         """The database ranks with the array core alone: ``repro.db``, the
-        core, its pack and the snapshot containers reach no pointer tree,
+        core, its pack and the snapshot archive reach no pointer tree,
         so the R*- and X-trees serve Table 2 and the ablations only."""
         modules = _source_modules()
         pointer_trees = {f"repro.index.{name}" for name in ("rstar", "xtree")}
         serving = [name for name in modules if name.split(".")[:2] == ["repro", "db"]]
-        serving += ["repro.index.arraycore", "repro.index.snapshot", "repro.index.dense"]
+        serving += ["repro.index.arraycore"]
         for root in serving:
             leaked = sorted(_reached([root], modules) & pointer_trees)
             assert not leaked, f"{root} imports {leaked}"

@@ -121,14 +121,12 @@ class TestBlockedMaxSumBox:
             searched += 1
         assert searched > 20
 
-    def test_matches_reference_on_float_weights(self, rng):
-        weights = rng.normal(size=(6, 7, 5))
-        gain_ref, lo_ref, hi_ref = cover_oracle.max_sum_box(weights)
-        with budget(4_000):
-            gain, lo, hi = _search_above(weights)
-        assert gain == pytest.approx(gain_ref)
-        assert np.array_equal(lo, lo_ref)
-        assert np.array_equal(hi, hi_ref)
+    def test_float_weights_are_refused(self, rng):
+        # The search is exact on integer grids only (the extractor's are
+        # int8); a float grid is refused, never truncated to integers.
+        for weights in (rng.normal(size=(6, 7, 5)), np.full((3, 3, 3), 2.0)):
+            with pytest.raises(FeatureError, match="integers"):
+                _search_above(weights)
 
     def test_large_magnitude_weights_use_wide_dtypes(self, rng):
         # Sums near the int16 and int32 SAT limits: the scan must widen

@@ -12,6 +12,7 @@ import pytest
 from repro.cli import main
 from repro.datasets.parts import make_part
 from repro.db import SimilarityDatabase, open_database
+from repro.db.archive import read_archive, write_archive
 from repro.exceptions import (
     IngestError,
     SnapshotIntegrityError,
@@ -19,8 +20,6 @@ from repro.exceptions import (
     VoxelizationError,
 )
 from repro.geometry.mesh import box_mesh
-from repro.index.dense import read_dense_archive, write_dense_archive
-from repro.index.snapshot import read_archive, write_archive
 from repro.io.stl import write_stl_binary
 from repro.pipeline import Pipeline
 from repro.testing import (
@@ -292,10 +291,9 @@ class TestTolerantLoad:
         for dense in (False, True):
             path = tmp_path / ("db.dense" if dense else "db.npz")
             sample_database(n=1).save(path, dense=dense)
-            read = read_dense_archive if dense else read_archive
-            meta, arrays = read(path, "repro-similarity-db")
+            meta, arrays, _ = read_archive(path, "repro-similarity-db")
             meta["version"] = 2
-            (write_dense_archive if dense else write_archive)(path, meta, arrays)
+            write_archive(path, meta, arrays, dense=dense)
             with pytest.raises(StorageError, match="unsupported database version"):
                 SimilarityDatabase.load(path)
 

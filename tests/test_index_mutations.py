@@ -3,7 +3,7 @@
 The X-tree's supernode sizing was flushed out by the stateful
 differential tests; the scenario is pinned here as a deterministic
 regression, together with the corruption behaviour every snapshot
-archive (:func:`repro.index.snapshot.read_archive`) shares.
+archive (:func:`repro.db.archive.read_archive`) shares.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.db.archive import read_archive, write_archive
 from repro.exceptions import StorageError
 from repro.index import XTree
-from repro.index.snapshot import read_archive, write_archive
 from tests.conftest import serialize_index
 
 FORMAT = "repro-index-snapshot"
@@ -56,7 +56,7 @@ def saved_tree(path):
     tree = XTree(3, capacity=4, max_overlap=0.0, max_supernode_factor=8)
     for oid, p in enumerate(grid_points(90, seed=9)):
         tree.insert(p, oid)
-    return write_archive(path, *serialize_index(tree))
+    return write_archive(path, *serialize_index(tree), dense=False)
 
 
 class TestSnapshots:

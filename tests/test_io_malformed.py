@@ -217,26 +217,40 @@ def test_bitflipped_valid_files_stay_inside_the_hierarchy(seed, tmp_path):
 
 @pytest.mark.parametrize("dense", [False, True], ids=["npz", "dense"])
 def test_bitflipped_snapshots_fail_typed(dense, tmp_path):
-    """Flipping 1-3 bytes of a valid snapshot either still opens or
-    raises a ReproError, in both containers: zip structure, .npy headers,
-    the dense header's array table, the meta block and the data."""
+    """Flipping 1-3 bytes of a valid snapshot either raises a ReproError
+    or opens the very database that was saved, in both containers: zip
+    structure, .npy headers, the dense header's array table, the meta
+    block and the data.  Every member is CRC-checked on open; the dense
+    header is not, so a flip there may open changed (ROADMAP item 22)."""
     rng = np.random.default_rng(41)
     db = SimilarityDatabase(3)
     for oid in range(12):
         vectors = rng.integers(-8, 9, size=(int(rng.integers(1, 4)), 3)).astype(float)
         db.add(oid, vectors, {"name": f"part-{oid}"})
     good = db.save(tmp_path / "db.snap", dense=dense).read_bytes()
+    saved = (db.engine_digest(), {oid: db.payload(oid) for oid in db.object_ids()})
+    checked_from = 0  # an .npz: the whole file
+    if dense:
+        # The array region starts at the first 64-byte boundary past the
+        # magic, the u32 header length and the header.
+        header_len = int(np.frombuffer(good[8:12], dtype=np.uint32)[0])
+        checked_from = -(-(12 + header_len) // 64) * 64
     path = tmp_path / "flipped.snap"
     for seed in range(500):
         flips = np.random.default_rng(seed)
         data = bytearray(good)
+        positions = []
         for _ in range(int(flips.integers(1, 4))):
-            data[int(flips.integers(0, len(data)))] ^= int(flips.integers(1, 256))
+            positions.append(int(flips.integers(0, len(data))))
+            data[positions[-1]] ^= int(flips.integers(1, 256))
         path.write_bytes(bytes(data))
         try:
-            SimilarityDatabase.load(path)
+            opened = SimilarityDatabase.load(path)
         except ReproError:
-            pass
+            continue
+        if min(positions) >= checked_from:
+            got = {oid: opened.payload(oid) for oid in opened.object_ids()}
+            assert (opened.engine_digest(), got) == saved, (seed, positions)
 
 
 # -- round-trip properties ----------------------------------------------------

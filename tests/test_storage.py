@@ -36,9 +36,8 @@ import numpy as np
 import pytest
 
 from repro.db import ShardedSimilarityDatabase, SimilarityDatabase, open_database, storage
+from repro.db.archive import read_archive, write_archive
 from repro.exceptions import QueryError, StorageError
-from repro.index.dense import read_dense_archive, write_dense_archive
-from repro.index.snapshot import read_archive, write_archive
 from repro.pipeline import Pipeline
 from tests.conftest import (
     BACKENDS,
@@ -136,7 +135,7 @@ def layout_digests(root: Path) -> dict:
             meta = arrays.pop("meta").tobytes()
             out[name] = {"meta": json.loads(meta), "meta_sha256": _sha256(meta)}
         elif file.suffix == ".dense":
-            meta, arrays = read_dense_archive(file, mmap=False)
+            meta, arrays, _ = read_archive(file, storage.DB_FORMAT)
             out[name] = {"meta": meta, "sha256": _sha256(raw)}
         else:
             out[name] = _sha256(raw)
@@ -462,7 +461,7 @@ def test_a_snapshot_meta_that_is_not_an_object_fails_typed(tmp_path, capsys):
 def test_a_malformed_snapshot_meta_key_fails_typed(key, value, tmp_path, capsys):
     path = tmp_path / "db.npz"
     saved_layout("plain", path)
-    meta, _ = read_archive(path, "repro-similarity-db")
+    meta, _, _ = read_archive(path, "repro-similarity-db")
     meta[key] = value
     rewrite_meta(path, meta)
     assert_corrupt(path, capsys, "db.npz", repr(key))
@@ -533,12 +532,12 @@ def test_malformed_index_tables_are_not_parsed(name, case, tmp_path, capsys):
     dense = name.endswith(".dense")
     saved_layout("dense" if dense else "plain", path)
     want = open_database(path)
-    read = read_dense_archive if dense else read_archive
-    meta, arrays = read(path, "repro-similarity-db", **({"mmap": False} if dense else {}))
+    meta, arrays, _ = read_archive(path, "repro-similarity-db")
+    arrays = {name: np.array(arr) for name, arr in arrays.items()}
     parent_snapshot("xtree")(meta, arrays)
     assert len(arrays["index__node_level"]) > 1  # a directory to break
     INDEX_TABLES[case](meta, arrays)
-    (write_dense_archive if dense else write_archive)(path, meta, arrays)
+    write_archive(path, meta, arrays, dense=dense)
     opened = open_database(path)
     opened.check_invariants()
     probe = want.get(want.object_ids()[0])
@@ -633,15 +632,12 @@ def test_a_malformed_payloads_member_fails_typed(name, case, tmp_path, capsys):
     path = tmp_path / name
     dense = name.endswith(".dense")
     saved_layout("dense" if dense else "plain", path)
-    if dense:
-        meta, arrays = read_dense_archive(path, mmap=False)
-    else:
-        meta, arrays = read_archive(path, "repro-similarity-db")
+    meta, arrays, _ = read_archive(path, "repro-similarity-db")
     blob = PAYLOAD_MEMBERS[case]
     arrays["payloads"] = (
         np.zeros(3) if blob is None else np.frombuffer(blob, dtype=np.uint8)
     )
-    (write_dense_archive if dense else write_archive)(path, meta, arrays)
+    write_archive(path, meta, arrays, dense=dense)
     assert_corrupt(path, capsys, name, "payloads")
 
 
